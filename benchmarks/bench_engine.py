@@ -1267,25 +1267,34 @@ def bench_zero_copy(quick, repeats):
     return record
 
 
-def bench_meta():
-    """Environment stamp so BENCH_engine.json files are comparable
-    across PRs and machines."""
+def _git(*args):
+    """stdout of ``git args`` at the repo root, or None if git fails."""
     try:
-        revision = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+        done = subprocess.run(
+            ["git", *args],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
             timeout=10,
-        ).stdout.strip() or None
+        )
     except (OSError, subprocess.SubprocessError):
-        revision = None
+        return None
+    return done.stdout if done.returncode == 0 else None
+
+
+def bench_meta():
+    """Environment stamp so BENCH_engine.json files are comparable
+    across PRs and machines.  ``git_dirty`` says whether tracked files
+    differed from ``git_revision`` when the numbers were taken."""
+    revision = (_git("rev-parse", "--short", "HEAD") or "").strip() or None
+    status = _git("status", "--porcelain", "--untracked-files=no")
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "numpy": np.__version__,
         "platform": platform.platform(),
         "git_revision": revision,
+        "git_dirty": None if status is None else bool(status.strip()),
     }
 
 

@@ -83,8 +83,6 @@ __all__ = [
     "compile_program",
     "rebuild_kernel_schedule",
     "execute",
-    "pack_rows",
-    "unpack_rows",
 ]
 
 
@@ -1061,41 +1059,3 @@ def execute(
             )
         )
     return results
-
-
-# -- payload packing helpers --------------------------------------------
-
-
-def pack_rows(rows: np.ndarray) -> List[int]:
-    """Each row of a ``K × L`` 0/1 array as one Python int, first column
-    most significant — the bulk counterpart of
-    ``Bits.from_bools(row).to_uint()`` used to build routed payloads."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError("pack_rows needs a 2-D array")
-    k, length = rows.shape
-    if length == 0:
-        return [0] * k
-    packed = np.packbits(rows.astype(np.uint8, copy=False), axis=1)
-    pad = (-length) % 8
-    stride = packed.shape[1]
-    data = packed.tobytes()
-    return [
-        int.from_bytes(data[i * stride : (i + 1) * stride], "big") >> pad
-        for i in range(k)
-    ]
-
-
-def unpack_rows(values: Sequence[int], length: int) -> np.ndarray:
-    """Inverse of :func:`pack_rows`: ``K`` ints of ``length`` bits each
-    back into a ``K × length`` 0/1 ``uint8`` array."""
-    k = len(values)
-    if length == 0:
-        return np.zeros((k, 0), dtype=np.uint8)
-    pad = (-length) % 8
-    nbytes = (length + 7) // 8
-    data = b"".join(
-        (int(v) << pad).to_bytes(nbytes, "big") for v in values
-    )
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(k, nbytes)
-    return np.unpackbits(arr, axis=1)[:, :length]

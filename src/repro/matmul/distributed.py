@@ -196,19 +196,23 @@ def triangle_mm_kernel_program(
     from repro.core.kernels import KernelBuilder
     from repro.core.network import Mode
     from repro.core.phases import kernel_transmit_unicast
-    from repro.routing.lenzen import kernel_route_payloads
+    from repro.routing.lenzen import BitRoute, kernel_route_bits
     from repro.simulation.kernel import (
+        KernelPlan,
         append_simulation_rounds,
         constant_columns,
-        payload_bridge,
     )
 
     size = graph.n
     circuit = plan.circuit
     input_ids = circuit.input_ids
     out_order, out_lengths = _output_routing_plan(plan, size)
-    out_schedule = build_schedule(
-        payload_demand(out_lengths, plan.bandwidth), size
+    # Compiled once, appended once per trial.
+    kernel_plan = KernelPlan(plan)
+    out_route = BitRoute(
+        out_order,
+        plan.bandwidth,
+        build_schedule(payload_demand(out_lengths, plan.bandwidth), size),
     )
     builder = KernelBuilder(size, Mode.UNICAST, bandwidth=plan.bandwidth)
     vals_key = "vals"
@@ -245,12 +249,9 @@ def triangle_mm_kernel_program(
 
     builder.on_init(init)
 
-    out_payloads, _out_writeback = payload_bridge(out_order, vals_key)
-
-    def set_out(state, received):
-        # All output values live in the value matrix once the routed
-        # frames land; assemble C and score this trial's witnesses.
-        del received
+    def score(state):
+        # The routed output frames have landed back in the value matrix:
+        # assemble C and score this trial's witnesses.
         vals = state[vals_key]
         rows = state["rows"]
         instances = vals.shape[0]
@@ -278,15 +279,9 @@ def triangle_mm_kernel_program(
             vals[:, second_ids] = rows.reshape(instances, size * size)
 
         builder.before(prepare)
-        append_simulation_rounds(builder, plan, vals_key)
-        kernel_route_payloads(
-            builder,
-            out_lengths,
-            plan.bandwidth,
-            out_schedule,
-            out_payloads,
-            set_out,
-        )
+        append_simulation_rounds(builder, kernel_plan, vals_key)
+        kernel_route_bits(builder, out_route, vals_key)
+        builder.before(score)
 
     # ---- aggregation at player 0 (1 + 2·log n bits per node) ----------
     vertex_bits = max(1, (size - 1).bit_length())

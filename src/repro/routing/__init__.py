@@ -2,8 +2,10 @@
 O(1)-round congested-clique routing [28]; see DESIGN.md substitution #1)."""
 
 from repro.routing.lenzen import (
+    BitRoute,
+    FrameRoute,
+    kernel_route_bits,
     kernel_route_frames,
-    kernel_route_payloads,
     payload_demand,
     route_frames,
     route_kernel_program,
@@ -20,7 +22,9 @@ __all__ = [
     "route_payloads",
     "payload_demand",
     "route_program",
+    "FrameRoute",
     "kernel_route_frames",
-    "kernel_route_payloads",
+    "BitRoute",
+    "kernel_route_bits",
     "route_kernel_program",
 ]

@@ -24,11 +24,15 @@ given in its input) with the declaration already made.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
-from repro.core.network import Context, Outbox, inbox_uints
+from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
+from repro.core.kernels import KernelBuilder
+from repro.core.network import Context, Mode, Outbox, inbox_uints
 from repro.routing.schedule import FrameRef, RoutingSchedule, build_schedule
 
 __all__ = [
@@ -36,8 +40,10 @@ __all__ = [
     "payload_demand",
     "route_payloads",
     "route_program",
+    "FrameRoute",
     "kernel_route_frames",
-    "kernel_route_payloads",
+    "BitRoute",
+    "kernel_route_bits",
     "route_kernel_program",
 ]
 
@@ -211,182 +217,212 @@ def route_payloads(
 # the links delivered back into it) — no per-node stepping at all.
 
 
-def kernel_route_frames(builder, schedule: RoutingSchedule, frame_size: int, get_frames, set_result) -> None:
-    """Append ``schedule``'s rounds to ``builder`` as kernel rounds.
+class FrameRoute:
+    """``schedule`` compiled for the kernel form, once per schedule.
 
-    At phase start ``get_frames(state)`` must return one
-    ``{FrameRef: Bits}`` map per instance covering exactly the frames
-    the schedule injects (each exactly ``frame_size`` bits); when the
-    last hop lands, ``set_result(state, delivered)`` receives
-    ``delivered[k][v]`` as node ``v``'s ``{FrameRef: Bits}`` map — the
-    generator :func:`route_frames` return value.
+    Every frame gets a dense *slot* (first-appearance order) — its
+    column in the ``K × len(slot_of)`` frame-value matrix — and every
+    round becomes its ``(sender, dests)`` pairs in builder order
+    (ascending sender, that sender's send-plan order) plus the slot
+    vector of the frames those hops carry.  ``finals`` lists
+    ``(ref, slot, destination)`` in final-hop order.
     """
-    import numpy as np
 
+    __slots__ = ("slot_of", "rounds", "finals")
+
+    def __init__(self, schedule: RoutingSchedule) -> None:
+        slot_of: Dict[FrameRef, int] = {}
+        finals = []
+        rounds = []
+        for r in range(schedule.num_rounds):
+            sends = schedule.send_plan[r]
+            recv = schedule.recv_plan[r]
+            pairs = []
+            slots = []
+            for sender in sorted(sends):
+                dests = []
+                for recipient, frame in sends[sender]:
+                    slot = slot_of.setdefault(frame, len(slot_of))
+                    dests.append(recipient)
+                    slots.append(slot)
+                    if recv[(sender, recipient)][1]:
+                        finals.append((frame, slot, recipient))
+                pairs.append((sender, dests))
+            rounds.append((pairs, np.asarray(slots, dtype=np.intp)))
+        self.slot_of = slot_of
+        self.rounds = rounds
+        self.finals = finals
+
+
+def kernel_route_frames(
+    builder, route: FrameRoute, frame_size: int, get_values, set_values
+) -> None:
+    """Append ``route``'s rounds to ``builder`` as kernel rounds.
+
+    At phase start ``get_values(state)`` must return the ``K ×
+    len(route.slot_of)`` frame-value matrix in slot order (``uint64``,
+    or ``object`` ints for frames past
+    :data:`~repro.core.fastlane.NUMERIC_WIDTH_LIMIT` bits).  Every
+    round sends the slots it moves and writes what the links delivered
+    back into the matrix, so when the last hop lands
+    ``set_values(state, values)`` receives each frame as its final hop
+    delivered it.
+    """
     if frame_size < 1:
         raise ValueError("frame size must be positive")
-    # Assign each frame a dense slot id (first appearance order) and
-    # flatten every round's hops in builder structure order: ascending
-    # sender, that sender's send-plan order.
-    slot_of: Dict[FrameRef, int] = {}
-    final_dest: Dict[FrameRef, int] = {}
-    round_plans = []
-    for r in range(schedule.num_rounds):
-        sends = schedule.send_plan[r]
-        recv = schedule.recv_plan[r]
-        pairs = []
-        slots = []
-        for sender in sorted(sends):
-            dests = []
-            for recipient, frame in sends[sender]:
-                if frame not in slot_of:
-                    slot_of[frame] = len(slot_of)
-                dests.append(recipient)
-                slots.append(slot_of[frame])
-                if recv[(sender, recipient)][1]:
-                    final_dest[frame] = recipient
-            pairs.append((sender, dests))
-        round_plans.append((pairs, np.asarray(slots, dtype=np.intp)))
-    num_frames = len(slot_of)
-    is_object = frame_size > 63
     key = builder.fresh_key("route")
 
     def start(state):
-        frame_maps = get_frames(state)
-        instances = len(frame_maps)
-        values = np.zeros(
-            (instances, num_frames), dtype=object if is_object else np.uint64
-        )
-        for k, frames in enumerate(frame_maps):
-            for ref, frame in frames.items():
-                if len(frame) != frame_size:
-                    raise ValueError(
-                        f"frame {ref} has {len(frame)} bits, "
-                        f"expected {frame_size}"
-                    )
-                values[k, slot_of[ref]] = frame.to_uint()
-        state[key] = values
+        state[key] = get_values(state)
 
     builder.before(start)
-    for pairs, slots in round_plans:
+    for pairs, slots in route.rounds:
 
         def send(state, _slots=slots):
             return state[key][:, _slots]
 
         def recv(state, inbox, _slots=slots):
-            # Write what the links actually delivered back into the
-            # frame-value matrix (value-preserving by construction, but
-            # keeps the data flow on the wire).
+            # What the links delivered, not what was sent: the data
+            # flow stays on the wire.
             state[key][:, _slots] = inbox.gather()
 
         builder.unicast_round(pairs, frame_size, send, recv)
 
     def done(state):
-        values = state.pop(key)
-        instances = values.shape[0]
-        delivered = [
-            [dict() for _ in range(builder.n)] for _ in range(instances)
-        ]
-        for ref, dest in final_dest.items():
-            slot = slot_of[ref]
-            for k in range(instances):
-                delivered[k][dest][ref] = Bits(int(values[k, slot]), frame_size)
-        set_result(state, delivered)
+        set_values(state, state.pop(key))
 
     builder.before(done)
 
 
-def kernel_route_payloads(
-    builder,
-    lengths: Mapping[Tuple[int, int], int],
-    frame_size: int,
-    schedule: Optional[RoutingSchedule],
-    get_payloads,
-    set_result,
-) -> None:
-    """Append a :func:`route_payloads` phase to ``builder``: payloads
-    under the public ``lengths`` map are chunked into frames, routed by
-    ``schedule`` (built from ``lengths`` when ``None``), and reassembled
-    at their destinations.  ``get_payloads(state)`` returns one
-    ``{(src, dst): Bits}`` map per instance (only pairs with a positive
-    length); ``set_result(state, received)`` gets ``received[k][v]`` as
-    node ``v``'s ``{src: Bits}`` map."""
-    if schedule is None:
-        schedule = build_schedule(payload_demand(lengths, frame_size), builder.n)
-    counts = payload_demand(lengths, frame_size)
+class BitRoute:
+    """Routed payloads read from and written to columns of a ``K × C``
+    0/1 ``uint8`` bit matrix — the kernel form of :func:`route_payloads`.
 
-    def get_frames(state):
-        frame_maps = []
-        for payloads in get_payloads(state):
-            frames: Dict[FrameRef, Bits] = {}
-            for (src, dst), payload in payloads.items():
-                expected = lengths.get((src, dst), 0)
-                if len(payload) != expected:
-                    raise ValueError(
-                        f"payload to {dst} has {len(payload)} bits, "
-                        f"plan says {expected}"
-                    )
-                if expected == 0:
-                    continue
-                count = counts[(src, dst)]
-                chunks = payload.pad_to(count * frame_size).to_uint_chunks(
-                    frame_size
-                )
-                for idx, chunk in enumerate(chunks):
-                    frames[(src, dst, idx)] = Bits(chunk, frame_size)
-            frame_maps.append(frames)
-        return frame_maps
+    ``order[(src, dst)]`` lists the columns whose bits ``src`` sends
+    ``dst``, first column most significant, cut into ``frame_size``-bit
+    frames and zero-padded exactly as :func:`route_payloads` cuts a
+    ``Bits.from_bools`` payload; ``schedule`` routes those frames (the
+    :func:`payload_demand` of the column counts).  Compiling precomputes
+    where every payload bit sits in a byte-aligned grid of frame words,
+    so :meth:`pack` is one gather plus ``np.packbits`` and
+    :meth:`unpack` its inverse scatter.
+    """
 
-    def assemble(state, delivered):
-        instances = len(delivered)
-        received = [
-            [dict() for _ in range(builder.n)] for _ in range(instances)
-        ]
-        for k in range(instances):
-            for v in range(builder.n):
-                by_source: Dict[int, Dict[int, Bits]] = {}
-                for (src, _dst, idx), chunk in delivered[k][v].items():
-                    by_source.setdefault(src, {})[idx] = chunk
-                for src, chunks in by_source.items():
-                    expected = lengths[(src, v)]
-                    ordered = [chunks[i] for i in range(len(chunks))]
-                    received[k][v][src] = Bits.concat(ordered)[:expected]
-        set_result(state, received)
+    __slots__ = ("route", "frame_size", "_nbytes", "_cols", "_positions")
 
-    kernel_route_frames(builder, schedule, frame_size, get_frames, assemble)
+    def __init__(
+        self,
+        order: Mapping[Tuple[int, int], Sequence[int]],
+        frame_size: int,
+        schedule: RoutingSchedule,
+    ) -> None:
+        self.route = FrameRoute(schedule)
+        self.frame_size = frame_size
+        self._nbytes = -(-frame_size // 8)
+        # A frame occupies one word of whole bytes with its bits right-
+        # aligned: payload bit ``offset`` lands in frame ``offset //
+        # frame_size`` at word bit ``word - frame_size + offset % frame_size``.
+        word = 8 * self._nbytes
+        cols = []
+        positions = []
+        for (src, dst), pair_cols in order.items():
+            for offset, col in enumerate(pair_cols):
+                idx, bit = divmod(offset, frame_size)
+                slot = self.route.slot_of[(src, dst, idx)]
+                cols.append(col)
+                positions.append(slot * word + word - frame_size + bit)
+        self._cols = np.asarray(cols, dtype=np.intp)
+        self._positions = np.asarray(positions, dtype=np.intp)
+
+    def pack(self, bits):
+        """The ``K × frames`` frame-value matrix of ``bits``' payloads."""
+        instances = bits.shape[0]
+        frames = len(self.route.slot_of)
+        nbytes = self._nbytes
+        grid = np.zeros((instances, frames * nbytes * 8), dtype=np.uint8)
+        grid[:, self._positions] = bits[:, self._cols]
+        packed = np.packbits(grid, axis=1)
+        if self.frame_size > NUMERIC_WIDTH_LIMIT:
+            data = packed.tobytes()
+            values = [
+                int.from_bytes(data[i : i + nbytes], "big")
+                for i in range(0, len(data), nbytes)
+            ]
+            return np.array(values, dtype=object).reshape(instances, frames)
+        words = np.zeros((instances, frames, 8), dtype=np.uint8)
+        words[:, :, 8 - nbytes :] = packed.reshape(instances, frames, nbytes)
+        return words.view(">u8").reshape(instances, frames).astype(np.uint64)
+
+    def unpack(self, values, bits) -> None:
+        """Scatter the payload bits carried by the frame-value matrix
+        ``values`` back into their columns of ``bits``."""
+        instances, frames = values.shape
+        nbytes = self._nbytes
+        if self.frame_size > NUMERIC_WIDTH_LIMIT:
+            data = b"".join(int(v).to_bytes(nbytes, "big") for v in values.flat)
+            packed = np.frombuffer(data, dtype=np.uint8)
+        else:
+            words = values.astype(">u8").view(np.uint8)
+            packed = words.reshape(instances, frames, 8)[:, :, 8 - nbytes :]
+        grid = np.unpackbits(packed.reshape(instances, frames * nbytes), axis=1)
+        bits[:, self._cols] = grid[:, self._positions]
+
+
+def kernel_route_bits(builder, bit_route: BitRoute, key: str) -> None:
+    """Append a :func:`route_payloads` phase over the bit matrix
+    ``state[key]`` to ``builder``: :meth:`BitRoute.pack` its payloads at
+    phase start, route the frames, and :meth:`BitRoute.unpack` what the
+    final hops delivered back into the same columns."""
+    kernel_route_frames(
+        builder,
+        bit_route.route,
+        bit_route.frame_size,
+        lambda state: bit_route.pack(state[key]),
+        lambda state, values: bit_route.unpack(values, state[key]),
+    )
 
 
 def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
     """The kernel twin of :func:`route_program`: same inputs (node
     ``v``'s ``{FrameRef: Bits}`` injection map, or ``None``), same
     outputs (the frames delivered to each node), zero generator steps —
-    every round is one gather + one scatter over a frame-value matrix
-    for all instances of a sweep at once."""
-    from repro.core.kernels import KernelBuilder
-    from repro.core.network import Mode
-
-    builder = KernelBuilder(schedule.n, Mode.UNICAST)
+    a thin :class:`Bits` adapter over :func:`kernel_route_frames`, whose
+    rounds are one gather + one scatter over a frame-value matrix for
+    all instances of a sweep at once."""
+    route = FrameRoute(schedule)
+    n = schedule.n
+    builder = KernelBuilder(n, Mode.UNICAST)
 
     def init(state, kctx):
         state["inputs"] = kctx.inputs_list
 
     builder.on_init(init)
 
-    def get_frames(state):
-        maps = []
-        for inputs in state["inputs"]:
-            frames: Dict[FrameRef, Bits] = {}
-            if inputs is not None:
-                for per_node in inputs:
-                    if per_node:
-                        frames.update(per_node)
-            maps.append(frames)
-        return maps
+    def get_values(state):
+        inputs_list = state["inputs"]
+        values = np.zeros(
+            (len(inputs_list), len(route.slot_of)),
+            dtype=object if frame_size > NUMERIC_WIDTH_LIMIT else np.uint64,
+        )
+        for k, inputs in enumerate(inputs_list):
+            for per_node in inputs or ():
+                for ref, frame in (per_node or {}).items():
+                    if len(frame) != frame_size:
+                        raise ValueError(
+                            f"frame {ref} has {len(frame)} bits, "
+                            f"expected {frame_size}"
+                        )
+                    values[k, route.slot_of[ref]] = frame.to_uint()
+        return values
 
-    def set_result(state, delivered):
+    def set_values(state, values):
+        delivered = [[dict() for _ in range(n)] for _ in range(values.shape[0])]
+        for ref, slot, dest in route.finals:
+            for k, per_node in enumerate(delivered):
+                per_node[dest][ref] = Bits(int(values[k, slot]), frame_size)
         state["out"] = delivered
 
-    kernel_route_frames(builder, schedule, frame_size, get_frames, set_result)
+    kernel_route_frames(builder, route, frame_size, get_values, set_values)
     return builder.build(
         lambda state, kctx: state["out"], name="route_frames"
     )

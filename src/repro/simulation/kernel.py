@@ -11,13 +11,26 @@ numpy operations per round.  The round sequence, widths and bit totals
 are identical to the generator's by construction (the same plan drives
 both), and the equivalence suite pins outputs byte-for-byte.
 
-Gate evaluation is vectorized per gate across instances
-(:func:`vector_compute`); partial summaries for the heavy-gate rounds
-are produced the same way (:func:`vector_summary`).  Owners evaluate a
-heavy gate directly from its input values rather than re-combining the
-received summaries — by Definition 1 (b-separability) the two are the
-same function, which is also why the generator's ``combine`` of honest
-summaries matches.
+:class:`KernelPlan` compiles a plan into index arrays once; its rounds
+can then be appended any number of times (``triangle_mm`` appends them
+once per trial) without recompiling:
+
+* Gate evaluation is grouped (:class:`GateGroups`).  Each layer's light
+  gates, and its heavy gates at their owners, are grouped by gate
+  family and fan-in, and each group is evaluated with one gather of its
+  ``gates × fan-in`` input columns and one reduction, for every
+  instance at once.  Only gate classes outside the built-in families
+  fall back to :func:`vector_compute`, one gate at a time.
+* Routed payloads never become :class:`~repro.core.bits.Bits`: a
+  :class:`~repro.routing.lenzen.BitRoute` gathers their bits from the
+  value matrix straight into the routed frame-value matrix, and
+  scatters the frames the final hops delivered back into it.
+
+Partial summaries for the heavy-gate rounds are produced per message
+(:func:`vector_summary`).  Owners evaluate a heavy gate directly from
+its input values rather than re-combining the received summaries — by
+Definition 1 (b-separability) the two are the same function, which is
+also why the generator's ``combine`` of honest summaries matches.
 """
 
 from __future__ import annotations
@@ -36,17 +49,17 @@ from repro.circuits.gates import (
     ThresholdGate,
     XorGate,
 )
-from repro.core.bits import Bits
-from repro.core.kernels import KernelBuilder, pack_rows, unpack_rows
+from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode
-from repro.routing.lenzen import kernel_route_payloads
+from repro.routing.lenzen import BitRoute, kernel_route_bits
 from repro.simulation.protocol import SimulationPlan
 
 __all__ = [
     "vector_compute",
     "vector_summary",
     "constant_columns",
-    "payload_bridge",
+    "GateGroups",
+    "KernelPlan",
     "append_simulation_rounds",
     "make_kernel_program",
 ]
@@ -74,7 +87,9 @@ def vector_compute(gate, part: np.ndarray) -> np.ndarray:
     """Evaluate ``gate`` on a ``K × fan_in`` 0/1 matrix of its input
     values — one result per instance, vectorized for every built-in
     gate family (arbitrary :class:`~repro.circuits.gates.Gate`
-    subclasses fall back to per-instance ``compute``)."""
+    subclasses fall back to per-instance ``compute``).  This is the
+    per-gate reference :class:`GateGroups` reproduces, and how it
+    evaluates gate classes outside its grouped families."""
     if isinstance(gate, AndGate):
         return part.all(axis=1)
     if isinstance(gate, OrGate):
@@ -148,69 +163,170 @@ def vector_summary(
     return out
 
 
-def payload_bridge(order: Dict[Tuple[int, int], List[int]], vals_key: str):
-    """(get_payloads, set_result) callbacks that move the gate values
-    named by ``order`` (gid lists per (src, dst) pair) between the
-    ``K × gates`` value matrix and routed :class:`Bits` payloads."""
-    cols = {pair: np.asarray(gids, dtype=np.intp) for pair, gids in order.items()}
+#: The gate families :class:`GateGroups` evaluates in groups, in
+#: :func:`vector_compute`'s ``isinstance`` order — a subclass such as
+#: :class:`~repro.circuits.gates.MajorityGate` joins its base family.
+_FAMILIES = (AndGate, OrGate, NotGate, XorGate, ModGate, ThresholdGate)
 
-    def get_payloads(state):
-        vals = state[vals_key]
-        instances = vals.shape[0]
-        maps: List[Dict[Tuple[int, int], Bits]] = [
-            dict() for _ in range(instances)
-        ]
-        for pair, gid_cols in cols.items():
-            length = gid_cols.size
-            packed = pack_rows(vals[:, gid_cols])
-            for k in range(instances):
-                maps[k][pair] = Bits(packed[k], length)
-        return maps
 
-    def set_result(state, received):
-        vals = state[vals_key]
-        for (src, dst), gid_cols in cols.items():
-            payloads = [
-                per_instance[dst][src].to_uint() for per_instance in received
-            ]
-            vals[:, gid_cols] = unpack_rows(payloads, gid_cols.size)
+class GateGroups:
+    """Gates with no dependencies among them (one layer's) compiled for
+    evaluation over a ``K × gates`` 0/1 value matrix.
 
-    return get_payloads, set_result
+    Gates are grouped by family and fan-in.  A group keeps its output
+    columns, its ``gates × fan-in`` input columns and, where its family
+    has them, per-gate moduli, thresholds and weights, so
+    :meth:`evaluate` costs one gather and one reduction per group.
+    Gates of any other class are evaluated one at a time with
+    :func:`vector_compute`.
+    """
+
+    __slots__ = ("groups", "others")
+
+    def __init__(self, nodes, gids) -> None:
+        family_of: Dict[type, type] = {}
+        members: Dict[Tuple[type, int], List[int]] = {}
+        self.others = []
+        for gid in gids:
+            node = nodes[gid]
+            kind = type(node.gate)
+            if kind not in family_of:
+                family_of[kind] = next(
+                    (f for f in _FAMILIES if issubclass(kind, f)), None
+                )
+            family = family_of[kind]
+            if family is None:
+                cols = np.asarray(node.inputs, dtype=np.intp)
+                self.others.append((gid, node.gate, cols))
+            else:
+                members.setdefault((family, len(node.inputs)), []).append(gid)
+        self.groups = []
+        for (family, fan_in), group in members.items():
+            gates = [nodes[gid].gate for gid in group]
+            param = weights = None
+            if family is ModGate:
+                param = np.asarray([g.modulus for g in gates], dtype=np.int64)
+            elif family is ThresholdGate:
+                param = np.asarray([g.threshold for g in gates], dtype=np.int64)
+                if any(g.weights is not None for g in gates):
+                    weights = np.asarray(
+                        [
+                            (1,) * fan_in if g.weights is None else g.weights
+                            for g in gates
+                        ],
+                        dtype=np.int64,
+                    )
+            cols = np.asarray([nodes[gid].inputs for gid in group], dtype=np.intp)
+            out = np.asarray(group, dtype=np.intp)
+            self.groups.append((family, out, cols, param, weights))
+
+    def evaluate(self, vals: np.ndarray) -> None:
+        """Write every gate's value into its column of ``vals``."""
+        for family, out, cols, param, weights in self.groups:
+            part = vals[:, cols]
+            if family is AndGate:
+                result = part.all(axis=2)
+            elif family is OrGate:
+                result = part.any(axis=2)
+            elif family is NotGate:
+                result = part[:, :, 0] == 0
+            elif family is XorGate:
+                result = part.sum(axis=2, dtype=np.int64) % 2 == 1
+            elif family is ModGate:
+                result = part.sum(axis=2, dtype=np.int64) % param == 0
+            else:
+                if weights is None:
+                    total = part.sum(axis=2, dtype=np.int64)
+                else:
+                    total = (part * weights).sum(axis=2)
+                result = total >= param
+            vals[:, out] = result
+        for gid, gate, cols in self.others:
+            vals[:, gid] = vector_compute(gate, vals[:, cols])
+
+
+def _push_round(push_recv: Dict[Tuple[int, int], int]):
+    """``(pairs, gate columns)`` of a heavy-push round: one 1-bit
+    message per plan edge, in (sender, receiver) order."""
+    edges = sorted(push_recv.items())
+    by_src: Dict[int, List[int]] = {}
+    for (src, dst), _gid in edges:
+        by_src.setdefault(src, []).append(dst)
+    cols = np.asarray([gid for _, gid in edges], dtype=np.intp)
+    return sorted(by_src.items()), cols
+
+
+def _summary_round(plan: SimulationPlan, lp):
+    """``(pairs, widths, messages)`` of a heavy-summary round: one
+    message per (contributing sender, heavy gate) carrying the sender's
+    partial summary, ``messages`` as ``(gate, positions, columns,
+    fan-in)``."""
+    nodes = plan.circuit.nodes
+    entries = []
+    for gid in lp.heavy_gates:
+        owner = plan.assignment.owner[gid]
+        for sender in sorted(lp.summary_senders[gid]):
+            entries.append((sender, owner, gid, lp.summary_senders[gid][sender]))
+    entries.sort(key=lambda m: (m[0], m[1]))
+    by_src: Dict[int, List[int]] = {}
+    widths: List[int] = []
+    messages = []
+    for sender, owner, gid, positions in entries:
+        by_src.setdefault(sender, []).append(owner)
+        widths.append(plan.summary_width(gid))
+        node = nodes[gid]
+        cols = np.asarray([node.inputs[p] for p in positions], dtype=np.intp)
+        messages.append((node.gate, positions, cols, len(node.inputs)))
+    return sorted(by_src.items()), widths, messages
+
+
+class KernelPlan:
+    """A :class:`~repro.simulation.protocol.SimulationPlan` compiled
+    into the index arrays of its kernel rounds: per layer, the heavy
+    gates' :class:`GateGroups`, the summary and push rounds, the light
+    wires' :class:`~repro.routing.lenzen.BitRoute` and the light gates'
+    :class:`GateGroups`."""
+
+    __slots__ = ("inputs", "layer0_push", "layers")
+
+    def __init__(self, plan: SimulationPlan) -> None:
+        nodes = plan.circuit.nodes
+        self.inputs = (
+            BitRoute(plan.input_order, plan.bandwidth, plan.input_schedule)
+            if plan.input_lengths
+            else None
+        )
+        self.layer0_push = (
+            _push_round(plan.layer0_push_recv) if plan.layer0_push_recv else None
+        )
+        self.layers = []
+        for lp in plan.layer_plans:
+            lights = sorted(gid for gids in lp.light_owned.values() for gid in gids)
+            self.layers.append(
+                (
+                    GateGroups(nodes, lp.heavy_gates) if lp.heavy_gates else None,
+                    _summary_round(plan, lp) if lp.has_summary_round else None,
+                    _push_round(lp.push_recv) if lp.push_recv else None,
+                    BitRoute(lp.light_order, plan.bandwidth, lp.light_schedule)
+                    if lp.light_lengths
+                    else None,
+                    GateGroups(nodes, lights) if lights else None,
+                )
+            )
 
 
 def append_simulation_rounds(
-    builder: KernelBuilder, plan: SimulationPlan, vals_key: str
+    builder: KernelBuilder, plan: KernelPlan, vals_key: str
 ) -> None:
-    """Append every communication round of ``plan`` to ``builder``,
-    mirroring :func:`~repro.simulation.protocol.execute_plan` phase for
-    phase.  ``state[vals_key]`` must hold the ``K × gates`` 0/1 value
-    matrix with constants and the instance's input gate values filled
-    in before the first appended round fires (stage it with
+    """Append every communication round of the compiled ``plan`` to
+    ``builder``, mirroring :func:`~repro.simulation.protocol.execute_plan`
+    phase for phase.  ``state[vals_key]`` must hold the ``K × gates``
+    0/1 value matrix with constants and the instance's input gate values
+    filled in before the first appended round fires (stage it with
     ``builder.before``)."""
-    circuit = plan.circuit
-    nodes = circuit.nodes
 
-    # ---- input redistribution ----------------------------------------
-    if plan.input_lengths:
-        get_payloads, set_result = payload_bridge(plan.input_order, vals_key)
-        kernel_route_payloads(
-            builder,
-            plan.input_lengths,
-            plan.bandwidth,
-            plan.input_schedule,
-            get_payloads,
-            set_result,
-        )
-
-    # ---- heavy pushes (one 1-bit message per plan edge) ---------------
-    def push_round(push_recv: Dict[Tuple[int, int], int]) -> None:
-        edges = sorted(push_recv.items())
-        by_src: Dict[int, List[int]] = {}
-        gid_cols: List[int] = []
-        for (src, dst), gid in edges:
-            by_src.setdefault(src, []).append(dst)
-            gid_cols.append(gid)
-        cols = np.asarray(gid_cols, dtype=np.intp)
+    def push_round(push) -> None:
+        pairs, cols = push
 
         def send(state):
             return state[vals_key][:, cols].astype(np.uint64)
@@ -218,98 +334,53 @@ def append_simulation_rounds(
         def recv(state, inbox):
             state[vals_key][:, cols] = inbox.gather().astype(np.uint8)
 
-        builder.unicast_round(sorted(by_src.items()), 1, send, recv)
+        builder.unicast_round(pairs, 1, send, recv)
 
-    if plan.layer0_push_recv:
-        push_round(plan.layer0_push_recv)
+    def evaluate(groups):
+        return lambda state: groups.evaluate(state[vals_key])
 
-    # ---- layers ------------------------------------------------------
-    for lp in plan.layer_plans:
-        heavy_entries = [
-            (gid, nodes[gid]) for gid in lp.heavy_gates
-        ]
+    if plan.inputs is not None:
+        kernel_route_bits(builder, plan.inputs, vals_key)
+    if plan.layer0_push is not None:
+        push_round(plan.layer0_push)
+    for heavy, summary, push, light_route, lights in plan.layers:
+        if summary is not None:
+            pairs, widths, messages = summary
+            wide = max(widths) > 63
 
-        def compute_heavy(state, _entries=heavy_entries):
-            vals = state[vals_key]
-            for gid, node in _entries:
-                cols = np.asarray(node.inputs, dtype=np.intp)
-                vals[:, gid] = vector_compute(node.gate, vals[:, cols])
-
-        if lp.has_summary_round:
-            # One message per (contributing sender, heavy gate): the
-            # sender's partial summary, summary_width(gid) bits.
-            messages: List[Tuple[int, int, int, List[int]]] = []
-            for gid in lp.heavy_gates:
-                owner = plan.assignment.owner[gid]
-                for sender in sorted(lp.summary_senders[gid]):
-                    positions = lp.summary_senders[gid][sender]
-                    messages.append((sender, owner, gid, positions))
-            messages.sort(key=lambda m: (m[0], m[1]))
-            by_src: Dict[int, List[int]] = {}
-            widths: List[int] = []
-            for sender, owner, gid, _positions in messages:
-                by_src.setdefault(sender, []).append(owner)
-                widths.append(plan.summary_width(gid))
-
-            def send(state, _messages=messages, _widths=widths):
+            def send(state, _messages=messages, _wide=wide):
                 vals = state[vals_key]
-                instances = vals.shape[0]
-                wide = max(_widths) > 63
                 out = np.empty(
-                    (instances, len(_messages)),
-                    dtype=object if wide else np.uint64,
+                    (vals.shape[0], len(_messages)),
+                    dtype=object if _wide else np.uint64,
                 )
-                for j, (_sender, _owner, gid, positions) in enumerate(_messages):
-                    node = nodes[gid]
-                    cols = np.asarray(
-                        [node.inputs[p] for p in positions], dtype=np.intp
-                    )
+                for j, (gate, positions, cols, fan_in) in enumerate(_messages):
                     out[:, j] = vector_summary(
-                        node.gate, positions, vals[:, cols], len(node.inputs)
+                        gate, positions, vals[:, cols], fan_in
                     )
                 return out
 
-            def recv(state, inbox, _compute=compute_heavy):
-                # Owners combine — evaluating the gate on its (by now
-                # globally known) input values, which b-separability
-                # makes identical to combining the received summaries.
-                _compute(state)
-
+            # Owners combine — evaluating the gate on its (by now
+            # globally known) input values, which b-separability makes
+            # identical to combining the received summaries.
+            compute = evaluate(heavy)
             builder.unicast_round(
-                sorted(by_src.items()), max(widths), send, recv, widths=widths
+                pairs,
+                max(widths),
+                send,
+                lambda state, inbox, _compute=compute: _compute(state),
+                widths=widths,
             )
-        elif heavy_entries:
+        elif heavy is not None:
             # No summaries needed: owners evaluate locally before any
             # dependent round fires.
-            builder.before(compute_heavy)
-
-        if lp.push_recv:
-            push_round(lp.push_recv)
-
-        if lp.light_lengths:
-            get_payloads, set_result = payload_bridge(lp.light_order, vals_key)
-            kernel_route_payloads(
-                builder,
-                lp.light_lengths,
-                plan.bandwidth,
-                lp.light_schedule,
-                get_payloads,
-                set_result,
-            )
-
-        light_gids = sorted(
-            gid for gids in lp.light_owned.values() for gid in gids
-        )
-
-        def eval_lights(state, _gids=light_gids):
-            vals = state[vals_key]
-            for gid in _gids:
-                node = nodes[gid]
-                cols = np.asarray(node.inputs, dtype=np.intp)
-                vals[:, gid] = vector_compute(node.gate, vals[:, cols])
-
-        if light_gids:
-            builder.before(eval_lights)
+            builder.before(evaluate(heavy))
+        if push is not None:
+            push_round(push)
+        if light_route is not None:
+            kernel_route_bits(builder, light_route, vals_key)
+        if lights is not None:
+            builder.before(evaluate(lights))
 
 
 def make_kernel_program(plan: SimulationPlan):
@@ -336,7 +407,7 @@ def make_kernel_program(plan: SimulationPlan):
         state[vals_key] = vals
 
     builder.on_init(init)
-    append_simulation_rounds(builder, plan, vals_key)
+    append_simulation_rounds(builder, KernelPlan(plan), vals_key)
     out_by_node: List[List[int]] = [[] for _ in range(n)]
     for gid in circuit.outputs:
         out_by_node[owner[gid]].append(gid)

@@ -412,6 +412,11 @@ def simulate_circuit_many(
     ``kernel=True`` runs the vectorized kernel form of the simulation
     (:func:`repro.simulation.kernel.make_kernel_program`) instead of
     the generator loop — same results, zero generator resumptions."""
+    for input_values in input_values_list:
+        if len(input_values) != circuit.num_inputs:
+            raise ValueError(
+                f"expected {circuit.num_inputs} inputs, got {len(input_values)}"
+            )
     if plan is None:
         plan = build_plan(circuit, n, input_partition, bandwidth)
     if input_partition is None:

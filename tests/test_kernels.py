@@ -16,8 +16,10 @@ from repro.core.errors import (
     TopologyError,
 )
 from repro.core.fastlane import FixedWidthSchedule
-from repro.core.kernels import KernelBuilder, pack_rows, unpack_rows
+from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode, Network, Outbox
+from repro.routing.lenzen import BitRoute, payload_demand
+from repro.routing.schedule import build_schedule
 
 
 def result_tuple(result):
@@ -595,11 +597,33 @@ class TestFuzzEquivalence:
 
 
 class TestPackHelpers:
+    """The bit-matrix routing bridge (:class:`BitRoute`) frames payload
+    columns exactly as ``route_payloads`` frames the same bits as one
+    ``Bits`` payload, on ``uint64`` and on object-int frames."""
+
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 64, 65, 200])
     def test_pack_unpack_roundtrip(self, length):
         rng = np.random.default_rng(length)
-        rows = rng.integers(0, 2, size=(5, length), dtype=np.uint8)
-        packed = pack_rows(rows)
-        for row, value in zip(rows, packed):
-            assert Bits.from_bools(bool(x) for x in row).to_uint() == value
-        assert (unpack_rows(packed, length) == rows).all()
+        rows = rng.integers(0, 2, size=(5, 2 * length + 3), dtype=np.uint8)
+        perm = [int(c) for c in rng.permutation(2 * length + 3)]
+        order = {(0, 1): perm[:length], (2, 1): perm[length : 2 * length]}
+        for frame_size in (16, 63, 64, 79):
+            lengths = {pair: len(cols) for pair, cols in order.items()}
+            schedule = build_schedule(payload_demand(lengths, frame_size), 3)
+            bit_route = BitRoute(order, frame_size, schedule)
+            frames = bit_route.pack(rows)
+            for (src, dst), cols in order.items():
+                count = -(-length // frame_size)
+                slots = [
+                    bit_route.route.slot_of[(src, dst, i)] for i in range(count)
+                ]
+                for row, values in zip(rows, frames):
+                    payload = Bits.from_bools(bool(row[c]) for c in cols)
+                    chunks = payload.pad_to(count * frame_size).to_uint_chunks(
+                        frame_size
+                    )
+                    assert [int(values[slot]) for slot in slots] == chunks
+            back = np.zeros_like(rows)
+            bit_route.unpack(frames, back)
+            routed = perm[: 2 * length]
+            assert (back[:, routed] == rows[:, routed]).all()

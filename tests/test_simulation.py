@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 from repro.circuits import builders
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import AND, OR, XOR
-from repro.simulation import assign_gates, build_plan, simulate_circuit
+from repro.simulation import (
+    assign_gates,
+    build_plan,
+    simulate_circuit,
+    simulate_circuit_many,
+)
 
 
 def check_equivalence(circuit, n, inputs, **kwargs):
@@ -148,6 +153,19 @@ class TestCorrectness:
         rng = random.Random(8)
         values = [rng.random() < 0.5 for _ in range(6)]
         check_equivalence(circuit, 3, values)
+
+    @pytest.mark.parametrize("kernel", [False, True])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_input_count_rejected(self, kernel, count):
+        """A short or long input vector is rejected up front with
+        ``Circuit.evaluate``'s wording, on both execution paths."""
+        circuit = builders.parity_tree(3, 3)
+        with pytest.raises(ValueError, match=f"expected 3 inputs, got {count}"):
+            simulate_circuit(circuit, 2, [True] * count, kernel=kernel)
+        with pytest.raises(ValueError, match=f"expected 3 inputs, got {count}"):
+            simulate_circuit_many(
+                circuit, 2, [[True] * 3, [True] * count], kernel=kernel
+            )
 
 
 class TestRoundComplexity:

@@ -1,17 +1,21 @@
 """Theorem 2 with the *full* gate zoo: weighted thresholds, generic
 gates, mixed pools — the simulation must be correct for every
-b-separable gate class the paper names, not just the friendly ones."""
+b-separable gate class the paper names, not just the friendly ones, on
+the generator path and on the kernel path (grouped gate evaluation and
+the bit-matrix routing bridge)."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import (
     AND,
+    NOT,
     OR,
     XOR,
     Circuit,
@@ -22,6 +26,7 @@ from repro.circuits import (
     builders,
 )
 from repro.simulation import simulate_circuit
+from repro.simulation.kernel import GateGroups, vector_compute
 
 
 def exotic_pool(rng):
@@ -41,11 +46,23 @@ def exotic_pool(rng):
 
 
 class TestExoticGates:
+    """Every test runs on the generator path; :class:`TestExoticGatesKernel`
+    reruns them all on the kernel path."""
+
+    kernel = False
+
+    def simulate(self, circuit, n_players, xs):
+        return simulate_circuit(circuit, n_players, xs, kernel=self.kernel)
+
     @given(
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=2, max_value=7),
     )
-    @settings(max_examples=25)
+    # One test body serves both paths' classes, so Hypothesis sees two
+    # executors by design.
+    @settings(
+        max_examples=25, suppress_health_check=[HealthCheck.differing_executors]
+    )
     def test_random_exotic_circuits(self, seed, n_players):
         rng = random.Random(seed)
         pool = exotic_pool(rng)
@@ -59,7 +76,7 @@ class TestExoticGates:
             reachable.append(circuit.add_gate(gate, sources))
         circuit.mark_output(reachable[-1])
         xs = [rng.random() < 0.5 for _ in range(8)]
-        outputs, _, _ = simulate_circuit(circuit, n_players, xs)
+        outputs, _, _ = self.simulate(circuit, n_players, xs)
         assert [outputs[g] for g in circuit.outputs] == circuit.evaluate_outputs(xs)
 
     def test_weighted_threshold_heavy_gate(self):
@@ -73,7 +90,7 @@ class TestExoticGates:
         rng = random.Random(4)
         for _ in range(5):
             xs = [rng.random() < 0.5 for _ in range(48)]
-            outputs, _, plan = simulate_circuit(circuit, 6, xs)
+            outputs, _, plan = self.simulate(circuit, 6, xs)
             assert outputs[circuit.outputs[0]] == circuit.evaluate_outputs(xs)[0]
         # bandwidth reflects the weighted sum's width, not the fan-in
         assert plan.bandwidth >= sum(weights).bit_length()
@@ -90,7 +107,7 @@ class TestExoticGates:
         rng = random.Random(5)
         for _ in range(5):
             xs = [rng.random() < 0.5 for _ in range(24)]
-            outputs, _, _ = simulate_circuit(circuit, 4, xs)
+            outputs, _, _ = self.simulate(circuit, 4, xs)
             assert outputs[circuit.outputs[0]] == circuit.evaluate_outputs(xs)[0]
 
     def test_duplicate_wire_inputs(self):
@@ -100,7 +117,7 @@ class TestExoticGates:
         g = circuit.add_gate(XOR, [x, x, y])  # x twice
         circuit.mark_output(g)
         for xs in ([True, True], [True, False], [False, True]):
-            outputs, _, _ = simulate_circuit(circuit, 2, list(xs))
+            outputs, _, _ = self.simulate(circuit, 2, list(xs))
             assert outputs[g] == circuit.evaluate_outputs(list(xs))[0]
 
     def test_mod_gate_chain_mixed_moduli(self):
@@ -113,7 +130,7 @@ class TestExoticGates:
         rng = random.Random(6)
         for _ in range(5):
             xs = [rng.random() < 0.5 for _ in range(12)]
-            outputs, _, _ = simulate_circuit(circuit, 4, xs)
+            outputs, _, _ = self.simulate(circuit, 4, xs)
             assert outputs[maj] == circuit.evaluate_outputs(xs)[0]
 
     @pytest.mark.parametrize("n_players", [2, 3, 5, 8, 13])
@@ -122,5 +139,62 @@ class TestExoticGates:
         circuit = builders.threshold_parity_circuit(10)
         rng = random.Random(n_players)
         xs = [rng.random() < 0.5 for _ in range(10)]
-        outputs, _, _ = simulate_circuit(circuit, n_players, xs)
+        outputs, _, _ = self.simulate(circuit, n_players, xs)
         assert [outputs[g] for g in circuit.outputs] == circuit.evaluate_outputs(xs)
+
+
+class TestExoticGatesKernel(TestExoticGates):
+    kernel = True
+
+
+def zoo_gates(rng):
+    """``(gate, fan-in)`` for every built-in family, with mixed
+    parameters inside one family and fan-in 1 included."""
+    gates = [(NOT, 1)]
+    for fan_in in (1, 2, 3, 5):
+        gates += [
+            (AND, fan_in),
+            (OR, fan_in),
+            (XOR, fan_in),
+            (ModGate(rng.choice([2, 3, 5, 7])), fan_in),
+            (ThresholdGate(rng.randint(0, fan_in + 1)), fan_in),
+            (MajorityGate(fan_in), fan_in),
+            (
+                ThresholdGate(
+                    rng.randint(0, 4 * fan_in),
+                    weights=tuple(rng.randint(0, 4) for _ in range(fan_in)),
+                ),
+                fan_in,
+            ),
+        ]
+    gates.append((GenericGate(lambda xs: xs.count(True) % 3 == 1, 3, "c3"), 3))
+    return gates
+
+
+class TestGroupedEvaluator:
+    """:class:`GateGroups` against the per-gate :func:`vector_compute`
+    loop it replaced, on random ``K × gates`` 0/1 value matrices."""
+
+    @pytest.mark.parametrize("instances", [1, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_gate_loop(self, seed, instances):
+        rng = random.Random(seed)
+        circuit = Circuit()
+        sources = circuit.add_inputs(10)
+        gids = []
+        for _ in range(3):
+            for gate, fan_in in zoo_gates(rng):
+                # Repeated sources exercise duplicate wire inputs.
+                inputs = [rng.choice(sources) for _ in range(fan_in)]
+                gids.append(circuit.add_gate(gate, inputs))
+        rng.shuffle(gids)
+        nodes = circuit.nodes
+        np_rng = np.random.default_rng(seed)
+        vals = np_rng.integers(0, 2, size=(instances, len(circuit)), dtype=np.uint8)
+        expected = vals.copy()
+        for gid in gids:
+            cols = np.asarray(nodes[gid].inputs, dtype=np.intp)
+            expected[:, gid] = vector_compute(nodes[gid].gate, expected[:, cols])
+        got = vals.copy()
+        GateGroups(nodes, gids).evaluate(got)
+        assert (got == expected).all()
