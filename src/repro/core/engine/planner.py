@@ -148,7 +148,11 @@ class ExecutionPlanner:
     def fallback_chain(self, program: Any, failed: Engine) -> List[Engine]:
         """The engines that may stand in for ``failed`` on ``program``,
         most capable first (kernel → fast → legacy), restricted to
-        backends that can execute the program's flavour at all."""
+        backends that can execute the program's flavour at all.
+        Degradation only moves toward the reference: nothing stands in
+        for the legacy engine, whose failure is the program's truth."""
+        if failed is LEGACY_ENGINE or failed.name == LEGACY_ENGINE.name:
+            return []
         kernel = is_kernel_program(program)
         chain: List[Engine] = []
         for engine in (KERNEL_ENGINE, FAST_ENGINE, LEGACY_ENGINE):

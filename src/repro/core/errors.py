@@ -60,6 +60,18 @@ class DecodeError(ReproError):
     encountered a malformed encoding."""
 
 
+class SimulationPlanError(ReproError):
+    """A Theorem 2 simulation cannot run as planned: a player would send
+    or read a gate value it never learns, a node lacks an input the plan
+    says it holds, or a planned heavy push never arrives.  ``player``
+    and ``gate`` name the culprit."""
+
+    def __init__(self, message: str, player: int, gate: int) -> None:
+        super().__init__(message)
+        self.player = player
+        self.gate = gate
+
+
 class SweepExecutionError(ReproError):
     """Base class for failures of the sharded sweep executor
     (:mod:`repro.scenarios.sweep`): infrastructure faults of the harness

@@ -97,6 +97,10 @@ def _frame_payload(payload: Bits, max_bits: int, rounds: int, bandwidth: int) ->
 def _parse_concat(stream: Bits, max_bits: int) -> Bits:
     reader = BitReader(stream)
     length = reader.read_uint(header_width(max_bits))
+    if length > max_bits:
+        raise DecodeError(
+            f"length header says {length} bits, the phase allows {max_bits}"
+        )
     return reader.read_bits(length)
 
 

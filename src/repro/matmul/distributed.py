@@ -19,9 +19,10 @@ Protocol per trial (mask r drawn from the shared public coin):
    redistribution), who checks A_ij ∧ C_ij — a triangle witness.
 4. One unicast round aggregates the flags at player 0.
 
-All heavy exchanges here — the circuit simulation's payload routing and
-the output redistribution, both via :func:`route_payloads`, and the
-final aggregation via :func:`transmit_unicast` — move fixed-width
+All heavy exchanges here — the circuit simulation's payload routing
+(:func:`~repro.routing.lenzen.route_payload_ints`) and the output
+redistribution (:func:`route_payloads`, its :class:`Bits` adapter), and
+the final aggregation via :func:`transmit_unicast` — move fixed-width
 frames, so on the default engine they ride the batched numpy fast lane
 (:mod:`repro.core.fastlane`) instead of per-message dict delivery.
 
@@ -193,15 +194,12 @@ def triangle_mm_kernel_program(
     masks, same witness tie-breaking, same accounting)."""
     import numpy as np
 
+    from repro.circuits.vectorized import constant_columns
     from repro.core.kernels import KernelBuilder
     from repro.core.network import Mode
     from repro.core.phases import kernel_transmit_unicast
     from repro.routing.lenzen import BitRoute, kernel_route_bits
-    from repro.simulation.kernel import (
-        KernelPlan,
-        append_simulation_rounds,
-        constant_columns,
-    )
+    from repro.simulation.kernel import KernelPlan, append_simulation_rounds
 
     size = graph.n
     circuit = plan.circuit

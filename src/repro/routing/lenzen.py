@@ -10,7 +10,9 @@ the demand pattern is public.
 
 :func:`route_payloads` layers variable-length payloads on top: payload
 lengths are public (part of the plan), so payloads are padded to whole
-frames and truncated by the receiver.
+frames and truncated by the receiver.  Its core,
+:func:`route_payload_ints`, moves payloads as plain ints and is what
+the Theorem 2 simulation drives directly.
 
 Routing is *oblivious*: every round's senders, receivers and frame
 widths are fully determined by the public :class:`RoutingSchedule` and
@@ -38,6 +40,7 @@ from repro.routing.schedule import FrameRef, RoutingSchedule, build_schedule
 __all__ = [
     "route_frames",
     "payload_demand",
+    "route_payload_ints",
     "route_payloads",
     "route_program",
     "FrameRoute",
@@ -63,8 +66,15 @@ def route_frames(
     it, frames may have arbitrary lengths and travel as plain Bits.
     """
     if frame_size is not None:
-        result = yield from _route_frames_fixed(ctx, schedule, my_frames, frame_size)
-        return result
+        fixed: Dict[FrameRef, int] = {}
+        for ref, frame in my_frames.items():
+            if len(frame) != frame_size:
+                raise ValueError(
+                    f"frame {ref} has {len(frame)} bits, expected {frame_size}"
+                )
+            fixed[ref] = frame.to_uint()
+        uints = yield from _drive_frames(ctx, schedule, fixed, frame_size)
+        return {ref: Bits(value, frame_size) for ref, value in uints.items()}
     holding: Dict[FrameRef, Bits] = dict(my_frames)
     delivered: Dict[FrameRef, Bits] = {}
     for r in range(schedule.num_rounds):
@@ -87,22 +97,20 @@ def route_frames(
     return delivered
 
 
-def _route_frames_fixed(
+def _drive_frames(
     ctx: Context,
     schedule: RoutingSchedule,
-    my_frames: Mapping[FrameRef, Bits],
+    holding: Dict[FrameRef, int],
     frame_size: int,
+    lengths: Optional[Mapping[Tuple[int, int], int]] = None,
 ):
-    """Fixed-width body of :func:`route_frames`: frames held and
-    forwarded as raw uints, converted back to Bits only on delivery."""
+    """Drive ``schedule`` for this node on the fixed-width lane, with
+    ``holding`` the ``{FrameRef: uint}`` frames it injects; returns the
+    frames delivered here, still as uints.  Given the payload
+    ``lengths``, a frame of this node's own that it never injected fails
+    as a ``ValueError`` naming its pair, in the round that first needs
+    it."""
     me = ctx.node_id
-    holding: Dict[FrameRef, int] = {}
-    for ref, frame in my_frames.items():
-        if len(frame) != frame_size:
-            raise ValueError(
-                f"frame {ref} has {len(frame)} bits, expected {frame_size}"
-            )
-        holding[ref] = frame.to_uint()
     delivered: Dict[FrameRef, int] = {}
     for r in range(schedule.num_rounds):
         sends = schedule.send_plan[r].get(me, ())
@@ -113,7 +121,16 @@ def _route_frames_fixed(
                     raise AssertionError(
                         "schedule placed two frames on one link in one round"
                     )
-                messages[recipient] = holding.pop(frame)
+                try:
+                    messages[recipient] = holding.pop(frame)
+                except KeyError:
+                    if lengths is None or frame[0] != me:
+                        raise
+                    pair = frame[:2]
+                    raise ValueError(
+                        f"node {me} has no payload for pair {pair}, which "
+                        f"the plan routes as {lengths[pair]} bits"
+                    ) from None
             outbox = Outbox.fixed_width_map(messages, frame_size)
         else:
             outbox = Outbox.silent()
@@ -125,7 +142,7 @@ def _route_frames_fixed(
                 delivered[frame] = value
             else:
                 holding[frame] = value
-    return {ref: Bits(value, frame_size) for ref, value in delivered.items()}
+    return delivered
 
 
 def route_program(schedule: RoutingSchedule, frame_size: int):
@@ -167,6 +184,50 @@ def payload_demand(
     }
 
 
+def route_payload_ints(
+    ctx: Context,
+    lengths: Mapping[Tuple[int, int], int],
+    my_payloads: Mapping[int, int],
+    frame_size: int,
+    schedule: RoutingSchedule = None,
+):
+    """The int-level core of :func:`route_payloads`: payloads travel as
+    unsigned ints, ``my_payloads[dst]`` holding the ``lengths[(me,
+    dst)]`` bits this node sends ``dst``, first bit most significant.
+    Returns ``{source: int}`` for the traffic addressed to this node.
+    Frames are cut and reassembled with shifts; no
+    :class:`~repro.core.bits.Bits` is built.  Sub-generator: use
+    ``yield from``."""
+    if schedule is None:
+        schedule = build_schedule(payload_demand(lengths, frame_size), ctx.n)
+    me = ctx.node_id
+    mask = (1 << frame_size) - 1
+    holding: Dict[FrameRef, int] = {}
+    for dst, value in my_payloads.items():
+        bits = lengths.get((me, dst), 0)
+        if value < 0 or value >> bits:
+            raise ValueError(
+                f"payload to {dst} does not fit the {bits} bits the plan routes"
+            )
+        count = -(-bits // frame_size)
+        value <<= count * frame_size - bits
+        for idx in range(count):
+            holding[(me, dst, idx)] = (value >> ((count - 1 - idx) * frame_size)) & mask
+    delivered = yield from _drive_frames(ctx, schedule, holding, frame_size, lengths)
+    by_source: Dict[int, Dict[int, int]] = {}
+    for (src, _dst, idx), frame in delivered.items():
+        by_source.setdefault(src, {})[idx] = frame
+    received: Dict[int, int] = {}
+    for src, frames in by_source.items():
+        bits = lengths[(src, me)]
+        count = -(-bits // frame_size)
+        value = 0
+        for idx in range(count):
+            value = (value << frame_size) | frames[idx]
+        received[src] = value >> (count * frame_size - bits)
+    return received
+
+
 def route_payloads(
     ctx: Context,
     lengths: Mapping[Tuple[int, int], int],
@@ -179,33 +240,22 @@ def route_payloads(
     Every node passes the same ``lengths`` (and, optionally, the same
     prebuilt schedule); ``my_payloads`` maps destination -> payload for
     this node's own traffic.  Returns {source: payload} for traffic
-    addressed to this node.  Sub-generator: use ``yield from``.
+    addressed to this node.  A thin :class:`Bits` adapter over
+    :func:`route_payload_ints`.  Sub-generator: use ``yield from``.
     """
-    if schedule is None:
-        schedule = build_schedule(payload_demand(lengths, frame_size), ctx.n)
-    my_frames: Dict[FrameRef, Bits] = {}
+    me = ctx.node_id
+    payloads: Dict[int, int] = {}
     for dst, payload in my_payloads.items():
-        expected = lengths.get((ctx.node_id, dst), 0)
+        expected = lengths.get((me, dst), 0)
         if len(payload) != expected:
             raise ValueError(
                 f"payload to {dst} has {len(payload)} bits, plan says {expected}"
             )
-        if expected == 0:
-            continue
-        count = -(-expected // frame_size)
-        padded = payload.pad_to(count * frame_size)
-        for idx, chunk in enumerate(padded.chunks(frame_size)):
-            my_frames[(ctx.node_id, dst, idx)] = chunk
-    delivered = yield from route_frames(ctx, schedule, my_frames, frame_size=frame_size)
-    by_source: Dict[int, Dict[int, Bits]] = {}
-    for (src, _dst, idx), chunk in delivered.items():
-        by_source.setdefault(src, {})[idx] = chunk
-    result: Dict[int, Bits] = {}
-    for src, chunks in by_source.items():
-        expected = lengths[(src, ctx.node_id)]
-        ordered = [chunks[i] for i in range(len(chunks))]
-        result[src] = Bits.concat(ordered)[:expected]
-    return result
+        payloads[dst] = payload.to_uint()
+    received = yield from route_payload_ints(
+        ctx, lengths, payloads, frame_size, schedule
+    )
+    return {src: Bits(value, lengths[(src, me)]) for src, value in received.items()}
 
 
 # -- kernel form --------------------------------------------------------

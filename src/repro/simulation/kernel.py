@@ -15,12 +15,15 @@ both), and the equivalence suite pins outputs byte-for-byte.
 can then be appended any number of times (``triangle_mm`` appends them
 once per trial) without recompiling:
 
-* Gate evaluation is grouped (:class:`GateGroups`).  Each layer's light
-  gates, and its heavy gates at their owners, are grouped by gate
-  family and fan-in, and each group is evaluated with one gather of its
-  ``gates × fan-in`` input columns and one reduction, for every
-  instance at once.  Only gate classes outside the built-in families
-  fall back to :func:`vector_compute`, one gate at a time.
+* Gate evaluation is grouped
+  (:class:`~repro.circuits.vectorized.GateGroups`, the evaluator the
+  generator path runs per player).  Each layer's light gates, and its
+  heavy gates at their owners, are grouped by gate family and fan-in,
+  and each group is evaluated with one gather of its ``gates × fan-in``
+  input columns and one reduction, for every instance at once.  Only
+  gate classes outside the built-in families fall back to
+  :func:`~repro.circuits.vectorized.vector_compute`, one gate at a
+  time.
 * Routed payloads never become :class:`~repro.core.bits.Bits`: a
   :class:`~repro.routing.lenzen.BitRoute` gathers their bits from the
   value matrix straight into the routed frame-value matrix, and
@@ -39,7 +42,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import CONST_KIND
 from repro.circuits.gates import (
     AndGate,
     GenericGate,
@@ -49,66 +51,18 @@ from repro.circuits.gates import (
     ThresholdGate,
     XorGate,
 )
+from repro.circuits.vectorized import GateGroups, constant_columns
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode
 from repro.routing.lenzen import BitRoute, kernel_route_bits
 from repro.simulation.protocol import SimulationPlan
 
 __all__ = [
-    "vector_compute",
     "vector_summary",
-    "constant_columns",
-    "GateGroups",
     "KernelPlan",
     "append_simulation_rounds",
     "make_kernel_program",
 ]
-
-
-def constant_columns(circuit) -> Tuple[np.ndarray, np.ndarray]:
-    """(gate-id columns, 0/1 values) of the circuit's constant nodes —
-    the seed every fresh ``K × gates`` value matrix needs."""
-    cols = np.asarray(
-        [node.gate_id for node in circuit.nodes if node.kind == CONST_KIND],
-        dtype=np.intp,
-    )
-    vals = np.asarray(
-        [
-            1 if node.const_value else 0
-            for node in circuit.nodes
-            if node.kind == CONST_KIND
-        ],
-        dtype=np.uint8,
-    )
-    return cols, vals
-
-
-def vector_compute(gate, part: np.ndarray) -> np.ndarray:
-    """Evaluate ``gate`` on a ``K × fan_in`` 0/1 matrix of its input
-    values — one result per instance, vectorized for every built-in
-    gate family (arbitrary :class:`~repro.circuits.gates.Gate`
-    subclasses fall back to per-instance ``compute``).  This is the
-    per-gate reference :class:`GateGroups` reproduces, and how it
-    evaluates gate classes outside its grouped families."""
-    if isinstance(gate, AndGate):
-        return part.all(axis=1)
-    if isinstance(gate, OrGate):
-        return part.any(axis=1)
-    if isinstance(gate, NotGate):
-        return part[:, 0] == 0
-    if isinstance(gate, XorGate):
-        return part.sum(axis=1, dtype=np.int64) % 2 == 1
-    if isinstance(gate, ModGate):
-        return part.sum(axis=1, dtype=np.int64) % gate.modulus == 0
-    if isinstance(gate, ThresholdGate):
-        if gate.weights is None:
-            total = part.sum(axis=1, dtype=np.int64)
-        else:
-            total = part.astype(np.int64) @ np.asarray(gate.weights, dtype=np.int64)
-        return total >= gate.threshold
-    return np.array(
-        [gate.compute([bool(x) for x in row]) for row in part], dtype=bool
-    )
 
 
 def vector_summary(
@@ -161,88 +115,6 @@ def vector_summary(
         indexed = [(p, bool(row[i])) for i, p in enumerate(positions)]
         out[k] = gate.partial_summary(indexed, fan_in).to_uint()
     return out
-
-
-#: The gate families :class:`GateGroups` evaluates in groups, in
-#: :func:`vector_compute`'s ``isinstance`` order — a subclass such as
-#: :class:`~repro.circuits.gates.MajorityGate` joins its base family.
-_FAMILIES = (AndGate, OrGate, NotGate, XorGate, ModGate, ThresholdGate)
-
-
-class GateGroups:
-    """Gates with no dependencies among them (one layer's) compiled for
-    evaluation over a ``K × gates`` 0/1 value matrix.
-
-    Gates are grouped by family and fan-in.  A group keeps its output
-    columns, its ``gates × fan-in`` input columns and, where its family
-    has them, per-gate moduli, thresholds and weights, so
-    :meth:`evaluate` costs one gather and one reduction per group.
-    Gates of any other class are evaluated one at a time with
-    :func:`vector_compute`.
-    """
-
-    __slots__ = ("groups", "others")
-
-    def __init__(self, nodes, gids) -> None:
-        family_of: Dict[type, type] = {}
-        members: Dict[Tuple[type, int], List[int]] = {}
-        self.others = []
-        for gid in gids:
-            node = nodes[gid]
-            kind = type(node.gate)
-            if kind not in family_of:
-                family_of[kind] = next(
-                    (f for f in _FAMILIES if issubclass(kind, f)), None
-                )
-            family = family_of[kind]
-            if family is None:
-                cols = np.asarray(node.inputs, dtype=np.intp)
-                self.others.append((gid, node.gate, cols))
-            else:
-                members.setdefault((family, len(node.inputs)), []).append(gid)
-        self.groups = []
-        for (family, fan_in), group in members.items():
-            gates = [nodes[gid].gate for gid in group]
-            param = weights = None
-            if family is ModGate:
-                param = np.asarray([g.modulus for g in gates], dtype=np.int64)
-            elif family is ThresholdGate:
-                param = np.asarray([g.threshold for g in gates], dtype=np.int64)
-                if any(g.weights is not None for g in gates):
-                    weights = np.asarray(
-                        [
-                            (1,) * fan_in if g.weights is None else g.weights
-                            for g in gates
-                        ],
-                        dtype=np.int64,
-                    )
-            cols = np.asarray([nodes[gid].inputs for gid in group], dtype=np.intp)
-            out = np.asarray(group, dtype=np.intp)
-            self.groups.append((family, out, cols, param, weights))
-
-    def evaluate(self, vals: np.ndarray) -> None:
-        """Write every gate's value into its column of ``vals``."""
-        for family, out, cols, param, weights in self.groups:
-            part = vals[:, cols]
-            if family is AndGate:
-                result = part.all(axis=2)
-            elif family is OrGate:
-                result = part.any(axis=2)
-            elif family is NotGate:
-                result = part[:, :, 0] == 0
-            elif family is XorGate:
-                result = part.sum(axis=2, dtype=np.int64) % 2 == 1
-            elif family is ModGate:
-                result = part.sum(axis=2, dtype=np.int64) % param == 0
-            else:
-                if weights is None:
-                    total = part.sum(axis=2, dtype=np.int64)
-                else:
-                    total = (part * weights).sum(axis=2)
-                result = total >= param
-            vals[:, out] = result
-        for gid, gate, cols in self.others:
-            vals[:, gid] = vector_compute(gate, vals[:, cols])
 
 
 def _push_round(push_recv: Dict[Tuple[int, int], int]):

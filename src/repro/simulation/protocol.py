@@ -30,6 +30,26 @@ the engine (:func:`~repro.core.compiled.mark_oblivious`), so evaluating
 one circuit on many input vectors — :func:`simulate_circuit_many` —
 records the round schedule once and replays it payload-only for every
 further instance.
+
+Each player runs its part of the plan from a per-player view
+(:class:`PlanView`, one :class:`PlayerView` per player), compiled at
+the plan's first execution and shared by every later one — all
+players, all trials, both generator engines.  For each phase the view
+lists the gate columns the player sends to each destination and
+receives from each source, and a
+:class:`~repro.circuits.vectorized.GateGroups` over the light gates it
+owns.  A player keeps its gate values in one ``uint8`` vector copied
+from a constants template; routed payloads leave and enter it as plain
+ints (:func:`~repro.routing.lenzen.route_payload_ints`), and a layer's
+light gates cost one gather and one reduction per (family, fan-in)
+group.  Heavy gates keep their reference semantics: senders call
+``partial_summary`` and owners ``combine``, reading and writing the
+same vector.  Compiling the view checks that every value a player
+sends or reads is known to it by then; each execution checks that the
+node holds every input the plan says it holds, and that every heavy
+push planned to it arrives.  These failures raise
+:class:`~repro.core.errors.SimulationPlanError` naming the player and
+the gate.
 """
 
 from __future__ import annotations
@@ -37,11 +57,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuits.circuit import CONST_KIND, GATE_KIND, Circuit
+from repro.circuits.vectorized import GateGroups, constant_columns
 from repro.core.bits import Bits
 from repro.core.compiled import declare_schedule_digest, mark_oblivious
+from repro.core.errors import SimulationPlanError
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
-from repro.routing.lenzen import payload_demand, route_payloads
+from repro.routing.lenzen import payload_demand, route_payload_ints, route_payloads
 from repro.routing.schedule import RoutingSchedule, build_schedule
 from repro.simulation.assignment import GateAssignment, assign_gates
 
@@ -94,6 +118,21 @@ class SimulationPlan:
     def summary_width(self, gid: int) -> int:
         node = self.circuit.node(gid)
         return node.gate.summary_width(len(node.inputs))
+
+    def view(self) -> "PlanView":
+        """This plan compiled per player: built at the first execution
+        and shared by every later one, on every engine.  A cache, not
+        plan content — it stays out of the plan's equality and pickled
+        state — so a plan must not be edited once it has run."""
+        view = self.__dict__.get("_view")
+        if view is None:
+            view = self._view = PlanView(self)
+        return view
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_view", None)
+        return state
 
 
 def _heavy_push_destinations(
@@ -222,136 +261,361 @@ def build_plan(
     return plan
 
 
+class _Columns:
+    """The gate columns one player sends (or receives) in a routed
+    phase, concatenated peer by peer: ``peers`` lists ``(peer, width,
+    shift, mask)`` in concatenation order.  :meth:`pack` reads the
+    payload ints off the player's value vector with one gather and one
+    ``packbits``; :meth:`unpack` is its inverse scatter."""
+
+    __slots__ = ("cols", "peers", "nbytes", "pad")
+
+    def __init__(self, groups: Sequence[Tuple[int, Sequence[int]]]) -> None:
+        cols = [gid for _peer, gids in groups for gid in gids]
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.nbytes = -(-len(cols) // 8)
+        self.pad = 8 * self.nbytes - len(cols)
+        shift = 8 * self.nbytes
+        self.peers = []
+        for peer, gids in groups:
+            shift -= len(gids)
+            self.peers.append((peer, len(gids), shift, (1 << len(gids)) - 1))
+
+    def pack(self, vals: np.ndarray) -> Dict[int, int]:
+        """``{peer: payload}``, first column most significant."""
+        word = int.from_bytes(np.packbits(vals[self.cols]).tobytes(), "big")
+        return {peer: (word >> shift) & mask for peer, _w, shift, mask in self.peers}
+
+    def unpack(self, payloads: Mapping[int, int], vals: np.ndarray) -> None:
+        """Write every peer's payload back into its columns."""
+        word = 0
+        for peer, width, _shift, _mask in self.peers:
+            word = (word << width) | payloads[peer]
+        data = (word << self.pad).to_bytes(self.nbytes, "big")
+        vals[self.cols] = np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8), count=len(self.cols)
+        )
+
+
+def _split_order(order: Mapping[Pair, Sequence[int]], n: int):
+    """Per player, the ``(peer, gate ids)`` payloads it sends and
+    receives under a routed phase's ``order``."""
+    sends: List[list] = [[] for _ in range(n)]
+    recvs: List[list] = [[] for _ in range(n)]
+    for (src, dst), gids in order.items():
+        sends[src].append((dst, gids))
+        recvs[dst].append((src, gids))
+    return sends, recvs
+
+
+def _split_push(push_recv: Mapping[Pair, int], n: int):
+    """Per player, the ``(receiver, gate)`` bits it pushes and the
+    ``{sender: gate}`` bits pushed to it."""
+    sends: List[list] = [[] for _ in range(n)]
+    recvs: List[dict] = [{} for _ in range(n)]
+    for (src, dst), gid in push_recv.items():
+        sends[src].append((dst, gid))
+        recvs[dst][src] = gid
+    return sends, recvs
+
+
+class _Knowledge:
+    """The gate values one player knows, phase by phase, while its view
+    compiles."""
+
+    __slots__ = ("player", "known")
+
+    def __init__(self, player: int, known: np.ndarray) -> None:
+        self.player = player
+        self.known = known
+
+    def require(self, cols, what: str, where: str) -> None:
+        cols = np.asarray(cols, dtype=np.intp)
+        unknown = cols[~self.known[cols]]
+        if unknown.size:
+            gate = int(unknown[0])
+            raise SimulationPlanError(
+                f"player {self.player} {what} gate {gate} in {where} "
+                "before it learns its value",
+                self.player,
+                gate,
+            )
+
+    def learn(self, cols) -> None:
+        self.known[cols] = True
+
+    def route(self, split, lengths, schedule, where: str):
+        """The player's share of a routed phase: ``(lengths, schedule,
+        send columns, receive columns)``."""
+        sends, recvs = split[0][self.player], split[1][self.player]
+        send = _Columns(sends) if sends else None
+        recv = _Columns(recvs) if recvs else None
+        if send is not None:
+            self.require(send.cols, "sends", where)
+        if recv is not None:
+            self.learn(recv.cols)
+        return lengths, schedule, send, recv
+
+    def push(self, split, where: str):
+        """The player's share of a push round: ``(receivers, their
+        gates, {sender: gate})``."""
+        sends, recvs = split[0][self.player], split[1][self.player]
+        gids = np.asarray([gid for _dst, gid in sends], dtype=np.intp)
+        self.require(gids, "pushes", where)
+        self.learn(list(recvs.values()))
+        return [dst for dst, _gid in sends], gids, recvs
+
+    def summary_part(self, node, positions, where: str):
+        """``(gate, positions, input columns, fan-in)`` of one part of a
+        heavy gate's inputs."""
+        cols = [node.inputs[pos] for pos in positions]
+        self.require(cols, "summarises", where)
+        return node.gate, positions, cols, len(node.inputs)
+
+
+class PlayerView:
+    """One player's share of a :class:`PlanView`, phase for phase.
+
+    ``held`` lists the inputs the player holds before the protocol
+    starts; ``inputs`` and ``layer0_push`` are the redistribution and
+    layer-0 push phases (``None`` when the plan has none).  Each entry
+    of ``layers`` is ``(summary, heavy, push, route, lights)``: the heavy
+    summary round's sends and owned gates, the heavy gates it owns in a
+    layer without one, the push round, the light-wire route, and a
+    :class:`~repro.circuits.vectorized.GateGroups` over the player's
+    light gates (``None`` where the layer has no such phase for it).
+    ``outputs`` are the output gates the player owns."""
+
+    __slots__ = ("held", "inputs", "layer0_push", "layers", "outputs")
+
+    def __init__(self, plan, phases, knows: _Knowledge, held, outputs) -> None:
+        nodes = plan.circuit.nodes
+        player = knows.player
+        inputs, layer0, layers = phases
+        self.held = held
+        knows.learn(held)
+        self.inputs = (
+            None
+            if inputs is None
+            else knows.route(
+                inputs,
+                plan.input_lengths,
+                plan.input_schedule,
+                "the input redistribution",
+            )
+        )
+        self.layer0_push = None if layer0 is None else knows.push(layer0, "layer 0")
+        self.layers = []
+        for lp, heavy_owned, summary_sends, push_split, light_split in layers:
+            where = f"layer {lp.layer_index}"
+            mine = heavy_owned[player]
+            summary = None
+            heavy = []
+            if summary_sends is not None:
+                summary = (
+                    [
+                        (owner, *knows.summary_part(nodes[gid], positions, where))
+                        for owner, gid, positions in summary_sends[player]
+                    ],
+                    [
+                        (
+                            gid,
+                            *knows.summary_part(
+                                nodes[gid], lp.summary_local[gid], where
+                            ),
+                            list(lp.summary_senders[gid]),
+                        )
+                        for gid in mine
+                    ],
+                )
+            else:
+                for gid in mine:
+                    cols = list(nodes[gid].inputs)
+                    knows.require(cols, "reads", where)
+                    heavy.append((gid, nodes[gid].gate, cols))
+            knows.learn(mine)
+            push = None if push_split is None else knows.push(push_split, where)
+            route = (
+                None
+                if light_split is None
+                else knows.route(
+                    light_split, lp.light_lengths, lp.light_schedule, where
+                )
+            )
+            lights = None
+            if lp.light_owned.get(player):
+                lights = GateGroups(nodes, lp.light_owned[player])
+                for cols in lights.input_columns():
+                    knows.require(cols, "reads", where)
+                knows.learn(lp.light_owned[player])
+            self.layers.append((summary, heavy, push, route, lights))
+        knows.require(outputs, "outputs", "the last layer")
+        self.outputs = outputs
+
+
+class PlanView:
+    """A :class:`SimulationPlan` compiled per player: one
+    :class:`PlayerView` each, and the constants-seeded ``template``
+    every player's ``uint8`` value vector is copied from.
+
+    Compiling checks what running the plan otherwise finds late or not
+    at all: every value a player sends or reads must be known to it by
+    then — a constant, an input it holds, or a value it computed or
+    received in an earlier phase.  A violation raises
+    :class:`~repro.core.errors.SimulationPlanError` naming the player
+    and the gate.
+    """
+
+    __slots__ = ("template", "players")
+
+    def __init__(self, plan: "SimulationPlan") -> None:
+        circuit = plan.circuit
+        owner = plan.assignment.owner
+        n = plan.n
+        const_cols, const_vals = constant_columns(circuit)
+        self.template = np.zeros(len(circuit), dtype=np.uint8)
+        self.template[const_cols] = const_vals
+        constants = np.zeros(len(circuit), dtype=bool)
+        constants[const_cols] = True
+
+        held: List[List[int]] = [[] for _ in range(n)]
+        routed = set()
+        for (src, _dst), gids in plan.input_order.items():
+            held[src].extend(gids)
+            routed.update(gids)
+        for gid in circuit.input_ids:
+            if gid not in routed:
+                held[owner[gid]].append(gid)
+        outputs: List[List[int]] = [[] for _ in range(n)]
+        for gid in circuit.outputs:
+            outputs[owner[gid]].append(gid)
+
+        # The public phases, each split by player once for all players.
+        layers = []
+        for lp in plan.layer_plans:
+            heavy_owned: List[List[int]] = [[] for _ in range(n)]
+            summary_sends: List[list] = [[] for _ in range(n)]
+            for gid in lp.heavy_gates:
+                heavy_owned[owner[gid]].append(gid)
+                for sender, positions in lp.summary_senders[gid].items():
+                    summary_sends[sender].append((owner[gid], gid, positions))
+            layers.append(
+                (
+                    lp,
+                    heavy_owned,
+                    summary_sends if lp.has_summary_round else None,
+                    _split_push(lp.push_recv, n) if lp.push_recv else None,
+                    _split_order(lp.light_order, n) if lp.light_lengths else None,
+                )
+            )
+        phases = (
+            _split_order(plan.input_order, n) if plan.input_lengths else None,
+            _split_push(plan.layer0_push_recv, n) if plan.layer0_push_recv else None,
+            layers,
+        )
+        self.players = [
+            PlayerView(
+                plan, phases, _Knowledge(p, constants.copy()), held[p], outputs[p]
+            )
+            for p in range(n)
+        ]
+
+
+def _indexed(positions: Sequence[int], values: np.ndarray) -> List[Tuple[int, bool]]:
+    """A heavy gate's ``(position, value)`` part, as ``partial_summary``
+    takes it."""
+    return list(zip(positions, values.astype(bool).tolist()))
+
+
+def _push_round(push, vals: np.ndarray, me: int):
+    """One heavy-push round: a 1-bit message per planned edge.  A push
+    that never arrives (dropped, or its sender crashed) raises
+    :class:`~repro.core.errors.SimulationPlanError`, not a silent 0."""
+    dests, gids, gid_of = push
+    messages = {dst: Bits(value, 1) for dst, value in zip(dests, vals[gids].tolist())}
+    inbox = yield Outbox.unicast(messages)
+    if len(inbox) != len(gid_of):
+        for sender, gid in gid_of.items():
+            if sender not in inbox:
+                raise SimulationPlanError(
+                    f"player {me} never received gate {gid}, which player "
+                    f"{sender} pushes to it",
+                    me,
+                    gid,
+                )
+    for sender, payload in inbox.items():
+        vals[gid_of[sender]] = 1 if payload.to_uint() else 0
+
+
+def _route_round(ctx: Context, route, bandwidth: int, vals: np.ndarray):
+    """One routed phase: the player's send columns out as payload ints,
+    what it receives back into its receive columns."""
+    lengths, schedule, send, recv = route
+    received = yield from route_payload_ints(
+        ctx,
+        lengths,
+        {} if send is None else send.pack(vals),
+        bandwidth,
+        schedule,
+    )
+    if recv is not None:
+        recv.unpack(received, vals)
+
+
 def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, bool]):
     """Run the simulation as a sub-generator (``yield from``) so callers
     can compose it with further protocol phases (e.g. the triangle
-    detection wrapper of Section 2.1).  Returns the values of every gate
-    this node owns or learned."""
-    circuit = plan.circuit
-    owner = plan.assignment.owner
+    detection wrapper of Section 2.1).  ``my_inputs`` must hold every
+    input the plan says this node holds.  Returns ``{gate id: value}``
+    for the output gates this node owns."""
+    view = plan.view()
     me = ctx.node_id
-    values: Dict[int, bool] = {}
-    for node in circuit.nodes:
-        if node.kind == CONST_KIND:
-            values[node.gate_id] = node.const_value
-    # Inputs we keep (already owned by us under the assignment).
-    for gid, value in my_inputs.items():
-        if owner[gid] == me:
-            values[gid] = bool(value)
+    player = view.players[me]
+    vals = view.template.copy()
+    try:
+        vals[player.held] = [1 if my_inputs[gid] else 0 for gid in player.held]
+    except KeyError:
+        gid = next(gid for gid in player.held if gid not in my_inputs)
+        raise SimulationPlanError(
+            f"player {me} lacks input gate {gid}, which the plan says it holds",
+            me,
+            gid,
+        ) from None
+    bandwidth = plan.bandwidth
 
-    # ---- input redistribution ----------------------------------------
-    if plan.input_lengths:
-        payloads = {}
-        for (src, dst), gids in plan.input_order.items():
-            if src == me:
-                payloads[dst] = Bits.from_bools(
-                    [bool(my_inputs[g]) for g in gids]
-                )
-        received = yield from route_payloads(
-            ctx,
-            plan.input_lengths,
-            payloads,
-            plan.bandwidth,
-            plan.input_schedule,
-        )
-        for src, bits in received.items():
-            for gid, bit in zip(plan.input_order[(src, me)], bits):
-                values[gid] = bool(bit)
-
-    # ---- layer-0 heavy pushes ------------------------------------------
-    if plan.layer0_push_recv:
-        messages = {
-            dst: Bits.from_uint(1 if values[gid] else 0, 1)
-            for (src, dst), gid in plan.layer0_push_recv.items()
-            if src == me
-        }
-        inbox = yield Outbox.unicast(messages)
-        for sender, payload in inbox.items():
-            gid = plan.layer0_push_recv[(sender, me)]
-            values[gid] = bool(payload.to_uint())
-
-    # ---- layers ------------------------------------------------------------
-    for lp in plan.layer_plans:
-        if lp.has_summary_round:
+    if player.inputs is not None:
+        yield from _route_round(ctx, player.inputs, bandwidth, vals)
+    if player.layer0_push is not None:
+        yield from _push_round(player.layer0_push, vals, me)
+    grid = vals[None]
+    for summary, heavy, push, route, lights in player.layers:
+        if summary is not None:
+            sends, owns = summary
             messages = {}
-            for gid in lp.heavy_gates:
-                gate_owner = owner[gid]
-                if gate_owner == me:
-                    continue
-                positions = lp.summary_senders[gid].get(me)
-                if not positions:
-                    continue
-                node = circuit.node(gid)
-                part = [(pos, values[node.inputs[pos]]) for pos in positions]
-                messages[gate_owner] = node.gate.partial_summary(
-                    part, len(node.inputs)
+            for gate_owner, gate, positions, cols, fan_in in sends:
+                messages[gate_owner] = gate.partial_summary(
+                    _indexed(positions, vals[cols]), fan_in
                 )
             inbox = yield Outbox.unicast(messages)
-            for gid in lp.heavy_gates:
-                if owner[gid] != me:
-                    continue
-                node = circuit.node(gid)
-                summaries = []
-                local_positions = lp.summary_local[gid]
-                if local_positions:
-                    part = [
-                        (pos, values[node.inputs[pos]])
-                        for pos in local_positions
-                    ]
-                    summaries.append(
-                        node.gate.partial_summary(part, len(node.inputs))
-                    )
-                for sender in lp.summary_senders[gid]:
-                    summaries.append(inbox.get(sender))
-                values[gid] = node.gate.combine(summaries, len(node.inputs))
-        else:
-            # No summaries needed anywhere: heavy gates (if any) have
-            # all inputs local to their owners.
-            for gid in lp.heavy_gates:
-                if owner[gid] == me:
-                    node = circuit.node(gid)
-                    values[gid] = node.gate.compute(
-                        [values[src] for src in node.inputs]
-                    )
+            for gid, gate, positions, cols, fan_in, senders in owns:
+                summaries = (
+                    [gate.partial_summary(_indexed(positions, vals[cols]), fan_in)]
+                    if positions
+                    else []
+                )
+                summaries.extend(inbox.get(sender) for sender in senders)
+                vals[gid] = gate.combine(summaries, fan_in)
+        for gid, gate, cols in heavy:
+            vals[gid] = gate.compute(vals[cols].astype(bool).tolist())
+        if push is not None:
+            yield from _push_round(push, vals, me)
+        if route is not None:
+            yield from _route_round(ctx, route, bandwidth, vals)
+        if lights is not None:
+            lights.evaluate(grid)
 
-        if lp.push_recv:
-            messages = {
-                dst: Bits.from_uint(1 if values[gid] else 0, 1)
-                for (src, dst), gid in lp.push_recv.items()
-                if src == me
-            }
-            inbox = yield Outbox.unicast(messages)
-            for sender, payload in inbox.items():
-                gid = lp.push_recv[(sender, me)]
-                values[gid] = bool(payload.to_uint())
-
-        if lp.light_lengths:
-            payloads = {}
-            for (src, dst), gids in lp.light_order.items():
-                if src == me:
-                    payloads[dst] = Bits.from_bools(
-                        [values[g] for g in gids]
-                    )
-            received = yield from route_payloads(
-                ctx,
-                lp.light_lengths,
-                payloads,
-                plan.bandwidth,
-                lp.light_schedule,
-            )
-            for src, bits in received.items():
-                for gid, bit in zip(lp.light_order[(src, me)], bits):
-                    values[gid] = bool(bit)
-
-        for gid in lp.light_owned.get(me, ()):  # evaluate my light gates
-            node = circuit.node(gid)
-            values[gid] = node.gate.compute(
-                [values[src] for src in node.inputs]
-            )
-
-    return {
-        gid: values[gid] for gid in circuit.outputs if owner[gid] == me
-    }
+    outputs = player.outputs
+    return dict(zip(outputs, vals[outputs].astype(bool).tolist()))
 
 
 def make_program(plan: SimulationPlan):

@@ -22,6 +22,7 @@ from repro.core.faults import (
 )
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import (
+    _frame_payload,
     phase_length,
     transmit_broadcast,
     transmit_broadcast_kernel_program,
@@ -626,6 +627,29 @@ class TestDegradationChain:
             planner._degrade(network, program, call)
         assert calls == ["broken-everything", "kernel"]
 
+    def test_legacy_reference_never_degrades(self):
+        # A failure on the reference is the program's truth: it is not
+        # retried on fast, so it surfaces unchanged.
+        from repro.core.engine.planner import DEFAULT_PLANNER
+
+        def buggy(ctx):
+            yield Outbox.broadcast_uint(ctx.node_id, WIDTH)
+            raise KeyError("program bug")
+
+        network = Network(n=4, bandwidth=WIDTH, mode=Mode.BROADCAST, engine="legacy")
+        with pytest.raises(KeyError, match="program bug"):
+            network.run(buggy)
+        assert DEFAULT_PLANNER.fallback_chain(buggy, LEGACY_ENGINE) == []
+        calls = []
+
+        def call(engine):
+            calls.append(engine.name)
+            raise KeyError(engine.name)
+
+        with pytest.raises(KeyError):
+            DEFAULT_PLANNER._degrade(network, buggy, call)
+        assert calls == ["legacy"]
+
     def test_legacy_failure_is_truth(self):
         from repro.core.engine.planner import DEFAULT_PLANNER
 
@@ -641,6 +665,35 @@ class TestDegradationChain:
 class TestResilientPhases:
     def drop_plan(self):
         return FaultPlan(seed=19, drop_rate=0.15)
+
+    def test_redundant_broadcast_discards_oversized_copies(self):
+        # Node 0 broadcasts one honest copy and two whose length header
+        # (31) exceeds max_bits (19) although the 38-bit stream holds 31
+        # bits after it: those copies must be discarded, not outvote
+        # the honest one.
+        max_bits = width = 19
+        rounds = phase_length(max_bits, width)
+        honest = Bits.from_uint(0x5A5A5, max_bits)
+        good = _frame_payload(honest, max_bits, rounds, width)
+        bad = Bits((31 << 33) | 0x1F0F0F0F, rounds * width).to_uint_chunks(width)
+
+        def program(ctx):
+            if ctx.node_id != 0:
+                got = yield from transmit_broadcast_redundant(
+                    ctx, None, max_bits, copies=3
+                )
+                return got
+            for frames in (good, bad, bad):
+                for frame in frames:
+                    yield Outbox.broadcast_uint(frame, width)
+            return None
+
+        for engine in ("legacy", "fast"):
+            network = Network(
+                n=2, bandwidth=width, mode=Mode.BROADCAST, engine=engine
+            )
+            result = network.run(program)
+            assert result.outputs[1] == {0: honest}
 
     def test_acked_retransmit_recovers_drops(self):
         n, payload_width = 6, 10

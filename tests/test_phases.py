@@ -7,8 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bits import Bits
+from repro.core.errors import DecodeError
 from repro.core.network import Mode, run_protocol
 from repro.core.phases import (
+    _parse_concat,
     header_width,
     idle,
     phase_length,
@@ -36,6 +38,19 @@ class TestPhaseLength:
     @given(st.integers(min_value=1, max_value=10**6))
     def test_header_fits_length(self, max_bits):
         assert max_bits < (1 << header_width(max_bits))
+
+
+class TestParseConcat:
+    def test_header_within_bound_decodes(self):
+        stream = Bits((19 << 33) | (0x5A5A5 << 14), 38)
+        assert _parse_concat(stream, 19) == Bits(0x5A5A5, 19)
+
+    def test_header_above_max_bits_rejected(self):
+        # The stream holds the 31 bits the header claims, but a phase
+        # bounded by max_bits=19 never frames that many.
+        stream = Bits((31 << 33) | 0x1F0F0F0F, 38)
+        with pytest.raises(DecodeError, match="31 bits"):
+            _parse_concat(stream, 19)
 
 
 class TestBroadcastPhase:

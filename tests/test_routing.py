@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.bits import Bits
-from repro.core.network import run_protocol
+from repro.core.network import Network, run_protocol
 from repro.routing import build_schedule, payload_demand, route_payloads
 from repro.routing.schedule import _greedy_edge_coloring
 
@@ -155,6 +155,18 @@ class TestRoutePayloads:
 
         with pytest.raises(ValueError):
             run_protocol(program, n=2, bandwidth=4)
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_missing_payload_names_its_pair(self, engine):
+        lengths = {(0, 1): 5, (1, 0): 3}
+
+        def program(ctx):
+            mine = {1: Bits.from_uint(3, 5)} if ctx.node_id == 0 else {}
+            yield from route_payloads(ctx, lengths, mine, 4)
+
+        network = Network(n=2, bandwidth=4, engine=engine)
+        with pytest.raises(ValueError, match=r"pair \(1, 0\).* 3 bits"):
+            network.run(program)
 
     def test_zero_length_payloads_skipped(self):
         lengths = {(0, 1): 0}

@@ -9,6 +9,9 @@ The two load-bearing claims:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -16,14 +19,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import builders
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import GATE_KIND, Circuit
 from repro.circuits.gates import AND, OR, XOR
+from repro.core.checkpoint import stable_digest
+from repro.core.errors import SimulationPlanError
+from repro.core.faults import FaultPlan
+from repro.core.network import Network
+from repro.graphs.generators import random_graph
 from repro.simulation import (
     assign_gates,
     build_plan,
+    make_program,
     simulate_circuit,
     simulate_circuit_many,
 )
+from repro.simulation.protocol import PlanView
 
 
 def check_equivalence(circuit, n, inputs, **kwargs):
@@ -206,3 +216,99 @@ class TestRoundComplexity:
             xs = [rng.random() < 0.5 for _ in range(16)]
             outputs, _, _ = simulate_circuit(circuit, 4, xs, plan=plan)
             assert [outputs[g] for g in circuit.outputs] == circuit.evaluate_outputs(xs)
+
+
+class TestPlanView:
+    """The per-player view :func:`execute_plan` runs: compiled once per
+    plan, checked when it compiles, invisible in the plan's identity."""
+
+    def plan(self, n=4):
+        circuit = builders.random_layered_circuit(12, 4, 10, random.Random(5))
+        return circuit, build_plan(circuit, n)
+
+    def per_node_inputs(self, circuit, n, xs):
+        per_node = [dict() for _ in range(n)]
+        for position, gid in enumerate(circuit.input_ids):
+            per_node[position % n][gid] = xs[position]
+        return per_node
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_missing_input_is_named(self, engine):
+        circuit, plan = self.plan()
+        inputs = self.per_node_inputs(circuit, 4, [True] * circuit.num_inputs)
+        missing = next(iter(inputs[1]))
+        del inputs[1][missing]
+        network = Network(n=4, bandwidth=plan.bandwidth, engine=engine)
+        with pytest.raises(SimulationPlanError, match="lacks input") as info:
+            network.run(make_program(plan), inputs=inputs)
+        assert (info.value.player, info.value.gate) == (1, missing)
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_dropped_push_is_named(self, engine):
+        # Input 0 feeds 16 gates, so it is heavy and pushed to the other
+        # players in the round after the input redistribution.  Every
+        # input is False, so a dropped push read as 0 would still give
+        # the right outputs: the run must fail instead.
+        circuit = Circuit()
+        xs = circuit.add_inputs(8)
+        for i in range(16):
+            circuit.mark_output(circuit.add_gate(AND, [xs[0], xs[1 + i % 7]]))
+        plan = build_plan(circuit, 4)
+        (src, dst), gid = next(iter(plan.layer0_push_recv.items()))
+        push_round = plan.input_schedule.num_rounds + 1
+        network = Network(
+            n=4,
+            bandwidth=plan.bandwidth,
+            engine=engine,
+            fault_plan=FaultPlan(triggers={(push_round, src, dst): "drop"}),
+        )
+        inputs = self.per_node_inputs(circuit, 4, [False] * circuit.num_inputs)
+        with pytest.raises(SimulationPlanError, match="never received") as info:
+            network.run(make_program(plan), inputs=inputs)
+        assert (info.value.player, info.value.gate) == (dst, gid)
+
+    def test_unlearned_wire_fails_at_compile(self):
+        circuit, plan = self.plan()
+        broken = copy.deepcopy(plan)
+        # The first routed gate value (earlier layers route inputs only),
+        # so its receiver cannot have learned it another way.
+        lp, pair, gid = next(
+            (lp, pair, gid)
+            for lp in broken.layer_plans
+            for pair, gids in sorted(lp.light_order.items())
+            for gid in gids
+            if circuit.node(gid).kind == GATE_KIND
+        )
+        lp.light_order[pair].remove(gid)
+        with pytest.raises(SimulationPlanError, match="before it learns") as info:
+            PlanView(broken)
+        assert (info.value.player, info.value.gate) == (pair[1], gid)
+        with pytest.raises(SimulationPlanError):
+            simulate_circuit(circuit, 4, [False] * circuit.num_inputs, plan=broken)
+
+    def test_view_stays_out_of_plan_identity(self):
+        circuit, plan = self.plan()
+        before = stable_digest(plan)
+        check_equivalence(circuit, 4, [True] * circuit.num_inputs, plan=plan)
+        assert isinstance(plan.view(), PlanView)
+        assert stable_digest(plan) == before
+        assert plan == dataclasses.replace(plan)
+        assert "_view" not in pickle.loads(pickle.dumps(plan)).__dict__
+
+    def test_one_view_serves_every_engine_and_trial(self, monkeypatch):
+        from repro.matmul.distributed import detect_triangle_mm
+
+        built = []
+        compile_view = PlanView.__init__
+
+        def counting(view, plan):
+            built.append(plan)
+            compile_view(view, plan)
+
+        monkeypatch.setattr(PlanView, "__init__", counting)
+        graph = random_graph(8, 0.5, random.Random(2))
+        _, _, plan = detect_triangle_mm(graph, trials=4, engine="legacy")
+        view = plan.view()
+        detect_triangle_mm(graph, trials=4, plan=plan, engine="fast")
+        assert plan.view() is view
+        assert built == [plan]

@@ -26,7 +26,7 @@ from repro.circuits import (
     builders,
 )
 from repro.simulation import simulate_circuit
-from repro.simulation.kernel import GateGroups, vector_compute
+from repro.circuits.vectorized import GateGroups, vector_compute
 
 
 def exotic_pool(rng):
