@@ -24,9 +24,8 @@ TRIALS = 4
 
 def _run(circuit, seed=0):
     """Evaluate the circuit on TRIALS random input vectors through one
-    ``run_many`` batch (the simulation is oblivious: one compiled round
-    schedule serves every vector) and cross-check each against local
-    evaluation."""
+    ``run_many`` batch (one plan serves every vector) and cross-check
+    each against local evaluation."""
     rng = random.Random(seed)
     vectors = [
         [rng.random() < 0.5 for _ in range(circuit.num_inputs)]

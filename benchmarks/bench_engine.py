@@ -26,21 +26,12 @@ phase and full-learning subgraph detection at n=128) under both
 engines, so the broadcast lane's effect on actual workloads is tracked
 alongside the synthetic numbers.
 
-A ``replay`` section measures the *repeated-run* workloads the compiled
-schedule layer targets: the same oblivious protocol executed K times on
-one network, comparing plain per-run execution (the PR 2 fast engine),
-compiled replay (``mark_oblivious`` + K ``run`` calls), and batched
-multi-instance execution (``run_many`` with stacked payload matrices).
-Two protocol trial sweeps (``transmit_broadcast`` over K payload
-instances and full-learning detection over K graphs) are run both as a
-sequential loop and through ``run_many``.
-
-A ``kernels`` section measures the kernel-program path (PR 4): the same
-repeated unicast workload expressed as declared round kernels — zero
-generator resumptions — against the compiled generator replay, at
-n ∈ {64, 256} (quick: {16, 32}), plus a Lenzen-routing sweep comparing
-``route_kernel_program`` with the generator ``route_program`` under
-``run_many``.
+A ``kernels`` section measures the kernel-program path, the one
+compiled path: a repeated unicast workload expressed as declared round
+kernels — zero generator resumptions — against plain fast-engine runs
+of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), plus a
+Lenzen-routing sweep comparing ``route_kernel_program`` with the
+generator ``route_program`` under ``run_many``.
 
 A ``scenario_matrix`` section (PR 5) sweeps the protocol registry —
 problem × graph family × n × engine — through
@@ -66,15 +57,15 @@ snapshot instead of re-executing from scratch.
 
 A ``zero_copy`` section (PR 10) gates the zero-copy sweep fabric: a
 cold sweep through a persistent compiled-schedule cache followed by a
-warm sweep that must record **zero** compiles (every lane structure
-loads from disk), K-sharded and pooled runs that must stay
+warm sweep that must record **zero** compiles (every kernel lane
+structure loads from disk), K-sharded and pooled runs that must stay
 byte-identical to the serial digests, a shared-memory vs. pickled-queue
 transport microbenchmark (the shm round-trip must be at least 1.0x the
 pickle+pipe baseline), and a leak check on the ``/dev/shm`` namespace
 after the pooled runs.
 
 An ``analysis`` section runs the static protocol verifier
-(:mod:`repro.analysis`) over the registry — obliviousness proofs,
+(:mod:`repro.analysis`) over the registry — structure extraction,
 bandwidth-budget checks, registry consistency — and aborts the
 benchmark on any violation: numbers measured against an unproven
 registry are not published.
@@ -86,9 +77,9 @@ Run from the repo root (writes ``BENCH_engine.json`` there)::
 
 The JSON keeps a per-config table plus ``speedups``, an ``acceptance``
 block (fixed-lane vs. legacy messages/sec at the largest unicast size,
-replay/batched vs. the plain fast engine on the repeated-run
-scenarios), and a ``meta`` block stamping python/numpy versions and the
-git revision so the perf trajectory across PRs stays comparable.
+kernel vs. the plain fast engine on the repeated unicast sweep), and a
+``meta`` block stamping python/numpy versions and the git revision so
+the perf trajectory across PRs stays comparable.
 """
 
 from __future__ import annotations
@@ -110,7 +101,6 @@ if "repro" not in sys.modules:
 import numpy as np
 
 from repro.core.bits import Bits
-from repro.core.compiled import mark_oblivious
 from repro.core.fastlane import FixedWidthSchedule
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import transmit_broadcast
@@ -362,225 +352,6 @@ def bench_protocols(quick, repeats):
     return [phase_record, det_record]
 
 
-# -- compiled replay / batched scenarios --------------------------------
-
-
-def bench_replay(quick, repeats):
-    """Repeated-run workloads: the same oblivious protocol executed K
-    times on one network, as (a) plain fast-engine runs, (b) compiled
-    replay, (c) one batched ``run_many`` call."""
-    n = 32 if quick else 64
-    rounds = 30 if quick else 40
-    instances = 8 if quick else 24
-    records = []
-
-    def repeated(mode, maker):
-        deliveries = instances * rounds * n * (n - 1)
-        record = {
-            "scenario": f"repeated_{mode}",
-            "n": n,
-            "rounds": rounds,
-            "instances": instances,
-        }
-        totals = set()
-        for label in ("fast", "fast+replay", "fast+batched"):
-            network = Network(
-                n=n,
-                bandwidth=WIDTH,
-                mode=Mode.BROADCAST if mode == "broadcast" else Mode.UNICAST,
-            )
-            program = maker(rounds)
-            if label != "fast":
-                mark_oblivious(program)
-            if label == "fast+batched":
-                network.run_many(program, [None])  # record once, off-clock
-
-                def workload(network=network, program=program):
-                    return network.run_many(program, [None] * instances)
-
-            else:
-                network.run(program)  # warm buffers (and record)
-
-                def workload(network=network, program=program):
-                    return [network.run(program) for _ in range(instances)]
-
-            seconds, results = _time_best(workload, repeats)
-            totals.update(r.total_bits for r in results)
-            assert all(r.rounds == rounds for r in results)
-            record[label] = {
-                "seconds": round(seconds, 6),
-                "messages_per_sec": round(deliveries / seconds, 1),
-                "schedule_stats": dict(network.schedule_stats),
-            }
-        assert len(totals) == 1, f"paths disagree on bits: {record}"
-        record["replay_speedup_vs_fast"] = round(
-            record["fast+replay"]["messages_per_sec"]
-            / record["fast"]["messages_per_sec"],
-            2,
-        )
-        record["batched_speedup_vs_fast"] = round(
-            record["fast+batched"]["messages_per_sec"]
-            / record["fast"]["messages_per_sec"],
-            2,
-        )
-        print(
-            f"{record['scenario']:>22}  n={n:<4} "
-            f"replay {record['replay_speedup_vs_fast']}x  "
-            f"batched {record['batched_speedup_vs_fast']}x vs fast"
-        )
-        return record
-
-    def unicast_maker(rounds):
-        # Fresh closure per path so each records its own schedule key.
-        schedule = FixedWidthSchedule(WIDTH)
-
-        def program(ctx):
-            me = ctx.node_id
-            dests = np.fromiter(
-                ctx.neighbors, dtype=np.intp, count=len(ctx.neighbors)
-            )
-            values = (
-                dests.astype(np.uint64) + np.uint64(me * 2654435761)
-            ) & np.uint64(MASK)
-            outbox = schedule.outbox(dests, values)
-            for _ in range(rounds):
-                yield outbox
-            return None
-
-        return program
-
-    def broadcast_maker(rounds):
-        def program(ctx):
-            outbox = Outbox.broadcast_uint(
-                (ctx.node_id * 2654435761) & MASK, WIDTH
-            )
-            for _ in range(rounds):
-                yield outbox
-            return None
-
-        return program
-
-    records.append(repeated("unicast", unicast_maker))
-    records.append(repeated("broadcast", broadcast_maker))
-    records.extend(bench_replay_protocols(quick, repeats))
-    return records
-
-
-def bench_replay_protocols(quick, repeats):
-    """Protocol trial sweeps, sequential loop vs one ``run_many``."""
-    import random as _random
-
-    from repro.routing import build_schedule, route_program
-
-    records = []
-
-    def sweep(record, sequential, batched):
-        seq_s, seq_results = _time_best(sequential, repeats)
-        bat_s, bat_results = _time_best(batched, repeats)
-        assert [r.total_bits for r in seq_results] == [
-            r.total_bits for r in bat_results
-        ], f"run_many accounting diverged: {record}"
-        assert [r.outputs for r in seq_results] == [
-            r.outputs for r in bat_results
-        ], f"run_many outputs diverged: {record}"
-        record["sequential_seconds"] = round(seq_s, 6)
-        record["run_many_seconds"] = round(bat_s, 6)
-        record["run_many_speedup"] = round(seq_s / bat_s, 2)
-        print(
-            f"{record['scenario']:>22}  n={record['n']:<4} "
-            f"sequential {seq_s:.3f}s  run_many {bat_s:.3f}s  "
-            f"({record['run_many_speedup']}x)"
-        )
-        records.append(record)
-
-    # 1. transmit_broadcast phase over K payload instances.
-    n_phase = 16 if quick else 64
-    payload_bits = 64 if quick else 192
-    phase_bw = 16
-    instances = 6 if quick else 16
-
-    def phase_program(ctx):
-        got = yield from transmit_broadcast(
-            ctx, ctx.input, max_bits=payload_bits
-        )
-        return len(got)
-
-    mark_oblivious(phase_program)
-
-    def phase_inputs(k):
-        return [
-            Bits.from_uint(
-                (v * 0x9E3779B97F4A7C15 + k) % (1 << payload_bits),
-                payload_bits,
-            )
-            for v in range(n_phase)
-        ]
-
-    inputs_list = [phase_inputs(k) for k in range(instances)]
-    bat_net = Network(n=n_phase, bandwidth=phase_bw, mode=Mode.BROADCAST)
-    bat_net.run_many(phase_program, inputs_list[:1])  # record off-clock
-    sweep(
-        {
-            "scenario": "transmit_broadcast_many",
-            "n": n_phase,
-            "instances": instances,
-            "payload_bits": payload_bits,
-            "bandwidth": phase_bw,
-        },
-        lambda: [
-            Network(
-                n=n_phase, bandwidth=phase_bw, mode=Mode.BROADCAST
-            ).run(phase_program, inputs)
-            for inputs in inputs_list
-        ],
-        lambda: bat_net.run_many(phase_program, inputs_list),
-    )
-
-    # 2. Lenzen routing over K payload instances: one public schedule
-    #    (a dense balanced demand), fresh frame contents per instance —
-    #    the pure engine-bound trial sweep the replay layer targets.
-    n_route = 16 if quick else 48
-    frame_size = 16
-    route_instances = 6 if quick else 16
-    rng = _random.Random(9)
-    demand = {}
-    for src in range(n_route):
-        for dst in range(n_route):
-            if src != dst and rng.random() < 0.7:
-                demand[(src, dst)] = rng.randint(1, 3)
-    schedule = build_schedule(demand, n_route)
-    program = route_program(schedule, frame_size)
-
-    def route_inputs(k):
-        contents = _random.Random(1000 + k)
-        per_node = [dict() for _ in range(n_route)]
-        for (src, dst), count in demand.items():
-            for idx in range(count):
-                per_node[src][(src, dst, idx)] = Bits.from_uint(
-                    contents.getrandbits(frame_size), frame_size
-                )
-        return per_node
-
-    inputs_list = [route_inputs(k) for k in range(route_instances)]
-    route_net = Network(n=n_route, bandwidth=frame_size)
-    route_net.run_many(program, inputs_list[:1])  # record off-clock
-    sweep(
-        {
-            "scenario": "lenzen_routing_many",
-            "n": n_route,
-            "instances": route_instances,
-            "frames": sum(demand.values()),
-            "frame_size": frame_size,
-        },
-        lambda: [
-            Network(n=n_route, bandwidth=frame_size).run(program, inputs)
-            for inputs in inputs_list
-        ],
-        lambda: route_net.run_many(program, inputs_list),
-    )
-    return records
-
-
 def unicast_kernel_program(n, rounds):
     """The kernel twin of ``unicast_fixed_program``: the same all-to-all
     constant payload, declared once, frozen for the zero-churn path."""
@@ -619,8 +390,9 @@ def unicast_kernel_program(n, rounds):
 
 
 def bench_kernels(quick, repeats):
-    """Kernel programs vs compiled generator replay: the repeated
-    unicast sweep (the acceptance workload) and a routing trial sweep."""
+    """Kernel programs vs plain fast-engine runs of their generator
+    twins: the repeated unicast sweep (the acceptance workload) and a
+    routing trial sweep."""
     records = []
     sizes = [16, 32] if quick else [64, 256]
     for n in sizes:
@@ -631,18 +403,17 @@ def bench_kernels(quick, repeats):
                   "instances": instances}
         totals = set()
 
-        # Compiled generator replay (the PR 3 fast path).
-        replay_net = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
+        # The generator twin on the fast engine (bulk unicast lane).
+        fast_net = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
         gen_program = unicast_fixed_program(rounds)
-        mark_oblivious(gen_program)
-        replay_net.run(gen_program)  # record off-clock
+        fast_net.run(gen_program)  # warm off-clock
 
-        def replay_workload():
-            return [replay_net.run(gen_program) for _ in range(instances)]
+        def fast_workload():
+            return [fast_net.run(gen_program) for _ in range(instances)]
 
-        seconds, results = _time_best(replay_workload, repeats)
+        seconds, results = _time_best(fast_workload, repeats)
         totals.update(r.total_bits for r in results)
-        record["generator_replay"] = {
+        record["fast"] = {
             "seconds": round(seconds, 6),
             "messages_per_sec": round(deliveries / seconds, 1),
         }
@@ -673,20 +444,20 @@ def bench_kernels(quick, repeats):
             "messages_per_sec": round(deliveries / seconds, 1),
         }
         assert len(totals) == 1, f"paths disagree on bits: {record}"
-        record["kernel_speedup_vs_replay"] = round(
+        record["kernel_speedup_vs_fast"] = round(
             record["kernel"]["messages_per_sec"]
-            / record["generator_replay"]["messages_per_sec"],
+            / record["fast"]["messages_per_sec"],
             2,
         )
-        record["kernel_batched_speedup_vs_replay"] = round(
+        record["kernel_batched_speedup_vs_fast"] = round(
             record["kernel_batched"]["messages_per_sec"]
-            / record["generator_replay"]["messages_per_sec"],
+            / record["fast"]["messages_per_sec"],
             2,
         )
         print(
             f"{record['scenario']:>22}  n={n:<4} "
-            f"kernel {record['kernel_speedup_vs_replay']}x  "
-            f"batched {record['kernel_batched_speedup_vs_replay']}x vs replay"
+            f"kernel {record['kernel_speedup_vs_fast']}x  "
+            f"batched {record['kernel_batched_speedup_vs_fast']}x vs fast"
         )
         records.append(record)
 
@@ -727,7 +498,7 @@ def bench_kernels(quick, repeats):
     }
     gen_program = route_program(schedule, frame_size)
     gen_net = Network(n=n_route, bandwidth=frame_size)
-    gen_net.run_many(gen_program, inputs_list[:1])  # record off-clock
+    gen_net.run_many(gen_program, inputs_list[:1])  # warm off-clock
     gen_s, gen_results = _time_best(
         lambda: gen_net.run_many(gen_program, inputs_list), repeats
     )
@@ -769,7 +540,7 @@ def bench_scenario_matrix(quick, repeats):
         repeats=repeats,
     )
     # A fresh schedule cache for the whole registry sweep: every
-    # compiled-replay cell records its lane structures once and the
+    # kernel cell stores its compiled lane structures once and the
     # cache counters surface in the report (PR 10).
     with tempfile.TemporaryDirectory(prefix="bench-schedcache-") as cache:
         result = matrix.run(schedule_cache=cache)
@@ -785,12 +556,6 @@ def bench_scenario_matrix(quick, repeats):
     # Always 0 after the assert above; recorded through
     # MatrixResult.mismatches() so the definition lives in one place.
     report["mismatch_count"] = len(mismatches)
-    # Compiled-replay evictions surfaced per cell (PR 9): any nonzero
-    # total means a protocol deviated from its declared structure and
-    # silently fell back off the replay fast path.
-    report["evictions_total"] = sum(
-        cell.evictions or 0 for cell in result.cells
-    )
     # Schedule-cache traffic for the sweep above (PR 10): corrupt
     # evictions are folded into cache_evictions by the cell accounting;
     # a nonzero eviction total means on-disk entries went bad mid-sweep.
@@ -805,8 +570,8 @@ def bench_scenario_matrix(quick, repeats):
 
 def bench_analysis(quick):
     """Static-analysis gate inside the benchmark report: the verifier
-    must prove every registered protocol (obliviousness + budget +
-    registry consistency) at the analyzed sizes — a benchmark run over
+    must pass every registered protocol (structure + budget + registry
+    consistency) at the analyzed sizes — a benchmark run over
     an unproven registry is not a result worth publishing."""
     from repro.analysis.verifier import analyze_all
 
@@ -1116,7 +881,7 @@ def bench_zero_copy(quick, repeats):
 
     Four contracts are gated here.  **Warm-cache compiles**: a second
     sweep through the same persistent schedule cache must record zero
-    compiles — every fast/kernel lane structure loads from disk.
+    compiles — every kernel lane structure loads from disk.
     **Digest identity**: cold, warm, K-sharded, and pooled (each tested
     worker count) sweeps must all be byte-identical to the plain serial
     runner.  **Transport**: the shared-memory payload round-trip must
@@ -1341,7 +1106,6 @@ def main(argv=None):
     configs = run_sweep(sizes, args.quick, repeats)
     speedups = summarize(configs)
     protocols = bench_protocols(args.quick, repeats)
-    replay = bench_replay(args.quick, repeats)
     kernels = bench_kernels(args.quick, repeats)
     scenario_matrix = bench_scenario_matrix(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
@@ -1353,9 +1117,6 @@ def main(argv=None):
     top_n = max(sizes)
     acceptance_key = f"unicast/n={top_n}"
     bcast_key = f"broadcast/n={top_n}"
-    repeated_unicast = next(
-        rec for rec in replay if rec["scenario"] == "repeated_unicast"
-    )
     acceptance = {
         "mode": "unicast",
         "n": top_n,
@@ -1369,24 +1130,13 @@ def main(argv=None):
         "protocol_speedups_vs_legacy": {
             rec["name"]: rec["speedup_vs_legacy"] for rec in protocols
         },
-        "replay_vs_fast_msgs_per_sec": repeated_unicast[
-            "replay_speedup_vs_fast"
-        ],
-        "batched_vs_fast_msgs_per_sec": repeated_unicast[
-            "batched_speedup_vs_fast"
-        ],
-        "run_many_protocol_speedups": {
-            rec["scenario"]: rec["run_many_speedup"]
-            for rec in replay
-            if "run_many_speedup" in rec
-        },
-        "kernel_vs_replay_msgs_per_sec": max(
+        "kernel_vs_fast_msgs_per_sec": max(
             (rec for rec in kernels if rec["scenario"] == "kernel_unicast"),
             key=lambda rec: rec["n"],
-        )["kernel_speedup_vs_replay"],
+        )["kernel_speedup_vs_fast"],
         "kernel_speedups": {
             f"{rec['scenario']}/n={rec['n']}": (
-                rec.get("kernel_speedup_vs_replay")
+                rec.get("kernel_speedup_vs_fast")
                 or rec.get("kernel_speedup_vs_generator")
             )
             for rec in kernels
@@ -1401,7 +1151,6 @@ def main(argv=None):
             "checkpoint_disabled_overhead"
         ],
         "checkpoint_resume_speedup": checkpoint["resume_speedup_vs_full"],
-        "scenario_evictions_total": scenario_matrix["evictions_total"],
         "scenario_cache_hits_total": scenario_matrix["cache_hits_total"],
         "scenario_cache_misses_total": scenario_matrix["cache_misses_total"],
         "scenario_cache_evictions_total": scenario_matrix[
@@ -1429,7 +1178,6 @@ def main(argv=None):
         "configs": configs,
         "speedups": speedups,
         "protocols": protocols,
-        "replay": replay,
         "kernels": kernels,
         "scenario_matrix": scenario_matrix,
         "faults": faults,

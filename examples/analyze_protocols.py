@@ -1,13 +1,11 @@
 """The static protocol verifier, end to end.
 
-Three acts:
+Two acts:
 
-1. prove the registry — every shipped protocol's obliviousness claim
-   and bandwidth budget verified without a single recording run;
-2. refute a deliberately non-oblivious program, getting the offending
-   round number (the same deviation the fast engine would only discover
-   as a mid-experiment replay eviction);
-3. catch an over-budget protocol whose messages outgrow its declared
+1. check the registry — every shipped protocol's communication
+   structure (declared for kernel programs, traced for generator
+   programs) and bandwidth budget verified;
+2. catch an over-budget protocol whose messages outgrow its declared
    O(log n) envelope.
 
 Run:  PYTHONPATH=src python examples/analyze_protocols.py
@@ -20,24 +18,19 @@ from repro.analysis import (
     analyze_all,
     analyze_protocol,
     check_registry,
-    verify_obliviousness,
 )
-from repro.core import Bits, Mode, Network, Outbox
-from repro.core.compiled import mark_oblivious
+from repro.core import Bits, Mode, Outbox
 from repro.scenarios.registry import PreparedScenario, ProtocolSpec
 
 
 def main() -> None:
-    print("=== Act 1: prove the registry ===")
+    print("=== Act 1: check the registry ===")
     report = analyze_all(sizes=[6, 8])
     for analysis in report.analyses:
-        verdicts = ", ".join(
-            f"{flavour}:{'proven' if v.oblivious else f'REFUTED@r{v.round}'}"
-            for flavour, v in sorted(analysis.oblivious.items())
-        )
         budget = analysis.budget
         print(
-            f"{analysis.protocol:<20} n={analysis.n:<3} {verdicts:<40} "
+            f"{analysis.protocol:<20} n={analysis.n:<3} "
+            f"rounds {analysis.rounds:>4}  "
             f"width {budget.observed:>3} <= {budget.allowed:<4} "
             f"[{analysis.protocol and budget.detail.split(';')[0]}]"
         )
@@ -46,39 +39,7 @@ def main() -> None:
     assert report.ok
 
     print()
-    print("=== Act 2: refute a mis-marked program ===")
-
-    def leaky(ctx):
-        # Round 0's sender set is the set of nodes holding a 1 — the
-        # structure leaks the input, so this is NOT oblivious.
-        if ctx.input:
-            yield Outbox.broadcast_uint(1, 4)
-        else:
-            yield Outbox.silent()
-        yield Outbox.broadcast_uint(ctx.node_id, 4)
-        return None
-
-    mark_oblivious(leaky)  # the lie the analyzer catches
-    inputs = [True, False, True, False]
-    kwargs = dict(n=4, bandwidth=4, mode=Mode.BROADCAST)
-    verdict = verify_obliviousness(leaky, inputs, dict(kwargs))
-    print(f"declared oblivious: {verdict.declared}")
-    print(f"verdict: refuted at round {verdict.round} ({verdict.detail})")
-    assert verdict.mismarked and verdict.round == 0
-
-    # The runtime counterpart: replay on the fast engine deviates and
-    # evicts — with a warning naming this exact program.
-    import warnings
-
-    network = Network(engine="fast", **kwargs)
-    network.run(leaky, inputs=inputs)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        network.run(leaky, inputs=[not x for x in inputs])
-    print(f"runtime agreement: {caught[0].message}")
-
-    print()
-    print("=== Act 3: catch an over-budget protocol ===")
+    print("=== Act 2: catch an over-budget protocol ===")
 
     def wide(ctx):
         yield Outbox.broadcast(Bits.from_uint(0, 3 * ctx.n))  # Θ(n) bits!
@@ -108,8 +69,8 @@ def main() -> None:
 
     print()
     print("Every claim checked before a single experiment ran: that is")
-    print("the point — mis-marked programs and model-breaking widths are")
-    print("caught at analysis time, not as mid-sweep replay evictions.")
+    print("the point — model-breaking widths are caught at analysis time,")
+    print("not as a failed sweep.")
 
 
 if __name__ == "__main__":

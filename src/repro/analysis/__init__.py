@@ -1,6 +1,6 @@
 """Analysis layer: predicted bounds, report tables, and the static
-protocol verifier (structure extraction, obliviousness proofs/refutations,
-bandwidth budgets, determinism lint — see ``python -m repro.analysis``)."""
+protocol verifier (structure extraction, bandwidth budgets, registry
+consistency, determinism lint — see ``python -m repro.analysis``)."""
 
 from repro.analysis.bounds import (
     dlp_round_bound,
@@ -16,11 +16,6 @@ from repro.analysis.bounds import (
 )
 from repro.analysis.budget import BandwidthBudget, BudgetCheck, check_budget, log2_ceil
 from repro.analysis.lint import LintFinding, lint_file, lint_paths, lint_source
-from repro.analysis.oblivious import (
-    ObliviousnessVerdict,
-    perturb_inputs,
-    verify_obliviousness,
-)
 from repro.analysis.reporting import Table, fmt, geometric_mean, ratio
 from repro.analysis.structure import (
     ProtocolStructure,
@@ -74,9 +69,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "ObliviousnessVerdict",
-    "perturb_inputs",
-    "verify_obliviousness",
     "ProtocolStructure",
     "RoundShape",
     "kernel_structure",

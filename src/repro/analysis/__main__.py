@@ -1,10 +1,11 @@
 """``python -m repro.analysis`` — the static protocol verifier CLI.
 
-Runs the analysis passes (obliviousness, bandwidth budgets, registry
-consistency, determinism lint) over the registered protocols and prints
-a human report; ``--json`` additionally writes the machine-readable
-artifact CI uploads, and ``--strict`` turns any violation into exit
-code 1 — the hard-gate mode the CI ``analysis`` job runs.
+Runs the analysis passes (structure extraction, bandwidth budgets,
+registry consistency, determinism lint) over the registered protocols
+and prints a human report; ``--json`` additionally writes the
+machine-readable artifact CI uploads, and ``--strict`` turns any
+violation into exit code 1 — the hard-gate mode the CI ``analysis`` job
+runs.
 
 Examples::
 
@@ -107,7 +108,7 @@ def _render(report: AnalysisReport, out) -> None:
 
     table = Table(
         "Static protocol analysis",
-        ["protocol", "n", "oblivious", "width", "budget", "ok"],
+        ["protocol", "n", "width", "budget", "ok"],
     )
     for analysis in report.analyses:
         budget = (
@@ -115,14 +116,9 @@ def _render(report: AnalysisReport, out) -> None:
             if analysis.protocol in PROTOCOLS
             else None
         )
-        verdicts = []
-        for flavour, verdict in sorted(analysis.oblivious.items()):
-            state = "proven" if verdict.oblivious else f"REFUTED@r{verdict.round}"
-            verdicts.append(f"{flavour}:{state}")
         table.add_row(
             analysis.protocol,
             analysis.n,
-            " ".join(verdicts) or "-",
             analysis.observed_width if analysis.observed_width is not None else "-",
             (
                 f"{analysis.budget.observed}<={analysis.budget.allowed}"

@@ -13,21 +13,19 @@ Two extraction paths feed the verifier:
 * **Generator programs** interleave structure and computation, so their
   shape is observed by :func:`trace_structure`: one instrumented run on
   the legacy reference engine with ``record_transcript=True`` (the
-  transcript-recording network doubles as the tracing stub — replay,
-  caching and bulk lanes are all disabled under it, so the trace sees
-  exactly the scalar reference semantics).  The obliviousness pass
-  (:mod:`repro.analysis.oblivious`) compares such traces across probe
-  inputs.
+  transcript-recording network doubles as the tracing stub, so the
+  trace sees exactly the scalar reference semantics).
 
-Both paths normalize to :class:`ProtocolStructure`, whose per-round
-:meth:`signature` is the equality the obliviousness verdicts are defined
-over: *who* sends, *to whom*, and *how many bits* — never the payload.
+Both paths normalize to :class:`ProtocolStructure`: per round, how many
+messages were sent, the widest one, and the bits charged — never the
+payload.  The verifier's bandwidth-budget check reads the widest
+message off it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = [
     "RoundShape",
@@ -35,10 +33,6 @@ __all__ = [
     "kernel_structure",
     "trace_structure",
 ]
-
-#: One round's structural signature: sorted (sender, receiver, width)
-#: triples, broadcasts encoded with receiver -1.
-RoundSignature = Tuple[Tuple[int, int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -49,10 +43,6 @@ class RoundShape:
     messages: int
     max_width: int
     total_bits: int
-    #: Full structural signature; present on traced structures, None on
-    #: kernel-declared ones (their round specs already *are* the
-    #: structure, and per-message triples would be redundant).
-    signature: Optional[RoundSignature] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -86,22 +76,6 @@ class ProtocolStructure:
     def total_bits(self) -> int:
         return sum(shape.total_bits for shape in self.rounds)
 
-    def signatures(self) -> List[Optional[RoundSignature]]:
-        return [shape.signature for shape in self.rounds]
-
-    def first_divergence(self, other: "ProtocolStructure") -> Optional[int]:
-        """Index of the first round where the two structures differ
-        (``None`` when structurally identical).  Rounds past the shorter
-        structure's end count as divergent."""
-        mine = self.signatures()
-        theirs = other.signatures()
-        for idx in range(min(len(mine), len(theirs))):
-            if mine[idx] != theirs[idx]:
-                return idx
-        if len(mine) != len(theirs):
-            return min(len(mine), len(theirs))
-        return None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "source": self.source,
@@ -131,19 +105,13 @@ def kernel_structure(program: Any) -> ProtocolStructure:
 
 def _shape_from_record(record: Any) -> RoundShape:
     """Collapse one transcript :class:`~repro.core.network.RoundRecord`
-    into its structural shape + signature."""
-    triples: List[Tuple[int, int, int]] = []
+    into its structural shape."""
     kinds = set()
     total = 0
     max_width = 0
-    for sender, receiver, bits in record.sends:
+    for _sender, receiver, bits in record.sends:
         width = len(bits)
-        if receiver is None:
-            kinds.add("broadcast")
-            triples.append((sender, -1, width))
-        else:
-            kinds.add("unicast")
-            triples.append((sender, receiver, width))
+        kinds.add("broadcast" if receiver is None else "unicast")
         total += width
         if width > max_width:
             max_width = width
@@ -155,10 +123,9 @@ def _shape_from_record(record: Any) -> RoundShape:
         kind = kinds.pop()
     return RoundShape(
         kind=kind,
-        messages=len(triples),
+        messages=len(record.sends),
         max_width=max_width,
         total_bits=total,
-        signature=tuple(sorted(triples)),
     )
 
 
@@ -171,10 +138,10 @@ def trace_structure(
     """Observe a generator program's round structure through one
     transcript-recording run on the legacy reference engine.
 
-    The recording network is the tracing stub: transcripts disable
-    compiled replay and bulk lanes, so the observed structure is exactly
-    the reference scalar semantics, and the traced network is fresh per
-    call — tracing never pollutes any caller's schedule cache.
+    The recording network is the tracing stub: the legacy engine
+    delivers every message through the reference scalar path, and the
+    traced network is fresh per call, so tracing never touches any
+    caller's network state.
     """
     from repro.core.network import Network
 

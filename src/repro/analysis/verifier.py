@@ -2,14 +2,11 @@
 
 Pulls the analysis passes together against the scenario registry:
 
-* per protocol × n, an :class:`ObliviousnessVerdict` for every program
-  flavour the spec ships (kernel programs prove by declaration,
-  generator programs by probe tracing), checked for *consistency with
-  the declaration* — a ``mark_oblivious`` program the tracer refutes is
-  a violation naming the offending round;
-* per protocol × n, a :class:`~repro.analysis.budget.BudgetCheck` of the
-  prepared instance's declared message width against the spec's
-  ``bandwidth_budget``;
+* per protocol × n, the communication structure of every program
+  flavour the spec ships (read off the declaration for kernel programs,
+  traced on the legacy engine for generator programs), and a
+  :class:`~repro.analysis.budget.BudgetCheck` of the widest message —
+  observed or declared — against the spec's ``bandwidth_budget``;
 * one registry-consistency pass (:func:`check_registry`): every engine a
   spec claims must have a program flavour to run and a backend that
   accepts that flavour, and every engine it *doesn't* claim is explained
@@ -30,7 +27,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.budget import BudgetCheck, check_budget
 from repro.analysis.lint import LintFinding, lint_paths
-from repro.analysis.oblivious import ObliviousnessVerdict, verify_obliviousness
 from repro.analysis.structure import kernel_structure, trace_structure
 
 __all__ = [
@@ -56,8 +52,6 @@ class ProtocolAnalysis:
     protocol: str
     n: int
     family: str
-    #: flavour ("generator"/"kernel") -> verdict.
-    oblivious: Dict[str, ObliviousnessVerdict] = field(default_factory=dict)
     budget: Optional[BudgetCheck] = None
     #: Widest message the structure extraction actually saw (traced or
     #: declared) — the evidence behind the budget check.
@@ -75,10 +69,6 @@ class ProtocolAnalysis:
             "protocol": self.protocol,
             "n": self.n,
             "family": self.family,
-            "oblivious": {
-                flavour: verdict.to_dict()
-                for flavour, verdict in sorted(self.oblivious.items())
-            },
             "budget": self.budget.to_dict() if self.budget else None,
             "observed_width": self.observed_width,
             "rounds": self.rounds,
@@ -134,30 +124,19 @@ def analyze_protocol(
     rounds = None
     for flavour, program in sorted(prepared.programs.items()):
         try:
-            verdict = verify_obliviousness(
-                program,
-                prepared.inputs,
-                prepared.network_kwargs,
-                seed=seed,
-            )
+            if getattr(program, "is_kernel_program", False):
+                structure = kernel_structure(program)
+            else:
+                structure = trace_structure(
+                    program, prepared.inputs, prepared.network_kwargs,
+                    seed=seed,
+                )
         except Exception as exc:  # noqa: BLE001 - isolate per flavour
             analysis.violations.append(
-                f"{flavour}: obliviousness check crashed: "
+                f"{flavour}: structure extraction crashed: "
                 f"{type(exc).__name__}: {exc}"
             )
             continue
-        analysis.oblivious[flavour] = verdict
-        if verdict.mismarked:
-            analysis.violations.append(
-                f"{flavour}: {verdict.program} is marked oblivious but "
-                f"was refuted at round {verdict.round} — {verdict.detail}"
-            )
-        if getattr(program, "is_kernel_program", False):
-            structure = kernel_structure(program)
-        else:
-            structure = trace_structure(
-                program, prepared.inputs, prepared.network_kwargs, seed=seed
-            )
         observed_width = max(observed_width, structure.max_message_width)
         if rounds is None:
             rounds = structure.num_rounds

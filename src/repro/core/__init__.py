@@ -1,7 +1,7 @@
 """Core substrate: bit-level messages and the synchronous network engine."""
 
 from repro.core.bits import BitReader, Bits, BitWriter
-from repro.core.compiled import BatchRunner, CompiledSchedule, mark_oblivious, oblivious_key
+from repro.core.compiled import CompiledSchedule
 from repro.core.errors import (
     BandwidthExceededError,
     DecodeError,
@@ -80,10 +80,7 @@ __all__ = [
     "kernel_transmit_broadcast",
     "transmit_unicast_kernel_program",
     "transmit_broadcast_kernel_program",
-    "mark_oblivious",
-    "oblivious_key",
     "CompiledSchedule",
-    "BatchRunner",
     "render_timeline",
     "traffic_by_node",
     "traffic_matrix",

@@ -3,7 +3,7 @@
 This package is the engine subsystem extracted from
 :mod:`repro.core.network`.  The :class:`~repro.core.network.Network`
 front door validates inputs and owns all cross-run state (compiled
-schedules, RNG bundles, stats); *how* a program executes is delegated
+kernel schedules, RNG bundles, stats); *how* a program executes is delegated
 through an :class:`~repro.core.engine.planner.ExecutionPlanner` to one
 of the backends here:
 
@@ -11,9 +11,9 @@ of the backends here:
 backend   strategy
 ========  ==========================================================
 legacy    reference loop — fresh dicts each round, scalar delivery
-fast      zero-churn loop, bulk lanes, compiled record/replay,
-          batched ``run_many``
-kernel    declared SPMD rounds executed as stacked matrix ops
+fast      zero-churn loop with bulk lanes
+kernel    declared SPMD rounds compiled once, executed as stacked
+          matrix ops (the one compiled path)
 ========  ==========================================================
 
 The planner contract: selection happens once per ``run``/``run_many``

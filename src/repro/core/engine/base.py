@@ -1,7 +1,7 @@
 """The :class:`Engine` interface every execution backend implements.
 
 An engine is a *stateless* strategy object: all per-network state (the
-compiled-schedule cache, RNG state bundles, kernel lane buffers,
+kernel schedule cache, RNG state bundles, kernel lane buffers,
 ``schedule_stats``) lives on the :class:`~repro.core.network.Network`
 that is passed into every call, so one engine instance can serve any
 number of networks concurrently.  The module-level singletons in
@@ -19,10 +19,9 @@ which program flavours the backend can execute at all; :meth:`Engine.run`
 rejects a mismatch with :class:`~repro.core.errors.ProtocolError` before
 any node code runs (and the planner's kernel-program rule consults
 ``supports_kernel_programs`` when honouring an explicitly requested
-backend).  The remaining flags — ``supports_transcript``,
-``supports_compiled_replay``, ``supports_batched_replay`` — are
-descriptive metadata for tooling, docs and tests: they state what the
-implementation does, they do not change routing or enforcement.
+backend).  ``supports_transcript`` is descriptive metadata for tooling,
+docs and tests, and ``supports_checkpoint`` selects between a backend's
+native snapshots and the replay-restore path.
 
 Contract
 --------
@@ -32,8 +31,8 @@ objects **byte-identical** to the legacy reference loop
 (:class:`~repro.core.engine.legacy.LegacyEngine`) for every program the
 backend accepts: same outputs, same round count, same bit accounting,
 same exception types on protocol violations.  The equivalence suites
-(``tests/test_engine_equivalence.py``, ``tests/test_compiled.py``,
-``tests/test_kernels.py``) pin this contract.
+(``tests/test_engine_equivalence.py``, ``tests/test_kernels.py``,
+``tests/test_kernel_protocols.py``) pin this contract.
 """
 
 from __future__ import annotations
@@ -70,10 +69,6 @@ class Engine:
     supports_kernel_programs: bool = False
     #: Honours ``record_transcript`` networks.
     supports_transcript: bool = True
-    #: Caches and replays compiled round schedules for oblivious programs.
-    supports_compiled_replay: bool = False
-    #: Executes ``run_many`` sweeps through stacked payload matrices.
-    supports_batched_replay: bool = False
     #: Can snapshot a run mid-execution and restore it at a round
     #: boundary (see :mod:`repro.core.checkpoint`).  Backends without
     #: native support still honour checkpoint/resume requests through

@@ -17,7 +17,7 @@ delivery paths shared by the engines:
   built entirely from this.
 * :func:`deliver_round_scalar` — one whole round, transcript off: no
   record branches in the loop, hoisted lookups.  The fast engine's
-  scalar fallback and the compiled replay's SCALAR rounds use it.
+  scalar rounds use it.
 
 Both enforce the model rules (bandwidth, topology, payload types) and
 raise the same exceptions a cold run would; bulk lanes may skip these
@@ -27,7 +27,6 @@ checks only when an equivalent vectorized validation already ran
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.bits import Bits
@@ -39,7 +38,6 @@ from repro.core.errors import (
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
-    "CHUNK_BYTES_ENV",
     "DeliveryBackend",
     "SharedLaneArena",
     "batch_chunk_size",
@@ -47,37 +45,22 @@ __all__ = [
     "deliver_round_scalar",
 ]
 
-#: Default budget for one stacked K×n×n batch chunk (uint64 values).
+#: Budget for one stacked K×n×n batch chunk (uint64 values).
 DEFAULT_CHUNK_BYTES = 64 << 20
 
-#: Environment override for :func:`batch_chunk_size`.  The sweep layer
-#: uses chunk boundaries as the intra-cell K-shard seams, so tests and
-#: benchmarks shrink this to force multi-chunk (and hence multi-shard)
-#: behaviour at small n.
-CHUNK_BYTES_ENV = "REPRO_BATCH_CHUNK_BYTES"
 
+def batch_chunk_size(n: int) -> int:
+    """How many instances one kernel ``run_many`` batch chunk holds at
+    size ``n``.
 
-def batch_chunk_size(n: int, *, max_bytes: Optional[int] = None) -> int:
-    """How many instances one ``run_many`` batch chunk holds at size ``n``.
-
-    The batched engines stack K instances into K×n×n uint64 lanes and
-    cap each chunk's value buffer at ``max_bytes`` (default 64 MiB, or
-    the ``REPRO_BATCH_CHUNK_BYTES`` environment variable).  Chunking is
-    invisible in results — per-instance outputs are a pure function of
-    the instance inputs — so this knob trades peak memory against lane
-    reuse, and doubles as the K-shard seam for
+    The kernel engine stacks K instances into K×n×n uint64 lanes and
+    caps each chunk's value buffer at :data:`DEFAULT_CHUNK_BYTES`.
+    Chunking is invisible in results — per-instance outputs are a pure
+    function of the instance inputs — so the budget trades peak memory
+    against lane reuse, and the chunk doubles as the K-shard seam for
     :meth:`repro.scenarios.matrix.ScenarioMatrix.run`.
     """
-    if max_bytes is None:
-        raw = os.environ.get(CHUNK_BYTES_ENV)
-        if raw is not None:
-            try:
-                max_bytes = int(raw)
-            except ValueError:
-                max_bytes = DEFAULT_CHUNK_BYTES
-        else:
-            max_bytes = DEFAULT_CHUNK_BYTES
-    return max(1, max_bytes // (n * n * 8))
+    return max(1, DEFAULT_CHUNK_BYTES // (n * n * 8))
 
 
 class SharedLaneArena:

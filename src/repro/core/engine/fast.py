@@ -1,41 +1,27 @@
-"""The fast engine: zero-churn round loop, bulk lanes, compiled replay.
+"""The fast engine: zero-churn round loop with bulk lanes.
 
-One backend owns the whole generator-program fast path:
+Every generator-program run executes through one validating round loop:
+per-round classification dispatches each round to the unicast bulk lane,
+the broadcast lane, or the scalar path, with reusable buffers provided
+by :class:`~repro.core.engine.delivery.DeliveryBackend`.  ``run_many``
+is the :class:`~repro.core.engine.base.Engine` default, one run per
+instance.
 
-* **Full execution** — per-round classification dispatches each round to
-  the unicast bulk lane, the broadcast lane, or the scalar path, with
-  reusable buffers provided by
-  :class:`~repro.core.engine.delivery.DeliveryBackend`.
-* **Recording** — a program declared oblivious
-  (:func:`~repro.core.compiled.mark_oblivious`) has its first run
-  recorded into a :class:`~repro.core.compiled.CompiledSchedule` cached
-  on the network.
-* **Replay** — later runs (and :meth:`run_many` sweeps, in lockstep
-  through stacked :class:`~repro.core.fastlane.BatchLane` matrices)
-  re-execute payload-only against the compiled structure; any
-  structural deviation evicts the stale entry and falls back to full
-  execution, which re-records.
-
-The fallback chain is the engine's invariant: every path lands on
-results byte-identical to :class:`~repro.core.engine.legacy.LegacyEngine`.
+Generator programs have no compiled form here: a generator's round
+structure is only observable by running it.  Protocols whose structure
+is fixed by ``n`` and public parameters ship a declared
+:class:`~repro.core.kernels.KernelProgram` twin for the kernel engine
+instead.  Every path lands on results byte-identical to
+:class:`~repro.core.engine.legacy.LegacyEngine`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.compiled import (
-    BCAST,
-    LANE,
-    SCALAR,
-    CompiledSchedule,
-    ScheduleRecorder,
-    oblivious_key,
-)
 from repro.core.engine.base import Engine
 from repro.core.engine.delivery import (
     DeliveryBackend,
-    batch_chunk_size,
     deliver_outbox,
     deliver_round_scalar,
 )
@@ -50,108 +36,21 @@ _LANE_DENSITY = 8
 
 
 class FastEngine(Engine):
-    """Zero-churn loop with bulk lanes and compiled replay
-    (``engine="fast"``, the default)."""
+    """Zero-churn loop with bulk lanes (``engine="fast"``, the default)."""
 
     name = "fast"
     supports_generator_programs = True
     supports_kernel_programs = False
     supports_transcript = True
-    supports_compiled_replay = True
-    supports_batched_replay = True
     # Checkpointed runs log the delivered wire per round and restore by
     # re-stepping fresh generators through the log (generator frames
     # themselves cannot be pickled); restored rounds are never
     # re-delivered, so a resumed run executes strictly fewer rounds.
     supports_checkpoint = True
 
-    # -- front door ------------------------------------------------------
+    # -- execution -------------------------------------------------------
 
     def _run(self, network: Any, program, inputs) -> Any:
-        plan = network.fault_plan
-        if plan is not None and plan.is_active:
-            # Chaos mode: replay and recording assume fault-free
-            # structure (a fault changes what nodes receive, hence what
-            # they send next), so every faulty run takes the full
-            # scalar-delivery path under its own fresh session.
-            return self._run_full(network, program, inputs)
-        key = None if network.record_transcript else oblivious_key(program)
-        if key is None:
-            return self._run_full(network, program, inputs)
-        compiled = network._compiled_entry(key)
-        if compiled is None:
-            compiled = self._load_cached(network, program, key)
-        if compiled is not None:
-            replayed = self._try_replay(network, program, [inputs], compiled, key)
-            if replayed is not None:
-                return replayed[0]
-            # Structural deviation: the stale entry was evicted; fall
-            # through to full execution, which re-records.
-        return self._run_recording(network, program, inputs, key)
-
-    def _run_many(self, network: Any, program, inputs_list) -> List[Any]:
-        plan = network.fault_plan
-        if plan is not None and plan.is_active:
-            # One fresh session per instance: the schedule is a pure
-            # function of (plan, coordinates), so sequential execution
-            # matches run() exactly — the determinism contract.
-            return [
-                self._run_full(network, program, inputs)
-                for inputs in inputs_list
-            ]
-        key = None if network.record_transcript else oblivious_key(program)
-        if key is None or not inputs_list:
-            return [self._run(network, program, inputs) for inputs in inputs_list]
-        results: List[Any] = []
-        rest = inputs_list
-        if (
-            network._compiled_entry(key) is None
-            and self._load_cached(network, program, key) is None
-        ):
-            results.append(self._run_recording(network, program, inputs_list[0], key))
-            rest = inputs_list[1:]
-        # Bound the stacked replay buffers (~64 MB of uint64 send
-        # matrices) by chunking large sweeps; replay state carries over
-        # through the schedule cache, so chunking is invisible apart
-        # from peak memory.
-        chunk_size = batch_chunk_size(network.n)
-        for start in range(0, len(rest), chunk_size):
-            chunk = rest[start : start + chunk_size]
-            compiled = network._compiled_entry(key)
-            replayed = (
-                self._try_replay(network, program, chunk, compiled, key)
-                if compiled is not None
-                else None
-            )
-            if replayed is None:
-                # Deviation mid-chunk: re-execute the affected
-                # instances from scratch (programs declared oblivious
-                # must be side-effect-free, so the abandoned partial
-                # executions are unobservable).  The first re-run
-                # re-records, so conforming instances later in the
-                # sweep regain batching; a second deviation within the
-                # same chunk demotes its remainder to plain execution.
-                replayed = [self._run_recording(network, program, chunk[0], key)]
-                tail = chunk[1:]
-                if tail:
-                    compiled = network._compiled_entry(key)
-                    again = (
-                        self._try_replay(network, program, tail, compiled, key)
-                        if compiled is not None
-                        else None
-                    )
-                    if again is None:
-                        again = [
-                            self._run_full(network, program, inputs)
-                            for inputs in tail
-                        ]
-                    replayed.extend(again)
-            results.extend(replayed)
-        return results
-
-    # -- full execution --------------------------------------------------
-
-    def _run_full(self, network: Any, program, inputs, recorder=None) -> Any:
         from repro.core.network import EMPTY_INBOX, RoundRecord, RunResult
 
         n = network.n
@@ -262,13 +161,6 @@ class FastEngine(Engine):
                     )
                 if faults is not None:
                     backend.apply_round(rounds)
-            if recorder is not None:
-                if use_lane:
-                    recorder.lane_round(fixed_list, lane_width, round_bits)
-                elif use_bcast_lane:
-                    recorder.bcast_round(bcast_list, bcast_width, round_bits)
-                else:
-                    recorder.scalar_round(round_bits)
             total_bits += round_bits
             if round_bits > max_round_bits:
                 max_round_bits = round_bits
@@ -318,7 +210,7 @@ class FastEngine(Engine):
         """One checkpointed execution.
 
         The round loop is forced onto the fully validating scalar
-        delivery path (no bulk lanes, no compiled replay) so the
+        delivery path (no bulk lanes) so the
         delivered wire of each round — per-receiver ``{sender: Bits}``
         maps, exactly what the legacy reference feeds its generators —
         can be captured into a wire log.  A snapshot is the log plus the
@@ -477,96 +369,15 @@ class FastEngine(Engine):
         )
         return session.finish(result)
 
-    # -- persistent cache ------------------------------------------------
-
-    def _load_cached(self, network: Any, program, key) -> Optional[CompiledSchedule]:
-        """Try the cross-process schedule store; a hit is installed in
-        the in-memory cache (so this runs once per program) and counts
-        as neither a compile nor a replay.  A loaded schedule is a hint
-        like any other: every replayed round is still structurally
-        compared, so a wrong entry demotes to re-recording."""
-        cache = network.schedule_cache
-        if cache is None:
-            return None
-        from repro.core.engine.schedule_cache import program_digest
-
-        identity = program_digest(program, network)
-        if identity is None:
-            return None
-        entry = cache.load(identity[0], identity[1], network)
-        if entry is None:
-            return None
-        if len(network._compiled) >= 32:
-            network._compiled.pop(next(iter(network._compiled)))
-        network._compiled[key] = entry
-        return entry
-
-    def _store_cached(self, network: Any, program, entry) -> None:
-        cache = network.schedule_cache
-        if cache is None:
-            return
-        from repro.core.engine.schedule_cache import program_digest
-
-        identity = program_digest(program, network)
-        if identity is not None:
-            cache.store(identity[0], identity[1], entry, network, program)
-
-    # -- recording -------------------------------------------------------
-
-    def _run_recording(self, network: Any, program, inputs, key) -> Any:
-        recorder = ScheduleRecorder()
-        result = self._run_full(network, program, inputs, recorder=recorder)
-        if len(network._compiled) >= 32:
-            # Bounded cache: drop the oldest entry (insertion order).
-            network._compiled.pop(next(iter(network._compiled)))
-        entry = recorder.finish()
-        entry.params = (network.bandwidth, network.mode)
-        network._compiled[key] = entry
-        network.schedule_stats["compiled"] += 1
-        self._store_cached(network, program, entry)
-        return result
-
-    # -- compiled replay -------------------------------------------------
-
-    def _bail(self, network: Any, key, program=None) -> None:
-        """A replayed round deviated from the compiled structure: evict
-        the stale schedule and signal the caller to fall back to full
-        execution (which re-records).  Names the offending program (via
-        its ``mark_oblivious`` metadata) in a
-        :class:`~repro.core.errors.ReplayEvictionWarning` so a wrong
-        obliviousness declaration is attributable, not a silent
-        slowdown."""
-        network._compiled.pop(key, None)
-        network.schedule_stats["fallbacks"] += 1
-        if network.schedule_cache is not None and program is not None:
-            from repro.core.engine.schedule_cache import program_digest
-
-            identity = program_digest(program, network)
-            if identity is not None:
-                network.schedule_cache.evict(identity[0])
-        if program is not None:
-            import warnings
-
-            from repro.core.compiled import describe_program
-            from repro.core.errors import ReplayEvictionWarning
-
-            described = describe_program(program)
-            network.last_eviction = described
-            warnings.warn(
-                f"compiled schedule evicted: {described} deviated from its "
-                f"recorded structure despite being marked oblivious; run "
-                f"`python -m repro.analysis` to locate the offending round",
-                ReplayEvictionWarning,
-                stacklevel=3,
-            )
-        return None
+    # -- checkpoint restore ----------------------------------------------
 
     @staticmethod
     def _check_outbox_light(sender: int, yielded: Any):
-        """Replay-mode yield check: type only.  Mode, bandwidth and
-        topology conformance are implied by the structural match against
-        the compiled (fully validated) round; any mismatch bails to the
-        full path, which re-validates from scratch."""
+        """Restore-mode yield check: type only.  A restored round's
+        outboxes were validated and delivered before the snapshot (the
+        wire log holds the result), so only the last restored round —
+        whose outboxes the live loop delivers next — takes the full
+        check."""
         from repro.core.network import _SILENT_OUTBOX, Outbox
 
         if yielded is None:
@@ -576,274 +387,3 @@ class FastEngine(Engine):
         raise ProtocolError(
             f"node {sender} yielded {type(yielded).__name__}, expected Outbox"
         )
-
-    def _try_replay(
-        self,
-        network: Any,
-        program,
-        inputs_list: Sequence[Optional[Sequence[Any]]],
-        compiled: CompiledSchedule,
-        key: Any,
-    ) -> Optional[List[Any]]:
-        """Run every instance of ``inputs_list`` against ``compiled`` in
-        lockstep; returns per-instance RunResults, or ``None`` if any
-        round deviates structurally (after evicting the stale entry)."""
-        import numpy as np
-
-        from repro.core.fastlane import NUMERIC_WIDTH_LIMIT, BatchLane, BroadcastLane
-        from repro.core.network import EMPTY_INBOX, RunResult
-
-        n = network.n
-        num_instances = len(inputs_list)
-        crounds = compiled.rounds
-        num_rounds = len(crounds)
-        light = self._check_outbox_light
-        full = network._check_outbox
-
-        def check_for(r):
-            # Rounds the compiled schedule will bulk-deliver are checked
-            # structurally, so their yields skip validation; scalar
-            # rounds (and anything past the schedule, which bails) go
-            # through the ordinary fully validating check.
-            if r < num_rounds and crounds[r][0] != SCALAR:
-                return light
-            return full
-
-        check = check_for(0)
-        outputs_l: List[List[Any]] = []
-        gens_l: List[Dict[int, Any]] = []
-        pending_l: List[Dict[int, Any]] = []
-        for inputs in inputs_list:
-            outputs, generators, pending = network._start(program, inputs, check=check)
-            outputs_l.append(outputs)
-            gens_l.append(generators)
-            pending_l.append(pending)
-        rounds_l = [0] * num_instances
-        bits_l = [0] * num_instances
-        maxb_l = [0] * num_instances
-
-        lane: Optional[BatchLane] = None
-        arena = network.lane_allocator
-        lane_alloc = None if arena is None else arena.zeros
-        blanes: Optional[List[Optional[BroadcastLane]]] = None
-        scalar_state: Optional[List[Optional[DeliveryBackend]]] = None
-        vbuf_num = vbuf_obj = dbuf = None
-        scalar_bits: Dict[int, int] = {}
-        # Per-instance (structure, outbox-list) of the previous lane
-        # round.  Outboxes are immutable, so when a program re-yields
-        # the *same* outbox objects under the same structure (the
-        # zero-churn pattern), the round needs no re-verification and —
-        # because the send matrix already holds those exact values — no
-        # rewrite either.
-        lane_memo: List[Optional[Tuple[Any, List[Any]]]] = [None] * num_instances
-
-        round_cap = network._round_cap()
-        r = 0
-        while True:
-            active = [k for k in range(num_instances) if gens_l[k]]
-            if not active:
-                break
-            if r >= round_cap:
-                # The watchdog binds replays too: a schedule recorded
-                # under a looser budget must not sneak past the limit.
-                raise network._round_cap_error(r)
-            if r >= num_rounds:
-                # The protocol outlived its compiled schedule.
-                return self._bail(network, key, program)
-            kind, payload, round_bits = crounds[r]
-
-            if kind == LANE:
-                struct = payload
-                entries = struct.entries
-                n_entries = len(entries)
-                width = struct.width
-                count = struct.count
-                slices = struct.slices
-                # Pass 1: match each instance's pending outboxes to the
-                # compiled entries.  An outbox identical (by object) to
-                # last lane round's at the same position under the same
-                # structure is already verified *and* already written.
-                need_write: List[int] = []  # instance slots to deliver
-                round_outs: List[Tuple[int, List[Any]]] = []
-                for k in active:
-                    memo = lane_memo[k]
-                    prev_outs = (
-                        memo[1] if memo is not None and memo[0] is struct else None
-                    )
-                    outs: List[Any] = []
-                    fresh = False
-                    j = 0
-                    for v, out in pending_l[k].items():
-                        if out.kind == "silent":
-                            continue
-                        if j >= n_entries or v != entries[j][0]:
-                            return self._bail(network, key, program)
-                        if prev_outs is None or prev_outs[j] is not out:
-                            if (
-                                out.kind != "fixed"
-                                or out.width != width
-                                or out.dests.size != entries[j][2]
-                            ):
-                                return self._bail(network, key, program)
-                            fresh = True
-                        outs.append(out)
-                        j += 1
-                    if j != n_entries:
-                        return self._bail(network, key, program)
-                    lane_memo[k] = (struct, outs)
-                    if fresh:
-                        need_write.append(k)
-                        round_outs.append((k, outs))
-                # Pass 2: verify and deliver only the instances with
-                # fresh outboxes, through stacked flat writes.
-                if need_write and count:
-                    written = len(need_write)
-                    if width <= NUMERIC_WIDTH_LIMIT:
-                        if vbuf_num is None or vbuf_num.shape[1] < count:
-                            vbuf_num = np.empty(
-                                (num_instances, count), dtype=np.uint64
-                            )
-                        vbuf = vbuf_num
-                    else:
-                        if vbuf_obj is None or vbuf_obj.shape[1] < count:
-                            vbuf_obj = np.empty(
-                                (num_instances, count), dtype=object
-                            )
-                        vbuf = vbuf_obj
-                    if dbuf is None or dbuf.shape[1] < count:
-                        dbuf = np.empty((num_instances, count), dtype=np.intp)
-                    for i, (_k, outs) in enumerate(round_outs):
-                        row_v = vbuf[i]
-                        row_d = dbuf[i]
-                        for j, out in enumerate(outs):
-                            start, stop = slices[j]
-                            if start != stop:
-                                row_d[start:stop] = out.dests
-                                row_v[start:stop] = out.values
-                    if (dbuf[:written, :count] != struct.cols).any():
-                        # Same shape, different destinations: still a
-                        # structural deviation (the flat delivery indices
-                        # and the skipped validation both assume the
-                        # recorded destination vectors).
-                        return self._bail(network, key, program)
-                    # Payload values wider than the recorded width are
-                    # demoted the same way, so the full path raises the
-                    # identical ProtocolError a cold-cache run would.
-                    if vbuf is vbuf_num:
-                        if (vbuf[:written, :count] >> np.uint64(width)).any():
-                            return self._bail(network, key, program)
-                    elif any(
-                        value >> width
-                        for row in vbuf[:written, :count]
-                        for value in row
-                    ):
-                        return self._bail(network, key, program)
-                    if lane is None:
-                        lane = BatchLane(n, num_instances, alloc=lane_alloc)
-                    lane.deliver_compiled(
-                        struct,
-                        need_write,
-                        [vbuf[i, :count] for i in range(written)],
-                    )
-                else:
-                    # Nothing fresh to write (every instance re-yielded
-                    # last round's outboxes, or the structure carries no
-                    # messages): keep the lane's presence mask in sync
-                    # with this structure — a no-op when unchanged.
-                    if lane is None:
-                        lane = BatchLane(n, num_instances, alloc=lane_alloc)
-                    lane.deliver_compiled(struct, [], [])
-            elif kind == BCAST:
-                ids, width = payload
-                n_ids = len(ids)
-                if blanes is None:
-                    blanes = [None] * num_instances
-                for k in active:
-                    senders = []
-                    j = 0
-                    for v, out in pending_l[k].items():
-                        okind = out.kind
-                        if okind == "silent":
-                            continue
-                        if (
-                            j >= n_ids
-                            or v != ids[j]
-                            or okind != "bfixed"
-                            or out.width != width
-                        ):
-                            return self._bail(network, key, program)
-                        senders.append((v, out))
-                        j += 1
-                    if j != n_ids:
-                        return self._bail(network, key, program)
-                    blane = blanes[k]
-                    if blane is None:
-                        blane = blanes[k] = BroadcastLane(n)
-                    blane.deliver(senders, width, None)
-            else:  # SCALAR: ordinary validated delivery, per instance.
-                if scalar_state is None:
-                    scalar_state = [None] * num_instances
-                scalar_bits.clear()
-                for k in active:
-                    backend = scalar_state[k]
-                    if backend is None:
-                        backend = scalar_state[k] = DeliveryBackend(n)
-                    backend.begin_scalar_round()
-                    scalar_bits[k] = deliver_round_scalar(
-                        network, pending_l[k], backend.inbox_dicts, r + 1
-                    )
-
-            check = check_for(r + 1)
-            for k in active:
-                bits = round_bits if kind != SCALAR else scalar_bits[k]
-                rounds_l[k] += 1
-                bits_l[k] += bits
-                if bits > maxb_l[k]:
-                    maxb_l[k] = bits
-                generators = gens_l[k]
-                outputs = outputs_l[k]
-                new_pending: Dict[int, Any] = {}
-                finished = []
-                if kind == LANE:
-                    for v, gen in generators.items():
-                        try:
-                            new_pending[v] = check(v, gen.send(lane.inbox(k, v)))
-                        except StopIteration as stop:
-                            outputs[v] = stop.value
-                            finished.append(v)
-                elif kind == BCAST:
-                    blane = blanes[k]
-                    for v, gen in generators.items():
-                        try:
-                            new_pending[v] = check(v, gen.send(blane.inbox(v)))
-                        except StopIteration as stop:
-                            outputs[v] = stop.value
-                            finished.append(v)
-                else:
-                    backend = scalar_state[k]
-                    dicts = backend.inbox_dicts
-                    views = backend.inbox_views
-                    for v, gen in generators.items():
-                        inbox = views[v] if dicts[v] else EMPTY_INBOX
-                        try:
-                            new_pending[v] = check(v, gen.send(inbox))
-                        except StopIteration as stop:
-                            outputs[v] = stop.value
-                            finished.append(v)
-                for v in finished:
-                    del generators[v]
-                pending_l[k] = new_pending
-            r += 1
-
-        compiled.replays += num_instances
-        network.schedule_stats["replayed"] += num_instances
-        return [
-            RunResult(
-                outputs=outputs_l[k],
-                rounds=rounds_l[k],
-                total_bits=bits_l[k],
-                max_round_bits=maxb_l[k],
-                transcript=None,
-            )
-            for k in range(num_instances)
-        ]

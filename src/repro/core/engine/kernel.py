@@ -4,16 +4,18 @@ Executes :class:`~repro.core.kernels.KernelProgram`\\ s only — programs
 that declare their round structure up front instead of yielding it.
 Declaration makes them oblivious by construction, so the engine compiles
 the structure straight into a
-:class:`~repro.core.compiled.CompiledSchedule` (no recording run) and
+:class:`~repro.core.compiled.CompiledSchedule` (no callback runs) and
 executes every instance through stacked ``K × count`` payload matrices
 (:func:`repro.core.kernels.execute`).  Generator programs are rejected:
 a generator's round structure is only observable by running it, which is
 exactly what this backend exists to avoid.
 
 Schedules are cached on the network keyed by the program *object*
-(identity — a stale hit is impossible), with the same bandwidth/mode
-eviction rule as recorded schedules.  ``run_many`` sweeps are chunked so
-the stacked buffers stay within ~64 MB.
+(identity — a stale hit is impossible) and evicted when the network's
+bandwidth or mode is reassigned; with ``Network(schedule_cache=...)``
+they are also persisted across processes
+(:mod:`repro.core.engine.schedule_cache`).  ``run_many`` sweeps are
+chunked so the stacked buffers stay within ~64 MB.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ class KernelEngine(Engine):
     supports_generator_programs = False
     supports_kernel_programs = True
     supports_transcript = True
-    supports_compiled_replay = True
-    supports_batched_replay = True
     # Kernel state is a dict of stacked arrays: snapshots are native
     # (arrays verbatim + pickled rest) at every round boundary in run(),
     # and at K-chunk boundaries in run_many().
@@ -103,8 +103,8 @@ class KernelEngine(Engine):
 
     def _run_many(self, network: Any, program, inputs_list) -> List[Any]:
         # Kernel programs batch natively: all K instances move through
-        # each round as one stacked matrix.  Chunk like the replay path
-        # to bound the K×n×n buffers.
+        # each round as one stacked matrix.  Chunk to bound the K×n×n
+        # buffers.
         results: List[Any] = []
         chunk_size = batch_chunk_size(network.n)
         for start in range(0, len(inputs_list), chunk_size):
@@ -117,21 +117,14 @@ class KernelEngine(Engine):
     ) -> List[Any]:
         """Compile ``program``'s declared structure on first use (cached
         keyed by the program object), then run every instance through
-        the stacked kernel loop.  Counts in ``schedule_stats`` mirror
-        the generator path: the first instance "records" (compiles),
-        every further instance is a replay."""
+        the stacked kernel loop.  In ``schedule_stats`` a fresh compile
+        counts once and every instance executed against an already
+        compiled schedule counts as a replay."""
         from repro.core import kernels
 
-        compiled = network._compiled.get(program)
-        if compiled is not None and compiled.params != (
-            network.bandwidth,
-            network.mode,
-        ):
-            del network._compiled[program]
-            compiled = None
-        fresh = compiled is None
+        compiled = network._compiled_entry(program)
         compiled_here = False
-        if fresh:
+        if compiled is None:
             compiled = self._load_cached(network, program)
             if compiled is None:
                 compiled = kernels.compile_program(program, network)
@@ -159,27 +152,24 @@ class KernelEngine(Engine):
 
     def _load_cached(self, network: Any, program):
         """Rebuild this program's exec rounds from the cross-process
-        store.  Kernel execution trusts its structures (no per-round
-        replay comparison), so :func:`repro.core.kernels.rebuild_kernel_schedule`
-        verifies every loaded structure against the program's declared
-        rounds byte for byte before anything is trusted — a mismatch is
-        just a miss, answered by a fresh compile."""
+        store.  Kernel execution trusts its structures, so
+        :func:`repro.core.kernels.rebuild_kernel_schedule` verifies every
+        loaded structure against the program's declared rounds byte for
+        byte before anything is trusted — a mismatch is just a miss,
+        answered by a fresh compile."""
         cache = network.schedule_cache
         if cache is None:
             return None
         from repro.core import kernels
         from repro.core.engine.schedule_cache import program_digest
 
-        identity = program_digest(program, network)
-        if identity is None:
-            return None
-        loaded = cache.load(identity[0], identity[1], network)
+        digest, full_key = program_digest(program, network)
+        loaded = cache.load(digest, full_key, network)
         if loaded is None:
             return None
         rebuilt = kernels.rebuild_kernel_schedule(program, network, loaded)
         if rebuilt is None:
-            cache.evict(identity[0])
-            return None
+            cache.evict(digest)
         return rebuilt
 
     def _store_cached(self, network: Any, program, compiled) -> None:
@@ -188,6 +178,5 @@ class KernelEngine(Engine):
             return
         from repro.core.engine.schedule_cache import program_digest
 
-        identity = program_digest(program, network)
-        if identity is not None:
-            cache.store(identity[0], identity[1], compiled, network, program)
+        digest, full_key = program_digest(program, network)
+        cache.store(digest, full_key, compiled, network, program)

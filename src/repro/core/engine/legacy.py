@@ -38,8 +38,6 @@ class LegacyEngine(Engine):
     supports_generator_programs = True
     supports_kernel_programs = False
     supports_transcript = True
-    supports_compiled_replay = False
-    supports_batched_replay = False
     # Live generators cannot be pickled: restores replay from round 0.
     supports_checkpoint = False
 

@@ -14,8 +14,7 @@ wins:
    ``Network(engine=...)`` shim: a string naming a registered engine, or
    any :class:`~repro.core.engine.base.Engine` instance (the plug-in
    point for new backends).
-3. ``default`` — the fast engine, whose own fallback chain covers
-   compiled replay for oblivious programs and full execution otherwise.
+3. ``default`` — the fast engine.
 
 The planner never re-routes around a capability mismatch below rule 1:
 if a requested backend cannot execute the program, the engine's own

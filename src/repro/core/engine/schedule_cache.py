@@ -1,13 +1,13 @@
-"""Persistent, content-addressed cache of compiled round schedules.
+"""Persistent, content-addressed cache of compiled kernel schedules.
 
 The paper's protocols are oblivious: a program's round structure is a
-pure function of its public parameters, never of the inputs.  The
-in-process caches (the fast engine's recorded schedules, the kernel
-engine's compiled exec rounds) already exploit that within one
-``Network``; this module extends the amortization across *processes* —
-a sweep's worker pool shares one cache directory, so each distinct
-program is recorded or compiled exactly once for the whole sweep
-instead of once per worker.
+pure function of its public parameters, never of the inputs, and kernel
+programs declare it up front.  The kernel engine's in-process cache
+already compiles each program once per ``Network``; this module extends
+the amortization across *processes* — a sweep's worker pool shares one
+cache directory, so each distinct kernel program is compiled exactly
+once for the whole sweep instead of once per worker.  Generator
+programs have no compiled form and never touch the cache.
 
 Layout (one directory per entry, checkpoint-store idiom)::
 
@@ -18,23 +18,19 @@ Layout (one directory per entry, checkpoint-store idiom)::
                                      # and optional per-message widths)
 
 ``digest`` is the first 16 hex digits of a sha256 over the program's
-*cross-process stable* identity — its declared structure (kernel
-programs) or the parts declared via
-:func:`~repro.core.compiled.declare_schedule_digest` (generator
-programs) — plus everything the schedule was validated against:
-``n``, bandwidth, mode, and the topology.  The full 64-digit key lives
+*cross-process stable* identity — its name and full declared structure
+— plus everything the schedule was validated against: ``n``,
+bandwidth, mode, and the topology.  The full 64-digit key lives
 in the manifest and is compared on load, so a truncated-digest
 collision is detected and rejected rather than served.
 
-Trust model: a cache entry is a *hint*, exactly like the in-memory
-key.  Loads are sha256-verified and any corruption (truncated payload,
-bad JSON, schema drift) evicts the entry and degrades to a clean
-re-record.  For generator programs the fast engine's per-round replay
-comparison still pins every round to the loaded structure; for kernel
-programs :func:`repro.core.kernels.rebuild_kernel_schedule` re-checks
-the loaded structures against the program's declared rounds byte for
-byte before they are trusted.  A wrong entry can cost a re-record; it
-cannot corrupt results.
+Trust model: a cache entry is a *hint*.  Loads are sha256-verified and
+any corruption (truncated payload, bad JSON, schema drift) evicts the
+entry and degrades to a clean compile, and
+:func:`repro.core.kernels.rebuild_kernel_schedule` re-checks the loaded
+structures against the program's declared rounds byte for byte before
+they are trusted.  A wrong entry can cost a compile; it cannot corrupt
+results.
 
 Writes are atomic (stage into a pid-unique temp directory, publish
 with one ``os.rename``), so concurrent workers racing to store the
@@ -53,11 +49,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.compiled import (
     BCAST,
     LANE,
-    SCALAR,
     CompiledSchedule,
     LaneStructure,
     describe_program,
-    schedule_digest_parts,
 )
 
 __all__ = [
@@ -68,7 +62,7 @@ __all__ = [
 ]
 
 #: Bump when the on-disk layout changes; mismatched entries are evicted
-#: and re-recorded, never migrated.
+#: and recompiled, never migrated.
 SCHEDULE_CACHE_SCHEMA = 1
 
 
@@ -82,7 +76,7 @@ def _sha256_file(path: Path) -> str:
 
 def network_digest_context(network: Any) -> Tuple[Any, ...]:
     """The validation context a schedule is keyed under: everything
-    ``compile_program`` / the recorder checked the structure against.
+    ``compile_program`` checked the structure against.
     Topology enters as a digest of the adjacency sets, so a CONGEST
     entry can never be served to a different graph."""
     from repro.core.checkpoint import stable_digest
@@ -96,42 +90,34 @@ def network_digest_context(network: Any) -> Tuple[Any, ...]:
     return (network.n, network.bandwidth, network.mode.value, topology)
 
 
-def program_digest(program: Any, network: Any) -> Optional[Tuple[str, str]]:
-    """``(dirname digest, full key)`` for ``program`` on ``network``.
+def program_digest(program: Any, network: Any) -> Tuple[str, str]:
+    """``(dirname digest, full key)`` for kernel ``program`` on
+    ``network``.
 
-    Kernel programs are digested over their full declared structure —
-    the key *is* the schedule, so it self-verifies.  Generator programs
-    need a :func:`~repro.core.compiled.declare_schedule_digest`
-    declaration; undeclared programs return ``None`` and are simply not
-    persisted.
+    The digest covers the program's full declared structure — the key
+    *is* the schedule, so it self-verifies.
     """
     from repro.core.checkpoint import stable_digest
+    from repro.core.kernels import UnicastRound
 
-    context = network_digest_context(network)
-    if getattr(program, "is_kernel_program", False):
-        from repro.core.kernels import UnicastRound
-
-        declared: List[Any] = []
-        for spec in program.rounds:
-            if isinstance(spec, UnicastRound):
-                declared.append(
-                    (
-                        "u",
-                        spec.width,
-                        tuple(int(v) for v, _ in spec.pairs),
-                        tuple(int(dests.size) for _, dests in spec.pairs),
-                        b"".join(dests.tobytes() for _, dests in spec.pairs),
-                        None if spec.widths is None else spec.widths.tobytes(),
-                    )
+    declared: List[Any] = []
+    for spec in program.rounds:
+        if isinstance(spec, UnicastRound):
+            declared.append(
+                (
+                    "u",
+                    spec.width,
+                    tuple(int(v) for v, _ in spec.pairs),
+                    tuple(int(dests.size) for _, dests in spec.pairs),
+                    b"".join(dests.tobytes() for _, dests in spec.pairs),
+                    None if spec.widths is None else spec.widths.tobytes(),
                 )
-            else:
-                declared.append(("b", spec.width, spec.writers.tobytes()))
-        material: Tuple[Any, ...] = ("kernel", program.name, context, tuple(declared))
-    else:
-        parts = schedule_digest_parts(program)
-        if parts is None:
-            return None
-        material = ("generator", stable_digest(list(parts)), context)
+            )
+        else:
+            declared.append(("b", spec.width, spec.writers.tobytes()))
+    material = (
+        "kernel", program.name, network_digest_context(network), tuple(declared)
+    )
     full_key = hashlib.sha256(
         stable_digest(list(material)).encode("ascii")
     ).hexdigest()
@@ -229,14 +215,12 @@ class ScheduleCache:
                 if ref is None:
                     ref = struct_index[id(payload)] = len(structs)
                     structs.append(payload)
-            elif kind == BCAST:
+            else:
                 shape = (tuple(int(v) for v in payload[0]), int(payload[1]))
                 ref = bcast_index.get(shape)
                 if ref is None:
                     ref = bcast_index[shape] = len(bcasts)
                     bcasts.append(shape)
-            else:
-                ref = -1
             rounds.append([int(kind), int(ref), int(bits)])
         arrays: Dict[str, Any] = {}
         struct_meta: List[Dict[str, Any]] = []
@@ -284,8 +268,9 @@ class ScheduleCache:
     # -- evict ------------------------------------------------------------
 
     def evict(self, digest: str) -> None:
-        """Drop the entry at ``digest`` (replay deviation upstream: the
-        stored structure no longer matches reality)."""
+        """Drop the entry at ``digest`` (the kernel layer rejected it:
+        the stored structure does not match the program's declared
+        rounds)."""
         entry_dir = self.directory / digest
         if entry_dir.exists():
             shutil.rmtree(entry_dir, ignore_errors=True)
@@ -298,9 +283,9 @@ def _decode_entry(
     """Rebuild a :class:`CompiledSchedule` from a verified entry.
 
     Distinct structures are materialized once and shared by reference
-    across rounds — the loaded schedule preserves the recorder's dedup,
-    which the replay lane's presence-mask reuse and the kernel zero-churn
-    memo both key on.
+    across rounds — the loaded schedule preserves the compiler's dedup,
+    which the lane's presence-mask reuse and the kernel zero-churn memo
+    both key on.
     """
     import numpy as np
 
@@ -328,8 +313,6 @@ def _decode_entry(
             rounds.append((LANE, structs[ref], bits))
         elif kind == BCAST:
             rounds.append((BCAST, bcast_shapes[ref], bits))
-        elif kind == SCALAR:
-            rounds.append((SCALAR, None, bits))
         else:
             raise ValueError(f"unknown round kind {kind}")
     compiled = CompiledSchedule(rounds)

@@ -160,15 +160,3 @@ class RunPreempted(ReproError):
         self.round_index = round_index
         self.checkpoint = checkpoint
 
-
-class ReplayEvictionWarning(UserWarning):
-    """A program declared oblivious (:func:`~repro.core.compiled.mark_oblivious`)
-    deviated structurally from its compiled schedule: the stale entry was
-    evicted and the run fell back to full execution.
-
-    Results stay byte-identical — the warning exists because a deviating
-    declaration wastes the recording run and usually means the
-    ``mark_oblivious`` mark is wrong.  The message names the offending
-    program via its :class:`~repro.core.compiled.ObliviousInfo`; run the
-    static verifier (``python -m repro.analysis``) to find the offending
-    round before the first recording run."""

@@ -370,14 +370,14 @@ class FixedLane:
 
 
 class _BatchBuffers:
-    """One dtype's worth of stacked per-instance matrices for replay.
+    """One dtype's worth of stacked per-instance matrices for kernel
+    unicast rounds.
 
     ``values[k]`` is instance ``k``'s ``n × n`` send matrix; the
     receiver-presence mask is *shared* across instances because a
-    compiled replay only ever delivers rounds whose structure every
-    instance matched."""
+    kernel round has one declared structure for all of them."""
 
-    __slots__ = ("values", "present", "inboxes", "touched")
+    __slots__ = ("values", "present", "touched")
 
     def __init__(self, n: int, instances: int, dtype, alloc=None) -> None:
         # The K×n×n value stack is the only allocation worth routing
@@ -389,27 +389,20 @@ class _BatchBuffers:
             else alloc((instances, n, n), dtype)
         )
         self.present = np.zeros((n, n), dtype=bool)
-        self.inboxes = [
-            [
-                FixedWidthInbox(self.values[k, :, u], self.present[:, u])
-                for u in range(n)
-            ]
-            for k in range(instances)
-        ]
         self.touched: List[int] = []  # sender rows written last bulk round
 
 
 class BatchLane:
-    """Replay delivery for compiled bulk rounds, K instances at a time.
+    """Stacked delivery for kernel unicast rounds, K instances at a time.
 
-    The engine hands it a :class:`~repro.core.compiled.LaneStructure`
+    The kernel runner hands it a :class:`~repro.core.compiled.LaneStructure`
     (precomputed flat row/column index arrays) plus one stacked
-    ``K × messages`` value matrix per round; delivery is one flat
-    fancy-indexed write per instance, and the shared presence mask is
-    rewritten only when the structure differs from the previous bulk
+    ``K × messages`` value matrix per round; delivery is one
+    fancy-indexed write covering every instance, and the shared presence
+    mask is rewritten only when the structure differs from the previous
     round (phases repeat one shape for many rounds, so it usually
     doesn't).  All classification, validation and accounting has already
-    happened at record time.
+    happened at compile time.
     """
 
     __slots__ = (
@@ -438,39 +431,12 @@ class BatchLane:
             self._object = _BatchBuffers(self.n, self.instances, object)
         return self._object
 
-    def deliver_compiled(self, struct, active: Sequence[int], stacked) -> None:
-        """Deliver one compiled bulk round: ``stacked[i]`` holds the flat
-        value vector of instance ``active[i]`` in structure order."""
-        buf = self._buffers(struct.width)
-        if self._struct is not struct or self._active is not buf:
-            touched = buf.touched
-            if touched:
-                buf.present[touched] = False
-                touched.clear()
-            buf.present[struct.rows, struct.cols] = True
-            touched.extend(struct.sender_ids)
-            self._struct = struct
-        values = buf.values
-        rows = struct.rows
-        cols = struct.cols
-        for i, k in enumerate(active):
-            values[k][rows, cols] = stacked[i]
-        self.width = struct.width
-        self._active = buf
-
-    def inbox(self, instance: int, receiver: int) -> FixedWidthInbox:
-        box = self._active.inboxes[instance][receiver]
-        box._reset(self.width)
-        return box
-
     def deliver_kernel(self, struct, values2d) -> None:
-        """Kernel-path delivery: one stacked fancy-indexed write covers
-        **all** instances at once (``values2d`` is ``K × count`` in flat
-        structure order), against the same per-dtype buffers and
-        presence-mask bookkeeping as :meth:`deliver_compiled`.  Pass
-        ``values2d=None`` to refresh only the presence mask (an empty
-        round, or a zero-churn round whose values are already in the
-        buffer)."""
+        """Deliver one kernel round: one stacked fancy-indexed write
+        covers **all** instances at once (``values2d`` is ``K × count``
+        in flat structure order).  Pass ``values2d=None`` to refresh only
+        the presence mask (an empty round, or a zero-churn round whose
+        values are already in the buffer)."""
         buf = self._buffers(struct.width)
         if self._struct is not struct or self._active is not buf:
             touched = buf.touched

@@ -1,8 +1,8 @@
 """Kernel programs: whole-network SPMD rounds with zero generator steps.
 
 The generator API runs ``n`` Python coroutines in lockstep; even with
-bulk delivery lanes and compiled replay, every round still pays ``n``
-generator resumptions on the hot path.  The algebraic congested-clique
+bulk delivery lanes, every round still pays ``n`` generator
+resumptions on the hot path.  The algebraic congested-clique
 literature (Censor-Hillel et al.; Le Gall) instead treats a round as one
 matrix operation over *all* nodes simultaneously — and an oblivious
 protocol can be executed exactly that way.
@@ -29,8 +29,8 @@ structure is declared rather than observed, a kernel program is
 *oblivious by construction*: it compiles directly into a
 :class:`~repro.core.compiled.CompiledSchedule` — per-round
 :class:`~repro.core.compiled.LaneStructure` index arrays, bit totals,
-validation — without a recording run, and every execution replays that
-schedule.  Round and bit accounting is byte-identical to the generator
+validation — without executing any callback, and every execution
+replays that schedule.  Round and bit accounting is byte-identical to the generator
 engine's: equivalence suites pin the migrated protocols (transmit
 phases, Lenzen routing, the Theorem 2 simulation, matmul triangle
 detection) to their generator reference implementations.
@@ -479,7 +479,7 @@ class _ExecRound:
 def compile_program(program: KernelProgram, network) -> CompiledSchedule:
     """Validate ``program`` against ``network`` and build its
     :class:`~repro.core.compiled.CompiledSchedule` — declared structure
-    in, recorded-schedule shape out, no recording run needed."""
+    in, per-round lane structures and bit totals out."""
     if program.n != network.n:
         raise ProtocolError(
             f"kernel program declares n={program.n}, network has n={network.n}"
@@ -509,10 +509,9 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
     execs: List[_ExecRound] = []
     # Deduplicate identical round shapes into one shared identity
     # object per shape (a LaneStructure for unicast, an interned
-    # (ids, width) tuple for broadcast), exactly as the recorder does
-    # for generator programs: phases repeat one shape for many rounds,
-    # and both the lane's presence-mask reuse and the zero-churn
-    # payload skip key on shape *identity*.
+    # (ids, width) tuple for broadcast): phases repeat one shape for
+    # many rounds, and both the lane's presence-mask reuse and the
+    # zero-churn payload skip key on shape *identity*.
     structs: Dict[Any, LaneStructure] = {}
     bcast_shapes: Dict[Any, Tuple] = {}
     for r, spec in enumerate(program.rounds):
@@ -593,10 +592,10 @@ def rebuild_kernel_schedule(program: KernelProgram, network, loaded) -> Optional
     """Pair a persistent-cache schedule with ``program``'s declared
     rounds, verifying before trusting.
 
-    Kernel execution has no per-round replay comparison — it delivers
-    whatever structures the compiled schedule holds — so a loaded
-    entry must be proven equal to the program's declaration before it
-    may replace :func:`compile_program`.  Every distinct loaded
+    Kernel execution performs no per-round structural check — it
+    delivers whatever structures the compiled schedule holds — so a
+    loaded entry must be proven equal to the program's declaration
+    before it may replace :func:`compile_program`.  Every distinct loaded
     structure is compared byte-for-byte (senders, split sizes,
     destination vectors, widths) against the specs that reference it;
     a flat memcmp per shape, orders of magnitude cheaper than the

@@ -27,17 +27,16 @@ Execution engines
 of the pluggable backends in :mod:`repro.core.engine`:
 
 * :class:`~repro.core.engine.fast.FastEngine` (default) — zero-churn
-  round loop with the numpy bulk lanes of :mod:`repro.core.fastlane`,
-  plus compiled record/replay for programs declared oblivious via
-  :func:`~repro.core.compiled.mark_oblivious` and batched lockstep
-  ``run_many``.
+  round loop with the numpy bulk lanes of :mod:`repro.core.fastlane`.
 * :class:`~repro.core.engine.legacy.LegacyEngine` — the original
   per-round-allocation loop, kept as the executable reference
   semantics; the equivalence suites pin every other backend to it
   byte-for-byte.
 * :class:`~repro.core.engine.kernel.KernelEngine` — declared
-  :class:`~repro.core.kernels.KernelProgram`\\ s executed as stacked
-  matrix operations, zero generator steps.
+  :class:`~repro.core.kernels.KernelProgram`\\ s compiled once into a
+  :class:`~repro.core.compiled.CompiledSchedule` and executed as stacked
+  matrix operations, zero generator steps.  Kernel programs are the one
+  compiled path.
 
 The ``engine="fast"|"legacy"`` constructor argument is kept as a thin
 compatibility shim over the planner: it pins the named backend for
@@ -50,10 +49,10 @@ Inboxes are only valid for the round in which they are delivered: the
 fast engine recycles the underlying buffers, so a program must not stash
 an :class:`Inbox` and read it in a later round (copy what you need).
 
-All cross-run state lives on the :class:`Network` — the compiled
-schedule cache, the RNG state bundle, the kernel lane buffers and the
-``schedule_stats`` counters — so the stateless engine singletons can
-serve any number of networks.
+All cross-run state lives on the :class:`Network` — the kernel engine's
+compiled schedule cache, the RNG state bundle, the kernel lane buffers
+and the ``schedule_stats`` counters — so the stateless engine singletons
+can serve any number of networks.
 """
 
 from __future__ import annotations
@@ -268,10 +267,10 @@ class Network:
         self.fault_plan = fault_plan
         self.round_limit = round_limit
         self.degrade = degrade
-        # Persistent cross-process schedule store (a directory path or
-        # a ScheduleCache handle); None disables persistence.  Hit/miss
-        # counters live on the handle, so each network's share of cache
-        # traffic is observable.
+        # Persistent cross-process store of compiled kernel schedules (a
+        # directory path or a ScheduleCache handle); None disables
+        # persistence.  Hit/miss counters live on the handle, so each
+        # network's share of cache traffic is observable.
         if schedule_cache is not None and not hasattr(schedule_cache, "load"):
             from repro.core.engine.schedule_cache import ScheduleCache
 
@@ -312,25 +311,17 @@ class Network:
         # Boolean adjacency rows for vectorized CONGEST validation of
         # fixed-width outboxes; built lazily on first use.
         self._adj_mask = None
-        # Compiled schedules for oblivious programs, keyed by their
-        # mark_oblivious declaration (kernel programs key by object
-        # identity).  Bounded; correctness never depends on a hit
-        # (misses just record, stale entries are caught by the
-        # per-round structural check).
+        # Compiled kernel schedules, keyed by the program object.
+        # Bounded; correctness never depends on a hit (a miss just
+        # compiles).
         self._compiled: Dict[Any, CompiledSchedule] = {}
-        #: Counters for the compilation layer: schedules recorded,
-        #: instances replayed (incl. batched), structural-deviation
-        #: fallbacks to full execution.
+        #: Counters of the kernel engine's compilation layer: schedules
+        #: freshly compiled, and instances executed against an already
+        #: compiled schedule.
         self.schedule_stats: Dict[str, int] = {
             "compiled": 0,
             "replayed": 0,
-            "fallbacks": 0,
         }
-        #: Human-readable description of the program behind the most
-        #: recent replay eviction (``None`` until a fallback happens);
-        #: mirrors the :class:`~repro.core.errors.ReplayEvictionWarning`
-        #: emitted at eviction time.
-        self.last_eviction: Optional[str] = None
         # (seed, per-node states, shared state), captured once per seed:
         # every run (and every run_many instance) restores identical
         # per-node streams by cloning state instead of re-hashing the
@@ -407,13 +398,10 @@ class Network:
         one :class:`RunResult` per instance, byte-identical to calling
         :meth:`run` sequentially.
 
-        When ``program`` is declared oblivious
-        (:func:`~repro.core.compiled.mark_oblivious`), the fast backend
-        records one compiled schedule and replays the remaining
-        instances **in lockstep** through stacked payload matrices
-        (:class:`~repro.core.fastlane.BatchLane`); kernel programs batch
-        natively.  Undeclared programs, the legacy backend, and
-        transcript-recording networks take the sequential path.
+        Kernel programs batch natively: the kernel engine moves all
+        instances through each round as stacked payload matrices
+        (:class:`~repro.core.fastlane.BatchLane`).  Generator programs
+        run one instance after another on every engine.
         """
         if checkpoint is None and resume_from is None:
             return self._planner.execute_many(self, program, inputs_list)
@@ -433,8 +421,8 @@ class Network:
     def _compiled_entry(self, key) -> Optional[CompiledSchedule]:
         """The cached schedule for ``key``, evicting it first if the
         network's bandwidth or mode was reassigned since it was
-        recorded (the recorded rounds were validated under the old
-        parameters, so replaying them would skip the new limits)."""
+        compiled (the compiled rounds were validated under the old
+        parameters, so executing them would skip the new limits)."""
         entry = self._compiled.get(key)
         if entry is not None and entry.params != (self.bandwidth, self.mode):
             del self._compiled[key]

@@ -27,20 +27,10 @@ lasts ``phase_length(max_bits, b)`` rounds of exactly ``b``-bit frames,
 so its round/width structure is fixed by the public parameters.  The
 *sender set* is the one input-dependent degree of freedom —
 ``transmit_unicast``'s destination keys and ``transmit_broadcast``'s
-``payload is None`` choice.  A program composed of phases whose sender
-sets are input-independent (everyone transmits, or who-transmits is
-derived from public data) qualifies for
-:func:`~repro.core.compiled.mark_oblivious`: repeated runs then replay a
-compiled schedule instead of re-classifying every frame round.
-
-Whether a composed program actually qualifies is checkable *before* the
-first recording run: the static verifier
-(``python -m repro.analysis``, :mod:`repro.analysis.oblivious`) traces
-the program's round structure over perturbed inputs and seed variants
-and refutes a wrong ``mark_oblivious`` declaration with the exact
-offending round — the same deviation the fast engine would otherwise
-discover at runtime via schedule eviction
-(:class:`~repro.core.errors.ReplayEvictionWarning`).
+``payload is None`` choice.  When the sender set is public too, the
+phase has a declared kernel twin (:func:`kernel_transmit_unicast`,
+:func:`kernel_transmit_broadcast`) that the kernel engine compiles once
+and executes as stacked matrix operations.
 """
 
 from __future__ import annotations
@@ -190,8 +180,7 @@ def idle(rounds: int):
 # the engines' round accounting stays honest — retransmissions and
 # redundant copies are charged like any other send.  They are **not**
 # oblivious: which links carry traffic in later attempts depends on
-# which earlier deliveries were lost, so do not wrap programs built on
-# them with :func:`~repro.core.compiled.mark_oblivious`.
+# which earlier deliveries were lost, so they have no kernel twin.
 
 
 def transmit_unicast_acked(

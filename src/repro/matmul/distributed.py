@@ -28,13 +28,10 @@ frames, so on the default engine they ride the batched numpy fast lane
 
 The protocol is *oblivious*: every round's structure comes from the
 public :class:`SimulationPlan` and routing schedules, never from the
-adjacency rows.  :func:`triangle_mm_program` declares this
-(:func:`~repro.core.compiled.mark_oblivious`), and
-:func:`detect_triangle_mm_many` exploits it — detection over many
-same-size graphs runs through
-:meth:`~repro.core.network.Network.run_many` against one compiled
-schedule (one plan build, one structure pass, batched payload
-delivery).
+adjacency rows.  :func:`triangle_mm_kernel_program` declares that
+structure as kernel rounds, and :func:`detect_triangle_mm_many` runs
+detection over many same-size graphs through
+:meth:`~repro.core.network.Network.run_many` with one plan build.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.circuits.arithmetic import matmul_circuit_naive, matmul_circuit_strassen
 from repro.circuits.circuit import Circuit
 from repro.core.bits import Bits
-from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_unicast
 from repro.graphs.graph import Graph
@@ -175,10 +171,7 @@ def triangle_mm_program(
             found=witness is not None, witness=witness, trials=trials
         )
 
-    # Structure comes from (plan, trials) alone; the adjacency rows only
-    # fill payloads — see the module docstring.
-    declare_schedule_digest(program, "triangle_mm", plan, trials)
-    return mark_oblivious(program, "triangle_mm", id(plan), trials)
+    return program
 
 
 def triangle_mm_kernel_program(
@@ -413,14 +406,13 @@ def detect_triangle_mm_many(
     plan: Optional[SimulationPlan] = None,
     kernel: bool = False,
 ) -> Tuple[List[TriangleMMOutcome], List[RunResult], SimulationPlan]:
-    """Triangle detection over many same-size graphs, one compiled
-    schedule: the plan is built once, the first instance records the
-    round structure, and the remaining instances replay it in lockstep
-    via :meth:`~repro.core.network.Network.run_many`.  Per-instance
-    results are byte-identical to calling :func:`detect_triangle_mm`
-    with the same plan, seed and trials on each graph.  ``kernel=True``
-    swaps in the vectorized kernel program — all graphs advance through
-    every round as one stacked matrix operation."""
+    """Triangle detection over many same-size graphs with one plan
+    build, via :meth:`~repro.core.network.Network.run_many`.
+    Per-instance results are byte-identical to calling
+    :func:`detect_triangle_mm` with the same plan, seed and trials on
+    each graph.  ``kernel=True`` swaps in the vectorized kernel program
+    — all graphs advance through every round as one stacked matrix
+    operation."""
     if not graphs:
         raise ValueError("detect_triangle_mm_many needs at least one graph")
     size = graphs[0].n

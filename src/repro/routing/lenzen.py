@@ -17,11 +17,10 @@ the Theorem 2 simulation drives directly.
 Routing is *oblivious*: every round's senders, receivers and frame
 widths are fully determined by the public :class:`RoutingSchedule` and
 ``frame_size`` — the payload bits never influence the structure.
-Programs whose communication consists of such routed exchanges can be
-declared to the engine with :func:`~repro.core.compiled.mark_oblivious`
-so repeated runs replay a compiled schedule; :func:`route_program`
-packages the common whole-program case (every node routes the frames
-given in its input) with the declaration already made.
+:func:`route_program` packages the common whole-program case (every
+node routes the frames given in its input), and
+:func:`route_kernel_program` is its declared kernel twin, which the
+kernel engine compiles once and executes as stacked matrix operations.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bits import Bits
-from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Context, Mode, Outbox, inbox_uints
@@ -151,10 +149,9 @@ def route_program(schedule: RoutingSchedule, frame_size: int):
     Node ``v``'s input (``ctx.input``) must be its ``{FrameRef: Bits}``
     map of injected frames (or ``None`` for no traffic); the node's
     output is the ``{FrameRef: Bits}`` map of frames delivered to it.
-    The program is declared oblivious — the round structure comes
-    entirely from the public schedule — so sweeping many payload
-    instances with :meth:`~repro.core.network.Network.run_many` replays
-    one compiled schedule instead of re-classifying every round.
+    The round structure comes entirely from the public schedule;
+    :func:`route_kernel_program` declares the same structure for the
+    kernel engine.
     """
 
     def program(ctx):
@@ -163,11 +160,7 @@ def route_program(schedule: RoutingSchedule, frame_size: int):
         )
         return delivered
 
-    # Persistent-cache identity must be content-derived (the in-memory
-    # key above may use object identity; disk entries are shared across
-    # pool workers where id() means nothing).
-    declare_schedule_digest(program, "route_program", schedule, frame_size)
-    return mark_oblivious(program, "route_program", id(schedule), frame_size)
+    return program
 
 
 def payload_demand(

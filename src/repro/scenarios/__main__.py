@@ -117,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--schedule-cache", default=None, metavar="DIR",
-        help="persistent compiled-schedule cache: fast/kernel engines "
-        "load lane structures recorded by any previous run (or any "
-        "concurrent worker) from DIR instead of re-recording",
+        help="persistent compiled-schedule cache: kernel-engine cells "
+        "load lane structures compiled by any previous run (or any "
+        "concurrent worker) from DIR instead of recompiling",
     )
     parser.add_argument(
         "--shard-k", type=int, default=None, metavar="K",

@@ -231,11 +231,6 @@ class MatrixCell:
     #: cell flushed.
     resumed_from_round: Optional[int] = None
     checkpoints: Optional[int] = None
-    #: Compiled-replay cache pressure observed while the cell ran:
-    #: :class:`~repro.core.errors.ReplayEvictionWarning` count and the
-    #: last eviction's message (None = no evictions).
-    evictions: Optional[int] = None
-    last_eviction: Optional[str] = None
     #: Persistent schedule-cache traffic (populated only when the sweep
     #: ran with ``schedule_cache=``): disk hits/misses across the cell's
     #: sample networks, evictions (explicit + corrupt), and how many
@@ -281,8 +276,6 @@ class MatrixCell:
             "quarantined": self.quarantined,
             "resumed_from_round": self.resumed_from_round,
             "checkpoints": self.checkpoints,
-            "evictions": self.evictions,
-            "last_eviction": self.last_eviction,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "cache_evictions": self.cache_evictions,
@@ -295,7 +288,7 @@ class MatrixCell:
     def from_dict(cls, data: Dict[str, Any]) -> "MatrixCell":
         """Rebuild a cell from :meth:`to_dict` output (journal replay,
         worker-pool transport).  Unknown keys are ignored so journals
-        written by a newer schema still replay."""
+        written by another schema version still replay."""
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in names})
 
@@ -455,9 +448,7 @@ def _execute_cell(
     Chaos cells skip checkpointing — snapshots of fault-corrupted state
     must never be resumable.
     """
-    import warnings
-
-    from repro.core.errors import ReplayEvictionWarning, RunPreempted
+    from repro.core.errors import RunPreempted
     from repro.core.network import Network
 
     cell = MatrixCell(
@@ -501,56 +492,48 @@ def _execute_cell(
     try:
         best: Optional[float] = None
         summary = digest = run = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for sample in range(repeats):
-                kwargs = network_kwargs()
-                if chaos:
-                    kwargs["fault_plan"] = fault_plan
-                network = Network(engine=engine, **kwargs)
-                run_kwargs: Dict[str, Any] = {}
-                if checkpointing and sample == 0:
-                    # Snapshot/restore applies to the first sample only:
-                    # a later repeat resuming from the first's snapshots
-                    # would time a partial run.  Resumption is
-                    # digest-identical, so the cross-repeat determinism
-                    # check below still holds.
-                    from repro.core.checkpoint import CheckpointPolicy
+        for sample in range(repeats):
+            kwargs = network_kwargs()
+            if chaos:
+                kwargs["fault_plan"] = fault_plan
+            network = Network(engine=engine, **kwargs)
+            run_kwargs: Dict[str, Any] = {}
+            if checkpointing and sample == 0:
+                # Snapshot/restore applies to the first sample only:
+                # a later repeat resuming from the first's snapshots
+                # would time a partial run.  Resumption is
+                # digest-identical, so the cross-repeat determinism
+                # check below still holds.
+                from repro.core.checkpoint import CheckpointPolicy
 
-                    run_kwargs["checkpoint"] = CheckpointPolicy(
-                        checkpoint_dir,
-                        every_rounds=checkpoint_every_rounds,
-                        every_seconds=checkpoint_every_seconds,
-                        preempt=preempt,
-                        on_snapshot=on_snapshot,
-                    )
-                    run_kwargs["resume_from"] = "auto"
-                start = time.perf_counter()  # analysis: allow(wall-clock)
-                run = network.run(
-                    program, inputs=prepared.inputs, **run_kwargs
+                run_kwargs["checkpoint"] = CheckpointPolicy(
+                    checkpoint_dir,
+                    every_rounds=checkpoint_every_rounds,
+                    every_seconds=checkpoint_every_seconds,
+                    preempt=preempt,
+                    on_snapshot=on_snapshot,
                 )
-                elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
-                if run_kwargs:
-                    stats = network.checkpoint_stats
-                    cell.checkpoints = stats["snapshots"]
-                    if run.resume is not None:
-                        cell.resumed_from_round = run.resume["round"]
-                _note_cache(cell, network)
-                sample_summary = prepared.summarize(run)
-                sample_digest = _digest(sample_summary, run)
-                if digest is not None and sample_digest != digest:
-                    raise AssertionError(
-                        "nondeterministic cell: digest changed across repeats"
-                    )
-                summary, digest = sample_summary, sample_digest
-                if best is None or elapsed < best:
-                    best = elapsed
-        evictions = [
-            w for w in caught if issubclass(w.category, ReplayEvictionWarning)
-        ]
-        if evictions:
-            cell.evictions = len(evictions)
-            cell.last_eviction = str(evictions[-1].message)
+                run_kwargs["resume_from"] = "auto"
+            start = time.perf_counter()  # analysis: allow(wall-clock)
+            run = network.run(
+                program, inputs=prepared.inputs, **run_kwargs
+            )
+            elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
+            if run_kwargs:
+                stats = network.checkpoint_stats
+                cell.checkpoints = stats["snapshots"]
+                if run.resume is not None:
+                    cell.resumed_from_round = run.resume["round"]
+            _note_cache(cell, network)
+            sample_summary = prepared.summarize(run)
+            sample_digest = _digest(sample_summary, run)
+            if digest is not None and sample_digest != digest:
+                raise AssertionError(
+                    "nondeterministic cell: digest changed across repeats"
+                )
+            summary, digest = sample_summary, sample_digest
+            if best is None or elapsed < best:
+                best = elapsed
         cell.status = "ok"
         cell.seconds = best
         cell.rounds = run.rounds
@@ -673,9 +656,6 @@ def _execute_many_cell(
     checkpointing does not apply here — the shard boundary is the
     resumption unit for multi-instance cells.
     """
-    import warnings
-
-    from repro.core.errors import ReplayEvictionWarning
     from repro.core.network import Network
 
     instances = prepared.instances
@@ -698,32 +678,24 @@ def _execute_many_cell(
     try:
         best: Optional[float] = None
         digest = runs = None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _sample in range(repeats):
-                kwargs = network_kwargs()
-                if chaos:
-                    kwargs["fault_plan"] = fault_plan
-                network = Network(engine=engine, **kwargs)
-                start = time.perf_counter()  # analysis: allow(wall-clock)
-                runs = network.run_many(program, instances[lo:hi])
-                elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
-                _note_cache(cell, network)
-                sample_records = _instance_records(prepared, runs)
-                sample_digest = _records_digest(sample_records)
-                if digest is not None and sample_digest != digest:
-                    raise AssertionError(
-                        "nondeterministic cell: digest changed across repeats"
-                    )
-                records, digest = sample_records, sample_digest
-                if best is None or elapsed < best:
-                    best = elapsed
-        evictions = [
-            w for w in caught if issubclass(w.category, ReplayEvictionWarning)
-        ]
-        if evictions:
-            cell.evictions = len(evictions)
-            cell.last_eviction = str(evictions[-1].message)
+        for _sample in range(repeats):
+            kwargs = network_kwargs()
+            if chaos:
+                kwargs["fault_plan"] = fault_plan
+            network = Network(engine=engine, **kwargs)
+            start = time.perf_counter()  # analysis: allow(wall-clock)
+            runs = network.run_many(program, instances[lo:hi])
+            elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
+            _note_cache(cell, network)
+            sample_records = _instance_records(prepared, runs)
+            sample_digest = _records_digest(sample_records)
+            if digest is not None and sample_digest != digest:
+                raise AssertionError(
+                    "nondeterministic cell: digest changed across repeats"
+                )
+            records, digest = sample_records, sample_digest
+            if best is None or elapsed < best:
+                best = elapsed
         cell.status = "ok"
         cell.seconds = best
         cell.rounds = records[0][1] if records else 0
@@ -901,7 +873,7 @@ def merge_shard_payloads(
     ordered tuple — byte-identical to the unsharded ``run_many`` cell,
     because each record is a pure function of its instance.  Failure is
     sticky (any failed shard fails the cell); instrumentation fields
-    (seconds, cache counters, evictions) sum across shards.
+    (seconds, cache counters) sum across shards.
     """
     ordered = sorted(payloads, key=lambda p: p["lo"])
     shard_cells = [MatrixCell.from_dict(p["cell"]) for p in ordered]
@@ -938,16 +910,10 @@ def merge_shard_payloads(
     elif all(v is True for v in verdicts):
         cell.validated = True
     for name in ("cache_hits", "cache_misses", "cache_evictions",
-                 "schedule_compiles", "evictions"):
+                 "schedule_compiles"):
         values = [getattr(c, name) for c in shard_cells]
         if any(v is not None for v in values):
             setattr(cell, name, sum(v or 0 for v in values))
-    last = next(
-        (c.last_eviction for c in reversed(shard_cells)
-         if c.last_eviction is not None),
-        None,
-    )
-    cell.last_eviction = last
     fallback = next(
         (c.engine_fallback for c in shard_cells
          if c.engine_fallback is not None),
@@ -993,6 +959,13 @@ def run_cell(
     """
     import random
 
+    if engine not in spec.engines:
+        # Decided before anything is built: an engine the protocol does
+        # not support is unsupported whatever the instance looks like.
+        return MatrixCell(
+            protocol=spec.name, family=family_name, n=n, engine=engine,
+            status="unsupported",
+        )
     coord = _cell_coord(seed, spec.name, family_name, n)
     # Stable across processes (unlike hash(), which is salted): the
     # cell's network seed must not change between runs or the digests
@@ -1105,7 +1078,7 @@ class ScenarioMatrix:
         self.verify = verify
         self.fault_plan = fault_plan
         #: When true, every (protocol, family, n) coordinate also runs
-        #: the static verifier (obliviousness + bandwidth budget) and
+        #: the static verifier (structure + bandwidth budget) and
         #: its cells carry ``analysis_ok`` / ``analysis_violations``.
         self.analyze = analyze
         self.cell_round_limit = cell_round_limit
@@ -1197,10 +1170,11 @@ class ScenarioMatrix:
         sweep's journal and vice versa.
 
         ``schedule_cache=`` names a directory for the persistent
-        compiled-schedule cache: every cell's networks record compiled
-        lane structures there and later cells — in this run, a resumed
-        run, or any pool worker — load them instead of recompiling
-        (cells gain ``cache_hits``/``cache_misses`` counters).
+        compiled-schedule cache: kernel-engine cells store their
+        compiled lane structures there and later cells — in this run, a
+        resumed run, or any pool worker — load them instead of
+        recompiling (cells gain ``cache_hits``/``cache_misses``
+        counters; legacy and fast cells never touch it).
         ``shard_k=`` splits each multi-instance cell into K-shards of at
         most that many instances (aligned to the engines' K-chunk seam)
         so the pool spreads one cell across workers; the merged cell is
@@ -1280,13 +1254,24 @@ class ScenarioMatrix:
             )
             replayed: Dict[str, MatrixCell] = {}
             pending: List[str] = []
+            cells: List[MatrixCell] = []
             for engine in ordered:
                 key = _cell_key(self.seed, protocol_name, family_name, n, engine)
                 if replay is not None and key in replay:
                     replayed[engine] = MatrixCell.from_dict(replay[key])
-                else:
+                elif engine in spec.engines:
                     pending.append(engine)
-            cells: List[MatrixCell] = []
+                else:
+                    # Unsupported is decided before the instance is
+                    # built, so a bad instance cannot turn it into a
+                    # failure.
+                    cell = MatrixCell(
+                        protocol=protocol_name, family=family_name, n=n,
+                        engine=engine, status="unsupported",
+                    )
+                    cells.append(cell)
+                    if on_cell is not None:
+                        on_cell(key, cell)
             if pending:
                 rng = random.Random(coord)
                 try:
@@ -1429,7 +1414,7 @@ class ScenarioMatrix:
                     )
         # Static-analysis verdict for the coordinate: one verifier run
         # per (protocol, family, n), stamped on every engine cell (the
-        # verdict is engine-free — obliviousness and budgets are
+        # verdict is engine-free — structure and budgets are
         # protocol properties).
         if self.analyze:
             from repro.analysis.verifier import analyze_protocol

@@ -63,8 +63,8 @@ class PreparedScenario:
     validate: Optional[Callable[[Any], None]] = None
     #: Multi-instance scenarios (``run_many`` cells): per-instance input
     #: lists, one entry per instance.  When set, the matrix runner
-    #: executes all K instances through one compiled schedule
-    #: (:meth:`~repro.core.network.Network.run_many`) and the cell digest
+    #: executes all K instances through one
+    #: :meth:`~repro.core.network.Network.run_many` call and the cell digest
     #: covers the ordered per-instance summaries — which is what lets the
     #: sweep executor split the K range across workers and merge shards
     #: byte-identically.  ``inputs`` should hold instance 0 so
@@ -195,7 +195,7 @@ def _sorted_edges(graph: Graph) -> Tuple[Tuple[int, int], ...]:
 #: Frame width of the routing scenarios (bits per routed frame).
 _ROUTING_FRAME_SIZE = 16
 #: Instance count of the ``routing_many`` scenario: K payload batches
-#: routed through one compiled schedule — the K-sharding seam.
+#: routed through one routing schedule — the K-sharding seam.
 ROUTING_MANY_INSTANCES = 6
 
 
@@ -276,8 +276,9 @@ def _prepare_routing_many(
     """K payload batches routed through one schedule: the multi-instance
     twin of ``routing``.  The round structure is identical for every
     instance (it depends only on the demand pattern), so the cell is one
-    ``run_many`` sweep over a single compiled schedule — exactly the
-    shape the zero-copy fabric accelerates (persistent schedule cache,
+    ``run_many`` sweep over a single routing schedule — on the kernel
+    engine one compiled schedule for all K instances, exactly the shape
+    the zero-copy fabric accelerates (persistent schedule cache,
     shared-memory lanes, K-sharding across pool workers)."""
     from repro.routing.lenzen import route_kernel_program, route_program
     from repro.routing.schedule import build_schedule
@@ -488,7 +489,7 @@ register_protocol(
 register_protocol(
     ProtocolSpec(
         name="routing_many",
-        description="K-instance Lenzen routing through one compiled schedule",
+        description="K-instance Lenzen routing through one routing schedule",
         mode=Mode.UNICAST,
         engines=("legacy", "fast", "kernel"),
         prepare=_prepare_routing_many,

@@ -25,11 +25,10 @@ simulation's round complexity, which Theorem 2 bounds by O(depth).
 
 That same publicness makes the protocol *oblivious*: the round
 structure is a pure function of the :class:`SimulationPlan`, input
-values only fill payload bits.  :func:`make_program` declares this to
-the engine (:func:`~repro.core.compiled.mark_oblivious`), so evaluating
-one circuit on many input vectors — :func:`simulate_circuit_many` —
-records the round schedule once and replays it payload-only for every
-further instance.
+values only fill payload bits.  The kernel twin
+(:func:`repro.simulation.kernel.make_kernel_program`) declares that
+structure, so the kernel engine compiles it once and evaluates many
+input vectors as stacked matrix operations.
 
 Each player runs its part of the plan from a per-player view
 (:class:`PlanView`, one :class:`PlayerView` per player), compiled at
@@ -62,7 +61,6 @@ import numpy as np
 from repro.circuits.circuit import CONST_KIND, GATE_KIND, Circuit
 from repro.circuits.vectorized import GateGroups, constant_columns
 from repro.core.bits import Bits
-from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.errors import SimulationPlanError
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
 from repro.routing.lenzen import payload_demand, route_payload_ints, route_payloads
@@ -626,10 +624,7 @@ def make_program(plan: SimulationPlan):
         result = yield from execute_plan(ctx, plan, ctx.input or {})
         return result
 
-    # The round structure is a pure function of the plan — see the
-    # module docstring.
-    declare_schedule_digest(program, "simulate_circuit", plan)
-    return mark_oblivious(program, "simulate_circuit", id(plan))
+    return program
 
 
 def simulate_circuit(
@@ -667,10 +662,8 @@ def simulate_circuit_many(
     seed: int = 0,
     kernel: bool = False,
 ) -> Tuple[List[Dict[int, bool]], List[RunResult], SimulationPlan]:
-    """Evaluate ``circuit`` on many input vectors with one compiled
-    schedule: the plan is built once and
-    :meth:`~repro.core.network.Network.run_many` replays the recorded
-    round structure for every instance after the first.  Per-instance
+    """Evaluate ``circuit`` on many input vectors with one plan build,
+    via :meth:`~repro.core.network.Network.run_many`.  Per-instance
     results are byte-identical to :func:`simulate_circuit`.
 
     ``kernel=True`` runs the vectorized kernel form of the simulation

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
-from repro.core.compiled import declare_schedule_digest, mark_oblivious
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast
 from repro.graphs.graph import Edge, Graph, canonical_edge
@@ -133,12 +132,7 @@ def full_learning_program(pattern: Graph):
             contains=witness is not None, witness=witness, via_density=False
         )
 
-    # Every node broadcasts a full n-bit row every run: the phase
-    # structure depends only on n, never on the edges — so the
-    # persistent-cache identity needs no parts beyond the name (n is
-    # part of the cache key material).
-    declare_schedule_digest(program, "full_learning")
-    return mark_oblivious(program)
+    return program
 
 
 def full_learning_detect(
@@ -168,11 +162,10 @@ def full_learning_detect_many(
     bandwidth: int,
     seed: int = 0,
 ) -> Tuple[List[DetectionOutcome], List[RunResult]]:
-    """Full-learning detection over many same-size graphs with one
-    compiled schedule: the broadcast-phase structure depends only on
-    ``n``, so the first instance records it and the rest replay via
-    :meth:`~repro.core.network.Network.run_many`.  Per-instance results
-    are byte-identical to :func:`full_learning_detect`."""
+    """Full-learning detection over many same-size graphs, one network
+    and one :meth:`~repro.core.network.Network.run_many` call.
+    Per-instance results are byte-identical to
+    :func:`full_learning_detect`."""
     if not graphs:
         return [], []
     n = graphs[0].n

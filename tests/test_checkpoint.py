@@ -195,41 +195,6 @@ def _prepare_crashy(n, graph, rng):
     )
 
 
-def _prepare_evicting(n, graph, rng):
-    """A cell whose program runs a *deviating* declared-oblivious
-    program twice on a nested network: the second nested run evicts the
-    compiled schedule and emits a ReplayEvictionWarning, which the
-    sweep must surface on the cell."""
-
-    def program(ctx):
-        if ctx.node_id == 0:
-            from repro.core.compiled import mark_oblivious
-            from repro.core.network import Network as InnerNetwork
-
-            def deviating(ictx):
-                if ictx.input:
-                    yield Outbox.broadcast_uint(1, 4)
-                else:
-                    yield Outbox.silent()
-                return 0
-
-            mark_oblivious(deviating)
-            inner_kwargs = dict(n=4, bandwidth=4, mode=Mode.BROADCAST)
-            inner = InnerNetwork(engine="fast", **inner_kwargs)
-            inner.run(deviating, inputs=[1, 0, 1, 0])
-            inner.run(deviating, inputs=[0, 1, 0, 1])
-        yield Outbox.broadcast_uint(ctx.node_id & 0xF, 4)
-        return ctx.node_id
-
-    return PreparedScenario(
-        network_kwargs=dict(n=n, bandwidth=4, mode=Mode.BROADCAST),
-        programs={"generator": program},
-        inputs=None,
-        summarize=lambda result: tuple(result.outputs),
-        validate=None,
-    )
-
-
 PREEMPTABLE = ProtocolSpec(
     name="ckpttest_preemptable",
     description="SIGTERMs its worker mid-run on attempt 1",
@@ -243,13 +208,6 @@ CRASHY = ProtocolSpec(
     mode=Mode.BROADCAST,
     engines=("fast",),
     prepare=_prepare_crashy,
-)
-EVICTING = ProtocolSpec(
-    name="ckpttest_evicting",
-    description="triggers a nested compiled-replay eviction",
-    mode=Mode.BROADCAST,
-    engines=("legacy",),
-    prepare=_prepare_evicting,
 )
 
 
@@ -733,27 +691,11 @@ class TestSweepCheckpointing:
 
         cell = MatrixCell(
             protocol="p", family="f", n=8, engine="fast", status="ok",
-            resumed_from_round=3, checkpoints=2, evictions=1,
-            last_eviction="deviated",
+            resumed_from_round=3, checkpoints=2,
         )
         rebuilt = MatrixCell.from_dict(cell.to_dict())
         assert rebuilt.resumed_from_round == 3
         assert rebuilt.checkpoints == 2
-        assert rebuilt.evictions == 1
-        assert rebuilt.last_eviction == "deviated"
-
-
-class TestEvictionSurfacing:
-    def test_nested_eviction_counted_on_cell(self, temp_protocols):
-        temp_protocols(EVICTING)
-        result = ScenarioMatrix(
-            ["ckpttest_evicting"], ["gnp"], [6], engines=["legacy"]
-        ).run()
-        (cell,) = result.cells
-        assert cell.status == "ok"
-        assert cell.evictions == 1
-        assert "deviating" in cell.last_eviction
-        assert cell.to_dict()["evictions"] == 1
 
 
 class TestWorkerPreemption:

@@ -4,12 +4,16 @@ The fast engine (zero-churn buffers + fixed-width bulk lane) must be
 observationally indistinguishable from the legacy reference loop.  These
 tests run representative protocols from routing/, mst/, subgraphs/ and
 matmul/ under both engines with full transcripts and compare every field
-of the RunResult.
+of the RunResult.  The ``run_many`` contract is pinned the same way:
+one sweep on either engine equals sequential ``run`` calls on the
+legacy reference, for hand-written, protocol and fuzzed programs.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from repro.core.bits import Bits
 from repro.core.network import Mode, Network, Outbox
@@ -498,3 +502,323 @@ class TestLaneEdgeCases:
         for v, seen in enumerate(result.outputs):
             sender = ((v - 1) % 4,)
             assert seen == [sender, sender, sender, ()]
+
+
+# -- run_many contract ----------------------------------------------------
+
+
+def reference_results(program, inputs_list, **net_kwargs):
+    """Golden sequence: one legacy-engine run per instance."""
+    network = Network(engine="legacy", **net_kwargs)
+    return [network.run(program, inputs) for inputs in inputs_list]
+
+
+def fixed_allto_program(rounds, width=16):
+    def program(ctx):
+        me = ctx.node_id
+        base = 0 if ctx.input is None else int(ctx.input)
+        for r in range(rounds):
+            dests = list(ctx.neighbors)
+            values = [(me * 31 + d * 7 + r + base) % (1 << width) for d in dests]
+            yield Outbox.fixed_width(dests, values, width)
+        return me
+
+    return program
+
+
+class TestRepeatedRuns:
+    def test_seed_reassignment_invalidates_rng_cache(self):
+        def program(ctx):
+            yield Outbox.silent()
+            return (ctx.rng.random(), ctx.shared_rng.random())
+
+        network = Network(n=3, bandwidth=4, seed=0)
+        before = network.run(program)
+        network.seed = 1
+        after = network.run(program)
+        assert before.outputs != after.outputs
+        fresh = Network(n=3, bandwidth=4, seed=1).run(program)
+        assert after.outputs == fresh.outputs
+
+
+class TestRunMany:
+    def test_matches_sequential_and_legacy(self):
+        program = fixed_allto_program(3)
+        inputs_list = [[k] * 6 for k in range(5)]
+        netw = Network(n=6, bandwidth=16)
+        batched = netw.run_many(program, inputs_list)
+        sequential = [
+            Network(n=6, bandwidth=16).run(program, inputs)
+            for inputs in inputs_list
+        ]
+        golden = reference_results(program, inputs_list, n=6, bandwidth=16)
+        assert len(batched) == 5
+        for got, seq, want in zip(batched, sequential, golden):
+            assert_identical(got, want)
+            assert_identical(seq, want)
+
+    def test_empty_and_single(self):
+        program = fixed_allto_program(2)
+        netw = Network(n=4, bandwidth=16)
+        assert netw.run_many(program, []) == []
+        (only,) = netw.run_many(program, [None])
+        (golden,) = reference_results(program, [None], n=4, bandwidth=16)
+        assert_identical(only, golden)
+
+    def test_legacy_engine_runs_sequentially(self):
+        program = fixed_allto_program(2)
+        netw = Network(n=4, bandwidth=16, engine="legacy")
+        results = netw.run_many(program, [None, None])
+        golden = reference_results(program, [None, None], n=4, bandwidth=16)
+        for got, want in zip(results, golden):
+            assert_identical(got, want)
+        assert netw.schedule_stats["compiled"] == 0
+
+    def test_transcripts_run_sequentially(self):
+        program = fixed_allto_program(2)
+        netw = Network(n=4, bandwidth=16, record_transcript=True)
+        results = netw.run_many(program, [None, None])
+        golden = reference_results(
+            program, [None, None], n=4, bandwidth=16, record_transcript=True
+        )
+        for got, want in zip(results, golden):
+            assert_identical(got, want)
+
+    def test_input_length_validated_up_front(self):
+        from repro.core.errors import ProtocolError
+
+        program = fixed_allto_program(1)
+        netw = Network(n=4, bandwidth=16)
+        with pytest.raises(ProtocolError):
+            netw.run_many(program, [[1, 2, 3]])  # 3 inputs, 4 nodes
+
+
+class TestRunManyProtocols:
+    """Routing, phase, simulation and matmul protocols produce
+    byte-identical results under run_many."""
+
+    def test_routing(self):
+        from repro.routing import build_schedule, route_program
+
+        n, frame_size = 8, 6
+        rng = random.Random(3)
+        demand = {}
+        for src in range(n):
+            for dst in range(n):
+                if src != dst and rng.random() < 0.5:
+                    demand[(src, dst)] = rng.randint(1, 2)
+        schedule = build_schedule(demand, n)
+        program = route_program(schedule, frame_size)
+
+        def make_inputs(seed):
+            contents = random.Random(seed)
+            per_node = [dict() for _ in range(n)]
+            for (src, dst), count in demand.items():
+                for idx in range(count):
+                    per_node[src][(src, dst, idx)] = Bits.from_uint(
+                        contents.getrandbits(frame_size), frame_size
+                    )
+            return per_node
+
+        inputs_list = [make_inputs(k) for k in range(4)]
+        netw = Network(n=n, bandwidth=frame_size)
+        batched = netw.run_many(program, inputs_list)
+        golden = reference_results(program, inputs_list, n=n, bandwidth=frame_size)
+        for got, want in zip(batched, golden):
+            assert_identical(got, want)
+
+    def test_phases(self):
+        n, max_bits = 6, 11
+
+        def unicast_phase(ctx):
+            payloads = {
+                dst: Bits.from_uint(
+                    (ctx.node_id * 13 + dst + ctx.input) % (1 << max_bits),
+                    max_bits,
+                )
+                for dst in ctx.neighbors
+            }
+            received = yield from transmit_unicast(ctx, payloads, max_bits=max_bits)
+            return sorted((s, p.to_uint()) for s, p in received.items())
+
+        inputs_list = [[k] * n for k in range(4)]
+        netw = Network(n=n, bandwidth=4)
+        batched = netw.run_many(unicast_phase, inputs_list)
+        golden = reference_results(unicast_phase, inputs_list, n=n, bandwidth=4)
+        for got, want in zip(batched, golden):
+            assert_identical(got, want)
+
+        def broadcast_phase(ctx):
+            payload = Bits.from_uint(
+                (ctx.node_id * 29 + ctx.input) % (1 << max_bits), max_bits
+            )
+            received = yield from transmit_broadcast(ctx, payload, max_bits=max_bits)
+            return sorted((s, p.to_uint()) for s, p in received.items())
+
+        netb = Network(n=n, bandwidth=4, mode=Mode.BROADCAST)
+        batched = netb.run_many(broadcast_phase, inputs_list)
+        golden = reference_results(
+            broadcast_phase, inputs_list, n=n, bandwidth=4, mode=Mode.BROADCAST
+        )
+        for got, want in zip(batched, golden):
+            assert_identical(got, want)
+
+    def test_simulation(self):
+        from repro.circuits.builders import parity_tree
+        from repro.simulation import make_program, simulate_circuit_many
+
+        circuit = parity_tree(16, 4)
+        rng = random.Random(11)
+        vectors = [
+            [rng.random() < 0.5 for _ in range(circuit.num_inputs)]
+            for _ in range(3)
+        ]
+        outputs, results, plan = simulate_circuit_many(circuit, 6, vectors)
+        program = make_program(plan)
+        n = 6
+        inputs_list = []
+        partition = [i % n for i in range(circuit.num_inputs)]
+        for vec in vectors:
+            per_node = [dict() for _ in range(n)]
+            for position, gid in enumerate(circuit.input_ids):
+                per_node[partition[position]][gid] = bool(vec[position])
+            inputs_list.append(per_node)
+        golden = reference_results(
+            program, inputs_list, n=n, bandwidth=plan.bandwidth
+        )
+        for got, want, vec in zip(results, golden, vectors):
+            assert_identical(got, want)
+            expected = circuit.evaluate(vec)
+            merged = {}
+            for node_output in got.outputs:
+                if node_output:
+                    merged.update(node_output)
+            assert all(merged[g] == expected[g] for g in circuit.outputs)
+
+    def test_matmul(self):
+        from repro.matmul.distributed import (
+            detect_triangle_mm_many,
+            triangle_mm_program,
+        )
+
+        graphs = [random_graph(6, p, random.Random(i)) for i, p in enumerate((0.2, 0.5, 0.8))]
+        outcomes, results, plan = detect_triangle_mm_many(
+            graphs, trials=2, circuit_kind="naive"
+        )
+        program = triangle_mm_program(graphs[0], plan, 2)
+        inputs_list = [
+            [
+                [1 if g.has_edge(v, u) else 0 for u in range(6)]
+                for v in range(6)
+            ]
+            for g in graphs
+        ]
+        golden = reference_results(
+            program, inputs_list, n=6, bandwidth=plan.bandwidth
+        )
+        for got, want in zip(results, golden):
+            assert_identical(got, want)
+        for graph, outcome in zip(graphs, outcomes):
+            seq_outcome, _, _ = detect_triangle_mm(
+                graph, trials=2, circuit_kind="naive", plan=plan
+            )
+            assert outcome == seq_outcome
+
+
+class TestRunManyFuzz:
+    """Seeded fuzz: random protocols — with one structure for every
+    instance, and with a structure that varies per instance — through
+    run_many on the fast engine vs the legacy reference, byte-for-byte."""
+
+    def _script_program(self, n, rounds, width_menu, structure_key):
+        # Structure is drawn from structure_key; when it includes the
+        # instance index, every instance sends along different links.
+        def program(ctx):
+            instance, payload_seed = ctx.input
+            transcript = []
+            for r in range(rounds):
+                struct_rng = random.Random(str((structure_key(instance), ctx.node_id, r)))
+                value_rng = random.Random(str((payload_seed, ctx.node_id, r)))
+                kind = struct_rng.choice(["silent", "fixed", "fixed", "unicast"])
+                dests = [
+                    u
+                    for u in range(n)
+                    if u != ctx.node_id and struct_rng.random() < 0.6
+                ]
+                width = struct_rng.choice(width_menu)
+                values = [value_rng.randrange(1 << width) for _ in dests]
+                if kind == "silent" or not dests:
+                    inbox = yield Outbox.silent()
+                elif kind == "fixed":
+                    inbox = yield Outbox.fixed_width(dests, values, width)
+                else:
+                    inbox = yield Outbox.unicast(
+                        {
+                            d: Bits.from_uint(val, width)
+                            for d, val in zip(dests, values)
+                        }
+                    )
+                transcript.append([(s, p.to_str()) for s, p in inbox.items()])
+            return transcript
+
+        return program
+
+    def _run_case(self, seed, oblivious):
+        master = random.Random(seed)
+        n = master.randint(3, 7)
+        rounds = master.randint(2, 5)
+        width_menu = [2, 5, 9]
+        instances = master.randint(2, 5)
+        structure_key = (lambda _instance: seed) if oblivious else (lambda i: (seed, i))
+        program = self._script_program(n, rounds, width_menu, structure_key)
+        inputs_list = [
+            [(k, (seed, k))] * n for k in range(instances)
+        ]
+        netw = Network(n=n, bandwidth=max(width_menu))
+        batched = netw.run_many(program, inputs_list)
+        golden = reference_results(
+            program, inputs_list, n=n, bandwidth=max(width_menu)
+        )
+        for got, want in zip(batched, golden):
+            assert_identical(got, want)
+
+    def test_oblivious_fuzz(self):
+        for seed in range(8):
+            self._run_case(seed, oblivious=True)
+
+    def test_deviating_fuzz(self):
+        for seed in range(8):
+            self._run_case(seed, oblivious=False)
+
+    def test_broadcast_fuzz(self):
+        for seed in range(6):
+            master = random.Random(1000 + seed)
+            n = master.randint(3, 6)
+            rounds = master.randint(2, 4)
+
+            def program(ctx):
+                payload_seed = ctx.input
+                transcript = []
+                for r in range(rounds):
+                    struct_rng = random.Random(str((1000 + seed, ctx.node_id, r)))
+                    value_rng = random.Random(str((payload_seed, ctx.node_id, r)))
+                    width = struct_rng.choice([3, 6])
+                    if struct_rng.random() < 0.25:
+                        inbox = yield Outbox.silent()
+                    else:
+                        inbox = yield Outbox.broadcast_uint(
+                            value_rng.randrange(1 << width), width
+                        )
+                    transcript.append(
+                        [(s, p.to_str()) for s, p in inbox.items()]
+                    )
+                return transcript
+
+            inputs_list = [[k] * n for k in range(3)]
+            netw = Network(n=n, bandwidth=6, mode=Mode.BROADCAST)
+            batched = netw.run_many(program, inputs_list)
+            golden = reference_results(
+                program, inputs_list, n=n, bandwidth=6, mode=Mode.BROADCAST
+            )
+            for got, want in zip(batched, golden):
+                assert_identical(got, want)

@@ -1,11 +1,9 @@
 """The engine subsystem: planner dispatch, capability flags, the
-``engine=`` shim, eviction re-routing, and per-backend front-door
-validation."""
+``engine=`` shim, and per-backend front-door validation."""
 
 import pytest
 
 from repro.core.bits import Bits
-from repro.core.compiled import mark_oblivious
 from repro.core.engine import (
     ENGINES,
     FAST_ENGINE,
@@ -129,10 +127,7 @@ class TestCapabilityFlags:
     def test_flag_matrix(self):
         assert LEGACY_ENGINE.supports_generator_programs
         assert not LEGACY_ENGINE.supports_kernel_programs
-        assert not LEGACY_ENGINE.supports_compiled_replay
         assert FAST_ENGINE.supports_generator_programs
-        assert FAST_ENGINE.supports_compiled_replay
-        assert FAST_ENGINE.supports_batched_replay
         assert not FAST_ENGINE.supports_kernel_programs
         assert KERNEL_ENGINE.supports_kernel_programs
         assert not KERNEL_ENGINE.supports_generator_programs
@@ -160,54 +155,6 @@ class TestCapabilityFlags:
         network = Network(n=4, bandwidth=8)
         with pytest.raises(ProtocolError, match="only executes kernel"):
             KERNEL_ENGINE.run(network, echo_program)
-
-
-class TestEvictionRerouting:
-    def test_replay_deviation_falls_back_to_fast_full_run(self):
-        # A program whose structure changes under our feet: the compiled
-        # entry must be evicted and the run re-recorded by FastEngine's
-        # full path, with correct results either way.
-        width = {"value": 8}
-
-        def shifty(ctx):
-            w = width["value"]
-            dests = [u for u in range(ctx.n) if u != ctx.node_id]
-            inbox = yield Outbox.fixed_width(dests, [ctx.node_id] * len(dests), w)
-            return sorted(inbox.uint_items())
-
-        mark_oblivious(shifty)
-        # n=10 so the 9-messages-per-sender round clears the bulk-lane
-        # density threshold and compiles as a LANE round (scalar rounds
-        # re-account bits per replay and would tolerate the deviation).
-        network = Network(n=10, bandwidth=16)
-        first = network.run(shifty)
-        assert network.schedule_stats["compiled"] == 1
-        replay = network.run(shifty)
-        assert network.schedule_stats["replayed"] == 1
-        assert result_tuple(first) == result_tuple(replay)
-
-        width["value"] = 12  # structural deviation: width changed
-        deviated = network.run(shifty)
-        assert network.schedule_stats["fallbacks"] == 1
-        # Re-recorded under the new structure...
-        assert network.schedule_stats["compiled"] == 2
-        assert deviated.total_bits == 10 * 9 * 12
-        # ...and replays resume.
-        again = network.run(shifty)
-        assert network.schedule_stats["replayed"] == 2
-        assert result_tuple(again) == result_tuple(deviated)
-
-    def test_bandwidth_reassignment_evicts_and_rerecords(self):
-        program = mark_oblivious(echo_program)
-        network = Network(n=10, bandwidth=16)
-        network.run(program)
-        assert network.schedule_stats["compiled"] == 1
-        network.bandwidth = 32  # recorded under the old limit: evict
-        network.run(program)
-        assert network.schedule_stats["compiled"] == 2
-        assert network.schedule_stats["fallbacks"] == 0
-        # Still routed to the fast engine throughout.
-        assert network._planner.plan(network, program) is FAST_ENGINE
 
 
 class TestFrontDoorValidation:

@@ -377,11 +377,7 @@ class TestCompiledInteraction:
         _gen, kernel_program = echo_sum_programs(n, width, 2)
         network = Network(n=n, bandwidth=width)
         network.run(kernel_program)
-        assert network.schedule_stats == {
-            "compiled": 1,
-            "replayed": 0,
-            "fallbacks": 0,
-        }
+        assert network.schedule_stats == {"compiled": 1, "replayed": 0}
         network.run(kernel_program)
         network.run_many(kernel_program, [None, None])
         assert network.schedule_stats["compiled"] == 1
@@ -401,6 +397,27 @@ class TestCompiledInteraction:
         network.bandwidth = 4
         with pytest.raises(BandwidthExceededError):
             network.run(kernel_program)
+
+    def test_mode_reassignment_evicts(self):
+        n = 5
+        _gen, kernel_program = echo_sum_programs(n, 8, 2)
+        network = Network(n=n, bandwidth=8)
+        network.run(kernel_program)
+        network.mode = Mode.BROADCAST
+        # The schedule was validated for unicast: it must be dropped and
+        # the program re-checked, not served from the cache.
+        with pytest.raises(ProtocolError, match="declares unicast"):
+            network.run(kernel_program)
+        assert kernel_program not in network._compiled
+
+    def test_compiled_cache_is_bounded(self):
+        n = 4
+        network = Network(n=n, bandwidth=8)
+        for _ in range(40):
+            _gen, kernel_program = echo_sum_programs(n, 8, 1)
+            network.run(kernel_program)
+        assert network.schedule_stats["compiled"] == 40
+        assert len(network._compiled) <= 32
 
     def test_compiled_rounds_match_lane_shape(self):
         from repro.core.compiled import LANE

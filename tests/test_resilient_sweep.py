@@ -497,6 +497,9 @@ matrix.run(workers=2, journal=sys.argv[1])
             if child.poll() is None:
                 child.kill()
             child.wait(timeout=30)
+        # The sweep may journal another cell between the read above and
+        # the kill: compare against what the journal held when it died.
+        completed_before = SweepJournal.load(journal).cells
 
         matrix = ScenarioMatrix(
             ["routing", "mst"], ["gnp", "cycle"], [8, 10],

@@ -218,6 +218,49 @@ class TestScenarioMatrix:
         # The healthy protocol still ran.
         assert all(c.status == "ok" for c in by_protocol["mst"])
 
+    def test_unsupported_decided_before_the_instance_is_built(self):
+        # A 2-vertex cycle cannot be built: supported engines fail, but
+        # an engine the protocol never supports stays unsupported.
+        result = ScenarioMatrix(
+            protocols=["mst", "subgraph_detection"], families=["cycle"],
+            sizes=[2],
+        ).run()
+        for cell in result.cells:
+            if cell.engine == "kernel":
+                assert cell.status == "unsupported", cell
+                assert cell.error is None
+            else:
+                assert cell.status == "failed"
+                assert "at least 3 vertices" in cell.error
+
+    def test_run_cell_skips_prepare_for_unsupported_engine(self):
+        import dataclasses
+
+        from repro.scenarios.matrix import run_cell
+
+        def no_prepare(n, graph, rng):
+            raise AssertionError("prepared an unsupported cell")
+
+        spec = dataclasses.replace(get_protocol("mst"), prepare=no_prepare)
+        cell = run_cell(spec, "gnp", 8, "kernel")
+        assert cell.status == "unsupported"
+        assert cell.error is None
+        failed = run_cell(spec, "cycle", 2, "kernel")
+        assert failed.status == "unsupported"
+        assert run_cell(spec, "gnp", 8, "legacy").status == "failed"
+
+    def test_cell_payload_with_retired_fields_loads(self):
+        from repro.scenarios.matrix import MatrixCell
+
+        cell = MatrixCell(
+            protocol="mst", family="gnp", n=8, engine="fast", status="ok",
+            digest="abc",
+        )
+        payload = cell.to_dict()
+        payload["evictions"] = 1
+        payload["last_eviction"] = "deviated"
+        assert MatrixCell.from_dict(payload) == cell
+
     def test_repeats_keep_results_identical(self):
         result = ScenarioMatrix(
             protocols=["subgraph_detection"], families=["bipartite"],

@@ -1,35 +1,22 @@
-"""The static protocol verifier: structure, obliviousness, budgets, lint.
+"""The static protocol verifier: structure, budgets, lint.
 
 Covers the analyzer's contract end to end: every registered protocol
-passes (and the verdicts agree with the runtime replay behaviour), a
-deliberately non-oblivious fixture is refuted with the offending round,
-an over-budget fixture is rejected with per-n diagnostics, the
-determinism lint catches unseeded RNG / wall-clock / dict-order hazards,
-``mark_oblivious`` metadata names programs in analyzer output and
-replay-eviction warnings, and the CLI + matrix integrations gate on it
-all.
+passes, structure extraction reads kernel declarations and traces
+generator runs, an over-budget fixture is rejected with per-n
+diagnostics, the determinism lint catches unseeded RNG / wall-clock /
+dict-order hazards, ``describe_program`` names programs in diagnostics,
+and the CLI + matrix integrations gate on it all.
 """
 
 import json
-import warnings
-
-import pytest
 
 from repro.analysis.budget import BandwidthBudget, check_budget, log2_ceil
 from repro.analysis.lint import lint_source
-from repro.analysis.oblivious import perturb_inputs, verify_obliviousness
 from repro.analysis.structure import kernel_structure, trace_structure
 from repro.analysis.verifier import analyze_all, analyze_protocol, check_registry
-from repro.core.bits import Bits
-from repro.core.compiled import (
-    ObliviousInfo,
-    describe_program,
-    mark_oblivious,
-    oblivious_info,
-)
-from repro.core.errors import ReplayEvictionWarning
+from repro.core.compiled import describe_program
 from repro.core.kernels import KernelBuilder
-from repro.core.network import Mode, Network, Outbox
+from repro.core.network import Mode, Outbox
 from repro.scenarios.matrix import ScenarioMatrix
 from repro.scenarios.registry import PROTOCOLS, ProtocolSpec, PreparedScenario
 
@@ -37,20 +24,9 @@ from repro.scenarios.registry import PROTOCOLS, ProtocolSpec, PreparedScenario
 # -- fixture programs -----------------------------------------------------
 
 
-def chatty_program(ctx):
-    """Non-oblivious on purpose: round 0's sender set is the set of
-    nodes whose input bit is 1."""
-    if ctx.input:
-        yield Outbox.broadcast_uint(1, 4)
-    else:
-        yield Outbox.silent()
-    yield Outbox.broadcast_uint(ctx.node_id, 4)
-    return ctx.node_id
-
-
 def steady_program(ctx):
-    """Oblivious: everyone broadcasts a fixed-width word every round,
-    whatever the inputs say."""
+    """Everyone broadcasts a fixed-width word every round, whatever the
+    inputs say."""
     total = 0
     for _ in range(3):
         inbox = yield Outbox.broadcast_uint(int(ctx.input or 0) & 1, 1)
@@ -63,86 +39,6 @@ def _bool_inputs(n, pattern):
 
 
 NET = dict(n=4, bandwidth=4, mode=Mode.BROADCAST)
-
-
-# -- obliviousness verdicts ----------------------------------------------
-
-
-class TestObliviousness:
-    def test_oblivious_program_proven(self):
-        verdict = verify_obliviousness(steady_program, _bool_inputs(4, 0b0101), NET)
-        assert verdict.oblivious
-        assert verdict.round is None
-        assert verdict.method == "traced"
-        assert verdict.probes >= 3
-
-    def test_non_oblivious_refuted_with_round(self):
-        verdict = verify_obliviousness(chatty_program, _bool_inputs(4, 0b0101), NET)
-        assert not verdict.oblivious
-        assert verdict.round == 0  # the input-dependent round
-        assert "round 0" in verdict.detail
-
-    def test_mismarked_program_flagged(self):
-        def shifty(ctx):
-            if ctx.input:
-                yield Outbox.broadcast_uint(1, 4)
-            else:
-                yield Outbox.silent()
-            return 0
-
-        mark_oblivious(shifty)
-        verdict = verify_obliviousness(shifty, _bool_inputs(4, 0b0011), NET)
-        assert verdict.declared and not verdict.oblivious
-        assert verdict.mismarked
-
-    def test_kernel_programs_oblivious_by_construction(self):
-        builder = KernelBuilder(4, Mode.BROADCAST, 8)
-        builder.broadcast_round([0, 1, 2, 3], 8, None)
-        program = builder.build(name="fixture")
-        verdict = verify_obliviousness(program, None, dict(n=4, bandwidth=8, mode=Mode.BROADCAST))
-        assert verdict.oblivious
-        assert verdict.method == "kernel-declared"
-
-    def test_verdict_agrees_with_runtime_replay(self):
-        """The analyzer's refutation is exactly the deviation the fast
-        engine discovers at replay time — same program, same rounds."""
-        mark_oblivious(chatty_program)
-        try:
-            network = Network(engine="fast", **NET)
-            network.run(chatty_program, inputs=_bool_inputs(4, 0b0101))
-            with pytest.warns(ReplayEvictionWarning, match="chatty_program"):
-                network.run(chatty_program, inputs=_bool_inputs(4, 0b1010))
-            assert network.schedule_stats["fallbacks"] == 1
-            assert "chatty_program" in network.last_eviction
-        finally:
-            delattr(chatty_program, "__oblivious_key__")
-
-    def test_oblivious_program_never_evicts(self):
-        mark_oblivious(steady_program)
-        try:
-            network = Network(engine="fast", **NET)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", ReplayEvictionWarning)
-                network.run(steady_program, inputs=_bool_inputs(4, 0b0101))
-                network.run(steady_program, inputs=_bool_inputs(4, 0b1110))
-            assert network.schedule_stats["fallbacks"] == 0
-            assert network.schedule_stats["replayed"] == 1
-        finally:
-            delattr(steady_program, "__oblivious_key__")
-
-    def test_perturbation_preserves_structure(self):
-        rng = __import__("random").Random(0)
-        inputs = {
-            "flag": True,
-            "payload": Bits.from_uint(0b1011, 4),
-            "nested": [0, 1, ("x", False)],
-        }
-        out = perturb_inputs(inputs, rng)
-        assert set(out) == set(inputs)
-        assert len(out["payload"]) == 4
-        assert out["payload"] != inputs["payload"]
-        assert out["flag"] is False
-        assert len(out["nested"]) == 3
 
 
 # -- structure extraction -------------------------------------------------
@@ -174,12 +70,6 @@ class TestStructure:
         assert all(s.kind == "broadcast" for s in structure.rounds)
         assert all(s.messages == 4 for s in structure.rounds)
         assert structure.max_message_width == 1
-
-    def test_first_divergence_reports_round(self):
-        base = trace_structure(chatty_program, _bool_inputs(4, 0b0101), NET)
-        other = trace_structure(chatty_program, _bool_inputs(4, 0b0111), NET)
-        assert base.first_divergence(other) == 0
-        assert base.first_divergence(base) is None
 
 
 # -- bandwidth budgets ----------------------------------------------------
@@ -308,30 +198,17 @@ class TestLint:
         assert findings == [], [str(f) for f in findings]
 
 
-# -- mark_oblivious metadata ---------------------------------------------
+# -- program descriptions -------------------------------------------------
 
 
-class TestObliviousMetadata:
-    def test_metadata_attached(self):
-        def routed(ctx):
-            yield Outbox.silent()
-            return None
-
-        mark_oblivious(routed, "fixture", 1)
-        info = oblivious_info(routed)
-        assert isinstance(info, ObliviousInfo)
-        assert info.name.endswith("routed")
-        assert info.module == __name__
-        assert info.line > 0
-        assert "routed" in describe_program(routed)
-        assert __name__ in describe_program(routed)
-
-    def test_describe_unmarked_program(self):
+class TestDescribeProgram:
+    def test_describe_generator_program(self):
         def anonymous(ctx):
             yield Outbox.silent()
 
         text = describe_program(anonymous)
         assert "anonymous" in text
+        assert __name__ in text
 
     def test_describe_kernel_program(self):
         builder = KernelBuilder(3, Mode.BROADCAST, 2)
@@ -350,9 +227,7 @@ class TestVerifier:
         for analysis in report.analyses:
             assert analysis.ok
             assert analysis.budget is not None and analysis.budget.ok
-            for verdict in analysis.oblivious.values():
-                assert verdict.oblivious
-                assert not verdict.mismarked
+            assert analysis.rounds
 
     def test_registry_gaps_explain_unsupported_cells(self):
         findings = check_registry()

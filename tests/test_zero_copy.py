@@ -4,8 +4,9 @@ cache, shared-memory delivery/transport, and intra-cell K-sharding.
 Three layers are covered here:
 
 * the on-disk :class:`~repro.core.engine.schedule_cache.ScheduleCache` —
-  warm loads, corruption degrading to a clean re-record, and the
-  truncated-digest collision guard;
+  warm kernel loads, corruption degrading to a clean recompile, the
+  truncated-digest collision guard, and generator engines leaving it
+  untouched;
 * the shared-memory primitives — :class:`SharedLaneArena` allocation,
   payload publish/fetch round-trips, and the prefix leak sweep;
 * K-sharding — shard planning at chunk seams, shard/merge digest
@@ -21,12 +22,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.core.engine.delivery import (
-    CHUNK_BYTES_ENV,
-    SharedLaneArena,
-    batch_chunk_size,
-)
+from repro.core.engine import delivery
+from repro.core.engine.delivery import SharedLaneArena, batch_chunk_size
 from repro.core.engine.schedule_cache import ScheduleCache
+from repro.core.network import Network, Outbox
 from repro.scenarios import ScenarioMatrix, get_protocol
 from repro.scenarios.matrix import (
     instance_graph,
@@ -106,18 +105,17 @@ class TestPlanShards:
 
     def test_aligns_down_to_chunk(self, monkeypatch):
         # 3 instances per chunk at n=8: 8*8*8 bytes * 3.
-        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 8 * 8 * 3))
+        monkeypatch.setattr(delivery, "DEFAULT_CHUNK_BYTES", 8 * 8 * 8 * 3)
         assert batch_chunk_size(8) == 3
         # A shard size above one chunk is aligned down to a multiple.
         assert plan_shards(12, 5, 8) == [(0, 3), (3, 6), (6, 9), (9, 12)]
         # At or below one chunk the requested size is kept.
         assert plan_shards(6, 2, 8) == [(0, 2), (2, 4), (4, 6)]
 
-    def test_chunk_env_override(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 8 * 8))
-        assert batch_chunk_size(8) == 1
-        monkeypatch.delenv(CHUNK_BYTES_ENV)
+    def test_chunk_budget(self, monkeypatch):
         assert batch_chunk_size(8) == max(1, (64 << 20) // (8 * 8 * 8))
+        monkeypatch.setattr(delivery, "DEFAULT_CHUNK_BYTES", 8 * 8 * 8)
+        assert batch_chunk_size(8) == 1
 
 
 class TestShardDigests:
@@ -134,10 +132,11 @@ class TestShardDigests:
             assert serial.shards is None
 
     def test_shard_merge_matches_serial_tiny_chunks(self, monkeypatch):
-        # One-instance chunks force the maximum number of shard seams.
-        monkeypatch.setenv(CHUNK_BYTES_ENV, str(8 * 8 * 8))
-        serial = _cell("fast")
-        merged = _cell("fast", shard_k=4)
+        # One-instance chunks force the maximum number of shard seams
+        # (the kernel engine is the one engine that chunks run_many).
+        monkeypatch.setattr(delivery, "DEFAULT_CHUNK_BYTES", 8 * 8 * 8)
+        serial = _cell("kernel")
+        merged = _cell("kernel", shard_k=4)
         assert merged.digest == serial.digest
         assert merged.shards == len(plan_shards(6, 4, 8))
 
@@ -159,21 +158,35 @@ class TestShardDigests:
 
 
 class TestScheduleCache:
-    def _warm(self, tmp_path, engine="fast"):
+    def _warm(self, tmp_path):
         cache = str(tmp_path / "cache")
-        cold = _cell(engine, schedule_cache=cache)
+        cold = _cell("kernel", schedule_cache=cache)
         assert cold.status == "ok", cold.error
         assert cold.schedule_compiles >= 1
         return cache, cold
 
     def test_warm_load_skips_compile(self, tmp_path):
-        for engine in ("fast", "kernel"):
-            cache, cold = self._warm(tmp_path / engine, engine)
-            warm = _cell(engine, schedule_cache=cache)
-            assert warm.digest == cold.digest
-            assert warm.schedule_compiles == 0
-            assert warm.cache_misses == 0
-            assert warm.cache_hits >= 1
+        cache, cold = self._warm(tmp_path)
+        warm = _cell("kernel", schedule_cache=cache)
+        assert warm.digest == cold.digest
+        assert warm.schedule_compiles == 0
+        assert warm.cache_misses == 0
+        assert warm.cache_hits >= 1
+
+    def test_fast_engine_leaves_cache_untouched(self, tmp_path):
+        def program(ctx):
+            dests = list(ctx.neighbors)
+            inbox = yield Outbox.fixed_width(dests, [ctx.node_id] * len(dests), 8)
+            return sorted(inbox.uint_items())
+
+        cache_dir = tmp_path / "cache"
+        network = Network(n=10, bandwidth=8, engine="fast", schedule_cache=cache_dir)
+        network.run(program)
+        network.run_many(program, [None, None])
+        stats = network.schedule_cache.stats
+        assert (stats["hits"], stats["misses"], stats["stores"]) == (0, 0, 0)
+        assert list(cache_dir.iterdir()) == []
+        assert network.schedule_stats["compiled"] == 0
 
     def test_legacy_engine_ignores_cache(self, tmp_path):
         cache, _ = self._warm(tmp_path)
@@ -194,12 +207,12 @@ class TestScheduleCache:
         (entry,) = self._entries(cache)
         payload = entry / "payload.npz"
         payload.write_bytes(payload.read_bytes()[:-16])
-        rerecorded = _cell("fast", schedule_cache=cache)
-        assert rerecorded.digest == cold.digest
-        assert rerecorded.cache_evictions >= 1
-        assert rerecorded.schedule_compiles >= 1
-        # The eviction re-recorded a pristine entry: warm again.
-        warm = _cell("fast", schedule_cache=cache)
+        recompiled = _cell("kernel", schedule_cache=cache)
+        assert recompiled.digest == cold.digest
+        assert recompiled.cache_evictions >= 1
+        assert recompiled.schedule_compiles >= 1
+        # The eviction re-stored a pristine entry: warm again.
+        warm = _cell("kernel", schedule_cache=cache)
         assert warm.schedule_compiles == 0
         assert warm.digest == cold.digest
 
@@ -208,10 +221,10 @@ class TestScheduleCache:
         (entry,) = self._entries(cache)
         manifest = entry / "manifest.json"
         manifest.write_text(manifest.read_text()[:40])
-        rerecorded = _cell("fast", schedule_cache=cache)
-        assert rerecorded.digest == cold.digest
-        assert rerecorded.cache_evictions >= 1
-        warm = _cell("fast", schedule_cache=cache)
+        recompiled = _cell("kernel", schedule_cache=cache)
+        assert recompiled.digest == cold.digest
+        assert recompiled.cache_evictions >= 1
+        warm = _cell("kernel", schedule_cache=cache)
         assert warm.schedule_compiles == 0
 
     def test_collision_guard_rejects_foreign_entry(self, tmp_path):
@@ -221,7 +234,7 @@ class TestScheduleCache:
         manifest = json.loads(manifest_path.read_text())
         manifest["key"] = "f" * 64
         manifest_path.write_text(json.dumps(manifest, sort_keys=True))
-        cell = _cell("fast", schedule_cache=cache)
+        cell = _cell("kernel", schedule_cache=cache)
         # Not served, not evicted: the entry belongs to another program.
         assert cell.digest == cold.digest
         assert cell.schedule_compiles >= 1
