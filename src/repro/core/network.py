@@ -121,6 +121,22 @@ class Context:
     protocol).  A single genuinely shared instance would break exactly
     this — interleaved draws would hand each node a disjoint slice of
     one stream.
+
+    ``memo`` is one dict shared by every node context of a run and
+    dropped with it; a second run starts from an empty one.  In
+    CLIQUE-BCAST anything a node derives from the blackboard alone is
+    the same at every node, so a program may store such a value here
+    once instead of deriving it n times.  The contract:
+
+    * store only a pure function of values the node already holds;
+    * the key names the function and every one of its inputs;
+    * the stored value is immutable (``Bits``, frozen dataclasses,
+      tuples).
+
+    Under it a node reads back exactly what it would have computed
+    itself, so no information passes between nodes, and receive-side
+    faults stay exact: a corrupted frame is a different key.  It is not
+    a cross-run cache.
     """
 
     node_id: int
@@ -131,6 +147,7 @@ class Context:
     rng: random.Random
     shared_rng: random.Random
     input: Any = None
+    memo: Dict[Any, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -482,6 +499,7 @@ class Network:
     def _make_contexts(self, inputs: Optional[Sequence[Any]]) -> List[Context]:
         _seed, private_states, shared_state = self._rng_state_bundle()
         new = random.Random.__new__
+        memo: Dict[Any, Any] = {}
         contexts = []
         for v in range(self.n):
             rng = new(random.Random)
@@ -499,6 +517,7 @@ class Network:
                     rng=rng,
                     shared_rng=shared_rng,
                     input=None if inputs is None else inputs[v],
+                    memo=memo,
                 )
             )
         return contexts

@@ -35,9 +35,9 @@ and executes as stacked matrix operations.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.bits import BitReader, Bits, BitWriter
+from repro.core.bits import Bits, BitWriter
 from repro.core.errors import DecodeError
 from repro.core.network import Context, Outbox, inbox_uints
 
@@ -84,14 +84,46 @@ def _frame_payload(payload: Bits, max_bits: int, rounds: int, bandwidth: int) ->
     return padded.to_uint_chunks(bandwidth)
 
 
-def _parse_concat(stream: Bits, max_bits: int) -> Bits:
-    reader = BitReader(stream)
-    length = reader.read_uint(header_width(max_bits))
+def _decode_frames(frames: Sequence[int], bandwidth: int, max_bits: int) -> Bits:
+    """Reassemble one sender's ``bandwidth``-bit frames and strip the
+    length header: the inverse of :func:`_frame_payload`, on the backing
+    integer alone.
+
+    A frame wider than ``bandwidth`` raises ``ValueError``; a header
+    over ``max_bits``, or a header or payload running past the last
+    frame, raises :class:`DecodeError`."""
+    value = 0
+    for chunk in frames:
+        if chunk < 0 or chunk >> bandwidth:
+            raise ValueError(f"chunk {chunk} does not fit in {bandwidth} bits")
+        value = (value << bandwidth) | chunk
+    # ``rest`` counts the stream's bits after those read so far: first
+    # the header, then the payload.
+    rest = len(frames) * bandwidth - header_width(max_bits)
+    if rest < 0:
+        raise DecodeError("read past end of bit stream")
+    length = value >> rest
     if length > max_bits:
         raise DecodeError(
             f"length header says {length} bits, the phase allows {max_bits}"
         )
-    return reader.read_bits(length)
+    rest -= length
+    if rest < 0:
+        raise DecodeError("read past end of bit stream")
+    return Bits((value >> rest) & ((1 << length) - 1), length)
+
+
+def _decode_shared(
+    memo: Dict, frames: Sequence[int], bandwidth: int, max_bits: int
+) -> Bits:
+    """:func:`_decode_frames` through the run's shared
+    :attr:`Context.memo`, keyed by the frames themselves: all receivers
+    of the same frames share one decode."""
+    key = (_decode_frames, tuple(frames), bandwidth, max_bits)
+    payload = memo.get(key)
+    if payload is None:
+        payload = memo[key] = _decode_frames(frames, bandwidth, max_bits)
+    return payload
 
 
 def transmit_unicast(
@@ -125,7 +157,7 @@ def transmit_unicast(
         for sender, value in inbox_uints(inbox):
             received.setdefault(sender, []).append(value)
     return {
-        sender: _parse_concat(Bits.from_uint_concat(frames, bandwidth), max_bits)
+        sender: _decode_frames(frames, bandwidth, max_bits)
         for sender, frames in received.items()
         if len(frames) == rounds
     }
@@ -149,7 +181,7 @@ def transmit_broadcast(
         if payload is None
         else _frame_payload(payload, max_bits, rounds, bandwidth)
     )
-    received: Dict[int, list] = {}
+    columns = []
     for r in range(rounds):
         outbox = (
             Outbox.silent()
@@ -157,12 +189,17 @@ def transmit_broadcast(
             else Outbox.broadcast_uint(frames[r], bandwidth)
         )
         inbox = yield outbox
-        for sender, value in inbox_uints(inbox):
-            received.setdefault(sender, []).append(value)
+        columns.append(dict(inbox_uints(inbox)))
+    # A writer's payload decodes only if its frame arrived every round.
+    complete = columns[0].keys()
+    for column in columns[1:]:
+        complete = complete & column.keys()
+    writers = [w for w in columns[0] if w in complete]
+    per_writer = zip(*[[column[w] for w in writers] for column in columns])
+    memo = ctx.memo
     return {
-        sender: _parse_concat(Bits.from_uint_concat(chunks, bandwidth), max_bits)
-        for sender, chunks in received.items()
-        if len(chunks) == rounds
+        writer: _decode_shared(memo, chunks, bandwidth, max_bits)
+        for writer, chunks in zip(writers, per_writer)
     }
 
 
@@ -257,6 +294,7 @@ def transmit_broadcast_redundant(
         if payload is None
         else _frame_payload(payload, max_bits, rounds, bandwidth)
     )
+    memo = ctx.memo
     votes: Dict[int, Dict[Tuple[int, int], int]] = {}
     for _ in range(copies):
         received: Dict[int, list] = {}
@@ -273,9 +311,7 @@ def transmit_broadcast_redundant(
             if len(chunks) != rounds:
                 continue
             try:
-                copy = _parse_concat(
-                    Bits.from_uint_concat(chunks, bandwidth), max_bits
-                )
+                copy = _decode_shared(memo, chunks, bandwidth, max_bits)
             except DecodeError:
                 continue
             key = (len(copy), copy.to_uint())
@@ -369,10 +405,11 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
         ]
         for j, (src, dst) in enumerate(flat_links):
             for k in range(instances):
-                stream = Bits.from_uint_concat(
-                    (int(got[r][k, j]) for r in range(rounds)), bandwidth
+                received[k][dst][src] = _decode_frames(
+                    [int(got[r][k, j]) for r in range(rounds)],
+                    bandwidth,
+                    max_bits,
                 )
-                received[k][dst][src] = _parse_concat(stream, max_bits)
         set_result(state, received)
 
     builder.before(done)
@@ -428,10 +465,11 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
         payloads = {}
         for j, writer in enumerate(writer_list):
             for k in range(instances):
-                stream = Bits.from_uint_concat(
-                    (int(got[r][k, j]) for r in range(rounds)), bandwidth
+                payloads[(k, writer)] = _decode_frames(
+                    [int(got[r][k, j]) for r in range(rounds)],
+                    bandwidth,
+                    max_bits,
                 )
-                payloads[(k, writer)] = _parse_concat(stream, max_bits)
         received = [
             [
                 {

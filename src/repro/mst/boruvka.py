@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.bits import Bits, BitWriter
 from repro.core.network import Context, Mode, Network, RunResult
@@ -127,21 +127,62 @@ def boruvka_program(wg: WeightedGraph):
 
     id_mask = (1 << id_bits) - 1
     weight_mask = (1 << weight_bits) - 1
+    flag_shift = weight_bits + 2 * id_bits
 
-    def decode(payload: Bits) -> Optional[Tuple[int, int, int]]:
-        # The message is fixed-width (present flag is the leading bit),
-        # so decode straight off the uint the broadcast lane delivered.
-        raw = payload.to_uint()
-        if raw >> (weight_bits + 2 * id_bits) == 0:
+    def merge(
+        labels: Tuple[int, ...], board: Tuple[Optional[int], ...]
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple[Edge, ...]]]:
+        """One phase's selection and merge as a pure function of the
+        component labels and the whole blackboard (every node's message
+        as a uint, ``None`` where none arrived): the new labels and the
+        tree edges added, or ``None`` when no component proposed an
+        edge.  Every node holding the same blackboard shares one call
+        through ``ctx.memo``."""
+        component = list(labels)
+        proposals: Dict[int, Tuple[int, int, int]] = {}
+        for raw in board:
+            # The message is fixed-width (present flag is the leading
+            # bit), so decode straight off the uint the lane delivered.
+            if raw is None or raw >> flag_shift == 0:
+                continue
+            weight = (raw >> (2 * id_bits)) & weight_mask
+            u = (raw >> id_bits) & id_mask
+            v = raw & id_mask
+            comp = component[u]
+            key = (weight, min(u, v), max(u, v))
+            if comp not in proposals or key < proposals[comp]:
+                proposals[comp] = key
+        if not proposals:
             return None
-        weight = (raw >> (2 * id_bits)) & weight_mask
-        u = (raw >> id_bits) & id_mask
-        v = raw & id_mask
-        return weight, u, v
+        # Union-find over the labels.  A label is its component's
+        # smallest member, so linking the larger root under the smaller
+        # keeps that true for the merged component.
+        parent = list(range(n))
+
+        def find(c: int) -> int:
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
+
+        added = []
+        # Each selected edge unions two components; process them in a
+        # deterministic order so all nodes stay consistent.
+        for _weight, u, v in sorted(set(proposals.values())):
+            cu, cv = find(component[u]), find(component[v])
+            if cu == cv:
+                continue
+            added.append(canonical_edge(u, v))
+            if cu < cv:
+                parent[cv] = cu
+            else:
+                parent[cu] = cv
+        return tuple(find(c) for c in component), tuple(added)
 
     def program(ctx: Context):
         me = ctx.node_id
-        component = list(range(n))
+        memo = ctx.memo
+        component = tuple(range(n))
         tree: Set[Edge] = set()
 
         for _phase in range(phases):
@@ -154,39 +195,23 @@ def boruvka_program(wg: WeightedGraph):
                 if best_key is None or key < best_key:
                     best_key = key
                     candidate = (me, u)
+            message = encode(candidate)
             received = yield from transmit_broadcast(
-                ctx, encode(candidate), max_bits=message_bits
+                ctx, message, max_bits=message_bits
             )
-            proposals: Dict[int, Tuple[int, int, int]] = {}
-            all_messages = dict(received)
-            for sender, payload in all_messages.items():
-                decoded = decode(payload)
-                if decoded is None:
-                    continue
-                weight, u, v = decoded
-                comp = component[u]
-                key = (weight, min(u, v), max(u, v))
-                if comp not in proposals or key < proposals[comp]:
-                    proposals[comp] = key
-            if candidate is not None:
-                u, v = candidate
-                key = wg.key(u, v)
-                comp = component[u]
-                if comp not in proposals or key < proposals[comp]:
-                    proposals[comp] = key
-            if not proposals:
+            board: List[Optional[int]] = [None] * n
+            for sender, payload in received.items():
+                board[sender] = payload.to_uint()
+            board[me] = message.to_uint()
+            key = (merge, component, tuple(board))
+            if key in memo:
+                merged = memo[key]
+            else:
+                merged = memo[key] = merge(component, key[2])
+            if merged is None:
                 break
-            # merge: each selected edge unions two components; process
-            # in a deterministic order so all nodes stay consistent.
-            for _weight, u, v in sorted(set(proposals.values())):
-                cu, cv = component[u], component[v]
-                if cu == cv:
-                    continue
-                tree.add(canonical_edge(u, v))
-                low, high = min(cu, cv), max(cu, cv)
-                for w in range(n):
-                    if component[w] == high:
-                        component[w] = low
+            component, added = merged
+            tree.update(added)
         return frozenset(tree)
 
     return program

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bits import BitReader, Bits, BitWriter
+from repro.core.errors import DecodeError
 from repro.core.network import Context
 from repro.core.phases import transmit_broadcast
 from repro.graphs.graph import Graph
@@ -163,7 +164,12 @@ def algorithm_a(ctx: Context, neighbors: Sequence[int], k: int):
     for v in range(n):
         if v == ctx.node_id:
             blackboard.append(message)
-        else:
-            blackboard.append(received[v])
+            continue
+        payload = received.get(v)
+        if payload is None:
+            raise DecodeError(
+                f"A(G, k): node {ctx.node_id} has no message from writer {v}"
+            )
+        blackboard.append(payload)
     graph = decode_blackboard(n, k, blackboard)
     return (graph is not None), graph

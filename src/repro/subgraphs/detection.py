@@ -20,9 +20,10 @@ paper mentions for χ(H) >= 3: every node broadcasts its adjacency row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from repro.core.bits import Bits
+from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast
 from repro.graphs.graph import Edge, Graph, canonical_edge
@@ -36,7 +37,6 @@ __all__ = [
     "detect_subgraph",
     "full_learning_program",
     "full_learning_detect",
-    "full_learning_detect_many",
 ]
 
 
@@ -110,13 +110,11 @@ def full_learning_program(pattern: Graph):
     node, O(n/b) rounds) and search locally.  For χ(H) >= 3 this matches
     Theorem 7's bound up to the log factor, as the paper notes."""
 
-    def program(ctx):
-        n = ctx.n
-        row = Bits.from_bools([u in ctx.input for u in range(n)])
-        received = yield from transmit_broadcast(ctx, row, max_bits=n)
+    def learn(rows: Tuple[int, ...]) -> DetectionOutcome:
+        # Every node holds the same rows after the phase, so the run's
+        # nodes share one build and one search through ctx.memo.
+        n = len(rows)
         graph = Graph(n)
-        rows = {v: payload.to_uint() for v, payload in received.items()}
-        rows[ctx.node_id] = row.to_uint()
         for v in range(n):
             # Walk only the set bits of the row (bit 0 of the Bits
             # payload is the MSB of its uint, hence u = n-1-position).
@@ -131,6 +129,29 @@ def full_learning_program(pattern: Graph):
         return DetectionOutcome(
             contains=witness is not None, witness=witness, via_density=False
         )
+
+    def program(ctx):
+        n = ctx.n
+        me = ctx.node_id
+        row = Bits.from_bools([u in ctx.input for u in range(n)])
+        received = yield from transmit_broadcast(ctx, row, max_bits=n)
+        rows = []
+        for v in range(n):
+            if v == me:
+                rows.append(row.to_uint())
+                continue
+            payload = received.get(v)
+            if payload is None:
+                raise DecodeError(
+                    f"full learning: node {me} has no adjacency row "
+                    f"from writer {v}"
+                )
+            rows.append(payload.to_uint())
+        key = (learn, tuple(rows))
+        outcome = ctx.memo.get(key)
+        if outcome is None:
+            outcome = ctx.memo[key] = learn(key[1])
+        return outcome
 
     return program
 
@@ -154,28 +175,3 @@ def full_learning_detect(
     inputs = [graph.neighbors(v) for v in range(graph.n)]
     result = network.run(full_learning_program(pattern), inputs=inputs)
     return result.outputs[0], result
-
-
-def full_learning_detect_many(
-    graphs: Sequence[Graph],
-    pattern: Graph,
-    bandwidth: int,
-    seed: int = 0,
-) -> Tuple[List[DetectionOutcome], List[RunResult]]:
-    """Full-learning detection over many same-size graphs, one network
-    and one :meth:`~repro.core.network.Network.run_many` call.
-    Per-instance results are byte-identical to
-    :func:`full_learning_detect`."""
-    if not graphs:
-        return [], []
-    n = graphs[0].n
-    for graph in graphs:
-        if graph.n != n:
-            raise ValueError("full_learning_detect_many needs same-size graphs")
-    network = Network(n=n, bandwidth=bandwidth, mode=Mode.BROADCAST, seed=seed)
-    program = full_learning_program(pattern)
-    inputs_list = [
-        [graph.neighbors(v) for v in range(n)] for graph in graphs
-    ]
-    results = network.run_many(program, inputs_list)
-    return [result.outputs[0] for result in results], results

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bits import Bits
+from repro.core.bits import BitReader, Bits
 from repro.core.errors import DecodeError
 from repro.core.network import Mode, run_protocol
 from repro.core.phases import (
-    _parse_concat,
+    _decode_frames,
+    _frame_payload,
     header_width,
     idle,
     phase_length,
@@ -41,16 +42,85 @@ class TestPhaseLength:
 
 
 class TestParseConcat:
+    """:func:`_decode_frames` on one 38-bit frame (the whole stream)."""
+
     def test_header_within_bound_decodes(self):
         stream = Bits((19 << 33) | (0x5A5A5 << 14), 38)
-        assert _parse_concat(stream, 19) == Bits(0x5A5A5, 19)
+        assert _decode_frames([stream.to_uint()], 38, 19) == Bits(0x5A5A5, 19)
 
     def test_header_above_max_bits_rejected(self):
         # The stream holds the 31 bits the header claims, but a phase
         # bounded by max_bits=19 never frames that many.
         stream = Bits((31 << 33) | 0x1F0F0F0F, 38)
         with pytest.raises(DecodeError, match="31 bits"):
-            _parse_concat(stream, 19)
+            _decode_frames([stream.to_uint()], 38, 19)
+
+
+def _bitreader_decode(frames, bandwidth, max_bits):
+    """The reference decoder: concatenate the frames into one stream
+    and walk it with a :class:`BitReader`."""
+    reader = BitReader(Bits.from_uint_concat(frames, bandwidth))
+    length = reader.read_uint(header_width(max_bits))
+    if length > max_bits:
+        raise DecodeError(
+            f"length header says {length} bits, the phase allows {max_bits}"
+        )
+    return reader.read_bits(length)
+
+
+def _decode_outcome(decode, frames, bandwidth, max_bits):
+    try:
+        return decode(frames, bandwidth, max_bits)
+    except (ValueError, DecodeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestDecodeFrames:
+    """:func:`_decode_frames` returns what the BitReader walk returns,
+    or raises the same exception, on framed, truncated and random
+    frames."""
+
+    @given(st.data())
+    def test_matches_bitreader_reference(self, data):
+        bandwidth = data.draw(st.integers(min_value=1, max_value=80), "bandwidth")
+        max_bits = data.draw(st.integers(min_value=0, max_value=300), "max_bits")
+        rounds = phase_length(max_bits, bandwidth)
+        if data.draw(st.booleans(), "framed"):
+            # A well-formed phase, then cut short or padded with a frame.
+            length = data.draw(st.integers(min_value=0, max_value=max_bits))
+            value = data.draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+            frames = _frame_payload(Bits(value, length), max_bits, rounds, bandwidth)
+            keep = data.draw(st.integers(min_value=0, max_value=rounds + 1))
+            frames = (frames + [0])[:keep]
+        else:
+            # Random frames: oversize headers, and now and then a chunk
+            # wider than the bandwidth.
+            frames = data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=(1 << (bandwidth + 1)) - 1),
+                    max_size=rounds + 2,
+                ),
+                "frames",
+            )
+        assert _decode_outcome(
+            _decode_frames, frames, bandwidth, max_bits
+        ) == _decode_outcome(_bitreader_decode, frames, bandwidth, max_bits)
+
+    def test_round_trips_a_framed_payload(self):
+        payload = Bits(0b1011001, 7)
+        rounds = phase_length(20, 3)
+        frames = _frame_payload(payload, 20, rounds, 3)
+        assert _decode_frames(frames, 3, 20) == payload
+
+    def test_chunk_wider_than_bandwidth_rejected(self):
+        with pytest.raises(ValueError, match="does not fit in 3 bits"):
+            _decode_frames([1, 8], 3, 4)
+
+    def test_truncated_stream_rejected(self):
+        # Header 5 (3 bits at max_bits=5) promises 5 payload bits; one
+        # 4-bit frame holds only 1 of them.
+        with pytest.raises(DecodeError, match="read past end"):
+            _decode_frames([0b1010], 4, 5)
 
 
 class TestBroadcastPhase:
