@@ -48,22 +48,6 @@ aggregates per-worker accounting (cells / seconds / bits), and gates
 the serial path's dispatch overhead with the pool code inactive at
 1.05x.
 
-A ``checkpoint`` section (PR 9) gates the zero-cost contract of the
-snapshot/restore layer — a run with checkpointing *disabled* must cost
-no more than 1.05x the raw planner dispatch — and measures, for
-context, the enabled-path cost of flushing a snapshot every round and
-the wall-clock saving of resuming a preempted run from its mid-run
-snapshot instead of re-executing from scratch.
-
-A ``zero_copy`` section (PR 10) gates the zero-copy sweep fabric: a
-cold sweep through a persistent compiled-schedule cache followed by a
-warm sweep that must record **zero** compiles (every kernel lane
-structure loads from disk), K-sharded and pooled runs that must stay
-byte-identical to the serial digests, a shared-memory vs. pickled-queue
-transport microbenchmark (the shm round-trip must be at least 1.0x the
-pickle+pipe baseline), and a leak check on the ``/dev/shm`` namespace
-after the pooled runs.
-
 An ``analysis`` section runs the static protocol verifier
 (:mod:`repro.analysis`) over the registry — structure extraction,
 bandwidth-budget checks, registry consistency — and aborts the
@@ -87,11 +71,9 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import pickle
 import platform
 import subprocess
 import sys
-import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -539,11 +521,7 @@ def bench_scenario_matrix(quick, repeats):
         seed=20260730,
         repeats=repeats,
     )
-    # A fresh schedule cache for the whole registry sweep: every
-    # kernel cell stores its compiled lane structures once and the
-    # cache counters surface in the report (PR 10).
-    with tempfile.TemporaryDirectory(prefix="bench-schedcache-") as cache:
-        result = matrix.run(schedule_cache=cache)
+    result = matrix.run()
     mismatches = result.mismatches()
     assert not mismatches, (
         "scenario cells diverged from the legacy reference: "
@@ -556,15 +534,6 @@ def bench_scenario_matrix(quick, repeats):
     # Always 0 after the assert above; recorded through
     # MatrixResult.mismatches() so the definition lives in one place.
     report["mismatch_count"] = len(mismatches)
-    # Schedule-cache traffic for the sweep above (PR 10): corrupt
-    # evictions are folded into cache_evictions by the cell accounting;
-    # a nonzero eviction total means on-disk entries went bad mid-sweep.
-    for field in (
-        "cache_hits", "cache_misses", "cache_evictions", "schedule_compiles",
-    ):
-        report[f"{field}_total"] = sum(
-            getattr(cell, field) or 0 for cell in result.cells
-        )
     return report
 
 
@@ -637,124 +606,6 @@ def bench_faults(quick, repeats):
     assert overhead <= 1.05, (
         f"inactive FaultPlan costs {overhead:.3f}x on the fast path "
         "(budget 1.05x) — the no-plan short-circuit regressed"
-    )
-    return record
-
-
-def bench_checkpoint(quick, repeats):
-    """The zero-cost contract of the checkpoint layer (PR 9), plus its
-    payoff.  Gated: a run with checkpointing *disabled* (no ``checkpoint=``
-    / ``resume_from=`` keywords) must cost no more than 1.05x the raw
-    planner dispatch — merging snapshot support must not tax ordinary
-    runs.  Measured for context (no gate — they legitimately do more
-    work): the enabled-path overhead of flushing a snapshot every round,
-    and the resume saving of a run restored from a mid-run snapshot
-    versus re-executing from scratch."""
-    import shutil
-    import tempfile
-
-    from repro.core.checkpoint import CheckpointPolicy
-    from repro.core.errors import RunPreempted
-
-    n = 16 if quick else 32
-    rounds = rounds_for("unicast", n, quick)
-    samples = max(5, repeats * 3)
-
-    def make_network():
-        return Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST, engine="fast")
-
-    program_maker = unicast_fixed_program
-
-    # Gate: the disabled path is one `is None` branch in Network.run.
-    network = make_network()
-    raw_seconds, raw = _time_best(
-        lambda: network._planner.execute(network, program_maker(rounds), None),
-        samples,
-    )
-    run_seconds, plain = _time_best(
-        lambda: network.run(program_maker(rounds)), samples
-    )
-    assert raw.total_bits == plain.total_bits
-    assert network.checkpoint_stats["snapshots"] == 0
-    overhead = run_seconds / raw_seconds
-
-    # Context: snapshot-every-round cost on a fresh directory per sample.
-    tmp = tempfile.mkdtemp(prefix="bench_ckpt_")
-    try:
-        counter = [0]
-
-        def checkpointed():
-            counter[0] += 1
-            directory = pathlib.Path(tmp) / f"s{counter[0]}"
-            return make_network().run(
-                program_maker(rounds),
-                checkpoint=CheckpointPolicy(str(directory), every_rounds=1),
-            )
-
-        enabled_seconds, enabled = _time_best(checkpointed, samples)
-        assert enabled.total_bits == plain.total_bits
-
-        # Context: resume saving.  Preempt halfway, then time the resumed
-        # completion against a full re-execution.
-        half = rounds // 2
-        resume_dir = pathlib.Path(tmp) / "resume"
-        fired = [0]
-
-        def preempt():
-            fired[0] += 1
-            return fired[0] > half
-
-        try:
-            make_network().run(
-                program_maker(rounds),
-                checkpoint=CheckpointPolicy(
-                    str(resume_dir), every_rounds=1, preempt=preempt
-                ),
-            )
-            raise AssertionError("preemption never fired")
-        except RunPreempted:
-            pass
-        resumed_net = make_network()
-        resume_seconds, resumed = _time_best(
-            lambda: resumed_net.run(
-                program_maker(rounds),
-                checkpoint=CheckpointPolicy(str(resume_dir)),
-                resume_from="auto",
-            ),
-            samples,
-        )
-        assert resumed.total_bits == plain.total_bits
-        stats = resumed_net.checkpoint_stats
-        assert stats["rounds_restored"] == half
-        assert stats["rounds_executed"] == rounds - half
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    record = {
-        "n": n,
-        "rounds": rounds,
-        "samples": samples,
-        "raw_dispatch_seconds": round(raw_seconds, 6),
-        "disabled_run_seconds": round(run_seconds, 6),
-        "checkpoint_disabled_overhead": round(overhead, 4),
-        "enabled_every_round_seconds": round(enabled_seconds, 6),
-        "enabled_overhead_vs_disabled": round(enabled_seconds / run_seconds, 4),
-        "resume_from_round": half,
-        "resumed_seconds": round(resume_seconds, 6),
-        "resume_speedup_vs_full": round(run_seconds / resume_seconds, 4),
-        "rounds_restored": stats["rounds_restored"],
-        "rounds_reexecuted": stats["rounds_executed"],
-    }
-    print(
-        f"checkpoint  n={n:<4} disabled overhead {overhead:.3f}x  "
-        f"every-round {enabled_seconds / run_seconds:.2f}x  "
-        f"resume from r{half} saves "
-        f"{record['resume_speedup_vs_full']:.2f}x"
-    )
-    assert overhead <= 1.05, (
-        f"checkpointing-disabled run costs {overhead:.3f}x the raw "
-        "planner dispatch (budget 1.05x) — the no-checkpoint "
-        "short-circuit regressed"
     )
     return record
 
@@ -843,195 +694,6 @@ def bench_sharded(quick, repeats):
     return record
 
 
-def _transport_baseline(payload, nbytes):
-    """Pickled-queue transport stand-in: what a shard result costs on
-    the plain result queue — serialize (the queue pickles every item),
-    push the bytes through a kernel pipe (reader thread draining, as
-    the queue feeder does), reassemble, deserialize."""
-    import socket
-    import threading
-
-    left, right = socket.socketpair()
-    received = []
-
-    def drain():
-        chunks = []
-        remaining = nbytes
-        while remaining:
-            data = right.recv(min(1 << 20, remaining))
-            if not data:
-                break
-            chunks.append(data)
-            remaining -= len(data)
-        received.append(pickle.loads(b"".join(chunks)))
-
-    reader = threading.Thread(target=drain)
-    reader.start()
-    try:
-        left.sendall(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    finally:
-        reader.join()
-        left.close()
-        right.close()
-    return received[0]
-
-
-def bench_zero_copy(quick, repeats):
-    """The zero-copy sweep fabric end to end (PR 10).
-
-    Four contracts are gated here.  **Warm-cache compiles**: a second
-    sweep through the same persistent schedule cache must record zero
-    compiles — every kernel lane structure loads from disk.
-    **Digest identity**: cold, warm, K-sharded, and pooled (each tested
-    worker count) sweeps must all be byte-identical to the plain serial
-    runner.  **Transport**: the shared-memory payload round-trip must
-    cost no more than the pickle-through-a-pipe baseline (ratio >= 1.0x)
-    at shard-result sizes.  **Cleanup**: no segments may survive under
-    this supervisor's ``/dev/shm`` prefix once the pooled runs finish.
-    """
-    from repro.scenarios import ScenarioMatrix
-    from repro.scenarios.sweep.shm import (
-        SEGMENT_PREFIX,
-        fetch_payload,
-        leaked_segments,
-        publish_payload,
-        shm_available,
-    )
-
-    protocols = ["routing_many"]
-    families = ["gnp"] if quick else ["gnp", "cycle"]
-    sizes = [8] if quick else [8, 16]
-    worker_counts = [2] if quick else [1, 2, 4]
-    shard_k = 2
-
-    def make():
-        return ScenarioMatrix(
-            protocols, families, sizes, seed=20260808, repeats=repeats,
-        )
-
-    def views(result):
-        return [
-            (c.protocol, c.family, c.n, c.engine, c.status, c.digest)
-            for c in result.cells
-        ]
-
-    record = {
-        "protocols": protocols,
-        "families": families,
-        "sizes": sizes,
-        "shard_k": shard_k,
-        "worker_counts": worker_counts,
-    }
-    serial = make().run()
-    with tempfile.TemporaryDirectory(prefix="bench-zerocopy-") as cache:
-        cold = make().run(schedule_cache=cache, shard_k=shard_k)
-        warm = make().run(schedule_cache=cache, shard_k=shard_k)
-        assert views(cold) == views(serial), (
-            "K-sharded cold sweep diverged from the serial runner"
-        )
-        assert views(warm) == views(serial), (
-            "K-sharded warm sweep diverged from the serial runner"
-        )
-
-        def totals(result):
-            return {
-                field: sum(
-                    getattr(c, f"cache_{field}" if field != "compiles"
-                            else "schedule_compiles") or 0
-                    for c in result.cells
-                )
-                for field in ("hits", "misses", "evictions", "compiles")
-            }
-
-        record["cold"] = totals(cold)
-        record["warm"] = totals(warm)
-        warm_compiles = record["warm"]["compiles"]
-        assert warm_compiles == 0, (
-            f"warm sweep recorded {warm_compiles} schedule compiles — "
-            "the persistent cache missed (budget: 0)"
-        )
-        assert record["warm"]["misses"] == 0, record["warm"]
-        print(
-            f"   zero-copy cold compiles {record['cold']['compiles']}  "
-            f"warm compiles 0  warm hits {record['warm']['hits']}"
-        )
-
-        record["pool"] = {}
-        for workers in worker_counts:
-            seconds, pooled = _time_best(
-                lambda w=workers: make().run(
-                    workers=w, schedule_cache=cache, shard_k=shard_k,
-                ),
-                1,
-            )
-            assert views(pooled) == views(serial), (
-                f"zero-copy pooled sweep diverged at W={workers}"
-            )
-            pool_meta = pooled.meta["pool"]
-            record["pool"][f"W={workers}"] = {
-                "seconds": round(seconds, 6),
-                "shard_tasks": pool_meta["shard_tasks"],
-                "shm": pool_meta["shm"],
-                "segments_swept": pool_meta["segments_swept"],
-                "compiles": totals(pooled)["compiles"],
-            }
-            print(
-                f"   zero-copy W={workers}  {seconds:.3f}s  "
-                f"shard tasks {pool_meta['shard_tasks']}  "
-                f"shm={pool_meta['shm']}  digests identical"
-            )
-    leaks = leaked_segments(SEGMENT_PREFIX)
-    assert not leaks, f"leaked shared-memory segments: {leaks}"
-    record["leaked_segments"] = 0
-    record["digest_match"] = True
-
-    # Transport microbenchmark: one shard-result-sized payload through
-    # the shared-memory path vs. the pickled-pipe baseline.
-    # Sized where shard results live: segment setup costs a fixed few
-    # ms, so the shm path wins from ~8 MiB up — below that the pool
-    # would be better off inline, above it the win grows with size.
-    payload = {"records": np.arange(24 << 17, dtype=np.uint64)}
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    record["transport_payload_bytes"] = len(blob)
-    if shm_available():
-        samples = max(5, repeats)
-
-        def via_shm():
-            descriptor, inline = publish_payload(
-                payload, f"{SEGMENT_PREFIX}-bench-transport"
-            )
-            assert descriptor is not None
-            return fetch_payload(descriptor)
-
-        # Untimed warmup: first calls pay one-time costs (module
-        # imports, tracker daemon traffic, allocator growth) that
-        # belong to neither transport.
-        via_shm()
-        _transport_baseline(payload, len(blob))
-        shm_seconds, _ = _time_best(via_shm, samples)
-        pipe_seconds, _ = _time_best(
-            lambda: _transport_baseline(payload, len(blob)), samples
-        )
-        ratio = pipe_seconds / shm_seconds
-        record["transport"] = {
-            "shm_seconds": round(shm_seconds, 6),
-            "pickle_pipe_seconds": round(pipe_seconds, 6),
-            "shm_speedup_vs_pickle": round(ratio, 4),
-        }
-        assert ratio >= 1.0, (
-            f"shared-memory transport is {ratio:.3f}x the pickled-pipe "
-            "baseline (budget: >= 1.0x)"
-        )
-        print(
-            f"   zero-copy transport {len(blob) >> 20} MiB  "
-            f"shm {shm_seconds * 1e3:.1f}ms  pipe {pipe_seconds * 1e3:.1f}ms  "
-            f"{ratio:.2f}x"
-        )
-    else:  # pragma: no cover - gated environments without /dev/shm
-        record["transport"] = None
-    return record
-
-
 def _git(*args):
     """stdout of ``git args`` at the repo root, or None if git fails."""
     try:
@@ -1109,9 +771,7 @@ def main(argv=None):
     kernels = bench_kernels(args.quick, repeats)
     scenario_matrix = bench_scenario_matrix(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
-    checkpoint = bench_checkpoint(args.quick, repeats)
     sharded = bench_sharded(args.quick, repeats)
-    zero_copy = bench_zero_copy(args.quick, repeats)
     analysis = bench_analysis(args.quick)
 
     top_n = max(sizes)
@@ -1147,26 +807,9 @@ def main(argv=None):
         "scenario_cells_total": len(scenario_matrix["cells"]),
         "scenario_mismatches": scenario_matrix["mismatch_count"],
         "faults_disabled_overhead": faults["inactive_plan_overhead"],
-        "checkpoint_disabled_overhead": checkpoint[
-            "checkpoint_disabled_overhead"
-        ],
-        "checkpoint_resume_speedup": checkpoint["resume_speedup_vs_full"],
-        "scenario_cache_hits_total": scenario_matrix["cache_hits_total"],
-        "scenario_cache_misses_total": scenario_matrix["cache_misses_total"],
-        "scenario_cache_evictions_total": scenario_matrix[
-            "cache_evictions_total"
-        ],
         "sharded_serial_overhead": sharded["serial_dispatch_overhead"],
         "sharded_digest_match": sharded["digest_match"],
         "sharded_worker_counts": sorted(sharded["pool"]),
-        "zero_copy_warm_compiles": zero_copy["warm"]["compiles"],
-        "zero_copy_digest_match": zero_copy["digest_match"],
-        "zero_copy_leaked_segments": zero_copy["leaked_segments"],
-        "zero_copy_shm_speedup": (
-            zero_copy["transport"]["shm_speedup_vs_pickle"]
-            if zero_copy["transport"] is not None
-            else None
-        ),
         "analysis_violations": analysis["violation_count"],
     }
     report = {
@@ -1181,9 +824,7 @@ def main(argv=None):
         "kernels": kernels,
         "scenario_matrix": scenario_matrix,
         "faults": faults,
-        "checkpoint": checkpoint,
         "sharded": sharded,
-        "zero_copy": zero_copy,
         "analysis": analysis,
         "acceptance": acceptance,
     }

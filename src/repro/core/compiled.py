@@ -11,10 +11,7 @@ compile into:
   row/column index arrays, shared by every round that repeats it;
 * :class:`CompiledSchedule` — the per-round sequence of :data:`LANE`
   (unicast) and :data:`BCAST` (blackboard) rounds with their bit totals,
-  the unit the kernel engine caches in memory and
-  :mod:`repro.core.engine.schedule_cache` persists across processes;
-* :func:`describe_program` — a human-readable program identity for
-  diagnostics, checkpoint manifests and cache entries.
+  the unit the kernel engine caches in memory.
 
 Generator programs have no compiled form: their structure is only
 observable by running them, and the fast engine executes every round of
@@ -26,7 +23,6 @@ from __future__ import annotations
 from typing import Any, List, Sequence, Tuple
 
 __all__ = [
-    "describe_program",
     "LaneStructure",
     "CompiledSchedule",
     "LANE",
@@ -36,24 +32,6 @@ __all__ = [
 # Round kinds in a compiled schedule.
 LANE = 0    # homogeneous fixed-width unicast round (bulk lane)
 BCAST = 1   # homogeneous fixed-width broadcast round
-
-
-def describe_program(program: Any) -> str:
-    """A human-readable identity for ``program`` in diagnostics: kernel
-    programs report their declared name, generator programs their
-    qualified name and defining module/line, anything else a plain
-    repr."""
-    if getattr(program, "is_kernel_program", False):
-        return f"kernel program {getattr(program, 'name', '?')!r}"
-    name = getattr(program, "__qualname__", None) or getattr(
-        program, "__name__", None
-    )
-    if name is not None:
-        module = getattr(program, "__module__", None) or "<unknown>"
-        code = getattr(program, "__code__", None)
-        line = f":{code.co_firstlineno}" if code is not None else ""
-        return f"{name} ({module}{line})"
-    return repr(program)
 
 
 class LaneStructure:
@@ -137,9 +115,7 @@ class CompiledSchedule:
         # (bandwidth, mode) the schedule was validated under; the
         # network evicts the entry if either is reassigned afterwards.
         self.params: Any = None
-        # Per-round kernel execution records (None on a schedule just
-        # decoded from the persistent cache, until the kernel layer
-        # pairs it with the program's declared rounds).
+        # Per-round kernel execution records (set by the kernel layer).
         self.kernel: Any = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -39,7 +39,6 @@ from repro.core.errors import (
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "DeliveryBackend",
-    "SharedLaneArena",
     "batch_chunk_size",
     "deliver_outbox",
     "deliver_round_scalar",
@@ -57,58 +56,9 @@ def batch_chunk_size(n: int) -> int:
     caps each chunk's value buffer at :data:`DEFAULT_CHUNK_BYTES`.
     Chunking is invisible in results — per-instance outputs are a pure
     function of the instance inputs — so the budget trades peak memory
-    against lane reuse, and the chunk doubles as the K-shard seam for
-    :meth:`repro.scenarios.matrix.ScenarioMatrix.run`.
+    against lane reuse.
     """
     return max(1, DEFAULT_CHUNK_BYTES // (n * n * 8))
-
-
-class SharedLaneArena:
-    """Zero-copy backing store for stacked batch-lane buffers.
-
-    Allocates numpy arrays on :mod:`multiprocessing.shared_memory`
-    segments instead of private heap pages, so a sweep worker's K×n×n
-    lane state lives in ``/dev/shm`` where the supervisor (or a sibling
-    process) can attach without a pickle round-trip.  Passed to
-    :class:`~repro.core.network.Network` as ``lane_allocator``; the
-    batch lanes call :meth:`zeros` exactly where they would call
-    ``np.zeros``.  Object-dtype requests fall back to the heap (shared
-    memory only holds flat numeric buffers).
-
-    Segments are named ``<prefix>-a<index>`` so an external supervisor
-    can sweep leftovers by prefix after a crash; :meth:`close` releases
-    everything this arena created.
-    """
-
-    __slots__ = ("prefix", "_segments", "_counter")
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self._segments: List[Any] = []
-        self._counter = 0
-
-    def zeros(self, shape, dtype):
-        import numpy as np
-
-        dtype = np.dtype(dtype)
-        if dtype.hasobject:
-            return np.zeros(shape, dtype=dtype)
-        from repro.scenarios.sweep.shm import create_segment
-
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        segment = create_segment(f"{self.prefix}-a{self._counter}", max(1, nbytes))
-        self._counter += 1
-        self._segments.append(segment)
-        array = np.ndarray(shape, dtype=dtype, buffer=segment.buf)
-        array.fill(0)
-        return array
-
-    def close(self) -> None:
-        from repro.scenarios.sweep.shm import destroy_segment
-
-        segments, self._segments = self._segments, []
-        for segment in segments:
-            destroy_segment(segment)
 
 
 def _at(round_index: Optional[int]) -> str:

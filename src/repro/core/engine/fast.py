@@ -17,7 +17,7 @@ instead.  Every path lands on results byte-identical to
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.core.engine.base import Engine
 from repro.core.engine.delivery import (
@@ -25,7 +25,6 @@ from repro.core.engine.delivery import (
     deliver_outbox,
     deliver_round_scalar,
 )
-from repro.core.errors import ProtocolError
 
 __all__ = ["FastEngine"]
 
@@ -42,11 +41,6 @@ class FastEngine(Engine):
     supports_generator_programs = True
     supports_kernel_programs = False
     supports_transcript = True
-    # Checkpointed runs log the delivered wire per round and restore by
-    # re-stepping fresh generators through the log (generator frames
-    # themselves cannot be pickled); restored rounds are never
-    # re-delivered, so a resumed run executes strictly fewer rounds.
-    supports_checkpoint = True
 
     # -- execution -------------------------------------------------------
 
@@ -202,188 +196,4 @@ class FastEngine(Engine):
             max_round_bits=max_round_bits,
             transcript=transcript,
             faults=faults.events if faults is not None else None,
-        )
-
-    # -- checkpointed execution ------------------------------------------
-
-    def _run_checkpointed(self, network: Any, program, inputs, session) -> Any:
-        """One checkpointed execution.
-
-        The round loop is forced onto the fully validating scalar
-        delivery path (no bulk lanes) so the
-        delivered wire of each round — per-receiver ``{sender: Bits}``
-        maps, exactly what the legacy reference feeds its generators —
-        can be captured into a wire log.  A snapshot is the log plus the
-        accounting counters; restore re-runs ``_start`` and re-steps the
-        fresh generators through the log (node-local compute replays,
-        but no round is re-delivered), then continues the live loop.
-        Byte-identical to the uninterrupted run: the scalar path is the
-        reference semantics the equivalence suites pin every lane to.
-        """
-        import pickle
-
-        from repro.core.compiled import describe_program
-        from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult
-
-        session.raise_if_preempted_at_start()
-        n = network.n
-        recording = network.record_transcript
-        round_cap = network._round_cap()
-        check_outbox = network._check_outbox
-        light = self._check_outbox_light
-
-        # -- restore: load the wire log and replay generators through it
-        wire_log: List[Dict[int, Dict[int, Any]]] = []
-        transcript: Optional[List[Any]] = [] if recording else None
-        rounds = 0
-        total_bits = 0
-        max_round_bits = 0
-        ckpt = session.resume_checkpoint()
-        if ckpt is not None:
-            try:
-                wire_log = pickle.loads(ckpt.blobs["wire_log"])
-                rounds = int(ckpt.counters["rounds"])
-                total_bits = int(ckpt.counters["total_bits"])
-                max_round_bits = int(ckpt.counters["max_round_bits"])
-                if rounds != len(wire_log):
-                    raise ValueError(
-                        f"wire log holds {len(wire_log)} rounds, "
-                        f"manifest says {rounds}"
-                    )
-                if recording:
-                    transcript = pickle.loads(ckpt.blobs["transcript"])
-            except Exception as exc:  # noqa: BLE001 - treat as unusable
-                session.discard_resume(
-                    "restore-failed", f"snapshot unusable: {exc}"
-                )
-                wire_log = []
-                transcript = [] if recording else None
-                rounds = total_bits = max_round_bits = 0
-                ckpt = None
-
-        outputs, generators, pending = network._start(
-            program, inputs, check=light if wire_log else None
-        )
-        if wire_log:
-            restore_failed = None
-            try:
-                last_index = len(wire_log) - 1
-                for i, entry in enumerate(wire_log):
-                    if not generators:
-                        restore_failed = (
-                            "generators finished before the logged "
-                            "rounds ran out"
-                        )
-                        break
-                    check = check_outbox if i == last_index else light
-                    new_pending: Dict[int, Any] = {}
-                    finished = []
-                    for v, gen in generators.items():
-                        delivered = entry.get(v)
-                        inbox = Inbox(delivered) if delivered else EMPTY_INBOX
-                        try:
-                            new_pending[v] = check(v, gen.send(inbox))
-                        except StopIteration as stop:
-                            outputs[v] = stop.value
-                            finished.append(v)
-                    for v in finished:
-                        del generators[v]
-                    pending = new_pending
-            except Exception as exc:  # noqa: BLE001 - inconsistent log
-                restore_failed = f"replaying the wire log failed: {exc}"
-            if restore_failed is not None:
-                session.discard_resume("restore-failed", restore_failed)
-                wire_log = []
-                transcript = [] if recording else None
-                rounds = total_bits = max_round_bits = 0
-                outputs, generators, pending = network._start(program, inputs)
-            else:
-                session.mark_resumed(rounds)
-
-        # -- live loop: scalar delivery + wire capture + snapshots
-        backend = DeliveryBackend(n)
-        inbox_dicts = backend.inbox_dicts
-        inbox_views = backend.inbox_views
-        schedule = describe_program(program)
-        while generators:
-            if rounds >= round_cap:
-                raise network._round_cap_error(rounds)
-            rounds += 1
-            session.note_round()
-            record = RoundRecord() if recording else None
-            backend.begin_scalar_round()
-            if record is not None:
-                round_bits = 0
-                for v, outbox in pending.items():
-                    round_bits += deliver_outbox(
-                        network, v, outbox, inbox_dicts, record, rounds
-                    )
-            else:
-                round_bits = deliver_round_scalar(
-                    network, pending, inbox_dicts, rounds
-                )
-            total_bits += round_bits
-            if round_bits > max_round_bits:
-                max_round_bits = round_bits
-            if record is not None:
-                transcript.append(record)
-            wire_log.append(
-                {v: dict(inbox_dicts[v]) for v in range(n) if inbox_dicts[v]}
-            )
-
-            pending = {}
-            finished = []
-            for v, gen in generators.items():
-                buf = inbox_dicts[v]
-                inbox = inbox_views[v] if buf else EMPTY_INBOX
-                try:
-                    pending[v] = check_outbox(v, gen.send(inbox))
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    finished.append(v)
-            for v in finished:
-                del generators[v]
-
-            def build(r=rounds, bits=total_bits, maxb=max_round_bits):
-                blobs = {"wire_log": pickle.dumps(wire_log)}
-                if recording:
-                    blobs["transcript"] = pickle.dumps(transcript)
-                counters = {
-                    "rounds": r,
-                    "total_bits": bits,
-                    "max_round_bits": maxb,
-                }
-                return {}, blobs, counters, {
-                    "kind": "rounds",
-                    "schedule": schedule,
-                }
-
-            session.maybe_snapshot(rounds, build, final_round=not generators)
-
-        result = RunResult(
-            outputs=outputs,
-            rounds=rounds,
-            total_bits=total_bits,
-            max_round_bits=max_round_bits,
-            transcript=transcript,
-        )
-        return session.finish(result)
-
-    # -- checkpoint restore ----------------------------------------------
-
-    @staticmethod
-    def _check_outbox_light(sender: int, yielded: Any):
-        """Restore-mode yield check: type only.  A restored round's
-        outboxes were validated and delivered before the snapshot (the
-        wire log holds the result), so only the last restored round —
-        whose outboxes the live loop delivers next — takes the full
-        check."""
-        from repro.core.network import _SILENT_OUTBOX, Outbox
-
-        if yielded is None:
-            return _SILENT_OUTBOX
-        if isinstance(yielded, Outbox):
-            return yielded
-        raise ProtocolError(
-            f"node {sender} yielded {type(yielded).__name__}, expected Outbox"
         )

@@ -11,14 +11,6 @@ It executes generator node programs only; kernel programs declare their
 round structure instead of yielding it, so there is no legacy semantics
 for them to fall back to (the planner routes them to the kernel engine,
 and :meth:`Engine.check_program` rejects a direct request).
-
-Checkpointing: live generator frames cannot be pickled, so this engine
-honestly reports ``supports_checkpoint=False``.  A checkpoint/resume
-request still works — through the base class's deterministic
-replay-restore path: the run re-executes from round 0 (same seed, same
-inputs, byte-identical result) and the result records
-``resume={"mode": "replay", ...}`` so provenance never overstates what
-was saved.  No snapshots are ever written by this engine.
 """
 
 from __future__ import annotations
@@ -38,8 +30,6 @@ class LegacyEngine(Engine):
     supports_generator_programs = True
     supports_kernel_programs = False
     supports_transcript = True
-    # Live generators cannot be pickled: restores replay from round 0.
-    supports_checkpoint = False
 
     def _run(self, network: Any, program, inputs) -> Any:
         from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult

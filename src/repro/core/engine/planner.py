@@ -164,56 +164,20 @@ class ExecutionPlanner:
             chain.append(engine)
         return chain
 
-    def execute(
-        self,
-        network: Any,
-        program: Any,
-        inputs: Any = None,
-        checkpoint: Any = None,
-        resume_from: Any = None,
-    ) -> Any:
-        """Plan and run one execution, degrading on engine failure.
-        Checkpoint/resume requests travel with the call: a fallback
-        engine honours them too (natively or via replay-restore), and a
-        :class:`~repro.core.errors.RunPreempted` — a ``ReproError`` —
-        always propagates instead of degrading."""
-        if checkpoint is None and resume_from is None:
-            return self._degrade(
-                network,
-                program,
-                lambda engine: engine.run(network, program, inputs),
-            )
+    def execute(self, network: Any, program: Any, inputs: Any = None) -> Any:
+        """Plan and run one execution, degrading on engine failure."""
         return self._degrade(
             network,
             program,
-            lambda engine: engine.run(
-                network, program, inputs,
-                checkpoint=checkpoint, resume_from=resume_from,
-            ),
+            lambda engine: engine.run(network, program, inputs),
         )
 
-    def execute_many(
-        self,
-        network: Any,
-        program: Any,
-        inputs_list: Any,
-        checkpoint: Any = None,
-        resume_from: Any = None,
-    ) -> Any:
+    def execute_many(self, network: Any, program: Any, inputs_list: Any) -> Any:
         """Plan and run a sweep, degrading on engine failure."""
-        if checkpoint is None and resume_from is None:
-            return self._degrade(
-                network,
-                program,
-                lambda engine: engine.run_many(network, program, inputs_list),
-            )
         return self._degrade(
             network,
             program,
-            lambda engine: engine.run_many(
-                network, program, inputs_list,
-                checkpoint=checkpoint, resume_from=resume_from,
-            ),
+            lambda engine: engine.run_many(network, program, inputs_list),
         )
 
     def _degrade(self, network: Any, program: Any, call: Callable[[Engine], Any]) -> Any:

@@ -120,43 +120,3 @@ class SweepResumeError(SweepExecutionError):
     """A sweep journal could not be resumed: it belongs to a different
     sweep (fingerprint mismatch), is corrupted beyond the tolerated
     torn trailing line, or would be silently overwritten."""
-
-
-class CheckpointCorruptError(ReproError):
-    """A run checkpoint failed integrity verification on load: the
-    payload digest does not match the manifest, the manifest itself is
-    unreadable, or the schema version is unknown.
-
-    Carries ``path`` (the checkpoint directory) and ``reason`` (a short
-    machine-readable tag: ``digest-mismatch``, ``manifest-unreadable``,
-    ``payload-unreadable``, ``schema-mismatch``, ``missing``).  The
-    checkpoint loader treats a corrupt snapshot as *absent* — discovery
-    skips it with a structured report and the run restarts cleanly —
-    so this error only propagates when a caller loads an explicit path.
-    """
-
-    def __init__(self, message: str, path: "str | None" = None,
-                 reason: str = "corrupt") -> None:
-        super().__init__(message)
-        self.path = path
-        self.reason = reason
-
-
-class RunPreempted(ReproError):
-    """A checkpointed run was preempted mid-execution: the checkpoint
-    policy's ``preempt`` signal fired, the engine flushed a final
-    snapshot at the current round boundary, and execution stopped.
-
-    Carries ``round_index`` (completed rounds at the flush) and
-    ``checkpoint`` (path of the flushed snapshot, ``None`` when the run
-    was preempted before any round completed and nothing was written).
-    A :class:`ReproError` on purpose: the planner's graceful-degradation
-    chain must *propagate* a preemption, never re-run the program on
-    another engine."""
-
-    def __init__(self, message: str, round_index: int = 0,
-                 checkpoint: "str | None" = None) -> None:
-        super().__init__(message)
-        self.round_index = round_index
-        self.checkpoint = checkpoint
-

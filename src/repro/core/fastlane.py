@@ -379,15 +379,8 @@ class _BatchBuffers:
 
     __slots__ = ("values", "present", "touched")
 
-    def __init__(self, n: int, instances: int, dtype, alloc=None) -> None:
-        # The K×n×n value stack is the only allocation worth routing
-        # through a zero-copy arena (shared-memory backing for sweep
-        # workers); the bookkeeping arrays stay on the private heap.
-        self.values = (
-            np.zeros((instances, n, n), dtype=dtype)
-            if alloc is None
-            else alloc((instances, n, n), dtype)
-        )
+    def __init__(self, n: int, instances: int, dtype) -> None:
+        self.values = np.zeros((instances, n, n), dtype=dtype)
         self.present = np.zeros((n, n), dtype=bool)
         self.touched: List[int] = []  # sender rows written last bulk round
 
@@ -407,10 +400,10 @@ class BatchLane:
 
     __slots__ = (
         "n", "instances", "width", "_numeric", "_object", "_active",
-        "_struct", "_alloc",
+        "_struct",
     )
 
-    def __init__(self, n: int, instances: int, alloc=None) -> None:
+    def __init__(self, n: int, instances: int) -> None:
         self.n = n
         self.instances = instances
         self.width = 0
@@ -418,14 +411,11 @@ class BatchLane:
         self._object: Optional[_BatchBuffers] = None
         self._active: Optional[_BatchBuffers] = None
         self._struct: Any = None
-        self._alloc = alloc
 
     def _buffers(self, width: int) -> _BatchBuffers:
         if width <= NUMERIC_WIDTH_LIMIT:
             if self._numeric is None:
-                self._numeric = _BatchBuffers(
-                    self.n, self.instances, np.uint64, alloc=self._alloc
-                )
+                self._numeric = _BatchBuffers(self.n, self.instances, np.uint64)
             return self._numeric
         if self._object is None:
             self._object = _BatchBuffers(self.n, self.instances, object)
@@ -476,12 +466,8 @@ class _BcastBatchBuffers:
 
     __slots__ = ("values", "present", "touched")
 
-    def __init__(self, n: int, instances: int, dtype, alloc=None) -> None:
-        self.values = (
-            np.zeros((instances, n), dtype=dtype)
-            if alloc is None
-            else alloc((instances, n), dtype)
-        )
+    def __init__(self, n: int, instances: int, dtype) -> None:
+        self.values = np.zeros((instances, n), dtype=dtype)
         self.present = np.zeros(n, dtype=bool)
         self.touched: List[int] = []  # writer slots filled last round
 
@@ -491,23 +477,22 @@ class BatchBroadcastLane:
     instances at a time: one ``K × writers`` fancy write per round."""
 
     __slots__ = (
-        "n", "instances", "width", "_numeric", "_object", "_active", "_alloc",
+        "n", "instances", "width", "_numeric", "_object", "_active",
     )
 
-    def __init__(self, n: int, instances: int, alloc=None) -> None:
+    def __init__(self, n: int, instances: int) -> None:
         self.n = n
         self.instances = instances
         self.width = 0
         self._numeric: Optional[_BcastBatchBuffers] = None
         self._object: Optional[_BcastBatchBuffers] = None
         self._active: Optional[_BcastBatchBuffers] = None
-        self._alloc = alloc
 
     def _buffers(self, width: int) -> _BcastBatchBuffers:
         if width <= NUMERIC_WIDTH_LIMIT:
             if self._numeric is None:
                 self._numeric = _BcastBatchBuffers(
-                    self.n, self.instances, np.uint64, alloc=self._alloc
+                    self.n, self.instances, np.uint64
                 )
             return self._numeric
         if self._object is None:

@@ -81,7 +81,6 @@ __all__ = [
     "KernelProgram",
     "KernelBuilder",
     "compile_program",
-    "rebuild_kernel_schedule",
     "execute",
 ]
 
@@ -588,91 +587,6 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
     return compiled
 
 
-def rebuild_kernel_schedule(program: KernelProgram, network, loaded) -> Optional[CompiledSchedule]:
-    """Pair a persistent-cache schedule with ``program``'s declared
-    rounds, verifying before trusting.
-
-    Kernel execution performs no per-round structural check — it
-    delivers whatever structures the compiled schedule holds — so a
-    loaded entry must be proven equal to the program's declaration
-    before it may replace :func:`compile_program`.  Every distinct loaded
-    structure is compared byte-for-byte (senders, split sizes,
-    destination vectors, widths) against the specs that reference it;
-    a flat memcmp per shape, orders of magnitude cheaper than the
-    per-message CONGEST topology walk a fresh compile pays (topology
-    is part of the cache key, so a verified entry was validated
-    against this exact graph).  Any mismatch returns ``None`` and the
-    caller compiles fresh.
-    """
-    if program.n != network.n:
-        return None
-    if program.bandwidth is not None and program.bandwidth != network.bandwidth:
-        return None
-    if program.mode is not network.mode and not (
-        program.mode is Mode.UNICAST and network.mode is Mode.CONGEST
-    ):
-        return None
-    if loaded.params != (network.bandwidth, network.mode):
-        return None
-    if len(loaded.rounds) != len(program.rounds):
-        return None
-    execs: List[_ExecRound] = []
-    verified: set = set()
-    for spec, (kind, payload, bits) in zip(program.rounds, loaded.rounds):
-        if isinstance(spec, UnicastRound):
-            if kind != LANE:
-                return None
-            struct = payload
-            pair_key = (id(struct), id(spec))
-            if pair_key not in verified:
-                spec_cols = b"".join(dests.tobytes() for _, dests in spec.pairs)
-                if (
-                    struct.width != spec.width
-                    or tuple(struct.sender_ids)
-                    != tuple(int(v) for v, _ in spec.pairs)
-                    or tuple(size for _, _, size in struct.entries)
-                    != tuple(int(dests.size) for _, dests in spec.pairs)
-                    or struct.cols.tobytes() != spec_cols
-                ):
-                    return None
-                if (struct.widths is None) != (spec.widths is None):
-                    return None
-                if spec.widths is not None and not np.array_equal(
-                    np.asarray(struct.widths), np.asarray(spec.widths)
-                ):
-                    return None
-                verified.add(pair_key)
-            widths_u64 = (
-                None if spec.widths is None else spec.widths.astype(np.uint64)
-            )
-            execs.append(
-                _ExecRound(
-                    LANE, spec, struct, None, spec.width, widths_u64,
-                    struct.count, bits,
-                )
-            )
-        else:
-            if kind != BCAST:
-                return None
-            ids, width = payload
-            if width != spec.width or ids != tuple(int(w) for w in spec.writers):
-                return None
-            execs.append(
-                _ExecRound(
-                    BCAST, spec, payload, spec.writers, spec.width, None,
-                    len(ids), bits,
-                )
-            )
-    loaded.kernel = execs
-    return loaded
-
-
-def _lane_alloc(network):
-    """The network's zero-copy lane allocator hook, or None (heap)."""
-    arena = getattr(network, "lane_allocator", None)
-    return None if arena is None else arena.zeros
-
-
 def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray:
     if rec.is_object:
         if not (isinstance(vals, np.ndarray) and vals.dtype == object):
@@ -717,104 +631,14 @@ def _validate_payload(vals: np.ndarray, rec: _ExecRound, r: int) -> None:
         )
 
 
-def _kernel_snapshot(
-    state: Dict[str, Any],
-    transcripts,
-    program_name: str,
-    rounds_total: int,
-    instances: int,
-    counters: Dict[str, int],
-):
-    """Split the kernel ``state`` dict into a checkpoint payload:
-    numeric ndarrays go into the npz verbatim (with their frozen flags
-    recorded — the zero-churn memo relies on them), everything else is
-    pickled.  Returns the ``(arrays, blobs, counters, meta)`` tuple a
-    :class:`~repro.core.checkpoint.CheckpointSession` flushes."""
-    import pickle
-
-    arrays: Dict[str, np.ndarray] = {}
-    rest: Dict[str, Any] = {}
-    frozen: List[str] = []
-    for key, value in state.items():
-        if isinstance(value, np.ndarray) and value.dtype != object:
-            arrays[f"state__{key}"] = value
-            if not value.flags.writeable:
-                frozen.append(key)
-        else:
-            rest[key] = value
-    blobs = {"state_pickle": pickle.dumps(rest)}
-    if transcripts is not None:
-        blobs["transcripts"] = pickle.dumps(transcripts)
-    meta = {
-        "kind": "kernel-rounds",
-        "schedule": program_name,
-        "rounds_total": rounds_total,
-        "instances": instances,
-        "frozen": frozen,
-    }
-    return arrays, blobs, counters, meta
-
-
-def _kernel_restore(ckpt, rounds_total: int, instances: int, recording: bool):
-    """Decode a kernel round checkpoint into ``(start_round, state,
-    counters, transcripts)``; raises ``ValueError`` when the snapshot
-    does not describe this execution (the caller discards it and
-    restarts cleanly)."""
-    import pickle
-
-    meta = ckpt.meta
-    if meta.get("kind") != "kernel-rounds":
-        raise ValueError(f"snapshot kind {meta.get('kind')!r} is not a "
-                         "kernel round boundary")
-    if meta.get("instances") != instances:
-        raise ValueError(
-            f"snapshot stacks {meta.get('instances')} instances, "
-            f"this execution has {instances}"
-        )
-    if meta.get("rounds_total") != rounds_total or not (
-        0 < ckpt.round_index <= rounds_total
-    ):
-        raise ValueError(
-            f"snapshot round {ckpt.round_index}/{meta.get('rounds_total')} "
-            f"does not fit a {rounds_total}-round program"
-        )
-    state: Dict[str, Any] = dict(pickle.loads(ckpt.blobs["state_pickle"]))
-    frozen = set(meta.get("frozen", ()))
-    for name, arr in ckpt.arrays.items():
-        if not name.startswith("state__"):
-            continue
-        key = name[len("state__"):]
-        value = np.array(arr)
-        if key in frozen:
-            value.flags.writeable = False
-        state[key] = value
-    counters = {
-        "total_bits": int(ckpt.counters["total_bits"]),
-        "max_round_bits": int(ckpt.counters["max_round_bits"]),
-    }
-    transcripts = None
-    if recording:
-        transcripts = pickle.loads(ckpt.blobs["transcripts"])
-    return ckpt.round_index, state, counters, transcripts
-
-
 def execute(
     network,
     program: KernelProgram,
     compiled: CompiledSchedule,
     inputs_list: Sequence[Any],
-    session=None,
 ) -> List[RunResult]:
     """Run ``inputs_list`` (K instances) through the compiled kernel
-    rounds in lockstep; returns one :class:`RunResult` per instance.
-
-    ``session`` is an optional
-    :class:`~repro.core.checkpoint.CheckpointSession`: the loop then
-    snapshots the state dict at round boundaries per the session's
-    policy and resumes from the session's payload — the first
-    post-restore round takes the full validate-and-deliver path (the
-    zero-churn memos reset naturally), every restored round is simply
-    never re-executed."""
+    rounds in lockstep; returns one :class:`RunResult` per instance."""
     execs: List[_ExecRound] = compiled.kernel
     if len(execs) > network._round_cap():
         limit = network.round_limit
@@ -851,44 +675,15 @@ def execute(
 
     total_bits = 0
     max_round_bits = 0
-    start_round = 0
-    rounds_total = len(execs)
-    if session is not None:
-        session.raise_if_preempted_at_start()
-        ckpt = session.resume_checkpoint()
-        if ckpt is not None:
-            try:
-                start_round, restored_state, counters, restored_tx = (
-                    _kernel_restore(ckpt, rounds_total, instances, recording)
-                )
-            except Exception as exc:  # noqa: BLE001 - unusable snapshot
-                session.discard_resume(
-                    "restore-failed", f"snapshot unusable: {exc}"
-                )
-                start_round = 0
-            else:
-                # The snapshot captured the *whole* state dict, so it
-                # replaces the init hooks' output wholesale — resumed
-                # state is exactly the pre-preemption state.
-                state.clear()
-                state.update(restored_state)
-                total_bits = counters["total_bits"]
-                max_round_bits = counters["max_round_bits"]
-                if recording:
-                    transcripts = restored_tx
-                session.mark_resumed(start_round)
     last_lane: Tuple[Any, Any] = (None, None)
     last_bcast: Tuple[Any, Any] = (None, None)
-    for r in range(start_round, rounds_total):
-        rec = execs[r]
+    for r, rec in enumerate(execs):
         spec = rec.spec
         vals = spec.send(state) if spec.send is not None else None
         if rec.kind == LANE:
             lane = lanes[0]
             if lane is None:
-                lane = lanes[0] = BatchLane(
-                    n, instances, alloc=_lane_alloc(network)
-                )
+                lane = lanes[0] = BatchLane(n, instances)
             struct = rec.struct
             if rec.count == 0:
                 lane.deliver_kernel(struct, None)
@@ -953,9 +748,7 @@ def execute(
         else:
             blane = lanes[1]
             if blane is None:
-                blane = lanes[1] = BatchBroadcastLane(
-                    n, instances, alloc=_lane_alloc(network)
-                )
+                blane = lanes[1] = BatchBroadcastLane(n, instances)
             writers = rec.writers
             if rec.count == 0:
                 blane.deliver_kernel(writers, rec.width, None)
@@ -1003,27 +796,6 @@ def execute(
         total_bits += rec.bits
         if rec.bits > max_round_bits:
             max_round_bits = rec.bits
-        if session is not None:
-            session.note_round()
-            done = r + 1
-
-            def build(done=done, bits=total_bits, maxb=max_round_bits):
-                return _kernel_snapshot(
-                    state,
-                    transcripts,
-                    getattr(program, "name", "?"),
-                    rounds_total,
-                    instances,
-                    {
-                        "round": done,
-                        "total_bits": bits,
-                        "max_round_bits": maxb,
-                    },
-                )
-
-            session.maybe_snapshot(
-                done, build, final_round=done == rounds_total
-            )
 
     outputs_list = (
         program.finish(state, kctx) if program.finish is not None else None

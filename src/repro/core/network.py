@@ -50,7 +50,7 @@ fast engine recycles the underlying buffers, so a program must not stash
 an :class:`Inbox` and read it in a later round (copy what you need).
 
 All cross-run state lives on the :class:`Network` — the kernel engine's
-compiled schedule cache, the RNG state bundle, the kernel lane buffers
+compiled schedules, the RNG state bundle, the kernel lane buffers
 and the ``schedule_stats`` counters — so the stateless engine singletons
 can serve any number of networks.
 """
@@ -180,11 +180,6 @@ class RunResult:
     transcript: Optional[List[RoundRecord]] = None
     faults: Optional[List[Any]] = None
     fallback: Optional[Dict[str, str]] = None
-    #: Resume provenance when this run was restored from a
-    #: :mod:`repro.core.checkpoint` snapshot — ``{"mode": "native" |
-    #: "replay", "round": <completed rounds restored>, "checkpoint":
-    #: <snapshot path>, ...}``; ``None`` for an uninterrupted run.
-    resume: Optional[Dict[str, Any]] = None
 
     def blackboard_bits(self) -> int:
         """Total bits written, counting each broadcast once (the natural
@@ -262,8 +257,6 @@ class Network:
         fault_plan: Optional[Any] = None,
         round_limit: Optional[int] = None,
         degrade: bool = True,
-        schedule_cache: Optional[Any] = None,
-        lane_allocator: Optional[Any] = None,
     ) -> None:
         from repro.core.engine.planner import DEFAULT_PLANNER, resolve_engine
 
@@ -284,20 +277,6 @@ class Network:
         self.fault_plan = fault_plan
         self.round_limit = round_limit
         self.degrade = degrade
-        # Persistent cross-process store of compiled kernel schedules (a
-        # directory path or a ScheduleCache handle); None disables
-        # persistence.  Hit/miss counters live on the handle, so each
-        # network's share of cache traffic is observable.
-        if schedule_cache is not None and not hasattr(schedule_cache, "load"):
-            from repro.core.engine.schedule_cache import ScheduleCache
-
-            schedule_cache = ScheduleCache(schedule_cache)
-        self.schedule_cache = schedule_cache
-        #: Optional zero-copy arena for stacked batch-lane buffers (see
-        #: :class:`~repro.core.engine.delivery.SharedLaneArena`); the
-        #: batch lanes call ``lane_allocator.zeros`` instead of
-        #: ``np.zeros`` when set.
-        self.lane_allocator = lane_allocator
         #: The engine argument as given (string shim or Engine instance).
         self.engine = engine
         #: Resolved backend pin (None = planner's choice), and the
@@ -348,23 +327,6 @@ class Network:
         # repro.core.kernels); small bounded cache, correctness never
         # depends on a hit.
         self._kernel_lanes: Dict[int, Any] = {}
-        #: Counters of the most recent *checkpointed* run (see
-        #: :mod:`repro.core.checkpoint`): snapshots written, rounds
-        #: restored vs executed, resume provenance, corrupt snapshots
-        #: skipped.  Untouched by ordinary runs.
-        self.checkpoint_stats: Dict[str, Any] = {
-            "engine": None,
-            "run_id": None,
-            "supported": None,
-            "mode": None,
-            "snapshots": 0,
-            "rounds_executed": 0,
-            "rounds_restored": 0,
-            "resumed_from": None,
-            "resumed_round": 0,
-            "last_checkpoint": None,
-            "corrupt_skipped": [],
-        }
 
     # -- execution -------------------------------------------------------
 
@@ -372,9 +334,6 @@ class Network:
         self,
         program: Callable[[Context], Any],
         inputs: Optional[Sequence[Any]] = None,
-        *,
-        checkpoint: Any = None,
-        resume_from: Any = None,
     ) -> RunResult:
         """Run ``program`` (a generator function taking a Context) on all
         nodes in lockstep and return the :class:`RunResult`.
@@ -387,29 +346,13 @@ class Network:
         kernel backend (a kernel program *is* its own execution
         semantics, pinned to the generator reference by the equivalence
         suites).
-
-        ``checkpoint`` takes a
-        :class:`~repro.core.checkpoint.CheckpointPolicy` to snapshot the
-        run at round boundaries; ``resume_from`` (``"auto"``, a snapshot
-        path, or a loaded :class:`~repro.core.checkpoint.RunCheckpoint`)
-        restores a previous snapshot — byte-identical to the
-        uninterrupted run.  Both default to ``None``: the ordinary hot
-        path is untouched.
         """
-        if checkpoint is None and resume_from is None:
-            return self._planner.execute(self, program, inputs)
-        return self._planner.execute(
-            self, program, inputs,
-            checkpoint=checkpoint, resume_from=resume_from,
-        )
+        return self._planner.execute(self, program, inputs)
 
     def run_many(
         self,
         program: Callable[[Context], Any],
         inputs_list: Sequence[Optional[Sequence[Any]]],
-        *,
-        checkpoint: Any = None,
-        resume_from: Any = None,
     ) -> List[RunResult]:
         """Run ``program`` once per entry of ``inputs_list`` and return
         one :class:`RunResult` per instance, byte-identical to calling
@@ -420,12 +363,7 @@ class Network:
         (:class:`~repro.core.fastlane.BatchLane`).  Generator programs
         run one instance after another on every engine.
         """
-        if checkpoint is None and resume_from is None:
-            return self._planner.execute_many(self, program, inputs_list)
-        return self._planner.execute_many(
-            self, program, inputs_list,
-            checkpoint=checkpoint, resume_from=resume_from,
-        )
+        return self._planner.execute_many(self, program, inputs_list)
 
     def _check_inputs(self, inputs: Optional[Sequence[Any]]) -> None:
         if inputs is not None and len(inputs) != self.n:
@@ -522,9 +460,7 @@ class Network:
             )
         return contexts
 
-    def _start(self, program, inputs, check=None):
-        if check is None:
-            check = self._check_outbox
+    def _start(self, program, inputs):
         contexts = self._make_contexts(inputs)
         outputs: List[Any] = [None] * self.n
         generators: Dict[int, Any] = {}
@@ -536,7 +472,7 @@ class Network:
                 outputs[v] = gen
                 continue
             try:
-                pending_outbox[v] = check(v, next(gen))
+                pending_outbox[v] = self._check_outbox(v, next(gen))
                 generators[v] = gen
             except StopIteration as stop:
                 outputs[v] = stop.value

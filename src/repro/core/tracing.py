@@ -26,12 +26,7 @@ def transcript_stats(result: RunResult) -> Dict[str, int]:
     for record in result.transcript:
         messages += len(record.sends)
         bits += record.bits()
-    stats = {"rounds": len(result.transcript), "messages": messages, "bits": bits}
-    if result.resume is not None:
-        # A resumed run's transcript is still complete (restored rounds
-        # included); expose where live execution picked up.
-        stats["resumed_at"] = int(result.resume.get("round", 0))
-    return stats
+    return {"rounds": len(result.transcript), "messages": messages, "bits": bits}
 
 
 def render_timeline(
@@ -41,19 +36,11 @@ def render_timeline(
     if result.transcript is None:
         raise ValueError("run the network with record_transcript=True")
     lines: List[str] = []
-    resumed_at = 0
-    if result.resume is not None:
-        resumed_at = int(result.resume.get("round", 0))
-        mode = result.resume.get("mode", "native")
-        lines.append(
-            f"resumed from checkpoint at round {resumed_at} ({mode})"
-        )
     rounds = result.transcript
     if max_rounds is not None:
         rounds = rounds[:max_rounds]
     for index, record in enumerate(rounds):
-        restored = " (restored)" if index < resumed_at else ""
-        lines.append(f"round {index + 1}: {record.bits()} bits{restored}")
+        lines.append(f"round {index + 1}: {record.bits()} bits")
         for sender, receiver, payload in record.sends[:max_events]:
             target = "*" if receiver is None else str(receiver)
             lines.append(f"  {sender} -> {target}  [{len(payload)}b]")

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.bits import Bits, BitWriter
+from repro.core.errors import DecodeError
 from repro.core.network import Context, Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast
 from repro.graphs.graph import Edge, Graph, canonical_edge
@@ -140,7 +141,7 @@ def boruvka_program(wg: WeightedGraph):
         through ``ctx.memo``."""
         component = list(labels)
         proposals: Dict[int, Tuple[int, int, int]] = {}
-        for raw in board:
+        for writer, raw in enumerate(board):
             # The message is fixed-width (present flag is the leading
             # bit), so decode straight off the uint the lane delivered.
             if raw is None or raw >> flag_shift == 0:
@@ -148,6 +149,11 @@ def boruvka_program(wg: WeightedGraph):
             weight = (raw >> (2 * id_bits)) & weight_mask
             u = (raw >> id_bits) & id_mask
             v = raw & id_mask
+            if u >= n or v >= n:
+                raise DecodeError(
+                    f"Borůvka: writer {writer} proposed edge ({u}, {v}) "
+                    f"with an endpoint id >= n={n}"
+                )
             comp = component[u]
             key = (weight, min(u, v), max(u, v))
             if comp not in proposals or key < proposals[comp]:

@@ -30,6 +30,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bits import Bits
+from repro.core.errors import DecodeError
 from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Context, Mode, Outbox, inbox_uints
@@ -135,7 +136,16 @@ def _drive_frames(
         inbox = yield outbox
         recv = schedule.recv_plan[r]
         for sender, value in inbox_uints(inbox):
-            frame, is_final = recv[(sender, me)]
+            try:
+                frame, is_final = recv[(sender, me)]
+            except KeyError:
+                # Only nodes that disagree on the schedule (one built
+                # from a lost or corrupted row) put a frame on a link
+                # this node's schedule leaves idle.
+                raise DecodeError(
+                    f"node {me} got a frame from node {sender} in routing "
+                    f"round {r + 1}, which its schedule does not expect"
+                ) from None
             if is_final:
                 delivered[frame] = value
             else:

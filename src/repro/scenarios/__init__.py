@@ -24,8 +24,9 @@ engine subsystem (:mod:`repro.core.engine`):
   worker pool with per-cell deadlines, crash retry with backoff, a
   poison-cell quarantine, and a durable JSONL journal
   (``journal=`` / ``resume_from=``) that makes killed sweeps resumable
-  with byte-identical digests.  ``python -m repro.scenarios`` is the
-  CLI over all of it.
+  with byte-identical digests.  The cell is the unit of work and of
+  recovery: an interrupted cell re-runs from the start.
+  ``python -m repro.scenarios`` is the CLI over all of it.
 
 Planner contract (shared with :mod:`repro.core.engine`): a cell names
 its backend explicitly, the network pins it through the

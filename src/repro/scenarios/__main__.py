@@ -14,12 +14,8 @@ journaling and resume:
     # after a crash/kill: replay completed cells, run the rest
     python -m repro.scenarios --workers 4 --journal sweep.jsonl --resume
 
-    # checkpointed: long cells snapshot mid-run and retries resume
-    python -m repro.scenarios --workers 4 --journal sweep.jsonl \\
-        --checkpoint-dir ckpts --checkpoint-every-rounds 64
-
-    # health-check a journal (fingerprint, torn lines, duplicates,
-    # checkpoint lineage); exits non-zero on corruption
+    # health-check a journal (fingerprint, torn lines, duplicates);
+    # exits non-zero on corruption
     python -m repro.scenarios --journal-verify sweep.jsonl
 
 Exit status is non-zero when any cell mismatches the reference digest,
@@ -102,36 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="attempts per cell before quarantine (pool mode; default 3)",
     )
     parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="enable mid-run checkpointing: snapshots per cell under "
-        "DIR; interrupted attempts resume from the newest valid one",
-    )
-    parser.add_argument(
-        "--checkpoint-every-rounds", type=int, default=None, metavar="R",
-        help="flush a snapshot every R protocol rounds",
-    )
-    parser.add_argument(
-        "--checkpoint-every-seconds", type=float, default=None,
-        metavar="SECONDS",
-        help="flush a snapshot every SECONDS of wall clock",
-    )
-    parser.add_argument(
-        "--schedule-cache", default=None, metavar="DIR",
-        help="persistent compiled-schedule cache: kernel-engine cells "
-        "load lane structures compiled by any previous run (or any "
-        "concurrent worker) from DIR instead of recompiling",
-    )
-    parser.add_argument(
-        "--shard-k", type=int, default=None, metavar="K",
-        help="split multi-instance cells into K-instance shards that "
-        "run as independent tasks (digest-identical to serial; "
-        "shard size is aligned down to the delivery chunk)",
-    )
-    parser.add_argument(
         "--journal-verify", default=None, metavar="PATH",
         help="verify a sweep journal's integrity (fingerprint, torn "
-        "lines, duplicate cells, checkpoint lineage) and exit; "
-        "non-zero exit on corruption",
+        "lines, duplicate cells) and exit; non-zero exit on corruption",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH",
@@ -164,11 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         resume_from=args.journal if args.resume else None,
         cell_timeout=args.cell_timeout,
         max_attempts=args.max_attempts,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every_rounds=args.checkpoint_every_rounds,
-        checkpoint_every_seconds=args.checkpoint_every_seconds,
-        schedule_cache=args.schedule_cache,
-        shard_k=args.shard_k,
     )
     if args.out is not None:
         result.write(args.out)
@@ -210,13 +174,6 @@ def _journal_verify(path: str) -> int:
         print(f"  error: {report['error']}")
     for key in report["duplicate_keys"]:
         print(f"  duplicate cell: {key}")
-    for key, lineage in sorted(report["checkpoints"].items()):
-        print(
-            f"  ckpt {key}: flushes={lineage['flushes']} "
-            f"last_round={lineage['last_round']} "
-            f"last_digest={lineage['last_digest']} "
-            f"attempts={lineage['attempts']}"
-        )
     return 0 if report["ok"] else 1
 
 

@@ -66,12 +66,8 @@ __all__ = [
     "MatrixCell",
     "MatrixResult",
     "ScenarioMatrix",
-    "cell_checkpoint_dir",
     "instance_graph",
-    "merge_shard_payloads",
-    "plan_shards",
     "run_cell",
-    "run_cell_shard",
     "DEFAULT_CELL_ROUND_LIMIT",
 ]
 
@@ -95,17 +91,6 @@ def _cell_key(seed: int, protocol: str, family: str, n: int, engine: str) -> str
     """The per-(coordinate, engine) identity used by sweep journals and
     the worker pool — one completed journal line per key."""
     return f"{_cell_coord(seed, protocol, family, n)}:{engine}"
-
-
-def cell_checkpoint_dir(base: str, key: str) -> str:
-    """Where one cell's mid-run snapshots live under a sweep's
-    ``checkpoint_dir``: one subdirectory per cell key (``:`` is not
-    portable in path components, so it is flattened to ``_``).  Shared
-    by the serial runner, the pool worker and the worker's post-success
-    cleanup — all three must agree on the location."""
-    import os
-
-    return os.path.join(base, key.replace(":", "_"))
 
 
 def instance_graph(seed: int, protocol: str, family: str, n: int):
@@ -132,9 +117,8 @@ def _digest(summary: Any, result: Any) -> str:
 def _instance_records(prepared, runs) -> List[Tuple[Any, int, int, int]]:
     """Per-instance observable records of one ``run_many`` sweep: the
     canonical summary plus the round/bit accounting, one tuple per
-    instance.  Records are a pure function of the instance (never of
-    chunk or shard boundaries), which is what makes K-sharded cells
-    merge byte-identically."""
+    instance.  Records are a pure function of the instance, never of
+    the kernel engine's chunk boundaries."""
     return [
         (prepared.summarize(run), run.rounds, run.total_bits, run.max_round_bits)
         for run in runs
@@ -143,35 +127,8 @@ def _instance_records(prepared, runs) -> List[Tuple[Any, int, int, int]]:
 
 def _records_digest(records) -> str:
     """Canonical digest of a multi-instance cell: the ordered tuple of
-    per-instance records.  The K-shard merge concatenates shard records
-    in instance order before digesting, so the merged digest equals the
-    serial (unsharded) runner's by construction."""
+    per-instance records."""
     return hashlib.sha256(repr(tuple(records)).encode()).hexdigest()[:16]
-
-
-def plan_shards(
-    total: int, shard_k: Optional[int], n: int
-) -> List[Tuple[int, int]]:
-    """Split a K-instance cell into ``[lo, hi)`` instance ranges of at
-    most ``shard_k`` instances each.
-
-    Shard boundaries align with the engines' existing K-chunk seam
-    (:func:`repro.core.engine.delivery.batch_chunk_size`): when the
-    requested shard size exceeds one chunk it is rounded down to a whole
-    number of chunks, so a shard never splits a chunk that the unsharded
-    runner would have executed as one stacked batch.  (Per-instance
-    results are chunk-invariant either way; alignment keeps the sharded
-    execution's chunk geometry a subset of the serial runner's.)
-    """
-    from repro.core.engine.delivery import batch_chunk_size
-
-    if shard_k is None or shard_k < 1:
-        return [(0, total)]
-    size = shard_k
-    chunk = batch_chunk_size(n)
-    if size > chunk:
-        size = (size // chunk) * chunk
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def _failure_fields(cell: "MatrixCell", exc: BaseException) -> None:
@@ -226,25 +183,9 @@ class MatrixCell:
     #: whether it landed in the poison quarantine after exhausting them.
     attempts: Optional[int] = None
     quarantined: Optional[bool] = None
-    #: Checkpoint provenance (checkpointed sweeps only): the round the
-    #: run resumed from (None = fresh start) and how many snapshots the
-    #: cell flushed.
-    resumed_from_round: Optional[int] = None
-    checkpoints: Optional[int] = None
-    #: Persistent schedule-cache traffic (populated only when the sweep
-    #: ran with ``schedule_cache=``): disk hits/misses across the cell's
-    #: sample networks, evictions (explicit + corrupt), and how many
-    #: genuinely fresh compilations the cell paid for — zero on a warm
-    #: cache, which is what the bench's ``zero_copy`` gate asserts.
-    cache_hits: Optional[int] = None
-    cache_misses: Optional[int] = None
-    cache_evictions: Optional[int] = None
-    schedule_compiles: Optional[int] = None
     #: Multi-instance (``run_many``) cells: how many instances the cell
-    #: covers, and — when the sweep split it — how many K-shards were
-    #: merged to produce it (None = executed unsharded).
+    #: covers.
     instances: Optional[int] = None
-    shards: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -274,14 +215,7 @@ class MatrixCell:
             "analysis_violations": self.analysis_violations,
             "attempts": self.attempts,
             "quarantined": self.quarantined,
-            "resumed_from_round": self.resumed_from_round,
-            "checkpoints": self.checkpoints,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "schedule_compiles": self.schedule_compiles,
             "instances": self.instances,
-            "shards": self.shards,
         }
 
     @classmethod
@@ -398,23 +332,19 @@ class MatrixResult:
 # -- picklable across the worker-pool process boundary) ----------------
 
 
-def _note_cache(cell: MatrixCell, network: Any) -> None:
-    """Accumulate one sample network's persistent schedule-cache traffic
-    onto the cell (no-op when the sweep runs without a cache)."""
-    cache = getattr(network, "schedule_cache", None)
-    if cache is None:
-        return
-    stats = cache.stats
-    cell.cache_hits = (cell.cache_hits or 0) + stats["hits"]
-    cell.cache_misses = (cell.cache_misses or 0) + stats["misses"]
-    cell.cache_evictions = (
-        (cell.cache_evictions or 0)
-        + stats["evictions"]
-        + stats["corrupt_evictions"]
-    )
-    cell.schedule_compiles = (
-        (cell.schedule_compiles or 0) + network.schedule_stats["compiled"]
-    )
+def _cell_network_kwargs(
+    prepared, cell_seed: int, round_limit: Optional[int]
+) -> Dict[str, Any]:
+    """Network arguments for one of a cell's runs.  A fresh network per
+    run keeps cells independent: no compiled-schedule carry-over between
+    engines or repeats beyond what one run legitimately builds.  The
+    per-cell seed applies unless the prepare hook pinned its own; the
+    default round watchdog applies unless the hook set its own limit."""
+    kwargs = dict(prepared.network_kwargs)
+    kwargs.setdefault("seed", cell_seed)
+    if round_limit is not None:
+        kwargs.setdefault("round_limit", round_limit)
+    return kwargs
 
 
 def _execute_cell(
@@ -429,26 +359,8 @@ def _execute_cell(
     verify: Optional[str] = None,
     fault_plan: Optional[Any] = None,
     round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_rounds: Optional[int] = None,
-    checkpoint_every_seconds: Optional[float] = None,
-    preempt: Optional[Any] = None,
-    on_snapshot: Optional[Callable[[int, str, str], None]] = None,
-    schedule_cache: Optional[str] = None,
-    lane_arena: Optional[Any] = None,
 ) -> MatrixCell:
-    """Run one prepared (protocol, family, n) instance on one engine.
-
-    ``checkpoint_dir`` (already cell-specific — see
-    :func:`cell_checkpoint_dir`) enables mid-run snapshot/restore on the
-    first timing sample: the run resumes from the newest valid snapshot
-    when one exists, flushes new ones per the ``checkpoint_every_*``
-    policy, and honours ``preempt`` (flush + :class:`RunPreempted`,
-    which propagates to the supervisor instead of completing the cell).
-    Chaos cells skip checkpointing — snapshots of fault-corrupted state
-    must never be resumable.
-    """
-    from repro.core.errors import RunPreempted
+    """Run one prepared (protocol, family, n) instance on one engine."""
     from repro.core.network import Network
 
     cell = MatrixCell(
@@ -465,66 +377,21 @@ def _execute_cell(
         return _execute_many_cell(
             cell, spec, prepared, program, engine, cell_seed,
             repeats=repeats, verify=verify, fault_plan=fault_plan,
-            round_limit=round_limit, schedule_cache=schedule_cache,
-            lane_arena=lane_arena,
-        )[0]
+            round_limit=round_limit,
+        )
     chaos = fault_plan is not None and fault_plan.is_active
-    checkpointing = checkpoint_dir is not None and not chaos
-
-    def network_kwargs() -> Dict[str, Any]:
-        # A fresh network per sample keeps cells independent: no
-        # compiled-schedule carry-over between engines or repeats beyond
-        # what one run legitimately builds.  The per-cell seed applies
-        # unless the prepare hook pinned its own; the default round
-        # watchdog applies unless the hook set its own limit.  The
-        # persistent schedule cache is the deliberate exception: it is
-        # *meant* to be shared across cells, engines and processes.
-        kwargs = dict(prepared.network_kwargs)
-        kwargs.setdefault("seed", cell_seed)
-        if round_limit is not None:
-            kwargs.setdefault("round_limit", round_limit)
-        if schedule_cache is not None:
-            kwargs.setdefault("schedule_cache", schedule_cache)
-        if lane_arena is not None:
-            kwargs.setdefault("lane_allocator", lane_arena)
-        return kwargs
 
     try:
         best: Optional[float] = None
         summary = digest = run = None
-        for sample in range(repeats):
-            kwargs = network_kwargs()
+        for _sample in range(repeats):
+            kwargs = _cell_network_kwargs(prepared, cell_seed, round_limit)
             if chaos:
                 kwargs["fault_plan"] = fault_plan
             network = Network(engine=engine, **kwargs)
-            run_kwargs: Dict[str, Any] = {}
-            if checkpointing and sample == 0:
-                # Snapshot/restore applies to the first sample only:
-                # a later repeat resuming from the first's snapshots
-                # would time a partial run.  Resumption is
-                # digest-identical, so the cross-repeat determinism
-                # check below still holds.
-                from repro.core.checkpoint import CheckpointPolicy
-
-                run_kwargs["checkpoint"] = CheckpointPolicy(
-                    checkpoint_dir,
-                    every_rounds=checkpoint_every_rounds,
-                    every_seconds=checkpoint_every_seconds,
-                    preempt=preempt,
-                    on_snapshot=on_snapshot,
-                )
-                run_kwargs["resume_from"] = "auto"
             start = time.perf_counter()  # analysis: allow(wall-clock)
-            run = network.run(
-                program, inputs=prepared.inputs, **run_kwargs
-            )
+            run = network.run(program, inputs=prepared.inputs)
             elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
-            if run_kwargs:
-                stats = network.checkpoint_stats
-                cell.checkpoints = stats["snapshots"]
-                if run.resume is not None:
-                    cell.resumed_from_round = run.resume["round"]
-            _note_cache(cell, network)
             sample_summary = prepared.summarize(run)
             sample_digest = _digest(sample_summary, run)
             if digest is not None and sample_digest != digest:
@@ -549,9 +416,10 @@ def _execute_cell(
             # Clean baseline: the same cell, same seed, no plan.  Its
             # digest is what "the faults changed the answer" is
             # measured against.
-            clean = Network(engine=engine, **network_kwargs()).run(
-                program, inputs=prepared.inputs
-            )
+            clean = Network(
+                engine=engine,
+                **_cell_network_kwargs(prepared, cell_seed, round_limit),
+            ).run(program, inputs=prepared.inputs)
             cell.clean_digest = _digest(prepared.summarize(clean), clean)
         if prepared.validate is not None:
             try:
@@ -565,11 +433,6 @@ def _execute_cell(
                 cell, spec, prepared, cell_seed, digest,
                 fault_plan=fault_plan, round_limit=round_limit,
             )
-    except RunPreempted:
-        # Preemption is not a cell outcome: the run flushed its final
-        # snapshot and must surface to the supervisor (which retries the
-        # cell from that snapshot), not complete as a failed cell.
-        raise
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         _failure_fields(cell, exc)
     return cell
@@ -610,24 +473,23 @@ def _verify_cell(
         return
     cell.verify_engine = witness
     try:
-        kwargs = dict(prepared.network_kwargs)
-        kwargs.setdefault("seed", cell_seed)
-        if round_limit is not None:
-            kwargs.setdefault("round_limit", round_limit)
+        kwargs = _cell_network_kwargs(prepared, cell_seed, round_limit)
         if fault_plan is not None and fault_plan.is_active:
             kwargs["fault_plan"] = fault_plan
-        run = Network(engine=witness, **kwargs).run(
-            program, inputs=prepared.inputs
-        )
-        cell.verify_digest = _digest(prepared.summarize(run), run)
+        network = Network(engine=witness, **kwargs)
+        if getattr(prepared, "instances", None) is None:
+            run = network.run(program, inputs=prepared.inputs)
+            cell.verify_digest = _digest(prepared.summarize(run), run)
+        else:
+            runs = network.run_many(program, prepared.instances)
+            cell.verify_digest = _records_digest(
+                _instance_records(prepared, runs)
+            )
         cell.verify_match = cell.verify_digest == digest
     except Exception as exc:  # noqa: BLE001 - divergence, not crash
         cell.verify_match = False
         if cell.error is None:
             cell.error = f"verify[{witness}] {type(exc).__name__}: {exc}"
-
-
-# -- multi-instance (run_many) cells and K-sharding ---------------------
 
 
 def _execute_many_cell(
@@ -642,51 +504,25 @@ def _execute_many_cell(
     verify: Optional[str] = None,
     fault_plan: Optional[Any] = None,
     round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-    schedule_cache: Optional[str] = None,
-    lane_arena: Optional[Any] = None,
-    lo: Optional[int] = None,
-    hi: Optional[int] = None,
-) -> Tuple[MatrixCell, Optional[List[Tuple[Any, int, int, int]]]]:
-    """Run instances ``[lo, hi)`` of a multi-instance cell through one
-    ``run_many`` sweep and return ``(cell, per-instance records)``.
-
-    With the default full range this *is* the cell (digest over all K
-    records); with a sub-range it is one K-shard, whose records the
-    supervisor concatenates via :func:`merge_shard_payloads`.  Mid-run
-    checkpointing does not apply here — the shard boundary is the
-    resumption unit for multi-instance cells.
-    """
+) -> MatrixCell:
+    """Run every instance of a multi-instance cell through one
+    ``run_many`` sweep; the digest covers the ordered per-instance
+    records."""
     from repro.core.network import Network
 
     instances = prepared.instances
-    lo = 0 if lo is None else lo
-    hi = len(instances) if hi is None else hi
     chaos = fault_plan is not None and fault_plan.is_active
-
-    def network_kwargs() -> Dict[str, Any]:
-        kwargs = dict(prepared.network_kwargs)
-        kwargs.setdefault("seed", cell_seed)
-        if round_limit is not None:
-            kwargs.setdefault("round_limit", round_limit)
-        if schedule_cache is not None:
-            kwargs.setdefault("schedule_cache", schedule_cache)
-        if lane_arena is not None:
-            kwargs.setdefault("lane_allocator", lane_arena)
-        return kwargs
-
-    records: Optional[List[Tuple[Any, int, int, int]]] = None
     try:
         best: Optional[float] = None
-        digest = runs = None
+        digest = records = runs = None
         for _sample in range(repeats):
-            kwargs = network_kwargs()
+            kwargs = _cell_network_kwargs(prepared, cell_seed, round_limit)
             if chaos:
                 kwargs["fault_plan"] = fault_plan
             network = Network(engine=engine, **kwargs)
             start = time.perf_counter()  # analysis: allow(wall-clock)
-            runs = network.run_many(program, instances[lo:hi])
+            runs = network.run_many(program, instances)
             elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
-            _note_cache(cell, network)
             sample_records = _instance_records(prepared, runs)
             sample_digest = _records_digest(sample_records)
             if digest is not None and sample_digest != digest:
@@ -702,7 +538,7 @@ def _execute_many_cell(
         cell.total_bits = sum(rec[2] for rec in records)
         cell.max_round_bits = max((rec[3] for rec in records), default=0)
         cell.digest = digest
-        cell.instances = hi - lo
+        cell.instances = len(instances)
         fallbacks = [run.fallback for run in runs if run.fallback is not None]
         if fallbacks:
             cell.engine_fallback = (
@@ -710,216 +546,28 @@ def _execute_many_cell(
             )
         if chaos:
             cell.fault_count = sum(len(run.faults or ()) for run in runs)
-            clean_runs = Network(engine=engine, **network_kwargs()).run_many(
-                program, instances[lo:hi]
-            )
+            clean_runs = Network(
+                engine=engine,
+                **_cell_network_kwargs(prepared, cell_seed, round_limit),
+            ).run_many(program, instances)
             cell.clean_digest = _records_digest(
                 _instance_records(prepared, clean_runs)
             )
         if prepared.validate_instance is not None:
             try:
                 for k, rec in enumerate(records):
-                    prepared.validate_instance(lo + k, rec[0])
+                    prepared.validate_instance(k, rec[0])
                 cell.validated = True
             except AssertionError as exc:
                 cell.validated = False
                 cell.error = str(exc)
         if verify == "cross-engine":
-            _verify_many_cell(
-                cell, spec, prepared, cell_seed, digest, lo, hi,
+            _verify_cell(
+                cell, spec, prepared, cell_seed, digest,
                 fault_plan=fault_plan, round_limit=round_limit,
             )
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
         _failure_fields(cell, exc)
-        records = None
-    return cell, records
-
-
-def _verify_many_cell(
-    cell: MatrixCell,
-    spec,
-    prepared,
-    cell_seed: int,
-    digest: Optional[str],
-    lo: int,
-    hi: int,
-    *,
-    fault_plan: Optional[Any] = None,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-) -> None:
-    """Cross-engine witness for a multi-instance cell: re-run the same
-    instance range on a second engine and compare record digests."""
-    from repro.core.network import Network
-
-    witness = next(
-        (
-            name
-            for name in [REFERENCE_ENGINE]
-            + [e for e in spec.engines if e != REFERENCE_ENGINE]
-            if name != cell.engine and name in spec.engines
-        ),
-        None,
-    )
-    if witness is None:
-        return
-    program = prepared.programs.get(spec.program_for(witness))
-    if program is None:
-        return
-    cell.verify_engine = witness
-    try:
-        kwargs = dict(prepared.network_kwargs)
-        kwargs.setdefault("seed", cell_seed)
-        if round_limit is not None:
-            kwargs.setdefault("round_limit", round_limit)
-        if fault_plan is not None and fault_plan.is_active:
-            kwargs["fault_plan"] = fault_plan
-        runs = Network(engine=witness, **kwargs).run_many(
-            program, prepared.instances[lo:hi]
-        )
-        cell.verify_digest = _records_digest(_instance_records(prepared, runs))
-        cell.verify_match = cell.verify_digest == digest
-    except Exception as exc:  # noqa: BLE001 - divergence, not crash
-        cell.verify_match = False
-        if cell.error is None:
-            cell.error = f"verify[{witness}] {type(exc).__name__}: {exc}"
-
-
-def _shard_payload(
-    spec,
-    prepared,
-    family_name: str,
-    n: int,
-    engine: str,
-    cell_seed: int,
-    lo: int,
-    hi: int,
-    *,
-    repeats: int = 1,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-    schedule_cache: Optional[str] = None,
-    lane_arena: Optional[Any] = None,
-) -> Dict[str, Any]:
-    """Execute one K-shard of a prepared multi-instance cell and return
-    its transportable payload: the shard's partial cell record plus the
-    per-instance records the merge concatenates."""
-    cell = MatrixCell(
-        protocol=spec.name, family=family_name, n=n, engine=engine,
-        status="unsupported",
-    )
-    records = None
-    if engine in spec.engines:
-        program = prepared.programs.get(spec.program_for(engine))
-        if program is not None:
-            cell, records = _execute_many_cell(
-                cell, spec, prepared, program, engine, cell_seed,
-                repeats=repeats, round_limit=round_limit,
-                schedule_cache=schedule_cache, lane_arena=lane_arena,
-                lo=lo, hi=hi,
-            )
-    return {"lo": lo, "hi": hi, "cell": cell.to_dict(), "records": records}
-
-
-def run_cell_shard(
-    spec,
-    family_name: str,
-    n: int,
-    engine: str,
-    *,
-    seed: int = 0,
-    lo: int,
-    hi: int,
-    repeats: int = 1,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-    schedule_cache: Optional[str] = None,
-    lane_arena: Optional[Any] = None,
-) -> Dict[str, Any]:
-    """Worker-pool entry point for one K-shard: rebuild the cell's graph
-    and prepared scenario from the coordinates (exactly as
-    :func:`run_cell` does — shards must see the identical instance
-    payloads in every process), then execute instances ``[lo, hi)``."""
-    import random
-
-    coord = _cell_coord(seed, spec.name, family_name, n)
-    cell_seed = int.from_bytes(hashlib.sha256(coord.encode()).digest()[:4], "big")
-    rng = random.Random(coord)
-    try:
-        graph = get_family(family_name).build(n, rng)
-        prepared = spec.prepare(n, graph, rng)
-        if prepared.instances is None:
-            raise ValueError(
-                f"protocol {spec.name!r} is not multi-instance; cannot shard"
-            )
-    except Exception as exc:  # noqa: BLE001 - isolate the shard
-        cell = MatrixCell(
-            protocol=spec.name, family=family_name, n=n, engine=engine,
-            status="failed",
-        )
-        _failure_fields(cell, exc)
-        return {"lo": lo, "hi": hi, "cell": cell.to_dict(), "records": None}
-    return _shard_payload(
-        spec, prepared, family_name, n, engine, cell_seed, lo, hi,
-        repeats=repeats, round_limit=round_limit,
-        schedule_cache=schedule_cache, lane_arena=lane_arena,
-    )
-
-
-def merge_shard_payloads(
-    spec, family_name: str, n: int, engine: str, payloads: Sequence[Dict[str, Any]]
-) -> MatrixCell:
-    """Deterministically merge K-shard payloads into the cell the serial
-    runner would have produced.
-
-    Records concatenate in instance order and the digest covers the full
-    ordered tuple — byte-identical to the unsharded ``run_many`` cell,
-    because each record is a pure function of its instance.  Failure is
-    sticky (any failed shard fails the cell); instrumentation fields
-    (seconds, cache counters) sum across shards.
-    """
-    ordered = sorted(payloads, key=lambda p: p["lo"])
-    shard_cells = [MatrixCell.from_dict(p["cell"]) for p in ordered]
-    cell = MatrixCell(
-        protocol=spec.name, family=family_name, n=n, engine=engine,
-        status="ok",
-    )
-    cell.shards = len(ordered)
-    failed = next((c for c in shard_cells if c.status == "failed"), None)
-    if failed is not None:
-        cell.status = "failed"
-        cell.error = failed.error
-        cell.error_type = failed.error_type
-        cell.traceback_digest = failed.traceback_digest
-        return cell
-    if all(c.status == "unsupported" for c in shard_cells):
-        cell.status = "unsupported"
-        return cell
-    records: List[Any] = []
-    for payload in ordered:
-        records.extend(payload["records"] or ())
-    cell.digest = _records_digest(records)
-    cell.rounds = records[0][1] if records else 0
-    cell.total_bits = sum(rec[2] for rec in records)
-    cell.max_round_bits = max((rec[3] for rec in records), default=0)
-    cell.seconds = sum(c.seconds or 0.0 for c in shard_cells)
-    cell.instances = sum(c.instances or 0 for c in shard_cells)
-    verdicts = [c.validated for c in shard_cells]
-    if any(v is False for v in verdicts):
-        cell.validated = False
-        cell.error = next(
-            (c.error for c in shard_cells if c.validated is False), None
-        )
-    elif all(v is True for v in verdicts):
-        cell.validated = True
-    for name in ("cache_hits", "cache_misses", "cache_evictions",
-                 "schedule_compiles"):
-        values = [getattr(c, name) for c in shard_cells]
-        if any(v is not None for v in values):
-            setattr(cell, name, sum(v or 0 for v in values))
-    fallback = next(
-        (c.engine_fallback for c in shard_cells
-         if c.engine_fallback is not None),
-        None,
-    )
-    cell.engine_fallback = fallback
     return cell
 
 
@@ -934,21 +582,9 @@ def run_cell(
     verify: Optional[str] = None,
     fault_plan: Optional[Any] = None,
     round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_rounds: Optional[int] = None,
-    checkpoint_every_seconds: Optional[float] = None,
-    preempt: Optional[Any] = None,
-    on_snapshot: Optional[Callable[[int, str, str], None]] = None,
-    schedule_cache: Optional[str] = None,
-    lane_arena: Optional[Any] = None,
 ) -> MatrixCell:
     """Execute one sweep cell from scratch: build the instance graph,
     prepare the scenario, run it on ``engine``.
-
-    ``checkpoint_dir`` is the sweep-level base directory; this function
-    derives the cell's own snapshot directory from its journal key
-    (:func:`cell_checkpoint_dir`), so an interrupted attempt's snapshots
-    are found again by any later attempt in any process.
 
     This is the worker-pool entry point, and deliberately a pure
     function of the cell coordinates: the graph rng, the network seed
@@ -982,21 +618,10 @@ def run_cell(
         )
         _failure_fields(cell, exc)
         return cell
-    cell_dir = None
-    if checkpoint_dir is not None:
-        cell_dir = cell_checkpoint_dir(
-            checkpoint_dir,
-            _cell_key(seed, spec.name, family_name, n, engine),
-        )
     return _execute_cell(
         spec, prepared, family_name, n, engine, cell_seed,
         repeats=repeats, verify=verify, fault_plan=fault_plan,
         round_limit=round_limit,
-        checkpoint_dir=cell_dir,
-        checkpoint_every_rounds=checkpoint_every_rounds,
-        checkpoint_every_seconds=checkpoint_every_seconds,
-        preempt=preempt, on_snapshot=on_snapshot,
-        schedule_cache=schedule_cache, lane_arena=lane_arena,
     )
 
 
@@ -1139,11 +764,6 @@ class ScenarioMatrix:
         max_attempts: int = 3,
         chaos_kills: Optional[Sequence[int]] = None,
         stop_after_cells: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every_rounds: Optional[int] = None,
-        checkpoint_every_seconds: Optional[float] = None,
-        schedule_cache: Optional[str] = None,
-        shard_k: Optional[int] = None,
     ) -> MatrixResult:
         """Run the sweep and return its :class:`MatrixResult`.
 
@@ -1159,28 +779,9 @@ class ScenarioMatrix:
         ``chaos_kills`` / ``stop_after_cells`` are the chaos-drill hooks
         the resilience tests and the CI chaos-pool job use.
 
-        ``checkpoint_dir=`` enables mid-run checkpointing for every
-        cell (snapshots under a per-cell subdirectory, flushed every
-        ``checkpoint_every_rounds`` rounds and/or
-        ``checkpoint_every_seconds`` seconds): an interrupted attempt's
-        next attempt resumes from the newest valid snapshot instead of
-        from scratch.  Deliberately *not* part of the sweep's journal
-        fingerprint — where snapshots live does not change what the
-        cells compute, so a checkpointed sweep can resume a plain
-        sweep's journal and vice versa.
-
-        ``schedule_cache=`` names a directory for the persistent
-        compiled-schedule cache: kernel-engine cells store their
-        compiled lane structures there and later cells — in this run, a
-        resumed run, or any pool worker — load them instead of
-        recompiling (cells gain ``cache_hits``/``cache_misses``
-        counters; legacy and fast cells never touch it).
-        ``shard_k=`` splits each multi-instance cell into K-shards of at
-        most that many instances (aligned to the engines' K-chunk seam)
-        so the pool spreads one cell across workers; the merged cell is
-        digest-identical to the unsharded runner.  Neither knob is part
-        of the journal fingerprint — like ``checkpoint_dir``, they change
-        how cells execute, never what they compute.
+        The cell is the unit of work and of recovery: a cell interrupted
+        by a crash or a kill is re-run from the start, and a resumed
+        sweep re-runs exactly the cells its journal has not recorded.
         """
         if workers is not None:
             from repro.scenarios.sweep import run_sharded
@@ -1194,40 +795,19 @@ class ScenarioMatrix:
                 max_attempts=max_attempts,
                 chaos_kills=chaos_kills,
                 stop_after_cells=stop_after_cells,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every_rounds=checkpoint_every_rounds,
-                checkpoint_every_seconds=checkpoint_every_seconds,
-                schedule_cache=schedule_cache,
-                shard_k=shard_k,
             )
         if journal is not None or resume_from is not None:
             from repro.scenarios.sweep import run_journaled_serial
 
             return run_journaled_serial(
-                self, journal=journal, resume_from=resume_from,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every_rounds=checkpoint_every_rounds,
-                checkpoint_every_seconds=checkpoint_every_seconds,
-                schedule_cache=schedule_cache,
-                shard_k=shard_k,
+                self, journal=journal, resume_from=resume_from
             )
-        return self._run_serial(
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_rounds=checkpoint_every_rounds,
-            checkpoint_every_seconds=checkpoint_every_seconds,
-            schedule_cache=schedule_cache,
-            shard_k=shard_k,
-        )
+        return self._run_serial()
 
     def _run_serial(
         self,
         on_cell: Optional[Callable[[str, MatrixCell], None]] = None,
         replay: Optional[Dict[str, Dict[str, Any]]] = None,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every_rounds: Optional[int] = None,
-        checkpoint_every_seconds: Optional[float] = None,
-        schedule_cache: Optional[str] = None,
-        shard_k: Optional[int] = None,
     ) -> MatrixResult:
         """The in-process serial runner.
 
@@ -1235,11 +815,6 @@ class ScenarioMatrix:
         cell as soon as it completes (the journal hook); ``replay`` maps
         cell keys to recorded :meth:`MatrixCell.to_dict` payloads that
         are rebuilt instead of re-executed (the resume hook).
-
-        ``shard_k`` makes the serial runner execute eligible
-        multi-instance cells shard by shard and merge — same code path
-        as the pool's merge, which is how the K-sharding digest identity
-        is provable in-process.
         """
         import random
 
@@ -1293,34 +868,14 @@ class ScenarioMatrix:
                             on_cell(cell.key(self.seed), cell)
                 if prepared is not None:
                     for engine in pending:
-                        cell_dir = None
-                        if checkpoint_dir is not None:
-                            cell_dir = cell_checkpoint_dir(
-                                checkpoint_dir,
-                                _cell_key(
-                                    self.seed, protocol_name, family_name,
-                                    n, engine,
-                                ),
-                            )
-                        if self._shardable(spec, engine, shard_k, cell_dir):
-                            cell = self._run_sharded_cell(
-                                spec, prepared, family_name, n, engine,
-                                cell_seed, shard_k=shard_k,
-                                schedule_cache=schedule_cache,
-                            )
-                        else:
-                            cell = _execute_cell(
-                                spec, prepared, family_name, n, engine,
-                                cell_seed,
-                                repeats=self.repeats,
-                                verify=self.verify,
-                                fault_plan=self.fault_plan,
-                                round_limit=self.cell_round_limit,
-                                checkpoint_dir=cell_dir,
-                                checkpoint_every_rounds=checkpoint_every_rounds,
-                                checkpoint_every_seconds=checkpoint_every_seconds,
-                                schedule_cache=schedule_cache,
-                            )
+                        cell = _execute_cell(
+                            spec, prepared, family_name, n, engine,
+                            cell_seed,
+                            repeats=self.repeats,
+                            verify=self.verify,
+                            fault_plan=self.fault_plan,
+                            round_limit=self.cell_round_limit,
+                        )
                         cells.append(cell)
                         if on_cell is not None:
                             on_cell(cell.key(self.seed), cell)
@@ -1328,40 +883,6 @@ class ScenarioMatrix:
             self._finalize_coordinate(spec, family_name, n, cells)
             result.cells.extend(cells)
         return result
-
-    def _shardable(
-        self, spec, engine: str, shard_k: Optional[int],
-        cell_dir: Optional[str],
-    ) -> bool:
-        """Whether one cell is eligible for K-sharding: a multi-instance
-        protocol on a supported engine, with no per-cell chaos, witness
-        or checkpointing riding along (those stay whole-cell concerns —
-        the shard is purely an execution split)."""
-        return (
-            shard_k is not None
-            and spec.instances > 1
-            and engine in spec.engines
-            and self.verify is None
-            and self.fault_plan is None
-            and cell_dir is None
-        )
-
-    def _run_sharded_cell(
-        self, spec, prepared, family_name: str, n: int, engine: str,
-        cell_seed: int, *, shard_k: int,
-        schedule_cache: Optional[str] = None,
-    ) -> MatrixCell:
-        """Serial K-sharding: execute each shard in turn and merge —
-        digest-identical to the unsharded cell by construction."""
-        payloads = [
-            _shard_payload(
-                spec, prepared, family_name, n, engine, cell_seed, lo, hi,
-                repeats=self.repeats, round_limit=self.cell_round_limit,
-                schedule_cache=schedule_cache,
-            )
-            for lo, hi in plan_shards(spec.instances, shard_k, n)
-        ]
-        return merge_shard_payloads(spec, family_name, n, engine, payloads)
 
     def _finalize_coordinate(
         self, spec, family_name: str, n: int, cells: List[MatrixCell]

@@ -65,15 +65,14 @@ class PreparedScenario:
     #: lists, one entry per instance.  When set, the matrix runner
     #: executes all K instances through one
     #: :meth:`~repro.core.network.Network.run_many` call and the cell digest
-    #: covers the ordered per-instance summaries — which is what lets the
-    #: sweep executor split the K range across workers and merge shards
-    #: byte-identically.  ``inputs`` should hold instance 0 so
+    #: covers the ordered per-instance summaries.  ``inputs`` should hold
+    #: instance 0 so
     #: single-run consumers (the static verifier) stay oblivious to the
     #: batching.
     instances: Optional[List[Any]] = None
     #: ``validate_instance(k, summary_k)`` — per-instance ground-truth
     #: check for multi-instance scenarios; raises AssertionError on
-    #: mismatch.  Each shard validates exactly the instances it ran.
+    #: mismatch.
     validate_instance: Optional[Callable[[int, Any], None]] = None
 
 
@@ -95,11 +94,6 @@ class ProtocolSpec:
     #: against it; in strict mode a missing budget is itself a
     #: violation, so registered protocols must declare one.
     bandwidth_budget: Optional[BandwidthBudget] = None
-    #: Declared instance count for multi-instance (``run_many``)
-    #: scenarios — must equal ``len(prepare(...).instances)``.  Declared
-    #: on the spec so the sweep supervisor can plan K-shards without
-    #: preparing the scenario first; 1 means a plain single-run cell.
-    instances: int = 1
 
     def program_for(self, engine: str) -> str:
         """Which program flavour the named engine executes."""
@@ -122,7 +116,6 @@ class ProtocolSpec:
                 self.engines,
                 self.prepare,
                 self.bandwidth_budget,
-                self.instances,
             ),
         )
 
@@ -134,7 +127,6 @@ def _restore_spec(
     engines: Tuple[str, ...],
     prepare: Callable[[int, Graph, random.Random], PreparedScenario],
     bandwidth_budget: Optional[BandwidthBudget],
-    instances: int = 1,
 ) -> "ProtocolSpec":
     """Unpickle hook for :class:`ProtocolSpec` (see ``__reduce__``)."""
     existing = PROTOCOLS.get(name)
@@ -148,7 +140,6 @@ def _restore_spec(
             engines=engines,
             prepare=prepare,
             bandwidth_budget=bandwidth_budget,
-            instances=instances,
         )
     )
 
@@ -195,7 +186,7 @@ def _sorted_edges(graph: Graph) -> Tuple[Tuple[int, int], ...]:
 #: Frame width of the routing scenarios (bits per routed frame).
 _ROUTING_FRAME_SIZE = 16
 #: Instance count of the ``routing_many`` scenario: K payload batches
-#: routed through one routing schedule — the K-sharding seam.
+#: routed through one routing schedule.
 ROUTING_MANY_INSTANCES = 6
 
 
@@ -277,9 +268,8 @@ def _prepare_routing_many(
     twin of ``routing``.  The round structure is identical for every
     instance (it depends only on the demand pattern), so the cell is one
     ``run_many`` sweep over a single routing schedule — on the kernel
-    engine one compiled schedule for all K instances, exactly the shape
-    the zero-copy fabric accelerates (persistent schedule cache,
-    shared-memory lanes, K-sharding across pool workers)."""
+    engine one compiled schedule for all K instances, stacked into
+    K-instance lanes."""
     from repro.routing.lenzen import route_kernel_program, route_program
     from repro.routing.schedule import build_schedule
 
@@ -496,7 +486,6 @@ register_protocol(
         # Same word size as ``routing``: K scales the instance count,
         # never the frame width.
         bandwidth_budget=BandwidthBudget(flat=16),
-        instances=ROUTING_MANY_INSTANCES,
     )
 )
 register_protocol(

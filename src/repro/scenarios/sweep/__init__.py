@@ -3,11 +3,9 @@
 The package behind ``ScenarioMatrix.run(workers=..., journal=...,
 resume_from=..., cell_timeout=...)``: a supervised persistent worker
 pool (:mod:`~repro.scenarios.sweep.pool`), the thin worker process it
-drives (:mod:`~repro.scenarios.sweep.worker`), the durable JSONL
-execution journal that makes sweeps resumable
-(:mod:`~repro.scenarios.sweep.journal`), and the zero-copy
-shared-memory transport for shard results and lane buffers
-(:mod:`~repro.scenarios.sweep.shm`).
+drives (:mod:`~repro.scenarios.sweep.worker`), and the durable JSONL
+execution journal that makes sweeps resumable at cell granularity
+(:mod:`~repro.scenarios.sweep.journal`).
 """
 
 from repro.scenarios.sweep.journal import (
@@ -17,15 +15,6 @@ from repro.scenarios.sweep.journal import (
     verify_journal,
 )
 from repro.scenarios.sweep.pool import run_journaled_serial, run_sharded
-from repro.scenarios.sweep.shm import (
-    SEGMENT_PREFIX,
-    fetch_payload,
-    leaked_segments,
-    publish_payload,
-    segment_prefix,
-    shm_available,
-    sweep_leaked_segments,
-)
 
 __all__ = [
     "LoadedJournal",
@@ -34,11 +23,4 @@ __all__ = [
     "verify_journal",
     "run_journaled_serial",
     "run_sharded",
-    "SEGMENT_PREFIX",
-    "shm_available",
-    "segment_prefix",
-    "publish_payload",
-    "fetch_payload",
-    "leaked_segments",
-    "sweep_leaked_segments",
 ]

@@ -18,7 +18,8 @@ re-executing, and re-derives all cross-cell verdicts, so a resumed
 sweep's digests are byte-identical to an uninterrupted run.  Quarantined
 cells are journaled like any other completed cell and therefore *not*
 retried on resume — delete the journal (or resume into a new one) to
-re-attempt poison cells.
+re-attempt poison cells.  Load skips record kinds it does not read, so
+a journal carrying lines this version no longer writes still resumes.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class SweepJournal:
         """Create the journal file and write its meta line.
 
         Refuses to clobber an existing non-empty journal unless
-        ``overwrite`` is set: a journal on disk is a checkpoint someone
+        ``overwrite`` is set: a journal on disk is a record someone
         may intend to resume, and losing it silently is exactly the
         failure mode this module exists to prevent.
         """
@@ -108,23 +109,6 @@ class SweepJournal:
                 "error_type": error_type,
                 "error": error,
                 "traceback_digest": traceback_digest,
-            }
-        )
-
-    def record_checkpoint(
-        self, key: str, attempt: int, round_index: int, digest: str
-    ) -> None:
-        """Record one mid-run snapshot flush — the cell's checkpoint
-        lineage.  Purely forensic: resume finds snapshots on disk by
-        run identity, not through the journal, so a lost ``ckpt`` line
-        never loses progress."""
-        self._append(
-            {
-                "kind": "ckpt",
-                "key": key,
-                "attempt": attempt,
-                "round": round_index,
-                "digest": digest,
             }
         )
 
@@ -204,7 +188,6 @@ class SweepJournal:
         cells: Dict[str, Dict[str, Any]] = {}
         cell_lines: Dict[str, int] = {}
         attempts: Dict[str, List[Dict[str, Any]]] = {}
-        checkpoints: Dict[str, List[Dict[str, Any]]] = {}
         for record in records[1:]:
             kind = record.get("kind")
             key = record.get("key")
@@ -213,8 +196,6 @@ class SweepJournal:
                 cell_lines[key] = cell_lines.get(key, 0) + 1
             elif kind == "attempt" and key is not None:
                 attempts.setdefault(key, []).append(record)
-            elif kind == "ckpt" and key is not None:
-                checkpoints.setdefault(key, []).append(record)
         return LoadedJournal(
             path=path,
             meta=meta["sweep"],
@@ -222,7 +203,6 @@ class SweepJournal:
             cells=cells,
             cell_lines=cell_lines,
             attempts=attempts,
-            checkpoints=checkpoints,
             torn_line=torn_line,
         )
 
@@ -253,7 +233,6 @@ class LoadedJournal:
         cells: Dict[str, Dict[str, Any]],
         cell_lines: Dict[str, int],
         attempts: Dict[str, List[Dict[str, Any]]],
-        checkpoints: Optional[Dict[str, List[Dict[str, Any]]]] = None,
         torn_line: bool = False,
     ) -> None:
         self.path = path
@@ -266,9 +245,6 @@ class LoadedJournal:
         self.cell_lines = cell_lines
         #: key -> failed-attempt records, in journal order.
         self.attempts = attempts
-        #: key -> mid-run snapshot records (``ckpt`` lines), in journal
-        #: order — the checkpoint lineage across a cell's attempts.
-        self.checkpoints = checkpoints if checkpoints is not None else {}
         #: Whether the file ended in a torn (kill-mid-append) line.
         self.torn_line = torn_line
 
@@ -286,9 +262,7 @@ def verify_journal(path: str) -> Dict[str, Any]:
     journal parsed (fingerprint line intact, schema known, no mid-file
     corruption) *and* no completed cell was recorded twice.  A torn
     trailing line is reported but does not fail the check — it is the
-    expected residue of a kill mid-append.  ``checkpoints`` summarises
-    the recorded checkpoint lineage per cell: flush count, last round,
-    last snapshot digest, and the attempts that flushed.
+    expected residue of a kill mid-append.
     """
     report: Dict[str, Any] = {
         "path": path,
@@ -299,7 +273,6 @@ def verify_journal(path: str) -> Dict[str, Any]:
         "failed_attempts": 0,
         "duplicate_keys": [],
         "torn_line": False,
-        "checkpoints": {},
     }
     try:
         loaded = SweepJournal.load(path)
@@ -320,12 +293,4 @@ def verify_journal(path: str) -> Dict[str, Any]:
             f"{len(duplicates)} cell(s) recorded more than once: "
             "a completed cell was re-executed"
         )
-    for key, records in sorted(loaded.checkpoints.items()):
-        last = records[-1]
-        report["checkpoints"][key] = {
-            "flushes": len(records),
-            "last_round": last.get("round"),
-            "last_digest": last.get("digest"),
-            "attempts": sorted({r.get("attempt") for r in records}),
-        }
     return report

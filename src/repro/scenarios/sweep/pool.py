@@ -9,7 +9,9 @@ of interrupted cells, and a poison-cell quarantine after ``max_attempts``
 (quarantined cells are recorded on the result as ``failed`` cells with
 ``quarantined=True`` — never silently dropped).  Completed cells are
 journaled durably (:mod:`repro.scenarios.sweep.journal`) so a killed
-sweep resumes where it stopped.
+sweep resumes where it stopped.  "Sharded" means spread across workers:
+the cell is the unit of work and of recovery, so an interrupted cell is
+re-run from the start on its next attempt.
 
 The hard invariant is determinism: a cell is a pure function of its
 coordinates (:func:`repro.scenarios.matrix.run_cell`), and every
@@ -62,18 +64,6 @@ def _now() -> float:
     return time.monotonic()  # analysis: allow(wall-clock)
 
 
-def _parent(tid: str) -> str:
-    """The cell key a task id belongs to (``key#i`` → ``key``): K-shard
-    task ids extend their cell's journal key with a shard index."""
-    return tid.split("#", 1)[0]
-
-
-def _is_shm_descriptor(payload: Any) -> bool:
-    """Whether a done-event payload is a shared-memory handoff
-    descriptor rather than the payload itself."""
-    return isinstance(payload, dict) and set(payload) == {"shm", "nbytes"}
-
-
 class _Slot:
     """One worker position: process + private task queue + current task."""
 
@@ -109,11 +99,6 @@ def run_journaled_serial(
     *,
     journal: Optional[str] = None,
     resume_from: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_rounds: Optional[int] = None,
-    checkpoint_every_seconds: Optional[float] = None,
-    schedule_cache: Optional[str] = None,
-    shard_k: Optional[int] = None,
 ):
     """The serial runner with journal/resume plumbing attached — used
     directly by ``run(journal=..., resume_from=...)`` without workers,
@@ -128,14 +113,7 @@ def run_journaled_serial(
 
     on_cell = record if handle is not None else None
     try:
-        result = matrix._run_serial(
-            on_cell=on_cell, replay=replay or None,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_rounds=checkpoint_every_rounds,
-            checkpoint_every_seconds=checkpoint_every_seconds,
-            schedule_cache=schedule_cache,
-            shard_k=shard_k,
-        )
+        result = matrix._run_serial(on_cell=on_cell, replay=replay or None)
     finally:
         if handle is not None:
             handle.close()
@@ -157,12 +135,6 @@ def run_sharded(
     heartbeat_interval: float = 0.5,
     chaos_kills: Optional[Sequence[int]] = None,
     stop_after_cells: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_rounds: Optional[int] = None,
-    checkpoint_every_seconds: Optional[float] = None,
-    schedule_cache: Optional[str] = None,
-    shard_k: Optional[int] = None,
-    use_shm: Optional[bool] = None,
 ):
     """Run ``matrix`` on a supervised pool of ``workers`` processes.
 
@@ -170,23 +142,8 @@ def run_sharded(
     :class:`~repro.scenarios.matrix.MatrixResult` shape as the serial
     runner, with ``meta["pool"]`` carrying executor forensics
     (per-worker accounting, respawns, quarantined keys, replay counts).
-
-    The zero-copy fabric rides three keywords: ``schedule_cache=`` (a
-    directory every worker shares — each program compiles exactly once
-    across the whole pool), ``shard_k=`` (split multi-instance cells
-    into K-shards dispatched as independent tasks ``key#i`` and merged
-    digest-identically on completion), and ``use_shm`` (shared-memory
-    handoff of shard payloads and lane buffers; default: autodetect,
-    with graceful inline fallback).  Shard retry follows the cell retry
-    policy per shard; a quarantined shard quarantines its whole cell.
     """
-    from repro.scenarios.matrix import _cell_key, merge_shard_payloads, plan_shards
-    from repro.scenarios.sweep.shm import (
-        fetch_payload,
-        segment_prefix,
-        shm_available,
-        sweep_leaked_segments,
-    )
+    from repro.scenarios.matrix import _cell_key
 
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -204,10 +161,6 @@ def run_sharded(
             key = _cell_key(matrix.seed, protocol, family, n, engine)
             task_info[key] = (protocol, family, n, engine)
 
-    if use_shm is None:
-        use_shm = shm_available()
-    shm_prefix = segment_prefix() if use_shm else None
-
     pool_meta: Dict[str, Any] = {
         "executor": "pool",
         "workers": workers,
@@ -217,54 +170,18 @@ def run_sharded(
         "interrupted": False,
         "fallback_reason": None,
         "worker_stats": {},
-        "checkpoint_events": 0,
-        "shard_k": shard_k,
-        "shard_tasks": 0,
-        "shm": bool(use_shm),
-        "segments_swept": 0,
     }
     meta["pool"] = pool_meta
     meta["journal"] = handle.path if handle is not None else None
 
     completed: Dict[str, Dict[str, Any]] = dict(replay)
-
-    # -- task expansion: eligible multi-instance cells become K-shard
-    # -- tasks ``key#i`` at chunk-aligned instance ranges ---------------
-    shard_ranges: Dict[str, Tuple[int, int]] = {}
-    shard_count: Dict[str, int] = {}
-    task_ids: List[str] = []
-    for key in all_keys:
-        if key in completed:
-            continue
-        protocol, family, n, engine = task_info[key]
-        spec = get_protocol(protocol)
-        if matrix._shardable(spec, engine, shard_k, checkpoint_dir):
-            shards = plan_shards(spec.instances, shard_k, n)
-            if len(shards) > 1:
-                shard_count[key] = len(shards)
-                for si, (lo, hi) in enumerate(shards):
-                    tid = f"{key}#{si}"
-                    shard_ranges[tid] = (lo, hi)
-                    task_ids.append(tid)
-                continue
-        task_ids.append(key)
-    pool_meta["shard_tasks"] = len(shard_ranges)
-    pending = deque(task_ids)
-    #: Per-cell accumulation of completed shard payloads / max attempt.
-    shard_results: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    shard_attempts: Dict[str, int] = {}
+    pending = deque(k for k in all_keys if k not in completed)
 
     def serial_fallback(reason: str):
         pool_meta["executor"] = "serial-fallback"
         pool_meta["fallback_reason"] = reason
         try:
-            _run_keys_serially(
-                matrix, list(pending), task_info, completed, handle,
-                checkpoint_dir=checkpoint_dir,
-                checkpoint_every_rounds=checkpoint_every_rounds,
-                checkpoint_every_seconds=checkpoint_every_seconds,
-                schedule_cache=schedule_cache,
-            )
+            _run_keys_serially(matrix, list(pending), task_info, completed, handle)
         finally:
             if handle is not None:
                 handle.close()
@@ -322,36 +239,25 @@ def run_sharded(
         slot.spawned_at = _now()
         slot.task = None
         stats.setdefault(
-            slot.index,
-            {"cells": 0, "shards": 0, "seconds": 0.0, "total_bits": 0,
-             "respawns": -1},
+            slot.index, {"cells": 0, "seconds": 0.0, "total_bits": 0, "respawns": -1}
         )["respawns"] += 1
 
     def kill(slot: _Slot) -> None:
         if slot.proc is not None and slot.proc.is_alive():
             slot.proc.kill()
             slot.proc.join(timeout=10.0)
-        if shm_prefix is not None:
-            # The dead worker may have left segments it created but never
-            # announced (or announced into a queue we are about to treat
-            # as stale).  Its name subspace is dead with it: sweep now,
-            # before a replacement reuses the slot index.
-            pool_meta["segments_swept"] += sweep_leaked_segments(
-                f"{shm_prefix}-w{slot.index}-"
-            )
 
-    def handle_failure(tid: str, exc_type: type, message: str, digest: str) -> None:
+    def handle_failure(key: str, exc_type: type, message: str, digest: str) -> None:
         nonlocal fresh
-        key = _parent(tid)
         if key in completed:
             return
-        attempts_used[tid] = attempts_used.get(tid, 0) + 1
-        k = attempts_used[tid]
+        attempts_used[key] = attempts_used.get(key, 0) + 1
+        k = attempts_used[key]
         if handle is not None:
-            handle.record_attempt(tid, k, exc_type.__name__, message, digest)
+            handle.record_attempt(key, k, exc_type.__name__, message, digest)
         if k >= max_attempts:
             protocol, family, n, engine = task_info[key]
-            err = exc_type(message, coordinate=tid, attempts=k,
+            err = exc_type(message, coordinate=key, attempts=k,
                            traceback_digest=digest)
             quarantined = {
                 "protocol": protocol, "family": family, "n": n,
@@ -360,22 +266,14 @@ def run_sharded(
                 "traceback_digest": digest, "attempts": k,
                 "quarantined": True,
             }
-            # A poisoned shard poisons its cell: drop the siblings (done
-            # or pending) — a partial merge must never masquerade as the
-            # cell.
             completed[key] = quarantined
             pool_meta["quarantined"].append(key)
-            if tid != key:
-                shard_results.pop(key, None)
-                for sibling in [t for t in pending if _parent(t) == key]:
-                    pending.remove(sibling)
-            retries[:] = [r for r in retries if _parent(r[2]) != key]
             if handle is not None:
                 handle.record_cell(key, quarantined, attempt=k)
             fresh += 1
         else:
             delay = min(backoff_cap, backoff_base * (2 ** (k - 1)))
-            retries.append((_now() + delay, k + 1, tid))
+            retries.append((_now() + delay, k + 1, key))
 
     def fail_inflight(slot: _Slot, exc_type: type, reason: str) -> None:
         task = slot.task
@@ -418,33 +316,26 @@ def run_sharded(
             for slot in slots:
                 if slot.task is not None or not slot.proc.is_alive():
                     continue
-                tid = attempt = None
+                key = attempt = None
                 ready = [r for r in retries if r[0] <= now]
                 if ready:
                     ready.sort()
                     retries.remove(ready[0])
-                    _, attempt, tid = ready[0]
+                    _, attempt, key = ready[0]
                 elif pending:
-                    tid, attempt = pending.popleft(), 1
-                if tid is None:
+                    key, attempt = pending.popleft(), 1
+                if key is None:
                     continue
-                protocol, family, n, engine = task_info[_parent(tid)]
-                extras = {
-                    "shard": shard_ranges.get(tid),
-                    "schedule_cache": schedule_cache,
-                    "shm_prefix": shm_prefix,
-                }
+                protocol, family, n, engine = task_info[key]
                 slot.queue.put(
                     (
-                        tid, get_protocol(protocol), family, n, engine,
+                        key, get_protocol(protocol), family, n, engine,
                         matrix.seed, matrix.repeats, matrix.verify,
                         fault_plan_json, matrix.cell_round_limit, attempt,
-                        checkpoint_dir, checkpoint_every_rounds,
-                        checkpoint_every_seconds, extras,
                     )
                 )
                 slot.task = {
-                    "key": tid, "attempt": attempt,
+                    "key": key, "attempt": attempt,
                     "assigned_at": now, "started_at": None, "last_event": now,
                 }
             # -- event drain ----------------------------------------------
@@ -461,78 +352,23 @@ def run_sharded(
                     _, _, key = event
                     if slot.task is not None and slot.task["key"] == key:
                         slot.task["last_event"] = _now()
-                elif kind == "ckpt":
-                    # A mid-run snapshot flush: liveness evidence (the
-                    # cell is making durable progress) plus a journal
-                    # lineage record.
-                    _, _, key, attempt, round_index, digest = event
-                    if slot.task is not None and slot.task["key"] == key:
-                        slot.task["last_event"] = _now()
-                    pool_meta["checkpoint_events"] += 1
-                    if handle is not None:
-                        handle.record_checkpoint(
-                            key, attempt, round_index, digest
-                        )
                 elif kind == "done":
-                    _, _, tid, attempt, payload, seconds = event
-                    if slot.task is not None and slot.task["key"] == tid:
+                    _, _, key, attempt, cell_dict, seconds = event
+                    if slot.task is not None and slot.task["key"] == key:
                         slot.task = None
-                    key = _parent(tid)
                     if key in completed:
                         continue  # stale duplicate from a killed attempt
-                    if _is_shm_descriptor(payload):
-                        # Zero-copy handoff: the queue carried only the
-                        # segment name; attach, load, unlink.
-                        try:
-                            payload = fetch_payload(payload)
-                        except Exception:  # noqa: BLE001 - lost segment
-                            handle_failure(
-                                tid, WorkerCrashError,
-                                "result segment lost before fetch",
-                                hashlib.sha256(
-                                    f"segment-lost:{tid}".encode()
-                                ).hexdigest()[:12],
-                            )
-                            continue
+                    cell_dict["attempts"] = attempt
+                    completed[key] = cell_dict
+                    retries[:] = [r for r in retries if r[2] != key]
+                    if handle is not None:
+                        handle.record_cell(key, cell_dict, attempt=attempt)
                     st = stats.setdefault(
                         wid,
-                        {"cells": 0, "shards": 0, "seconds": 0.0,
-                         "total_bits": 0, "respawns": 0},
+                        {"cells": 0, "seconds": 0.0, "total_bits": 0, "respawns": 0},
                     )
-                    st["seconds"] += seconds
-                    cell_dict = None
-                    if tid != key:
-                        # One K-shard of a cell: bank it, merge when the
-                        # last sibling lands.
-                        bucket = shard_results.setdefault(key, {})
-                        bucket[tid] = payload
-                        shard_attempts[key] = max(
-                            shard_attempts.get(key, 1), attempt
-                        )
-                        st["shards"] += 1
-                        retries[:] = [r for r in retries if r[2] != tid]
-                        if len(bucket) == shard_count[key]:
-                            protocol, family, n, engine = task_info[key]
-                            merged = merge_shard_payloads(
-                                get_protocol(protocol), family, n, engine,
-                                list(bucket.values()),
-                            )
-                            cell_dict = merged.to_dict()
-                            cell_dict["attempts"] = shard_attempts[key]
-                            shard_results.pop(key, None)
-                    else:
-                        cell_dict = payload
-                        cell_dict["attempts"] = attempt
-                    if cell_dict is None:
-                        continue
-                    completed[key] = cell_dict
-                    retries[:] = [r for r in retries if _parent(r[2]) != key]
-                    if handle is not None:
-                        handle.record_cell(
-                            key, cell_dict,
-                            attempt=cell_dict.get("attempts") or 1,
-                        )
                     st["cells"] += 1
+                    st["seconds"] += seconds
                     st["total_bits"] += cell_dict.get("total_bits") or 0
                     fresh += 1
                     if fresh in chaos_set:
@@ -624,11 +460,6 @@ def run_sharded(
             slot.queue.close()
         result_queue.cancel_join_thread()
         result_queue.close()
-        if shm_prefix is not None:
-            # Crash-safety net: unlink every segment of this sweep that
-            # was created but never fetched (worker SIGKILLed between
-            # create and announce, supervisor interrupted mid-drain, ...).
-            pool_meta["segments_swept"] += sweep_leaked_segments(shm_prefix)
 
     if degrade_reason is not None:
         # Pool-level failure: finish the remaining cells in-process, the
@@ -636,12 +467,7 @@ def run_sharded(
         pool_meta["executor"] = "pool+serial-degraded"
         pool_meta["fallback_reason"] = degrade_reason
         remaining = [k for k in all_keys if k not in completed]
-        _run_keys_serially(
-            matrix, remaining, task_info, completed, handle,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_rounds=checkpoint_every_rounds,
-            checkpoint_every_seconds=checkpoint_every_seconds,
-        )
+        _run_keys_serially(matrix, remaining, task_info, completed, handle)
 
     if handle is not None:
         handle.close()
@@ -668,37 +494,18 @@ def _drain(result_queue, timeout: float) -> List[Tuple[Any, ...]]:
     return events
 
 
-def _run_keys_serially(
-    matrix, keys, task_info, completed, handle,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every_rounds: Optional[int] = None,
-    checkpoint_every_seconds: Optional[float] = None,
-    schedule_cache: Optional[str] = None,
-) -> None:
-    """Execute ``keys`` in-process (fallback / degradation path).
-
-    ``keys`` may contain K-shard task ids (``key#i``) left over from a
-    degraded pool run; each cell executes once, whole — the digest is
-    identical either way, and in-process there is nobody to share the
-    shards with.
-    """
+def _run_keys_serially(matrix, keys, task_info, completed, handle) -> None:
+    """Execute ``keys`` in-process (fallback / degradation path)."""
     from repro.scenarios.matrix import run_cell
 
-    seen: set = set()
-    for tid in keys:
-        key = _parent(tid)
-        if key in completed or key in seen:
+    for key in keys:
+        if key in completed:
             continue
-        seen.add(key)
         protocol, family, n, engine = task_info[key]
         cell = run_cell(
             get_protocol(protocol), family, n, engine,
             seed=matrix.seed, repeats=matrix.repeats, verify=matrix.verify,
             fault_plan=matrix.fault_plan, round_limit=matrix.cell_round_limit,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every_rounds=checkpoint_every_rounds,
-            checkpoint_every_seconds=checkpoint_every_seconds,
-            schedule_cache=schedule_cache,
         )
         payload = cell.to_dict()
         completed[key] = payload

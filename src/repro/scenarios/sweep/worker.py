@@ -14,28 +14,15 @@ Event protocol on the shared result queue (tuples, first element tags):
     Heartbeat, emitted every ``heartbeat_interval`` seconds while a cell
     executes; staleness is the supervisor's liveness signal for hangs
     the in-cell round watchdog cannot see (native code, ``prepare``).
-``("done", worker_id, key, attempt, payload, seconds)``
-    The task completed (including protocol-level failure — a failed
-    :class:`MatrixCell` is still a *completed* execution).  ``payload``
-    is the cell dict for whole-cell tasks, the shard payload for K-shard
-    tasks (``extras["shard"]`` set), or — when the task rode the
-    shared-memory transport — a ``{"shm": name, "nbytes": n}``
-    descriptor the supervisor fetches and unlinks.
-``("ckpt", worker_id, key, attempt, round_index, digest)``
-    The in-flight cell flushed a mid-run snapshot (checkpointed sweeps
-    only): durable-progress evidence for the supervisor's liveness
-    tracking and a checkpoint-lineage record for the journal.
+``("done", worker_id, key, attempt, cell_dict, seconds)``
+    The cell completed (including protocol-level failure — a failed
+    :class:`MatrixCell` is still a *completed* execution).
 ``("error", worker_id, key, attempt, message, traceback_digest)``
     The harness itself raised inside the worker; the supervisor retries.
 
-Preemption: workers install a SIGTERM handler that requests a graceful
-stop instead of dying mid-cell.  A checkpointed cell observes the
-request at its next round boundary, flushes a final snapshot, and the
-worker reports the interruption as an ``error`` event before exiting —
-so the supervisor's retry resumes from that snapshot instead of from
-scratch (partial-progress retry).  SIGKILL remains the supervisor's
-deadline weapon; SIGTERM is for cooperative preemption (cluster
-eviction, scale-down).
+A worker installs no signal handler.  The supervisor stops workers
+with SIGKILL; a SIGTERM from outside ends the worker the same way, and
+the supervisor retries its cell like any other crash.
 
 Workers exit when they receive the ``None`` sentinel, or when their
 parent disappears (``os.getppid()`` changes — the supervisor was
@@ -47,8 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
-import signal
 import threading
 import time
 import traceback
@@ -80,20 +65,7 @@ def worker_main(
     """Worker process entry point (module-level: spawn-picklable)."""
     global CURRENT_TASK
     parent = os.getppid()
-    # Cooperative preemption: SIGTERM requests a graceful stop.  The
-    # checkpoint session polls this event at round boundaries, flushes a
-    # final snapshot and raises RunPreempted; an idle worker just exits.
-    preempted = threading.Event()
-    try:
-        signal.signal(signal.SIGTERM, lambda *_: preempted.set())
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-    #: Per-process task counter: segment names derive from it, so every
-    #: (worker slot, task) pair owns a distinct shared-memory namespace.
-    task_seq = 0
     while True:
-        if preempted.is_set():
-            return
         try:
             task = task_queue.get(timeout=1.0)
         except Empty:
@@ -105,13 +77,7 @@ def worker_main(
         (
             key, spec, family_name, n, engine, seed, repeats, verify,
             fault_plan_json, round_limit, attempt,
-            checkpoint_dir, checkpoint_every_rounds, checkpoint_every_seconds,
-            extras,
         ) = task
-        shard = extras.get("shard")
-        schedule_cache = extras.get("schedule_cache")
-        shm_prefix = extras.get("shm_prefix")
-        task_seq += 1
         CURRENT_TASK = (key, attempt)
         result_queue.put(("start", worker_id, key, attempt))
         stop = threading.Event()
@@ -122,107 +88,24 @@ def worker_main(
         )
         beat.start()
         try:
-            from repro.core.errors import RunPreempted
             from repro.core.faults import FaultPlan
-            from repro.scenarios.matrix import cell_checkpoint_dir, run_cell
+            from repro.scenarios.matrix import run_cell
 
             fault_plan = (
                 None
                 if fault_plan_json is None
                 else FaultPlan.from_json(fault_plan_json)
             )
-
-            def on_snapshot(round_index, digest, path):
-                try:
-                    result_queue.put(
-                        ("ckpt", worker_id, key, attempt, round_index, digest)
-                    )
-                except Exception:  # noqa: BLE001 - queue torn down
-                    pass
-
-            # Lane buffers back onto shared memory when the sweep runs
-            # the zero-copy fabric: the K×n×n kernel stacks live in
-            # named segments under this worker's namespace (closed —
-            # and unlinked — when the task ends; the supervisor's
-            # prefix sweep covers SIGKILL).
-            lane_arena = None
-            if shm_prefix is not None:
-                from repro.core.engine.delivery import SharedLaneArena
-                from repro.scenarios.sweep.shm import shm_available
-
-                if shm_available():
-                    lane_arena = SharedLaneArena(
-                        f"{shm_prefix}-w{worker_id}-t{task_seq}"
-                    )
             start = time.perf_counter()  # analysis: allow(wall-clock)
-            try:
-                if shard is not None:
-                    from repro.scenarios.matrix import run_cell_shard
-
-                    payload = run_cell_shard(
-                        spec, family_name, n, engine,
-                        seed=seed, lo=shard[0], hi=shard[1],
-                        repeats=repeats, round_limit=round_limit,
-                        schedule_cache=schedule_cache,
-                        lane_arena=lane_arena,
-                    )
-                else:
-                    cell = run_cell(
-                        spec, family_name, n, engine,
-                        seed=seed, repeats=repeats, verify=verify,
-                        fault_plan=fault_plan, round_limit=round_limit,
-                        checkpoint_dir=checkpoint_dir,
-                        checkpoint_every_rounds=checkpoint_every_rounds,
-                        checkpoint_every_seconds=checkpoint_every_seconds,
-                        preempt=preempted,
-                        on_snapshot=(
-                            on_snapshot if checkpoint_dir is not None else None
-                        ),
-                        schedule_cache=schedule_cache,
-                        lane_arena=lane_arena,
-                    )
-                    payload = cell.to_dict()
-            finally:
-                if lane_arena is not None:
-                    lane_arena.close()
+            cell = run_cell(
+                spec, family_name, n, engine,
+                seed=seed, repeats=repeats, verify=verify,
+                fault_plan=fault_plan, round_limit=round_limit,
+            )
             seconds = time.perf_counter() - start  # analysis: allow(wall-clock)
-            if shm_prefix is not None and shard is not None:
-                # Per-shard results ride shared memory: serialize once
-                # into a named segment, ship only the descriptor.  Falls
-                # back to inline transport when segments are unavailable.
-                from repro.scenarios.sweep.shm import publish_payload
-
-                descriptor, inline = publish_payload(
-                    payload, f"{shm_prefix}-w{worker_id}-r{task_seq}"
-                )
-                payload = descriptor if descriptor is not None else inline
             result_queue.put(
-                ("done", worker_id, key, attempt, payload, seconds)
+                ("done", worker_id, key, attempt, cell.to_dict(), seconds)
             )
-            if checkpoint_dir is not None:
-                # The cell completed durably (the supervisor journals it
-                # on this event); its snapshots have served their purpose.
-                shutil.rmtree(
-                    cell_checkpoint_dir(checkpoint_dir, key),
-                    ignore_errors=True,
-                )
-        except RunPreempted as exc:
-            # The final snapshot is flushed; report the interruption so
-            # the supervisor's retry resumes from it, then exit — a
-            # SIGTERMed worker must not pick up more work.
-            digest = hashlib.sha256(
-                f"RunPreempted:{key}".encode()
-            ).hexdigest()[:12]
-            result_queue.put(
-                (
-                    "error", worker_id, key, attempt,
-                    f"RunPreempted: {exc}", digest,
-                )
-            )
-            stop.set()
-            beat.join(timeout=1.0)
-            CURRENT_TASK = None
-            return
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             digest = hashlib.sha256(
                 traceback.format_exc().encode()

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
+from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast
 from repro.graphs.degeneracy import degeneracy
@@ -112,6 +113,12 @@ def adaptive_program(pattern: Graph, accept_sampled_negatives: bool = False):
         labels: Dict[int, int] = {ctx.node_id: my_label}
         for v, payload in received.items():
             labels[v] = payload.to_uint()
+        for u in ctx.input:
+            if u not in labels:
+                raise DecodeError(
+                    f"adaptive detection: node {ctx.node_id} has no label "
+                    f"from writer {u}"
+                )
 
         # Our adjacency in each sampled level (only our own edges are
         # needed — exactly the local knowledge the paper uses).

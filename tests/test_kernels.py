@@ -419,6 +419,13 @@ class TestCompiledInteraction:
         assert network.schedule_stats["compiled"] == 40
         assert len(network._compiled) <= 32
 
+    def test_chunk_budget(self, monkeypatch):
+        from repro.core.engine import delivery
+
+        assert delivery.batch_chunk_size(8) == max(1, (64 << 20) // (8 * 8 * 8))
+        monkeypatch.setattr(delivery, "DEFAULT_CHUNK_BYTES", 8 * 8 * 8)
+        assert delivery.batch_chunk_size(8) == 1
+
     def test_compiled_rounds_match_lane_shape(self):
         from repro.core.compiled import LANE
 

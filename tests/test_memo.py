@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.core.engine.planner import LEGACY_ENGINE
-from repro.core.errors import DecodeError
+from repro.core.errors import DecodeError, ReproError
 from repro.core.faults import FaultPlan
 from repro.core.network import Mode, Network, Outbox
 from repro.graphs.generators import cycle_graph, random_graph
@@ -165,21 +165,53 @@ class TestMemoScope:
         assert [run.outputs for run in runs] == [[0, 1, 2, 3]] * 2
 
 
+def _lost_row_case(program, row, bandwidth):
+    """16 nodes on a gnp graph, each holding its adjacency row."""
+    graph = random_graph(16, 0.3, random.Random(3))
+    net = dict(n=16, bandwidth=bandwidth, mode=Mode.BROADCAST)
+    inputs = [row(graph.neighbors(v)) for v in range(16)]
+    return net, program(cycle_graph(4)), inputs
+
+
 class TestLostWriter:
-    """A dropped blackboard message is a protocol failure the fast
-    engine reports itself: a ``DecodeError`` naming the writer, not a
-    ``KeyError`` that the planner re-runs on legacy first."""
+    """A dropped or corrupted blackboard message is a protocol failure
+    the fast engine reports itself: a ``DecodeError`` naming the writer,
+    not a ``KeyError`` or ``IndexError`` that the planner re-runs on
+    legacy first."""
 
     @pytest.mark.parametrize(
-        "program, row, bandwidth, plan_seed, match",
+        "case, seed, plan, match",
         [
-            (full_learning_program, set, 8, 5, "adjacency row from writer 8"),
-            (detection_program, sorted, 16, 0, "message from writer 1"),
+            (
+                lambda: _lost_row_case(full_learning_program, set, 8),
+                1, FaultPlan(seed=5, drop_rate=0.05),
+                "adjacency row from writer 8",
+            ),
+            (
+                lambda: _lost_row_case(detection_program, sorted, 16),
+                1, FaultPlan(seed=0, drop_rate=0.05),
+                "message from writer 1",
+            ),
+            (
+                lambda: _mst_case(12, random.Random(4)),
+                3, FaultPlan(seed=2, corrupt_rate=0.03, drop_rate=0.01),
+                r"writer 10 proposed edge \(14, 1\)",
+            ),
+            (
+                lambda: _adaptive_case(8, random.Random(2)),
+                3, FaultPlan(seed=0, drop_rate=0.02),
+                "no label from writer 1",
+            ),
+            (
+                lambda: _sorting_case(8, random.Random(0)),
+                3, FaultPlan(seed=0, corrupt_rate=0.03, drop_rate=0.01),
+                "from node 7 in routing round 1",
+            ),
         ],
-        ids=["full_learning", "theorem7"],
+        ids=["full_learning", "theorem7", "mst", "adaptive_detect", "sorting"],
     )
     def test_fast_run_raises_without_legacy_rerun(
-        self, monkeypatch, program, row, bandwidth, plan_seed, match
+        self, monkeypatch, case, seed, plan, match
     ):
         calls = []
         legacy_run = type(LEGACY_ENGINE).run
@@ -189,18 +221,37 @@ class TestLostWriter:
             return legacy_run(self, *args, **kwargs)
 
         monkeypatch.setattr(type(LEGACY_ENGINE), "run", counting_run)
-        graph = random_graph(16, 0.3, random.Random(3))
-        network = Network(
-            n=16,
-            bandwidth=bandwidth,
-            mode=Mode.BROADCAST,
-            engine="fast",
-            seed=1,
-            fault_plan=FaultPlan(seed=plan_seed, drop_rate=0.05),
-        )
+        net_kwargs, program, inputs = case()
+        network = Network(engine="fast", seed=seed, fault_plan=plan, **net_kwargs)
         with pytest.raises(DecodeError, match=match):
-            network.run(
-                program(cycle_graph(4)),
-                inputs=[row(graph.neighbors(v)) for v in range(16)],
-            )
+            network.run(program, inputs=inputs)
         assert calls == []
+
+
+#: The chaos plans plus drop-only plans, which lose whole messages
+#: without corrupting the rest.
+SWEEP_PLANS = CHAOS + [FaultPlan(seed=seed, drop_rate=0.02) for seed in range(8)]
+
+
+class TestChaosFailures:
+    """Under corrupt and drop plans a protocol may fail, but only with a
+    ``ReproError``: any other exception reads as an engine failure, which
+    the planner re-runs on the next engine first."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("case", ["mst", "adaptive_detect", "sorting"])
+    def test_failures_are_repro_errors(self, case, engine):
+        bare = []
+        for n in (8, 12, 16):
+            for i, plan in enumerate(SWEEP_PLANS):
+                net_kwargs, program, inputs = CASES[case](n, random.Random(i))
+                network = Network(
+                    engine=engine, seed=3, fault_plan=plan, **net_kwargs
+                )
+                try:
+                    network.run(program, inputs=inputs)
+                except ReproError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - collected below
+                    bare.append((n, i, f"{type(exc).__name__}: {exc}"))
+        assert bare == []

@@ -38,7 +38,7 @@ from repro.scenarios import (
     register_protocol,
 )
 from repro.scenarios.matrix import DEFAULT_CELL_ROUND_LIMIT
-from repro.scenarios.sweep import SweepJournal, sweep_fingerprint
+from repro.scenarios.sweep import SweepJournal, sweep_fingerprint, verify_journal
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -249,6 +249,110 @@ class TestJournal:
         assert [a["attempt"] for a in loaded.attempts["k1"]] == [1]
         assert loaded.attempts["k1"][0]["error_type"] == "WorkerCrashError"
         assert loaded.duplicate_keys() == []
+
+
+class TestJournalVerify:
+    def _meta(self):
+        return ScenarioMatrix(["routing"], ["gnp"], [8])._meta()
+
+    def test_healthy_journal_reports_ok(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        with SweepJournal(path, self._meta()).open() as journal:
+            journal.record_attempt("k1", 1, "WorkerCrashError", "boom", "aa")
+            journal.record_cell("k1", {"digest": "aa"}, attempt=2)
+        report = verify_journal(path)
+        assert report["ok"] is True
+        assert report["cells"] == 1
+        assert report["failed_attempts"] == 1
+        assert report["torn_line"] is False
+
+    def test_torn_trailing_line_reported_not_fatal(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        with SweepJournal(path, self._meta()).open() as journal:
+            journal.record_cell("k1", {"digest": "aa"})
+        with open(path, "a") as fh:
+            fh.write('{"kind": "cell", "key": "k2"')
+        report = verify_journal(path)
+        assert report["ok"] is True
+        assert report["torn_line"] is True
+
+    def test_duplicate_cells_fail_verification(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        with SweepJournal(path, self._meta()).open() as journal:
+            journal.record_cell("k1", {"digest": "aa"})
+            journal.record_cell("k1", {"digest": "aa"})
+        report = verify_journal(path)
+        assert report["ok"] is False
+        assert report["duplicate_keys"] == ["k1"]
+        assert "re-executed" in report["error"]
+
+    def test_midfile_corruption_fails_verification(self, tmp_path):
+        path = str(tmp_path / "sweep.jsonl")
+        with SweepJournal(path, self._meta()).open() as journal:
+            journal.record_cell("k1", {"digest": "aa"})
+            journal.record_cell("k2", {"digest": "bb"})
+        lines = open(path).read().splitlines()
+        lines[1] = "garbage"
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        report = verify_journal(path)
+        assert report["ok"] is False
+        assert "corrupt" in report["error"]
+
+
+class TestOlderJournals:
+    """Journals written before mid-run checkpoints, the schedule cache
+    and K-sharding were removed carry ``ckpt`` lines and cell keys this
+    version no longer writes; they still resume without re-running a
+    cell."""
+
+    RETIRED = {
+        "resumed_from_round": 12,
+        "checkpoints": 2,
+        "cache_hits": 3,
+        "cache_misses": 1,
+        "cache_evictions": 0,
+        "schedule_compiles": 1,
+        "shards": 2,
+    }
+
+    def test_ckpt_lines_and_retired_keys_replay(self, tmp_path, monkeypatch):
+        from repro.scenarios import matrix as matrix_module
+
+        def sweep():
+            return ScenarioMatrix(["routing"], ["gnp"], [8], engines=["fast"])
+
+        fresh = sweep().run()
+        (cell,) = fresh.cells
+        key = cell.key(0)
+        payload = dict(cell.to_dict(), **self.RETIRED)
+        meta = sweep()._meta()
+        lines = [
+            {
+                "kind": "meta", "schema": 1, "sweep": meta,
+                "fingerprint": sweep_fingerprint(meta),
+            },
+            {
+                "kind": "ckpt", "key": key, "attempt": 1, "round": 3,
+                "digest": "ab" * 32,
+            },
+            {"kind": "cell", "key": key, "attempt": 1, "cell": payload},
+        ]
+        path = str(tmp_path / "older.jsonl")
+        with open(path, "w") as fh:
+            for line in lines:
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+        def no_execution(*args, **kwargs):
+            raise AssertionError("a journaled cell was re-executed")
+
+        monkeypatch.setattr(matrix_module, "_execute_cell", no_execution)
+        resumed = sweep().run(resume_from=path)
+        assert resumed.meta["replayed_cells"] == 1
+        assert cell_views(resumed) == cell_views(fresh)
+        report = verify_journal(path)
+        assert report["ok"] is True
+        assert report["cells"] == 1
 
 
 class TestWatchdog:
@@ -546,3 +650,29 @@ class TestCLI:
         payload = json.load(open(out))
         assert len(payload["cells"]) == 2
         assert payload["meta"]["replayed_cells"] == 2
+
+    def test_journaled_sweep_then_journal_verify(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO, "src")
+
+        def run_cli(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "repro.scenarios", *args],
+                env=env, cwd=REPO, capture_output=True, text=True,
+            )
+
+        journal = str(tmp_path / "sweep.jsonl")
+        sweep = run_cli(
+            "--protocols", "routing", "--families", "gnp", "--sizes", "8",
+            "--engines", "fast", "--journal", journal,
+        )
+        assert sweep.returncode == 0, sweep.stderr
+        verify = run_cli("--journal-verify", journal)
+        assert verify.returncode == 0, verify.stderr
+        assert ": ok" in verify.stdout
+        with open(journal, "a") as fh:
+            fh.write("{broken\n")
+            fh.write('{"also": "broken"\n')
+        corrupt = run_cli("--journal-verify", journal)
+        assert corrupt.returncode == 1
+        assert "CORRUPT" in corrupt.stdout

@@ -77,6 +77,20 @@ class TestRegistries:
         finally:
             del FAMILIES["empty-test"]
 
+    def test_routing_many_declares_instances(self):
+        from repro.scenarios.matrix import instance_graph
+        from repro.scenarios.registry import ROUTING_MANY_INSTANCES
+
+        spec = get_protocol("routing_many")
+        graph = instance_graph(0, spec.name, "gnp", 8)
+        prepared = spec.prepare(8, graph, random.Random(0))
+        assert prepared.instances is not None
+        assert len(prepared.instances) == ROUTING_MANY_INSTANCES
+        # The static verifier analyzes ``inputs``; it must be a real
+        # instance, and by convention the first one.
+        assert prepared.inputs == prepared.instances[0]
+        assert prepared.validate_instance is not None
+
     def test_prepared_scenarios_declare_kernel_flavour_consistently(self):
         rng = random.Random(0)
         for name in protocol_names():
@@ -259,6 +273,10 @@ class TestScenarioMatrix:
         payload = cell.to_dict()
         payload["evictions"] = 1
         payload["last_eviction"] = "deviated"
+        payload.update(
+            resumed_from_round=12, checkpoints=2, cache_hits=3,
+            cache_misses=1, cache_evictions=0, schedule_compiles=1, shards=2,
+        )
         assert MatrixCell.from_dict(payload) == cell
 
     def test_repeats_keep_results_identical(self):

@@ -4,8 +4,7 @@ Covers the analyzer's contract end to end: every registered protocol
 passes, structure extraction reads kernel declarations and traces
 generator runs, an over-budget fixture is rejected with per-n
 diagnostics, the determinism lint catches unseeded RNG / wall-clock /
-dict-order hazards, ``describe_program`` names programs in diagnostics,
-and the CLI + matrix integrations gate on it all.
+dict-order hazards, and the CLI + matrix integrations gate on it all.
 """
 
 import json
@@ -14,7 +13,6 @@ from repro.analysis.budget import BandwidthBudget, check_budget, log2_ceil
 from repro.analysis.lint import lint_source
 from repro.analysis.structure import kernel_structure, trace_structure
 from repro.analysis.verifier import analyze_all, analyze_protocol, check_registry
-from repro.core.compiled import describe_program
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode, Outbox
 from repro.scenarios.matrix import ScenarioMatrix
@@ -196,25 +194,6 @@ class TestLint:
 
         findings = lint_paths([pathlib.Path(repro.__file__).parent])
         assert findings == [], [str(f) for f in findings]
-
-
-# -- program descriptions -------------------------------------------------
-
-
-class TestDescribeProgram:
-    def test_describe_generator_program(self):
-        def anonymous(ctx):
-            yield Outbox.silent()
-
-        text = describe_program(anonymous)
-        assert "anonymous" in text
-        assert __name__ in text
-
-    def test_describe_kernel_program(self):
-        builder = KernelBuilder(3, Mode.BROADCAST, 2)
-        builder.broadcast_round([0], 2, None)
-        program = builder.build(name="kp-fixture")
-        assert "kp-fixture" in describe_program(program)
 
 
 # -- registry consistency & full sweep ------------------------------------
