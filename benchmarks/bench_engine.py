@@ -41,11 +41,11 @@ every backend to the legacy reference engine.  The sweep aborts the
 benchmark if any cell diverges, so the JSON doubles as an equivalence
 certificate for the engine subsystem.
 
-A ``sharded`` section (PR 8) runs one sweep through the resilient
-sharded executor (:mod:`repro.scenarios.sweep`) at several worker
-counts, asserts the pooled digests byte-identical to the serial runner,
-aggregates per-worker accounting (cells / seconds / bits), and gates
-the serial path's dispatch overhead with the pool code inactive at
+A ``sharded`` section runs one sweep through the sweep executor at
+several worker counts (:mod:`repro.scenarios.sweep`), asserts the
+pooled digests byte-identical to the in-process run, aggregates
+per-worker accounting (cells / seconds / bits), and gates ``run()``'s
+dispatch overhead over a bare loop of ``run_coordinate`` calls at
 1.05x.
 
 An ``analysis`` section runs the static protocol verifier
@@ -611,17 +611,18 @@ def bench_faults(quick, repeats):
 
 
 def bench_sharded(quick, repeats):
-    """The resilient sharded executor: the same sweep serial and pooled.
+    """The sweep executor: the same sweep in process and pooled.
 
     Two contracts are gated here.  Determinism: pooled digests must be
-    byte-identical to the serial runner at every tested worker count.
-    Zero-cost inactivity: the plain serial path (``run()`` with no sweep
-    keywords) must cost no more than 1.05x the raw serial loop — merging
-    the pool code must not tax users who never shard.  Per-worker
+    byte-identical to the in-process run at every tested worker count.
+    Zero-cost dispatch: ``run()`` with no sweep keywords must cost no
+    more than 1.05x a bare loop over ``run_coordinate`` and
+    ``_finalize_coordinate`` — the executor's journal, replay and pool
+    plumbing must not tax users who never use them.  Per-worker
     accounting (cells / seconds / bits per worker) is aggregated into
     the report for the pooled runs.
     """
-    from repro.scenarios import ScenarioMatrix
+    from repro.scenarios import MatrixResult, ScenarioMatrix, get_protocol
 
     protocols = ["routing", "mst"]
     families = ["gnp"] if quick else ["gnp", "cycle"]
@@ -643,7 +644,19 @@ def bench_sharded(quick, repeats):
             for c in result.cells
         ]
 
-    raw_seconds, serial = _time_best(lambda: make()._run_serial(), samples)
+    def bare_loop():
+        matrix = make()
+        result = MatrixResult(meta={})
+        for protocol, family, n in matrix.coordinates():
+            spec = get_protocol(protocol)
+            cells = matrix.run_coordinate(
+                spec, family, n, matrix.ordered_engines()
+            )
+            matrix._finalize_coordinate(spec, family, n, cells)
+            result.cells.extend(cells)
+        return result
+
+    raw_seconds, serial = _time_best(bare_loop, samples)
     run_seconds, via_run = _time_best(lambda: make().run(), samples)
     assert views(via_run) == views(serial)
     overhead = run_seconds / raw_seconds
@@ -667,7 +680,7 @@ def bench_sharded(quick, repeats):
             lambda w=workers: make().run(workers=w), 1
         )
         assert views(pooled) == views(serial), (
-            f"sharded sweep diverged from the serial runner at W={workers}"
+            f"pooled sweep diverged from the in-process run at W={workers}"
         )
         pool_meta = pooled.meta["pool"]
         assert pool_meta["executor"] == "pool", pool_meta
@@ -687,8 +700,8 @@ def bench_sharded(quick, repeats):
             f"digests identical  busiest worker {busiest} cells"
         )
     assert overhead <= 1.05, (
-        f"serial path costs {overhead:.3f}x with the pool code inactive "
-        "(budget 1.05x) — run() dispatch regressed"
+        f"run() costs {overhead:.3f}x a bare run_coordinate loop "
+        "(budget 1.05x) — its dispatch regressed"
     )
     record["digest_match"] = True
     return record

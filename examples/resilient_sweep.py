@@ -1,9 +1,9 @@
-"""The resilient sharded sweep executor, end to end.
+"""The resilient sweep executor, end to end.
 
 Three acts:
 
 1. run a sweep on the supervised worker pool and show that its digests
-   are byte-identical to the in-process serial runner;
+   are byte-identical to the same sweep run in process;
 2. kill a worker mid-sweep (the pool's own chaos hook) and watch the
    supervisor respawn it and retry the interrupted cell — same digests;
 3. interrupt a journaled sweep partway, then resume it: completed cells
@@ -34,17 +34,18 @@ def digests(result):
 
 def main() -> None:
     serial = sweep().run()
-    print(f"serial runner: {len(serial.cells)} cells, "
+    print(f"in process: {len(serial.cells)} cells, "
           f"{len(serial.mismatches())} mismatches")
 
-    # Act 1: the same sweep, sharded across two supervised workers.
+    # Act 1: the same sweep, its coordinates spread across two
+    # supervised workers.
     pooled = sweep().run(workers=2)
     stats = pooled.meta["pool"]["worker_stats"]
     print(f"pooled (W=2): digests identical: {digests(pooled) == digests(serial)}")
     for wid, st in stats.items():
         print(f"  worker {wid}: {st['cells']} cells, {st['seconds']:.3f}s")
 
-    # Act 2: SIGKILL a worker after the first completed cell.  The
+    # Act 2: SIGKILL a worker once the first cells complete.  The
     # supervisor respawns it and retries whatever it was running.
     chaotic = sweep().run(workers=2, chaos_kills=[1])
     pool = chaotic.meta["pool"]
@@ -60,7 +61,7 @@ def main() -> None:
               f"(interrupted={partial.meta['pool']['interrupted']})")
         resumed = sweep().run(workers=2, resume_from=journal)
         loaded = SweepJournal.load(journal)
-        print(f"resumed: replayed={resumed.meta['pool']['replayed']}, "
+        print(f"resumed: replayed={resumed.meta['replayed_cells']}, "
               f"re-executed={len(loaded.duplicate_keys())}, "
               f"digests identical: {digests(resumed) == digests(serial)}")
 

@@ -301,8 +301,8 @@ class FaultPlan:
         return cls(**kwargs)
 
     def to_json(self) -> str:
-        """Canonical JSON encoding — the form chaos plans cross process
-        boundaries and land in sweep journals in."""
+        """Canonical JSON encoding of :meth:`to_dict` — a plan's portable
+        text form."""
         import json
 
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -19,14 +19,18 @@ engine subsystem (:mod:`repro.core.engine`):
   accounting, validates against ground truth, digests outputs, and
   checks every backend against the legacy reference engine.  JSON in,
   JSON out — the benchmark harness and CI smoke sweep are thin callers.
-* :mod:`repro.scenarios.sweep` — **resilient sharded execution**:
-  ``run(workers=W)`` fans cells across a supervised spawn-context
+  One executor runs every sweep: a (protocol, family, n) coordinate is
+  the unit of work (prepared once, then run on each engine it owes by
+  :meth:`~repro.scenarios.matrix.ScenarioMatrix.run_coordinate`), in
+  process by default.
+* :mod:`repro.scenarios.sweep` — **resilient execution**:
+  ``run(workers=W)`` hands coordinates to a supervised spawn-context
   worker pool with per-cell deadlines, crash retry with backoff, a
   poison-cell quarantine, and a durable JSONL journal
   (``journal=`` / ``resume_from=``) that makes killed sweeps resumable
-  with byte-identical digests.  The cell is the unit of work and of
-  recovery: an interrupted cell re-runs from the start.
-  ``python -m repro.scenarios`` is the CLI over all of it.
+  with byte-identical digests.  The cell is the unit of recovery: an
+  interrupted coordinate re-runs the cells its journal lacks, from the
+  start.  ``python -m repro.scenarios`` is the CLI over all of it.
 
 Planner contract (shared with :mod:`repro.core.engine`): a cell names
 its backend explicitly, the network pins it through the
@@ -48,7 +52,6 @@ from repro.scenarios.matrix import (
     MatrixCell,
     MatrixResult,
     ScenarioMatrix,
-    run_cell,
 )
 from repro.scenarios.registry import (
     PROTOCOLS,
@@ -76,6 +79,5 @@ __all__ = [
     "ScenarioMatrix",
     "MatrixCell",
     "MatrixResult",
-    "run_cell",
     "DEFAULT_CELL_ROUND_LIMIT",
 ]

@@ -1,13 +1,13 @@
 """CLI for the scenario matrix: ``python -m repro.scenarios``.
 
 Runs a sweep over registered protocols × graph families × sizes ×
-engines, serially or on the supervised worker pool, with optional
+engines, in process or on the supervised worker pool, with optional
 journaling and resume:
 
-    # serial smoke sweep
+    # in-process smoke sweep
     python -m repro.scenarios --protocols routing mst --sizes 8
 
-    # sharded, journaled, with per-cell deadlines
+    # pooled, journaled, with per-cell deadlines
     python -m repro.scenarios --workers 4 --journal sweep.jsonl \\
         --cell-timeout 120 --out sweep.json
 
@@ -38,7 +38,7 @@ from repro.scenarios.registry import protocol_names
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.scenarios",
-        description="Run a scenario-matrix sweep (serial or sharded).",
+        description="Run a scenario-matrix sweep (in process or pooled).",
     )
     parser.add_argument(
         "--protocols", nargs="+", default=None, metavar="NAME",
@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         f"{DEFAULT_CELL_ROUND_LIMIT})",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="W",
-        help="shard cells across W supervised worker processes "
-        "(default: run serially in-process)",
+        "--workers", type=int, default=0, metavar="W",
+        help="run coordinates on W supervised worker processes "
+        "(default 0: in process)",
     )
     parser.add_argument(
         "--journal", default=None, metavar="PATH",
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cell-timeout", type=float, default=None, metavar="SECONDS",
         help="per-cell wall-clock deadline enforced by the supervisor "
-        "(SIGKILL on expiry; pool mode only)",
+        "(SIGKILL on expiry; needs --workers)",
     )
     parser.add_argument(
         "--max-attempts", type=int, default=3, metavar="K",
@@ -116,17 +116,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.resume and args.journal is None:
         print("--resume requires --journal", file=sys.stderr)
         return 2
-    matrix = ScenarioMatrix(
-        protocols=args.protocols or protocol_names(),
-        families=args.families,
-        sizes=args.sizes,
-        engines=args.engines,
-        seed=args.seed,
-        repeats=args.repeats,
-        verify=args.verify,
-        analyze=args.analyze,
-        cell_round_limit=args.round_limit or None,
-    )
+    if args.cell_timeout is not None and not args.workers:
+        print("--cell-timeout requires --workers", file=sys.stderr)
+        return 2
+    try:
+        matrix = ScenarioMatrix(
+            protocols=args.protocols or protocol_names(),
+            families=args.families,
+            sizes=args.sizes,
+            engines=args.engines,
+            seed=args.seed,
+            repeats=args.repeats,
+            verify=args.verify,
+            analyze=args.analyze,
+            cell_round_limit=args.round_limit or None,
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     result = matrix.run(
         workers=args.workers,
         journal=args.journal,
@@ -147,12 +154,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     print(
         f"cells: {len(cells)} ok={len(ok)} failed={len(failed)} "
         f"unsupported={len(unsupported)} quarantined={len(quarantined)} "
-        f"mismatches={len(mismatches)}"
+        f"mismatches={len(mismatches)} "
+        f"replayed={result.meta['replayed_cells']}"
     )
     if pool is not None:
         print(
             f"pool: executor={pool['executor']} workers={pool['workers']} "
-            f"respawns={pool['respawns']} replayed={pool['replayed']}"
+            f"respawns={pool['respawns']}"
         )
     for report in result.fault_reports():
         print("  divergence: " + json.dumps(report, sort_keys=True))

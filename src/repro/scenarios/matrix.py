@@ -33,15 +33,18 @@ Resilient execution
 Every cell runs under a default ``Network(round_limit=)`` watchdog
 (:data:`DEFAULT_CELL_ROUND_LIMIT`), so a livelocked protocol surfaces
 as a structured ``failed`` cell with ``error_type="RoundLimitExceeded"``
-instead of stalling the sweep.  :meth:`ScenarioMatrix.run` accepts the
-sharded-executor keywords (``workers=``, ``journal=``, ``resume_from=``,
-``cell_timeout=``): passing ``workers`` fans cells across the
-supervised worker pool of :mod:`repro.scenarios.sweep`; ``journal``
-records every completed cell durably and ``resume_from`` replays a
-prior journal, skipping completed cells.  Cell execution is a pure
-function of the cell coordinates (module-level :func:`run_cell`), which
-is what makes digests byte-identical across worker counts, scheduling
-orders and kill/resume boundaries.
+instead of stalling the sweep.  :meth:`ScenarioMatrix.run` is one
+executor over one per-coordinate function,
+:meth:`ScenarioMatrix.run_coordinate`, which prepares a (protocol,
+family, n) instance once and runs it on every engine the coordinate
+still owes.  ``workers=0`` (the default) runs the coordinates in
+process; ``workers=W`` hands them to the supervised worker pool of
+:mod:`repro.scenarios.sweep` (with per-cell deadlines via
+``cell_timeout=``).  ``journal=`` records every completed cell durably
+and ``resume_from=`` replays a prior journal, skipping completed cells.
+A coordinate's cells are a pure function of its coordinates and the
+matrix's cell settings, which is what makes digests byte-identical
+across worker counts, scheduling orders and kill/resume boundaries.
 
 Results serialize to JSON (:meth:`MatrixResult.to_dict` /
 :meth:`MatrixResult.write`), which is what the benchmark harness and
@@ -56,8 +59,8 @@ import hashlib
 import json
 import time
 import traceback
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.scenarios.families import get_family
 from repro.scenarios.registry import get_protocol
@@ -67,7 +70,6 @@ __all__ = [
     "MatrixResult",
     "ScenarioMatrix",
     "instance_graph",
-    "run_cell",
     "DEFAULT_CELL_ROUND_LIMIT",
 ]
 
@@ -106,29 +108,16 @@ def instance_graph(seed: int, protocol: str, family: str, n: int):
     )
 
 
-def _digest(summary: Any, result: Any) -> str:
-    """Canonical digest of one cell's observable behaviour."""
-    blob = repr(
-        (summary, result.rounds, result.total_bits, result.max_round_bits)
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _instance_records(prepared, runs) -> List[Tuple[Any, int, int, int]]:
-    """Per-instance observable records of one ``run_many`` sweep: the
-    canonical summary plus the round/bit accounting, one tuple per
-    instance.  Records are a pure function of the instance, never of
-    the kernel engine's chunk boundaries."""
-    return [
-        (prepared.summarize(run), run.rounds, run.total_bits, run.max_round_bits)
-        for run in runs
-    ]
-
-
-def _records_digest(records) -> str:
-    """Canonical digest of a multi-instance cell: the ordered tuple of
-    per-instance records."""
-    return hashlib.sha256(repr(tuple(records)).encode()).hexdigest()[:16]
+def _distinct(axis: str, values: List[Any]) -> List[Any]:
+    """``values``, once it is checked that none repeats: a repeated
+    value would name the same cells twice, and the sweep would run and
+    journal them twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{axis} {value!r} is listed more than once")
+        seen.add(value)
+    return values
 
 
 def _failure_fields(cell: "MatrixCell", exc: BaseException) -> None:
@@ -178,9 +167,9 @@ class MatrixCell:
     #: coordinate (``ScenarioMatrix(analyze=True)``): None = not run.
     analysis_ok: Optional[bool] = None
     analysis_violations: Optional[List[str]] = None
-    #: Sharded-executor forensics: how many attempts the supervisor
-    #: spent on this cell (None = single-shot serial execution), and
-    #: whether it landed in the poison quarantine after exhausting them.
+    #: Worker-pool forensics: how many attempts the supervisor spent
+    #: on this cell (None = run in process), and whether it landed in
+    #: the poison quarantine after exhausting them.
     attempts: Optional[int] = None
     quarantined: Optional[bool] = None
     #: Multi-instance (``run_many``) cells: how many instances the cell
@@ -188,35 +177,7 @@ class MatrixCell:
     instances: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "family": self.family,
-            "n": self.n,
-            "engine": self.engine,
-            "status": self.status,
-            "seconds": self.seconds,
-            "rounds": self.rounds,
-            "total_bits": self.total_bits,
-            "max_round_bits": self.max_round_bits,
-            "digest": self.digest,
-            "validated": self.validated,
-            "matches_reference": self.matches_reference,
-            "error": self.error,
-            "error_type": self.error_type,
-            "traceback_digest": self.traceback_digest,
-            "fault_count": self.fault_count,
-            "clean_digest": self.clean_digest,
-            "detected": self.detected,
-            "verify_engine": self.verify_engine,
-            "verify_digest": self.verify_digest,
-            "verify_match": self.verify_match,
-            "engine_fallback": self.engine_fallback,
-            "analysis_ok": self.analysis_ok,
-            "analysis_violations": self.analysis_violations,
-            "attempts": self.attempts,
-            "quarantined": self.quarantined,
-            "instances": self.instances,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "MatrixCell":
@@ -255,7 +216,7 @@ class MatrixResult:
         ]
 
     def quarantined(self) -> List[MatrixCell]:
-        """Poison cells: the sharded executor exhausted its retry budget
+        """Poison cells: the worker pool exhausted its retry budget
         on them (worker crashes, deadline kills).  Always a subset of
         :meth:`mismatches` — quarantine is never silent."""
         return [cell for cell in self.cells if cell.quarantined]
@@ -328,301 +289,57 @@ class MatrixResult:
             fh.write("\n")
 
 
-# -- cell execution (module-level: pure functions of the coordinates, --
-# -- picklable across the worker-pool process boundary) ----------------
+# -- cell execution (pure functions of the coordinates, so a coordinate --
+# -- run in any process yields the same cells) ---------------------------
 
 
-def _cell_network_kwargs(
-    prepared, cell_seed: int, round_limit: Optional[int]
-) -> Dict[str, Any]:
-    """Network arguments for one of a cell's runs.  A fresh network per
-    run keeps cells independent: no compiled-schedule carry-over between
-    engines or repeats beyond what one run legitimately builds.  The
-    per-cell seed applies unless the prepare hook pinned its own; the
-    default round watchdog applies unless the hook set its own limit."""
-    kwargs = dict(prepared.network_kwargs)
-    kwargs.setdefault("seed", cell_seed)
-    if round_limit is not None:
-        kwargs.setdefault("round_limit", round_limit)
-    return kwargs
-
-
-def _execute_cell(
-    spec,
-    prepared,
-    family_name: str,
-    n: int,
-    engine: str,
-    cell_seed: int,
-    *,
-    repeats: int = 1,
-    verify: Optional[str] = None,
-    fault_plan: Optional[Any] = None,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-) -> MatrixCell:
-    """Run one prepared (protocol, family, n) instance on one engine."""
-    from repro.core.network import Network
-
-    cell = MatrixCell(
-        protocol=spec.name, family=family_name, n=n, engine=engine,
-        status="unsupported",
-    )
-    if engine not in spec.engines:
-        return cell
-    flavour = spec.program_for(engine)
-    program = prepared.programs.get(flavour)
-    if program is None:
-        return cell
-    if getattr(prepared, "instances", None) is not None:
-        return _execute_many_cell(
-            cell, spec, prepared, program, engine, cell_seed,
-            repeats=repeats, verify=verify, fault_plan=fault_plan,
-            round_limit=round_limit,
-        )
-    chaos = fault_plan is not None and fault_plan.is_active
-
-    try:
-        best: Optional[float] = None
-        summary = digest = run = None
-        for _sample in range(repeats):
-            kwargs = _cell_network_kwargs(prepared, cell_seed, round_limit)
-            if chaos:
-                kwargs["fault_plan"] = fault_plan
-            network = Network(engine=engine, **kwargs)
-            start = time.perf_counter()  # analysis: allow(wall-clock)
-            run = network.run(program, inputs=prepared.inputs)
-            elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
-            sample_summary = prepared.summarize(run)
-            sample_digest = _digest(sample_summary, run)
-            if digest is not None and sample_digest != digest:
-                raise AssertionError(
-                    "nondeterministic cell: digest changed across repeats"
-                )
-            summary, digest = sample_summary, sample_digest
-            if best is None or elapsed < best:
-                best = elapsed
-        cell.status = "ok"
-        cell.seconds = best
-        cell.rounds = run.rounds
-        cell.total_bits = run.total_bits
-        cell.max_round_bits = run.max_round_bits
-        cell.digest = digest
-        if run.fallback is not None:
-            cell.engine_fallback = (
-                f"{run.fallback['from']}->{run.fallback['to']}"
-            )
-        if chaos:
-            cell.fault_count = len(run.faults or ())
-            # Clean baseline: the same cell, same seed, no plan.  Its
-            # digest is what "the faults changed the answer" is
-            # measured against.
-            clean = Network(
-                engine=engine,
-                **_cell_network_kwargs(prepared, cell_seed, round_limit),
-            ).run(program, inputs=prepared.inputs)
-            cell.clean_digest = _digest(prepared.summarize(clean), clean)
-        if prepared.validate is not None:
-            try:
-                prepared.validate(summary)
-                cell.validated = True
-            except AssertionError as exc:
-                cell.validated = False
-                cell.error = str(exc)
-        if verify == "cross-engine":
-            _verify_cell(
-                cell, spec, prepared, cell_seed, digest,
-                fault_plan=fault_plan, round_limit=round_limit,
-            )
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        _failure_fields(cell, exc)
-    return cell
-
-
-def _verify_cell(
-    cell: MatrixCell,
-    spec,
-    prepared,
-    cell_seed: int,
-    digest: Optional[str],
-    *,
-    fault_plan: Optional[Any] = None,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-) -> None:
-    """Re-run one ok cell on a second engine and compare digests.
-
-    Prefers the legacy reference engine as the witness; a cell that
-    already ran on legacy is checked against the next engine the
-    protocol supports.  A witness failure counts as a divergence
-    (``verify_match=False``) — self-checking must not fail open.
-    """
-    from repro.core.network import Network
-
-    witness = next(
-        (
-            name
-            for name in [REFERENCE_ENGINE]
-            + [e for e in spec.engines if e != REFERENCE_ENGINE]
-            if name != cell.engine and name in spec.engines
-        ),
-        None,
-    )
-    if witness is None:
-        return
-    program = prepared.programs.get(spec.program_for(witness))
-    if program is None:
-        return
-    cell.verify_engine = witness
-    try:
-        kwargs = _cell_network_kwargs(prepared, cell_seed, round_limit)
-        if fault_plan is not None and fault_plan.is_active:
-            kwargs["fault_plan"] = fault_plan
-        network = Network(engine=witness, **kwargs)
-        if getattr(prepared, "instances", None) is None:
-            run = network.run(program, inputs=prepared.inputs)
-            cell.verify_digest = _digest(prepared.summarize(run), run)
-        else:
-            runs = network.run_many(program, prepared.instances)
-            cell.verify_digest = _records_digest(
-                _instance_records(prepared, runs)
-            )
-        cell.verify_match = cell.verify_digest == digest
-    except Exception as exc:  # noqa: BLE001 - divergence, not crash
-        cell.verify_match = False
-        if cell.error is None:
-            cell.error = f"verify[{witness}] {type(exc).__name__}: {exc}"
-
-
-def _execute_many_cell(
-    cell: MatrixCell,
-    spec,
+def _run_records(
     prepared,
     program,
     engine: str,
     cell_seed: int,
-    *,
-    repeats: int = 1,
-    verify: Optional[str] = None,
+    round_limit: Optional[int],
     fault_plan: Optional[Any] = None,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-) -> MatrixCell:
-    """Run every instance of a multi-instance cell through one
-    ``run_many`` sweep; the digest covers the ordered per-instance
-    records."""
+):
+    """One run of a prepared cell on ``engine``: ``(runs, records,
+    digest, seconds)``.
+
+    A single-instance cell is ``[network.run(...)]`` and a
+    multi-instance cell is ``network.run_many(...)``.  Each record is
+    one instance's canonical summary plus its round/bit accounting, a
+    pure function of the instance (never of the kernel engine's chunk
+    boundaries).  The digest covers the one record of a single-instance
+    cell and the ordered tuple of records of a multi-instance cell;
+    ``seconds`` times the engine run alone.
+
+    A fresh network per run keeps cells independent: no
+    compiled-schedule carry-over between engines or repeats beyond what
+    one run legitimately builds.  The per-cell seed applies unless the
+    prepare hook pinned its own; the round watchdog applies unless the
+    hook set its own limit.
+    """
     from repro.core.network import Network
 
-    instances = prepared.instances
-    chaos = fault_plan is not None and fault_plan.is_active
-    try:
-        best: Optional[float] = None
-        digest = records = runs = None
-        for _sample in range(repeats):
-            kwargs = _cell_network_kwargs(prepared, cell_seed, round_limit)
-            if chaos:
-                kwargs["fault_plan"] = fault_plan
-            network = Network(engine=engine, **kwargs)
-            start = time.perf_counter()  # analysis: allow(wall-clock)
-            runs = network.run_many(program, instances)
-            elapsed = time.perf_counter() - start  # analysis: allow(wall-clock)
-            sample_records = _instance_records(prepared, runs)
-            sample_digest = _records_digest(sample_records)
-            if digest is not None and sample_digest != digest:
-                raise AssertionError(
-                    "nondeterministic cell: digest changed across repeats"
-                )
-            records, digest = sample_records, sample_digest
-            if best is None or elapsed < best:
-                best = elapsed
-        cell.status = "ok"
-        cell.seconds = best
-        cell.rounds = records[0][1] if records else 0
-        cell.total_bits = sum(rec[2] for rec in records)
-        cell.max_round_bits = max((rec[3] for rec in records), default=0)
-        cell.digest = digest
-        cell.instances = len(instances)
-        fallbacks = [run.fallback for run in runs if run.fallback is not None]
-        if fallbacks:
-            cell.engine_fallback = (
-                f"{fallbacks[0]['from']}->{fallbacks[0]['to']}"
-            )
-        if chaos:
-            cell.fault_count = sum(len(run.faults or ()) for run in runs)
-            clean_runs = Network(
-                engine=engine,
-                **_cell_network_kwargs(prepared, cell_seed, round_limit),
-            ).run_many(program, instances)
-            cell.clean_digest = _records_digest(
-                _instance_records(prepared, clean_runs)
-            )
-        if prepared.validate_instance is not None:
-            try:
-                for k, rec in enumerate(records):
-                    prepared.validate_instance(k, rec[0])
-                cell.validated = True
-            except AssertionError as exc:
-                cell.validated = False
-                cell.error = str(exc)
-        if verify == "cross-engine":
-            _verify_cell(
-                cell, spec, prepared, cell_seed, digest,
-                fault_plan=fault_plan, round_limit=round_limit,
-            )
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        _failure_fields(cell, exc)
-    return cell
-
-
-def run_cell(
-    spec,
-    family_name: str,
-    n: int,
-    engine: str,
-    *,
-    seed: int = 0,
-    repeats: int = 1,
-    verify: Optional[str] = None,
-    fault_plan: Optional[Any] = None,
-    round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
-) -> MatrixCell:
-    """Execute one sweep cell from scratch: build the instance graph,
-    prepare the scenario, run it on ``engine``.
-
-    This is the worker-pool entry point, and deliberately a pure
-    function of the cell coordinates: the graph rng, the network seed
-    and the protocol instance all derive from
-    ``(seed, protocol, family, n)`` exactly as the serial runner derives
-    them, so a cell computed in any process, under any scheduling, at
-    any attempt yields the identical :class:`MatrixCell` digest.
-    """
-    import random
-
-    if engine not in spec.engines:
-        # Decided before anything is built: an engine the protocol does
-        # not support is unsupported whatever the instance looks like.
-        return MatrixCell(
-            protocol=spec.name, family=family_name, n=n, engine=engine,
-            status="unsupported",
-        )
-    coord = _cell_coord(seed, spec.name, family_name, n)
-    # Stable across processes (unlike hash(), which is salted): the
-    # cell's network seed must not change between runs or the digests
-    # stop being comparable.
-    cell_seed = int.from_bytes(hashlib.sha256(coord.encode()).digest()[:4], "big")
-    rng = random.Random(coord)
-    try:
-        graph = get_family(family_name).build(n, rng)
-        prepared = spec.prepare(n, graph, rng)
-    except Exception as exc:  # noqa: BLE001 - isolate the cell
-        cell = MatrixCell(
-            protocol=spec.name, family=family_name, n=n, engine=engine,
-            status="failed",
-        )
-        _failure_fields(cell, exc)
-        return cell
-    return _execute_cell(
-        spec, prepared, family_name, n, engine, cell_seed,
-        repeats=repeats, verify=verify, fault_plan=fault_plan,
-        round_limit=round_limit,
-    )
+    kwargs = dict(prepared.network_kwargs)
+    kwargs.setdefault("seed", cell_seed)
+    if round_limit is not None:
+        kwargs.setdefault("round_limit", round_limit)
+    if fault_plan is not None:
+        kwargs["fault_plan"] = fault_plan
+    network = Network(engine=engine, **kwargs)
+    start = time.perf_counter()  # analysis: allow(wall-clock)
+    if prepared.instances is None:
+        runs = [network.run(program, inputs=prepared.inputs)]
+    else:
+        runs = network.run_many(program, prepared.instances)
+    seconds = time.perf_counter() - start  # analysis: allow(wall-clock)
+    records = [
+        (prepared.summarize(run), run.rounds, run.total_bits, run.max_round_bits)
+        for run in runs
+    ]
+    blob = records[0] if prepared.instances is None else tuple(records)
+    digest = hashlib.sha256(repr(blob).encode()).hexdigest()[:16]
+    return runs, records, digest, seconds
 
 
 class ScenarioMatrix:
@@ -694,10 +411,14 @@ class ScenarioMatrix:
             fault_plan.validate()
         if cell_round_limit is not None and cell_round_limit < 1:
             raise ValueError("cell_round_limit must be at least 1 round")
-        self.protocols = [get_protocol(name).name for name in protocols]
-        self.families = [get_family(name).name for name in families]
-        self.sizes = list(sizes)
-        self.engines = list(engines)
+        self.protocols = _distinct(
+            "protocol", [get_protocol(name).name for name in protocols]
+        )
+        self.families = _distinct(
+            "family", [get_family(name).name for name in families]
+        )
+        self.sizes = _distinct("size", list(sizes))
+        self.engines = _distinct("engine", list(engines))
         self.seed = seed
         self.repeats = max(1, repeats)
         self.verify = verify
@@ -757,7 +478,7 @@ class ScenarioMatrix:
     def run(
         self,
         *,
-        workers: Optional[int] = None,
+        workers: int = 0,
         journal: Optional[str] = None,
         resume_from: Optional[str] = None,
         cell_timeout: Optional[float] = None,
@@ -767,121 +488,287 @@ class ScenarioMatrix:
     ) -> MatrixResult:
         """Run the sweep and return its :class:`MatrixResult`.
 
-        With no arguments this is the in-process serial runner — the
-        zero-overhead default path.  ``workers=W`` dispatches cells to
-        the supervised worker pool of :mod:`repro.scenarios.sweep`
-        (per-cell wall-clock deadlines via ``cell_timeout`` seconds,
-        crash/timeout retry with capped backoff, quarantine after
-        ``max_attempts``); ``journal=`` appends every completed cell to
-        a durable JSONL journal, and ``resume_from=`` replays a prior
-        journal's completed cells instead of re-executing them.
-        Digests are byte-identical across all of these execution shapes.
-        ``chaos_kills`` / ``stop_after_cells`` are the chaos-drill hooks
-        the resilience tests and the CI chaos-pool job use.
+        One executor over :meth:`run_coordinate`: ``workers=0`` (the
+        default) runs every pending coordinate in this process;
+        ``workers=W`` runs them on the supervised worker pool of
+        :mod:`repro.scenarios.sweep` (a wall-clock deadline of
+        ``cell_timeout`` seconds per cell, crash/timeout retry with
+        capped backoff, quarantine after ``max_attempts``), which hands
+        whatever it cannot run back to the in-process executor.
+        ``journal=`` appends every completed cell to a durable JSONL
+        journal, and ``resume_from=`` replays a prior journal's
+        completed cells instead of re-executing them.  Digests are
+        byte-identical across all of these execution shapes.
+        ``chaos_kills`` / ``stop_after_cells`` are the pool's chaos-drill
+        hooks, which the resilience tests and the CI chaos-pool job use.
 
-        The cell is the unit of work and of recovery: a cell interrupted
-        by a crash or a kill is re-run from the start, and a resumed
-        sweep re-runs exactly the cells its journal has not recorded.
+        The coordinate is the unit of work and the cell the unit of
+        recovery: an interrupted coordinate re-runs the cells its journal
+        has not recorded, from the start.
         """
-        if workers is not None:
-            from repro.scenarios.sweep import run_sharded
+        from repro.core.errors import SweepResumeError
+        from repro.scenarios.sweep.journal import SweepJournal
 
-            return run_sharded(
-                self,
-                workers=workers,
-                journal=journal,
-                resume_from=resume_from,
-                cell_timeout=cell_timeout,
-                max_attempts=max_attempts,
-                chaos_kills=chaos_kills,
-                stop_after_cells=stop_after_cells,
+        if workers < 0:
+            raise ValueError("workers must be at least 0")
+        if cell_timeout is not None and workers == 0:
+            raise ValueError(
+                "cell_timeout needs workers >= 1: the in-process executor "
+                "cannot enforce a wall-clock deadline"
             )
-        if journal is not None or resume_from is not None:
-            from repro.scenarios.sweep import run_journaled_serial
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        meta = self._meta()
+        if resume_from is not None:
+            if journal is not None and journal != resume_from:
+                raise SweepResumeError(
+                    "journal= and resume_from= name different files; resume "
+                    "appends to the journal it replays"
+                )
+            handle, loaded = SweepJournal.resume(resume_from, meta)
+            replayed = loaded.cells
+        elif journal is not None:
+            handle, replayed = SweepJournal(journal, meta).open(), {}
+        else:
+            handle, replayed = None, {}
+        wanted = set(self.cell_keys())
+        completed = {
+            key: MatrixCell.from_dict(payload)
+            for key, payload in replayed.items()
+            if key in wanted
+        }
+        meta["journal"] = None if handle is None else handle.path
+        meta["replayed_cells"] = len(completed)
 
-            return run_journaled_serial(
-                self, journal=journal, resume_from=resume_from
-            )
-        return self._run_serial()
+        def record(cells: List[MatrixCell], attempt: Optional[int] = None) -> int:
+            """Mark ``cells`` completed and journal them; returns how
+            many were new (a killed attempt's late duplicate is not)."""
+            fresh = 0
+            for cell in cells:
+                key = cell.key(self.seed)
+                if key in completed:
+                    continue
+                cell.attempts = attempt
+                completed[key] = cell
+                if handle is not None:
+                    handle.record_cell(key, cell.to_dict(), attempt=attempt or 1)
+                fresh += 1
+            return fresh
 
-    def _run_serial(
-        self,
-        on_cell: Optional[Callable[[str, MatrixCell], None]] = None,
-        replay: Optional[Dict[str, Dict[str, Any]]] = None,
-    ) -> MatrixResult:
-        """The in-process serial runner.
+        try:
+            todo = self._pending(completed)
+            if workers:
+                from repro.scenarios.sweep.pool import run_sharded
 
-        ``on_cell(key, cell)`` is invoked for every *freshly executed*
-        cell as soon as it completes (the journal hook); ``replay`` maps
-        cell keys to recorded :meth:`MatrixCell.to_dict` payloads that
-        are rebuilt instead of re-executed (the resume hook).
+                pool = meta["pool"] = run_sharded(
+                    self, todo, record, handle, workers,
+                    cell_timeout=cell_timeout,
+                    max_attempts=max_attempts,
+                    chaos_kills=chaos_kills,
+                    stop_after_cells=stop_after_cells,
+                )
+                todo = (
+                    [] if pool["fallback_reason"] is None
+                    else self._pending(completed)
+                )
+            for (protocol, family, n), engines in todo:
+                record(
+                    self.run_coordinate(get_protocol(protocol), family, n, engines)
+                )
+        finally:
+            if handle is not None:
+                handle.close()
+        return self._assemble(meta, completed)
+
+    def run_coordinate(
+        self, spec, family_name: str, n: int, engines: Sequence[str]
+    ) -> List[MatrixCell]:
+        """Run one (protocol, family, n) coordinate on ``engines`` — the
+        sweep's unit of work, in process and in a pool worker alike.
+
+        Engines the protocol does not support are marked unsupported
+        before anything is built, so a bad instance cannot turn them
+        into failures.  The instance is then built and ``spec.prepare``
+        called once, and every remaining engine runs on that prepared
+        instance.  The result is a pure function of the coordinate and
+        this matrix's cell settings: the graph rng, the network seed and
+        the protocol instance all derive from ``(seed, protocol, family,
+        n)``, so any process, scheduling order or attempt yields the same
+        cells.  They come back in ``engines`` order, without the
+        cross-cell verdicts :meth:`_finalize_coordinate` stamps.
         """
         import random
 
-        result = MatrixResult(meta=self._meta())
-        ordered = self.ordered_engines()
-        for protocol_name, family_name, n in self.coordinates():
-            spec = get_protocol(protocol_name)
-            family = get_family(family_name)
-            coord = _cell_coord(self.seed, protocol_name, family_name, n)
-            cell_seed = int.from_bytes(
-                hashlib.sha256(coord.encode()).digest()[:4], "big"
+        cells = [
+            MatrixCell(
+                protocol=spec.name, family=family_name, n=n, engine=engine,
+                status="unsupported",
             )
-            replayed: Dict[str, MatrixCell] = {}
-            pending: List[str] = []
-            cells: List[MatrixCell] = []
-            for engine in ordered:
-                key = _cell_key(self.seed, protocol_name, family_name, n, engine)
-                if replay is not None and key in replay:
-                    replayed[engine] = MatrixCell.from_dict(replay[key])
-                elif engine in spec.engines:
-                    pending.append(engine)
-                else:
-                    # Unsupported is decided before the instance is
-                    # built, so a bad instance cannot turn it into a
-                    # failure.
-                    cell = MatrixCell(
-                        protocol=protocol_name, family=family_name, n=n,
-                        engine=engine, status="unsupported",
+            for engine in engines
+        ]
+        supported = [cell for cell in cells if cell.engine in spec.engines]
+        if not supported:
+            return cells
+        coord = _cell_coord(self.seed, spec.name, family_name, n)
+        # Stable across processes (unlike hash(), which is salted): the
+        # cell's network seed must not change between runs or the digests
+        # stop being comparable.
+        cell_seed = int.from_bytes(hashlib.sha256(coord.encode()).digest()[:4], "big")
+        rng = random.Random(coord)
+        try:
+            graph = get_family(family_name).build(n, rng)
+            prepared = spec.prepare(n, graph, rng)
+        except Exception as exc:  # noqa: BLE001 - isolate the coordinate
+            for cell in supported:
+                _failure_fields(cell, exc)
+            return cells
+        for cell in supported:
+            self._run_cell(cell, spec, prepared, cell_seed)
+        return cells
+
+    def _run_cell(self, cell: MatrixCell, spec, prepared, cell_seed: int) -> None:
+        """Run a prepared coordinate on ``cell.engine`` and record the
+        outcome on ``cell``: best-of-``repeats`` timing, accounting,
+        digest, the clean fault baseline, validation and the
+        cross-engine witness."""
+        program = prepared.programs.get(spec.program_for(cell.engine))
+        if program is None:
+            return
+        plan = self.fault_plan
+        if plan is not None and not plan.is_active:
+            plan = None
+        try:
+            best: Optional[float] = None
+            digest = None
+            for _sample in range(self.repeats):
+                runs, records, sample_digest, seconds = _run_records(
+                    prepared, program, cell.engine, cell_seed,
+                    self.cell_round_limit, plan,
+                )
+                if digest is not None and sample_digest != digest:
+                    raise AssertionError(
+                        "nondeterministic cell: digest changed across repeats"
                     )
-                    cells.append(cell)
-                    if on_cell is not None:
-                        on_cell(key, cell)
-            if pending:
-                rng = random.Random(coord)
+                digest = sample_digest
+                if best is None or seconds < best:
+                    best = seconds
+            cell.status = "ok"
+            cell.seconds = best
+            cell.rounds = records[0][1] if records else 0
+            cell.total_bits = sum(record[2] for record in records)
+            cell.max_round_bits = max((record[3] for record in records), default=0)
+            cell.digest = digest
+            if prepared.instances is not None:
+                cell.instances = len(prepared.instances)
+            fallback = next(
+                (run.fallback for run in runs if run.fallback is not None), None
+            )
+            if fallback is not None:
+                cell.engine_fallback = f"{fallback['from']}->{fallback['to']}"
+            if plan is not None:
+                cell.fault_count = sum(len(run.faults or ()) for run in runs)
+                # Clean baseline: the same cell, same seed, no plan.  Its
+                # digest is what "the faults changed the answer" is
+                # measured against.
+                cell.clean_digest = _run_records(
+                    prepared, program, cell.engine, cell_seed,
+                    self.cell_round_limit,
+                )[2]
+            single = prepared.instances is None
+            validate = prepared.validate if single else prepared.validate_instance
+            if validate is not None:
                 try:
-                    graph = family.build(n, rng)
-                    prepared = spec.prepare(n, graph, rng)
-                except Exception as exc:  # noqa: BLE001 - isolate the cell
-                    prepared = None
-                    for engine in pending:
-                        cell = MatrixCell(
-                            protocol=protocol_name,
-                            family=family_name,
-                            n=n,
-                            engine=engine,
-                            status="failed",
-                        )
-                        _failure_fields(cell, exc)
-                        cells.append(cell)
-                        if on_cell is not None:
-                            on_cell(cell.key(self.seed), cell)
-                if prepared is not None:
-                    for engine in pending:
-                        cell = _execute_cell(
-                            spec, prepared, family_name, n, engine,
-                            cell_seed,
-                            repeats=self.repeats,
-                            verify=self.verify,
-                            fault_plan=self.fault_plan,
-                            round_limit=self.cell_round_limit,
-                        )
-                        cells.append(cell)
-                        if on_cell is not None:
-                            on_cell(cell.key(self.seed), cell)
-            cells.extend(replayed.values())
-            self._finalize_coordinate(spec, family_name, n, cells)
-            result.cells.extend(cells)
+                    if single:
+                        validate(records[0][0])
+                    else:
+                        for k, record in enumerate(records):
+                            validate(k, record[0])
+                    cell.validated = True
+                except AssertionError as exc:
+                    cell.validated = False
+                    cell.error = str(exc)
+            if self.verify == "cross-engine":
+                self._verify_cell(cell, spec, prepared, cell_seed, plan)
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            _failure_fields(cell, exc)
+
+    def _verify_cell(
+        self, cell: MatrixCell, spec, prepared, cell_seed: int, plan
+    ) -> None:
+        """Re-run one ok cell on a second engine and compare digests.
+
+        Prefers the legacy reference engine as the witness; a cell that
+        already ran on legacy is checked against the next engine the
+        protocol supports.  A witness failure counts as a divergence
+        (``verify_match=False``) — self-checking must not fail open.
+        """
+        witness = next(
+            (
+                name
+                for name in [REFERENCE_ENGINE]
+                + [e for e in spec.engines if e != REFERENCE_ENGINE]
+                if name != cell.engine and name in spec.engines
+            ),
+            None,
+        )
+        if witness is None:
+            return
+        program = prepared.programs.get(spec.program_for(witness))
+        if program is None:
+            return
+        cell.verify_engine = witness
+        try:
+            cell.verify_digest = _run_records(
+                prepared, program, witness, cell_seed, self.cell_round_limit,
+                plan,
+            )[2]
+            cell.verify_match = cell.verify_digest == cell.digest
+        except Exception as exc:  # noqa: BLE001 - divergence, not crash
+            cell.verify_match = False
+            if cell.error is None:
+                cell.error = f"verify[{witness}] {type(exc).__name__}: {exc}"
+
+    def _pending(
+        self, completed: Dict[str, MatrixCell]
+    ) -> List[Tuple[Tuple[str, str, int], List[str]]]:
+        """Every coordinate that still owes cells, with the engines it
+        owes them on, in canonical order."""
+        todo = []
+        for protocol, family, n in self.coordinates():
+            engines = [
+                engine
+                for engine in self.ordered_engines()
+                if _cell_key(self.seed, protocol, family, n, engine)
+                not in completed
+            ]
+            if engines:
+                todo.append(((protocol, family, n), engines))
+        return todo
+
+    def _assemble(
+        self, meta: Dict[str, Any], completed: Dict[str, MatrixCell]
+    ) -> MatrixResult:
+        """Build the result from the completed cells in canonical order
+        and stamp every cross-cell verdict.  Deterministic given the
+        cells, which is why in-process, pooled, replayed and degraded
+        runs all produce byte-identical digests.  An interrupted sweep
+        may hold only part of a coordinate; its cells are kept (the
+        journal has them) and the verdicts are computed over whatever
+        engines did run — the resumed run computes them again over the
+        full set."""
+        result = MatrixResult(meta=meta)
+        for protocol, family, n in self.coordinates():
+            cells = [
+                completed[key]
+                for key in (
+                    _cell_key(self.seed, protocol, family, n, engine)
+                    for engine in self.ordered_engines()
+                )
+                if key in completed
+            ]
+            if cells:
+                self._finalize_coordinate(get_protocol(protocol), family, n, cells)
+                result.cells.extend(cells)
         return result
 
     def _finalize_coordinate(

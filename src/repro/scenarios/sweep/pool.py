@@ -1,33 +1,40 @@
-"""The supervised worker pool: sharded, fault-tolerant sweep execution.
+"""The supervised worker pool: a sweep's pending coordinates on W processes.
 
-:func:`run_sharded` fans a :class:`~repro.scenarios.matrix.ScenarioMatrix`
-across ``W`` persistent spawn-context worker processes and supervises
-them: per-cell wall-clock deadlines (SIGKILL on expiry — the backstop
-for hangs the in-cell round watchdog cannot see), heartbeat liveness,
-automatic respawn of crashed workers, capped-exponential-backoff retry
-of interrupted cells, and a poison-cell quarantine after ``max_attempts``
-(quarantined cells are recorded on the result as ``failed`` cells with
-``quarantined=True`` — never silently dropped).  Completed cells are
-journaled durably (:mod:`repro.scenarios.sweep.journal`) so a killed
-sweep resumes where it stopped.  "Sharded" means spread across workers:
-the cell is the unit of work and of recovery, so an interrupted cell is
-re-run from the start on its next attempt.
+:func:`run_sharded` is the ``workers >= 1`` branch of
+:meth:`~repro.scenarios.matrix.ScenarioMatrix.run`.  It spreads the
+``(coordinate, engines)`` pairs a sweep still owes across up to ``W``
+persistent spawn-context worker processes and supervises them.  Each
+worker receives the matrix and its protocol specs once, at spawn; a task
+is one coordinate, the engines it still owes and the attempt number, and
+the worker runs it through
+:meth:`~repro.scenarios.matrix.ScenarioMatrix.run_coordinate`, so a
+coordinate is prepared once per attempt however many engines it runs.
+The supervisor enforces a wall-clock deadline per task (``cell_timeout``
+seconds per cell of the task; SIGKILL on expiry — the backstop for hangs
+the in-cell round watchdog cannot see), watches heartbeats, respawns
+crashed workers, retries an interrupted coordinate's unjournaled cells
+with capped exponential backoff, and after ``max_attempts`` quarantines
+them (recorded as ``failed`` cells with ``quarantined=True`` — never
+silently dropped).  Completed cells are journaled durably
+(:mod:`repro.scenarios.sweep.journal`) so a killed sweep resumes where
+it stopped.
 
-The hard invariant is determinism: a cell is a pure function of its
-coordinates (:func:`repro.scenarios.matrix.run_cell`), and every
-cross-cell verdict is recomputed deterministically at assembly
-(:meth:`ScenarioMatrix._finalize_coordinate`), so result digests are
-byte-identical across worker counts, scheduling orders, worker kills,
-retries and kill-then-resume boundaries.  The chaos hooks
-(``chaos_kills`` — SIGKILL the pool's own workers at chosen points —
-and ``stop_after_cells`` — abandon the sweep mid-flight) exist so tests
-and CI can prove that, not just assume it.
+The hard invariant is determinism: a coordinate's cells are a pure
+function of its coordinates, and every cross-cell verdict is computed at
+assembly (:meth:`ScenarioMatrix._finalize_coordinate`), so result
+digests are byte-identical across worker counts, scheduling orders,
+worker kills, retries and kill-then-resume boundaries.  The chaos hooks
+(``chaos_kills`` — SIGKILL the pool's own workers once the count of
+completed cells reaches each value — and ``stop_after_cells`` — abandon
+the sweep once it reaches that count) exist so tests and CI can prove
+that, not just assume it.
 
 Pool-level failure — a protocol spec that cannot cross the process
 boundary, a spawn environment that cannot start workers, or a respawn
-storm — degrades to the in-process serial runner instead of failing the
-sweep, mirroring the engine subsystem's kernel → fast → legacy chain;
-``meta["pool"]`` records which executor actually ran.
+storm — hands the unfinished coordinates back to the in-process executor
+instead of failing the sweep, mirroring the engine subsystem's kernel →
+fast → legacy chain; ``meta["pool"]`` records which executor actually
+ran.
 """
 
 from __future__ import annotations
@@ -38,24 +45,28 @@ import pickle
 import sys
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import (
-    CellTimeoutError,
-    SweepResumeError,
-    WorkerCrashError,
-)
+from repro.core.errors import CellTimeoutError, WorkerCrashError
 from repro.scenarios.registry import get_protocol
 
-__all__ = ["run_sharded", "run_journaled_serial"]
+__all__ = ["run_sharded"]
 
 #: Liveness: a busy worker whose last event (start or heartbeat) is
 #: older than this is presumed wedged and gets SIGKILLed.
 HEARTBEAT_TIMEOUT = 30.0
-#: Extra wall-clock allowance before a cell's deadline applies when the
+#: How often a busy worker reports that it is alive.
+HEARTBEAT_INTERVAL = 0.5
+#: Retry backoff: attempt ``k`` failed waits ``min(BACKOFF_CAP,
+#: BACKOFF_BASE * 2 ** (k - 1))`` seconds before attempt ``k + 1``.
+BACKOFF_BASE = 0.25
+BACKOFF_CAP = 4.0
+#: Extra wall-clock allowance before a task's deadline applies when the
 #: worker has not yet reported ``start`` (covers spawn/import latency,
-#: which is paid once per worker and must not count against the cell).
+#: which is paid once per worker and must not count against the task).
 STARTUP_GRACE = 30.0
+
+Coordinate = Tuple[str, str, int]
 
 
 def _now() -> float:
@@ -65,157 +76,81 @@ def _now() -> float:
 
 
 class _Slot:
-    """One worker position: process + private task queue + current task."""
+    """One worker position: process + private pipe + current task."""
 
-    __slots__ = ("index", "proc", "queue", "task", "spawned_at")
+    __slots__ = ("index", "proc", "conn", "task")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.proc = None
-        self.queue = None
+        self.conn = None
         self.task: Optional[Dict[str, Any]] = None
-        self.spawned_at = 0.0
-
-
-def _journal_setup(matrix, meta, journal, resume_from):
-    """Resolve the journal/resume arguments into (handle, replayed)."""
-    from repro.scenarios.sweep.journal import SweepJournal
-
-    if resume_from is not None:
-        if journal is not None and journal != resume_from:
-            raise SweepResumeError(
-                "journal= and resume_from= name different files; resume "
-                "appends to the journal it replays"
-            )
-        handle, loaded = SweepJournal.resume(resume_from, meta)
-        return handle, dict(loaded.cells)
-    if journal is not None:
-        return SweepJournal(journal, meta).open(), {}
-    return None, {}
-
-
-def run_journaled_serial(
-    matrix,
-    *,
-    journal: Optional[str] = None,
-    resume_from: Optional[str] = None,
-):
-    """The serial runner with journal/resume plumbing attached — used
-    directly by ``run(journal=..., resume_from=...)`` without workers,
-    and as the resume target after a pool run was killed."""
-    meta = matrix._meta()
-    handle, replayed = _journal_setup(matrix, meta, journal, resume_from)
-    keys = set(matrix.cell_keys())
-    replay = {k: v for k, v in replayed.items() if k in keys}
-    def record(key, cell):
-        payload = cell.to_dict()
-        handle.record_cell(key, payload, attempt=payload.get("attempts") or 1)
-
-    on_cell = record if handle is not None else None
-    try:
-        result = matrix._run_serial(on_cell=on_cell, replay=replay or None)
-    finally:
-        if handle is not None:
-            handle.close()
-    result.meta["journal"] = handle.path if handle is not None else None
-    result.meta["replayed_cells"] = len(replay)
-    return result
 
 
 def run_sharded(
     matrix,
+    todo: List[Tuple[Coordinate, List[str]]],
+    record: Callable[..., int],
+    journal,
     workers: int,
     *,
-    journal: Optional[str] = None,
-    resume_from: Optional[str] = None,
     cell_timeout: Optional[float] = None,
     max_attempts: int = 3,
-    backoff_base: float = 0.25,
-    backoff_cap: float = 4.0,
-    heartbeat_interval: float = 0.5,
     chaos_kills: Optional[Sequence[int]] = None,
     stop_after_cells: Optional[int] = None,
-):
-    """Run ``matrix`` on a supervised pool of ``workers`` processes.
+) -> Dict[str, Any]:
+    """Run ``todo`` — ``(coordinate, engines)`` pairs of ``matrix`` — on
+    a supervised pool of ``min(workers, len(todo))`` processes.
 
-    See the module docstring for semantics; returns the same
-    :class:`~repro.scenarios.matrix.MatrixResult` shape as the serial
-    runner, with ``meta["pool"]`` carrying executor forensics
-    (per-worker accounting, respawns, quarantined keys, replay counts).
+    ``record(cells, attempt)`` marks cells completed and journals them,
+    returning how many were new; ``journal`` (or None) takes the
+    per-cell attempt lines.  Returns the executor forensics that become
+    ``meta["pool"]``.  A ``fallback_reason`` other than None means the
+    pool stopped early and the caller runs the unfinished coordinates
+    in process.
     """
-    from repro.scenarios.matrix import _cell_key
+    from repro.scenarios.matrix import MatrixCell, _cell_coord, _cell_key
 
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    meta = matrix._meta()
-    handle, replayed = _journal_setup(matrix, meta, journal, resume_from)
-    all_keys = matrix.cell_keys()
-    replay = {k: v for k, v in replayed.items() if k in set(all_keys)}
-
-    # Per-key task coordinates, in canonical order.
-    task_info: Dict[str, Tuple[str, str, int, str]] = {}
-    for protocol, family, n in matrix.coordinates():
-        for engine in matrix.ordered_engines():
-            key = _cell_key(matrix.seed, protocol, family, n, engine)
-            task_info[key] = (protocol, family, n, engine)
-
+    workers = min(workers, len(todo))
     pool_meta: Dict[str, Any] = {
         "executor": "pool",
         "workers": workers,
         "respawns": 0,
-        "replayed": len(replay),
         "quarantined": [],
         "interrupted": False,
         "fallback_reason": None,
         "worker_stats": {},
     }
-    meta["pool"] = pool_meta
-    meta["journal"] = handle.path if handle is not None else None
+    if not todo:
+        return pool_meta
 
-    completed: Dict[str, Dict[str, Any]] = dict(replay)
-    pending = deque(k for k in all_keys if k not in completed)
-
-    def serial_fallback(reason: str):
-        pool_meta["executor"] = "serial-fallback"
-        pool_meta["fallback_reason"] = reason
-        try:
-            _run_keys_serially(matrix, list(pending), task_info, completed, handle)
-        finally:
-            if handle is not None:
-                handle.close()
-        return _assemble(matrix, meta, completed, task_info)
+    def fall_back(reason: str) -> Dict[str, Any]:
+        pool_meta.update(executor="serial-fallback", fallback_reason=reason)
+        return pool_meta
 
     # Specs cross the process boundary pickled by name (registry.__reduce__);
     # an unpicklable spec (lambda prepare) must surface *here*, as a
     # graceful degradation, not as W crashed workers.
+    specs = {name: get_protocol(name) for name in matrix.protocols}
     try:
-        for name in matrix.protocols:
-            pickle.dumps(get_protocol(name))
+        pickle.dumps(specs)
     except Exception as exc:  # noqa: BLE001 - any pickle failure degrades
-        return serial_fallback(f"spec not picklable: {exc}")
-
-    if not pending:
-        if handle is not None:
-            handle.close()
-        return _assemble(matrix, meta, completed, task_info)
+        return fall_back(f"spec not picklable: {exc}")
 
     try:
         import multiprocessing
 
         ctx = multiprocessing.get_context("spawn")
-        result_queue = ctx.Queue()
     except Exception as exc:  # noqa: BLE001 - no mp support: degrade
-        return serial_fallback(f"cannot create spawn context: {exc}")
+        return fall_back(f"cannot create spawn context: {exc}")
 
-    fault_plan_json = (
-        matrix.fault_plan.to_json() if matrix.fault_plan is not None else None
-    )
-    chaos_set = set(chaos_kills or ())
-    respawn_limit = max(8, 4 * workers) + len(chaos_set)
-    attempts_used: Dict[str, int] = {}
-    retries: List[Tuple[float, int, str]] = []  # (not_before, attempt, key)
+    engines_of: Dict[Coordinate, List[str]] = dict(todo)
+    unfinished = set(engines_of)
+    pending = deque(engines_of)
+    chaos = sorted(set(chaos_kills or ()))
+    respawn_limit = max(8, 4 * workers) + len(chaos)
+    attempts_used: Dict[Coordinate, int] = {}
+    retries: List[Tuple[float, int, Coordinate]] = []  # (not_before, attempt, coord)
     stats: Dict[int, Dict[str, float]] = {}
     fresh = 0
     interrupted = False
@@ -223,20 +158,21 @@ def run_sharded(
     def spawn(slot: _Slot) -> None:
         from repro.scenarios.sweep.worker import worker_main
 
-        # A fresh queue per (re)spawn: a dead worker's queue may still
-        # hold its unfetched task, which the supervisor is about to
-        # retry elsewhere — the replacement must not double-execute it.
-        if slot.queue is not None:
-            slot.queue.cancel_join_thread()
-            slot.queue.close()
-        slot.queue = ctx.Queue()
+        # A fresh pipe per (re)spawn, private to the worker: a dead
+        # worker's pipe may still hold its unfetched task, which the
+        # supervisor is about to retry elsewhere, and a worker killed
+        # mid-send must not wedge any other worker's channel (a shared
+        # multiprocessing.Queue's write lock dies held with its holder).
+        if slot.conn is not None:
+            slot.conn.close()
+        slot.conn, child = ctx.Pipe()
         slot.proc = ctx.Process(
-            target=worker_main,
-            args=(slot.index, slot.queue, result_queue, heartbeat_interval),
-            daemon=True,
+            target=worker_main, args=(child, matrix, specs), daemon=True
         )
-        slot.proc.start()
-        slot.spawned_at = _now()
+        try:
+            slot.proc.start()
+        finally:
+            child.close()
         slot.task = None
         stats.setdefault(
             slot.index, {"cells": 0, "seconds": 0.0, "total_bits": 0, "respawns": -1}
@@ -247,43 +183,60 @@ def run_sharded(
             slot.proc.kill()
             slot.proc.join(timeout=10.0)
 
-    def handle_failure(key: str, exc_type: type, message: str, digest: str) -> None:
+    def handle_failure(
+        coord: Coordinate, exc_type: type, message: str, digest: str
+    ) -> None:
         nonlocal fresh
-        if key in completed:
+        if coord not in unfinished:
             return
-        attempts_used[key] = attempts_used.get(key, 0) + 1
-        k = attempts_used[key]
-        if handle is not None:
-            handle.record_attempt(key, k, exc_type.__name__, message, digest)
-        if k >= max_attempts:
-            protocol, family, n, engine = task_info[key]
-            err = exc_type(message, coordinate=key, attempts=k,
-                           traceback_digest=digest)
-            quarantined = {
-                "protocol": protocol, "family": family, "n": n,
-                "engine": engine, "status": "failed",
-                "error": str(err), "error_type": exc_type.__name__,
-                "traceback_digest": digest, "attempts": k,
-                "quarantined": True,
-            }
-            completed[key] = quarantined
-            pool_meta["quarantined"].append(key)
-            if handle is not None:
-                handle.record_cell(key, quarantined, attempt=k)
-            fresh += 1
-        else:
-            delay = min(backoff_cap, backoff_base * (2 ** (k - 1)))
-            retries.append((_now() + delay, k + 1, key))
+        k = attempts_used[coord] = attempts_used.get(coord, 0) + 1
+        protocol, family, n = coord
+        keys = {
+            engine: _cell_key(matrix.seed, protocol, family, n, engine)
+            for engine in engines_of[coord]
+        }
+        if journal is not None:
+            for key in keys.values():
+                journal.record_attempt(key, k, exc_type.__name__, message, digest)
+        if k < max_attempts:
+            delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (k - 1)))
+            retries.append((_now() + delay, k + 1, coord))
+            return
+        unfinished.discard(coord)
+        quarantined = [
+            MatrixCell(
+                protocol=protocol, family=family, n=n, engine=engine,
+                status="failed",
+                error=str(
+                    exc_type(message, coordinate=key, attempts=k,
+                             traceback_digest=digest)
+                ),
+                error_type=exc_type.__name__,
+                traceback_digest=digest,
+                quarantined=True,
+            )
+            for engine, key in keys.items()
+        ]
+        fresh += record(quarantined, k)
+        pool_meta["quarantined"].extend(keys.values())
 
     def fail_inflight(slot: _Slot, exc_type: type, reason: str) -> None:
         task = slot.task
         slot.task = None
         if task is None:
             return
+        coord_key = _cell_coord(matrix.seed, *task["coord"])
         digest = hashlib.sha256(
-            f"{exc_type.__name__}:{task['key']}".encode()
+            f"{exc_type.__name__}:{coord_key}".encode()
         ).hexdigest()[:12]
-        handle_failure(task["key"], exc_type, reason, digest)
+        handle_failure(task["coord"], exc_type, reason, digest)
+
+    def restart(slot: _Slot, exc_type: type, reason: str) -> None:
+        """SIGKILL the slot's worker, fail its task and respawn it."""
+        kill(slot)
+        fail_inflight(slot, exc_type, reason)
+        pool_meta["respawns"] += 1
+        spawn(slot)
 
     # Spawn children re-execute the parent's __main__ when it carries a
     # real file path.  A parent run from a pipe/heredoc reports
@@ -303,85 +256,75 @@ def run_sharded(
     except Exception as exc:  # noqa: BLE001 - cannot start workers: degrade
         for slot in slots:
             kill(slot)
+            if slot.conn is not None:
+                slot.conn.close()
         if hide_main_file:
             main_module.__file__ = main_file
-        return serial_fallback(f"cannot spawn workers: {exc}")
+        return fall_back(f"cannot spawn workers: {exc}")
 
-    total = len(all_keys)
     degrade_reason: Optional[str] = None
     try:
-        while len(completed) < total:
+        while unfinished:
             now = _now()
             # -- assignment: one task per idle, live worker ----------------
             for slot in slots:
-                if slot.task is not None or not slot.proc.is_alive():
+                if (
+                    slot.task is not None
+                    or slot.conn is None
+                    or not slot.proc.is_alive()
+                ):
                     continue
-                key = attempt = None
                 ready = [r for r in retries if r[0] <= now]
                 if ready:
-                    ready.sort()
-                    retries.remove(ready[0])
-                    _, attempt, key = ready[0]
+                    retry = min(ready)
+                    retries.remove(retry)
+                    _, attempt, coord = retry
                 elif pending:
-                    key, attempt = pending.popleft(), 1
-                if key is None:
+                    coord, attempt = pending.popleft(), 1
+                else:
                     continue
-                protocol, family, n, engine = task_info[key]
-                slot.queue.put(
-                    (
-                        key, get_protocol(protocol), family, n, engine,
-                        matrix.seed, matrix.repeats, matrix.verify,
-                        fault_plan_json, matrix.cell_round_limit, attempt,
-                    )
-                )
+                try:
+                    slot.conn.send((coord, engines_of[coord], attempt))
+                except OSError:
+                    pass  # it died: the liveness check fails the task below
                 slot.task = {
-                    "key": key, "attempt": attempt,
-                    "assigned_at": now, "started_at": None, "last_event": now,
+                    "coord": coord, "assigned_at": now, "started_at": None,
+                    "last_event": now,
                 }
             # -- event drain ----------------------------------------------
-            events = _drain(result_queue, timeout=0.05)
-            for event in events:
-                kind, wid = event[0], event[1]
-                slot = slots[wid]
+            for slot, event in _drain(slots, timeout=0.05):
+                kind, coord = event[:2]
+                current = slot.task is not None and slot.task["coord"] == coord
                 if kind == "start":
-                    _, _, key, attempt = event
-                    if slot.task is not None and slot.task["key"] == key:
-                        slot.task["started_at"] = _now()
-                        slot.task["last_event"] = _now()
+                    if current:
+                        slot.task["started_at"] = slot.task["last_event"] = _now()
                 elif kind == "hb":
-                    _, _, key = event
-                    if slot.task is not None and slot.task["key"] == key:
+                    if current:
                         slot.task["last_event"] = _now()
                 elif kind == "done":
-                    _, _, key, attempt, cell_dict, seconds = event
-                    if slot.task is not None and slot.task["key"] == key:
+                    _, _, attempt, payloads, seconds = event
+                    if current:
                         slot.task = None
-                    if key in completed:
+                    if coord not in unfinished:
                         continue  # stale duplicate from a killed attempt
-                    cell_dict["attempts"] = attempt
-                    completed[key] = cell_dict
-                    retries[:] = [r for r in retries if r[2] != key]
-                    if handle is not None:
-                        handle.record_cell(key, cell_dict, attempt=attempt)
-                    st = stats.setdefault(
-                        wid,
-                        {"cells": 0, "seconds": 0.0, "total_bits": 0, "respawns": 0},
-                    )
-                    st["cells"] += 1
+                    unfinished.discard(coord)
+                    retries[:] = [r for r in retries if r[2] != coord]
+                    cells = [MatrixCell.from_dict(payload) for payload in payloads]
+                    new = record(cells, attempt)
+                    fresh += new
+                    st = stats[slot.index]
+                    st["cells"] += new
                     st["seconds"] += seconds
-                    st["total_bits"] += cell_dict.get("total_bits") or 0
-                    fresh += 1
-                    if fresh in chaos_set:
+                    st["total_bits"] += sum(cell.total_bits or 0 for cell in cells)
+                    while chaos and fresh >= chaos[0]:
+                        chaos.pop(0)
                         victim = next(
                             (s for s in slots if s.task is not None), slot
                         )
-                        kill(victim)
-                        fail_inflight(
+                        restart(
                             victim, WorkerCrashError,
                             "worker killed by chaos harness",
                         )
-                        pool_meta["respawns"] += 1
-                        spawn(victim)
                     if (
                         stop_after_cells is not None
                         and fresh >= stop_after_cells
@@ -389,52 +332,47 @@ def run_sharded(
                         interrupted = True
                         break
                 elif kind == "error":
-                    _, _, key, attempt, message, digest = event
-                    if slot.task is not None and slot.task["key"] == key:
+                    _, _, attempt, message, digest = event
+                    if current:
                         slot.task = None
-                    handle_failure(key, WorkerCrashError, message, digest)
+                    handle_failure(coord, WorkerCrashError, message, digest)
             if interrupted:
                 break
             # -- liveness / deadlines -------------------------------------
             now = _now()
             for slot in slots:
                 if not slot.proc.is_alive():
-                    fail_inflight(
+                    restart(
                         slot, WorkerCrashError,
                         f"worker {slot.index} died "
                         f"(exitcode {slot.proc.exitcode})",
                     )
-                    pool_meta["respawns"] += 1
-                    spawn(slot)
                     continue
                 task = slot.task
                 if task is None:
                     continue
                 if cell_timeout is not None:
+                    size = len(engines_of[task["coord"]])
+                    budget = cell_timeout * size
                     started = task["started_at"]
                     deadline = (
-                        started + cell_timeout
+                        started + budget
                         if started is not None
-                        else task["assigned_at"] + cell_timeout + STARTUP_GRACE
+                        else task["assigned_at"] + budget + STARTUP_GRACE
                     )
                     if now > deadline:
-                        kill(slot)
-                        fail_inflight(
+                        restart(
                             slot, CellTimeoutError,
-                            f"cell exceeded {cell_timeout}s deadline",
+                            f"task of {size} cell(s) exceeded its {budget:g}s "
+                            f"deadline ({cell_timeout:g}s per cell)",
                         )
-                        pool_meta["respawns"] += 1
-                        spawn(slot)
                         continue
                 if now - task["last_event"] > HEARTBEAT_TIMEOUT:
-                    kill(slot)
-                    fail_inflight(
+                    restart(
                         slot, WorkerCrashError,
                         f"worker {slot.index} heartbeat lost "
                         f"(> {HEARTBEAT_TIMEOUT}s)",
                     )
-                    pool_meta["respawns"] += 1
-                    spawn(slot)
             if pool_meta["respawns"] > respawn_limit:
                 degrade_reason = (
                     f"respawn storm: {pool_meta['respawns']} respawns "
@@ -446,8 +384,8 @@ def run_sharded(
             main_module.__file__ = main_file
         for slot in slots:
             try:
-                slot.queue.put(None)
-            except Exception:  # noqa: BLE001 - teardown best-effort
+                slot.conn.send(None)
+            except (AttributeError, OSError):  # teardown best-effort
                 pass
         deadline = _now() + 5.0
         for slot in slots:
@@ -455,84 +393,37 @@ def run_sharded(
             if slot.proc.is_alive():
                 slot.proc.kill()
                 slot.proc.join(timeout=5.0)
-        for slot in slots:
-            slot.queue.cancel_join_thread()
-            slot.queue.close()
-        result_queue.cancel_join_thread()
-        result_queue.close()
+            if slot.conn is not None:
+                slot.conn.close()
 
     if degrade_reason is not None:
-        # Pool-level failure: finish the remaining cells in-process, the
-        # same graceful-degradation posture as the engine chain.
+        # Pool-level failure: the caller finishes the remaining
+        # coordinates in process, the same graceful-degradation posture
+        # as the engine chain.
         pool_meta["executor"] = "pool+serial-degraded"
         pool_meta["fallback_reason"] = degrade_reason
-        remaining = [k for k in all_keys if k not in completed]
-        _run_keys_serially(matrix, remaining, task_info, completed, handle)
-
-    if handle is not None:
-        handle.close()
     pool_meta["interrupted"] = interrupted
     pool_meta["worker_stats"] = {
         str(wid): st for wid, st in sorted(stats.items())
     }
-    return _assemble(
-        matrix, meta, completed, task_info, partial=interrupted
-    )
+    return pool_meta
 
 
-def _drain(result_queue, timeout: float) -> List[Tuple[Any, ...]]:
-    """All currently available events (blocking briefly for the first)."""
-    from queue import Empty
+def _drain(slots: List[_Slot], timeout: float) -> List[Tuple[_Slot, Tuple]]:
+    """Every event the workers have sent, as ``(slot, event)`` pairs,
+    blocking up to ``timeout`` for the first.  A pipe that fails — its
+    worker died, perhaps mid-message — is closed; the liveness check
+    then fails the worker's task and respawns it."""
+    from multiprocessing.connection import wait
 
-    events: List[Tuple[Any, ...]] = []
-    try:
-        events.append(result_queue.get(timeout=timeout))
-        while True:
-            events.append(result_queue.get_nowait())
-    except Empty:
-        pass
+    by_conn = {slot.conn: slot for slot in slots if slot.conn is not None}
+    events: List[Tuple[_Slot, Tuple]] = []
+    for conn in wait(list(by_conn), timeout):
+        slot = by_conn[conn]
+        try:
+            while conn.poll():
+                events.append((slot, conn.recv()))
+        except (EOFError, OSError, pickle.UnpicklingError):
+            conn.close()
+            slot.conn = None
     return events
-
-
-def _run_keys_serially(matrix, keys, task_info, completed, handle) -> None:
-    """Execute ``keys`` in-process (fallback / degradation path)."""
-    from repro.scenarios.matrix import run_cell
-
-    for key in keys:
-        if key in completed:
-            continue
-        protocol, family, n, engine = task_info[key]
-        cell = run_cell(
-            get_protocol(protocol), family, n, engine,
-            seed=matrix.seed, repeats=matrix.repeats, verify=matrix.verify,
-            fault_plan=matrix.fault_plan, round_limit=matrix.cell_round_limit,
-        )
-        payload = cell.to_dict()
-        completed[key] = payload
-        if handle is not None:
-            handle.record_cell(key, payload)
-
-
-def _assemble(matrix, meta, completed, task_info, partial: bool = False):
-    """Build the MatrixResult: rebuild cells in canonical order and
-    recompute every cross-cell verdict.  Deterministic given the cell
-    payloads, which is why pooled, serial, replayed and degraded runs
-    all produce byte-identical digests."""
-    from repro.scenarios.matrix import MatrixCell, MatrixResult, _cell_key
-
-    result = MatrixResult(meta=meta)
-    for protocol, family, n in matrix.coordinates():
-        cells = []
-        for engine in matrix.ordered_engines():
-            key = _cell_key(matrix.seed, protocol, family, n, engine)
-            if key in completed:
-                cells.append(MatrixCell.from_dict(completed[key]))
-        if not cells:
-            continue
-        # An interrupted sweep may hold only part of a coordinate; the
-        # cells are kept (the journal has them) and the cross-cell
-        # verdicts are recomputed over whatever engines did run — the
-        # resumed run recomputes them again over the full set.
-        matrix._finalize_coordinate(get_protocol(protocol), family, n, cells)
-        result.cells.extend(cells)
-    return result

@@ -1,118 +1,110 @@
-"""The sweep worker process: pull cell tasks, execute, report.
+"""The sweep worker process: pull coordinate tasks, execute, report.
 
-Workers are persistent (one process executes many cells — spawn cost is
-paid once per worker, not per cell) and deliberately thin: all sweep
-policy (retry, backoff, deadlines, quarantine, journaling) lives in the
-supervisor; a worker only executes :func:`repro.scenarios.matrix.run_cell`
-— a pure function of the cell coordinates — and streams events back.
+Workers are persistent (one process executes many coordinates — spawn
+cost is paid once per worker, not per task) and deliberately thin: all
+sweep policy (retry, backoff, deadlines, quarantine, journaling) lives
+in the supervisor.  A worker receives the
+:class:`~repro.scenarios.matrix.ScenarioMatrix` and its protocol specs
+once, at spawn; each task is ``(coordinate, engines, attempt)``, which
+the worker runs through
+:meth:`~repro.scenarios.matrix.ScenarioMatrix.run_coordinate` — a pure
+function of the coordinate — streaming events back.
 
-Event protocol on the shared result queue (tuples, first element tags):
+Events go back over the worker's private pipe (tuples, first element
+tags):
 
-``("start", worker_id, key, attempt)``
+``("start", coordinate, attempt)``
     The worker picked up a task; the supervisor starts its deadline.
-``("hb", worker_id, key)``
-    Heartbeat, emitted every ``heartbeat_interval`` seconds while a cell
-    executes; staleness is the supervisor's liveness signal for hangs
-    the in-cell round watchdog cannot see (native code, ``prepare``).
-``("done", worker_id, key, attempt, cell_dict, seconds)``
-    The cell completed (including protocol-level failure — a failed
-    :class:`MatrixCell` is still a *completed* execution).
-``("error", worker_id, key, attempt, message, traceback_digest)``
+``("hb", coordinate)``
+    Heartbeat, emitted every ``HEARTBEAT_INTERVAL`` seconds while a
+    task executes; staleness is the supervisor's liveness signal for
+    hangs the in-cell round watchdog cannot see (native code,
+    ``prepare``).
+``("done", coordinate, attempt, cell_dicts, seconds)``
+    The coordinate completed: one :meth:`MatrixCell.to_dict` payload per
+    engine of the task (including protocol-level failure — a failed
+    cell is still a *completed* execution).
+``("error", coordinate, attempt, message, traceback_digest)``
     The harness itself raised inside the worker; the supervisor retries.
 
 A worker installs no signal handler.  The supervisor stops workers
 with SIGKILL; a SIGTERM from outside ends the worker the same way, and
-the supervisor retries its cell like any other crash.
+the supervisor retries its coordinate like any other crash.
 
 Workers exit when they receive the ``None`` sentinel, or when their
-parent disappears (``os.getppid()`` changes — the supervisor was
-SIGKILLed and nobody will ever drain the queues; orphaned workers must
-not linger).
+pipe reports end-of-file (the supervisor is gone and nobody will ever
+read their events; orphaned workers must not linger).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 import traceback
-from queue import Empty
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
+
+from repro.scenarios.sweep.pool import HEARTBEAT_INTERVAL
 
 __all__ = ["worker_main", "CURRENT_TASK"]
 
-#: ``(key, attempt)`` of the task this worker process is currently
-#: executing, or None.  Exposed so chaos-test protocols can condition on
-#: the attempt number (e.g. crash only on the first attempt).
-CURRENT_TASK: Optional[Tuple[str, int]] = None
+#: ``(coordinate, attempt)`` of the task this worker process is
+#: currently executing, or None.  Exposed so chaos-test protocols can
+#: condition on the attempt number (e.g. crash only on the first
+#: attempt).
+CURRENT_TASK: Optional[Tuple[Any, int]] = None
 
 
-def _heartbeat(result_queue, worker_id: int, key: str, interval: float, stop):
-    while not stop.wait(interval):
+def _heartbeat(send, coord, stop) -> None:
+    while not stop.wait(HEARTBEAT_INTERVAL):
         try:
-            result_queue.put(("hb", worker_id, key))
-        except Exception:  # noqa: BLE001 - queue torn down; exit quietly
+            send(("hb", coord))
+        except OSError:  # pipe torn down; exit quietly
             return
 
 
-def worker_main(
-    worker_id: int,
-    task_queue,
-    result_queue,
-    heartbeat_interval: float = 0.5,
-) -> None:
+def worker_main(conn, matrix, specs) -> None:
     """Worker process entry point (module-level: spawn-picklable)."""
     global CURRENT_TASK
-    parent = os.getppid()
+    lock = threading.Lock()  # the heartbeat thread shares the pipe
+
+    def send(event) -> None:
+        with lock:
+            conn.send(event)
+
     while True:
         try:
-            task = task_queue.get(timeout=1.0)
-        except Empty:
-            if os.getppid() != parent:
-                return  # orphaned: supervisor died without cleanup
-            continue
+            task = conn.recv()
+        except EOFError:
+            return  # orphaned: supervisor died without cleanup
         if task is None:
             return
-        (
-            key, spec, family_name, n, engine, seed, repeats, verify,
-            fault_plan_json, round_limit, attempt,
-        ) = task
-        CURRENT_TASK = (key, attempt)
-        result_queue.put(("start", worker_id, key, attempt))
+        coord, engines, attempt = task
+        CURRENT_TASK = (coord, attempt)
+        send(("start", coord, attempt))
         stop = threading.Event()
         beat = threading.Thread(
-            target=_heartbeat,
-            args=(result_queue, worker_id, key, heartbeat_interval, stop),
-            daemon=True,
+            target=_heartbeat, args=(send, coord, stop), daemon=True
         )
         beat.start()
         try:
-            from repro.core.faults import FaultPlan
-            from repro.scenarios.matrix import run_cell
-
-            fault_plan = (
-                None
-                if fault_plan_json is None
-                else FaultPlan.from_json(fault_plan_json)
-            )
+            protocol, family, n = coord
             start = time.perf_counter()  # analysis: allow(wall-clock)
-            cell = run_cell(
-                spec, family_name, n, engine,
-                seed=seed, repeats=repeats, verify=verify,
-                fault_plan=fault_plan, round_limit=round_limit,
-            )
+            cells = matrix.run_coordinate(specs[protocol], family, n, engines)
             seconds = time.perf_counter() - start  # analysis: allow(wall-clock)
-            result_queue.put(
-                ("done", worker_id, key, attempt, cell.to_dict(), seconds)
+            send(
+                (
+                    "done", coord, attempt,
+                    [cell.to_dict() for cell in cells], seconds,
+                )
             )
         except BaseException as exc:  # noqa: BLE001 - report, don't die
             digest = hashlib.sha256(
                 traceback.format_exc().encode()
             ).hexdigest()[:12]
-            result_queue.put(
+            send(
                 (
-                    "error", worker_id, key, attempt,
+                    "error", coord, attempt,
                     f"{type(exc).__name__}: {exc}", digest,
                 )
             )

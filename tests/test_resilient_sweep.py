@@ -1,10 +1,10 @@
-"""The resilient sharded sweep executor: worker pool, journal, resume.
+"""The resilient sweep executor: worker pool, journal, resume.
 
 The hard invariant under test is determinism — `MatrixResult` digests
 byte-identical across worker counts, scheduling orders, injected worker
 kills and kill-then-resume boundaries — plus the supervision semantics:
 per-cell deadlines, crash retry with backoff, poison quarantine, and
-graceful degradation to the serial runner.
+graceful degradation to the in-process executor.
 
 The chaos-protocol prepare hooks below are module-level on purpose:
 specs pickle across the spawn boundary by reference, so the worker
@@ -28,6 +28,7 @@ from repro.core.errors import (
     SweepResumeError,
     WorkerCrashError,
 )
+from repro.core.faults import FaultPlan
 from repro.core.network import Mode, Outbox
 from repro.scenarios import (
     PROTOCOLS,
@@ -117,6 +118,15 @@ def _prepare_poison(n, graph, rng):
     return _prepare_const(n, graph, rng)
 
 
+def _prepare_counted(n, graph, rng):
+    # One line per call in the file the test names in the environment:
+    # pool workers are separate processes, so an in-memory counter
+    # would never reach the test.
+    with open(os.environ["SWEEPTEST_PREPARE_LOG"], "a") as fh:
+        fh.write(f"{n}\n")
+    return _prepare_const(n, graph, rng)
+
+
 def _prepare_sleepy(n, graph, rng):
     # Hang *outside* the round loop, where Network(round_limit=) cannot
     # see it — only the supervisor's wall-clock deadline can.
@@ -154,6 +164,13 @@ POISON = ProtocolSpec(
     mode=Mode.BROADCAST,
     engines=("legacy",),
     prepare=_prepare_poison,
+)
+COUNTED = ProtocolSpec(
+    name="sweeptest_counted",
+    description="two-round gossip that logs every prepare call",
+    mode=Mode.BROADCAST,
+    engines=("legacy", "fast"),
+    prepare=_prepare_counted,
 )
 SLEEPY = ProtocolSpec(
     name="sweeptest_sleepy",
@@ -317,8 +334,6 @@ class TestOlderJournals:
     }
 
     def test_ckpt_lines_and_retired_keys_replay(self, tmp_path, monkeypatch):
-        from repro.scenarios import matrix as matrix_module
-
         def sweep():
             return ScenarioMatrix(["routing"], ["gnp"], [8], engines=["fast"])
 
@@ -346,7 +361,7 @@ class TestOlderJournals:
         def no_execution(*args, **kwargs):
             raise AssertionError("a journaled cell was re-executed")
 
-        monkeypatch.setattr(matrix_module, "_execute_cell", no_execution)
+        monkeypatch.setattr(ScenarioMatrix, "run_coordinate", no_execution)
         resumed = sweep().run(resume_from=path)
         assert resumed.meta["replayed_cells"] == 1
         assert cell_views(resumed) == cell_views(fresh)
@@ -440,6 +455,29 @@ class TestPoolDeterminism:
         stats = pooled.meta["pool"]["worker_stats"]
         assert sum(s["cells"] for s in stats.values()) == len(serial.cells)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            dict(protocols=["routing_many", "routing"]),
+            dict(verify="cross-engine"),
+            dict(fault_plan=FaultPlan(seed=11, corrupt_rate=0.08, drop_rate=0.05)),
+        ],
+        ids=["run_many", "cross-engine", "fault-plan"],
+    )
+    def test_cell_settings_identical_pooled_and_in_process(self, settings):
+        def sweep():
+            kwargs = dict(
+                protocols=self.PROTOS, families=["gnp"], sizes=[8],
+                engines=["legacy", "fast"],
+            )
+            kwargs.update(settings)
+            return ScenarioMatrix(**kwargs)
+
+        serial = sweep().run()
+        pooled = sweep().run(workers=2)
+        assert pooled.meta["pool"]["executor"] == "pool"
+        assert cell_views(pooled) == cell_views(serial)
+
     def test_chaos_worker_kills_do_not_change_digests(self, temp_protocols):
         temp_protocols(CONST)
         def sweep():
@@ -454,6 +492,21 @@ class TestPoolDeterminism:
         assert pool["respawns"] >= 1
         assert cell_views(pooled) == cell_views(serial)
         assert pooled.quarantined() == []
+
+
+class TestCoordinateDispatch:
+    def test_pool_prepares_each_coordinate_once(
+        self, temp_protocols, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "prepare.log"
+        monkeypatch.setenv("SWEEPTEST_PREPARE_LOG", str(log))
+        temp_protocols(COUNTED)
+        result = ScenarioMatrix(
+            ["sweeptest_counted"], ["gnp"], [6, 8], engines=["legacy", "fast"]
+        ).run(workers=2)
+        assert result.meta["pool"]["executor"] == "pool"
+        assert [c.status for c in result.cells] == ["ok"] * 4
+        assert sorted(log.read_text().split()) == ["6", "8"]
 
 
 class TestSupervision:
@@ -495,6 +548,32 @@ class TestSupervision:
         key = poison.key(matrix.seed)
         assert loaded.cells[key]["quarantined"] is True
         assert [a["attempt"] for a in loaded.attempts[key]] == [1, 2]
+
+    def test_respawn_storm_hands_the_rest_to_the_in_process_executor(
+        self, temp_protocols, tmp_path
+    ):
+        # Ten coordinates that each kill their worker: the pool gives up
+        # after its respawn limit, and the in-process executor (where
+        # the poison protocol does not fire) finishes every cell once.
+        temp_protocols(POISON)
+        journal = str(tmp_path / "sweep.jsonl")
+        matrix = ScenarioMatrix(
+            ["sweeptest_poison"], ["gnp"], list(range(6, 16)),
+            engines=["legacy"],
+        )
+        result = matrix.run(workers=1, max_attempts=5, journal=journal)
+        pool = result.meta["pool"]
+        assert pool["executor"] == "pool+serial-degraded"
+        assert "respawn storm" in pool["fallback_reason"]
+        assert [c.status for c in result.cells] == ["ok"] * 10
+        loaded = SweepJournal.load(journal)
+        assert loaded.duplicate_keys() == []
+        assert set(loaded.cells) == set(matrix.cell_keys())
+
+    def test_cell_timeout_needs_workers(self):
+        matrix = ScenarioMatrix(["routing"], ["gnp"], [8], engines=["legacy"])
+        with pytest.raises(ValueError, match="cell_timeout needs workers"):
+            matrix.run(cell_timeout=5.0)
 
     def test_wall_clock_deadline_catches_hang_outside_rounds(
         self, temp_protocols
@@ -540,7 +619,7 @@ class TestJournaledRuns:
         assert len(done_before) >= 2
         resumed = self.sweep().run(workers=2, resume_from=journal)
         assert resumed.meta["pool"]["interrupted"] is False
-        assert resumed.meta["pool"]["replayed"] == len(done_before)
+        assert resumed.meta["replayed_cells"] == len(done_before)
         assert cell_views(resumed) == cell_views(serial)
         loaded = SweepJournal.load(journal)
         assert loaded.duplicate_keys() == []
@@ -650,6 +729,15 @@ class TestCLI:
         payload = json.load(open(out))
         assert len(payload["cells"]) == 2
         assert payload["meta"]["replayed_cells"] == 2
+
+    def test_cli_rejects_unrunnable_sweeps_with_exit_2(self, capsys):
+        from repro.scenarios.__main__ import main
+
+        base = ["--protocols", "routing", "--families", "gnp", "--engines", "legacy"]
+        assert main(base + ["--sizes", "8", "8"]) == 2
+        assert "size 8 is listed more than once" in capsys.readouterr().err
+        assert main(base + ["--sizes", "8", "--cell-timeout", "5"]) == 2
+        assert "--cell-timeout requires --workers" in capsys.readouterr().err
 
     def test_journaled_sweep_then_journal_verify(self, tmp_path):
         env = dict(os.environ)

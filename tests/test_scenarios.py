@@ -247,21 +247,41 @@ class TestScenarioMatrix:
                 assert cell.status == "failed"
                 assert "at least 3 vertices" in cell.error
 
-    def test_run_cell_skips_prepare_for_unsupported_engine(self):
+    def test_run_coordinate_skips_prepare_for_unsupported_engine(self):
         import dataclasses
-
-        from repro.scenarios.matrix import run_cell
 
         def no_prepare(n, graph, rng):
             raise AssertionError("prepared an unsupported cell")
 
         spec = dataclasses.replace(get_protocol("mst"), prepare=no_prepare)
-        cell = run_cell(spec, "gnp", 8, "kernel")
+        matrix = ScenarioMatrix(protocols=["mst"], families=["gnp"], sizes=[8])
+        (cell,) = matrix.run_coordinate(spec, "gnp", 8, ["kernel"])
         assert cell.status == "unsupported"
         assert cell.error is None
-        failed = run_cell(spec, "cycle", 2, "kernel")
-        assert failed.status == "unsupported"
-        assert run_cell(spec, "gnp", 8, "legacy").status == "failed"
+        (unbuildable,) = matrix.run_coordinate(spec, "cycle", 2, ["kernel"])
+        assert unbuildable.status == "unsupported"
+        kernel, legacy = matrix.run_coordinate(spec, "gnp", 8, ["kernel", "legacy"])
+        assert (kernel.status, legacy.status) == ("unsupported", "failed")
+        assert "prepared an unsupported cell" in legacy.error
+
+    def test_repeated_axis_value_is_rejected(self, monkeypatch):
+        base = dict(
+            protocols=["routing"], families=["gnp"], sizes=[8],
+            engines=["legacy"],
+        )
+        repeats = {
+            "protocol": dict(protocols=["routing", "routing"]),
+            "family": dict(families=["gnp", "gnp"]),
+            "size": dict(sizes=[8, 8]),
+            "engine": dict(engines=["legacy", "legacy"]),
+        }
+        for axis, repeated in repeats.items():
+            with pytest.raises(ValueError, match=f"^{axis} .* more than once"):
+                ScenarioMatrix(**dict(base, **repeated))
+        # Protocols are compared by registered name, after aliasing.
+        monkeypatch.setitem(PROTOCOLS, "routing_alias", get_protocol("routing"))
+        with pytest.raises(ValueError, match="protocol 'routing'"):
+            ScenarioMatrix(**dict(base, protocols=["routing", "routing_alias"]))
 
     def test_cell_payload_with_retired_fields_loads(self):
         from repro.scenarios.matrix import MatrixCell
