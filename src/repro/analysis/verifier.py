@@ -8,8 +8,8 @@ Pulls the analysis passes together against the scenario registry:
   :class:`~repro.analysis.budget.BudgetCheck` of the widest message —
   observed or declared — against the spec's ``bandwidth_budget``;
 * one registry-consistency pass (:func:`check_registry`): every engine a
-  spec claims must have a program flavour to run and a backend that
-  accepts that flavour, and every engine it *doesn't* claim is explained
+  spec claims must have a program flavour to run, of the kind that
+  engine runs, and every engine it *doesn't* claim is explained
   (these unclaimed pairs are exactly the scenario matrix's
   ``unsupported`` cells);
 * optionally, the determinism lint over ``src/repro``.
@@ -156,16 +156,16 @@ def analyze_protocol(
 
 
 def check_registry(*, n: int = 6, family: str = "gnp") -> List[RegistryFinding]:
-    """Cross-check every spec's engine claims against what it prepares
-    and what the backends accept.
+    """Cross-check every spec's engine claims against what it prepares.
 
     Violations: a claimed engine with no program flavour to run, or a
-    claimed engine whose backend rejects the flavour's program type.
+    claimed engine whose program is the wrong kind — a program is a
+    kernel program if and only if its engine is ``kernel``.
     ``unsupported`` findings are not violations — they are the explained
     gaps behind the scenario matrix's unsupported cells (e.g. a protocol
     with no kernel twin cannot claim the kernel engine).
     """
-    from repro.core.engine.planner import ENGINES
+    from repro.core.engine import ENGINES
     from repro.scenarios.families import get_family
     from repro.scenarios.registry import PROTOCOLS
 
@@ -185,7 +185,6 @@ def check_registry(*, n: int = 6, family: str = "gnp") -> List[RegistryFinding]:
             )
             continue
         for engine_name in sorted(ENGINES):
-            engine = ENGINES[engine_name]
             flavour = spec.program_for(engine_name)
             program = prepared.programs.get(flavour)
             if engine_name in spec.engines:
@@ -203,12 +202,7 @@ def check_registry(*, n: int = 6, family: str = "gnp") -> List[RegistryFinding]:
                     )
                     continue
                 is_kernel = bool(getattr(program, "is_kernel_program", False))
-                accepts = (
-                    engine.supports_kernel_programs
-                    if is_kernel
-                    else engine.supports_generator_programs
-                )
-                if not accepts:
+                if is_kernel != (engine_name == "kernel"):
                     kind_name = "kernel" if is_kernel else "generator"
                     findings.append(
                         RegistryFinding(
@@ -217,7 +211,7 @@ def check_registry(*, n: int = 6, family: str = "gnp") -> List[RegistryFinding]:
                             kind="violation",
                             detail=(
                                 f"spec claims engine {engine_name!r} but the "
-                                f"backend rejects {kind_name} programs"
+                                f"engine does not run {kind_name} programs"
                             ),
                         )
                     )

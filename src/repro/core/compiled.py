@@ -53,7 +53,6 @@ class LaneStructure:
     __slots__ = (
         "width",
         "widths",
-        "entries",
         "sender_ids",
         "rows",
         "cols",
@@ -72,10 +71,6 @@ class LaneStructure:
 
         self.width = width
         self.widths = widths
-        # (sender, dests, size) per non-silent sender, in node order.
-        self.entries: Tuple[Tuple[int, Any, int], ...] = tuple(
-            (v, dests, dests.size) for v, dests in pairs
-        )
         self.sender_ids: List[int] = [v for v, _ in pairs]
         dests_arrays = [dests for _, dests in pairs if dests.size]
         sizes = [dests.size for _, dests in pairs]
@@ -107,11 +102,10 @@ class CompiledSchedule:
     the kernel runner consumes.
     """
 
-    __slots__ = ("rounds", "replays", "params", "kernel")
+    __slots__ = ("rounds", "params", "kernel")
 
     def __init__(self, rounds: List[Tuple[int, Any, int]]) -> None:
         self.rounds = rounds
-        self.replays = 0
         # (bandwidth, mode) the schedule was validated under; the
         # network evicts the entry if either is reassigned afterwards.
         self.params: Any = None

@@ -1,16 +1,7 @@
-"""Shared delivery layer: the buffers and lanes a round is written into.
+"""Scalar delivery: the fully validating per-message paths.
 
-Engines decide *when* a round is delivered; this module owns *how*.  A
-:class:`DeliveryBackend` is allocated per run and holds the reusable
-scalar inbox buffers plus the bulk lanes from
-:mod:`repro.core.fastlane` (unicast :class:`~repro.core.fastlane.FixedLane`,
-blackboard :class:`~repro.core.fastlane.BroadcastLane`), created lazily
-on the first round that can use them.  New lane implementations plug in
-here — an engine only ever asks the backend for a lane, it never
-constructs one.
-
-The two module functions are the scalar (per-message, fully validating)
-delivery paths shared by the engines:
+The two module functions are the scalar delivery paths shared by the
+legacy and fast engines:
 
 * :func:`deliver_outbox` — one sender's outbox into per-receiver dicts,
   with optional transcript recording.  The legacy reference loop is
@@ -20,9 +11,13 @@ delivery paths shared by the engines:
   scalar rounds use it.
 
 Both enforce the model rules (bandwidth, topology, payload types) and
-raise the same exceptions a cold run would; bulk lanes may skip these
-checks only when an equivalent vectorized validation already ran
-(see :func:`repro.core.fastlane.validate_fixed`).
+raise the same exceptions a cold run would; the bulk lanes of
+:mod:`repro.core.fastlane` may skip these checks only when an
+equivalent vectorized validation already ran (see
+:func:`repro.core.fastlane.validate_fixed`).
+
+:func:`batch_chunk_size` is the kernel engine's bound on how many
+instances one stacked ``run_many`` chunk holds.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from repro.core.errors import (
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
-    "DeliveryBackend",
     "batch_chunk_size",
     "deliver_outbox",
     "deliver_round_scalar",
@@ -65,64 +59,6 @@ def _at(round_index: Optional[int]) -> str:
     """Round context appended to delivery-layer errors (empty when the
     caller did not say which round it is delivering)."""
     return "" if round_index is None else f" in round {round_index}"
-
-
-class DeliveryBackend:
-    """Per-run delivery state: reusable scalar buffers + lazy bulk lanes.
-
-    The scalar buffers (`n` inbox dicts and their
-    :class:`~repro.core.network.Inbox` views) live for the whole run and
-    are cleared, never reconstructed.  ``scalar_round_started`` tracks
-    whether they need clearing before the next scalar round.
-    """
-
-    __slots__ = (
-        "n",
-        "inbox_dicts",
-        "inbox_views",
-        "scalar_round_started",
-        "unicast_lane",
-        "broadcast_lane",
-    )
-
-    def __init__(self, n: int) -> None:
-        from repro.core.network import Inbox
-
-        self.n = n
-        self.inbox_dicts: List[Dict[int, Bits]] = [dict() for _ in range(n)]
-        self.inbox_views = [Inbox(d) for d in self.inbox_dicts]
-        self.scalar_round_started = False
-        self.unicast_lane: Any = None
-        self.broadcast_lane: Any = None
-
-    def fixed_lane(self):
-        """The unicast bulk lane, created on first use."""
-        lane = self.unicast_lane
-        if lane is None:
-            from repro.core.fastlane import FixedLane
-
-            lane = self.unicast_lane = FixedLane(self.n)
-        return lane
-
-    def bcast_lane(self):
-        """The blackboard bulk lane, created on first use."""
-        lane = self.broadcast_lane
-        if lane is None:
-            from repro.core.fastlane import BroadcastLane
-
-            lane = self.broadcast_lane = BroadcastLane(self.n)
-        return lane
-
-    def begin_scalar_round(self) -> None:
-        """Make the scalar buffers ready for a fresh round (clears them
-        only when a previous scalar round dirtied them)."""
-        if self.scalar_round_started:
-            dicts = self.inbox_dicts
-            views = self.inbox_views
-            for u in range(self.n):
-                dicts[u].clear()
-                views[u]._reset()
-        self.scalar_round_started = True
 
 
 def deliver_outbox(

@@ -6,9 +6,10 @@ Declaration makes them oblivious by construction, so the engine compiles
 the structure straight into a
 :class:`~repro.core.compiled.CompiledSchedule` (no callback runs) and
 executes every instance through stacked ``K × count`` payload matrices
-(:func:`repro.core.kernels.execute`).  Generator programs are rejected:
+(:func:`repro.core.kernels.execute`).  It runs no generator programs:
 a generator's round structure is only observable by running it, which is
-exactly what this backend exists to avoid.
+exactly what this engine exists to avoid, so the network rejects a
+generator program on ``engine="kernel"``.
 
 Schedules are cached on the network keyed by the program *object*
 (identity — a stale hit is impossible) and evicted when the network's
@@ -20,55 +21,45 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.core.engine.base import Engine
 from repro.core.engine.delivery import batch_chunk_size
 
-__all__ = ["KernelEngine"]
+__all__ = ["run_many"]
 
 
-class KernelEngine(Engine):
-    """Vectorized executor for declared kernel programs."""
+def run_many(network: Any, program, inputs_list: List[Any]) -> List[Any]:
+    """Run the kernel program once per entry of ``inputs_list``.
 
-    name = "kernel"
-    supports_generator_programs = False
-    supports_kernel_programs = True
-    supports_transcript = True
+    Kernel programs batch natively: all K instances move through each
+    round as one stacked matrix.  Chunk to bound the K×n×n buffers.
+    """
+    results: List[Any] = []
+    chunk_size = batch_chunk_size(network.n)
+    for start in range(0, len(inputs_list), chunk_size):
+        chunk = inputs_list[start : start + chunk_size]
+        results.extend(_execute(network, program, chunk))
+    return results
 
-    def _run(self, network: Any, program, inputs) -> Any:
-        return self._execute(network, program, [inputs])[0]
 
-    def _run_many(self, network: Any, program, inputs_list) -> List[Any]:
-        # Kernel programs batch natively: all K instances move through
-        # each round as one stacked matrix.  Chunk to bound the K×n×n
-        # buffers.
-        results: List[Any] = []
-        chunk_size = batch_chunk_size(network.n)
-        for start in range(0, len(inputs_list), chunk_size):
-            chunk = inputs_list[start : start + chunk_size]
-            results.extend(self._execute(network, program, chunk))
-        return results
+def _execute(network: Any, program, inputs_list: List[Any]) -> List[Any]:
+    """Compile ``program``'s declared structure on first use (cached
+    keyed by the program object), then run every instance through the
+    stacked kernel loop.  In ``schedule_stats`` a fresh compile counts
+    once and every instance executed against an already compiled
+    schedule counts as a replay."""
+    from repro.core import kernels
 
-    def _execute(self, network: Any, program, inputs_list: List[Any]) -> List[Any]:
-        """Compile ``program``'s declared structure on first use (cached
-        keyed by the program object), then run every instance through
-        the stacked kernel loop.  In ``schedule_stats`` a fresh compile
-        counts once and every instance executed against an already
-        compiled schedule counts as a replay."""
-        from repro.core import kernels
-
-        compiled = network._compiled_entry(program)
-        compiled_here = compiled is None
-        if compiled_here:
-            compiled = kernels.compile_program(program, network)
-            if len(network._compiled) >= 32:
-                network._compiled.pop(next(iter(network._compiled)))
-            network._compiled[program] = compiled
-        results = kernels.execute(network, program, compiled, inputs_list)
-        if compiled_here:
-            network.schedule_stats["compiled"] += 1
-            replays = len(inputs_list) - 1
-        else:
-            replays = len(inputs_list)
-        network.schedule_stats["replayed"] += replays
-        compiled.replays += replays
-        return results
+    compiled = network._compiled_entry(program)
+    compiled_here = compiled is None
+    if compiled_here:
+        compiled = kernels.compile_program(program, network)
+        if len(network._compiled) >= 32:
+            network._compiled.pop(next(iter(network._compiled)))
+        network._compiled[program] = compiled
+    results = kernels.execute(network, program, compiled, inputs_list)
+    if compiled_here:
+        network.schedule_stats["compiled"] += 1
+        replays = len(inputs_list) - 1
+    else:
+        replays = len(inputs_list)
+    network.schedule_stats["replayed"] += replays
+    return results

@@ -1,87 +1,82 @@
 """The legacy reference engine: per-round allocation, scalar delivery.
 
 This is the original round loop the project started from, kept as the
-*executable reference semantics*: every other backend is pinned
+*executable reference semantics*: every other engine is pinned
 byte-for-byte to its results by the equivalence suites.  It allocates
 fresh inbox dicts every round, delivers every message through the fully
 validating scalar path, and never caches or replays anything — slow,
 simple, and obviously correct.
 
 It executes generator node programs only; kernel programs declare their
-round structure instead of yielding it, so there is no legacy semantics
-for them to fall back to (the planner routes them to the kernel engine,
-and :meth:`Engine.check_program` rejects a direct request).
+round structure instead of yielding it, and the network sends them to
+the kernel engine whichever engine it names.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.engine.base import Engine
 from repro.core.engine.delivery import deliver_outbox
 
-__all__ = ["LegacyEngine"]
+__all__ = ["run_many"]
 
 
-class LegacyEngine(Engine):
-    """Reference per-round-allocation loop (``engine="legacy"``)."""
+def run_many(network: Any, program, inputs_list) -> List[Any]:
+    """Run ``program`` once per entry of ``inputs_list``, in order."""
+    return [_run(network, program, inputs) for inputs in inputs_list]
 
-    name = "legacy"
-    supports_generator_programs = True
-    supports_kernel_programs = False
-    supports_transcript = True
 
-    def _run(self, network: Any, program, inputs) -> Any:
-        from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult
+def _run(network: Any, program, inputs) -> Any:
+    from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult
 
-        outputs, generators, pending_outbox = network._start(program, inputs)
+    outputs, generators, pending_outbox = network._start(program, inputs)
 
-        rounds = 0
-        total_bits = 0
-        max_round_bits = 0
-        recording = network.record_transcript
-        transcript: Optional[List[Any]] = [] if recording else None
-        faults = network._fault_session()
-        round_cap = network._round_cap()
+    rounds = 0
+    total_bits = 0
+    max_round_bits = 0
+    recording = network.record_transcript
+    transcript: Optional[List[Any]] = [] if recording else None
+    faults = network._fault_session()
+    round_cap = network._round_cap()
 
-        while generators:
-            if rounds >= round_cap:
-                raise network._round_cap_error(rounds)
-            rounds += 1
-            inboxes: Dict[int, Dict[int, Any]] = {v: {} for v in range(network.n)}
-            record = RoundRecord() if recording else None
-            round_bits = 0
-            for v, outbox in pending_outbox.items():
-                round_bits += deliver_outbox(
-                    network, v, outbox, inboxes, record, rounds
-                )
-            total_bits += round_bits
-            max_round_bits = max(max_round_bits, round_bits)
-            if record is not None:
-                transcript.append(record)
-            if faults is not None:
-                # Receive-side chaos: the wire (transcript, bit counts)
-                # saw the real sends; what each node reads is the plan's
-                # business from here on.
-                faults.apply_scalar(rounds, inboxes)
+    while generators:
+        if rounds >= round_cap:
+            raise network._round_cap_error(rounds)
+        rounds += 1
+        inboxes: Dict[int, Dict[int, Any]] = {v: {} for v in range(network.n)}
+        record = RoundRecord() if recording else None
+        round_bits = 0
+        for v, outbox in pending_outbox.items():
+            round_bits += deliver_outbox(
+                network, v, outbox, inboxes, record, rounds
+            )
+        total_bits += round_bits
+        max_round_bits = max(max_round_bits, round_bits)
+        if record is not None:
+            transcript.append(record)
+        if faults is not None:
+            # Receive-side chaos: the wire (transcript, bit counts)
+            # saw the real sends; what each node reads is the plan's
+            # business from here on.
+            faults.apply_scalar(rounds, inboxes)
 
-            pending_outbox = {}
-            finished = []
-            for v, gen in generators.items():
-                inbox = Inbox(inboxes[v]) if inboxes[v] else EMPTY_INBOX
-                try:
-                    pending_outbox[v] = network._check_outbox(v, gen.send(inbox))
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    finished.append(v)
-            for v in finished:
-                del generators[v]
+        pending_outbox = {}
+        finished = []
+        for v, gen in generators.items():
+            inbox = Inbox(inboxes[v]) if inboxes[v] else EMPTY_INBOX
+            try:
+                pending_outbox[v] = network._check_outbox(v, gen.send(inbox))
+            except StopIteration as stop:
+                outputs[v] = stop.value
+                finished.append(v)
+        for v in finished:
+            del generators[v]
 
-        return RunResult(
-            outputs=outputs,
-            rounds=rounds,
-            total_bits=total_bits,
-            max_round_bits=max_round_bits,
-            transcript=transcript,
-            faults=faults.events if faults is not None else None,
-        )
+    return RunResult(
+        outputs=outputs,
+        rounds=rounds,
+        total_bits=total_bits,
+        max_round_bits=max_round_bits,
+        transcript=transcript,
+        faults=faults.events if faults is not None else None,
+    )

@@ -2,6 +2,10 @@
 
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch library failures without catching unrelated bugs.
+Any other exception out of :meth:`~repro.core.network.Network.run` — a
+bug in an engine or in a node program — propagates unchanged: no engine
+re-runs the program, so a scenario-matrix cell records it as failed
+with its ``error_type``.
 """
 
 from __future__ import annotations
@@ -45,14 +49,6 @@ class FaultInjectionError(ReproError):
     """A :class:`~repro.core.faults.FaultPlan` is malformed (bad
     probabilities, bad triggers) or was applied in a context it cannot
     express (e.g. per-receiver corruption of a broadcast word)."""
-
-
-class EngineFallbackError(ReproError):
-    """Every engine in the graceful-degradation chain failed to execute
-    the program.  Raised by
-    :meth:`~repro.core.engine.planner.ExecutionPlanner.execute` after the
-    kernel → fast → legacy chain is exhausted; the original engine's
-    exception is chained as ``__cause__``."""
 
 
 class DecodeError(ReproError):

@@ -446,16 +446,11 @@ class BatchLane:
         the raw matrices a kernel round consumes.  These are the lane's
         *live* buffers, maintained incrementally across rounds: callers
         must treat them as read-only (mutating them corrupts later
-        rounds' presence bookkeeping) — anything that needs to edit a
-        delivered round works on :meth:`delivered_copy`."""
+        rounds' presence bookkeeping).  Fault injection edits copies:
+        :meth:`~repro.core.faults.FaultSession.apply_kernel_unicast`
+        copies them before it changes a slot."""
         buf = self._active
         return buf.values, buf.present
-
-    def delivered_copy(self):
-        """Fresh, safely mutable copies of :meth:`delivered` — what
-        fault injection and other delivered-round editors consume."""
-        buf = self._active
-        return buf.values.copy(), buf.present.copy()
 
 
 class _BcastBatchBuffers:
@@ -520,11 +515,6 @@ class BatchBroadcastLane:
         (live, read-only — see :meth:`BatchLane.delivered`)."""
         buf = self._active
         return buf.values, buf.present
-
-    def delivered_copy(self):
-        """Fresh, safely mutable copies of :meth:`delivered`."""
-        buf = self._active
-        return buf.values.copy(), buf.present.copy()
 
 
 class BroadcastInbox:

@@ -23,11 +23,11 @@ Design
   sent, exactly as a real lossy network charges the sender), records
   every injected fault as a :class:`FaultEvent`, and carries the
   delayed-delivery queue between rounds.
-* :class:`FaultyDeliveryBackend` is the drop-in
-  :class:`~repro.core.engine.delivery.DeliveryBackend` that applies the
-  session to its scalar inbox buffers — the plug-in point the fast
-  engine uses; the legacy loop and the kernel executor call the session
-  directly on their own buffers.
+* Every engine calls the session on its own delivered buffers: the
+  legacy and fast loops through :meth:`FaultSession.apply_scalar` on
+  their inbox dicts, the kernel executor through
+  :meth:`FaultSession.apply_kernel_unicast` /
+  :meth:`FaultSession.apply_kernel_broadcast` on its stacked matrices.
 
 Semantics
 ---------
@@ -61,10 +61,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bits import Bits
-from repro.core.engine.delivery import DeliveryBackend
 from repro.core.errors import FaultInjectionError
 
-__all__ = ["FaultEvent", "FaultPlan", "FaultSession", "FaultyDeliveryBackend"]
+__all__ = ["FaultEvent", "FaultPlan", "FaultSession"]
 
 #: Fault kinds a plan may inject, in decision-priority order: an
 #: explicit trigger wins, then the first probabilistic kind whose coin
@@ -374,7 +373,7 @@ class FaultSession:
         """Mutate the per-receiver inbox dicts of one delivered round.
 
         ``inbox_dicts`` is indexable by receiver id (the legacy loop's
-        dict-of-dicts and the delivery backend's list both qualify).
+        dict-of-dicts and the fast engine's list both qualify).
         """
         boxes = [inbox_dicts[v] for v in range(self.n)]
         self._record_crashes(round_index)
@@ -579,26 +578,3 @@ def _xor_bit(vals, index, bit: int) -> None:
         import numpy as np
 
         vals[index] ^= np.uint64(1 << bit)
-
-
-class FaultyDeliveryBackend(DeliveryBackend):
-    """A :class:`~repro.core.engine.delivery.DeliveryBackend` that owns a
-    :class:`FaultSession` and applies it to its scalar inbox buffers.
-
-    Engines that deliver through a backend (the fast engine) swap this
-    in when the network carries an active plan and call
-    :meth:`apply_round` after each round's delivery; engines with their
-    own buffers (the legacy loop, the kernel executor) call the session
-    directly.  Either way the schedule is identical — it depends only on
-    the plan and the message coordinates.
-    """
-
-    __slots__ = ("session",)
-
-    def __init__(self, n: int, session: FaultSession) -> None:
-        super().__init__(n)
-        self.session = session
-
-    def apply_round(self, round_index: int) -> None:
-        """Apply the session to the scalar buffers of ``round_index``."""
-        self.session.apply_scalar(round_index, self.inbox_dicts)

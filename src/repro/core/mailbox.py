@@ -7,7 +7,7 @@ numpy lanes (:mod:`repro.core.fastlane`) deliver in one array write.
 back (the lanes provide their own array-backed flavours with the same
 accessors; :func:`inbox_uints` reads either).
 
-Both classes are engine-agnostic: every backend in
+Both classes are engine-agnostic: every engine in
 :mod:`repro.core.engine` consumes the same containers, which is what
 keeps their results byte-identical.  Historically these lived in
 :mod:`repro.core.network`, which still re-exports them.

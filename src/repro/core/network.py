@@ -21,29 +21,24 @@ communication-complexity reductions of Section 3).
 Execution engines
 -----------------
 
-*How* a program executes is not decided here: :meth:`Network.run` and
-:meth:`Network.run_many` hand the program to an
-:class:`~repro.core.engine.planner.ExecutionPlanner`, which selects one
-of the pluggable backends in :mod:`repro.core.engine`:
+*How* a program executes is one of the three engine modules of
+:mod:`repro.core.engine`, looked up by name in
+:data:`~repro.core.engine.ENGINES`:
 
-* :class:`~repro.core.engine.fast.FastEngine` (default) — zero-churn
-  round loop with the numpy bulk lanes of :mod:`repro.core.fastlane`.
-* :class:`~repro.core.engine.legacy.LegacyEngine` — the original
-  per-round-allocation loop, kept as the executable reference
-  semantics; the equivalence suites pin every other backend to it
-  byte-for-byte.
-* :class:`~repro.core.engine.kernel.KernelEngine` — declared
-  :class:`~repro.core.kernels.KernelProgram`\\ s compiled once into a
-  :class:`~repro.core.compiled.CompiledSchedule` and executed as stacked
-  matrix operations, zero generator steps.  Kernel programs are the one
-  compiled path.
+* ``fast`` (default) — zero-churn round loop with the numpy bulk lanes
+  of :mod:`repro.core.fastlane`.
+* ``legacy`` — the original per-round-allocation loop, kept as the
+  executable reference semantics; the equivalence suites pin every
+  other engine to it byte-for-byte.
+* ``kernel`` — declared :class:`~repro.core.kernels.KernelProgram`\\ s
+  compiled once into a :class:`~repro.core.compiled.CompiledSchedule`
+  and executed as stacked matrix operations, zero generator steps.
+  Kernel programs are the one compiled path.
 
-The ``engine="fast"|"legacy"`` constructor argument is kept as a thin
-compatibility shim over the planner: it pins the named backend for
-generator programs (kernel programs always take the kernel path — they
-have no other semantics).  New code can pass any
-:class:`~repro.core.engine.base.Engine` instance instead, which is how
-additional backends plug in without touching this module.
+``Network(engine=...)`` names the engine that runs generator programs.
+A kernel program runs on ``kernel`` whatever the network names (it has
+no other semantics), and ``engine="kernel"`` rejects a generator
+program.  An engine's failure propagates to the caller.
 
 Inboxes are only valid for the round in which they are delivered: the
 fast engine recycles the underlying buffers, so a program must not stash
@@ -51,8 +46,8 @@ an :class:`Inbox` and read it in a later round (copy what you need).
 
 All cross-run state lives on the :class:`Network` — the kernel engine's
 compiled schedules, the RNG state bundle, the kernel lane buffers
-and the ``schedule_stats`` counters — so the stateless engine singletons
-can serve any number of networks.
+and the ``schedule_stats`` counters — so the engine modules hold no
+state and serve any number of networks.
 """
 
 from __future__ import annotations
@@ -64,6 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
 from repro.core.compiled import CompiledSchedule
+from repro.core.engine import ENGINES
 from repro.core.mailbox import (
     EMPTY_INBOX,
     _SILENT_OUTBOX,
@@ -168,9 +164,7 @@ class RunResult:
     ``faults`` is the canonical list of
     :class:`~repro.core.faults.FaultEvent`\\ s injected by an active
     :class:`~repro.core.faults.FaultPlan` (``None`` when no plan was
-    active).  ``fallback`` records a graceful engine degradation —
-    ``{"from": ..., "to": ..., "error": ...}`` — when the planned
-    backend failed and the chain re-executed the run elsewhere.
+    active).
     """
 
     outputs: List[Any]
@@ -179,7 +173,6 @@ class RunResult:
     max_round_bits: int
     transcript: Optional[List[RoundRecord]] = None
     faults: Optional[List[Any]] = None
-    fallback: Optional[Dict[str, str]] = None
 
     def blackboard_bits(self) -> int:
         """Total bits written, counting each broadcast once (the natural
@@ -226,22 +219,13 @@ class Network:
         (a ``MaxRoundsExceededError`` subclass).  Use it to bound
         retransmission loops under fault injection without touching the
         safety budget.
-    degrade:
-        When true (the default), an engine that fails with a
-        *non-protocol* error (a bug, a resource failure) triggers the
-        planner's graceful-degradation chain — kernel → fast → legacy —
-        and the fallback is recorded on the result.  Protocol-semantic
-        errors (any :class:`~repro.core.errors.ReproError`) always
-        propagate: they are the program's behaviour, not the engine's.
     engine:
-        Which execution backend runs node programs.  ``"fast"`` (the
-        default) and ``"legacy"`` are the historical string shim, kept
-        for compatibility and resolved through the planner's engine
-        registry; ``"auto"`` (or ``None``) lets the planner choose
-        freely.  Any :class:`~repro.core.engine.base.Engine` instance is
-        accepted too — the plug-in point for custom backends.  All
-        backends produce identical :class:`RunResult`\\ s for the
-        programs they support.
+        The engine that runs generator programs: ``"fast"`` (the
+        default), ``"legacy"`` or ``"kernel"``; anything else raises
+        ``ValueError``.  A kernel program runs on ``"kernel"`` whatever
+        this names, and ``"kernel"`` rejects a generator program with
+        :class:`~repro.core.errors.ProtocolError`.  All engines produce
+        identical :class:`RunResult`\\ s for the programs they run.
     """
 
     def __init__(
@@ -253,13 +237,12 @@ class Network:
         seed: int = 0,
         max_rounds: int = 1_000_000,
         record_transcript: bool = False,
-        engine: Any = "fast",
+        engine: str = "fast",
         fault_plan: Optional[Any] = None,
         round_limit: Optional[int] = None,
-        degrade: bool = True,
     ) -> None:
-        from repro.core.engine.planner import DEFAULT_PLANNER, resolve_engine
-
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}")
         if n < 1:
             raise ValueError("need at least one node")
         if bandwidth < 1:
@@ -276,13 +259,8 @@ class Network:
         self.record_transcript = record_transcript
         self.fault_plan = fault_plan
         self.round_limit = round_limit
-        self.degrade = degrade
-        #: The engine argument as given (string shim or Engine instance).
+        #: Name of the engine that runs generator programs.
         self.engine = engine
-        #: Resolved backend pin (None = planner's choice), and the
-        #: planner that maps each program to a backend.
-        self._requested_engine = resolve_engine(engine)
-        self._planner = DEFAULT_PLANNER
         if mode is Mode.CONGEST:
             if topology is None:
                 raise TopologyError("CONGEST mode requires a topology")
@@ -341,13 +319,12 @@ class Network:
         ``inputs[v]`` is exposed as ``ctx.input`` on node ``v``.
 
         ``program`` may also be a
-        :class:`~repro.core.kernels.KernelProgram`, in which case the
-        planner routes the whole round loop through the vectorized
-        kernel backend (a kernel program *is* its own execution
-        semantics, pinned to the generator reference by the equivalence
-        suites).
+        :class:`~repro.core.kernels.KernelProgram`, which runs on the
+        vectorized kernel engine (a kernel program *is* its own
+        execution semantics, pinned to the generator reference by the
+        equivalence suites).
         """
-        return self._planner.execute(self, program, inputs)
+        return self.run_many(program, [inputs])[0]
 
     def run_many(
         self,
@@ -358,12 +335,25 @@ class Network:
         one :class:`RunResult` per instance, byte-identical to calling
         :meth:`run` sequentially.
 
-        Kernel programs batch natively: the kernel engine moves all
-        instances through each round as stacked payload matrices
-        (:class:`~repro.core.fastlane.BatchLane`).  Generator programs
-        run one instance after another on every engine.
+        Every instance's inputs are checked before any runs.  A kernel
+        program runs on the kernel engine, which moves all instances
+        through each round as stacked payload matrices
+        (:class:`~repro.core.fastlane.BatchLane`); a generator program
+        runs on the network's ``engine``, one instance after another.
         """
-        return self._planner.execute_many(self, program, inputs_list)
+        inputs_list = list(inputs_list)
+        for inputs in inputs_list:
+            self._check_inputs(inputs)
+        if getattr(program, "is_kernel_program", False):
+            engine = "kernel"
+        elif self.engine == "kernel":
+            raise ProtocolError(
+                "the 'kernel' engine only executes kernel programs, got a "
+                "generator node program"
+            )
+        else:
+            engine = self.engine
+        return ENGINES[engine].run_many(self, program, inputs_list)
 
     def _check_inputs(self, inputs: Optional[Sequence[Any]]) -> None:
         if inputs is not None and len(inputs) != self.n:

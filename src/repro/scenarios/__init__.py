@@ -32,12 +32,12 @@ engine subsystem (:mod:`repro.core.engine`):
   interrupted coordinate re-runs the cells its journal lacks, from the
   start.  ``python -m repro.scenarios`` is the CLI over all of it.
 
-Planner contract (shared with :mod:`repro.core.engine`): a cell names
-its backend explicitly, the network pins it through the
-``Network(engine=...)`` shim, and the planner routes kernel-flavour
-programs to kernel-capable backends only; unsupported combinations are
-*recorded* as unsupported, never silently skipped, so a sweep's JSON
-always states the full capability surface it covered.
+Engine contract (shared with :mod:`repro.core.engine`): a cell names
+its engine explicitly and runs on ``Network(engine=...)``, whose
+kernel-flavour programs always run on the kernel engine.  Unsupported
+combinations are *recorded* as unsupported, never silently skipped, so
+a sweep's JSON always states the full capability surface it covered;
+an engine that raises leaves a ``failed`` cell with its ``error_type``.
 """
 
 from repro.scenarios.families import (

@@ -161,8 +161,6 @@ class MatrixCell:
     verify_engine: Optional[str] = None
     verify_digest: Optional[str] = None
     verify_match: Optional[bool] = None
-    #: Graceful degradation, if the planned backend failed mid-sweep.
-    engine_fallback: Optional[str] = None
     #: Static-analysis verdict for the cell's (protocol, family, n)
     #: coordinate (``ScenarioMatrix(analyze=True)``): None = not run.
     analysis_ok: Optional[bool] = None
@@ -394,7 +392,7 @@ class ScenarioMatrix:
         analyze: bool = False,
         cell_round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
     ) -> None:
-        from repro.core.engine.planner import ENGINES
+        from repro.core.engine import ENGINES
 
         if engines is None:
             engines = sorted(ENGINES)
@@ -500,7 +498,8 @@ class ScenarioMatrix:
         completed cells instead of re-executing them.  Digests are
         byte-identical across all of these execution shapes.
         ``chaos_kills`` / ``stop_after_cells`` are the pool's chaos-drill
-        hooks, which the resilience tests and the CI chaos-pool job use.
+        hooks, which the resilience tests and the CI chaos-pool job use;
+        like ``cell_timeout`` they need ``workers >= 1``.
 
         The coordinate is the unit of work and the cell the unit of
         recovery: an interrupted coordinate re-runs the cells its journal
@@ -511,11 +510,21 @@ class ScenarioMatrix:
 
         if workers < 0:
             raise ValueError("workers must be at least 0")
-        if cell_timeout is not None and workers == 0:
-            raise ValueError(
-                "cell_timeout needs workers >= 1: the in-process executor "
-                "cannot enforce a wall-clock deadline"
-            )
+        if workers == 0:
+            if cell_timeout is not None:
+                raise ValueError(
+                    "cell_timeout needs workers >= 1: the in-process executor "
+                    "cannot enforce a wall-clock deadline"
+                )
+            for hook, value in (
+                ("chaos_kills", chaos_kills),
+                ("stop_after_cells", stop_after_cells),
+            ):
+                if value is not None:
+                    raise ValueError(
+                        f"{hook} needs workers >= 1: it is a chaos-drill "
+                        "hook of the worker pool"
+                    )
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         meta = self._meta()
@@ -660,11 +669,6 @@ class ScenarioMatrix:
             cell.digest = digest
             if prepared.instances is not None:
                 cell.instances = len(prepared.instances)
-            fallback = next(
-                (run.fallback for run in runs if run.fallback is not None), None
-            )
-            if fallback is not None:
-                cell.engine_fallback = f"{fallback['from']}->{fallback['to']}"
             if plan is not None:
                 cell.fault_count = sum(len(run.faults or ()) for run in runs)
                 # Clean baseline: the same cell, same seed, no plan.  Its

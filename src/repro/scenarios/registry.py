@@ -11,7 +11,7 @@ summary, and a ``validate`` hook that checks the summary against ground
 truth computed locally.
 
 ``engines`` names the execution backends the protocol supports (keys of
-:data:`repro.core.engine.planner.ENGINES`); the matrix runner marks the
+:data:`repro.core.engine.ENGINES`); the matrix runner marks the
 rest unsupported instead of guessing.  The registry ships the five
 families the experiment suites exercise — Lenzen routing, Theorem 2
 circuit simulation, matmul triangle detection, subgraph detection, and
@@ -83,7 +83,8 @@ class ProtocolSpec:
     name: str
     description: str
     mode: Mode
-    #: Engine names (keys of the planner registry) this protocol runs on.
+    #: Engine names (keys of ``repro.core.engine.ENGINES``) this
+    #: protocol runs on.
     engines: Tuple[str, ...]
     #: ``prepare(n, graph, rng) -> PreparedScenario``.
     prepare: Callable[[int, Graph, random.Random], PreparedScenario]
@@ -168,7 +169,7 @@ def protocol_names() -> List[str]:
 
 def capability_matrix() -> Dict[str, Dict[str, bool]]:
     """``{protocol: {engine: supported}}`` over all registered engines."""
-    from repro.core.engine.planner import ENGINES
+    from repro.core.engine import ENGINES
 
     return {
         name: {engine: engine in spec.engines for engine in sorted(ENGINES)}

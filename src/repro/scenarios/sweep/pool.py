@@ -398,8 +398,7 @@ def run_sharded(
 
     if degrade_reason is not None:
         # Pool-level failure: the caller finishes the remaining
-        # coordinates in process, the same graceful-degradation posture
-        # as the engine chain.
+        # coordinates in process.
         pool_meta["executor"] = "pool+serial-degraded"
         pool_meta["fallback_reason"] = degrade_reason
     pool_meta["interrupted"] = interrupted

@@ -1,26 +1,18 @@
-"""The engine subsystem: planner dispatch, capability flags, the
-``engine=`` shim, and per-backend front-door validation."""
+"""The engine table: dispatch from ``Network(engine=...)`` to the three
+engine modules, front-door input checks, and engine failures that
+propagate instead of being re-run elsewhere."""
 
 import pytest
 
 from repro.core.bits import Bits
-from repro.core.engine import (
-    ENGINES,
-    FAST_ENGINE,
-    KERNEL_ENGINE,
-    LEGACY_ENGINE,
-    Engine,
-    ExecutionPlanner,
-    KernelEngine,
-    LegacyEngine,
-    resolve_engine,
-)
-from repro.core.errors import ProtocolError
+from repro.core.engine import ENGINES, fast, kernel, legacy
+from repro.core.errors import BandwidthExceededError, ProtocolError
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import (
     transmit_broadcast_kernel_program,
     transmit_unicast,
 )
+from repro.scenarios import ScenarioMatrix
 
 
 def echo_program(ctx):
@@ -48,113 +40,70 @@ def broadcast_kernel_program(n):
     return program, payloads
 
 
-class TestPlannerDispatch:
-    def test_default_network_selects_fast(self):
-        network = Network(n=4, bandwidth=8)
-        assert network._planner.plan(network, echo_program) is FAST_ENGINE
+@pytest.fixture
+def calls(monkeypatch):
+    """The engine names whose ``run_many`` ran, in call order."""
+    seen = []
+    for name, module in ENGINES.items():
 
-    def test_shim_selects_matching_engine(self):
-        # The engine="..." kwarg is a deprecation shim over the planner:
-        # each historical string must pin exactly the matching backend.
-        for name, expected in (("fast", FAST_ENGINE), ("legacy", LEGACY_ENGINE)):
-            network = Network(n=4, bandwidth=8, engine=name)
-            label, engine = network._planner.explain(network, echo_program)
-            assert engine is expected
-            assert label == "requested"
+        def counting(network, program, inputs_list, _name=name, _real=module.run_many):
+            seen.append(_name)
+            return _real(network, program, inputs_list)
 
-    def test_auto_and_none_let_planner_default(self):
-        for value in ("auto", None):
-            network = Network(n=4, bandwidth=8, engine=value)
-            label, engine = network._planner.explain(network, echo_program)
-            assert engine is FAST_ENGINE
-            assert label == "default"
+        monkeypatch.setattr(module, "run_many", counting)
+    return seen
 
-    def test_kernel_program_routes_to_kernel_engine(self):
-        program, _ = broadcast_kernel_program(4)
-        for shim in ("fast", "legacy", "auto"):
-            network = Network(
-                n=4, bandwidth=8, mode=Mode.BROADCAST, engine=shim
-            )
-            label, engine = network._planner.explain(network, program)
-            assert engine is KERNEL_ENGINE
-            assert label == "kernel-program"
 
-    def test_engine_instance_is_honoured(self):
-        class TracingEngine(LegacyEngine):
-            name = "tracing"
-            calls = 0
+@pytest.fixture
+def broken_fast(monkeypatch):
+    """The fast engine crashes on every run with a non-protocol error."""
 
-            def _run(self, network, program, inputs):
-                type(self).calls += 1
-                return super()._run(network, program, inputs)
+    def crash(network, program, inputs):
+        raise RuntimeError("simulated engine crash")
 
-        backend = TracingEngine()
-        network = Network(n=4, bandwidth=8, engine=backend)
-        assert network._planner.plan(network, echo_program) is backend
-        result = network.run(echo_program)
-        assert backend.calls == 1
-        reference = Network(n=4, bandwidth=8, engine="legacy").run(echo_program)
-        assert result_tuple(result) == result_tuple(reference)
+    monkeypatch.setattr(fast, "_run", crash)
 
-    def test_kernel_capable_instance_keeps_kernel_programs(self):
-        class MyKernelEngine(KernelEngine):
-            name = "my-kernel"
 
-        backend = MyKernelEngine()
-        program, _ = broadcast_kernel_program(4)
-        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine=backend)
-        assert network._planner.plan(network, program) is backend
-
-    def test_unknown_engine_string_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Network(n=4, bandwidth=8, engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("warp")
-
+class TestEngineDispatch:
     def test_registry_contents(self):
-        assert set(ENGINES) == {"legacy", "fast", "kernel"}
-        assert all(isinstance(engine, Engine) for engine in ENGINES.values())
+        assert ENGINES == {"legacy": legacy, "fast": fast, "kernel": kernel}
 
-    def test_custom_table_wins(self):
-        planner = ExecutionPlanner(
-            [("always-legacy", lambda network, program: LEGACY_ENGINE)]
-        )
-        network = Network(n=4, bandwidth=8)
-        assert planner.plan(network, echo_program) is LEGACY_ENGINE
+    def test_default_network_runs_fast(self, calls):
+        Network(n=4, bandwidth=8).run(echo_program)
+        assert calls == ["fast"]
 
-
-class TestCapabilityFlags:
-    def test_flag_matrix(self):
-        assert LEGACY_ENGINE.supports_generator_programs
-        assert not LEGACY_ENGINE.supports_kernel_programs
-        assert FAST_ENGINE.supports_generator_programs
-        assert not FAST_ENGINE.supports_kernel_programs
-        assert KERNEL_ENGINE.supports_kernel_programs
-        assert not KERNEL_ENGINE.supports_generator_programs
-
-    def test_legacy_engine_rejects_kernel_programs(self):
+    def test_each_name_runs_its_own_engine(self, calls):
+        for name in ("legacy", "fast"):
+            network = Network(n=4, bandwidth=8, engine=name)
+            network.run(echo_program)
+            network.run_many(echo_program, [None, None])
         program, payloads = broadcast_kernel_program(4)
-        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine="legacy")
-        with pytest.raises(ProtocolError, match="cannot execute kernel"):
-            LEGACY_ENGINE.run(network, program, payloads)
-        with pytest.raises(ProtocolError, match="cannot execute kernel"):
-            LEGACY_ENGINE.run_many(network, program, [payloads])
-        # ...but the planner routes the same program to the kernel
-        # backend even on a legacy-pinned network (pinned behaviour: a
-        # kernel program IS its own semantics).
-        result = network.run(program, inputs=payloads)
-        assert [bits.to_uint() for bits in result.outputs[0].values()]
+        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine="kernel")
+        network.run(program, inputs=payloads)
+        assert calls == ["legacy", "legacy", "fast", "fast", "kernel"]
 
-    def test_fast_engine_rejects_kernel_programs(self):
+    def test_kernel_program_runs_on_kernel_whatever_engine_names(self, calls):
         program, payloads = broadcast_kernel_program(4)
-        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST)
-        with pytest.raises(ProtocolError, match="cannot execute kernel"):
-            FAST_ENGINE.run(network, program, payloads)
+        results = [
+            Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine=name).run(
+                program, inputs=payloads
+            )
+            for name in ("legacy", "fast", "kernel")
+        ]
+        assert calls == ["kernel"] * 3
+        assert all(result_tuple(r) == result_tuple(results[0]) for r in results)
 
     def test_kernel_engine_rejects_generator_programs(self):
-        network = Network(n=4, bandwidth=8)
+        network = Network(n=4, bandwidth=8, engine="kernel")
         with pytest.raises(ProtocolError, match="only executes kernel"):
-            KERNEL_ENGINE.run(network, echo_program)
+            network.run(echo_program)
+        with pytest.raises(ProtocolError, match="only executes kernel"):
+            network.run_many(echo_program, [None])
+
+    @pytest.mark.parametrize("engine", ["warp", "auto", None])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ValueError, match="unknown engine"):
+            Network(n=4, bandwidth=8, engine=engine)
 
 
 class TestFrontDoorValidation:
@@ -181,14 +130,50 @@ class TestFrontDoorValidation:
         with pytest.raises(ProtocolError, match="inputs for"):
             network.run(program, inputs=payloads[:-1])
 
-    def test_direct_engine_calls_validate_too(self):
-        # The validation lives on Engine.run/run_many, not only on the
-        # Network front door, so a custom caller cannot skip it.
-        network = Network(n=4, bandwidth=8)
-        with pytest.raises(ProtocolError, match="inputs for"):
-            FAST_ENGINE.run(network, echo_program, [None] * 3)
-        with pytest.raises(ProtocolError, match="inputs for"):
-            LEGACY_ENGINE.run_many(network, echo_program, [[None] * 5])
+
+class TestEngineFailures:
+    """An engine's exception reaches the caller: no other engine re-runs
+    the program and stands in for the one that failed."""
+
+    def test_broken_fast_engine_raises(self, broken_fast, calls):
+        network = Network(n=4, bandwidth=8, engine="fast")
+        with pytest.raises(RuntimeError, match="simulated engine crash"):
+            network.run(echo_program)
+        with pytest.raises(RuntimeError, match="simulated engine crash"):
+            network.run_many(echo_program, [None, None])
+        assert calls == ["fast", "fast"]
+
+    def test_broken_fast_engine_fails_its_matrix_cells(self, broken_fast):
+        result = ScenarioMatrix(
+            ["routing", "mst"], ["gnp"], [6], engines=["legacy", "fast"]
+        ).run()
+        fast_cells = [cell for cell in result.cells if cell.engine == "fast"]
+        assert len(fast_cells) == 2
+        for cell in fast_cells:
+            assert cell.status == "failed"
+            assert cell.error_type == "RuntimeError"
+        assert result.mismatches() == fast_cells
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_protocol_errors_propagate(self, engine, calls):
+        def too_wide(ctx):
+            yield Outbox.broadcast_uint(0xFFFF, 16)
+
+        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine=engine)
+        with pytest.raises(BandwidthExceededError):
+            network.run(too_wide)
+        assert calls == [engine]
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_program_bugs_propagate(self, engine, calls):
+        def buggy(ctx):
+            yield Outbox.broadcast_uint(ctx.node_id, 8)
+            raise KeyError("program bug")
+
+        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine=engine)
+        with pytest.raises(KeyError, match="program bug"):
+            network.run(buggy)
+        assert calls == [engine]
 
 
 class TestBackendEquivalenceSmoke:

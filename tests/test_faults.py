@@ -1,13 +1,11 @@
-"""Chaos clique: deterministic fault injection, the engine degradation
-chain, resilient transmit phases, the round-limit watchdog, and the
-self-checking scenario sweep."""
+"""Chaos clique: deterministic fault injection, resilient transmit
+phases, the round-limit watchdog, and the self-checking scenario
+sweep."""
 
 import pytest
 
 from repro.core.bits import Bits
-from repro.core.engine import FAST_ENGINE, KERNEL_ENGINE, LEGACY_ENGINE, FastEngine
 from repro.core.errors import (
-    EngineFallbackError,
     FaultInjectionError,
     MaxRoundsExceededError,
     ReproError,
@@ -18,7 +16,6 @@ from repro.core.faults import (
     FaultEvent,
     FaultPlan,
     FaultSession,
-    FaultyDeliveryBackend,
 )
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import (
@@ -118,7 +115,6 @@ class TestFaultPlanValidation:
 
     def test_error_taxonomy(self):
         assert issubclass(FaultInjectionError, ReproError)
-        assert issubclass(EngineFallbackError, ReproError)
         assert issubclass(RoundLimitExceeded, MaxRoundsExceededError)
 
     def test_inactive_plan(self):
@@ -439,31 +435,51 @@ class TestZeroOverheadPath:
         chaotic.run(dense)
         assert len(lane_rounds) == 1
 
-    def test_faulty_delivery_backend_applies_session(self):
-        plan = FaultPlan(triggers={(1, 0, 1): "drop"})
-        session = FaultSession(plan, 3, False)
-        backend = FaultyDeliveryBackend(3, session)
-        backend.inbox_dicts[1][0] = Bits(5, 4)
-        backend.inbox_dicts[1][2] = Bits(6, 4)
-        backend.apply_round(1)
-        assert 0 not in backend.inbox_dicts[1]
-        assert backend.inbox_dicts[1][2] == Bits(6, 4)
-        assert session.events == [FaultEvent(1, 0, 1, "drop", None)]
-
-    def test_lane_delivered_copy_is_detached(self):
+    def test_kernel_faults_leave_live_buffers_untouched(self):
+        # The kernel fault path edits copies: the lane's delivered()
+        # buffers are live across rounds and must never change.
         import numpy as np
 
         from repro.core.compiled import LaneStructure
-        from repro.core.fastlane import BatchLane
+        from repro.core.fastlane import BatchBroadcastLane, BatchLane
 
-        struct = LaneStructure(4, [(0, np.array([1], dtype=np.intp))])
+        struct = LaneStructure(
+            4,
+            [(0, np.array([1], dtype=np.intp)), (1, np.array([2], dtype=np.intp))],
+        )
         lane = BatchLane(3, 1)
-        lane.deliver_kernel(struct, np.array([[3]], dtype=np.uint64))
-        values, present = lane.delivered_copy()
-        values[:, 0, 1] = 9
-        present[0, 1] = False
+        lane.deliver_kernel(struct, np.array([[3, 5]], dtype=np.uint64))
         live_values, live_present = lane.delivered()
-        assert live_values[0, 0, 1] == 3 and live_present[0, 1]
+        session = FaultSession(
+            FaultPlan(triggers={(1, 0, 1): "drop", (1, 1, 2): "corrupt"}), 3, False
+        )
+        values, present = session.apply_kernel_unicast(
+            1, live_values, live_present, struct.rows, struct.cols,
+            struct.width, struct.widths,
+        )
+        assert not present[0, 1] and values[0, 0, 1] == 0
+        assert present[1, 2] and values[0, 1, 2] != 5
+        assert [event.kind for event in session.events] == ["drop", "corrupt"]
+        live_values, live_present = lane.delivered()
+        assert live_present[0, 1] and live_values[0, 0, 1] == 3
+        assert live_present[1, 2] and live_values[0, 1, 2] == 5
+
+        blane = BatchBroadcastLane(3, 1)
+        blane.deliver_kernel([0, 1], 4, np.array([[3, 5]], dtype=np.uint64))
+        live_values, live_present = blane.delivered()
+        session = FaultSession(
+            FaultPlan(triggers={(1, 0, None): "drop", (1, 1, None): "corrupt"}),
+            3, True,
+        )
+        values, present = session.apply_kernel_broadcast(
+            1, live_values, live_present, [0, 1], 4
+        )
+        assert not present[0] and values[0, 0] == 0
+        assert present[1] and values[0, 1] != 5
+        assert [event.kind for event in session.events] == ["drop", "corrupt"]
+        live_values, live_present = blane.delivered()
+        assert live_present[0] and live_values[0, 0] == 3
+        assert live_present[1] and live_values[0, 1] == 5
 
 
 class TestRoundLimitWatchdog:
@@ -510,138 +526,6 @@ class TestRoundLimitWatchdog:
     def test_round_limit_validation(self):
         with pytest.raises(ValueError):
             Network(n=4, bandwidth=WIDTH, round_limit=0)
-
-
-class BrokenFast(FastEngine):
-    """A fast engine that dies mid-run with an infrastructure error."""
-
-    name = "broken-fast"
-
-    def _run(self, network, program, inputs):
-        raise RuntimeError("simulated engine crash")
-
-    def _run_many(self, network, program, inputs_list):
-        raise RuntimeError("simulated engine crash")
-
-
-class BrokenEverything(BrokenFast):
-    name = "broken-everything"
-
-    @property
-    def supports_kernel_programs(self):
-        return True
-
-
-class TestDegradationChain:
-    def test_chain_order_and_flavour_filter(self):
-        from repro.core.engine.planner import DEFAULT_PLANNER
-
-        chain = DEFAULT_PLANNER.fallback_chain(chatter_program(1), KERNEL_ENGINE)
-        assert chain == [FAST_ENGINE, LEGACY_ENGINE]
-        chain = DEFAULT_PLANNER.fallback_chain(chatter_program(1), FAST_ENGINE)
-        assert chain == [LEGACY_ENGINE]
-
-    def test_broken_engine_falls_back_byte_identically(self):
-        reference = Network(n=5, bandwidth=WIDTH, engine="fast").run(
-            chatter_program(3)
-        )
-        network = Network(n=5, bandwidth=WIDTH, engine=BrokenFast())
-        result = network.run(chatter_program(3))
-        assert result.outputs == reference.outputs
-        assert result.total_bits == reference.total_bits
-        assert result.fallback == {
-            "from": "broken-fast",
-            "to": "fast",
-            "error": "RuntimeError: simulated engine crash",
-        }
-        assert reference.fallback is None
-
-    def test_run_many_attaches_fallback_to_every_result(self):
-        network = Network(n=4, bandwidth=WIDTH, engine=BrokenFast())
-        results = network.run_many(chatter_program(2), [None, None])
-        assert len(results) == 2
-        assert all(r.fallback is not None for r in results)
-        assert all(r.fallback["from"] == "broken-fast" for r in results)
-
-    def test_degrade_false_propagates(self):
-        network = Network(n=4, bandwidth=WIDTH, engine=BrokenFast(), degrade=False)
-        with pytest.raises(RuntimeError, match="simulated engine crash"):
-            network.run(chatter_program(2))
-
-    def test_protocol_errors_never_degrade(self):
-        def too_wide(ctx):
-            yield Outbox.broadcast_uint(0xFFFF, 16)
-
-        network = Network(n=4, bandwidth=WIDTH, mode=Mode.BROADCAST, engine="fast")
-        with pytest.raises(ReproError):
-            network.run(too_wide)
-
-    def test_program_bugs_resolve_on_legacy_reference(self):
-        # A user exception inside the program is not an engine failure:
-        # the chain re-runs it, legacy reproduces it, and it propagates
-        # as the program's own truth.
-        def buggy(ctx):
-            yield Outbox.broadcast_uint(ctx.node_id, WIDTH)
-            raise KeyError("program bug")
-
-        network = Network(n=4, bandwidth=WIDTH, mode=Mode.BROADCAST)
-        with pytest.raises(KeyError):
-            network.run(buggy)
-
-    def test_exhausted_chain_raises_engine_fallback_error(self):
-        # Only a kernel program can exhaust the chain without reaching
-        # the legacy reference (whose failure propagates as truth): its
-        # chain from a broken kernel-capable engine is [kernel] alone.
-        from repro.core.engine.planner import ExecutionPlanner
-
-        planner = ExecutionPlanner()
-        program = transmit_broadcast_kernel_program(4, WIDTH, [0, 1, 2, 3], max_bits=4)
-        network = Network(
-            n=4, bandwidth=WIDTH, mode=Mode.BROADCAST, engine=BrokenEverything()
-        )
-        calls = []
-
-        def call(engine):
-            calls.append(engine.name)
-            raise OSError(f"{engine.name} down")
-
-        with pytest.raises(EngineFallbackError, match="degradation chain failed"):
-            planner._degrade(network, program, call)
-        assert calls == ["broken-everything", "kernel"]
-
-    def test_legacy_reference_never_degrades(self):
-        # A failure on the reference is the program's truth: it is not
-        # retried on fast, so it surfaces unchanged.
-        from repro.core.engine.planner import DEFAULT_PLANNER
-
-        def buggy(ctx):
-            yield Outbox.broadcast_uint(ctx.node_id, WIDTH)
-            raise KeyError("program bug")
-
-        network = Network(n=4, bandwidth=WIDTH, mode=Mode.BROADCAST, engine="legacy")
-        with pytest.raises(KeyError, match="program bug"):
-            network.run(buggy)
-        assert DEFAULT_PLANNER.fallback_chain(buggy, LEGACY_ENGINE) == []
-        calls = []
-
-        def call(engine):
-            calls.append(engine.name)
-            raise KeyError(engine.name)
-
-        with pytest.raises(KeyError):
-            DEFAULT_PLANNER._degrade(network, buggy, call)
-        assert calls == ["legacy"]
-
-    def test_legacy_failure_is_truth(self):
-        from repro.core.engine.planner import DEFAULT_PLANNER
-
-        network = Network(n=4, bandwidth=WIDTH, engine=BrokenFast())
-
-        def call(engine):
-            raise OSError(f"{engine.name} infra down")
-
-        with pytest.raises(OSError, match="legacy infra down"):
-            DEFAULT_PLANNER._degrade(network, chatter_program(1), call)
 
 
 class TestResilientPhases:

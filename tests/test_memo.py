@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core.engine.planner import LEGACY_ENGINE
+from repro.core.engine import legacy
 from repro.core.errors import DecodeError, ReproError
 from repro.core.faults import FaultPlan
 from repro.core.network import Mode, Network, Outbox
@@ -176,8 +176,8 @@ def _lost_row_case(program, row, bandwidth):
 class TestLostWriter:
     """A dropped or corrupted blackboard message is a protocol failure
     the fast engine reports itself: a ``DecodeError`` naming the writer,
-    not a ``KeyError`` or ``IndexError`` that the planner re-runs on
-    legacy first."""
+    not a bare ``KeyError`` or ``IndexError``, and no other engine runs
+    the program."""
 
     @pytest.mark.parametrize(
         "case, seed, plan, match",
@@ -214,13 +214,13 @@ class TestLostWriter:
         self, monkeypatch, case, seed, plan, match
     ):
         calls = []
-        legacy_run = type(LEGACY_ENGINE).run
+        legacy_run_many = legacy.run_many
 
-        def counting_run(self, *args, **kwargs):
-            calls.append(self.name)
-            return legacy_run(self, *args, **kwargs)
+        def counting_run_many(*args, **kwargs):
+            calls.append("legacy")
+            return legacy_run_many(*args, **kwargs)
 
-        monkeypatch.setattr(type(LEGACY_ENGINE), "run", counting_run)
+        monkeypatch.setattr(legacy, "run_many", counting_run_many)
         net_kwargs, program, inputs = case()
         network = Network(engine="fast", seed=seed, fault_plan=plan, **net_kwargs)
         with pytest.raises(DecodeError, match=match):
@@ -235,8 +235,8 @@ SWEEP_PLANS = CHAOS + [FaultPlan(seed=seed, drop_rate=0.02) for seed in range(8)
 
 class TestChaosFailures:
     """Under corrupt and drop plans a protocol may fail, but only with a
-    ``ReproError``: any other exception reads as an engine failure, which
-    the planner re-runs on the next engine first."""
+    ``ReproError``: any other exception reads as a bug in the engine or
+    the program, and a sweep cell records it as one."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", ["mst", "adaptive_detect", "sorting"])

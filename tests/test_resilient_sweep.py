@@ -318,12 +318,13 @@ class TestJournalVerify:
 
 
 class TestOlderJournals:
-    """Journals written before mid-run checkpoints, the schedule cache
-    and K-sharding were removed carry ``ckpt`` lines and cell keys this
-    version no longer writes; they still resume without re-running a
-    cell."""
+    """Journals written before mid-run checkpoints, the schedule cache,
+    K-sharding and the engine degradation chain were removed carry
+    ``ckpt`` lines and cell keys this version no longer writes; they
+    still resume without re-running a cell."""
 
     RETIRED = {
+        "engine_fallback": "fast->legacy",
         "resumed_from_round": 12,
         "checkpoints": 2,
         "cache_hits": 3,
@@ -574,6 +575,18 @@ class TestSupervision:
         matrix = ScenarioMatrix(["routing"], ["gnp"], [8], engines=["legacy"])
         with pytest.raises(ValueError, match="cell_timeout needs workers"):
             matrix.run(cell_timeout=5.0)
+
+    def test_stop_after_cells_needs_workers(self):
+        matrix = ScenarioMatrix(
+            ["routing"], ["gnp"], [6], engines=["legacy", "fast"]
+        )
+        with pytest.raises(ValueError, match="stop_after_cells needs workers"):
+            matrix.run(stop_after_cells=1)
+
+    def test_chaos_kills_needs_workers(self):
+        matrix = ScenarioMatrix(["routing"], ["gnp"], [6], engines=["legacy"])
+        with pytest.raises(ValueError, match="chaos_kills needs workers"):
+            matrix.run(chaos_kills=[1])
 
     def test_wall_clock_deadline_catches_hang_outside_rounds(
         self, temp_protocols
