@@ -98,12 +98,10 @@ def max_kernel_program(n: int, value_bits: int, bandwidth: int):
         def send(state, _r=r):
             return state["chunks"][_r]
 
-        def recv(state, inbox):
+        def recv(state, delivered):
             # Reassemble every writer's value chunk by chunk from the
             # blackboard, for all instances at once.
-            state["acc"] = (
-                state["acc"] << np.uint64(bandwidth)
-            ) | inbox.gather()
+            state["acc"] = (state["acc"] << np.uint64(bandwidth)) | delivered
 
         builder.broadcast_round(writers, bandwidth, send, recv)
 

@@ -1,7 +1,6 @@
 """Core substrate: bit-level messages and the synchronous network engine."""
 
 from repro.core.bits import BitReader, Bits, BitWriter
-from repro.core.compiled import CompiledSchedule
 from repro.core.errors import (
     BandwidthExceededError,
     DecodeError,
@@ -38,9 +37,14 @@ from repro.core.phases import (
 )
 # The kernel layer is numpy-backed at module level; load it lazily
 # (PEP 562) so `import repro.core` stays numpy-free until a kernel
-# program is actually built — the same invariant compiled.py and the
-# engine's deferred fastlane imports preserve.
-_KERNEL_EXPORTS = ("KernelBuilder", "KernelContext", "KernelProgram")
+# program is actually built — the same invariant the engine's deferred
+# fastlane and kernel imports preserve.
+_KERNEL_EXPORTS = (
+    "KernelBuilder",
+    "KernelContext",
+    "KernelProgram",
+    "CompiledSchedule",
+)
 
 
 def __getattr__(name):

@@ -10,8 +10,8 @@ engine    strategy
 ========  ==========================================================
 legacy    reference loop — fresh dicts each round, scalar delivery
 fast      zero-churn loop with bulk lanes
-kernel    declared SPMD rounds compiled once, executed as stacked
-          matrix ops (the one compiled path)
+kernel    declared SPMD rounds compiled once, one payload matrix per
+          round over all instances (the one compiled path)
 ========  ==========================================================
 
 :data:`ENGINES` is the whole dispatch: a kernel program runs on
@@ -23,8 +23,8 @@ The fully validating scalar delivery paths live in
 :mod:`repro.core.engine.delivery`, shared by legacy and fast so both
 charge bits and raise protocol errors identically.  Under an active
 :class:`~repro.core.faults.FaultPlan` each engine applies the run's
-:class:`~repro.core.faults.FaultSession` to its own delivered buffers,
-so one deterministic chaos schedule hits every engine.
+:class:`~repro.core.faults.FaultSession` to what it delivers, so one
+deterministic chaos schedule hits every engine.
 """
 
 from repro.core.engine import fast, kernel, legacy

@@ -15,9 +15,6 @@ raise the same exceptions a cold run would; the bulk lanes of
 :mod:`repro.core.fastlane` may skip these checks only when an
 equivalent vectorized validation already ran (see
 :func:`repro.core.fastlane.validate_fixed`).
-
-:func:`batch_chunk_size` is the kernel engine's bound on how many
-instances one stacked ``run_many`` chunk holds.
 """
 
 from __future__ import annotations
@@ -32,27 +29,9 @@ from repro.core.errors import (
 )
 
 __all__ = [
-    "DEFAULT_CHUNK_BYTES",
-    "batch_chunk_size",
     "deliver_outbox",
     "deliver_round_scalar",
 ]
-
-#: Budget for one stacked K×n×n batch chunk (uint64 values).
-DEFAULT_CHUNK_BYTES = 64 << 20
-
-
-def batch_chunk_size(n: int) -> int:
-    """How many instances one kernel ``run_many`` batch chunk holds at
-    size ``n``.
-
-    The kernel engine stacks K instances into K×n×n uint64 lanes and
-    caps each chunk's value buffer at :data:`DEFAULT_CHUNK_BYTES`.
-    Chunking is invisible in results — per-instance outputs are a pure
-    function of the instance inputs — so the budget trades peak memory
-    against lane reuse.
-    """
-    return max(1, DEFAULT_CHUNK_BYTES // (n * n * 8))
 
 
 def _at(round_index: Optional[int]) -> str:

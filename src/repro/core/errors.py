@@ -59,8 +59,8 @@ class DecodeError(ReproError):
 class SimulationPlanError(ReproError):
     """A Theorem 2 simulation cannot run as planned: a player would send
     or read a gate value it never learns, a node lacks an input the plan
-    says it holds, or a planned heavy push never arrives.  ``player``
-    and ``gate`` name the culprit."""
+    says it holds, or a planned heavy push or routed payload never
+    arrives.  ``player`` and ``gate`` name the culprit."""
 
     def __init__(self, message: str, player: int, gate: int) -> None:
         super().__init__(message)

@@ -34,13 +34,17 @@ bits costs ``width`` (counted once per writer, as
 Widths up to :data:`NUMERIC_WIDTH_LIMIT` (63) bits ride ``uint64``
 storage; wider payloads fall back to object-dtype arrays — the same
 bulk indexing, with Python ints as storage.
+
+Both lanes serve generator programs on the fast engine.  Kernel
+programs (:mod:`repro.core.kernels`) need no delivery buffer: a kernel
+round hands ``recv`` the payload matrix ``send`` produced.
 """
 
 from __future__ import annotations
 
 import operator
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,12 +54,9 @@ from repro.core.errors import BandwidthExceededError, ProtocolError, TopologyErr
 __all__ = [
     "NUMERIC_WIDTH_LIMIT",
     "FixedWidthInbox",
-    "FixedWidthSchedule",
     "FixedLane",
     "BroadcastInbox",
     "BroadcastLane",
-    "BatchLane",
-    "BatchBroadcastLane",
     "coerce_fixed",
     "coerce_broadcast",
     "validate_fixed",
@@ -369,154 +370,6 @@ class FixedLane:
         return box
 
 
-class _BatchBuffers:
-    """One dtype's worth of stacked per-instance matrices for kernel
-    unicast rounds.
-
-    ``values[k]`` is instance ``k``'s ``n × n`` send matrix; the
-    receiver-presence mask is *shared* across instances because a
-    kernel round has one declared structure for all of them."""
-
-    __slots__ = ("values", "present", "touched")
-
-    def __init__(self, n: int, instances: int, dtype) -> None:
-        self.values = np.zeros((instances, n, n), dtype=dtype)
-        self.present = np.zeros((n, n), dtype=bool)
-        self.touched: List[int] = []  # sender rows written last bulk round
-
-
-class BatchLane:
-    """Stacked delivery for kernel unicast rounds, K instances at a time.
-
-    The kernel runner hands it a :class:`~repro.core.compiled.LaneStructure`
-    (precomputed flat row/column index arrays) plus one stacked
-    ``K × messages`` value matrix per round; delivery is one
-    fancy-indexed write covering every instance, and the shared presence
-    mask is rewritten only when the structure differs from the previous
-    round (phases repeat one shape for many rounds, so it usually
-    doesn't).  All classification, validation and accounting has already
-    happened at compile time.
-    """
-
-    __slots__ = (
-        "n", "instances", "width", "_numeric", "_object", "_active",
-        "_struct",
-    )
-
-    def __init__(self, n: int, instances: int) -> None:
-        self.n = n
-        self.instances = instances
-        self.width = 0
-        self._numeric: Optional[_BatchBuffers] = None
-        self._object: Optional[_BatchBuffers] = None
-        self._active: Optional[_BatchBuffers] = None
-        self._struct: Any = None
-
-    def _buffers(self, width: int) -> _BatchBuffers:
-        if width <= NUMERIC_WIDTH_LIMIT:
-            if self._numeric is None:
-                self._numeric = _BatchBuffers(self.n, self.instances, np.uint64)
-            return self._numeric
-        if self._object is None:
-            self._object = _BatchBuffers(self.n, self.instances, object)
-        return self._object
-
-    def deliver_kernel(self, struct, values2d) -> None:
-        """Deliver one kernel round: one stacked fancy-indexed write
-        covers **all** instances at once (``values2d`` is ``K × count``
-        in flat structure order).  Pass ``values2d=None`` to refresh only
-        the presence mask (an empty round, or a zero-churn round whose
-        values are already in the buffer)."""
-        buf = self._buffers(struct.width)
-        if self._struct is not struct or self._active is not buf:
-            touched = buf.touched
-            if touched:
-                buf.present[touched] = False
-                touched.clear()
-            buf.present[struct.rows, struct.cols] = True
-            touched.extend(struct.sender_ids)
-            self._struct = struct
-        if values2d is not None:
-            buf.values[:, struct.rows, struct.cols] = values2d
-        self.width = struct.width
-        self._active = buf
-
-    def delivered(self):
-        """The active ``(K × n × n values, n × n present)`` buffers —
-        the raw matrices a kernel round consumes.  These are the lane's
-        *live* buffers, maintained incrementally across rounds: callers
-        must treat them as read-only (mutating them corrupts later
-        rounds' presence bookkeeping).  Fault injection edits copies:
-        :meth:`~repro.core.faults.FaultSession.apply_kernel_unicast`
-        copies them before it changes a slot."""
-        buf = self._active
-        return buf.values, buf.present
-
-
-class _BcastBatchBuffers:
-    """One dtype's worth of stacked blackboard vectors for kernel
-    broadcast rounds: ``values[k]`` is instance ``k``'s length-``n``
-    blackboard, the writer-presence mask is shared (kernel rounds have
-    one writer set for all instances by construction)."""
-
-    __slots__ = ("values", "present", "touched")
-
-    def __init__(self, n: int, instances: int, dtype) -> None:
-        self.values = np.zeros((instances, n), dtype=dtype)
-        self.present = np.zeros(n, dtype=bool)
-        self.touched: List[int] = []  # writer slots filled last round
-
-
-class BatchBroadcastLane:
-    """Stacked blackboard delivery for kernel broadcast rounds, K
-    instances at a time: one ``K × writers`` fancy write per round."""
-
-    __slots__ = (
-        "n", "instances", "width", "_numeric", "_object", "_active",
-    )
-
-    def __init__(self, n: int, instances: int) -> None:
-        self.n = n
-        self.instances = instances
-        self.width = 0
-        self._numeric: Optional[_BcastBatchBuffers] = None
-        self._object: Optional[_BcastBatchBuffers] = None
-        self._active: Optional[_BcastBatchBuffers] = None
-
-    def _buffers(self, width: int) -> _BcastBatchBuffers:
-        if width <= NUMERIC_WIDTH_LIMIT:
-            if self._numeric is None:
-                self._numeric = _BcastBatchBuffers(
-                    self.n, self.instances, np.uint64
-                )
-            return self._numeric
-        if self._object is None:
-            self._object = _BcastBatchBuffers(self.n, self.instances, object)
-        return self._object
-
-    def deliver_kernel(self, writer_ids, width: int, values2d) -> None:
-        """Deliver one kernel broadcast round: ``values2d`` is
-        ``K × len(writer_ids)``, one blackboard value per writer per
-        instance.  ``None`` refreshes only the presence mask."""
-        buf = self._buffers(width)
-        touched = buf.touched
-        if touched:
-            buf.present[touched] = False
-            touched.clear()
-        buf.present[writer_ids] = True
-        touched.extend(int(w) for w in writer_ids)
-        if values2d is not None:
-            buf.values[:, writer_ids] = values2d
-        self.width = width
-        self._active = buf
-
-    def delivered(self):
-        """The active ``(K × n values, n present)`` blackboard buffers
-        (live, read-only — see :meth:`BatchLane.delivered`)."""
-        buf = self._active
-        return buf.values, buf.present
-
-
 class BroadcastInbox:
     """Array-backed inbox over the shared broadcast column buffer.
 
@@ -686,48 +539,3 @@ class BroadcastLane:
         box = self._active.inboxes[receiver]
         box._reset(self.width)
         return box
-
-
-class FixedWidthSchedule:
-    """Protocol-facing declaration of a fixed-width exchange.
-
-    Protocols that send ``width``-bit uints build their outboxes through
-    a schedule instance and decode inboxes with :meth:`uints`, which
-    works for both inbox flavours (so the same program runs unmodified
-    on the legacy engine and in mixed rounds)::
-
-        schedule = FixedWidthSchedule(width=32)
-
-        def program(ctx):
-            inbox = yield schedule.outbox(dests, values)
-            for sender, value in schedule.uints(inbox):
-                ...
-    """
-
-    __slots__ = ("width",)
-
-    def __init__(self, width: int) -> None:
-        if width < 1:
-            raise ValueError("fixed-width messages need width >= 1 bit")
-        self.width = width
-
-    def outbox(self, dests: Sequence[int], values: Sequence[int]):
-        from repro.core.network import Outbox
-
-        return Outbox.fixed_width(dests, values, self.width)
-
-    def outbox_map(self, messages: Dict[int, int]):
-        from repro.core.network import Outbox
-
-        return Outbox.fixed_width_map(messages, self.width)
-
-    def broadcast_outbox(self, value: int):
-        from repro.core.network import Outbox
-
-        return Outbox.broadcast_uint(value, self.width)
-
-    @staticmethod
-    def uints(inbox: Any) -> List[Tuple[int, int]]:
-        from repro.core.network import inbox_uints
-
-        return inbox_uints(inbox)

@@ -23,11 +23,10 @@ Design
   sent, exactly as a real lossy network charges the sender), records
   every injected fault as a :class:`FaultEvent`, and carries the
   delayed-delivery queue between rounds.
-* Every engine calls the session on its own delivered buffers: the
-  legacy and fast loops through :meth:`FaultSession.apply_scalar` on
-  their inbox dicts, the kernel executor through
-  :meth:`FaultSession.apply_kernel_unicast` /
-  :meth:`FaultSession.apply_kernel_broadcast` on its stacked matrices.
+* Every engine calls the session on what it delivers: the legacy and
+  fast loops through :meth:`FaultSession.apply_scalar` on their inbox
+  dicts, the kernel executor through :meth:`FaultSession.apply_kernel`
+  on each round's flat ``K × count`` payload matrix.
 
 Semantics
 ---------
@@ -44,10 +43,11 @@ of its messages are delivered.  Its program keeps running locally (crash
 ≠ halt in this model), which keeps round structure engine-independent.
 
 Scalar engines (legacy, fast) implement all five kinds exactly.  The
-kernel path exposes inboxes as structure-indexed matrices, so a dropped
-slot reads as ``present=False`` with a zeroed payload, and a
-delayed/duplicated payload only resurfaces when a later round's declared
-structure carries the same link; the recorded *schedule* (the
+kernel path delivers each round as a matrix with one column per
+declared message, so a dropped, delayed or crash-omitted message reads
+as 0 (there is no "absent"), and a delayed/duplicated payload only
+resurfaces when a later round's declared structure carries the same
+link and that slot is empty; the recorded *schedule* (the
 :class:`FaultEvent` list) is identical across engines even where the
 observable effect is capability-limited — divergence between engines
 under faults is exactly what ``verify="cross-engine"`` sweeps exist to
@@ -325,11 +325,12 @@ class FaultPlan:
 
 class FaultSession:
     """Per-run fault state: the event log, the delayed-delivery queue
-    and the precomputed crash schedule.  One session serves exactly one
-    run (``run_many`` instances executed under faults each get their
-    own), so the event list is that run's complete, canonical fault
-    record: per round, events are sorted by ``(src, dst, kind)`` no
-    matter in which order the engine touched the messages.
+    and the precomputed crash schedule.  One session serves one run —
+    on the kernel engine one ``run_many`` call, whose instances share
+    each round's payload matrix and so one schedule — and the event
+    list is that run's complete, canonical fault record: per round,
+    events are sorted by ``(src, dst, kind)`` no matter in which order
+    the engine touched the messages.
     """
 
     __slots__ = ("plan", "n", "broadcast_mode", "events", "_delayed", "_crash_rounds", "_round_events")
@@ -464,16 +465,20 @@ class FaultSession:
 
     # -- kernel path ------------------------------------------------------
 
-    def apply_kernel_unicast(self, round_index, values, present, rows, cols, width, widths):
-        """Fault-adjusted copies of one kernel unicast round's delivered
-        ``(K × n × n values, n × n present)`` matrices (the originals are
-        the lane's live, incrementally-maintained buffers and must never
-        be mutated).  Returns the inputs unchanged when no fault hits."""
+    def apply_kernel(self, round_index, values, links, width, widths=None):
+        """A fault-adjusted copy of one kernel round's ``K × count``
+        payload matrix, or ``values`` itself when no fault touches the
+        round; ``values`` is never mutated.
+
+        Column ``j`` carries link ``links[j] = (src, dst)``, ``dst``
+        ``None`` for a blackboard word, and is ``width`` bits wide (or
+        ``widths[j]``).  A dropped, delayed or crash-omitted message
+        reads 0.  A late payload resurfaces only where this round's
+        declared structure carries its link and that slot is empty —
+        the structural limit of matrix-shaped delivery."""
         self._record_crashes(round_index)
-        count = len(rows)
         decisions = []
-        for j in range(count):
-            src, dst = int(rows[j]), int(cols[j])
+        for j, (src, dst) in enumerate(links):
             crash = self._crash_rounds.get(src)
             if crash is not None and round_index >= crash:
                 decisions.append((j, src, dst, "crash-omit"))
@@ -484,97 +489,42 @@ class FaultSession:
         due = self._delayed.pop(round_index, None)
         if not decisions and not due:
             self._seal_round()
-            return values, present
+            return values
         vals = values.copy()
-        pres = present.copy()
+        empty = set()
         for j, src, dst, kind in decisions:
-            slot_width = width if widths is None else int(widths[j])
-            if kind == "crash-omit":
-                pres[src, dst] = False
-                vals[:, src, dst] = 0
-            elif kind == "drop":
-                pres[src, dst] = False
-                vals[:, src, dst] = 0
-                self._record(round_index, src, dst, "drop", None)
-            elif kind == "corrupt":
+            if kind == "corrupt":
+                slot_width = width if widths is None else int(widths[j])
                 bit = self.plan.corrupt_bit(round_index, src, dst, slot_width)
-                _xor_bit(vals, (slice(None), src, dst), bit)
+                _xor_bit(vals, j, bit)
                 self._record(round_index, src, dst, "corrupt", bit)
-            else:  # duplicate / delay
-                self._stash(round_index, src, dst, values[:, src, dst].copy())
-                if kind == "delay":
-                    pres[src, dst] = False
-                    vals[:, src, dst] = 0
+            elif kind == "drop":
+                self._record(round_index, src, dst, "drop", None)
+            elif kind != "crash-omit":  # duplicate / delay
+                self._stash(round_index, src, dst, values[:, j].copy())
                 self._record(round_index, src, dst, kind,
                              round_index + self.plan.delay_rounds)
+            if kind in ("drop", "delay", "crash-omit"):
+                vals[:, j] = 0
+                empty.add(j)
         if due:
-            # A late payload resurfaces only where this round's declared
-            # structure carries the link and the fresh slot is empty —
-            # the structural limit of matrix-shaped inboxes.
-            slots = {(int(rows[j]), int(cols[j])) for j in range(count)}
+            slot_of = {link: j for j, link in enumerate(links)}
             for src, dst, column in due:
-                if dst is not None and (src, dst) in slots and not pres[src, dst]:
-                    vals[:, src, dst] = column
-                    pres[src, dst] = True
+                j = slot_of.get((src, dst))
+                if j in empty:
+                    vals[:, j] = column
+                    empty.discard(j)
         self._seal_round()
-        return vals, pres
-
-    def apply_kernel_broadcast(self, round_index, values, present, writers, width):
-        """Broadcast twin of :meth:`apply_kernel_unicast` over the
-        ``(K × n values, n present)`` blackboard buffers."""
-        self._record_crashes(round_index)
-        decisions = []
-        for w in writers:
-            src = int(w)
-            crash = self._crash_rounds.get(src)
-            if crash is not None and round_index >= crash:
-                decisions.append((src, "crash-omit"))
-                continue
-            kind = self.plan.fault_for(round_index, src, None)
-            if kind is not None:
-                decisions.append((src, kind))
-        due = self._delayed.pop(round_index, None)
-        if not decisions and not due:
-            self._seal_round()
-            return values, present
-        vals = values.copy()
-        pres = present.copy()
-        for src, kind in decisions:
-            if kind == "crash-omit":
-                pres[src] = False
-                vals[:, src] = 0
-            elif kind == "drop":
-                pres[src] = False
-                vals[:, src] = 0
-                self._record(round_index, src, None, "drop", None)
-            elif kind == "corrupt":
-                bit = self.plan.corrupt_bit(round_index, src, None, width)
-                _xor_bit(vals, (slice(None), src), bit)
-                self._record(round_index, src, None, "corrupt", bit)
-            else:  # duplicate / delay
-                self._stash(round_index, src, None, values[:, src].copy())
-                if kind == "delay":
-                    pres[src] = False
-                    vals[:, src] = 0
-                self._record(round_index, src, None, kind,
-                             round_index + self.plan.delay_rounds)
-        if due:
-            writer_set = {int(w) for w in writers}
-            for src, _dst, column in due:
-                if src in writer_set and not pres[src]:
-                    vals[:, src] = column
-                    pres[src] = True
-        self._seal_round()
-        return vals, pres
+        return vals
 
 
-def _xor_bit(vals, index, bit: int) -> None:
-    """Flip one bit in a stacked payload column, dtype-aware (uint64
-    matrices XOR natively; object matrices hold Python ints)."""
+def _xor_bit(vals, column: int, bit: int) -> None:
+    """Flip one bit in every instance's entry of a payload column,
+    dtype-aware (uint64 matrices XOR natively; object matrices hold
+    Python ints)."""
     if vals.dtype == object:
-        column = vals[index]
-        vals[index] = [int(v) ^ (1 << bit) for v in column]
+        vals[:, column] = [int(v) ^ (1 << bit) for v in vals[:, column]]
     else:
         import numpy as np
 
-        vals[index] ^= np.uint64(1 << bit)
+        vals[:, column] ^= np.uint64(1 << bit)

@@ -18,39 +18,35 @@ two callbacks:
   round: a single numpy expression replaces ``n`` generator resumptions,
   for all ``K`` instances of a :meth:`~repro.core.network.Network.run_many`
   sweep at once.
-* ``recv(state, inbox)`` — consumes the delivered matrices
-  (:class:`KernelUnicastInbox` / :class:`KernelBroadcastInbox`, thin
-  views over the :class:`~repro.core.fastlane.BatchLane` /
-  :class:`~repro.core.fastlane.BatchBroadcastLane` buffers).
+* ``recv(state, delivered)`` — consumes the round's delivered ``K ×
+  count`` matrix, in the same structure order: what ``send`` produced,
+  edited by an active fault plan (:mod:`repro.core.faults`).
 
 ``state`` is a plain dict the program threads through the run (per-node
 data lives in arrays with a leading instance axis).  Because the round
 structure is declared rather than observed, a kernel program is
 *oblivious by construction*: it compiles directly into a
-:class:`~repro.core.compiled.CompiledSchedule` — per-round
-:class:`~repro.core.compiled.LaneStructure` index arrays, bit totals,
-validation — without executing any callback, and every execution
-replays that schedule.  Round and bit accounting is byte-identical to the generator
-engine's: equivalence suites pin the migrated protocols (transmit
-phases, Lenzen routing, the Theorem 2 simulation, matmul triangle
-detection) to their generator reference implementations.
+:class:`CompiledSchedule` — per-round flat sender/receiver index
+arrays, bit totals, validation — without executing any callback, and
+every execution replays that schedule.  Round and bit accounting is
+byte-identical to the generator engine's: equivalence suites pin the
+migrated protocols (transmit phases, Lenzen routing, the Theorem 2
+simulation, matmul triangle detection) to their generator reference
+implementations.
 
 Discipline
 ----------
 
-The runner hands each ``recv`` the *global* delivered matrices — kernel
-code is trusted to honour per-node visibility (read only entries
+The runner hands each ``recv`` the *global* delivered matrix — kernel
+code is trusted to honour per-node visibility (read only the columns
 addressed to the node whose state it updates), exactly as generator
 programs are trusted not to share Python state between nodes.  The
 equivalence tests are the enforcement: a kernel that peeks at bits that
 were never sent cannot stay byte-identical to its honest generator twin
-under fuzzed inputs.  Inboxes are views over per-run buffers and are
-only valid inside the ``recv`` call that receives them (copy what you
-need); payload arrays returned by ``send`` are read by the engine once,
-immediately — except that an array with ``writeable=False`` returned
-for the *same round structure* as the previous round is assumed
-unchanged and is neither re-validated nor re-written (the zero-churn
-fast path; freeze constant payloads to opt in).
+under fuzzed inputs.  The engine copies the array ``send`` returns
+before it validates it, and the delivered matrix belongs to the
+program: either side may keep or mutate its array without affecting
+the other.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.bits import Bits
-from repro.core.compiled import BCAST, LANE, CompiledSchedule, LaneStructure
 from repro.core.errors import (
     BandwidthExceededError,
     MaxRoundsExceededError,
@@ -69,17 +64,16 @@ from repro.core.errors import (
     RoundLimitExceeded,
     TopologyError,
 )
-from repro.core.fastlane import NUMERIC_WIDTH_LIMIT, BatchBroadcastLane, BatchLane
+from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
 from repro.core.network import Mode, RoundRecord, RunResult
 
 __all__ = [
     "KernelContext",
-    "KernelUnicastInbox",
-    "KernelBroadcastInbox",
     "UnicastRound",
     "BroadcastRound",
     "KernelProgram",
     "KernelBuilder",
+    "CompiledSchedule",
     "compile_program",
     "execute",
 ]
@@ -137,55 +131,6 @@ class KernelContext:
         rng = random.Random.__new__(random.Random)
         rng.setstate(self._private_states[v])
         return rng
-
-
-class KernelUnicastInbox:
-    """One unicast round's delivered matrices, for all instances.
-
-    ``values[k, s, d]`` is the payload node ``s`` sent node ``d`` in
-    instance ``k`` (entries where ``present[s, d]`` is False are stale
-    buffer contents — never read them); :meth:`gather` returns the flat
-    ``K × count`` payload matrix in the round's structure order, the
-    mirror of what ``send`` produced.
-    """
-
-    __slots__ = ("values", "present", "width", "widths", "rows", "cols")
-
-    def __init__(self, values, present, width, widths, rows, cols) -> None:
-        self.values = values
-        self.present = present
-        self.width = width
-        self.widths = widths
-        self.rows = rows
-        self.cols = cols
-
-    def gather(self) -> np.ndarray:
-        """Delivered payloads as ``K × count`` in structure order."""
-        return self.values[:, self.rows, self.cols]
-
-
-class KernelBroadcastInbox:
-    """One broadcast round's blackboard, for all instances.
-
-    ``values[k, w]`` is writer ``w``'s blackboard word in instance ``k``
-    (valid where ``present[w]``).  A broadcast is never echoed back to
-    its writer: kernel code reading "everything node ``v`` heard" must
-    skip ``values[:, v]`` itself, as the generator engine's
-    :class:`~repro.core.fastlane.BroadcastInbox` does.
-    """
-
-    __slots__ = ("values", "present", "width", "writers")
-
-    def __init__(self, values, present, width, writers) -> None:
-        self.values = values
-        self.present = present
-        self.width = width
-        self.writers = writers
-
-    def gather(self) -> np.ndarray:
-        """Delivered blackboard words as ``K × len(writers)`` in writer
-        order."""
-        return self.values[:, self.writers]
 
 
 class UnicastRound:
@@ -449,36 +394,72 @@ class KernelBuilder:
 
 
 class _ExecRound:
-    """One compiled kernel round: everything the runner needs, flat."""
+    """One compiled kernel round: everything the runner needs, flat.
+
+    Message ``j`` (structure order) goes from ``srcs[j]`` to
+    ``dsts[j]``; a broadcast round has ``dsts=None``, its messages being
+    the writers' blackboard words.  ``widths`` is the per-message width
+    vector of a heterogeneous unicast round, ``None`` when every message
+    is ``width`` bits."""
 
     __slots__ = (
-        "kind",
         "spec",
-        "struct",
-        "writers",
+        "srcs",
+        "dsts",
         "width",
+        "widths",
         "widths_u64",
         "count",
         "bits",
         "is_object",
+        "_links",
     )
 
-    def __init__(self, kind, spec, struct, writers, width, widths_u64, count, bits):
-        self.kind = kind
+    def __init__(self, spec, srcs, dsts, width, widths) -> None:
         self.spec = spec
-        self.struct = struct
-        self.writers = writers
+        self.srcs = srcs
+        self.dsts = dsts
         self.width = width
-        self.widths_u64 = widths_u64
-        self.count = count
-        self.bits = bits
+        self.widths = widths
+        self.widths_u64 = None if widths is None else widths.astype(np.uint64)
+        self.count = int(srcs.size)
+        self.bits = self.count * width if widths is None else int(widths.sum())
         self.is_object = width > NUMERIC_WIDTH_LIMIT
+        self._links = None
+
+    def links(self) -> List[Tuple[int, Optional[int]]]:
+        """``(src, dst)`` per message, ``dst`` None for a blackboard
+        word; built on first use (transcripts and fault plans only)."""
+        if self._links is None:
+            srcs = self.srcs.tolist()
+            dsts = [None] * len(srcs) if self.dsts is None else self.dsts.tolist()
+            self._links = list(zip(srcs, dsts))
+        return self._links
+
+
+class CompiledSchedule:
+    """A kernel program compiled against one network: ``kernel`` holds
+    one :class:`_ExecRound` per declared round, and ``params`` the
+    ``(bandwidth, mode)`` they were validated under (the network evicts
+    the entry if either is reassigned afterwards)."""
+
+    __slots__ = ("params", "kernel")
+
+    def __init__(self, params: Tuple[int, Mode], kernel: List[_ExecRound]) -> None:
+        self.params = params
+        self.kernel = kernel
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"CompiledSchedule(rounds={len(self.kernel)}, "
+            f"bits={sum(rec.bits for rec in self.kernel)})"
+        )
 
 
 def compile_program(program: KernelProgram, network) -> CompiledSchedule:
     """Validate ``program`` against ``network`` and build its
-    :class:`~repro.core.compiled.CompiledSchedule` — declared structure
-    in, per-round lane structures and bit totals out."""
+    :class:`CompiledSchedule` — declared structure in, per-round flat
+    index arrays and bit totals out."""
     if program.n != network.n:
         raise ProtocolError(
             f"kernel program declares n={program.n}, network has n={network.n}"
@@ -504,15 +485,7 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
     mode = network.mode
     bandwidth = network.bandwidth
     allowed = getattr(network, "_allowed", None)
-    rounds: List[Tuple[int, Any, int]] = []
     execs: List[_ExecRound] = []
-    # Deduplicate identical round shapes into one shared identity
-    # object per shape (a LaneStructure for unicast, an interned
-    # (ids, width) tuple for broadcast): phases repeat one shape for
-    # many rounds, and both the lane's presence-mask reuse and the
-    # zero-churn payload skip key on shape *identity*.
-    structs: Dict[Any, LaneStructure] = {}
-    bcast_shapes: Dict[Any, Tuple] = {}
     for r, spec in enumerate(program.rounds):
         if isinstance(spec, UnicastRound):
             if mode is Mode.BROADCAST:
@@ -528,39 +501,19 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
                                 f"node {sender} sent to non-neighbour "
                                 f"{int(dest)} in CONGEST"
                             )
-            max_width = (
-                spec.width if spec.widths is None else int(spec.widths.max())
-            )
-            if max_width > bandwidth:
+            if spec.width > bandwidth:
                 raise BandwidthExceededError(
-                    f"kernel round {r} sends {max_width}-bit messages "
+                    f"kernel round {r} sends {spec.width}-bit messages "
                     f"(bandwidth {bandwidth})"
                 )
-            key = (
-                spec.width,
-                tuple(v for v, _ in spec.pairs),
-                tuple(dests.size for _, dests in spec.pairs),
-                b"".join(dests.tobytes() for _, dests in spec.pairs),
-                None if spec.widths is None else spec.widths.tobytes(),
+            senders = np.asarray([v for v, _ in spec.pairs], dtype=np.intp)
+            srcs = np.repeat(senders, [dests.size for _, dests in spec.pairs])
+            dsts = (
+                np.concatenate([dests for _, dests in spec.pairs])
+                if spec.pairs
+                else np.empty(0, dtype=np.intp)
             )
-            struct = structs.get(key)
-            if struct is None:
-                struct = structs[key] = LaneStructure(
-                    spec.width, spec.pairs, widths=spec.widths
-                )
-            bits = struct.bits()
-            widths_u64 = (
-                None
-                if spec.widths is None
-                else spec.widths.astype(np.uint64)
-            )
-            rounds.append((LANE, struct, bits))
-            execs.append(
-                _ExecRound(
-                    LANE, spec, struct, None, spec.width, widths_u64,
-                    struct.count, bits,
-                )
-            )
+            execs.append(_ExecRound(spec, srcs, dsts, spec.width, spec.widths))
         else:
             if mode is not Mode.BROADCAST:
                 raise ProtocolError(
@@ -571,25 +524,17 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
                     f"kernel round {r} broadcasts {spec.width} bits "
                     f"(bandwidth {bandwidth})"
                 )
-            ids = tuple(int(w) for w in spec.writers)
-            shape = bcast_shapes.setdefault((ids, spec.width), (ids, spec.width))
-            bits = len(ids) * spec.width
-            rounds.append((BCAST, shape, bits))
-            execs.append(
-                _ExecRound(
-                    BCAST, spec, shape, spec.writers, spec.width, None,
-                    len(ids), bits,
-                )
-            )
-    compiled = CompiledSchedule(rounds)
-    compiled.params = (bandwidth, mode)
-    compiled.kernel = execs
-    return compiled
+            execs.append(_ExecRound(spec, spec.writers, None, spec.width, None))
+    return CompiledSchedule((bandwidth, mode), execs)
 
 
 def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray:
+    """``send``'s payloads as a fresh engine-owned ``K × count`` array
+    (``uint64``, or ``object`` ints past the numeric width limit)."""
     if rec.is_object:
-        if not (isinstance(vals, np.ndarray) and vals.dtype == object):
+        if isinstance(vals, np.ndarray) and vals.dtype == object:
+            vals = vals.copy()
+        else:
             arr = np.empty((instances, rec.count), dtype=object)
             try:
                 arr[...] = vals
@@ -599,7 +544,7 @@ def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray
                 ) from exc
             vals = arr
     else:
-        vals = np.asarray(vals, dtype=np.uint64)
+        vals = np.array(vals, dtype=np.uint64)
     if vals.shape != (instances, rec.count):
         raise ProtocolError(
             f"kernel round {r} produced payload shape {vals.shape}, "
@@ -610,7 +555,7 @@ def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray
 
 def _validate_payload(vals: np.ndarray, rec: _ExecRound, r: int) -> None:
     if rec.is_object:
-        widths = rec.spec.widths if rec.kind == LANE else None
+        widths = rec.widths
         if widths is None:
             w = rec.width
             bad = any(v < 0 or (v >> w) for row in vals for v in row)
@@ -629,6 +574,18 @@ def _validate_payload(vals: np.ndarray, rec: _ExecRound, r: int) -> None:
             f"kernel round {r} produced a value that does not fit its "
             f"declared width"
         )
+
+
+def _round_record(rec: _ExecRound, row) -> RoundRecord:
+    """One instance's transcript entry for a delivered round: every
+    declared message as sent, a broadcast once with ``receiver=None``."""
+    widths = [rec.width] * rec.count if rec.widths is None else rec.widths.tolist()
+    return RoundRecord(
+        [
+            (src, dst, Bits(int(value), width))
+            for (src, dst), width, value in zip(rec.links(), widths, row)
+        ]
+    )
 
 
 def execute(
@@ -663,11 +620,6 @@ def execute(
     for hook in program.init_hooks:
         hook(state, kctx)
 
-    lanes = network._kernel_lanes.get(instances)
-    if lanes is None:
-        if len(network._kernel_lanes) >= 4:
-            network._kernel_lanes.clear()
-        lanes = network._kernel_lanes[instances] = [None, None]
     recording = network.record_transcript
     transcripts: Optional[List[List[RoundRecord]]] = (
         [[] for _ in range(instances)] if recording else None
@@ -675,124 +627,30 @@ def execute(
 
     total_bits = 0
     max_round_bits = 0
-    last_lane: Tuple[Any, Any] = (None, None)
-    last_bcast: Tuple[Any, Any] = (None, None)
     for r, rec in enumerate(execs):
         spec = rec.spec
         vals = spec.send(state) if spec.send is not None else None
-        if rec.kind == LANE:
-            lane = lanes[0]
-            if lane is None:
-                lane = lanes[0] = BatchLane(n, instances)
-            struct = rec.struct
-            if rec.count == 0:
-                lane.deliver_kernel(struct, None)
-                arr = None
-            elif (
-                vals is not None
-                and last_lane[0] is struct
-                and last_lane[1] is vals
-                and not recording
-            ):
-                # Zero-churn: the exact (frozen) payload array of the
-                # previous delivery of this structure — already
-                # validated, already in the buffer.
-                lane.deliver_kernel(struct, None)
-                arr = vals
-            else:
-                if vals is None:
-                    raise ProtocolError(
-                        f"kernel round {r} produced no payloads for "
-                        f"{rec.count} declared messages"
-                    )
-                arr = _coerce_payload(vals, rec, instances, r)
-                _validate_payload(arr, rec, r)
-                lane.deliver_kernel(struct, arr)
-                last_lane = (
-                    (struct, vals)
-                    if isinstance(vals, np.ndarray) and not vals.flags.writeable
-                    else (None, None)
-                )
-            values, present = lane.delivered()
-            if faults is not None:
-                # Chaos runs read fault-adjusted *copies*; the lane's
-                # live buffers (incrementally maintained, shared across
-                # rounds) must never see a mutation.
-                values, present = faults.apply_kernel_unicast(
-                    r + 1, values, present, struct.rows, struct.cols,
-                    rec.width, spec.widths,
-                )
-            inbox: Any = KernelUnicastInbox(
-                values, present, rec.width, spec.widths,
-                struct.rows, struct.cols,
+        if rec.count == 0:
+            delivered = np.empty(
+                (instances, 0), dtype=object if rec.is_object else np.uint64
             )
-            if recording and rec.count:
-                rows, cols = struct.rows, struct.cols
-                widths = spec.widths
-                for k in range(instances):
-                    record = RoundRecord()
-                    row_vals = arr[k]
-                    for j in range(rec.count):
-                        w = rec.width if widths is None else int(widths[j])
-                        record.sends.append(
-                            (
-                                int(rows[j]),
-                                int(cols[j]),
-                                Bits(int(row_vals[j]), w),
-                            )
-                        )
-                    transcripts[k].append(record)
-            elif recording:
-                for k in range(instances):
-                    transcripts[k].append(RoundRecord())
+        elif vals is None:
+            raise ProtocolError(
+                f"kernel round {r} produced no payloads for {rec.count} "
+                f"declared {'messages' if rec.dsts is not None else 'writers'}"
+            )
         else:
-            blane = lanes[1]
-            if blane is None:
-                blane = lanes[1] = BatchBroadcastLane(n, instances)
-            writers = rec.writers
-            if rec.count == 0:
-                blane.deliver_kernel(writers, rec.width, None)
-                arr = None
-            elif (
-                vals is not None
-                and last_bcast[0] is rec.struct
-                and last_bcast[1] is vals
-                and not recording
-            ):
-                blane.deliver_kernel(writers, rec.width, None)
-                arr = vals
-            else:
-                if vals is None:
-                    raise ProtocolError(
-                        f"kernel round {r} produced no payloads for "
-                        f"{rec.count} declared writers"
-                    )
-                arr = _coerce_payload(vals, rec, instances, r)
-                _validate_payload(arr, rec, r)
-                blane.deliver_kernel(writers, rec.width, arr)
-                last_bcast = (
-                    (rec.struct, vals)
-                    if isinstance(vals, np.ndarray) and not vals.flags.writeable
-                    else (None, None)
-                )
-            values, present = blane.delivered()
-            if faults is not None:
-                values, present = faults.apply_kernel_broadcast(
-                    r + 1, values, present, writers, rec.width
-                )
-            inbox = KernelBroadcastInbox(values, present, rec.width, writers)
-            if recording:
-                for k in range(instances):
-                    record = RoundRecord()
-                    if rec.count:
-                        row_vals = arr[k]
-                        for j, w in enumerate(writers):
-                            record.sends.append(
-                                (int(w), None, Bits(int(row_vals[j]), rec.width))
-                            )
-                    transcripts[k].append(record)
+            delivered = _coerce_payload(vals, rec, instances, r)
+            _validate_payload(delivered, rec, r)
+        if recording:
+            for k in range(instances):
+                transcripts[k].append(_round_record(rec, delivered[k]))
+        if faults is not None:
+            delivered = faults.apply_kernel(
+                r + 1, delivered, rec.links(), rec.width, rec.widths
+            )
         if spec.recv is not None:
-            spec.recv(state, inbox)
+            spec.recv(state, delivered)
         total_bits += rec.bits
         if rec.bits > max_round_bits:
             max_round_bits = rec.bits
@@ -824,7 +682,7 @@ def execute(
                 total_bits=total_bits,
                 max_round_bits=max_round_bits,
                 transcript=transcripts[k] if recording else None,
-                # One stacked delivery serves every instance, so the
+                # One delivered matrix serves every instance, so the
                 # injected schedule is shared verbatim across them.
                 faults=faults.events if faults is not None else None,
             )

@@ -31,9 +31,10 @@ Execution engines
   executable reference semantics; the equivalence suites pin every
   other engine to it byte-for-byte.
 * ``kernel`` — declared :class:`~repro.core.kernels.KernelProgram`\\ s
-  compiled once into a :class:`~repro.core.compiled.CompiledSchedule`
-  and executed as stacked matrix operations, zero generator steps.
-  Kernel programs are the one compiled path.
+  compiled once into a :class:`~repro.core.kernels.CompiledSchedule`
+  and executed as one matrix operation per round over all nodes and
+  instances, zero generator steps.  Kernel programs are the one
+  compiled path.
 
 ``Network(engine=...)`` names the engine that runs generator programs.
 A kernel program runs on ``kernel`` whatever the network names (it has
@@ -45,9 +46,9 @@ fast engine recycles the underlying buffers, so a program must not stash
 an :class:`Inbox` and read it in a later round (copy what you need).
 
 All cross-run state lives on the :class:`Network` — the kernel engine's
-compiled schedules, the RNG state bundle, the kernel lane buffers
-and the ``schedule_stats`` counters — so the engine modules hold no
-state and serve any number of networks.
+compiled schedules, the RNG state bundle and the ``schedule_stats``
+counters — so the engine modules hold no state and serve any number of
+networks.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
-from repro.core.compiled import CompiledSchedule
 from repro.core.engine import ENGINES
 from repro.core.mailbox import (
     EMPTY_INBOX,
@@ -285,10 +285,10 @@ class Network:
         # Boolean adjacency rows for vectorized CONGEST validation of
         # fixed-width outboxes; built lazily on first use.
         self._adj_mask = None
-        # Compiled kernel schedules, keyed by the program object.
-        # Bounded; correctness never depends on a hit (a miss just
-        # compiles).
-        self._compiled: Dict[Any, CompiledSchedule] = {}
+        # Compiled kernel schedules (repro.core.kernels), keyed by the
+        # program object.  Bounded; correctness never depends on a hit
+        # (a miss just compiles).
+        self._compiled: Dict[Any, Any] = {}
         #: Counters of the kernel engine's compilation layer: schedules
         #: freshly compiled, and instances executed against an already
         #: compiled schedule.
@@ -301,10 +301,6 @@ class Network:
         # per-node streams by cloning state instead of re-hashing the
         # seed strings.
         self._rng_states: Optional[Tuple[Any, List[Any], Any]] = None
-        # Kernel-path delivery buffers, keyed by instance count (see
-        # repro.core.kernels); small bounded cache, correctness never
-        # depends on a hit.
-        self._kernel_lanes: Dict[int, Any] = {}
 
     # -- execution -------------------------------------------------------
 
@@ -337,9 +333,9 @@ class Network:
 
         Every instance's inputs are checked before any runs.  A kernel
         program runs on the kernel engine, which moves all instances
-        through each round as stacked payload matrices
-        (:class:`~repro.core.fastlane.BatchLane`); a generator program
-        runs on the network's ``engine``, one instance after another.
+        through each round as one ``K × count`` payload matrix; a
+        generator program runs on the network's ``engine``, one
+        instance after another.
         """
         inputs_list = list(inputs_list)
         for inputs in inputs_list:
@@ -363,7 +359,7 @@ class Network:
                 "(pass inputs=None for input-free protocols)"
             )
 
-    def _compiled_entry(self, key) -> Optional[CompiledSchedule]:
+    def _compiled_entry(self, key) -> Optional[Any]:
         """The cached schedule for ``key``, evicting it first if the
         network's bandwidth or mode was reassigned since it was
         compiled (the compiled rounds were validated under the old

@@ -392,8 +392,8 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
         def send(state, _r=r):
             return state[key]["frames"][_r]
 
-        def recv(state, inbox):
-            state[key]["got"].append(inbox.gather())
+        def recv(state, delivered):
+            state[key]["got"].append(delivered)
 
         builder.unicast_round(pairs, bandwidth, send, recv)
 
@@ -454,8 +454,8 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
         def send(state, _r=r):
             return state[key]["frames"][_r]
 
-        def recv(state, inbox):
-            state[key]["got"].append(inbox.gather())
+        def recv(state, delivered):
+            state[key]["got"].append(delivered)
 
         builder.broadcast_round(writer_list, bandwidth, send, recv)
 

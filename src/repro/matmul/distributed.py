@@ -42,6 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.circuits.arithmetic import matmul_circuit_naive, matmul_circuit_strassen
 from repro.circuits.circuit import Circuit
 from repro.core.bits import Bits
+from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_unicast
 from repro.graphs.graph import Graph
@@ -89,6 +90,28 @@ def _output_routing_plan(
             order.setdefault((src, row), []).append(gid)
     lengths = {pair: len(gids) for pair, gids in order.items()}
     return order, lengths
+
+
+def _read_reports(
+    received: Dict[int, Bits], witness: Optional[Tuple[int, int]], vertex_bits: int
+) -> Optional[Tuple[int, int]]:
+    """Player 0's aggregation: ``witness`` if it holds one, else the
+    first witness reported, in sender order.  A report that is not
+    ``1 + 2·vertex_bits`` bits long raises :class:`DecodeError` naming
+    its sender."""
+    report_len = 1 + 2 * vertex_bits
+    for sender, payload in sorted(received.items()):
+        if len(payload) != report_len:
+            raise DecodeError(
+                f"player 0 got a {len(payload)}-bit report from node "
+                f"{sender}, expected {report_len} bits"
+            )
+        if payload[0] == 1 and witness is None:
+            witness = (
+                payload[1 : 1 + vertex_bits].to_uint(),
+                payload[1 + vertex_bits :].to_uint(),
+            )
+    return witness
 
 
 def triangle_mm_program(
@@ -161,12 +184,7 @@ def triangle_mm_program(
                 found=found_local is not None, witness=found_local, trials=trials
             )
         received = yield from transmit_unicast(ctx, {}, max_bits=report_len)
-        witness = found_local
-        for _sender, payload in sorted(received.items()):
-            if payload[0] == 1 and witness is None:
-                u = payload[1 : 1 + vertex_bits].to_uint()
-                v = payload[1 + vertex_bits :].to_uint()
-                witness = (u, v)
+        witness = _read_reports(received, found_local, vertex_bits)
         return TriangleMMOutcome(
             found=witness is not None, witness=witness, trials=trials
         )
@@ -319,22 +337,9 @@ def triangle_mm_kernel_program(
                     if wit_u[k, v] < 0
                     else (int(wit_u[k, v]), int(wit_v[k, v]))
                 )
-                if v != 0:
-                    per_node.append(
-                        TriangleMMOutcome(
-                            found=local is not None,
-                            witness=local,
-                            trials=trials,
-                        )
-                    )
-                    continue
                 witness = local
-                if reports is not None:
-                    for _sender, payload in sorted(reports[k][0].items()):
-                        if payload[0] == 1 and witness is None:
-                            u = payload[1 : 1 + vertex_bits].to_uint()
-                            w = payload[1 + vertex_bits :].to_uint()
-                            witness = (u, w)
+                if v == 0 and reports is not None:
+                    witness = _read_reports(reports[k][0], local, vertex_bits)
                 per_node.append(
                     TriangleMMOutcome(
                         found=witness is not None,

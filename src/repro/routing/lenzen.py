@@ -334,10 +334,10 @@ def kernel_route_frames(
         def send(state, _slots=slots):
             return state[key][:, _slots]
 
-        def recv(state, inbox, _slots=slots):
+        def recv(state, delivered, _slots=slots):
             # What the links delivered, not what was sent: the data
             # flow stays on the wire.
-            state[key][:, _slots] = inbox.gather()
+            state[key][:, _slots] = delivered
 
         builder.unicast_round(pairs, frame_size, send, recv)
 

@@ -269,8 +269,8 @@ def _prepare_routing_many(
     twin of ``routing``.  The round structure is identical for every
     instance (it depends only on the demand pattern), so the cell is one
     ``run_many`` sweep over a single routing schedule — on the kernel
-    engine one compiled schedule for all K instances, stacked into
-    K-instance lanes."""
+    engine one compiled schedule for all K instances, each round one
+    ``K × count`` frame matrix."""
     from repro.routing.lenzen import route_kernel_program, route_program
     from repro.routing.schedule import build_schedule
 

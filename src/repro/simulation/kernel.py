@@ -203,8 +203,8 @@ def append_simulation_rounds(
         def send(state):
             return state[vals_key][:, cols].astype(np.uint64)
 
-        def recv(state, inbox):
-            state[vals_key][:, cols] = inbox.gather().astype(np.uint8)
+        def recv(state, delivered):
+            state[vals_key][:, cols] = delivered.astype(np.uint8)
 
         builder.unicast_round(pairs, 1, send, recv)
 
@@ -240,7 +240,7 @@ def append_simulation_rounds(
                 pairs,
                 max(widths),
                 send,
-                lambda state, inbox, _compute=compute: _compute(state),
+                lambda state, delivered, _compute=compute: _compute(state),
                 widths=widths,
             )
         elif heavy is not None:

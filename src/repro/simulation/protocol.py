@@ -46,7 +46,7 @@ group.  Heavy gates keep their reference semantics: senders call
 same vector.  Compiling the view checks that every value a player
 sends or reads is known to it by then; each execution checks that the
 node holds every input the plan says it holds, and that every heavy
-push planned to it arrives.  These failures raise
+push and routed payload planned to it arrives.  These failures raise
 :class:`~repro.core.errors.SimulationPlanError` naming the player and
 the gate.
 """
@@ -284,11 +284,25 @@ class _Columns:
         word = int.from_bytes(np.packbits(vals[self.cols]).tobytes(), "big")
         return {peer: (word >> shift) & mask for peer, _w, shift, mask in self.peers}
 
-    def unpack(self, payloads: Mapping[int, int], vals: np.ndarray) -> None:
-        """Write every peer's payload back into its columns."""
+    def unpack(self, payloads: Mapping[int, int], vals: np.ndarray, me: int) -> None:
+        """Write every peer's payload back into player ``me``'s columns.
+        A payload that never arrived (a dropped frame, a crashed sender)
+        raises :class:`~repro.core.errors.SimulationPlanError` naming
+        the payload's first gate."""
         word = 0
+        offset = 0
         for peer, width, _shift, _mask in self.peers:
-            word = (word << width) | payloads[peer]
+            payload = payloads.get(peer)
+            if payload is None:
+                gate = int(self.cols[offset])
+                raise SimulationPlanError(
+                    f"player {me} never received the payload from gate "
+                    f"{gate} on, which player {peer} routes to it",
+                    me,
+                    gate,
+                )
+            word = (word << width) | payload
+            offset += width
         data = (word << self.pad).to_bytes(self.nbytes, "big")
         vals[self.cols] = np.unpackbits(
             np.frombuffer(data, dtype=np.uint8), count=len(self.cols)
@@ -557,7 +571,7 @@ def _route_round(ctx: Context, route, bandwidth: int, vals: np.ndarray):
         schedule,
     )
     if recv is not None:
-        recv.unpack(received, vals)
+        recv.unpack(received, vals, ctx.node_id)
 
 
 def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, bool]):

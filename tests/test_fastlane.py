@@ -11,20 +11,19 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.fastlane import FixedWidthSchedule, coerce_fixed
-from repro.core.network import Mode, Outbox, run_protocol
+from repro.core.fastlane import coerce_fixed
+from repro.core.network import Mode, Outbox, inbox_uints, run_protocol
 
 
 class TestDelivery:
     def test_all_to_all_uints(self):
         n, width = 6, 8
-        schedule = FixedWidthSchedule(width)
 
         def program(ctx):
             dests = list(ctx.neighbors)
             values = [(ctx.node_id * 10 + d) % 256 for d in dests]
-            inbox = yield schedule.outbox(dests, values)
-            return dict(schedule.uints(inbox))
+            inbox = yield Outbox.fixed_width(dests, values, width)
+            return dict(inbox_uints(inbox))
 
         result = run_protocol(program, n=n, bandwidth=width)
         assert result.rounds == 1
@@ -168,8 +167,6 @@ class TestValidation:
     def test_zero_width_rejected(self):
         with pytest.raises(ValueError):
             Outbox.fixed_width([1], [0], 0)
-        with pytest.raises(ValueError):
-            FixedWidthSchedule(0)
 
     def test_outbox_arrays_are_frozen_copies(self):
         # Validation is memoized per (network, sender); aliasing a
@@ -332,11 +329,9 @@ class TestBroadcastLane:
             assert seen == [expected] * 3
 
     def test_schedule_broadcast_outbox(self):
-        schedule = FixedWidthSchedule(5)
-
         def program(ctx):
-            inbox = yield schedule.broadcast_outbox(ctx.node_id + 10)
-            return sorted(schedule.uints(inbox))
+            inbox = yield Outbox.broadcast_uint(ctx.node_id + 10, 5)
+            return sorted(inbox_uints(inbox))
 
         result = run_protocol(program, n=3, bandwidth=5, mode=Mode.BROADCAST)
         assert result.outputs[0] == [(1, 11), (2, 12)]
@@ -390,16 +385,14 @@ class TestBroadcastValidation:
 
 class TestSchedule:
     def test_outbox_map_and_uints_on_dict_inbox(self):
-        schedule = FixedWidthSchedule(5)
-
         def program(ctx):
-            # Force the scalar path for one node so schedule.uints must
+            # Force the scalar path for one node so inbox_uints must
             # decode an ordinary dict-backed Inbox too.
             if ctx.node_id == 0:
                 inbox = yield Outbox.unicast({1: Bits.from_uint(9, 5)})
             else:
-                inbox = yield schedule.outbox_map({0: 20 + ctx.node_id})
-            return sorted(schedule.uints(inbox))
+                inbox = yield Outbox.fixed_width_map({0: 20 + ctx.node_id}, 5)
+            return sorted(inbox_uints(inbox))
 
         result = run_protocol(program, n=3, bandwidth=5)
         assert result.outputs[0] == [(1, 21), (2, 22)]

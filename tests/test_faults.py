@@ -435,51 +435,179 @@ class TestZeroOverheadPath:
         chaotic.run(dense)
         assert len(lane_rounds) == 1
 
-    def test_kernel_faults_leave_live_buffers_untouched(self):
-        # The kernel fault path edits copies: the lane's delivered()
-        # buffers are live across rounds and must never change.
+
+UNICAST_LINKS = [(0, 1), (1, 2), (2, 0)]
+BROADCAST_LINKS = [(0, None), (1, None), (2, None)]
+LINK_IDS = ["unicast", "broadcast"]
+
+
+class TestKernelFaultKinds:
+    """:meth:`FaultSession.apply_kernel` on flat ``K × count`` payload
+    matrices, one fault kind at a time, for unicast links and for
+    blackboard words (``dst=None``)."""
+
+    @staticmethod
+    def session(links, **plan):
+        broadcast = links[0][1] is None
+        return FaultSession(FaultPlan(**plan), 3, broadcast)
+
+    @staticmethod
+    def sent(*values):
         import numpy as np
 
-        from repro.core.compiled import LaneStructure
-        from repro.core.fastlane import BatchBroadcastLane, BatchLane
+        # Two instances, one column per declared message.
+        return np.array([values, [v + 100 for v in values]], dtype=np.uint64)
 
-        struct = LaneStructure(
-            4,
-            [(0, np.array([1], dtype=np.intp)), (1, np.array([2], dtype=np.intp))],
-        )
-        lane = BatchLane(3, 1)
-        lane.deliver_kernel(struct, np.array([[3, 5]], dtype=np.uint64))
-        live_values, live_present = lane.delivered()
-        session = FaultSession(
-            FaultPlan(triggers={(1, 0, 1): "drop", (1, 1, 2): "corrupt"}), 3, False
-        )
-        values, present = session.apply_kernel_unicast(
-            1, live_values, live_present, struct.rows, struct.cols,
-            struct.width, struct.widths,
-        )
-        assert not present[0, 1] and values[0, 0, 1] == 0
-        assert present[1, 2] and values[0, 1, 2] != 5
-        assert [event.kind for event in session.events] == ["drop", "corrupt"]
-        live_values, live_present = lane.delivered()
-        assert live_present[0, 1] and live_values[0, 0, 1] == 3
-        assert live_present[1, 2] and live_values[0, 1, 2] == 5
+    @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
+    def test_drop_reads_zero_and_leaves_sent_matrix(self, links):
+        src, dst = links[0]
+        session = self.session(links, triggers={(1, src, dst): "drop"})
+        sent = self.sent(3, 5, 7)
+        got = session.apply_kernel(1, sent, links, WIDTH)
+        assert got.tolist() == [[0, 5, 7], [0, 105, 107]]
+        assert sent.tolist() == [[3, 5, 7], [103, 105, 107]]
+        assert session.events == [FaultEvent(1, src, dst, "drop")]
+        # A round no fault touches comes back as the very same array.
+        clean = self.sent(1, 2, 3)
+        assert session.apply_kernel(2, clean, links, WIDTH) is clean
 
-        blane = BatchBroadcastLane(3, 1)
-        blane.deliver_kernel([0, 1], 4, np.array([[3, 5]], dtype=np.uint64))
-        live_values, live_present = blane.delivered()
-        session = FaultSession(
-            FaultPlan(triggers={(1, 0, None): "drop", (1, 1, None): "corrupt"}),
-            3, True,
+    @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
+    def test_corrupt_flips_the_plan_bit(self, links):
+        src, dst = links[1]
+        session = self.session(links, seed=4, triggers={(1, src, dst): "corrupt"})
+        widths = [2, 5, 8]
+        bit = session.plan.corrupt_bit(1, src, dst, widths[1])
+        assert bit < widths[1]
+        sent = self.sent(3, 5, 7)
+        got = session.apply_kernel(1, sent, links, 8, widths)
+        assert got[:, 1].tolist() == [5 ^ (1 << bit), 105 ^ (1 << bit)]
+        assert got[:, [0, 2]].tolist() == sent[:, [0, 2]].tolist()
+        assert sent.tolist() == [[3, 5, 7], [103, 105, 107]]
+        assert session.events == [FaultEvent(1, src, dst, "corrupt", bit)]
+
+    def test_corrupt_on_object_payloads(self):
+        import numpy as np
+
+        session = self.session(UNICAST_LINKS, seed=2, triggers={(1, 2, 0): "corrupt"})
+        sent = np.empty((1, 3), dtype=object)
+        sent[0] = [1 << 80, 2, 3]
+        got = session.apply_kernel(1, sent, UNICAST_LINKS, 90)
+        (event,) = session.events
+        assert got[0].tolist() == [1 << 80, 2, 3 ^ (1 << event.detail)]
+        assert sent[0].tolist() == [1 << 80, 2, 3]
+
+    @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
+    def test_delay_resurfaces_only_into_an_emptied_slot(self, links):
+        src, dst = links[0]
+        session = self.session(
+            links,
+            triggers={(1, src, dst): "delay", (3, src, dst): "drop"},
+            delay_rounds=2,
         )
-        values, present = session.apply_kernel_broadcast(
-            1, live_values, live_present, [0, 1], 4
+        first = session.apply_kernel(1, self.sent(3, 5, 7), links, WIDTH)
+        assert first[:, 0].tolist() == [0, 0]
+        # Round 2 is not due yet; round 3 dropped the fresh message, so
+        # the late payload fills its slot.
+        second = self.sent(4, 6, 8)
+        assert session.apply_kernel(2, second, links, WIDTH) is second
+        third = session.apply_kernel(3, self.sent(30, 50, 70), links, WIDTH)
+        assert third.tolist() == [[3, 50, 70], [103, 150, 170]]
+        assert [(e.round, e.kind, e.detail) for e in session.events] == [
+            (1, "delay", 3),
+            (3, "drop", None),
+        ]
+
+    @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
+    def test_late_payload_never_displaces_a_fresh_one(self, links):
+        src, dst = links[0]
+        session = self.session(links, triggers={(1, src, dst): "delay"})
+        session.apply_kernel(1, self.sent(3, 5, 7), links, WIDTH)
+        fresh = self.sent(4, 6, 8)
+        assert session.apply_kernel(2, fresh, links, WIDTH).tolist() == fresh.tolist()
+        # Nor does it land on a round that does not carry its link.
+        session = self.session(
+            links, triggers={(1, src, dst): "delay", (2, *links[1]): "drop"}
         )
-        assert not present[0] and values[0, 0] == 0
-        assert present[1] and values[0, 1] != 5
-        assert [event.kind for event in session.events] == ["drop", "corrupt"]
-        live_values, live_present = blane.delivered()
-        assert live_present[0] and live_values[0, 0] == 3
-        assert live_present[1] and live_values[0, 1] == 5
+        session.apply_kernel(1, self.sent(3, 5, 7), links, WIDTH)
+        got = session.apply_kernel(2, self.sent(4, 6), links[1:], WIDTH)
+        assert got.tolist() == [[0, 6], [0, 106]]
+
+    @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
+    def test_duplicate_keeps_original_and_fills_an_empty_slot(self, links):
+        src, dst = links[2]
+        session = self.session(
+            links,
+            triggers={(1, src, dst): "duplicate", (2, src, dst): "drop"},
+        )
+        sent = self.sent(3, 5, 7)
+        first = session.apply_kernel(1, sent, links, WIDTH)
+        assert first.tolist() == sent.tolist()
+        second = session.apply_kernel(2, self.sent(4, 6, 8), links, WIDTH)
+        assert second.tolist() == [[4, 6, 7], [104, 106, 107]]
+        assert [(e.round, e.kind, e.detail) for e in session.events] == [
+            (1, "duplicate", 2),
+            (2, "drop", None),
+        ]
+
+    @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
+    def test_crash_omits_from_the_crash_round_on(self, links):
+        session = self.session(links, crashes={1: 2})
+        sent = self.sent(3, 5, 7)
+        assert session.apply_kernel(1, sent, links, WIDTH) is sent
+        for r in (2, 3):
+            got = session.apply_kernel(r, self.sent(3, 5, 7), links, WIDTH)
+            assert got.tolist() == [[3, 0, 7], [103, 0, 107]]
+        assert session.events == [FaultEvent(2, 1, None, "crash")]
+
+    def test_kernel_run_with_explicit_triggers(self):
+        # Each writer broadcasts a 12-bit payload as two 8-bit frames
+        # (a 4-bit length header first); the triggers hit one writer
+        # each and the outputs decode exactly what the slots held.
+        from repro.core.phases import _decode_frames
+
+        n, max_bits = 6, 12
+        payloads = [Bits((v * 1237 + 5) & 0xFFF, max_bits) for v in range(n)]
+        frames = [_frame_payload(p, max_bits, 2, WIDTH) for p in payloads]
+        plan = FaultPlan(
+            seed=3,
+            triggers={
+                (1, 0, None): "drop",
+                (1, 1, None): "duplicate",
+                (2, 1, None): "drop",
+                (2, 2, None): "corrupt",
+                (1, 3, None): "delay",
+                (2, 3, None): "drop",
+            },
+            crashes={4: 2},
+        )
+        bit = plan.corrupt_bit(2, 2, None, WIDTH)
+        heard = [
+            [0, frames[0][1]],
+            [frames[1][0], frames[1][0]],
+            [frames[2][0], frames[2][1] ^ (1 << bit)],
+            [0, frames[3][0]],
+            [frames[4][0], 0],
+            frames[5],
+        ]
+        program = transmit_broadcast_kernel_program(
+            n, WIDTH, list(range(n)), max_bits=max_bits
+        )
+        result = Network(
+            n=n, bandwidth=WIDTH, mode=Mode.BROADCAST, engine="kernel",
+            fault_plan=plan,
+        ).run(program, inputs=payloads)
+        decoded = [_decode_frames(f, WIDTH, max_bits) for f in heard]
+        for v, out in enumerate(result.outputs):
+            assert out == {w: decoded[w] for w in range(n) if w != v}
+        assert result.faults == [
+            FaultEvent(1, 0, None, "drop"),
+            FaultEvent(1, 1, None, "duplicate", 2),
+            FaultEvent(1, 3, None, "delay", 2),
+            FaultEvent(2, 1, None, "drop"),
+            FaultEvent(2, 2, None, "corrupt", bit),
+            FaultEvent(2, 3, None, "drop"),
+            FaultEvent(2, 4, None, "crash"),
+        ]
 
 
 class TestRoundLimitWatchdog:
@@ -663,6 +791,35 @@ class TestDeliveryErrorContext:
             network = Network(n=3, bandwidth=WIDTH, engine=engine)
             with pytest.raises(BandwidthExceededError, match="in round 2"):
                 network.run(program)
+
+
+class TestTheorem2Chaos:
+    """The Theorem 2 protocols under corrupt+drop plans, on every
+    engine: a cell may fail, but only with a ``ReproError`` — a routed
+    payload that never arrives raises ``SimulationPlanError``, a
+    triangle report of the wrong length ``DecodeError``."""
+
+    @pytest.mark.parametrize("protocol", ["circuit_simulation", "triangle_mm"])
+    def test_failures_are_repro_errors(self, protocol):
+        from repro.core import errors
+        from repro.scenarios import ScenarioMatrix
+
+        failed = []
+        for seed in range(1, 5):
+            result = ScenarioMatrix(
+                [protocol], ["gnp", "complete"], [6, 8],
+                engines=["legacy", "fast", "kernel"],
+                seed=seed,
+                fault_plan=FaultPlan(seed=seed, corrupt_rate=0.08, drop_rate=0.05),
+            ).run()
+            failed += [c for c in result.cells if c.status == "failed"]
+        assert failed, "the plans never broke a run — retune the sweep"
+        bare = [
+            (c.family, c.n, c.engine, c.error)
+            for c in failed
+            if not issubclass(getattr(errors, c.error_type or "", type), ReproError)
+        ]
+        assert bare == []
 
 
 class TestSelfCheckingMatrix:

@@ -15,7 +15,6 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.fastlane import FixedWidthSchedule
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode, Network, Outbox
 from repro.routing.lenzen import BitRoute, payload_demand
@@ -36,19 +35,21 @@ def echo_sum_programs(n, width, rounds):
     others each round; output is the final round's received sum."""
 
     def gen_program(ctx):
-        schedule = FixedWidthSchedule(width)
         me = ctx.node_id
         total = 0
         for r in range(rounds):
-            inbox = yield schedule.outbox(
+            inbox = yield Outbox.fixed_width(
                 list(ctx.neighbors),
                 [(me * 17 + r) % (1 << width)] * (n - 1),
+                width,
             )
             total = sum(value for _, value in inbox.uint_items())
         return total
 
     builder = KernelBuilder(n, Mode.UNICAST)
     pairs = [(v, [u for u in range(n) if u != v]) for v in range(n)]
+    # Receiver of each message, in flat structure order.
+    cols = np.asarray([u for _, dests in pairs for u in dests], dtype=np.intp)
 
     def init(state, kctx):
         state["total"] = np.zeros((kctx.instances, n), dtype=np.int64)
@@ -68,11 +69,11 @@ def echo_sum_programs(n, width, rounds):
 
         return send
 
-    def recv(state, inbox):
-        got = inbox.gather().astype(np.int64)
+    def recv(state, delivered):
+        got = delivered.astype(np.int64)
         total = np.zeros_like(state["total"])
         for k in range(total.shape[0]):
-            np.add.at(total[k], inbox.cols, got[k])
+            np.add.at(total[k], cols, got[k])
         state["total"] = total
 
     for r in range(rounds):
@@ -153,8 +154,8 @@ class TestBroadcastEquivalence:
 
             return send
 
-        def recv(state, inbox):
-            got = inbox.gather().astype(np.int64)  # (K, writers)
+        def recv(state, delivered):
+            got = delivered.astype(np.int64)  # (K, writers)
             total = got.sum(axis=1)  # every node hears all writers...
             heard = total[:, None] - np.zeros((1, n), dtype=np.int64)
             # ...except itself (no echo): subtract own word where a
@@ -418,35 +419,35 @@ class TestCompiledInteraction:
         assert network.schedule_stats["compiled"] == 40
         assert len(network._compiled) <= 32
 
-    def test_chunk_budget(self, monkeypatch):
-        from repro.core.engine import delivery
-
-        assert delivery.batch_chunk_size(8) == max(1, (64 << 20) // (8 * 8 * 8))
-        monkeypatch.setattr(delivery, "DEFAULT_CHUNK_BYTES", 8 * 8 * 8)
-        assert delivery.batch_chunk_size(8) == 1
-
     def test_compiled_rounds_match_lane_shape(self):
-        from repro.core.compiled import LANE
-
         n = 4
         _gen, kernel_program = echo_sum_programs(n, 8, 3)
         network = Network(n=n, bandwidth=8)
         network.run(kernel_program)
         entry = network._compiled[kernel_program]
-        assert len(entry.rounds) == 3
-        for kind, struct, bits in entry.rounds:
-            assert kind == LANE
-            assert struct.count == n * (n - 1)
-            assert bits == struct.bits() == n * (n - 1) * 8
+        assert len(entry.kernel) == 3
+        for rec in entry.kernel:
+            assert rec.dsts is not None  # a unicast round
+            assert rec.count == n * (n - 1)
+            assert rec.bits == n * (n - 1) * 8
+            assert sorted(rec.links()) == [
+                (v, u) for v in range(n) for u in range(n) if u != v
+            ]
 
 
-class TestZeroChurn:
-    def test_frozen_payload_skips_rewrite(self):
-        """A frozen array re-yielded for the same structure is delivered
-        without re-validation or re-writing — and the results stay
-        identical to a fresh-array run."""
+class TestPayloadOwnership:
+    """The engine copies what ``send`` returns and ``recv`` owns what it
+    is handed: neither side's array aliases the other's."""
+
+    def all_to_all(self, n):
+        return [(v, [u for u in range(n) if u != v]) for v in range(n)]
+
+    def test_frozen_payload_matches_fresh(self):
+        """A read-only array re-sent for the same structure round after
+        round is read and validated every round, with results identical
+        to a fresh-array run."""
         n, width, rounds = 6, 16, 8
-        pairs = [(v, [u for u in range(n) if u != v]) for v in range(n)]
+        pairs = self.all_to_all(n)
 
         def build(freeze):
             builder = KernelBuilder(n)
@@ -469,8 +470,8 @@ class TestZeroChurn:
             def send(state):
                 return state["vals"]
 
-            def recv(state, inbox):
-                state["seen"].append(int(inbox.gather().sum()))
+            def recv(state, delivered):
+                state["seen"].append(int(delivered.sum()))
 
             for _ in range(rounds):
                 builder.unicast_round(pairs, width, send, recv)
@@ -486,32 +487,40 @@ class TestZeroChurn:
         fresh = Network(n=n, bandwidth=width).run(build(freeze=False))
         assert result_tuple(frozen) == result_tuple(fresh)
 
-    def test_broadcast_shapes_interned(self):
-        # Repeated broadcast rounds of one shape must share one compiled
-        # payload object — the identity the zero-churn skip keys on.
-        n, width, rounds = 5, 8, 4
-        builder = KernelBuilder(n, Mode.BROADCAST)
+    @pytest.mark.parametrize("mode", [Mode.UNICAST, Mode.BROADCAST])
+    def test_recv_mutation_leaves_send_array_alone(self, mode):
+        n, width, rounds = 5, 8, 3
+        builder = KernelBuilder(n, mode)
+        count = n if mode is Mode.BROADCAST else n * (n - 1)
 
         def init(state, kctx):
-            values = np.arange(n, dtype=np.uint64)[None, :].repeat(
+            state["payload"] = np.arange(count, dtype=np.uint64)[None, :].repeat(
                 kctx.instances, axis=0
             )
-            values.flags.writeable = False
-            state["values"] = values
+            state["seen"] = []
+
+        def send(state):
+            return state["payload"]
+
+        def recv(state, delivered):
+            assert delivered is not state["payload"]
+            state["seen"].append(delivered.copy())
+            delivered[...] = 0  # the program owns what it is handed
 
         builder.on_init(init)
         for _ in range(rounds):
-            builder.broadcast_round(
-                list(range(n)), width, lambda state: state["values"]
-            )
+            if mode is Mode.BROADCAST:
+                builder.broadcast_round(list(range(n)), width, send, recv)
+            else:
+                builder.unicast_round(self.all_to_all(n), width, send, recv)
         program = builder.build(
-            lambda state, kctx: [[None] * n for _ in range(kctx.instances)]
+            lambda state, kctx: [[state["seen"]] * n for _ in range(kctx.instances)]
         )
-        network = Network(n=n, bandwidth=width, mode=Mode.BROADCAST)
-        result = network.run(program)
-        assert result.total_bits == n * width * rounds
-        entry = network._compiled[program]
-        assert len({id(payload) for _kind, payload, _bits in entry.rounds}) == 1
+        result = Network(n=n, bandwidth=width, mode=mode).run(program)
+        seen = result.outputs[0]
+        assert len(seen) == rounds
+        for got in seen:
+            assert got.tolist() == [list(range(count))]
 
 
 class TestTranscripts:
@@ -589,8 +598,8 @@ class TestFuzzEquivalence:
                     return out
                 return np.asarray([_vals], dtype=np.uint64)
 
-            def recv(state, inbox, _links=flat_links):
-                got = inbox.gather()[0]
+            def recv(state, delivered, _links=flat_links):
+                got = delivered[0]
                 per_node = [[] for _ in range(n)]
                 for (src, dst), value in zip(_links, got):
                     per_node[dst].append((src, int(value)))
