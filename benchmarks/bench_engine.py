@@ -49,8 +49,8 @@ dispatch overhead over a bare loop of ``run_coordinate`` calls at
 1.05x.
 
 An ``analysis`` section runs the static protocol verifier
-(:mod:`repro.analysis`) over the registry — structure extraction,
-bandwidth-budget checks, registry consistency — and aborts the
+(:mod:`repro.analysis`) over the registry — bandwidth budgets checked
+against each prepared instance, registry consistency — and aborts the
 benchmark on any violation: numbers measured against an unproven
 registry are not published.
 
@@ -545,7 +545,7 @@ def bench_scenario_matrix(quick, repeats):
 
 def bench_analysis(quick):
     """Static-analysis gate inside the benchmark report: the verifier
-    must pass every registered protocol (structure + budget + registry
+    must pass every registered protocol (budget at prepare + registry
     consistency) at the analyzed sizes — a benchmark run over
     an unproven registry is not a result worth publishing."""
     from repro.analysis.verifier import analyze_all
@@ -661,7 +661,7 @@ def bench_sharded(quick, repeats):
             cells = matrix.run_coordinate(
                 spec, family, n, matrix.ordered_engines()
             )
-            matrix._finalize_coordinate(spec, family, n, cells)
+            matrix._finalize_coordinate(cells)
             result.cells.extend(cells)
         return result
 
@@ -833,7 +833,7 @@ def main(argv=None):
         "sharded_serial_overhead": sharded["serial_dispatch_overhead"],
         "sharded_digest_match": sharded["digest_match"],
         "sharded_worker_counts": sorted(sharded["pool"]),
-        "analysis_violations": analysis["violation_count"],
+        "analysis_violation_count": analysis["violation_count"],
     }
     report = {
         "generated_by": "benchmarks/bench_engine.py",

@@ -2,11 +2,11 @@
 
 Two acts:
 
-1. check the registry — every shipped protocol's communication
-   structure (declared for kernel programs, traced for generator
-   programs) and bandwidth budget verified;
+1. check the registry — every shipped protocol's declared message
+   width checked against its bandwidth budget, from ``prepare`` alone;
 2. catch an over-budget protocol whose messages outgrow its declared
-   O(log n) envelope.
+   O(log n) envelope, in the analyzer and in a scenario sweep, where
+   the coordinate fails before any engine runs.
 
 Run:  PYTHONPATH=src python examples/analyze_protocols.py
 """
@@ -20,6 +20,7 @@ from repro.analysis import (
     check_registry,
 )
 from repro.core import Bits, Mode, Outbox
+from repro.scenarios import PROTOCOLS, ScenarioMatrix
 from repro.scenarios.registry import PreparedScenario, ProtocolSpec
 
 
@@ -30,7 +31,6 @@ def main() -> None:
         budget = analysis.budget
         print(
             f"{analysis.protocol:<20} n={analysis.n:<3} "
-            f"rounds {analysis.rounds:>4}  "
             f"width {budget.observed:>3} <= {budget.allowed:<4} "
             f"[{analysis.protocol and budget.detail.split(';')[0]}]"
         )
@@ -67,10 +67,18 @@ def main() -> None:
         print(f"violation: {violation}")
     assert not analysis.ok
 
+    PROTOCOLS[spec.name] = spec
+    try:
+        (cell,) = ScenarioMatrix([spec.name], ["gnp"], [8], engines=["legacy"]).run().cells
+    finally:
+        del PROTOCOLS[spec.name]
+    print(f"sweep cell: {cell.status}, {cell.error} (rounds run: {cell.rounds})")
+    assert cell.error_type == "BandwidthExceededError" and cell.rounds is None
+
     print()
-    print("Every claim checked before a single experiment ran: that is")
-    print("the point — model-breaking widths are caught at analysis time,")
-    print("not as a failed sweep.")
+    print("Every width checked from prepare alone: model-breaking widths")
+    print("are caught before a single round runs, by the analyzer and by")
+    print("every sweep.")
 
 
 if __name__ == "__main__":

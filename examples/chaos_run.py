@@ -11,9 +11,10 @@ Three acts:
    recovers dropped payloads, a redundant (majority-vote) broadcast
    outvotes corrupted ones, and a ``round_limit`` watchdog bounds the
    whole run.
-3. A ``ScenarioMatrix`` chaos sweep with ``verify="cross-engine"``:
-   every cell runs faulted, clean, and on a second engine, and the
-   report shows each injected fault was detected — no silent passes.
+3. A ``ScenarioMatrix`` chaos sweep on both engines: every cell runs
+   faulted and clean, is checked against the legacy reference cell,
+   and the report shows each injected fault was detected — no silent
+   passes.
 
 Run:  PYTHONPATH=src python examples/chaos_run.py
 """
@@ -92,7 +93,6 @@ def act_three_self_checking_sweep():
         engines=["legacy", "fast"],
         seed=3,
         fault_plan=plan,
-        verify="cross-engine",
     )
     result = matrix.run()
     injected = result.injected_cells()

@@ -1,5 +1,5 @@
 """Analysis layer: predicted bounds, report tables, and the static
-protocol verifier (structure extraction, bandwidth budgets, registry
+protocol verifier (bandwidth budgets checked at prepare, registry
 consistency, determinism lint — see ``python -m repro.analysis``)."""
 
 from repro.analysis.bounds import (
@@ -14,15 +14,11 @@ from repro.analysis.bounds import (
     theorem22_lb_rounds,
     theorem24_lb_rounds,
 )
-from repro.analysis.budget import BandwidthBudget, BudgetCheck, check_budget, log2_ceil
+from repro.analysis.budget import (
+    BandwidthBudget, BudgetCheck, check_budget, check_prepared, log2_ceil,
+)
 from repro.analysis.lint import LintFinding, lint_file, lint_paths, lint_source
 from repro.analysis.reporting import Table, fmt, geometric_mean, ratio
-from repro.analysis.structure import (
-    ProtocolStructure,
-    RoundShape,
-    kernel_structure,
-    trace_structure,
-)
 
 # The verifier imports the scenario registry, which itself imports
 # repro.analysis.budget (budgets live on ProtocolSpec); loading it lazily
@@ -64,14 +60,11 @@ __all__ = [
     "BandwidthBudget",
     "BudgetCheck",
     "check_budget",
+    "check_prepared",
     "log2_ceil",
     "LintFinding",
     "lint_source",
     "lint_file",
     "lint_paths",
-    "ProtocolStructure",
-    "RoundShape",
-    "kernel_structure",
-    "trace_structure",
     *_VERIFIER_EXPORTS,
 ]

@@ -1,11 +1,13 @@
 """``python -m repro.analysis`` — the static protocol verifier CLI.
 
-Runs the analysis passes (structure extraction, bandwidth budgets,
-registry consistency, determinism lint) over the registered protocols
-and prints a human report; ``--json`` additionally writes the
-machine-readable artifact CI uploads, and ``--strict`` turns any
-violation into exit code 1 — the hard-gate mode the CI ``analysis`` job
-runs.
+Runs the analysis passes (bandwidth budgets checked against each
+prepared instance, registry consistency, determinism lint) over the
+registered protocols — preparing them, never running one — and prints
+a human report with one budget row per protocol × n; ``--json``
+additionally writes the machine-readable artifact CI uploads, and
+``--strict`` turns any violation into exit code 1 — the hard-gate mode
+the CI ``analysis`` job runs.  An unknown ``--protocol`` or
+``--family`` name exits 2.
 
 Examples::
 
@@ -24,6 +26,8 @@ from typing import List, Optional
 
 from repro.analysis.reporting import Table
 from repro.analysis.verifier import DEFAULT_SIZES, AnalysisReport, analyze_all
+from repro.scenarios.families import family_names
+from repro.scenarios.registry import protocol_names
 
 
 def _parse_sizes(text: str) -> List[int]:
@@ -52,8 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scope.add_argument(
         "--protocol",
         action="append",
+        choices=protocol_names(),
         metavar="NAME",
-        help="analyze only the named protocol (repeatable)",
+        help=f"analyze only the named protocol (repeatable; known: {protocol_names()})",
     )
     parser.add_argument(
         "--sizes",
@@ -65,7 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--family",
         default="gnp",
-        help="graph family for probe instances (default gnp)",
+        choices=family_names(),
+        metavar="NAME",
+        help=f"graph family for probe instances (default gnp; known: {family_names()})",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -119,7 +126,7 @@ def _render(report: AnalysisReport, out) -> None:
         table.add_row(
             analysis.protocol,
             analysis.n,
-            analysis.observed_width if analysis.observed_width is not None else "-",
+            analysis.budget.observed if analysis.budget is not None else "-",
             (
                 f"{analysis.budget.observed}<={analysis.budget.allowed}"
                 f" [{budget.describe()}]"

@@ -1,4 +1,4 @@
-"""Bandwidth budgets: declared per-round bit bounds, checked statically.
+"""Bandwidth budgets: declared per-message bit bounds, checked at prepare.
 
 The congested clique's defining constraint is the per-round message
 width — :math:`O(\\log n)` bits per link in the paper's CLIQUE-UCAST,
@@ -10,17 +10,17 @@ concrete bound: a protocol declares the coefficients of
 
     \\text{bits}(n) = \\text{flat}
         + \\text{log\\_coeff} \\cdot L
-        + \\text{log\\_sq\\_coeff} \\cdot L^2
-        + \\text{linear\\_coeff} \\cdot n,
+        + \\text{log\\_sq\\_coeff} \\cdot L^2,
     \\qquad L = \\lceil \\log_2 \\max(2, n) \\rceil
 
-and the analyzer verifies that the protocol's worst-case per-message
-width (its declared network ``bandwidth``) never exceeds the budget at
-any analyzed ``n``.  The :math:`L^2` term admits the paper's
-simulation-based protocols, whose word size carries a
-:math:`\\log^2 n` factor from pointer-per-level encodings; the linear
-term exists only so deliberately over-budget *fixtures* can be written —
-no registered protocol uses it.
+and :func:`check_prepared` compares a prepared instance's declared
+network ``bandwidth`` against it.  Every engine rejects a message wider than
+that bandwidth, so the comparison needs ``prepare`` alone: the scenario
+matrix makes it once per coordinate before any engine runs, and
+``python -m repro.analysis`` makes it per protocol × n.  The
+:math:`L^2` term admits the paper's simulation-based protocols, whose
+word size carries a :math:`\\log^2 n` factor from pointer-per-level
+encodings.
 
 This module is dependency-free (no imports from the scenario layer) so
 :mod:`repro.scenarios.registry` can attach budgets to its specs without
@@ -30,9 +30,9 @@ an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-__all__ = ["BandwidthBudget", "BudgetCheck", "check_budget", "log2_ceil"]
+__all__ = ["BandwidthBudget", "BudgetCheck", "check_budget", "check_prepared", "log2_ceil"]
 
 
 def log2_ceil(n: int) -> int:
@@ -50,7 +50,6 @@ class BandwidthBudget:
     flat: int = 0
     log_coeff: int = 0
     log_sq_coeff: int = 0
-    linear_coeff: int = 0
 
     def bits(self, n: int) -> int:
         """The budgeted maximum message width at problem size ``n``."""
@@ -59,21 +58,11 @@ class BandwidthBudget:
             self.flat
             + self.log_coeff * level
             + self.log_sq_coeff * level * level
-            + self.linear_coeff * int(n)
         )
-
-    @property
-    def is_loglinear(self) -> bool:
-        """True when the budget is :math:`O(\\mathrm{polylog}\\,n)` —
-        i.e. it respects the clique model's word-size regime (no linear
-        term)."""
-        return self.linear_coeff == 0
 
     def describe(self) -> str:
         """Human form, e.g. ``"2*log(n) + 9"`` or ``"16*log^2(n)"``."""
         terms = []
-        if self.linear_coeff:
-            terms.append(f"{self.linear_coeff}*n")
         if self.log_sq_coeff:
             terms.append(f"{self.log_sq_coeff}*log^2(n)")
         if self.log_coeff:
@@ -106,8 +95,8 @@ class BudgetCheck:
 def check_budget(
     budget: Optional[BandwidthBudget], n: int, observed_bits: int
 ) -> BudgetCheck:
-    """Compare a protocol's observed worst-case message width against
-    its declared budget at size ``n``.
+    """Compare a protocol's worst-case message width against its
+    declared budget at size ``n``.
 
     A missing budget is itself a violation in strict mode — every
     registered protocol must state its width bound explicitly.
@@ -123,13 +112,22 @@ def check_budget(
     allowed = budget.bits(n)
     ok = observed_bits <= allowed
     detail = (
-        f"width {observed_bits} <= {allowed} = {budget.describe()} @ n={n}"
+        f"declared width {observed_bits} <= {allowed} = {budget.describe()} @ n={n}"
         if ok
         else (
-            f"width {observed_bits} EXCEEDS budget "
+            f"declared width {observed_bits} EXCEEDS budget "
             f"{allowed} = {budget.describe()} @ n={n}"
         )
     )
     return BudgetCheck(
         n=n, allowed=allowed, observed=observed_bits, ok=ok, detail=detail
     )
+
+
+def check_prepared(
+    budget: Optional[BandwidthBudget], n: int, prepared: Any
+) -> BudgetCheck:
+    """:func:`check_budget` for a prepared scenario: its width is the
+    network ``bandwidth`` it declares, the widest message any engine
+    accepts from it."""
+    return check_budget(budget, n, int(prepared.network_kwargs.get("bandwidth", 0)))

@@ -2,11 +2,11 @@
 
 Pulls the analysis passes together against the scenario registry:
 
-* per protocol × n, the communication structure of every program
-  flavour the spec ships (read off the declaration for kernel programs,
-  traced on the legacy engine for generator programs), and a
-  :class:`~repro.analysis.budget.BudgetCheck` of the widest message —
-  observed or declared — against the spec's ``bandwidth_budget``;
+* per protocol × n, a :class:`~repro.analysis.budget.BudgetCheck` of
+  the prepared instance's declared network ``bandwidth`` against the
+  spec's ``bandwidth_budget``.  Every engine rejects a message wider
+  than that bandwidth, so the declared width bounds every message a run
+  can send, and the check needs ``prepare`` alone — no program runs;
 * one registry-consistency pass (:func:`check_registry`): every engine a
   spec claims must have a program flavour to run, of the kind that
   engine runs, and every engine it *doesn't* claim is explained
@@ -14,9 +14,10 @@ Pulls the analysis passes together against the scenario registry:
   ``unsupported`` cells);
 * optionally, the determinism lint over ``src/repro``.
 
-:func:`analyze_all` is what ``python -m repro.analysis`` and the
-``ScenarioMatrix(analyze=True)`` integration call; its
+:func:`analyze_all` is what ``python -m repro.analysis`` calls; its
 :class:`AnalysisReport` serializes to the JSON artifact CI uploads.
+Every scenario-matrix coordinate makes the same budget check right
+after ``prepare`` (:meth:`~repro.scenarios.matrix.ScenarioMatrix.run_coordinate`).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.budget import BudgetCheck, check_budget
+from repro.analysis.budget import BudgetCheck, check_prepared
 from repro.analysis.lint import LintFinding, lint_paths
-from repro.analysis.structure import kernel_structure, trace_structure
 
 __all__ = [
     "ProtocolAnalysis",
@@ -39,9 +39,9 @@ __all__ = [
     "DEFAULT_SIZES",
 ]
 
-#: Sizes the CLI analyzes by default: small enough that tracing every
-#: protocol stays in CI-smoke territory, large enough that log-term
-#: budgets actually bind.
+#: Sizes the CLI analyzes by default: small enough that preparing
+#: every protocol stays in CI-smoke territory, large enough that
+#: log-term budgets actually bind.
 DEFAULT_SIZES = (6, 8)
 
 
@@ -53,10 +53,6 @@ class ProtocolAnalysis:
     n: int
     family: str
     budget: Optional[BudgetCheck] = None
-    #: Widest message the structure extraction actually saw (traced or
-    #: declared) — the evidence behind the budget check.
-    observed_width: Optional[int] = None
-    rounds: Optional[int] = None
     violations: List[str] = field(default_factory=list)
     error: Optional[str] = None
 
@@ -70,8 +66,6 @@ class ProtocolAnalysis:
             "n": self.n,
             "family": self.family,
             "budget": self.budget.to_dict() if self.budget else None,
-            "observed_width": self.observed_width,
-            "rounds": self.rounds,
             "violations": list(self.violations),
             "error": self.error,
             "ok": self.ok,
@@ -103,11 +97,12 @@ def analyze_protocol(
     family: str = "gnp",
     seed: int = 0,
 ) -> ProtocolAnalysis:
-    """Run the static passes on one registered protocol at size ``n``.
+    """Check one registered protocol's bandwidth budget at size ``n``.
 
     The instance is drawn the same way a matrix cell would draw it
-    (family rng keyed on a stable coordinate), so analyzer verdicts
-    describe the same population of runs the sweeps execute.
+    (family rng keyed on a stable coordinate) and prepared; its declared
+    network ``bandwidth`` is then checked against the spec's budget.
+    No program runs.
     """
     from repro.scenarios.families import get_family
 
@@ -119,37 +114,7 @@ def analyze_protocol(
     except Exception as exc:  # noqa: BLE001 - isolate per coordinate
         analysis.error = f"prepare failed: {type(exc).__name__}: {exc}"
         return analysis
-
-    observed_width = 0
-    rounds = None
-    for flavour, program in sorted(prepared.programs.items()):
-        try:
-            if getattr(program, "is_kernel_program", False):
-                structure = kernel_structure(program)
-            else:
-                structure = trace_structure(
-                    program, prepared.inputs, prepared.network_kwargs,
-                    seed=seed,
-                )
-        except Exception as exc:  # noqa: BLE001 - isolate per flavour
-            analysis.violations.append(
-                f"{flavour}: structure extraction crashed: "
-                f"{type(exc).__name__}: {exc}"
-            )
-            continue
-        observed_width = max(observed_width, structure.max_message_width)
-        if rounds is None:
-            rounds = structure.num_rounds
-
-    # The budget binds the *declared* per-message width (what the
-    # protocol demands of the model), which dominates every width the
-    # structure extraction observed.
-    declared_width = int(prepared.network_kwargs.get("bandwidth", 0))
-    analysis.observed_width = max(observed_width, declared_width)
-    analysis.rounds = rounds
-    analysis.budget = check_budget(
-        spec.bandwidth_budget, n, analysis.observed_width
-    )
+    analysis.budget = check_prepared(spec.bandwidth_budget, n, prepared)
     if not analysis.budget.ok:
         analysis.violations.append(f"budget: {analysis.budget.detail}")
     return analysis
@@ -292,8 +257,8 @@ def analyze_all(
     """Run every pass over the registered protocols.
 
     ``lint_roots=None`` skips the lint pass (the CLI passes the
-    ``src/repro`` tree; library callers like the matrix integration
-    usually only want the per-protocol verdicts).
+    ``src/repro`` tree; library callers usually only want the
+    per-protocol verdicts).
     """
     from repro.scenarios.registry import PROTOCOLS, get_protocol
 

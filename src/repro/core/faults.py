@@ -50,8 +50,8 @@ resurfaces when a later round's declared structure carries the same
 link and that slot is empty; the recorded *schedule* (the
 :class:`FaultEvent` list) is identical across engines even where the
 observable effect is capability-limited — divergence between engines
-under faults is exactly what ``verify="cross-engine"`` sweeps exist to
-surface.
+under faults is exactly what a scenario sweep over several engines
+surfaces, as cells that do not match their coordinate's reference.
 """
 
 from __future__ import annotations

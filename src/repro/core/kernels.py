@@ -186,32 +186,6 @@ class KernelProgram:
             f"rounds={len(self.rounds)})"
         )
 
-    def declared_structure(self):
-        """Per-round communication shape, read off the declarations
-        without executing any send/recv callback.
-
-        Returns a list with one entry per round: ``("unicast",
-        message_count, max_width, total_bits)`` for a
-        :class:`UnicastRound`, ``("broadcast", writer_count, width,
-        total_bits)`` for a :class:`BroadcastRound`.  This is the static
-        analyzer's entry point — kernel programs declare their entire
-        structure up front, so obliviousness holds by construction and
-        worst-case per-round bit counts are exact.
-        """
-        shapes = []
-        for rnd in self.rounds:
-            if isinstance(rnd, UnicastRound):
-                count = sum(int(dests.size) for _, dests in rnd.pairs)
-                if rnd.widths is not None:
-                    total = int(rnd.widths.sum())
-                else:
-                    total = count * rnd.width
-                shapes.append(("unicast", count, rnd.width, total))
-            else:
-                writers = int(rnd.writers.size)
-                shapes.append(("broadcast", writers, rnd.width, writers * rnd.width))
-        return shapes
-
 
 def _as_dests(dests, sender: int, n: int) -> np.ndarray:
     arr = np.asarray(dests, dtype=np.intp).reshape(-1).copy()

@@ -18,9 +18,11 @@ journaling and resume:
     # exits non-zero on corruption
     python -m repro.scenarios --journal-verify sweep.jsonl
 
-Exit status is non-zero when any cell mismatches the reference digest,
-fails validation or execution, or diverges cross-engine — so the CLI
-slots directly into CI jobs.
+Exit status is 1 when any cell fails execution or validation or does
+not match its coordinate's reference cell — so the CLI slots directly
+into CI jobs — and 2 when the sweep cannot run as asked (an unknown or
+repeated name, ``--repeats`` below 1, ``--cell-timeout`` without
+``--workers``).
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--protocols", nargs="+", default=None, metavar="NAME",
+        choices=protocol_names(),
         help=f"protocols to sweep (default: all; known: {protocol_names()})",
     )
     parser.add_argument(
         "--families", nargs="+", default=["gnp", "cycle"], metavar="NAME",
+        choices=family_names(),
         help=f"graph families (default: gnp cycle; known: {family_names()})",
     )
     parser.add_argument(
@@ -58,15 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="sweep base seed")
     parser.add_argument(
-        "--repeats", type=int, default=1, help="timing samples per cell"
-    )
-    parser.add_argument(
-        "--verify", choices=["cross-engine"], default=None,
-        help="re-run every ok cell on a witness engine and compare digests",
-    )
-    parser.add_argument(
-        "--analyze", action="store_true",
-        help="run the static verifier on every (protocol, family, n)",
+        "--repeats", type=int, default=1,
+        help="timing samples per cell (at least 1)",
     )
     parser.add_argument(
         "--round-limit", type=int, default=DEFAULT_CELL_ROUND_LIMIT,
@@ -127,8 +124,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             engines=args.engines,
             seed=args.seed,
             repeats=args.repeats,
-            verify=args.verify,
-            analyze=args.analyze,
             cell_round_limit=args.round_limit or None,
         )
     except ValueError as exc:

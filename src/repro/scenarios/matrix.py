@@ -14,18 +14,28 @@ backends compute the same function.
 Self-checking execution
 -----------------------
 
-Two orthogonal chaos facilities ride the sweep:
+Every cell is judged from its own run and its coordinate's
+``prepare``; nothing runs a cell twice to check it:
 
-* ``verify="cross-engine"`` re-runs every ok cell on a second engine
-  and compares digests — a structured divergence report
-  (:meth:`MatrixResult.fault_reports`) instead of a silent wrong
-  answer.
+* **Bandwidth budget** — right after ``prepare``,
+  :meth:`ScenarioMatrix.run_coordinate` checks the prepared network
+  ``bandwidth`` against the spec's
+  :class:`~repro.analysis.budget.BandwidthBudget`.  An over-budget
+  coordinate fails every supported cell with
+  :class:`~repro.core.errors.BandwidthExceededError` before any engine
+  runs (every engine rejects a message wider than that bandwidth, so
+  this one check bounds every message).
+* **Reference digest** — the cell of the coordinate's first supported
+  engine in :meth:`ScenarioMatrix.ordered_engines` (legacy when it is
+  swept) is the reference.  Every ok cell records whether its digest
+  matches it; when the reference cell failed, no ok cell matches.  To
+  witness a cell on another engine, list that engine in ``engines``.
 * ``fault_plan=`` executes every cell under a deterministic
   :class:`~repro.core.faults.FaultPlan` **and** once more without it
   (the clean baseline): a cell whose injected faults moved the digest,
-  failed validation, or diverged cross-engine counts as *detected*;
-  :meth:`MatrixResult.silent_passes` lists injected-but-undetected
-  cells, which a chaos CI job asserts empty.
+  failed validation, or broke ranks with the reference counts as
+  *detected*; :meth:`MatrixResult.silent_passes` lists
+  injected-but-undetected cells, which a chaos CI job asserts empty.
 
 Resilient execution
 -------------------
@@ -62,6 +72,8 @@ import traceback
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.budget import check_prepared
+from repro.core.errors import BandwidthExceededError
 from repro.scenarios.families import get_family
 from repro.scenarios.registry import get_protocol
 
@@ -74,7 +86,7 @@ __all__ = [
 ]
 
 #: The engine the matrix prefers as ground truth for digests; sweeps
-#: that exclude it fall back to the first engine that ran the cell.
+#: that exclude it take the first supported engine they sweep.
 REFERENCE_ENGINE = "legacy"
 
 #: Default per-cell round watchdog: far above any registered protocol's
@@ -157,14 +169,6 @@ class MatrixCell:
     fault_count: Optional[int] = None
     clean_digest: Optional[str] = None
     detected: Optional[bool] = None
-    #: Cross-engine verification fields (``verify="cross-engine"``).
-    verify_engine: Optional[str] = None
-    verify_digest: Optional[str] = None
-    verify_match: Optional[bool] = None
-    #: Static-analysis verdict for the cell's (protocol, family, n)
-    #: coordinate (``ScenarioMatrix(analyze=True)``): None = not run.
-    analysis_ok: Optional[bool] = None
-    analysis_violations: Optional[List[str]] = None
     #: Worker-pool forensics: how many attempts the supervisor spent
     #: on this cell (None = run in process), and whether it landed in
     #: the poison quarantine after exhausting them.
@@ -201,16 +205,14 @@ class MatrixResult:
         return [cell for cell in self.cells if cell.status == "ok"]
 
     def mismatches(self) -> List[MatrixCell]:
-        """Cells whose digest differs from the legacy reference (or that
-        failed validation/execution/cross-engine verification)."""
+        """Cells that failed, failed validation, or do not match their
+        coordinate's reference cell."""
         return [
             cell
             for cell in self.cells
             if cell.status == "failed"
             or cell.matches_reference is False
             or cell.validated is False
-            or cell.verify_match is False
-            or cell.analysis_ok is False
         ]
 
     def quarantined(self) -> List[MatrixCell]:
@@ -226,8 +228,8 @@ class MatrixResult:
     def silent_passes(self) -> List[MatrixCell]:
         """The chaos sweep's cardinal sin: cells whose injected faults
         left no observable trace (digest equal to the clean baseline,
-        validation green, cross-engine agreement).  A chaos CI job
-        asserts this list is empty."""
+        validation green, reference agreement).  A chaos CI job asserts
+        this list is empty."""
         return [
             cell
             for cell in self.injected_cells()
@@ -236,9 +238,8 @@ class MatrixResult:
 
     def fault_reports(self) -> List[Dict[str, Any]]:
         """Structured per-cell divergence reports: every cell that
-        failed, failed validation, mismatched the reference, diverged
-        cross-engine or diverged from its clean baseline, with the
-        reasons flagged explicitly."""
+        failed, failed validation, mismatched the reference or diverged
+        from its clean baseline, with the reasons flagged explicitly."""
         reports: List[Dict[str, Any]] = []
         for cell in self.cells:
             flags = []
@@ -250,8 +251,6 @@ class MatrixResult:
                 flags.append("validation-failed")
             if cell.matches_reference is False:
                 flags.append("reference-digest-mismatch")
-            if cell.verify_match is False:
-                flags.append("cross-engine-divergence")
             if (
                 cell.clean_digest is not None
                 and cell.digest is not None
@@ -360,13 +359,8 @@ class ScenarioMatrix:
         in isolation and identical across engines (which is what makes
         the cross-engine digest comparison meaningful).
     repeats:
-        Timing samples per cell (best-of); results are checked on every
-        sample and must stay identical.
-    verify:
-        ``"cross-engine"`` re-runs every ok cell once on a second engine
-        (preferring the legacy reference) and records
-        ``verify_engine``/``verify_digest``/``verify_match`` — the
-        self-checking execution mode.  ``None`` (default) skips it.
+        Timing samples per cell (best-of, at least 1); results are
+        checked on every sample and must stay identical.
     fault_plan:
         An optional :class:`~repro.core.faults.FaultPlan` applied to
         every cell.  Each faulted cell also runs a clean (no-plan)
@@ -387,9 +381,7 @@ class ScenarioMatrix:
         engines: Optional[Sequence[str]] = None,
         seed: int = 0,
         repeats: int = 1,
-        verify: Optional[str] = None,
         fault_plan: Optional[Any] = None,
-        analyze: bool = False,
         cell_round_limit: Optional[int] = DEFAULT_CELL_ROUND_LIMIT,
     ) -> None:
         from repro.core.engine import ENGINES
@@ -401,10 +393,8 @@ class ScenarioMatrix:
                 raise ValueError(
                     f"unknown engine {engine!r}; known: {sorted(ENGINES)}"
                 )
-        if verify not in (None, "cross-engine"):
-            raise ValueError(
-                f"unknown verify mode {verify!r}; use None or 'cross-engine'"
-            )
+        if repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {repeats}")
         if fault_plan is not None:
             fault_plan.validate()
         if cell_round_limit is not None and cell_round_limit < 1:
@@ -418,13 +408,8 @@ class ScenarioMatrix:
         self.sizes = _distinct("size", list(sizes))
         self.engines = _distinct("engine", list(engines))
         self.seed = seed
-        self.repeats = max(1, repeats)
-        self.verify = verify
+        self.repeats = repeats
         self.fault_plan = fault_plan
-        #: When true, every (protocol, family, n) coordinate also runs
-        #: the static verifier (structure + bandwidth budget) and
-        #: its cells carry ``analysis_ok`` / ``analysis_violations``.
-        self.analyze = analyze
         self.cell_round_limit = cell_round_limit
 
     # -- sweep geometry ---------------------------------------------------
@@ -461,13 +446,11 @@ class ScenarioMatrix:
             "seed": self.seed,
             "repeats": self.repeats,
             "reference_engine": REFERENCE_ENGINE,
-            "verify": self.verify,
             "fault_plan": (
                 self.fault_plan.to_dict()
                 if self.fault_plan is not None
                 else None
             ),
-            "analyze": self.analyze,
             "cell_round_limit": self.cell_round_limit,
         }
 
@@ -598,13 +581,17 @@ class ScenarioMatrix:
         Engines the protocol does not support are marked unsupported
         before anything is built, so a bad instance cannot turn them
         into failures.  The instance is then built and ``spec.prepare``
-        called once, and every remaining engine runs on that prepared
-        instance.  The result is a pure function of the coordinate and
-        this matrix's cell settings: the graph rng, the network seed and
-        the protocol instance all derive from ``(seed, protocol, family,
-        n)``, so any process, scheduling order or attempt yields the same
-        cells.  They come back in ``engines`` order, without the
-        cross-cell verdicts :meth:`_finalize_coordinate` stamps.
+        called once.  A prepared network ``bandwidth`` over the spec's
+        ``bandwidth_budget`` fails every remaining cell with
+        :class:`~repro.core.errors.BandwidthExceededError` before any
+        engine runs; a spec without a budget skips the check.  Every
+        remaining engine then runs on that prepared instance.  The
+        result is a pure function of the coordinate and this matrix's
+        cell settings: the graph rng, the network seed and the protocol
+        instance all derive from ``(seed, protocol, family, n)``, so any
+        process, scheduling order or attempt yields the same cells.  They
+        come back in ``engines`` order, without the cross-cell verdicts
+        :meth:`_finalize_coordinate` stamps.
         """
         import random
 
@@ -627,6 +614,10 @@ class ScenarioMatrix:
         try:
             graph = get_family(family_name).build(n, rng)
             prepared = spec.prepare(n, graph, rng)
+            if spec.bandwidth_budget is not None:
+                budget = check_prepared(spec.bandwidth_budget, n, prepared)
+                if not budget.ok:
+                    raise BandwidthExceededError(f"{spec.name}: {budget.detail}")
         except Exception as exc:  # noqa: BLE001 - isolate the coordinate
             for cell in supported:
                 _failure_fields(cell, exc)
@@ -638,8 +629,7 @@ class ScenarioMatrix:
     def _run_cell(self, cell: MatrixCell, spec, prepared, cell_seed: int) -> None:
         """Run a prepared coordinate on ``cell.engine`` and record the
         outcome on ``cell``: best-of-``repeats`` timing, accounting,
-        digest, the clean fault baseline, validation and the
-        cross-engine witness."""
+        digest, the clean fault baseline and validation."""
         program = prepared.programs.get(spec.program_for(cell.engine))
         if program is None:
             return
@@ -691,46 +681,8 @@ class ScenarioMatrix:
                 except AssertionError as exc:
                     cell.validated = False
                     cell.error = str(exc)
-            if self.verify == "cross-engine":
-                self._verify_cell(cell, spec, prepared, cell_seed, plan)
         except Exception as exc:  # noqa: BLE001 - cell isolation is the point
             _failure_fields(cell, exc)
-
-    def _verify_cell(
-        self, cell: MatrixCell, spec, prepared, cell_seed: int, plan
-    ) -> None:
-        """Re-run one ok cell on a second engine and compare digests.
-
-        Prefers the legacy reference engine as the witness; a cell that
-        already ran on legacy is checked against the next engine the
-        protocol supports.  A witness failure counts as a divergence
-        (``verify_match=False``) — self-checking must not fail open.
-        """
-        witness = next(
-            (
-                name
-                for name in [REFERENCE_ENGINE]
-                + [e for e in spec.engines if e != REFERENCE_ENGINE]
-                if name != cell.engine and name in spec.engines
-            ),
-            None,
-        )
-        if witness is None:
-            return
-        program = prepared.programs.get(spec.program_for(witness))
-        if program is None:
-            return
-        cell.verify_engine = witness
-        try:
-            cell.verify_digest = _run_records(
-                prepared, program, witness, cell_seed, self.cell_round_limit,
-                plan,
-            )[2]
-            cell.verify_match = cell.verify_digest == cell.digest
-        except Exception as exc:  # noqa: BLE001 - divergence, not crash
-            cell.verify_match = False
-            if cell.error is None:
-                cell.error = f"verify[{witness}] {type(exc).__name__}: {exc}"
 
     def _pending(
         self, completed: Dict[str, MatrixCell]
@@ -771,43 +723,47 @@ class ScenarioMatrix:
                 if key in completed
             ]
             if cells:
-                self._finalize_coordinate(get_protocol(protocol), family, n, cells)
+                self._finalize_coordinate(cells)
                 result.cells.extend(cells)
         return result
 
-    def _finalize_coordinate(
-        self, spec, family_name: str, n: int, cells: List[MatrixCell]
-    ) -> None:
+    def _finalize_coordinate(self, cells: List[MatrixCell]) -> None:
         """Stamp the cross-cell verdicts on one coordinate's cells:
-        reference-digest comparison, the chaos detection verdict, the
-        static-analysis verdict, and the caller's engine order.
+        reference-digest comparison, the chaos detection verdict, and the
+        caller's engine order.
 
         Deterministic given the cells' digests and statuses, so it is
         recomputed identically whether the cells were just executed,
         replayed from a journal, or assembled from pool workers.
         """
-        # Prefer the legacy digest as ground truth; a sweep that
-        # excludes legacy still cross-checks the cells it ran against
-        # the first one (mismatches() must never be vacuously empty
-        # just because the reference engine was left out).
+        # The reference is the cell of the first supported engine in
+        # execution order: legacy when the sweep includes it, else the
+        # first engine it sweeps (mismatches() must never be vacuously
+        # empty just because legacy was left out).  A failed reference
+        # vouches for nothing, so then no ok cell matches it.
         by_engine = {cell.engine: cell for cell in cells}
-        reference_digest: Optional[str] = next(
+        reference = next(
             (
-                by_engine[engine].digest
+                by_engine[engine]
                 for engine in self.ordered_engines()
-                if engine in by_engine and by_engine[engine].status == "ok"
+                if engine in by_engine
+                and by_engine[engine].status != "unsupported"
             ),
             None,
         )
-        for cell in cells:
-            if cell.status == "ok" and reference_digest is not None:
-                cell.matches_reference = cell.digest == reference_digest
+        if reference is not None:
+            for cell in cells:
+                if cell.status == "ok":
+                    cell.matches_reference = (
+                        reference.status == "ok"
+                        and cell.digest == reference.digest
+                    )
         # Chaos detection verdict: a faulted cell counts as detected iff
         # *any* check tripped — the run failed outright, validation
         # rejected the summary, the digest diverged from the clean
-        # baseline, the cross-engine verify disagreed, or the cell broke
-        # ranks with the sweep's reference digest.  Cells whose schedule
-        # injected nothing stay None: there was no corruption to detect.
+        # baseline, or the cell broke ranks with the reference.  Cells
+        # whose schedule injected nothing stay None: there was no
+        # corruption to detect.
         if self.fault_plan is not None and self.fault_plan.is_active:
             for cell in cells:
                 if cell.status == "unsupported":
@@ -821,25 +777,8 @@ class ScenarioMatrix:
                             cell.clean_digest is not None
                             and cell.digest != cell.clean_digest
                         )
-                        or cell.verify_match is False
                         or cell.matches_reference is False
                     )
-        # Static-analysis verdict for the coordinate: one verifier run
-        # per (protocol, family, n), stamped on every engine cell (the
-        # verdict is engine-free — structure and budgets are
-        # protocol properties).
-        if self.analyze:
-            from repro.analysis.verifier import analyze_protocol
-
-            analysis = analyze_protocol(
-                spec, n, family=family_name, seed=self.seed
-            )
-            violations = list(analysis.violations)
-            if analysis.error is not None:
-                violations.append(analysis.error)
-            for cell in cells:
-                cell.analysis_ok = analysis.ok
-                cell.analysis_violations = violations
         # Report in the caller's engine order.
         order = {name: i for i, name in enumerate(self.engines)}
         cells.sort(key=lambda cell: order[cell.engine])

@@ -54,7 +54,8 @@ class PreparedScenario:
     #: Program per flavour: ``"generator"`` (legacy/fast backends) and
     #: optionally ``"kernel"``.
     programs: Dict[str, Any]
-    #: Per-node inputs, or None for input-free protocols.
+    #: Per-node inputs, or None for input-free protocols and for
+    #: multi-instance scenarios (whose inputs live in ``instances``).
     inputs: Optional[List[Any]]
     #: RunResult -> canonical summary (repr-stable: only ints, strings,
     #: bools, and sorted tuples), used for cross-engine digests.
@@ -64,11 +65,9 @@ class PreparedScenario:
     #: Multi-instance scenarios (``run_many`` cells): per-instance input
     #: lists, one entry per instance.  When set, the matrix runner
     #: executes all K instances through one
-    #: :meth:`~repro.core.network.Network.run_many` call and the cell digest
-    #: covers the ordered per-instance summaries.  ``inputs`` should hold
-    #: instance 0 so
-    #: single-run consumers (the static verifier) stay oblivious to the
-    #: batching.
+    #: :meth:`~repro.core.network.Network.run_many` call, the cell digest
+    #: covers the ordered per-instance summaries, and ``inputs`` is
+    #: unread.
     instances: Optional[List[Any]] = None
     #: ``validate_instance(k, summary_k)`` — per-instance ground-truth
     #: check for multi-instance scenarios; raises AssertionError on
@@ -90,9 +89,12 @@ class ProtocolSpec:
     prepare: Callable[[int, Graph, random.Random], PreparedScenario]
     #: Declared worst-case per-message width as a function of n — the
     #: clique model's O(c·log n) constraint made concrete and
-    #: machine-checkable.  The static analyzer
-    #: (``python -m repro.analysis``) verifies every prepared instance
-    #: against it; in strict mode a missing budget is itself a
+    #: machine-checkable.  Every scenario-matrix coordinate checks its
+    #: prepared network ``bandwidth`` against it before any engine runs
+    #: (an over-budget coordinate fails with BandwidthExceededError),
+    #: and ``python -m repro.analysis`` makes the same check per
+    #: protocol × n.  A spec without a budget skips the matrix check,
+    #: but in strict mode the analyzer reports the missing budget as a
     #: violation, so registered protocols must declare one.
     bandwidth_budget: Optional[BandwidthBudget] = None
 
@@ -293,7 +295,7 @@ def _prepare_routing_many(
             "generator": route_program(schedule, frame_size),
             "kernel": route_kernel_program(schedule, frame_size),
         },
-        inputs=instances[0],
+        inputs=None,
         summarize=_summarize_routing,
         instances=instances,
         validate_instance=validate_instance,

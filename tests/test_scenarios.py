@@ -1,5 +1,6 @@
-"""The scenario layer: protocol registry, graph families, and the
-matrix runner's cross-engine reference check."""
+"""The scenario layer: protocol registry, graph families, the matrix
+runner's cross-engine reference check, and the two CLIs' argument
+checks."""
 
 import json
 import random
@@ -86,9 +87,8 @@ class TestRegistries:
         prepared = spec.prepare(8, graph, random.Random(0))
         assert prepared.instances is not None
         assert len(prepared.instances) == ROUTING_MANY_INSTANCES
-        # The static verifier analyzes ``inputs``; it must be a real
-        # instance, and by convention the first one.
-        assert prepared.inputs == prepared.instances[0]
+        # The instances carry every input; nothing reads ``inputs``.
+        assert prepared.inputs is None
         assert prepared.validate_instance is not None
 
     def test_prepared_scenarios_declare_kernel_flavour_consistently(self):
@@ -306,3 +306,34 @@ class TestScenarioMatrix:
         ).run()
         assert not result.mismatches()
         assert all(cell.status == "ok" for cell in result.cells)
+
+
+@pytest.mark.parametrize(
+    "cli, argv, named",
+    [
+        ("scenarios", ["--protocols", "nosuch"], "'nosuch'"),
+        ("scenarios", ["--families", "nosuch"], "'nosuch'"),
+        ("scenarios", ["--engines", "nosuch"], "'nosuch'"),
+        ("scenarios", ["--repeats", "0"], "got 0"),
+        ("scenarios", ["--repeats", "-2"], "got -2"),
+        ("analysis", ["--protocol", "nosuch"], "'nosuch'"),
+        ("analysis", ["--family", "nosuch"], "'nosuch'"),
+    ],
+    ids=[
+        "protocols", "families", "engines", "repeats-zero",
+        "repeats-negative", "analysis-protocol", "analysis-family",
+    ],
+)
+def test_cli_rejects_bad_arguments_with_exit_2(cli, argv, named, capsys):
+    if cli == "scenarios":
+        from repro.scenarios.__main__ import main
+
+        argv = ["--sizes", "6", *argv]
+    else:
+        from repro.analysis.__main__ import main
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a bad choice itself
+        code = exc.code
+    assert code == 2
+    assert named in capsys.readouterr().err

@@ -1,19 +1,18 @@
-"""The static protocol verifier: structure, budgets, lint.
+"""The static protocol verifier: budgets, registry, lint.
 
 Covers the analyzer's contract end to end: every registered protocol
-passes, structure extraction reads kernel declarations and traces
-generator runs, an over-budget fixture is rejected with per-n
-diagnostics, the determinism lint catches unseeded RNG / wall-clock /
-dict-order hazards, and the CLI + matrix integrations gate on it all.
+passes, an over-budget fixture is rejected with per-n diagnostics by
+the analyzer and by the scenario matrix (at prepare, before any engine
+runs), the determinism lint catches unseeded RNG / wall-clock /
+dict-order hazards, and the CLI gates on it all.
 """
 
 import json
 
 from repro.analysis.budget import BandwidthBudget, check_budget, log2_ceil
 from repro.analysis.lint import lint_source
-from repro.analysis.structure import kernel_structure, trace_structure
 from repro.analysis.verifier import analyze_all, analyze_protocol, check_registry
-from repro.core.kernels import KernelBuilder
+from repro.core import errors
 from repro.core.network import Mode, Outbox
 from repro.scenarios.matrix import ScenarioMatrix
 from repro.scenarios.registry import PROTOCOLS, ProtocolSpec, PreparedScenario
@@ -32,44 +31,6 @@ def steady_program(ctx):
     return total
 
 
-def _bool_inputs(n, pattern):
-    return [bool(pattern >> i & 1) for i in range(n)]
-
-
-NET = dict(n=4, bandwidth=4, mode=Mode.BROADCAST)
-
-
-# -- structure extraction -------------------------------------------------
-
-
-class TestStructure:
-    def test_kernel_structure_reads_declarations_without_callbacks(self):
-        def boom(*args):
-            raise AssertionError("callback must never run during analysis")
-
-        builder = KernelBuilder(4, Mode.UNICAST, 6)
-        builder.unicast_round(
-            [(0, [1, 2]), (1, [3])], 6, boom, boom
-        )
-        builder.broadcast_round([0, 1], 6, boom, boom)
-        program = builder.build(name="declared")
-        structure = kernel_structure(program)
-        assert structure.source == "kernel-declared"
-        assert [s.kind for s in structure.rounds] == ["unicast", "broadcast"]
-        assert structure.rounds[0].messages == 3
-        assert structure.rounds[0].total_bits == 18
-        assert structure.rounds[1].messages == 2
-        assert structure.max_message_width == 6
-
-    def test_trace_matches_executed_rounds(self):
-        structure = trace_structure(steady_program, _bool_inputs(4, 0), NET)
-        assert structure.source == "traced"
-        assert structure.num_rounds == 3
-        assert all(s.kind == "broadcast" for s in structure.rounds)
-        assert all(s.messages == 4 for s in structure.rounds)
-        assert structure.max_message_width == 1
-
-
 # -- bandwidth budgets ----------------------------------------------------
 
 
@@ -78,8 +39,6 @@ class TestBudgets:
         budget = BandwidthBudget(flat=3, log_coeff=2, log_sq_coeff=1)
         assert log2_ceil(8) == 3
         assert budget.bits(8) == 3 + 6 + 9
-        assert budget.is_loglinear
-        assert not BandwidthBudget(linear_coeff=1).is_loglinear
         assert "log(n)" in budget.describe()
 
     def test_missing_budget_is_violation(self):
@@ -111,14 +70,33 @@ class TestBudgets:
         analysis = analyze_protocol(spec, 8)
         assert not analysis.ok
         assert analysis.budget is not None and not analysis.budget.ok
-        assert analysis.observed_width == 24
+        assert analysis.budget.observed == 24
         assert analysis.budget.allowed == 12
         assert any("EXCEEDS" in v for v in analysis.violations)
+
+        # The matrix makes the same check once per coordinate, right
+        # after prepare: every supported cell fails and no engine runs.
+        PROTOCOLS[spec.name] = spec
+        try:
+            result = ScenarioMatrix(
+                [spec.name], ["gnp"], [8], engines=["legacy", "fast", "kernel"]
+            ).run()
+        finally:
+            del PROTOCOLS[spec.name]
+        cells = {cell.engine: cell for cell in result.cells}
+        assert cells["kernel"].status == "unsupported"
+        for engine in ("legacy", "fast"):
+            cell = cells[engine]
+            assert cell.status == "failed"
+            assert cell.error_type == "BandwidthExceededError"
+            assert issubclass(getattr(errors, cell.error_type), errors.ReproError)
+            assert "declared width 24 EXCEEDS budget 12" in cell.error
+            assert cell.rounds is None
+            assert cell in result.mismatches()
 
     def test_every_registered_protocol_declares_a_budget(self):
         for name, spec in PROTOCOLS.items():
             assert spec.bandwidth_budget is not None, name
-            assert spec.bandwidth_budget.is_loglinear, name
 
 
 # -- determinism lint -----------------------------------------------------
@@ -206,7 +184,6 @@ class TestVerifier:
         for analysis in report.analyses:
             assert analysis.ok
             assert analysis.budget is not None and analysis.budget.ok
-            assert analysis.rounds
 
     def test_registry_gaps_explain_unsupported_cells(self):
         findings = check_registry()
@@ -252,19 +229,30 @@ class TestVerifier:
         assert payload["protocols"][0]["budget"]["ok"] is True
 
 
-# -- CLI and matrix integration -------------------------------------------
+# -- CLI ------------------------------------------------------------------
 
 
 class TestIntegration:
-    def test_cli_strict_passes_on_registry(self, tmp_path, capsys):
+    def test_cli_strict_passes_on_registry(self, tmp_path, capsys, monkeypatch):
         from repro.analysis.__main__ import main
+        from repro.core.network import Network
 
+        def no_run(*args, **kwargs):
+            raise AssertionError("the analyzer ran a protocol")
+
+        # Budgets are checked from prepare alone.
+        monkeypatch.setattr(Network, "run", no_run)
+        monkeypatch.setattr(Network, "run_many", no_run)
         out = tmp_path / "analysis_report.json"
-        code = main(["--all", "--strict", "--sizes", "6", "--json", str(out)])
+        code = main(["--all", "--strict", "--sizes", "6,8", "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
         assert payload["violations"] == []
+        rows = [(row["protocol"], row["n"]) for row in payload["protocols"]]
+        assert sorted(rows) == sorted(
+            (name, n) for name in PROTOCOLS for n in (6, 8)
+        )
         rendered = capsys.readouterr().out
         assert "Static protocol analysis" in rendered
         assert "0 violations" in rendered
@@ -279,20 +267,3 @@ class TestIntegration:
         )
         assert code == 1
         assert "unseeded-random" in capsys.readouterr().out
-
-    def test_matrix_analyze_stamps_cells(self):
-        matrix = ScenarioMatrix(
-            ["mst"], ["gnp"], [6], engines=["legacy"], analyze=True
-        )
-        result = matrix.run()
-        assert result.meta["analyze"] is True
-        for cell in result.cells:
-            assert cell.analysis_ok is True
-            assert cell.analysis_violations == []
-            assert cell.to_dict()["analysis_ok"] is True
-        assert result.mismatches() == []
-
-    def test_matrix_without_analyze_leaves_cells_unstamped(self):
-        matrix = ScenarioMatrix(["mst"], ["gnp"], [6], engines=["legacy"])
-        result = matrix.run()
-        assert all(cell.analysis_ok is None for cell in result.cells)
