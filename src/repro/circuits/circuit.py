@@ -26,7 +26,7 @@ CONST_KIND = "const"
 GATE_KIND = "gate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateNode:
     gate_id: int
     kind: str

@@ -122,6 +122,7 @@ def triangle_mm_program(
     """Node program: ``ctx.input`` is this node's adjacency row (list of
     n 0/1 ints)."""
     size = graph.n
+    plan.check_size(size)
     circuit = plan.circuit
     input_ids = circuit.input_ids
     out_order, out_lengths = _output_routing_plan(plan, size)
@@ -210,14 +211,15 @@ def triangle_mm_kernel_program(
     from repro.core.network import Mode
     from repro.core.phases import kernel_transmit_unicast
     from repro.routing.lenzen import BitRoute, kernel_route_bits
-    from repro.simulation.kernel import KernelPlan, append_simulation_rounds
+    from repro.simulation.kernel import append_simulation_rounds
 
     size = graph.n
+    plan.check_size(size)
     circuit = plan.circuit
     input_ids = circuit.input_ids
     out_order, out_lengths = _output_routing_plan(plan, size)
-    # Compiled once, appended once per trial.
-    kernel_plan = KernelPlan(plan)
+    # Compiled once per plan, appended once per trial.
+    kernel_plan = plan.kernel_plan()
     out_route = BitRoute(
         out_order,
         plan.bandwidth,

@@ -153,7 +153,12 @@ class MatrixCell:
     n: int
     engine: str
     status: str  # "ok" | "unsupported" | "failed"
+    #: Wall time of the engine run (best of ``repeats``).
     seconds: Optional[float] = None
+    #: Wall time of the coordinate's instance build plus
+    #: ``spec.prepare``, shared by its supported cells.  A prepare hook
+    #: that reuses a plan held for this n reads close to 0 here.
+    prepare_seconds: Optional[float] = None
     rounds: Optional[int] = None
     total_bits: Optional[int] = None
     max_round_bits: Optional[int] = None
@@ -416,12 +421,15 @@ class ScenarioMatrix:
 
     def coordinates(self) -> List[Tuple[str, str, int]]:
         """The (protocol, family, n) coordinates of this sweep, in the
-        canonical (serial) execution order."""
+        canonical (serial) execution order: protocol, then size, then
+        family.  A protocol's coordinates at one n run back to back, so
+        a prepare hook that holds what depends on n alone (the Theorem 2
+        protocols' compiled plans) builds it once per size."""
         return [
             (protocol, family, n)
             for protocol in self.protocols
-            for family in self.families
             for n in self.sizes
+            for family in self.families
         ]
 
     def ordered_engines(self) -> List[str]:
@@ -581,7 +589,8 @@ class ScenarioMatrix:
         Engines the protocol does not support are marked unsupported
         before anything is built, so a bad instance cannot turn them
         into failures.  The instance is then built and ``spec.prepare``
-        called once.  A prepared network ``bandwidth`` over the spec's
+        called once; together they are timed into every supported
+        cell's ``prepare_seconds``.  A prepared network ``bandwidth`` over the spec's
         ``bandwidth_budget`` fails every remaining cell with
         :class:`~repro.core.errors.BandwidthExceededError` before any
         engine runs; a spec without a budget skips the check.  Every
@@ -612,8 +621,12 @@ class ScenarioMatrix:
         cell_seed = int.from_bytes(hashlib.sha256(coord.encode()).digest()[:4], "big")
         rng = random.Random(coord)
         try:
+            start = time.perf_counter()  # analysis: allow(wall-clock)
             graph = get_family(family_name).build(n, rng)
             prepared = spec.prepare(n, graph, rng)
+            prepare_seconds = time.perf_counter() - start  # analysis: allow(wall-clock)
+            for cell in supported:
+                cell.prepare_seconds = prepare_seconds
             if spec.bandwidth_budget is not None:
                 budget = check_prepared(spec.bandwidth_budget, n, prepared)
                 if not budget.ok:

@@ -302,18 +302,68 @@ def _prepare_routing_many(
     )
 
 
-def _prepare_circuit(n: int, graph: Graph, rng: random.Random) -> PreparedScenario:
+#: The compiled Theorem 2 plan of each circuit family, for one n at a
+#: time.  Theorem 2's simulation is oblivious: the circuit, the gate
+#: assignment and every routing schedule are fixed by the family and n,
+#: so every coordinate at that n shares one plan, and only its inputs
+#: differ.  The scenario matrix visits a protocol's coordinates size by
+#: size, so each family builds its plan once per size.  Each family has
+#: its own slot because a process may prepare both families at one n
+#: again: ``analyze_all`` with one size re-prepares every protocol for
+#: its registry check, and a single-size sweep repeated in one process
+#: re-prepares both.  A held plan is a pure function of (family, n) that
+#: no run writes to, so sharing it across every caller in the process
+#: changes no result.
+_HELD_PLANS: Dict[str, Any] = {}
+
+
+def _held_plan(family: str, n: int, build: Callable[[int], Any]):
+    """The compiled plan of circuit ``family`` at size ``n``: the held
+    one when it is for ``n``, else ``build(n)`` with its generator view
+    compiled (so that no engine run pays for it; the kernel program
+    built from the plan in the same prepare compiles the kernel form),
+    held in its place."""
+    held = _HELD_PLANS.get(family)
+    if held is not None and held.n == n:
+        return held
+    # Let go of the other size's plan before building this one: at
+    # n=128 the n=64 plan would otherwise stay alive through the build.
+    del held
+    _HELD_PLANS.pop(family, None)
+    plan = build(n)
+    plan.view()
+    _HELD_PLANS[family] = plan
+    return plan
+
+
+def _threshold_parity_plan(n: int):
     from repro.circuits.builders import threshold_parity_circuit
+    from repro.simulation.protocol import build_plan
+
+    return build_plan(threshold_parity_circuit(n), n, None, None)
+
+
+def _strassen_plan(n: int):
+    from repro.circuits.arithmetic import matmul_circuit_strassen
+    from repro.matmul.distributed import matmul_input_partition
+    from repro.simulation.protocol import build_plan
+
+    return build_plan(
+        matmul_circuit_strassen(n), n, matmul_input_partition(n), None
+    )
+
+
+def _prepare_circuit(n: int, graph: Graph, rng: random.Random) -> PreparedScenario:
     from repro.simulation.kernel import make_kernel_program
-    from repro.simulation.protocol import build_plan, make_program
+    from repro.simulation.protocol import make_program
 
     # Input bit i: does the graph contain edge (i, i+1 mod n)?  The
     # instance family shows through the input vector while the circuit
     # (and hence the round structure) depends only on n.
-    circuit = threshold_parity_circuit(n)
+    plan = _held_plan("threshold_parity", n, _threshold_parity_plan)
+    circuit = plan.circuit
     input_values = [graph.has_edge(i, (i + 1) % n) for i in range(n)]
     expected = tuple(circuit.evaluate_outputs(input_values))
-    plan = build_plan(circuit, n, None, None)
     partition = [i % n for i in range(circuit.num_inputs)]
     per_node: List[Dict[int, bool]] = [dict() for _ in range(n)]
     for position, gid in enumerate(circuit.input_ids):
@@ -346,20 +396,12 @@ def _prepare_circuit(n: int, graph: Graph, rng: random.Random) -> PreparedScenar
 
 
 def _prepare_triangle_mm(n: int, graph: Graph, rng: random.Random) -> PreparedScenario:
-    from repro.circuits.arithmetic import matmul_circuit_strassen
     from repro.graphs.generators import complete_graph
     from repro.graphs.subgraph_iso import contains_subgraph
-    from repro.matmul.distributed import (
-        matmul_input_partition,
-        triangle_mm_kernel_program,
-        triangle_mm_program,
-    )
-    from repro.simulation.protocol import build_plan
+    from repro.matmul.distributed import triangle_mm_kernel_program, triangle_mm_program
 
     trials = 4
-    plan = build_plan(
-        matmul_circuit_strassen(n), n, matmul_input_partition(n), None
-    )
+    plan = _held_plan("strassen", n, _strassen_plan)
     rows = [
         [1 if graph.has_edge(v, u) else 0 for u in range(n)] for v in range(n)
     ]

@@ -11,9 +11,11 @@ numpy operations per round.  The round sequence, widths and bit totals
 are identical to the generator's by construction (the same plan drives
 both), and the equivalence suite pins outputs byte-for-byte.
 
-:class:`KernelPlan` compiles a plan into index arrays once; its rounds
-can then be appended any number of times (``triangle_mm`` appends them
-once per trial) without recompiling:
+:class:`KernelPlan` compiles a plan into index arrays once
+(:meth:`~repro.simulation.protocol.SimulationPlan.kernel_plan` caches it
+on the plan, so every program built from one plan shares it); its
+rounds can then be appended any number of times (``triangle_mm``
+appends them once per trial) without recompiling:
 
 * Gate evaluation is grouped
   (:class:`~repro.circuits.vectorized.GateGroups`, the evaluator the
@@ -279,7 +281,7 @@ def make_kernel_program(plan: SimulationPlan):
         state[vals_key] = vals
 
     builder.on_init(init)
-    append_simulation_rounds(builder, KernelPlan(plan), vals_key)
+    append_simulation_rounds(builder, plan.kernel_plan(), vals_key)
     out_by_node: List[List[int]] = [[] for _ in range(n)]
     for gid in circuit.outputs:
         out_by_node[owner[gid]].append(gid)

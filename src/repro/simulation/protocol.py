@@ -31,11 +31,16 @@ structure, so the kernel engine compiles it once and evaluates many
 input vectors as stacked matrix operations.
 
 Each player runs its part of the plan from a per-player view
-(:class:`PlanView`, one :class:`PlayerView` per player), compiled at
-the plan's first execution and shared by every later one — all
-players, all trials, both generator engines.  For each phase the view
-lists the gate columns the player sends to each destination and
-receives from each source, and a
+(:class:`PlanView`, one :class:`PlayerView` per player), compiled once
+per plan and shared by every execution — all players, all trials,
+both generator engines.  :meth:`SimulationPlan.view` and
+:meth:`SimulationPlan.kernel_plan` compile the two engine forms on
+first use; both run while the scenario registry prepares a coordinate
+(the view when it builds the plan, the kernel plan when it builds the
+kernel program), so no engine run pays for them, and the registry
+holds the compiled plan for every coordinate of the same size.  For
+each phase the view lists the gate columns the player sends to each
+destination and receives from each source, and a
 :class:`~repro.circuits.vectorized.GateGroups` over the light gates it
 owns.  A player keeps its gate values in one ``uint8`` vector copied
 from a constants template; routed payloads leave and enter it as plain
@@ -54,7 +59,7 @@ the gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +71,9 @@ from repro.core.network import Context, Mode, Network, Outbox, RunResult
 from repro.routing.lenzen import payload_demand, route_payload_ints, route_payloads
 from repro.routing.schedule import RoutingSchedule, build_schedule
 from repro.simulation.assignment import GateAssignment, assign_gates
+
+if TYPE_CHECKING:
+    from repro.simulation.kernel import KernelPlan
 
 __all__ = [
     "LayerPlan",
@@ -118,18 +126,38 @@ class SimulationPlan:
         return node.gate.summary_width(len(node.inputs))
 
     def view(self) -> "PlanView":
-        """This plan compiled per player: built at the first execution
-        and shared by every later one, on every engine.  A cache, not
+        """This plan compiled per player, for the generator engines:
+        built at the first call and shared by every later execution.
+        The scenario registry calls it while it prepares a coordinate;
+        a library caller's first generator run builds it.  A cache, not
         plan content — it stays out of the plan's equality and pickled
-        state — so a plan must not be edited once it has run."""
+        state — so a plan must not be edited once it is compiled."""
         view = self.__dict__.get("_view")
         if view is None:
             view = self._view = PlanView(self)
         return view
 
+    def kernel_plan(self) -> "KernelPlan":
+        """This plan compiled into the kernel engine's index arrays
+        (:class:`~repro.simulation.kernel.KernelPlan`), cached like
+        :meth:`view`."""
+        kernel_plan = self.__dict__.get("_kernel_plan")
+        if kernel_plan is None:
+            from repro.simulation.kernel import KernelPlan
+
+            kernel_plan = self._kernel_plan = KernelPlan(self)
+        return kernel_plan
+
+    def check_size(self, n: int) -> None:
+        """Raise :class:`ValueError` unless this plan is for ``n``
+        players."""
+        if n != self.n:
+            raise ValueError(f"the plan is for n={self.n} players, not n={n}")
+
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_view", None)
+        state.pop("_kernel_plan", None)
         return state
 
 
@@ -690,6 +718,7 @@ def simulate_circuit_many(
             )
     if plan is None:
         plan = build_plan(circuit, n, input_partition, bandwidth)
+    plan.check_size(n)
     if input_partition is None:
         input_partition = [i % n for i in range(circuit.num_inputs)]
     inputs_list = []

@@ -299,6 +299,39 @@ class TestScenarioMatrix:
         )
         assert MatrixCell.from_dict(payload) == cell
 
+    def test_coordinates_are_size_major(self):
+        matrix = ScenarioMatrix(
+            protocols=["routing", "mst"], families=["gnp", "cycle"],
+            sizes=[6, 8], engines=["legacy", "fast"],
+        )
+        assert matrix.coordinates() == [
+            ("routing", "gnp", 6), ("routing", "cycle", 6),
+            ("routing", "gnp", 8), ("routing", "cycle", 8),
+            ("mst", "gnp", 6), ("mst", "cycle", 6),
+            ("mst", "gnp", 8), ("mst", "cycle", 8),
+        ]
+        assert matrix.cell_keys()[:4] == [
+            "0:routing:gnp:6:legacy", "0:routing:gnp:6:fast",
+            "0:routing:cycle:6:legacy", "0:routing:cycle:6:fast",
+        ]
+
+    def test_prepare_seconds_shared_by_a_coordinates_cells(self):
+        from repro.scenarios.matrix import MatrixCell
+
+        result = ScenarioMatrix(
+            protocols=["mst", "circuit_simulation"], families=["gnp"],
+            sizes=[6], seed=4,
+        ).run()
+        by_coordinate = {}
+        for cell in result.cells:
+            if cell.status == "unsupported":
+                assert cell.prepare_seconds is None
+                continue
+            assert cell.prepare_seconds >= 0
+            by_coordinate.setdefault(cell.protocol, set()).add(cell.prepare_seconds)
+            assert MatrixCell.from_dict(cell.to_dict()) == cell
+        assert [len(times) for times in by_coordinate.values()] == [1, 1]
+
     def test_repeats_keep_results_identical(self):
         result = ScenarioMatrix(
             protocols=["subgraph_detection"], families=["bipartite"],
@@ -337,3 +370,99 @@ def test_cli_rejects_bad_arguments_with_exit_2(cli, argv, named, capsys):
         code = exc.code
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+class TestHeldPlans:
+    """The Theorem 2 protocols' plan depends on n alone: the registry
+    builds it once per (circuit family, n), compiles both engine forms
+    while it prepares, and a size-major sweep reuses it across
+    families."""
+
+    PROTOCOLS = ["circuit_simulation", "triangle_mm"]
+
+    @pytest.fixture
+    def held(self, monkeypatch):
+        from repro.scenarios import registry
+
+        plans = {}
+        monkeypatch.setattr(registry, "_HELD_PLANS", plans, raising=False)
+        return plans
+
+    def test_one_plan_per_family_and_size(self, held, monkeypatch):
+        import gc
+        import weakref
+
+        from repro.simulation import protocol
+
+        built = []
+        build_plan = protocol.build_plan
+
+        def counting(circuit, n, *args, **kwargs):
+            # The other size's plan of the family is gone before the
+            # build starts: only the other family's plan may be alive.
+            gc.collect()
+            alive = [plan for plan in (ref() for ref, _n in built) if plan]
+            assert len(alive) <= 1, [plan.n for plan in alive]
+            del alive
+            plan = build_plan(circuit, n, *args, **kwargs)
+            built.append((weakref.ref(plan), n))
+            return plan
+
+        monkeypatch.setattr(protocol, "build_plan", counting)
+        result = ScenarioMatrix(
+            self.PROTOCOLS, ["gnp", "cycle", "complete"], [6, 8], seed=7,
+        ).run()
+        assert [n for _ref, n in built] == [6, 8, 6, 8]
+        assert sorted(held) == ["strassen", "threshold_parity"]
+        assert {plan.n for plan in held.values()} == {8}
+        assert len(result.cells) == 2 * 3 * 2 * 3
+        assert result.mismatches() == []
+        ok = result.ok_cells()
+        assert len(ok) == len(result.cells)
+        assert all(cell.validated is True for cell in ok)
+
+    def test_each_family_keeps_its_plan(self, held, monkeypatch):
+        # One-size analysis prepares both families, then prepares both
+        # again for its registry check: each family's held plan serves
+        # its second prepare.
+        from repro.analysis import analyze_all
+        from repro.simulation import protocol
+
+        built = []
+        build_plan = protocol.build_plan
+
+        def counting(circuit, n, *args, **kwargs):
+            built.append(n)
+            return build_plan(circuit, n, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "build_plan", counting)
+        report = analyze_all(protocols=self.PROTOCOLS, sizes=[6])
+        assert built == [6, 6]
+        assert report.violations() == []
+
+    @pytest.mark.parametrize("name", PROTOCOLS)
+    def test_prepare_compiles_every_engine_form(self, held, monkeypatch, name):
+        import dataclasses
+
+        from repro.simulation.kernel import KernelPlan
+        from repro.simulation.protocol import PlanView
+
+        def no_compile(*args):
+            raise AssertionError("an engine run compiled the plan")
+
+        spec = get_protocol(name)
+
+        def prepare_then_forbid(n, graph, rng):
+            prepared = spec.prepare(n, graph, rng)
+            monkeypatch.setattr(PlanView, "__init__", no_compile)
+            monkeypatch.setattr(KernelPlan, "__init__", no_compile)
+            return prepared
+
+        matrix = ScenarioMatrix([name], ["gnp"], [6])
+        cells = matrix.run_coordinate(
+            dataclasses.replace(spec, prepare=prepare_then_forbid),
+            "gnp", 6, matrix.ordered_engines(),
+        )
+        assert [cell.engine for cell in cells] == ["legacy", "fast", "kernel"]
+        for cell in cells:
+            assert (cell.status, cell.validated) == ("ok", True), cell.error

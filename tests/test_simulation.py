@@ -32,6 +32,7 @@ from repro.simulation import (
     simulate_circuit,
     simulate_circuit_many,
 )
+from repro.simulation.kernel import KernelPlan
 from repro.simulation.protocol import PlanView
 
 
@@ -217,6 +218,67 @@ class TestRoundComplexity:
             assert [outputs[g] for g in circuit.outputs] == circuit.evaluate_outputs(xs)
 
 
+def _matmul_plan(size):
+    from repro.circuits.arithmetic import matmul_circuit_naive
+    from repro.matmul.distributed import matmul_input_partition
+
+    return build_plan(matmul_circuit_naive(size), size, matmul_input_partition(size))
+
+
+def _graph(size):
+    return random_graph(size, 0.5, random.Random(size))
+
+
+def _simulate(plan_n, n, kernel):
+    circuit = builders.parity_tree(16, 4)
+    plan = build_plan(circuit, plan_n)
+    return simulate_circuit(circuit, n, [False] * 16, plan=plan, kernel=kernel)
+
+
+def _detect(plan_n, n, kernel):
+    from repro.matmul.distributed import detect_triangle_mm
+
+    return detect_triangle_mm(_graph(n), plan=_matmul_plan(plan_n), kernel=kernel)
+
+
+def _detect_many(plan_n, n, kernel):
+    from repro.matmul.distributed import detect_triangle_mm_many
+
+    graphs = [_graph(n), _graph(n)]
+    return detect_triangle_mm_many(graphs, plan=_matmul_plan(plan_n), kernel=kernel)
+
+
+def _program(plan_n, n, kernel):
+    from repro.matmul.distributed import (
+        triangle_mm_kernel_program,
+        triangle_mm_program,
+    )
+
+    build = triangle_mm_kernel_program if kernel else triangle_mm_program
+    return build(_graph(n), _matmul_plan(plan_n), 2)
+
+
+@pytest.mark.parametrize("kernel", [False, True], ids=["generator", "kernel"])
+@pytest.mark.parametrize(
+    "call, plan_n, n",
+    [
+        (_simulate, 6, 8),
+        (_detect, 6, 8),
+        (_detect, 8, 6),
+        (_detect_many, 6, 8),
+        (_program, 6, 8),
+    ],
+    ids=["simulate", "detect", "detect-smaller-graph", "detect-many", "program"],
+)
+def test_plan_for_another_n_is_refused(call, plan_n, n, kernel):
+    """A plan built for another number of players is refused up front,
+    naming both sizes, on both execution paths."""
+    with pytest.raises(
+        ValueError, match=f"plan is for n={plan_n} players, not n={n}"
+    ):
+        call(plan_n, n, kernel)
+
+
 class TestPlanView:
     """The per-player view :func:`execute_plan` runs: compiled once per
     plan, checked when it compiles, invisible in the plan's identity."""
@@ -289,10 +351,30 @@ class TestPlanView:
         circuit, plan = self.plan()
         before = pickle.dumps(plan)
         check_equivalence(circuit, 4, [True] * circuit.num_inputs, plan=plan)
+        check_equivalence(
+            circuit, 4, [True] * circuit.num_inputs, plan=plan, kernel=True
+        )
         assert isinstance(plan.view(), PlanView)
+        assert isinstance(plan.kernel_plan(), KernelPlan)
         assert pickle.dumps(plan) == before
         assert plan == dataclasses.replace(plan)
-        assert "_view" not in pickle.loads(pickle.dumps(plan)).__dict__
+        restored = pickle.loads(pickle.dumps(plan)).__dict__
+        assert "_view" not in restored
+        assert "_kernel_plan" not in restored
+
+    def test_one_kernel_plan_serves_every_program(self, monkeypatch):
+        from repro.simulation.kernel import make_kernel_program
+
+        circuit, plan = self.plan()
+        compiled = plan.kernel_plan()
+        monkeypatch.setattr(
+            KernelPlan, "__init__", lambda *args: pytest.fail("recompiled")
+        )
+        make_kernel_program(plan)
+        check_equivalence(
+            circuit, 4, [False] * circuit.num_inputs, plan=plan, kernel=True
+        )
+        assert plan.kernel_plan() is compiled
 
     def test_one_view_serves_every_engine_and_trial(self, monkeypatch):
         from repro.matmul.distributed import detect_triangle_mm
