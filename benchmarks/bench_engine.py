@@ -4,8 +4,9 @@ Measures the message-passing engine itself (no protocol logic) across
 all three communication models and all engine paths:
 
 * ``legacy``        — the original per-round-allocation reference loop;
-* ``fast``          — the zero-churn scalar loop (reused inbox buffers,
-                      hoisted validation);
+* ``fast``          — legacy delivery plus two lanes; fed dict
+                      outboxes, every round takes legacy's scalar
+                      delivery;
 * ``fast+fixedlane``— the fast loop fed by fixed-width outboxes
                       (``Outbox.fixed_width`` for unicast/CONGEST,
                       ``Outbox.broadcast_uint`` on the blackboard —
@@ -112,9 +113,10 @@ def unicast_fixed_program(rounds):
         me = ctx.node_id
         dests = np.fromiter(ctx.neighbors, dtype=np.intp, count=len(ctx.neighbors))
         values = (dests.astype(np.uint64) + np.uint64(me * 2654435761)) & np.uint64(MASK)
-        outbox = Outbox.fixed_width(dests, values, WIDTH)
+        # A fresh outbox every round, as every library protocol yields,
+        # so the row times the round's validation and delivery.
         for _ in range(rounds):
-            yield outbox
+            yield Outbox.fixed_width(dests, values, WIDTH)
         return None
 
     return program
@@ -132,9 +134,9 @@ def broadcast_program(rounds):
 
 def broadcast_fixed_program(rounds):
     def program(ctx):
-        outbox = Outbox.broadcast_uint((ctx.node_id * 2654435761) & MASK, WIDTH)
+        value = (ctx.node_id * 2654435761) & MASK
         for _ in range(rounds):
-            yield outbox
+            yield Outbox.broadcast_uint(value, WIDTH)
         return None
 
     return program

@@ -1,13 +1,19 @@
 """Assemble EXPERIMENTS.md from the benchmark result tables.
 
-Run after ``pytest benchmarks/ --benchmark-only``:
+Run after the experiments have written their tables:
 
+    python -m pytest benchmarks/bench_*.py --benchmark-disable -q
     python benchmarks/build_experiments_md.py
+
+Exits non-zero, writing nothing, when a table listed below is missing
+from ``benchmarks/results/`` or a table there is listed nowhere, so the
+report always holds every table and only tables that exist.
 """
 
 from __future__ import annotations
 
 import pathlib
+import sys
 
 RESULTS = pathlib.Path(__file__).parent / "results"
 TARGET = pathlib.Path(__file__).parent.parent / "EXPERIMENTS.md"
@@ -17,16 +23,18 @@ HEADER = """\
 
 Every quantitative claim of *On the Power of the Congested Clique Model*
 (Drucker, Kuhn, Oshman; PODC 2014), regenerated by
-``pytest benchmarks/ --benchmark-only``.  The engine counts real rounds
-(bandwidth enforced per message, long messages genuinely fragmented), so
-the "measured" columns are executions, not formulas; "predicted" columns
-are the paper's bounds as implemented in ``repro.analysis``.  The
-reproduction target for a theory paper is the *shape* — which algorithm
-wins, with which exponent, and where crossovers fall; absolute constants
-are artefacts of our scheduling choices and are reported as-is.
+``python -m pytest benchmarks/bench_*.py --benchmark-disable``.  The
+engine counts real rounds (bandwidth enforced per message, long messages
+genuinely fragmented), so the "measured" columns are executions, not
+formulas; "predicted" columns are the paper's bounds as implemented in
+``repro.analysis``.  The reproduction target for a theory paper is the
+*shape* — which algorithm wins, with which exponent, and where
+crossovers fall; absolute constants are artefacts of our scheduling
+choices and are reported as-is.
 
-Experiment ids follow DESIGN.md §3.  Tables below are the output of the
-most recent benchmark run (regenerate with the command above followed by
+Experiment ids (E1–E17) are the ones the ``benchmarks/bench_*.py`` files
+use.  Tables below are the output of the most recent benchmark run
+(regenerate with the command above followed by
 ``python benchmarks/build_experiments_md.py``).
 """
 
@@ -79,15 +87,15 @@ trivial baseline and the gap widens, trees stay polylogarithmic, and K4
 is Θ(n log n/b) — i.e. worse than trivial by the log factor, exactly the
 paper's remark that Theorem 7 only pays off for bipartite H.
 **Shape holds.**""",
-        ["e5_subgraph_detection.md", "e5_asymptotic_shape.md"],
+        ["e5_subgraph_detection.md", "e5_asymptotic_shape.md", "e5_full_learning_matrix.md"],
     ),
     (
         "E6 — Theorem 9 + Lemma 8: adaptive detection, sampled degeneracy",
         """Paper: without knowing ex(n,H), detection in Õ(ex(n,H)/(n·b)) rounds
 w.h.p., using nested samples G_j whose degeneracy concentrates around
 k·2^{-j} (Lemma 8).  Measured: the adaptive algorithm answers correctly
-on every instance (see DESIGN.md §4 on the soundness fix to the printed
-pseudocode), costs a small factor over Theorem 7, and the sampled
+on every instance (see the ``repro.subgraphs.adaptive`` docstring on the
+soundness fix to the printed pseudocode), costs a small factor over Theorem 7, and the sampled
 degeneracy tracks k·2^{-j} within a factor ≈2 throughout Lemma 8's
 concentration regime.  **Shape holds.**""",
         ["e6_adaptive_detection.md", "e6_lemma8_concentration.md"],
@@ -126,8 +134,8 @@ bound by the n/cut factor, and the executed reductions answer correctly.
         """Paper: a bipartite C4-free F with Θ(N^{3/2}) edges (Observation 20)
 drives the reduction.  Measured: with the PG(2,q) incidence graph the
 implied bound normalised by √n stays in a constant band across q — the
-√n shape.  Note the ℓ≠m erratum documented in DESIGN.md §4 (discovered
-by the machine verifier); the verified ℓ = m case carries the theorem.
+√n shape.  Note the ℓ≠m erratum documented in
+``repro.lower_bounds.bipartite`` (discovered by the machine verifier); the verified ℓ = m case carries the theorem.
 **Shape holds (for the verified parameter regime).**""",
         ["e10_bipartite_lower_bound.md", "e10_reduction_execution.md"],
     ),
@@ -219,31 +227,39 @@ All 17 experiment families reproduce the paper's qualitative claims
 (14 from the paper's own results, 3 covering cited substrates and
 ablations).
 Absolute round counts differ from idealised constants by the scheduling
-overheads documented in DESIGN.md (phase headers, the 2-phase router's
-constant, summary-round framing); no experiment contradicts a claimed
-exponent, crossover, or winner.  Two printed-construction gaps found by
-the machine verifiers (Theorem 9's pseudocode, Lemma 21 for ℓ≠m) are
-documented in DESIGN.md §4 with concrete counterexamples in the test
-suite; in both cases the surrounding prose supports the repaired
-reading, under which the theorems hold as stated.
+overheads (phase headers, the 2-phase router's constant, summary-round
+framing); no experiment contradicts a claimed exponent, crossover, or
+winner.  Two printed-construction gaps found by the machine verifiers
+(Theorem 9's pseudocode, Lemma 21 for ℓ≠m) are documented in the
+``repro.subgraphs.adaptive`` and ``repro.lower_bounds.bipartite``
+docstrings, with concrete counterexamples in the test suite; in both
+cases the surrounding prose supports the repaired reading, under which
+the theorems hold as stated.
 """
 
 
-def main() -> None:
+def main() -> int:
+    listed = {name for _, _, files in SECTIONS for name in files}
+    present = {path.name for path in RESULTS.glob("*.md")}
+    missing = sorted(listed - present)
+    unlisted = sorted(present - listed)
+    for name in missing:
+        print(f"missing table: {name} (run the experiments first)", file=sys.stderr)
+    for name in unlisted:
+        print(f"table listed in no section: {name}", file=sys.stderr)
+    if missing or unlisted:
+        return 1
     parts = [HEADER]
     for title, commentary, files in SECTIONS:
         parts.append(f"\n## {title}\n")
         parts.append(commentary + "\n")
         for name in files:
-            path = RESULTS / name
-            if path.exists():
-                parts.append(path.read_text().strip() + "\n")
-            else:
-                parts.append(f"*(table {name} not yet generated — run the benchmarks)*\n")
+            parts.append((RESULTS / name).read_text().strip() + "\n")
     parts.append("\n" + FOOTER)
     TARGET.write_text("\n".join(parts))
     print(f"wrote {TARGET} ({TARGET.stat().st_size} bytes)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,7 +9,7 @@ exposing ``run_many(network, program, inputs_list)``:
 engine    strategy
 ========  ==========================================================
 legacy    reference loop — fresh dicts each round, scalar delivery
-fast      zero-churn loop with bulk lanes
+fast      legacy's delivery plus a unicast and a broadcast bulk lane
 kernel    declared SPMD rounds compiled once, one payload matrix per
           round over all instances (the one compiled path)
 ========  ==========================================================
@@ -19,7 +19,7 @@ kernel    declared SPMD rounds compiled once, one payload matrix per
 engine produces results byte-identical to the legacy loop for the
 programs it runs, and an engine failure propagates to the caller.
 
-The fully validating scalar delivery paths live in
+The fully validating scalar delivery path lives in
 :mod:`repro.core.engine.delivery`, shared by legacy and fast so both
 charge bits and raise protocol errors identically.  Under an active
 :class:`~repro.core.faults.FaultPlan` each engine applies the run's

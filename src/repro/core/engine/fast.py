@@ -1,15 +1,16 @@
-"""The fast engine: zero-churn round loop with bulk lanes.
+"""The fast engine: the legacy loop's delivery plus two bulk lanes.
 
-Every generator-program run executes through one validating round loop:
-per-round classification dispatches each round to the unicast bulk lane
-(:class:`~repro.core.fastlane.FixedLane`), the blackboard bulk lane
-(:class:`~repro.core.fastlane.BroadcastLane`) or the scalar path.  The
-scalar inbox dicts and their :class:`~repro.core.network.Inbox` views
-live for the whole run and are cleared, never reconstructed; each lane
-is created on the first round that can use it.  Under an active fault
-plan every round takes the scalar path, and the run's
-:class:`~repro.core.faults.FaultSession` edits the delivered dicts, as
-in the legacy loop.
+A round in which every non-silent sender yielded a fixed-width unicast
+outbox of one width, dense enough to pay for array operations, rides
+the unicast lane (:class:`~repro.core.fastlane.FixedLane`); a round in
+which every non-silent sender yielded a fixed-width broadcast of one
+width rides the blackboard lane
+(:class:`~repro.core.fastlane.BroadcastLane`).  Every other round, and
+every round under an active fault plan, is delivered exactly as the
+legacy engine delivers it: :func:`deliver_outbox` per sender into fresh
+dicts, then the run's :class:`~repro.core.faults.FaultSession`, then one
+:class:`~repro.core.network.Inbox` per receiver.  Each round hands out
+fresh inboxes, so an inbox keeps its round's messages.
 
 Generator programs have no compiled form here: a generator's round
 structure is only observable by running it.  Protocols whose structure
@@ -21,9 +22,9 @@ engine.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional
 
-from repro.core.engine.delivery import deliver_outbox, deliver_round_scalar
+from repro.core.engine.delivery import deliver_outbox
 
 __all__ = ["run_many"]
 
@@ -38,6 +39,48 @@ def run_many(network: Any, program, inputs_list) -> List[Any]:
     return [_run(network, program, inputs) for inputs in inputs_list]
 
 
+def _lane_round(n: int, pending):
+    """``(lane, senders, width)`` when a bulk lane can deliver the whole
+    round, else ``None``.
+
+    The unicast lane takes the round iff every non-silent sender yielded
+    a fixed-width outbox of one width and the round averages at least
+    :data:`_LANE_DENSITY` messages per sender; the broadcast lane takes
+    it iff every non-silent sender yielded a fixed-width broadcast of
+    one width (a broadcast write is always denser than its n-1 scalar
+    deliveries, so there is no density threshold).
+    """
+    senders = []
+    kind = None
+    width = 0
+    messages = 0
+    for v, outbox in pending.items():
+        this = outbox.kind
+        if this == "silent":
+            continue
+        if this not in ("fixed", "bfixed"):
+            return None
+        if kind is None:
+            kind = this
+            width = outbox.width
+        elif this != kind or outbox.width != width:
+            return None
+        senders.append((v, outbox))
+        if this == "fixed":
+            messages += outbox.dests.size
+    # The lanes are numpy-backed; importing them here keeps
+    # ``import repro.core`` numpy-free until a lane round happens.
+    if kind == "bfixed":
+        from repro.core.fastlane import BroadcastLane
+
+        return BroadcastLane(n), senders, width
+    if kind == "fixed" and messages >= _LANE_DENSITY * len(senders):
+        from repro.core.fastlane import FixedLane
+
+        return FixedLane(n), senders, width
+    return None
+
+
 def _run(network: Any, program, inputs) -> Any:
     from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult
 
@@ -49,109 +92,31 @@ def _run(network: Any, program, inputs) -> Any:
     max_round_bits = 0
     recording = network.record_transcript
     transcript: Optional[List[Any]] = [] if recording else None
-
     faults = network._fault_session()
     round_cap = network._round_cap()
-
-    # Reusable per-round state: the scalar buffers live for the whole
-    # run and are cleared, never reconstructed (``scalar_dirty`` says
-    # whether a previous scalar round filled them).  Under an active
-    # fault plan every round is scalar, so the plan sees each delivered
-    # message individually.
-    inbox_dicts: List[Dict[int, Any]] = [{} for _ in range(n)]
-    inbox_views = [Inbox(d) for d in inbox_dicts]
-    scalar_dirty = False
-    fixed_list: List[Tuple[int, Any]] = []
-    bcast_list: List[Tuple[int, Any]] = []
-    lane = None  # FixedLane, allocated on the first bulk round
-    blane = None  # BroadcastLane, allocated on the first bulk round
     check_outbox = network._check_outbox
 
     while generators:
         if rounds >= round_cap:
             raise network._round_cap_error(rounds)
         rounds += 1
-
-        # Classify the round: it can ride the unicast bulk lane iff
-        # every non-silent sender yielded a fixed-width outbox of one
-        # width AND the round is dense enough that per-sender array
-        # operations beat per-message dict writes; it can ride the
-        # broadcast lane iff every non-silent sender yielded a
-        # fixed-width broadcast of one width (a broadcast write is
-        # always denser than its n-1 scalar deliveries, so there is
-        # no density threshold).
-        fixed_list.clear()
-        bcast_list.clear()
-        scalar_senders = False
-        lane_width = 0
-        bcast_width = 0
-        fixed_messages = 0
-        for v, outbox in pending.items():
-            kind = outbox.kind
-            if kind == "silent":
-                continue
-            if kind == "fixed":
-                width = outbox.width
-                if lane_width == 0:
-                    lane_width = width
-                elif width != lane_width:
-                    scalar_senders = True
-                fixed_list.append((v, outbox))
-                fixed_messages += outbox.dests.size
-            elif kind == "bfixed":
-                width = outbox.width
-                if bcast_width == 0:
-                    bcast_width = width
-                elif width != bcast_width:
-                    scalar_senders = True
-                bcast_list.append((v, outbox))
-            else:
-                scalar_senders = True
-        use_lane = (
-            faults is None
-            and bool(fixed_list)
-            and not scalar_senders
-            and not bcast_list
-            and fixed_messages >= _LANE_DENSITY * len(fixed_list)
-        )
-        use_bcast_lane = (
-            faults is None
-            and bool(bcast_list)
-            and not scalar_senders
-            and not fixed_list
-        )
-
         record = RoundRecord() if recording else None
-        if use_lane:
-            if lane is None:
-                from repro.core.fastlane import FixedLane
-
-                lane = FixedLane(n)
-            round_bits = lane.deliver(fixed_list, lane_width, record)
-        elif use_bcast_lane:
-            if blane is None:
-                from repro.core.fastlane import BroadcastLane
-
-                blane = BroadcastLane(n)
-            round_bits = blane.deliver(bcast_list, bcast_width, record)
+        # Under an active fault plan every round is scalar, so the plan
+        # sees each delivered message individually.
+        lane_round = None if faults is not None else _lane_round(n, pending)
+        if lane_round is not None:
+            lane, senders, width = lane_round
+            round_bits, inboxes = lane.deliver(senders, width, record)
         else:
-            if scalar_dirty:
-                for u in range(n):
-                    inbox_dicts[u].clear()
-                    inbox_views[u]._reset()
-            scalar_dirty = True
-            if record is not None:
-                round_bits = 0
-                for v, outbox in pending.items():
-                    round_bits += deliver_outbox(
-                        network, v, outbox, inbox_dicts, record, rounds
-                    )
-            else:
-                round_bits = deliver_round_scalar(
-                    network, pending, inbox_dicts, rounds
+            dicts = [{} for _ in range(n)]
+            round_bits = 0
+            for v, outbox in pending.items():
+                round_bits += deliver_outbox(
+                    network, v, outbox, dicts, record, rounds
                 )
             if faults is not None:
-                faults.apply_scalar(rounds, inbox_dicts)
+                faults.apply_scalar(rounds, dicts)
+            inboxes = [Inbox(d) if d else EMPTY_INBOX for d in dicts]
         total_bits += round_bits
         if round_bits > max_round_bits:
             max_round_bits = round_bits
@@ -160,29 +125,12 @@ def _run(network: Any, program, inputs) -> Any:
 
         pending = {}
         finished = []
-        if use_lane:
-            for v, gen in generators.items():
-                try:
-                    pending[v] = check_outbox(v, gen.send(lane.inbox(v)))
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    finished.append(v)
-        elif use_bcast_lane:
-            for v, gen in generators.items():
-                try:
-                    pending[v] = check_outbox(v, gen.send(blane.inbox(v)))
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    finished.append(v)
-        else:
-            for v, gen in generators.items():
-                buf = inbox_dicts[v]
-                inbox = inbox_views[v] if buf else EMPTY_INBOX
-                try:
-                    pending[v] = check_outbox(v, gen.send(inbox))
-                except StopIteration as stop:
-                    outputs[v] = stop.value
-                    finished.append(v)
+        for v, gen in generators.items():
+            try:
+                pending[v] = check_outbox(v, gen.send(inboxes[v]))
+            except StopIteration as stop:
+                outputs[v] = stop.value
+                finished.append(v)
         for v in finished:
             del generators[v]
 

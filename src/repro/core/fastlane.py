@@ -1,4 +1,4 @@
-"""Batched fixed-width delivery lane for the message-passing engine.
+"""Batched fixed-width delivery lanes for the fast engine.
 
 Many congested-clique protocols spend their rounds exchanging
 *fixed-width* unsigned-integer payloads: Lenzen-style routing frames,
@@ -8,20 +8,21 @@ write plus per-message validation for each of up to n² messages — is
 pure overhead.
 
 This module provides the bulk alternatives, one per direction of the
-model:
+model.  Both are stateless: each lane round writes fresh arrays and
+hands out fresh views, so an inbox keeps its round's messages.
 
 * **Unicast lane** — a sender declares one destination vector and one
   value vector per round (:meth:`~repro.core.network.Outbox.fixed_width`);
-  the engine validates the whole outbox with a handful of vectorized
-  checks and delivers it with two fancy-indexed writes into an ``n × n``
-  send matrix that is allocated once per run and merely masked clean
-  between rounds.  Receivers read their column through an array-backed
-  :class:`FixedWidthInbox` that mirrors the
-  :class:`~repro.core.network.Inbox` API.
+  the network validates the whole outbox with a handful of vectorized
+  checks when it is yielded, and the lane delivers it with two
+  fancy-indexed writes into the round's ``n × n`` send matrix.
+  Receivers read their column through an array-backed
+  :class:`FixedWidthInbox` with the :class:`~repro.core.network.Inbox`
+  API.
 * **Broadcast lane** — a sender declares one fixed-width blackboard
   write (:meth:`~repro.core.network.Outbox.broadcast_uint`); rounds in
   which every non-silent sender broadcasts the same width are delivered
-  with one n-vector write into a per-run column buffer, and receivers
+  with one write into the round's n-vector blackboard, and receivers
   read an array-backed :class:`BroadcastInbox` (the same view for every
   receiver, minus its own row — a broadcast never echoes back to its
   writer).
@@ -60,7 +61,6 @@ __all__ = [
     "coerce_fixed",
     "coerce_broadcast",
     "validate_fixed",
-    "adjacency_mask",
 ]
 
 NUMERIC_WIDTH_LIMIT = 63
@@ -111,9 +111,10 @@ def coerce_fixed(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Normalize a fixed-width outbox's payload into parallel arrays.
 
-    Always copies (and freezes) the inputs: an outbox's validation is
-    memoized per (network, sender), so aliasing a caller-owned array
-    that is later mutated in place would let unvalidated data onto the
+    Always copies (and freezes) the inputs: the network validates an
+    outbox when it is yielded, and other nodes run between that yield
+    and the round's delivery, so aliasing a caller-owned array that is
+    mutated in place meanwhile would let unvalidated data onto the
     wire."""
     if width < 1:
         raise ValueError("fixed-width messages need width >= 1 bit")
@@ -166,15 +167,14 @@ def validate_fixed(
     sender: int,
     n: int,
     bandwidth: int,
-    adj_row: Optional[np.ndarray] = None,
     allowed_set: Optional[frozenset] = None,
 ) -> None:
     """Whole-outbox validation, vectorized; raises on any violation.
 
     Replaces the per-message checks of the scalar path: one range/self
-    scan over the destination vector, one membership scan for CONGEST
-    (``adj_row`` for bulk outboxes, ``allowed_set`` for small ones),
-    one width scan over the values.
+    scan over the destination vector, one membership scan against the
+    sender's CONGEST neighbours (``allowed_set``), one width scan over
+    the values.
     """
     width = outbox.width
     if width > bandwidth:
@@ -192,10 +192,6 @@ def validate_fixed(
     if not outbox.trusted_unique and np.unique(dests).size != dests.size:
         raise ProtocolError(
             f"node {sender} listed a destination twice in a fixed-width outbox"
-        )
-    if adj_row is not None and not adj_row[dests].all():
-        raise TopologyError(
-            f"node {sender} sent to non-neighbour in CONGEST"
         )
     if allowed_set is not None:
         for dest in dests:
@@ -215,43 +211,25 @@ def validate_fixed(
         )
 
 
-def adjacency_mask(n: int, neighbors: Sequence[Sequence[int]]) -> np.ndarray:
-    """Boolean adjacency rows for vectorized CONGEST membership checks."""
-    mask = np.zeros((n, n), dtype=bool)
-    for v, nbrs in enumerate(neighbors):
-        if nbrs:
-            mask[v, list(nbrs)] = True
-    return mask
-
-
 class FixedWidthInbox:
-    """Array-backed inbox over one receiver's column of the send matrix.
+    """Array-backed inbox over one receiver's column of a send matrix.
 
-    Mirrors the :class:`~repro.core.network.Inbox` API (``get`` /
-    ``senders`` / ``items`` / ``len`` / ``in``) and adds the zero-copy
-    accessors :meth:`get_uint` and :meth:`uint_items` for protocols that
-    want the raw integers.  Like every inbox, it is only valid for the
-    round in which it was delivered.
+    Has the :class:`~repro.core.network.Inbox` API (``get`` /
+    ``senders`` / ``items`` / ``uint_items`` / ``len`` / ``in``); every
+    lane round writes a fresh matrix, so the inbox keeps its round's
+    messages.
     """
 
     __slots__ = ("_values", "_present", "_width", "_senders", "_items")
 
-    def __init__(self, values_col: np.ndarray, present_col: np.ndarray) -> None:
+    def __init__(
+        self, values_col: np.ndarray, present_col: np.ndarray, width: int
+    ) -> None:
         self._values = values_col
         self._present = present_col
-        self._width = 0
+        self._width = width
         self._senders: Optional[Tuple[int, ...]] = None
         self._items = None
-
-    def _reset(self, width: int) -> None:
-        self._width = width
-        self._senders = None
-        self._items = None
-
-    @property
-    def width(self) -> int:
-        """Bit-width shared by every message in this inbox."""
-        return self._width
 
     def senders(self) -> Tuple[int, ...]:
         cached = self._senders
@@ -280,11 +258,6 @@ class FixedWidthInbox:
             return Bits(int(self._values[sender]), self._width)
         return None
 
-    def get_uint(self, sender: int) -> Optional[int]:
-        if 0 <= sender < self._present.shape[0] and self._present[sender]:
-            return int(self._values[sender])
-        return None
-
     def __len__(self) -> int:
         return len(self.senders())
 
@@ -295,83 +268,51 @@ class FixedWidthInbox:
         return f"FixedWidthInbox({dict(self.uint_items())!r}, width={self._width})"
 
 
-class _LaneBuffers:
-    """One dtype's worth of per-run matrices and receiver views."""
-
-    __slots__ = ("values", "present", "inboxes", "touched")
-
-    def __init__(self, n: int, dtype) -> None:
-        self.values = np.zeros((n, n), dtype=dtype)
-        self.present = np.zeros((n, n), dtype=bool)
-        self.inboxes = [
-            FixedWidthInbox(self.values[:, u], self.present[:, u])
-            for u in range(n)
-        ]
-        self.touched: List[int] = []  # sender rows written last bulk round
-
-
 class FixedLane:
-    """Per-run reusable state for bulk rounds (engine internal)."""
+    """The unicast bulk lane (engine internal)."""
 
-    __slots__ = ("n", "width", "_numeric", "_object", "_active")
+    __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.width = 0
-        self._numeric: Optional[_LaneBuffers] = None
-        self._object: Optional[_LaneBuffers] = None
-        self._active: Optional[_LaneBuffers] = None
 
-    def _buffers(self, width: int) -> _LaneBuffers:
-        if width <= NUMERIC_WIDTH_LIMIT:
-            if self._numeric is None:
-                self._numeric = _LaneBuffers(self.n, np.uint64)
-            return self._numeric
-        if self._object is None:
-            self._object = _LaneBuffers(self.n, object)
-        return self._object
-
-    def deliver(self, senders, width: int, record=None) -> int:
-        """Deliver one homogeneous bulk round; returns the bits sent.
+    def deliver(
+        self, senders, width: int, record=None
+    ) -> Tuple[int, List[FixedWidthInbox]]:
+        """Deliver one homogeneous bulk round into a fresh ``n × n`` send
+        matrix; returns the bits sent and one inbox per receiver.
 
         ``senders`` is a list of ``(node_id, outbox)`` in node order, as
         required for transcript order parity with the scalar path.
         """
-        buf = self._buffers(width)
-        touched = buf.touched
-        if touched:
-            # Zero-churn clear: mask out only the rows written last time.
-            buf.present[touched] = False
-            touched.clear()
+        n = self.n
+        dtype = np.uint64 if width <= NUMERIC_WIDTH_LIMIT else object
+        values = np.zeros((n, n), dtype=dtype)
+        present = np.zeros((n, n), dtype=bool)
         count = 0
         for sender, outbox in senders:
             dests = outbox.dests
             size = dests.size
             if not size:
                 continue
-            buf.values[sender, dests] = outbox.values
-            buf.present[sender, dests] = True
-            touched.append(sender)
+            values[sender, dests] = outbox.values
+            present[sender, dests] = True
             count += size
             if record is not None:
                 sends = record.sends
-                values = outbox.values
+                row = outbox.values
                 for i in range(size):
                     sends.append(
-                        (sender, int(dests[i]), Bits(int(values[i]), width))
+                        (sender, int(dests[i]), Bits(int(row[i]), width))
                     )
-        self.width = width
-        self._active = buf
-        return count * width
-
-    def inbox(self, receiver: int) -> FixedWidthInbox:
-        box = self._active.inboxes[receiver]
-        box._reset(self.width)
-        return box
+        inboxes = [
+            FixedWidthInbox(values[:, u], present[:, u], width) for u in range(n)
+        ]
+        return count * width, inboxes
 
 
 class BroadcastInbox:
-    """Array-backed inbox over the shared broadcast column buffer.
+    """Array-backed inbox over one round's blackboard vector.
 
     All receivers of a bulk broadcast round see the *same* blackboard;
     each receiver's view only differs in masking out its own row (a
@@ -379,163 +320,109 @@ class BroadcastInbox:
     that: the writer-id list and their outboxes are collected **once per
     round** at delivery and shared by all n views, so the sorted
     accessors cost O(#writers) per receiver with no per-element numpy
-    round-trips; random access (``get`` / ``in``) reads the column
-    buffer directly.  Mirrors the :class:`~repro.core.network.Inbox` API
-    plus the zero-copy uint accessors, like :class:`FixedWidthInbox`.
-    Like every inbox, it is only valid for the round in which it was
-    delivered.
+    round-trips; random access (``get`` / ``in``) reads the blackboard
+    vector directly.  Has the :class:`~repro.core.network.Inbox` API,
+    like :class:`FixedWidthInbox`, and keeps its round's messages.
     """
 
-    __slots__ = ("_buf", "_me", "_width", "_senders", "_items")
+    __slots__ = (
+        "_values",
+        "_present",
+        "_ids",
+        "_outboxes",
+        "_me",
+        "_width",
+        "_senders",
+        "_items",
+    )
 
-    def __init__(self, buf: "_BcastBuffers", me: int) -> None:
-        self._buf = buf
+    def __init__(self, values, present, ids, outboxes, me: int, width: int) -> None:
+        self._values = values
+        self._present = present
+        self._ids = ids
+        self._outboxes = outboxes
         self._me = me
-        self._width = 0
+        self._width = width
         self._senders: Optional[Tuple[int, ...]] = None
         self._items = None
-
-    def _reset(self, width: int) -> None:
-        self._width = width
-        self._senders = None
-        self._items = None
-
-    @property
-    def width(self) -> int:
-        """Bit-width shared by every message in this inbox."""
-        return self._width
 
     def senders(self) -> Tuple[int, ...]:
         cached = self._senders
         if cached is None:
             me = self._me
-            cached = self._senders = tuple(
-                s for s in self._buf.round_ids if s != me
-            )
+            cached = self._senders = tuple(s for s in self._ids if s != me)
         return cached
 
     def items(self) -> Tuple[Tuple[int, Bits], ...]:
         cached = self._items
         if cached is None:
             me = self._me
-            buf = self._buf
-            # _materialize_broadcast is memoized per outbox, so the Bits
-            # is built once per writer per run, not once per receiver.
+            # _materialize_broadcast is memoized per outbox, so each
+            # writer's Bits is built once, not once per receiver.
             cached = self._items = tuple(
                 (s, o._materialize_broadcast())
-                for s, o in zip(buf.round_ids, buf.round_outboxes)
+                for s, o in zip(self._ids, self._outboxes)
                 if s != me
             )
         return cached
 
     def uint_items(self) -> List[Tuple[int, int]]:
         me = self._me
-        buf = self._buf
-        return [
-            (s, o.values)
-            for s, o in zip(buf.round_ids, buf.round_outboxes)
-            if s != me
-        ]
+        return [(s, o.values) for s, o in zip(self._ids, self._outboxes) if s != me]
 
     def get(self, sender: int) -> Optional[Bits]:
         if sender in self:
-            return Bits(int(self._buf.values[sender]), self._width)
-        return None
-
-    def get_uint(self, sender: int) -> Optional[int]:
-        if sender in self:
-            return int(self._buf.values[sender])
+            return Bits(int(self._values[sender]), self._width)
         return None
 
     def __len__(self) -> int:
         return len(self.senders())
 
     def __contains__(self, sender: int) -> bool:
-        buf = self._buf
         return (
             sender != self._me
-            and 0 <= sender < buf.present.shape[0]
-            and bool(buf.present[sender])
+            and 0 <= sender < self._present.shape[0]
+            and bool(self._present[sender])
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BroadcastInbox({dict(self.uint_items())!r}, width={self._width})"
 
 
-class _BcastBuffers:
-    """One dtype's worth of per-run broadcast vectors and receiver views."""
-
-    __slots__ = (
-        "values",
-        "present",
-        "inboxes",
-        "touched",
-        "round_ids",
-        "round_outboxes",
-    )
-
-    def __init__(self, n: int, dtype) -> None:
-        self.values = np.zeros(n, dtype=dtype)
-        self.present = np.zeros(n, dtype=bool)
-        self.inboxes = [BroadcastInbox(self, u) for u in range(n)]
-        self.touched: List[int] = []  # writer slots filled last bulk round
-        self.round_ids: List[int] = []  # this round's writers, node order
-        self.round_outboxes: List[Any] = []  # their outboxes, same order
-
-
 class BroadcastLane:
-    """Per-run reusable state for bulk broadcast rounds (engine internal)."""
+    """The blackboard bulk lane (engine internal)."""
 
-    __slots__ = ("n", "width", "_numeric", "_object", "_active")
+    __slots__ = ("n",)
 
     def __init__(self, n: int) -> None:
         self.n = n
-        self.width = 0
-        self._numeric: Optional[_BcastBuffers] = None
-        self._object: Optional[_BcastBuffers] = None
-        self._active: Optional[_BcastBuffers] = None
 
-    def _buffers(self, width: int) -> _BcastBuffers:
-        if width <= NUMERIC_WIDTH_LIMIT:
-            if self._numeric is None:
-                self._numeric = _BcastBuffers(self.n, np.uint64)
-            return self._numeric
-        if self._object is None:
-            self._object = _BcastBuffers(self.n, object)
-        return self._object
-
-    def deliver(self, senders, width: int, record=None) -> int:
-        """Deliver one homogeneous broadcast round; returns the bits
-        written to the blackboard (``width`` per writer, counted once).
+    def deliver(
+        self, senders, width: int, record=None
+    ) -> Tuple[int, List[BroadcastInbox]]:
+        """Deliver one homogeneous broadcast round into a fresh n-vector
+        blackboard; returns the bits written (``width`` per writer,
+        counted once) and one inbox per receiver.
 
         ``senders`` is a list of ``(node_id, outbox)`` in node order, as
         required for sorted-view and transcript order parity with the
         scalar path.
         """
-        buf = self._buffers(width)
-        touched = buf.touched
-        if touched:
-            # Zero-churn clear: mask out only last round's writer slots.
-            buf.present[touched] = False
-            touched.clear()
+        n = self.n
+        dtype = np.uint64 if width <= NUMERIC_WIDTH_LIMIT else object
+        values = np.zeros(n, dtype=dtype)
+        present = np.zeros(n, dtype=bool)
         ids = [s for s, _ in senders]
         outboxes = [o for _, o in senders]
-        # One n-vector write into the per-run column buffer.
-        buf.values[ids] = [o.values for o in outboxes]
-        buf.present[ids] = True
-        touched.extend(ids)
-        buf.round_ids = ids
-        buf.round_outboxes = outboxes
+        values[ids] = [o.values for o in outboxes]
+        present[ids] = True
         if record is not None:
             sends = record.sends
             for sender, outbox in senders:
                 # A broadcast is recorded once, with receiver=None.
                 sends.append((sender, None, outbox._materialize_broadcast()))
-        self.width = width
-        self._active = buf
-        return len(ids) * width
-
-    def inbox(self, receiver: int) -> BroadcastInbox:
-        box = self._active.inboxes[receiver]
-        box._reset(self.width)
-        return box
+        inboxes = [
+            BroadcastInbox(values, present, ids, outboxes, u, width)
+            for u in range(n)
+        ]
+        return len(ids) * width, inboxes

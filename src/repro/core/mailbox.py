@@ -15,7 +15,6 @@ keeps their results byte-identical.  Historically these lived in
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
@@ -27,7 +26,9 @@ class Inbox:
     """Messages delivered to one node in one round, keyed by sender id.
 
     Inboxes are immutable once delivered, so the sorted views produced by
-    :meth:`senders` and :meth:`items` are computed once and cached.
+    :meth:`senders` and :meth:`items` are computed once and cached.  Every
+    engine builds fresh inboxes each round, so an inbox keeps its round's
+    messages after the round ends.
     """
 
     __slots__ = ("_by_sender", "_senders", "_items")
@@ -63,12 +64,6 @@ class Inbox:
     def __contains__(self, sender: int) -> bool:
         return sender in self._by_sender
 
-    def _reset(self) -> None:
-        """Drop cached views; the engine calls this when it recycles the
-        underlying buffer for a new round."""
-        self._senders = None
-        self._items = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Inbox({self._by_sender!r})"
 
@@ -100,7 +95,6 @@ class Outbox:
         "values",
         "width",
         "trusted_unique",
-        "_validated_for",
     )
 
     def __init__(
@@ -120,37 +114,6 @@ class Outbox:
         self.values = values
         self.width = width
         self.trusted_unique = trusted_unique
-        # Outboxes are immutable after construction, so a fixed-width
-        # outbox yielded round after round (the zero-churn pattern) is
-        # vector-validated once per (network, sender), not once per
-        # round.  The memo maps id(network) -> (weakref, {senders}):
-        # weakly referenced so a long-lived outbox never pins a network
-        # alive, and per-sender so one outbox shared by several senders
-        # (also a natural zero-churn pattern) keeps every entry instead
-        # of thrashing a single slot.
-        self._validated_for: Any = None
-
-    def _is_validated(self, network: Any, sender: int) -> bool:
-        memo = self._validated_for
-        if memo is None:
-            return False
-        entry = memo.get(id(network))
-        return entry is not None and entry[0]() is network and sender in entry[1]
-
-    def _mark_validated(self, network: Any, sender: int) -> None:
-        memo = self._validated_for
-        if memo is None:
-            memo = self._validated_for = {}
-        key = id(network)
-        entry = memo.get(key)
-        if entry is not None and entry[0]() is network:
-            entry[1].add(sender)
-            return
-        if len(memo) >= 8:
-            # Drop entries whose network is gone (ids may be reused).
-            for stale in [k for k, e in memo.items() if e[0]() is None]:
-                del memo[stale]
-        memo[key] = (weakref.ref(network), {sender})
 
     @classmethod
     def unicast(cls, messages: Mapping[int, Bits]) -> "Outbox":

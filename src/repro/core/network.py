@@ -25,8 +25,8 @@ Execution engines
 :mod:`repro.core.engine`, looked up by name in
 :data:`~repro.core.engine.ENGINES`:
 
-* ``fast`` (default) — zero-churn round loop with the numpy bulk lanes
-  of :mod:`repro.core.fastlane`.
+* ``fast`` (default) — the legacy loop's delivery plus the two numpy
+  bulk lanes of :mod:`repro.core.fastlane`.
 * ``legacy`` — the original per-round-allocation loop, kept as the
   executable reference semantics; the equivalence suites pin every
   other engine to it byte-for-byte.
@@ -41,9 +41,9 @@ A kernel program runs on ``kernel`` whatever the network names (it has
 no other semantics), and ``engine="kernel"`` rejects a generator
 program.  An engine's failure propagates to the caller.
 
-Inboxes are only valid for the round in which they are delivered: the
-fast engine recycles the underlying buffers, so a program must not stash
-an :class:`Inbox` and read it in a later round (copy what you need).
+An inbox keeps its round's messages on every engine: each round hands
+every node a fresh inbox, so a program may stash one and read it in a
+later round.
 
 All cross-run state lives on the :class:`Network` — the kernel engine's
 compiled schedules, the RNG state bundle and the ``schedule_stats``
@@ -282,9 +282,6 @@ class Network:
                 tuple(u for u in everyone if u != v) for v in range(n)
             ]
             self._allowed = None
-        # Boolean adjacency rows for vectorized CONGEST validation of
-        # fixed-width outboxes; built lazily on first use.
-        self._adj_mask = None
         # Compiled kernel schedules (repro.core.kernels), keyed by the
         # program object.  Bounded; correctness never depends on a hit
         # (a miss just compiles).
@@ -487,29 +484,19 @@ class Network:
                 f"node {sender} broadcast {yielded.width} bits "
                 f"(bandwidth {self.bandwidth})"
             )
-        if kind == "fixed" and not yielded._is_validated(self, sender):
-            # Whole-outbox vectorized validation, hoisted out of delivery
-            # (and out of the round loop entirely for reused outboxes).
+        if kind == "fixed":
+            # Whole-outbox vectorized validation at every yield, so the
+            # unicast lane delivers without per-message checks.
             from repro.core import fastlane
 
-            adj_row = None
-            allowed_set = None
-            if self._allowed is not None:
-                # Small outboxes check against the per-sender frozenset;
-                # the dense n×n mask is only worth building (O(n²)
-                # memory) for genuinely bulk senders.
-                if yielded.dests.size < 32:
-                    allowed_set = self._allowed[sender]
-                else:
-                    if self._adj_mask is None:
-                        self._adj_mask = fastlane.adjacency_mask(
-                            self.n, self._neighbors
-                        )
-                    adj_row = self._adj_mask[sender]
+            allowed = self._allowed
             fastlane.validate_fixed(
-                yielded, sender, self.n, self.bandwidth, adj_row, allowed_set
+                yielded,
+                sender,
+                self.n,
+                self.bandwidth,
+                None if allowed is None else allowed[sender],
             )
-            yielded._mark_validated(self, sender)
         return yielded
 
 

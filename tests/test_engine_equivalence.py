@@ -1,7 +1,8 @@
 """Fast engine vs. legacy engine: byte-identical RunResults.
 
-The fast engine (zero-churn buffers + fixed-width bulk lane) must be
-observationally indistinguishable from the legacy reference loop.  These
+The fast engine (legacy's delivery plus the unicast and broadcast bulk
+lanes) must be observationally indistinguishable from the legacy
+reference loop, down to an inbox read after its round has ended.  These
 tests run representative protocols from routing/, mst/, subgraphs/ and
 matmul/ under both engines with full transcripts and compare every field
 of the RunResult.  The ``run_many`` contract is pinned the same way:
@@ -430,6 +431,22 @@ class TestRandomProtocolFuzz:
             self._fuzz_broadcast(seed)
 
 
+@pytest.fixture
+def lane_rounds(monkeypatch):
+    """The width of every round the unicast lane delivers."""
+    from repro.core.fastlane import FixedLane
+
+    widths = []
+    deliver = FixedLane.deliver
+
+    def counting(self, senders, width, record=None):
+        widths.append(width)
+        return deliver(self, senders, width, record)
+
+    monkeypatch.setattr(FixedLane, "deliver", counting)
+    return widths
+
+
 class TestLaneEdgeCases:
     def test_mixed_width_round_falls_back(self):
         # Nodes yield fixed-width outboxes of *different* widths in the
@@ -462,7 +479,8 @@ class TestLaneEdgeCases:
 
         run_both(factory, n=5, bandwidth=4)
 
-    def test_wide_payloads_use_object_lane(self):
+    def test_wide_payloads_use_object_lane(self, lane_rounds):
+        # n = 10: nine messages per sender, dense enough for the lane.
         width = 130  # beyond the uint64 lane
 
         def factory():
@@ -476,21 +494,24 @@ class TestLaneEdgeCases:
 
             return program
 
-        result = run_both(factory, n=4, bandwidth=width)
-        assert result.total_bits == 4 * 3 * width
+        result = run_both(factory, n=10, bandwidth=width)
+        assert result.total_bits == 10 * 9 * width
+        assert lane_rounds == [width]
 
-    def test_alternating_lane_and_scalar_rounds(self):
-        # Exercise buffer recycling across lane -> dict -> lane rounds.
+    def test_alternating_lane_and_scalar_rounds(self, lane_rounds):
+        # Dense fixed-width rounds (the unicast lane) around a dict
+        # round and a silent one.
         def factory():
             def program(ctx):
                 me = ctx.node_id
+                dests = list(ctx.neighbors)
                 dest = (me + 1) % ctx.n
                 seen = []
-                inbox = yield Outbox.fixed_width([dest], [me], 4)
+                inbox = yield Outbox.fixed_width(dests, [me] * len(dests), 4)
                 seen.append(tuple(inbox.senders()))
-                inbox = yield Outbox.unicast({dest: Bits.from_uint(me, 3)})
+                inbox = yield Outbox.unicast({dest: Bits.from_uint(me, 4)})
                 seen.append(tuple(inbox.senders()))
-                inbox = yield Outbox.fixed_width([dest], [me + 1], 4)
+                inbox = yield Outbox.fixed_width(dests, [me + 1] * len(dests), 4)
                 seen.append(tuple(inbox.senders()))
                 inbox = yield Outbox.silent()
                 seen.append(tuple(inbox.senders()))
@@ -498,10 +519,64 @@ class TestLaneEdgeCases:
 
             return program
 
-        result = run_both(factory, n=4, bandwidth=4)
+        result = run_both(factory, n=10, bandwidth=4)
         for v, seen in enumerate(result.outputs):
-            sender = ((v - 1) % 4,)
-            assert seen == [sender, sender, sender, ()]
+            others = tuple(u for u in range(10) if u != v)
+            assert seen == [others, ((v - 1) % 10,), others, ()]
+        assert lane_rounds == [4, 4]
+
+
+def _stash_value(r, u, v):
+    return (r * 100 + u * 7 + v) % 256
+
+
+def _round_outbox(kind, ctx, r, width):
+    """Round ``r``'s outbox of one round kind: node ``u`` sends
+    ``_stash_value(r, u, v)`` to every other node ``v`` (a broadcast
+    carries ``_stash_value(r, u, 0)``)."""
+    me = ctx.node_id
+    if kind == "broadcast_uint":
+        return Outbox.broadcast_uint(_stash_value(r, me, 0), width)
+    dests = list(ctx.neighbors)
+    values = [_stash_value(r, me, d) for d in dests]
+    if kind == "dense_fixed":
+        return Outbox.fixed_width(dests, values, width)
+    return Outbox.unicast(
+        {d: Bits.from_uint(x, width) for d, x in zip(dests, values)}
+    )
+
+
+class TestInboxLifetime:
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("kind", ["dict_unicast", "dense_fixed", "broadcast_uint"])
+    def test_stashed_inbox_keeps_its_round(self, kind, engine):
+        # A program keeps round 1's inbox, unread, and reads it only
+        # after round 2 has been delivered.  n = 10 gives each sender 9
+        # messages, so the fixed-width rounds are dense enough for the
+        # unicast lane.
+        n, width = 10, 8
+        mode = Mode.BROADCAST if kind == "broadcast_uint" else Mode.UNICAST
+
+        def program(ctx):
+            stash = yield _round_outbox(kind, ctx, 1, width)
+            yield _round_outbox(kind, ctx, 2, width)
+            return (
+                stash.uint_items(),
+                [(s, p.to_uint()) for s, p in stash.items()],
+                [stash.get(s).to_uint() for s in stash.senders()],
+            )
+
+        network = Network(n=n, bandwidth=width, mode=mode, engine=engine)
+        result = network.run(program)
+        for v, (uints, items, gets) in enumerate(result.outputs):
+            expected = [
+                (u, _stash_value(1, u, 0 if kind == "broadcast_uint" else v))
+                for u in range(n)
+                if u != v
+            ]
+            assert uints == expected
+            assert items == expected
+            assert gets == [x for _, x in expected]
 
 
 # -- run_many contract ----------------------------------------------------

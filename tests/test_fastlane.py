@@ -11,8 +11,8 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.fastlane import coerce_fixed
-from repro.core.network import Mode, Outbox, inbox_uints, run_protocol
+from repro.core.fastlane import BroadcastInbox, FixedWidthInbox, coerce_fixed
+from repro.core.network import Inbox, Mode, Outbox, inbox_uints, run_protocol
 
 
 class TestDelivery:
@@ -153,6 +153,24 @@ class TestValidation:
                 topology=topo,
             )
 
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_congest_non_neighbour_rejected_in_bulk_outbox(self, engine):
+        # 40 destinations, the last of them no neighbour of the sender:
+        # a bulk outbox gets the same membership check as a small one.
+        n = 45
+        topo = [[] for _ in range(n)]
+        for u in range(1, 40):
+            topo[0].append(u)
+            topo[u].append(0)
+        with pytest.raises(TopologyError, match="non-neighbour 40"):
+            self.run_single(
+                lambda ctx: Outbox.fixed_width(range(1, 41), [1] * 40, 4),
+                n=n,
+                mode=Mode.CONGEST,
+                topology=topo,
+                engine=engine,
+            )
+
     def test_rejected_in_broadcast_mode(self):
         with pytest.raises(ProtocolError):
             self.run_single(
@@ -169,10 +187,10 @@ class TestValidation:
             Outbox.fixed_width([1], [0], 0)
 
     def test_outbox_arrays_are_frozen_copies(self):
-        # Validation is memoized per (network, sender); aliasing a
-        # caller array that is mutated in place would smuggle
-        # unvalidated data onto the wire — so the outbox must own
-        # frozen copies.
+        # An outbox is validated when it is yielded and delivered after
+        # the other nodes have run; aliasing a caller array that is
+        # mutated in place meanwhile would smuggle unvalidated data
+        # onto the wire — so the outbox must own frozen copies.
         dests = np.array([1, 2], dtype=np.intp)
         values = np.array([3, 4], dtype=np.uint64)
         outbox = Outbox.fixed_width(dests, values, 4)
@@ -266,7 +284,6 @@ class TestBroadcastLane:
                 "get1": None if inbox.get(1) is None else inbox.get(1).to_uint(),
                 "get_self": inbox.get(ctx.node_id),
                 "get99": inbox.get(99),
-                "width": inbox.width if hasattr(inbox, "width") else None,
             }
 
         result = run_protocol(program, n=3, bandwidth=4, mode=Mode.BROADCAST)
@@ -397,6 +414,18 @@ class TestSchedule:
         result = run_protocol(program, n=3, bandwidth=5)
         assert result.outputs[0] == [(1, 21), (2, 22)]
         assert result.outputs[1] == [(0, 9)]
+
+
+class TestInboxApi:
+    def test_every_inbox_flavour_has_the_same_public_attributes(self):
+        # A program sees whichever flavour the round took; an accessor
+        # only some flavours have works on one engine and raises
+        # AttributeError on another.
+        def public(cls):
+            return {name for name in dir(cls) if not name.startswith("_")}
+
+        assert public(FixedWidthInbox) == public(Inbox)
+        assert public(BroadcastInbox) == public(Inbox)
 
 
 class TestDuplicateDestinationAudit:
