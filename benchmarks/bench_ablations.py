@@ -1,4 +1,5 @@
-"""E15 (ablations): the design choices DESIGN.md calls out, isolated.
+"""E15 (ablations): the library's design choices, isolated.  The router
+and the heavy threshold are README "Departures from the paper" #1 and #4.
 
 * bandwidth ablation — Theorem 2's O(b+s) bandwidth is a *choice*: we
   sweep the engine bandwidth for a fixed circuit and watch rounds trade

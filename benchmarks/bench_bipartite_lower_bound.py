@@ -17,6 +17,7 @@ from repro.lower_bounds import (
     biclique_lower_bound_graph,
     implied_round_lower_bound,
     sets_disjoint,
+    verify_lower_bound_graph,
 )
 
 from _util import emit
@@ -27,11 +28,12 @@ BANDWIDTH = 2
 def test_sqrt_n_scaling(benchmark, capsys):
     table = Table(
         f"E10 Theorem 22 — K_2,2 detection: Ω(√n/b) (b={BANDWIDTH})",
-        ["q", "n nodes", "|E_F|=Θ(N^1.5)", "LB rounds", "LB/√n", "thm7 UB"],
+        ["q", "n nodes", "|E_F|=Θ(N^1.5)", "Def. 10 verified", "LB rounds", "LB/√n", "thm7 UB"],
     )
     rates = []
     for q in (2, 3, 5):
         lbg = biclique_lower_bound_graph(2, 2, q=q)
+        assert verify_lower_bound_graph(lbg) == []
         n = lbg.template.n
         lb = implied_round_lower_bound(lbg.universe_size, n, BANDWIDTH)
         rate = lb / math.sqrt(n)
@@ -40,6 +42,7 @@ def test_sqrt_n_scaling(benchmark, capsys):
             q,
             n,
             lbg.universe_size,
+            True,
             lb,
             round(rate, 3),
             theorem7_round_bound(n, complete_bipartite(2, 2), BANDWIDTH),

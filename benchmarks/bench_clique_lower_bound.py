@@ -19,6 +19,7 @@ from repro.lower_bounds import (
     clique_lower_bound_graph,
     implied_round_lower_bound,
     sets_disjoint,
+    verify_lower_bound_graph,
 )
 from repro.subgraphs import detect_subgraph
 
@@ -30,11 +31,13 @@ BANDWIDTH = 4
 def test_lower_bound_scaling(benchmark, capsys):
     table = Table(
         f"E8 Theorem 15 — K4 detection: implied LB Ω(n/b) vs measured UB (b={BANDWIDTH})",
-        ["N", "n players", "|E_F|=N²", "LB rounds", "measured UB rounds", "trivial UB"],
+        ["N", "n players", "|E_F|=N²", "Def. 10 verified", "LB rounds", "measured UB rounds", "trivial UB"],
     )
     lbs = []
     for side in (3, 6, 9, 12):
         lbg = clique_lower_bound_graph(4, side)
+        # Lemma 14: every clause of Definition 10, checked exhaustively.
+        assert verify_lower_bound_graph(lbg) == []
         n = lbg.template.n
         lb = implied_round_lower_bound(lbg.universe_size, n, BANDWIDTH)
         lbs.append((n, lb))
@@ -47,6 +50,7 @@ def test_lower_bound_scaling(benchmark, capsys):
             side,
             n,
             lbg.universe_size,
+            True,
             lb,
             result.rounds,
             full_learning_round_bound(n, BANDWIDTH),

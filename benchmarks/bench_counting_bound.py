@@ -94,7 +94,8 @@ def test_exact_communication_complexity(benchmark, capsys):
     table.add_row("IP", 2, exact_cc(ip_table(2)), "-", log_rank_bound(ip_table(2)), 3)
     table.add_row("GT", 2, exact_cc(gt_table(2)), "-", log_rank_bound(gt_table(2)), 3)
     emit(table, capsys, filename="e12_exact_cc.md")
-    # the textbook identity D(DISJ_n) = n+1, verified exactly:
+    # the textbook identities D(DISJ_n) = D(EQ_n) = n+1, verified exactly:
     assert exact_cc(disj_table(2)) == 3
+    assert exact_cc(eq_table(2)) == 3
 
     benchmark(lambda: exact_cc(disj_table(2)))

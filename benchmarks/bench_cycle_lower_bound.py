@@ -17,6 +17,7 @@ from repro.lower_bounds import (
     cycle_lower_bound_graph,
     implied_round_lower_bound,
     sets_disjoint,
+    verify_lower_bound_graph,
 )
 
 from _util import emit
@@ -27,11 +28,18 @@ BANDWIDTH = 4
 def test_universe_and_bounds(benchmark, capsys):
     table = Table(
         f"E9 Theorem 19 — cycle detection lower bounds (b={BANDWIDTH})",
-        ["ℓ", "N", "n nodes", "|E_F|", "BCAST LB", "CONGEST LB (cut=N)", "thm7 UB"],
+        ["ℓ", "N", "n nodes", "|E_F|", "Def. 10 verified", "cut(A,B)", "BCAST LB", "CONGEST LB (cut=N)", "thm7 UB"],
     )
     for ell, sides in ((4, (6, 10, 14)), (5, (6, 10, 14)), (6, (8, 12))):
         for big_n in sides:
             lbg = cycle_lower_bound_graph(ell, big_n, rng=random.Random(ell))
+            assert verify_lower_bound_graph(lbg) == []
+            # δ-sparse: the template edges between Alice's and Bob's
+            # nodes, recounted, are the N path middles the CONGEST bound
+            # charges.
+            alice = lbg.alice_nodes
+            cut = [e for e in lbg.template.edges() if (e[0] in alice) != (e[1] in alice)]
+            assert len(cut) == lbg.cut_edges == big_n
             n = lbg.template.n
             bcast_lb = implied_round_lower_bound(lbg.universe_size, n, BANDWIDTH)
             congest_lb = implied_round_lower_bound(
@@ -39,7 +47,8 @@ def test_universe_and_bounds(benchmark, capsys):
             )
             ub = theorem7_round_bound(n, cycle_graph(ell), BANDWIDTH)
             table.add_row(
-                ell, big_n, n, lbg.universe_size, bcast_lb, congest_lb, ub
+                ell, big_n, n, lbg.universe_size, True, len(cut),
+                bcast_lb, congest_lb, ub,
             )
             assert congest_lb >= bcast_lb
     emit(table, capsys, filename="e9_cycle_lower_bound.md")

@@ -12,7 +12,8 @@ import random
 
 from repro.analysis import Table, dlp_round_bound
 from repro.graphs import complete_bipartite, random_graph
-from repro.matmul import detect_triangle_dlp, has_triangle
+from repro.matmul import detect_triangle_dlp, has_triangle, triangle_count
+from repro.matmul.triangles_dlp import count_triangles_dlp
 
 from _util import emit
 
@@ -46,7 +47,7 @@ def test_cube_root_scaling(benchmark, capsys):
 def test_correctness_sweep(benchmark, capsys):
     table = Table(
         "E14 DLP triangles — correctness across densities (n=24)",
-        ["p", "truth", "found", "rounds"],
+        ["p", "truth", "found", "rounds", "triangles", "counted", "count rounds"],
     )
     for p in (0.05, 0.15, 0.4):
         rng = random.Random(int(p * 100))
@@ -54,7 +55,13 @@ def test_correctness_sweep(benchmark, capsys):
         truth = has_triangle(graph)
         outcome, result = detect_triangle_dlp(graph, bandwidth=BANDWIDTH)
         assert outcome.found == truth
-        table.add_row(p, truth, outcome.found, result.rounds)
+        triangles = triangle_count(graph)
+        counted, count_result = count_triangles_dlp(graph, bandwidth=BANDWIDTH)
+        assert counted == triangles
+        table.add_row(
+            p, truth, outcome.found, result.rounds,
+            triangles, counted, count_result.rounds,
+        )
     emit(table, capsys, filename="e14_dlp_correctness.md")
 
     graph = random_graph(18, 0.2, random.Random(0))

@@ -1,17 +1,21 @@
 """Engine throughput benchmark: rounds/sec and messages/sec.
 
 Measures the message-passing engine itself (no protocol logic) across
-all three communication models and all engine paths:
+all three communication models.  Each workload has two programs, run
+on both engines:
 
-* ``legacy``        — the original per-round-allocation reference loop;
-* ``fast``          — legacy delivery plus two lanes; fed dict
-                      outboxes, every round takes legacy's scalar
-                      delivery;
-* ``fast+fixedlane``— the fast loop fed by fixed-width outboxes
-                      (``Outbox.fixed_width`` for unicast/CONGEST,
-                      ``Outbox.broadcast_uint`` on the blackboard —
-                      reported as ``fast+bcastlane``), so whole rounds
-                      are delivered through numpy bulk writes.
+* the *dict* program yields ``Outbox.unicast``/``Outbox.broadcast`` of
+  prebuilt ``Bits`` payloads (rows ``legacy`` and ``fast``; the fast
+  engine delivers these rounds exactly as legacy does);
+* the *fixed* program yields a fresh fixed-width outbox every round
+  (``Outbox.fixed_width`` for unicast/CONGEST, ``Outbox.broadcast_uint``
+  on the blackboard), as every library protocol does (rows
+  ``legacy+fixed`` and ``fast+fixedlane``, reported as
+  ``fast+bcastlane`` on the blackboard), so the fast engine delivers
+  whole dense rounds through numpy bulk writes.
+
+Every speedup divides two runs of one program, so it compares two
+delivery paths doing the same per-round work.
 
 Workloads (width-32 payloads):
 
@@ -34,26 +38,14 @@ of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), plus a
 Lenzen-routing sweep comparing ``route_kernel_program`` with the
 generator ``route_program`` under ``run_many``.
 
-A ``scenario_matrix`` section (PR 5) sweeps the protocol registry —
-problem × graph family × n × engine — through
-:class:`repro.scenarios.ScenarioMatrix`: per-cell timing and bit
-accounting, ground-truth validation, and a digest comparison pinning
-every backend to the legacy reference engine.  The sweep aborts the
-benchmark if any cell diverges, so the JSON doubles as an equivalence
-certificate for the engine subsystem.
-
 A ``sharded`` section runs one sweep through the sweep executor at
 several worker counts (:mod:`repro.scenarios.sweep`), asserts the
 pooled digests byte-identical to the in-process run, aggregates
 per-worker accounting (cells / seconds / bits), and gates ``run()``'s
 dispatch overhead over a bare loop of ``run_coordinate`` calls at
-1.05x.
-
-An ``analysis`` section runs the static protocol verifier
-(:mod:`repro.analysis`) over the registry — bandwidth budgets checked
-against each prepared instance, registry consistency — and aborts the
-benchmark on any violation: numbers measured against an unproven
-registry are not published.
+1.05x.  A ``faults`` section gates an inactive ``FaultPlan`` at 1.05x
+of no plan.  Both gates read the median, over interleaved pairs of
+runs, of the ratio of the two runs' CPU times.
 
 Run from the repo root (writes ``BENCH_engine.json`` there)::
 
@@ -61,8 +53,9 @@ Run from the repo root (writes ``BENCH_engine.json`` there)::
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI smoke
 
 The JSON keeps a per-config table plus ``speedups``, an ``acceptance``
-block (fixed-lane vs. legacy messages/sec at the largest unicast size,
-kernel vs. the plain fast engine on the repeated unicast sweep), and a
+block (fixed-lane vs. legacy messages/sec on the fixed program at the
+largest unicast size, kernel vs. the plain fast engine on the repeated
+unicast sweep, the two overhead gates), and a
 ``meta`` block stamping python/numpy versions and the git revision so
 the perf trajectory across PRs stays comparable.
 """
@@ -73,6 +66,7 @@ import argparse
 import json
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -160,35 +154,47 @@ def _time_best(fn, repeats):
     return best, value
 
 
-def _time_abba(fn_a, fn_b, samples):
-    """Best-of-``samples`` wall clock for each of two workloads, timed
-    interleaved in ABBA order (A B B A A B ...) so drift in machine
-    speed lands on both sides alike; returns ``((seconds_a, value_a),
-    (seconds_b, value_b))``."""
+def _time_abba(fn_a, fn_b, pairs):
+    """Time two workloads in ``pairs`` interleaved pairs, in ABBA order
+    (A B B A A B ...) so drift in machine speed lands on both sides
+    alike.  Returns ``(ratio, (seconds_a, value_a), (seconds_b,
+    value_b))``: ``ratio`` is the median over the pairs of B's CPU time
+    over A's, and each side's seconds are its best wall-clock time.
+
+    CPU time leaves out the time the process waits for a core, and the
+    median leaves out the pairs a burst of load hit.  A ratio of the two
+    best wall-clock samples instead reads whichever side drew the
+    luckier sample: on identical code on a shared 2-vCPU VM it read
+    0.82-1.21x.
+    """
     fns = (fn_a, fn_b)
     best = [float("inf"), float("inf")]
     values = [None, None]
-    for i in range(samples):
+    ratios = []
+    for i in range(pairs):
+        cpu = [0.0, 0.0]
         for side in (0, 1) if i % 2 == 0 else (1, 0):
-            start = time.perf_counter()
+            wall, start = time.perf_counter(), time.process_time()
             values[side] = fns[side]()
-            best[side] = min(best[side], time.perf_counter() - start)
-    return (best[0], values[0]), (best[1], values[1])
+            cpu[side] = time.process_time() - start
+            best[side] = min(best[side], time.perf_counter() - wall)
+        ratios.append(cpu[1] / cpu[0])
+    return statistics.median(ratios), (best[0], values[0]), (best[1], values[1])
 
 
 def time_run(network, program, repeats):
     return _time_best(lambda: network.run(program), repeats)
 
 
-def bench_config(mode, n, engine, lane, rounds, repeats):
-    """One (mode, n, engine-path) measurement; returns the record."""
+def bench_config(mode, n, engine, fixed, rounds, repeats):
+    """One (mode, n, engine, program) measurement; returns the record."""
     if mode == "unicast":
         network = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST, engine=engine)
-        maker = unicast_fixed_program if lane else unicast_dict_program
+        maker = unicast_fixed_program if fixed else unicast_dict_program
         messages_per_round = n * (n - 1)
     elif mode == "broadcast":
         network = Network(n=n, bandwidth=WIDTH, mode=Mode.BROADCAST, engine=engine)
-        maker = broadcast_fixed_program if lane else broadcast_program
+        maker = broadcast_fixed_program if fixed else broadcast_program
         messages_per_round = n * (n - 1)  # deliveries; bits charged once/writer
     elif mode == "congest":
         network = Network(
@@ -198,21 +204,24 @@ def bench_config(mode, n, engine, lane, rounds, repeats):
             topology=ring_topology(n),
             engine=engine,
         )
-        maker = unicast_fixed_program if lane else unicast_dict_program
+        maker = unicast_fixed_program if fixed else unicast_dict_program
         messages_per_round = 2 * n
     else:  # pragma: no cover - config typo guard
         raise ValueError(mode)
     seconds, result = time_run(network, maker(rounds), repeats)
     assert result.rounds == rounds
     messages = messages_per_round * rounds
-    if lane:
-        label = "fast+bcastlane" if mode == "broadcast" else "fast+fixedlane"
-    else:
+    if not fixed:
         label = engine
+    elif engine == "legacy":
+        label = "legacy+fixed"
+    else:
+        label = "fast+bcastlane" if mode == "broadcast" else "fast+fixedlane"
     return {
         "mode": mode,
         "n": n,
         "engine": label,
+        "program": "fixed" if fixed else "dict",
         "rounds": rounds,
         "messages": messages,
         "total_bits": result.total_bits,
@@ -230,8 +239,9 @@ def rounds_for(mode, n, quick):
     return max(3, min(100, budget // (n * (n - 1))))
 
 
-def engine_paths(mode):
-    return [("legacy", False), ("fast", False), ("fast", True)]
+#: ``(engine, fixed program)`` per config row; each program runs on
+#: both engines, so every speedup compares one program's two runs.
+ENGINE_PATHS = [("legacy", False), ("fast", False), ("legacy", True), ("fast", True)]
 
 
 def run_sweep(sizes, quick, repeats):
@@ -240,8 +250,8 @@ def run_sweep(sizes, quick, repeats):
         for n in sizes:
             rounds = rounds_for(mode, n, quick)
             per_engine = {}
-            for engine, lane in engine_paths(mode):
-                record = bench_config(mode, n, engine, lane, rounds, repeats)
+            for engine, fixed in ENGINE_PATHS:
+                record = bench_config(mode, n, engine, fixed, rounds, repeats)
                 configs.append(record)
                 per_engine[record["engine"]] = record
                 print(
@@ -514,55 +524,6 @@ def bench_kernels(quick, repeats):
     return records
 
 
-def bench_scenario_matrix(quick, repeats):
-    """Scenario-matrix sweep over the protocol registry: every cell is
-    timed, validated against ground truth, and digest-compared to the
-    legacy reference engine."""
-    from repro.scenarios import ScenarioMatrix, protocol_names
-
-    sizes = [8] if quick else [8, 16]
-    families = ["gnp", "cycle"] if quick else ["gnp", "sparse", "cycle"]
-    matrix = ScenarioMatrix(
-        protocols=protocol_names(),
-        families=families,
-        sizes=sizes,
-        seed=20260730,
-        repeats=repeats,
-    )
-    result = matrix.run()
-    mismatches = result.mismatches()
-    assert not mismatches, (
-        "scenario cells diverged from the legacy reference: "
-        + "; ".join(
-            f"{c.protocol}/{c.family}/n={c.n}/{c.engine}: {c.error or 'digest mismatch'}"
-            for c in mismatches[:5]
-        )
-    )
-    report = result.to_dict()
-    # Always 0 after the assert above; recorded through
-    # MatrixResult.mismatches() so the definition lives in one place.
-    report["mismatch_count"] = len(mismatches)
-    return report
-
-
-def bench_analysis(quick):
-    """Static-analysis gate inside the benchmark report: the verifier
-    must pass every registered protocol (budget at prepare + registry
-    consistency) at the analyzed sizes — a benchmark run over
-    an unproven registry is not a result worth publishing."""
-    from repro.analysis.verifier import analyze_all
-
-    sizes = [6] if quick else [6, 8]
-    report = analyze_all(sizes=sizes)
-    violations = report.violations()
-    assert not violations, (
-        "static analysis failed on the registry: " + "; ".join(violations[:5])
-    )
-    payload = report.to_dict()
-    payload["violation_count"] = len(violations)
-    return payload
-
-
 def bench_faults(quick, repeats):
     """The zero-overhead contract of the fault layer: carrying an
     *inactive* FaultPlan (all rates zero, no triggers) must cost the
@@ -574,7 +535,7 @@ def bench_faults(quick, repeats):
 
     n = 16 if quick else 32
     rounds = rounds_for("unicast", n, quick)
-    samples = max(5, repeats * 3)
+    pairs = 20 * repeats
 
     def workload(plan):
         network = Network(
@@ -589,20 +550,19 @@ def bench_faults(quick, repeats):
 
     # No plan and an inactive plan take one code path: time them
     # interleaved, so drift cannot read as overhead.
-    (base_seconds, base), (idle_seconds, idle) = _time_abba(
-        workload(None), workload(FaultPlan(seed=1)), samples
+    overhead, (base_seconds, base), (idle_seconds, idle) = _time_abba(
+        workload(None), workload(FaultPlan(seed=1)), pairs
     )
     chaos_seconds, chaos = _time_best(
-        workload(FaultPlan(seed=1, drop_rate=0.02, corrupt_rate=0.02)), samples
+        workload(FaultPlan(seed=1, drop_rate=0.02, corrupt_rate=0.02)), repeats
     )
     assert base.total_bits == idle.total_bits
     assert base.faults is None and idle.faults is None
     assert chaos.faults, "active plan injected nothing — widen the workload"
-    overhead = idle_seconds / base_seconds
     record = {
         "n": n,
         "rounds": rounds,
-        "samples": samples,
+        "pairs": pairs,
         "no_plan_seconds": round(base_seconds, 6),
         "inactive_plan_seconds": round(idle_seconds, 6),
         "chaos_plan_seconds": round(chaos_seconds, 6),
@@ -639,9 +599,7 @@ def bench_sharded(quick, repeats):
     families = ["gnp"] if quick else ["gnp", "cycle"]
     sizes = [8] if quick else [8, 16]
     worker_counts = [2] if quick else [1, 2, 4]
-    # Best-of-many: the dispatch-overhead gate compares millisecond-scale
-    # serial sweeps, so take enough samples to squeeze out scheduler noise.
-    samples = max(5, repeats * 3)
+    pairs = 20 * repeats
 
     def make():
         return ScenarioMatrix(
@@ -667,17 +625,16 @@ def bench_sharded(quick, repeats):
             result.cells.extend(cells)
         return result
 
-    (raw_seconds, serial), (run_seconds, via_run) = _time_abba(
-        bare_loop, lambda: make().run(), samples
+    overhead, (raw_seconds, serial), (run_seconds, via_run) = _time_abba(
+        bare_loop, lambda: make().run(), pairs
     )
     assert views(via_run) == views(serial)
-    overhead = run_seconds / raw_seconds
     record = {
         "protocols": protocols,
         "families": families,
         "sizes": sizes,
         "cells": len(serial.cells),
-        "samples": samples,
+        "pairs": pairs,
         "serial_raw_seconds": round(raw_seconds, 6),
         "serial_run_seconds": round(run_seconds, 6),
         "serial_dispatch_overhead": round(overhead, 4),
@@ -751,14 +708,17 @@ def bench_meta():
 
 
 def summarize(configs):
+    """Fast over legacy in messages/sec, per config, each ratio between
+    two runs of the same program."""
     speedups = {}
     for record in configs:
-        if record["engine"] == "legacy":
+        if record["engine"].startswith("legacy"):
             continue
         legacy = next(
             c
             for c in configs
-            if c["engine"] == "legacy"
+            if c["engine"].startswith("legacy")
+            and c["program"] == record["program"]
             and c["mode"] == record["mode"]
             and c["n"] == record["n"]
         )
@@ -794,10 +754,8 @@ def main(argv=None):
     speedups = summarize(configs)
     protocols = bench_protocols(args.quick, repeats)
     kernels = bench_kernels(args.quick, repeats)
-    scenario_matrix = bench_scenario_matrix(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
     sharded = bench_sharded(args.quick, repeats)
-    analysis = bench_analysis(args.quick)
 
     top_n = max(sizes)
     acceptance_key = f"unicast/n={top_n}"
@@ -826,16 +784,10 @@ def main(argv=None):
             )
             for rec in kernels
         },
-        "scenario_cells_ok": sum(
-            1 for cell in scenario_matrix["cells"] if cell["status"] == "ok"
-        ),
-        "scenario_cells_total": len(scenario_matrix["cells"]),
-        "scenario_mismatches": scenario_matrix["mismatch_count"],
         "faults_disabled_overhead": faults["inactive_plan_overhead"],
         "sharded_serial_overhead": sharded["serial_dispatch_overhead"],
         "sharded_digest_match": sharded["digest_match"],
         "sharded_worker_counts": sorted(sharded["pool"]),
-        "analysis_violation_count": analysis["violation_count"],
     }
     report = {
         "generated_by": "benchmarks/bench_engine.py",
@@ -847,10 +799,8 @@ def main(argv=None):
         "speedups": speedups,
         "protocols": protocols,
         "kernels": kernels,
-        "scenario_matrix": scenario_matrix,
         "faults": faults,
         "sharded": sharded,
-        "analysis": analysis,
         "acceptance": acceptance,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -19,6 +19,7 @@ from repro.lower_bounds import (
     NOFTriangleReduction,
     implied_triangle_rounds,
 )
+from repro.matmul import triangle_count
 
 from _util import emit
 
@@ -32,6 +33,10 @@ def test_claim23_density(benchmark, capsys):
     )
     for class_size in (8, 16, 32, 64):
         rs = rs_graph(class_size)
+        # Recounted from the graph itself: the planted triangles are all
+        # of its triangles, and they cover every edge exactly once.
+        assert triangle_count(rs.graph) == rs.triangle_count
+        assert rs.graph.m == 3 * rs.triangle_count
         s_size = len(ap_free_set(class_size))
         table.add_row(
             class_size,

@@ -8,8 +8,9 @@ and every lower-bound construction (Definition 10 graphs, the
 Ruzsa–Szemerédi/NOF reduction, the non-explicit counting bound) as
 concrete, machine-verified objects.
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-theorem-by-theorem reproduction record.
+See README.md for the system inventory and the departures from the
+paper, and EXPERIMENTS.md for the theorem-by-theorem reproduction
+record.
 """
 
 __version__ = "1.0.0"

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.budget import BudgetCheck, check_prepared
 from repro.analysis.lint import LintFinding, lint_paths
+from repro.core.errors import ProtocolError
 
 __all__ = [
     "ProtocolAnalysis",
@@ -150,38 +151,19 @@ def check_registry(*, n: int = 6, family: str = "gnp") -> List[RegistryFinding]:
             )
             continue
         for engine_name in sorted(ENGINES):
-            flavour = spec.program_for(engine_name)
-            program = prepared.programs.get(flavour)
             if engine_name in spec.engines:
-                if program is None:
+                try:
+                    spec.program(prepared, engine_name)
+                except ProtocolError as exc:
                     findings.append(
                         RegistryFinding(
-                            protocol=name,
-                            engine=engine_name,
-                            kind="violation",
-                            detail=(
-                                f"spec claims engine {engine_name!r} but "
-                                f"prepares no {flavour!r} program"
-                            ),
-                        )
-                    )
-                    continue
-                is_kernel = bool(getattr(program, "is_kernel_program", False))
-                if is_kernel != (engine_name == "kernel"):
-                    kind_name = "kernel" if is_kernel else "generator"
-                    findings.append(
-                        RegistryFinding(
-                            protocol=name,
-                            engine=engine_name,
-                            kind="violation",
-                            detail=(
-                                f"spec claims engine {engine_name!r} but the "
-                                f"engine does not run {kind_name} programs"
-                            ),
+                            protocol=name, engine=engine_name,
+                            kind="violation", detail=str(exc),
                         )
                     )
             else:
-                if program is not None:
+                flavour = spec.program_for(engine_name)
+                if prepared.programs.get(flavour) is not None:
                     detail = (
                         f"engine {engine_name!r} unclaimed although a "
                         f"{flavour!r} program exists — claim it or drop the "

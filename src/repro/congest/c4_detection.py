@@ -6,7 +6,7 @@ edges of the input graph G"; the algorithm itself lives in the full
 version, which is not part of the provided text.  We implement a
 *complete* two-phase threshold algorithm whose cost matches that bound
 on bounded-heavy-count instances, and document the exact guarantee
-(DESIGN.md substitution style):
+here:
 
 * Phase 1 (light lists).  A vertex is *light* if deg <= t (threshold
   t ≈ 2√n).  Every light vertex ships its full adjacency list to every

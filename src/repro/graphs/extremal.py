@@ -8,8 +8,8 @@
   edges.  This is the *bipartite* C4-free graph Observation 20 asks for,
   used by Lemma 21.
 * :func:`cycle_free_graph` — the Erdős deletion method for even ℓ >= 6,
-  where exact extremal graphs are unknown even to mathematics (documented
-  substitution #3 in DESIGN.md): sample at the Bondy–Simonovits density
+  where exact extremal graphs are unknown even to mathematics (README
+  "Departures from the paper" #3): sample at the Bondy–Simonovits density
   and delete one edge from every surviving copy of C_ℓ; the result is
   certified C_ℓ-free by exhaustive search.
 """

@@ -1,6 +1,7 @@
 """Lemma 14: the (K_ℓ, K_{N,N})-lower-bound graph.
 
-Construction (see DESIGN.md substitution #5 for the ownership reading):
+Construction (see README "Departures from the paper" #6 for the
+ownership reading):
 four N-sets S1..S4 plus ℓ−4 universal vertices.
 
 * template edges: perfect matchings S1–S2 and S3–S4 (index-wise),

@@ -16,7 +16,7 @@ F is chosen C_ℓ-free and extremal:
   exact Turán number),
 * ℓ = 4 — the Erdős–Rényi polarity graph (Θ(N^{3/2}) edges),
 * even ℓ >= 6 — the certified deletion-method graph
-  (DESIGN.md substitution #3).
+  (README "Departures from the paper" #3).
 
 The construction is δ-sparse (the only Alice–Bob edges are the N path
 middles), so Theorem 19's bound applies to CONGEST as well.

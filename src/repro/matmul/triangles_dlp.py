@@ -11,7 +11,8 @@ coverage is exhaustive and the algorithm is deterministic.
 Per-player traffic is Θ(n^{4/3}) bits, received over n links of
 bandwidth b — Θ(n^{1/3}·⌈log n per frame⌉/b) rounds, reproducing the
 Õ(n^{1/3}) headline of [8] (the T-triangles speedup of [8] is
-randomized and out of scope; see DESIGN.md).
+randomized and out of scope; see README "Departures from the paper"
+#5).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Deterministic balanced routing (the library's stand-in for Lenzen's
-O(1)-round congested-clique routing [28]; see DESIGN.md substitution #1)."""
+O(1)-round congested-clique routing [28]; see README "Departures from
+the paper" #1)."""
 
 from repro.routing.lenzen import (
     BitRoute,

@@ -54,46 +54,24 @@ def route_frames(
     ctx: Context,
     schedule: RoutingSchedule,
     my_frames: Mapping[FrameRef, Bits],
-    frame_size: Optional[int] = None,
+    frame_size: int,
 ):
     """Drive ``schedule`` for this node; returns the frames delivered
     here (keyed by :data:`FrameRef`).  Sub-generator: use ``yield from``.
 
-    When ``frame_size`` is given, every frame must be exactly that many
-    bits and the whole exchange rides the engine's fixed-width fast lane
-    (frames travel as uints, delivered via bulk array writes).  Without
-    it, frames may have arbitrary lengths and travel as plain Bits.
+    Every frame must be exactly ``frame_size`` bits; frames travel as
+    uints in fixed-width outboxes, which the fast engine delivers
+    through its bulk unicast lane.
     """
-    if frame_size is not None:
-        fixed: Dict[FrameRef, int] = {}
-        for ref, frame in my_frames.items():
-            if len(frame) != frame_size:
-                raise ValueError(
-                    f"frame {ref} has {len(frame)} bits, expected {frame_size}"
-                )
-            fixed[ref] = frame.to_uint()
-        uints = yield from _drive_frames(ctx, schedule, fixed, frame_size)
-        return {ref: Bits(value, frame_size) for ref, value in uints.items()}
-    holding: Dict[FrameRef, Bits] = dict(my_frames)
-    delivered: Dict[FrameRef, Bits] = {}
-    for r in range(schedule.num_rounds):
-        sends = schedule.send_plan[r].get(ctx.node_id, [])
-        messages: Dict[int, Bits] = {}
-        for recipient, frame in sends:
-            if recipient in messages:
-                raise AssertionError(
-                    "schedule placed two frames on one link in one round"
-                )
-            messages[recipient] = holding.pop(frame)
-        inbox = yield (Outbox.unicast(messages) if messages else Outbox.silent())
-        recv = schedule.recv_plan[r]
-        for sender, payload in inbox.items():
-            frame, is_final = recv[(sender, ctx.node_id)]
-            if is_final:
-                delivered[frame] = payload
-            else:
-                holding[frame] = payload
-    return delivered
+    fixed: Dict[FrameRef, int] = {}
+    for ref, frame in my_frames.items():
+        if len(frame) != frame_size:
+            raise ValueError(
+                f"frame {ref} has {len(frame)} bits, expected {frame_size}"
+            )
+        fixed[ref] = frame.to_uint()
+    uints = yield from _drive_frames(ctx, schedule, fixed, frame_size)
+    return {ref: Bits(value, frame_size) for ref, value in uints.items()}
 
 
 def _drive_frames(
@@ -166,7 +144,7 @@ def route_program(schedule: RoutingSchedule, frame_size: int):
 
     def program(ctx):
         delivered = yield from route_frames(
-            ctx, schedule, ctx.input or {}, frame_size=frame_size
+            ctx, schedule, ctx.input or {}, frame_size
         )
         return delivered
 

@@ -1,9 +1,10 @@
 """Deterministic routing schedules for balanced demands.
 
 This is the library's stand-in for Lenzen's O(1)-round routing [28]
-(DESIGN.md substitution #1).  In every use inside the paper the demand
-pattern is public (derivable from the circuit structure and the gate
-assignment), so all nodes can compute the same schedule locally:
+(README "Departures from the paper" #1).  In every use inside the
+paper the demand pattern is public (derivable from the circuit
+structure and the gate assignment), so all nodes can compute the same
+schedule locally:
 
 1. The demand is expressed in *frames* (each at most the bandwidth, so
    one frame = one link per round).

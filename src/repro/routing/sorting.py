@@ -19,8 +19,8 @@ bits, constant rounds at bandwidth Θ(n^ε)… in engine terms we simply
 run: (1) a broadcast phase publishing each player's sorted local keys'
 block counts against candidate splitters, (2) the balanced routing
 phase.  The round count is O(1) phases, each of O(keys·bits/(n·b))
-rounds — the [28] sorting guarantee at our substitution's level of
-abstraction (DESIGN.md §4, substitution #1 applies verbatim).
+rounds — the [28] sorting guarantee at our router's level of
+abstraction (README "Departures from the paper" #1 applies verbatim).
 """
 
 from __future__ import annotations

@@ -643,13 +643,11 @@ class ScenarioMatrix:
         """Run a prepared coordinate on ``cell.engine`` and record the
         outcome on ``cell``: best-of-``repeats`` timing, accounting,
         digest, the clean fault baseline and validation."""
-        program = prepared.programs.get(spec.program_for(cell.engine))
-        if program is None:
-            return
         plan = self.fault_plan
         if plan is not None and not plan.is_active:
             plan = None
         try:
+            program = spec.program(prepared, cell.engine)
             best: Optional[float] = None
             digest = None
             for _sample in range(self.repeats):

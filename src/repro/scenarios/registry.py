@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.budget import BandwidthBudget
 from repro.core.bits import Bits
+from repro.core.errors import ProtocolError
 from repro.core.network import Mode, RunResult
 from repro.graphs.graph import Graph
 
@@ -101,6 +102,27 @@ class ProtocolSpec:
     def program_for(self, engine: str) -> str:
         """Which program flavour the named engine executes."""
         return "kernel" if engine == "kernel" else "generator"
+
+    def program(self, prepared: PreparedScenario, engine: str):
+        """The program ``engine`` runs on ``prepared``; raises
+        :class:`~repro.core.errors.ProtocolError` when there is none or
+        it is the wrong kind (a program is a kernel program if and only
+        if its engine is ``kernel``)."""
+        flavour = self.program_for(engine)
+        program = prepared.programs.get(flavour)
+        if program is None:
+            raise ProtocolError(
+                f"{self.name}: spec claims engine {engine!r} but prepares "
+                f"no {flavour!r} program"
+            )
+        is_kernel = bool(getattr(program, "is_kernel_program", False))
+        if is_kernel != (engine == "kernel"):
+            raise ProtocolError(
+                f"{self.name}: spec claims engine {engine!r} but its "
+                f"{flavour!r} program is a "
+                f"{'kernel' if is_kernel else 'generator'} program"
+            )
+        return program
 
     def __reduce__(self):
         # Specs cross the sweep worker-pool process boundary by name:

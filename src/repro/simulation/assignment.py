@@ -6,9 +6,9 @@ player, and packs light gates so no player carries more than O(n·s)
 weight.  We use threshold 2·n·s for heaviness (so at most n gates are
 heavy, since total weight is exactly 2·wires ≤ 2·n²·s) and capacity
 4·n·s for light packing, which the same counting argument shows is
-always feasible (see DESIGN.md §4 — the constants differ from the
-paper's prose, which double-counts wires, but the O(·) behaviour is
-identical).
+always feasible (see README "Departures from the paper" #4 — the
+constants differ from the paper's prose, which double-counts wires,
+but the O(·) behaviour is identical).
 
 Constant gates are special: their values are public, so they are
 excluded from all communication and carry no weight.

@@ -1,10 +1,11 @@
 """Arithmetic in the binary extension fields GF(2^m).
 
 This is the algebra underneath the deterministic one-round graph
-reconstruction of Becker et al. [2] as we implement it (DESIGN.md
-substitution #2): node neighbourhoods are encoded as BCH-style power-sum
-syndromes over GF(2^m), which decode any set of size <= k from O(k·m)
-bits.  Elements are plain Python ints in [0, 2^m); addition is XOR.
+reconstruction of Becker et al. [2] as we implement it (README
+"Departures from the paper" #2): node neighbourhoods are encoded as
+BCH-style power-sum syndromes over GF(2^m), which decode any set of
+size <= k from O(k·m) bits.  Elements are plain Python ints in
+[0, 2^m); addition is XOR.
 
 Multiplication uses precomputed log/antilog tables: every tabulated
 field has at most 2^16 elements, so ``exp``/``log`` arrays over a

@@ -6,9 +6,9 @@ single O(k log n)-bit message from which *all* nodes deterministically
 reconstruct the entire topology; if the degeneracy exceeds k, all nodes
 learn that instead (the ``success`` flag of the paper's pseudocode).
 
-Our encoding (DESIGN.md substitution #2): each node broadcasts its
-degree plus a capacity-k BCH power-sum sketch of its neighbour set
-(:mod:`repro.sketch`).  Decoding peels low-residual nodes exactly along
+Our encoding (README "Departures from the paper" #2): each node
+broadcasts its degree plus a capacity-k BCH power-sum sketch of its
+neighbour set (:mod:`repro.sketch`).  Decoding peels low-residual nodes exactly along
 a degeneracy order:
 
 * a graph of degeneracy <= k always has a node whose *residual* (not yet

@@ -27,3 +27,19 @@ def rngs():
         return random.Random(seed)
 
     return make
+
+
+@pytest.fixture
+def lane_rounds(monkeypatch):
+    """The width of every round the fast engine's unicast lane delivers."""
+    from repro.core.fastlane import FixedLane
+
+    widths = []
+    deliver = FixedLane.deliver
+
+    def counting(self, senders, width, record=None):
+        widths.append(width)
+        return deliver(self, senders, width, record)
+
+    monkeypatch.setattr(FixedLane, "deliver", counting)
+    return widths

@@ -113,7 +113,7 @@ class TestAdaptiveDetection:
         """The as-printed pseudocode (negatives accepted from any
         successful sampling level) mis-answers K4-in-K12: the first
         decodable level is an over-sparse sample that lost every K4.
-        This documents DESIGN.md substitution #5."""
+        This documents README "Departures from the paper" #7."""
         g = complete_graph(12)
         outcome, _ = adaptive_detect(
             g,

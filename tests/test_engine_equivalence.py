@@ -431,22 +431,6 @@ class TestRandomProtocolFuzz:
             self._fuzz_broadcast(seed)
 
 
-@pytest.fixture
-def lane_rounds(monkeypatch):
-    """The width of every round the unicast lane delivers."""
-    from repro.core.fastlane import FixedLane
-
-    widths = []
-    deliver = FixedLane.deliver
-
-    def counting(self, senders, width, record=None):
-        widths.append(width)
-        return deliver(self, senders, width, record)
-
-    monkeypatch.setattr(FixedLane, "deliver", counting)
-    return widths
-
-
 class TestLaneEdgeCases:
     def test_mixed_width_round_falls_back(self):
         # Nodes yield fixed-width outboxes of *different* widths in the

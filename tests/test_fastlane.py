@@ -15,9 +15,15 @@ from repro.core.fastlane import BroadcastInbox, FixedWidthInbox, coerce_fixed
 from repro.core.network import Inbox, Mode, Outbox, inbox_uints, run_protocol
 
 
+# The fast engine's unicast lane takes a fixed-width round only when it
+# averages at least 8 messages per sender, so the dense cases below run
+# at n >= 9 and assert, through the ``lane_rounds`` fixture, that the
+# lane delivered them; the sparse cases assert that it did not.
+
+
 class TestDelivery:
-    def test_all_to_all_uints(self):
-        n, width = 6, 8
+    def test_all_to_all_uints(self, lane_rounds):
+        n, width = 10, 8
 
         def program(ctx):
             dests = list(ctx.neighbors)
@@ -26,18 +32,19 @@ class TestDelivery:
             return dict(inbox_uints(inbox))
 
         result = run_protocol(program, n=n, bandwidth=width)
+        assert lane_rounds == [width]
         assert result.rounds == 1
         assert result.total_bits == n * (n - 1) * width
         assert result.max_round_bits == result.total_bits
         for v, got in enumerate(result.outputs):
             assert got == {u: (u * 10 + v) % 256 for u in range(n) if u != v}
 
-    def test_inbox_api_matches_dict_inbox(self):
+    def test_inbox_api_matches_dict_inbox(self, lane_rounds):
         def program(ctx):
-            if ctx.node_id == 0:
-                inbox = yield Outbox.fixed_width([1, 2], [5, 6], 4)
-            else:
-                inbox = yield Outbox.fixed_width([0], [7 + ctx.node_id], 4)
+            dests = list(ctx.neighbors)
+            inbox = yield Outbox.fixed_width(
+                dests, [10 * ctx.node_id + d for d in dests], 8
+            )
             return {
                 "senders": inbox.senders(),
                 "items": [(s, p.to_str()) for s, p in inbox.items()],
@@ -47,50 +54,62 @@ class TestDelivery:
                 "get99": inbox.get(99),
             }
 
-        result = run_protocol(program, n=3, bandwidth=4)
+        result = run_protocol(program, n=10, bandwidth=8)
+        assert lane_rounds == [8]
+        # The legacy engine delivers the same round into dict inboxes.
+        assert run_protocol(program, n=10, bandwidth=8, engine="legacy").outputs == (
+            result.outputs
+        )
         at0 = result.outputs[0]
-        assert at0["senders"] == (1, 2)
-        assert at0["items"] == [(1, "1000"), (2, "1001")]
-        assert at0["len"] == 2
+        assert at0["senders"] == tuple(range(1, 10))
+        assert at0["items"] == [(s, format(10 * s, "08b")) for s in range(1, 10)]
+        assert at0["len"] == 9
         assert not at0["has0"]
         assert at0["get0"] is None and at0["get99"] is None
         at1 = result.outputs[1]
-        assert at1["senders"] == (0,)
-        assert at1["get0"] == 5
+        assert at1["senders"] == (0, *range(2, 10))
+        assert at1["get0"] == 1
 
-    def test_numpy_array_inputs(self):
+    def test_numpy_array_inputs(self, lane_rounds):
         def program(ctx):
             dests = np.array(list(ctx.neighbors), dtype=np.intp)
             values = np.full(dests.size, ctx.node_id, dtype=np.uint64)
             inbox = yield Outbox.fixed_width(dests, values, 7)
             return sorted(inbox.uint_items())
 
-        result = run_protocol(program, n=4, bandwidth=7)
+        result = run_protocol(program, n=10, bandwidth=7)
+        assert lane_rounds == [7]
         for v, got in enumerate(result.outputs):
-            assert got == [(u, u) for u in range(4) if u != v]
+            assert got == [(u, u) for u in range(10) if u != v]
 
-    def test_empty_fixed_outbox_is_silent(self):
+    def test_empty_fixed_outbox_is_silent(self, lane_rounds):
         def program(ctx):
             inbox = yield Outbox.fixed_width([], [], 4)
             return len(inbox)
 
         result = run_protocol(program, n=3, bandwidth=4)
+        assert lane_rounds == []
         assert result.total_bits == 0
         assert result.outputs == [0, 0, 0]
 
-    def test_transcript_records_fixed_sends(self):
-        def program(ctx):
-            yield Outbox.fixed_width([(ctx.node_id + 1) % ctx.n], [3], 2)
+    def test_transcript_records_fixed_sends(self, lane_rounds):
+        n = 9
 
-        result = run_protocol(program, n=3, bandwidth=2, record_transcript=True)
+        def program(ctx):
+            dests = list(ctx.neighbors)
+            yield Outbox.fixed_width(dests, [(ctx.node_id + d) % 4 for d in dests], 2)
+
+        result = run_protocol(program, n=n, bandwidth=2, record_transcript=True)
+        assert lane_rounds == [2]
         sends = result.transcript[0].sends
         assert sends == [
-            (0, 1, Bits.from_uint(3, 2)),
-            (1, 2, Bits.from_uint(3, 2)),
-            (2, 0, Bits.from_uint(3, 2)),
+            (s, d, Bits.from_uint((s + d) % 4, 2))
+            for s in range(n)
+            for d in range(n)
+            if d != s
         ]
 
-    def test_congest_respects_topology(self):
+    def test_congest_respects_topology(self, lane_rounds):
         topo = [[1], [0, 2], [1]]
 
         def program(ctx):
@@ -102,55 +121,77 @@ class TestDelivery:
         result = run_protocol(
             program, n=3, bandwidth=1, mode=Mode.CONGEST, topology=topo
         )
+        assert lane_rounds == []
         assert result.outputs == [[1], [0, 2], [1]]
 
 
 class TestValidation:
-    def run_single(self, outbox_builder, **kwargs):
+    """Node 0 yields the outbox under test, to nine destinations where
+    the check allows, while every other node yields a valid fixed-width
+    outbox to all its neighbours: the unicast lane would take the round
+    (``test_valid_round_rides_the_lane``), so each rejection is checked
+    on a lane round, not on one the scalar path delivers."""
+
+    def run_single(self, outbox_builder, width=8, **kwargs):
         def program(ctx):
             if ctx.node_id == 0:
                 yield outbox_builder(ctx)
             else:
-                yield Outbox.silent()
+                dests = list(ctx.neighbors)
+                yield Outbox.fixed_width(dests, [0] * len(dests), width)
 
-        kwargs.setdefault("n", 3)
+        kwargs.setdefault("n", 10)
         kwargs.setdefault("bandwidth", 8)
         return run_protocol(program, **kwargs)
 
+    def test_valid_round_rides_the_lane(self, lane_rounds):
+        result = self.run_single(lambda ctx: Outbox.fixed_width(range(1, 10), [1] * 9, 8))
+        assert lane_rounds == [8]
+        assert result.total_bits == 10 * 9 * 8
+
     def test_width_over_bandwidth(self):
         with pytest.raises(BandwidthExceededError):
-            self.run_single(lambda ctx: Outbox.fixed_width([1], [0], 9))
+            self.run_single(lambda ctx: Outbox.fixed_width(range(1, 10), [0] * 9, 9))
 
     def test_value_too_wide(self):
         with pytest.raises(ProtocolError):
-            self.run_single(lambda ctx: Outbox.fixed_width([1], [256], 8))
+            self.run_single(
+                lambda ctx: Outbox.fixed_width(range(1, 10), [0] * 8 + [256], 8)
+            )
 
     def test_wide_value_too_wide(self):
         with pytest.raises(ProtocolError):
             self.run_single(
-                lambda ctx: Outbox.fixed_width([1], [1 << 100], 70),
+                lambda ctx: Outbox.fixed_width(range(1, 10), [0] * 8 + [1 << 100], 70),
+                width=70,
                 bandwidth=70,
             )
 
     def test_self_send_rejected(self):
         with pytest.raises(TopologyError):
-            self.run_single(lambda ctx: Outbox.fixed_width([0], [1], 4))
+            self.run_single(lambda ctx: Outbox.fixed_width(range(9), [1] * 9, 8))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(TopologyError):
-            self.run_single(lambda ctx: Outbox.fixed_width([17], [1], 4))
+            self.run_single(
+                lambda ctx: Outbox.fixed_width([*range(1, 9), 17], [1] * 9, 8)
+            )
 
     def test_duplicate_destination_rejected(self):
         with pytest.raises(ProtocolError):
-            self.run_single(lambda ctx: Outbox.fixed_width([1, 1], [2, 3], 4))
+            self.run_single(
+                lambda ctx: Outbox.fixed_width([*range(1, 9), 1], [2] * 9, 8)
+            )
 
-    def test_congest_non_neighbour_rejected(self):
-        topo = [[1], [0], []]
+    def test_congest_non_neighbour_rejected(self, lane_rounds):
+        # The clique on 10 nodes without the edge {0, 9}.
+        topo = [[u for u in range(10) if u != v and {u, v} != {0, 9}] for v in range(10)]
+        kwargs = dict(mode=Mode.CONGEST, topology=topo)
+        self.run_single(lambda ctx: Outbox.fixed_width(range(1, 9), [1] * 8, 8), **kwargs)
+        assert lane_rounds == [8]
         with pytest.raises(TopologyError):
             self.run_single(
-                lambda ctx: Outbox.fixed_width([2], [1], 4),
-                mode=Mode.CONGEST,
-                topology=topo,
+                lambda ctx: Outbox.fixed_width(range(1, 10), [1] * 9, 8), **kwargs
             )
 
     @pytest.mark.parametrize("engine", ["legacy", "fast"])
@@ -174,7 +215,7 @@ class TestValidation:
     def test_rejected_in_broadcast_mode(self):
         with pytest.raises(ProtocolError):
             self.run_single(
-                lambda ctx: Outbox.fixed_width([1], [1], 4),
+                lambda ctx: Outbox.fixed_width(range(1, 10), [1] * 9, 4),
                 mode=Mode.BROADCAST,
             )
 
@@ -401,7 +442,7 @@ class TestBroadcastValidation:
 
 
 class TestSchedule:
-    def test_outbox_map_and_uints_on_dict_inbox(self):
+    def test_outbox_map_and_uints_on_dict_inbox(self, lane_rounds):
         def program(ctx):
             # Force the scalar path for one node so inbox_uints must
             # decode an ordinary dict-backed Inbox too.
@@ -412,8 +453,20 @@ class TestSchedule:
             return sorted(inbox_uints(inbox))
 
         result = run_protocol(program, n=3, bandwidth=5)
+        assert lane_rounds == []
         assert result.outputs[0] == [(1, 21), (2, 22)]
         assert result.outputs[1] == [(0, 9)]
+
+    def test_outbox_map_and_uints_on_lane_inbox(self, lane_rounds):
+        def program(ctx):
+            inbox = yield Outbox.fixed_width_map(
+                {d: 20 + ctx.node_id for d in ctx.neighbors}, 5
+            )
+            return sorted(inbox_uints(inbox))
+
+        result = run_protocol(program, n=10, bandwidth=5)
+        assert lane_rounds == [5]
+        assert result.outputs[0] == [(u, 20 + u) for u in range(1, 10)]
 
 
 class TestInboxApi:

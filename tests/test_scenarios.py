@@ -264,6 +264,52 @@ class TestScenarioMatrix:
         assert (kernel.status, legacy.status) == ("unsupported", "failed")
         assert "prepared an unsupported cell" in legacy.error
 
+    def test_claimed_engine_without_its_program_fails(self):
+        import dataclasses
+
+        spec = dataclasses.replace(
+            get_protocol("mst"), engines=("legacy", "fast", "kernel")
+        )
+        matrix = ScenarioMatrix(protocols=["mst"], families=["gnp"], sizes=[8])
+        legacy, kernel = matrix.run_coordinate(spec, "gnp", 8, ["legacy", "kernel"])
+        assert legacy.status == "ok"
+        assert (kernel.status, kernel.error_type) == ("failed", "ProtocolError")
+        assert kernel.error == (
+            "ProtocolError: mst: spec claims engine 'kernel' but prepares "
+            "no 'kernel' program"
+        )
+
+    def test_program_of_the_wrong_kind_fails_its_cell(self):
+        # With the flavours swapped, the network would run the kernel
+        # program on the legacy and fast cells, which would then match a
+        # reference that never ran legacy.
+        import dataclasses
+
+        routing = get_protocol("routing")
+
+        def swapped(n, graph, rng):
+            prepared = routing.prepare(n, graph, rng)
+            programs = prepared.programs
+            prepared.programs = {
+                "generator": programs["kernel"], "kernel": programs["generator"],
+            }
+            return prepared
+
+        spec = dataclasses.replace(routing, prepare=swapped)
+        matrix = ScenarioMatrix(protocols=["routing"], families=["gnp"], sizes=[8])
+        cells = matrix.run_coordinate(spec, "gnp", 8, ["legacy", "fast", "kernel"])
+        assert [(c.status, c.error_type) for c in cells] == [
+            ("failed", "ProtocolError")
+        ] * 3
+        assert cells[0].error.endswith(
+            "routing: spec claims engine 'legacy' but its 'generator' "
+            "program is a kernel program"
+        )
+        assert cells[2].error.endswith(
+            "routing: spec claims engine 'kernel' but its 'kernel' "
+            "program is a generator program"
+        )
+
     def test_repeated_axis_value_is_rejected(self, monkeypatch):
         base = dict(
             protocols=["routing"], families=["gnp"], sizes=[8],
