@@ -14,8 +14,11 @@ on both engines:
   ``fast+bcastlane`` on the blackboard), so the fast engine delivers
   whole dense rounds through numpy bulk writes.
 
-Every speedup divides two runs of one program, so it compares two
-delivery paths doing the same per-round work.
+Every speedup compares one program's two runs, so it compares two
+delivery paths doing the same per-round work.  It is timed like the
+overhead gates below: the median, over interleaved pairs of runs, of
+the ratio of legacy's CPU time over fast's.  A row's own seconds and
+rates are its best wall-clock run.
 
 Workloads (width-32 payloads):
 
@@ -53,10 +56,10 @@ Run from the repo root (writes ``BENCH_engine.json`` there)::
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI smoke
 
 The JSON keeps a per-config table plus ``speedups``, an ``acceptance``
-block (fixed-lane vs. legacy messages/sec on the fixed program at the
-largest unicast size, kernel vs. the plain fast engine on the repeated
-unicast sweep, the two overhead gates), and a
-``meta`` block stamping python/numpy versions and the git revision so
+block (the ``speedups`` entries of the dict program and of the two
+lanes at the largest size, kernel vs. the plain fast engine on the
+repeated unicast sweep, the two overhead gates), and a ``meta`` block
+stamping python/numpy versions and the git revision so
 the perf trajectory across PRs stays comparable.
 """
 
@@ -182,12 +185,9 @@ def _time_abba(fn_a, fn_b, pairs):
     return statistics.median(ratios), (best[0], values[0]), (best[1], values[1])
 
 
-def time_run(network, program, repeats):
-    return _time_best(lambda: network.run(program), repeats)
-
-
-def bench_config(mode, n, engine, fixed, rounds, repeats):
-    """One (mode, n, engine, program) measurement; returns the record."""
+def bench_config(mode, n, engine, fixed, rounds):
+    """One (mode, n, engine, program) workload: ``(label, messages,
+    run)``, ``run`` a no-argument callable running it once."""
     if mode == "unicast":
         network = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST, engine=engine)
         maker = unicast_fixed_program if fixed else unicast_dict_program
@@ -208,27 +208,14 @@ def bench_config(mode, n, engine, fixed, rounds, repeats):
         messages_per_round = 2 * n
     else:  # pragma: no cover - config typo guard
         raise ValueError(mode)
-    seconds, result = time_run(network, maker(rounds), repeats)
-    assert result.rounds == rounds
-    messages = messages_per_round * rounds
     if not fixed:
         label = engine
     elif engine == "legacy":
         label = "legacy+fixed"
     else:
         label = "fast+bcastlane" if mode == "broadcast" else "fast+fixedlane"
-    return {
-        "mode": mode,
-        "n": n,
-        "engine": label,
-        "program": "fixed" if fixed else "dict",
-        "rounds": rounds,
-        "messages": messages,
-        "total_bits": result.total_bits,
-        "seconds": round(seconds, 6),
-        "rounds_per_sec": round(rounds / seconds, 2),
-        "messages_per_sec": round(messages / seconds, 1),
-    }
+    program = maker(rounds)
+    return label, messages_per_round * rounds, lambda: network.run(program)
 
 
 def rounds_for(mode, n, quick):
@@ -239,30 +226,51 @@ def rounds_for(mode, n, quick):
     return max(3, min(100, budget // (n * (n - 1))))
 
 
-#: ``(engine, fixed program)`` per config row; each program runs on
-#: both engines, so every speedup compares one program's two runs.
-ENGINE_PATHS = [("legacy", False), ("fast", False), ("legacy", True), ("fast", True)]
-
-
 def run_sweep(sizes, quick, repeats):
+    """Every mode and size, each program on both engines; returns the
+    config rows and ``speedups``, fast over legacy per program.  Each
+    program's two runs are timed in ``10 * repeats`` interleaved pairs
+    (:func:`_time_abba`)."""
     configs = []
+    speedups = {}
     for mode in ("unicast", "broadcast", "congest"):
         for n in sizes:
             rounds = rounds_for(mode, n, quick)
-            per_engine = {}
-            for engine, fixed in ENGINE_PATHS:
-                record = bench_config(mode, n, engine, fixed, rounds, repeats)
-                configs.append(record)
-                per_engine[record["engine"]] = record
-                print(
-                    f"{mode:>9}  n={n:<4} {record['engine']:<14} "
-                    f"{record['rounds_per_sec']:>10.1f} rounds/s  "
-                    f"{record['messages_per_sec']:>12.0f} msgs/s"
+            bit_totals = set()
+            for fixed in (False, True):
+                legacy = bench_config(mode, n, "legacy", fixed, rounds)
+                fast = bench_config(mode, n, "fast", fixed, rounds)
+                speedup, fast_timing, legacy_timing = _time_abba(
+                    fast[2], legacy[2], 10 * repeats
                 )
+                for (label, messages, _run), (seconds, result) in (
+                    (legacy, legacy_timing),
+                    (fast, fast_timing),
+                ):
+                    assert result.rounds == rounds
+                    bit_totals.add(result.total_bits)
+                    record = {
+                        "mode": mode,
+                        "n": n,
+                        "engine": label,
+                        "program": "fixed" if fixed else "dict",
+                        "rounds": rounds,
+                        "messages": messages,
+                        "total_bits": result.total_bits,
+                        "seconds": round(seconds, 6),
+                        "rounds_per_sec": round(rounds / seconds, 2),
+                        "messages_per_sec": round(messages / seconds, 1),
+                    }
+                    configs.append(record)
+                    print(
+                        f"{mode:>9}  n={n:<4} {label:<14} "
+                        f"{record['rounds_per_sec']:>10.1f} rounds/s  "
+                        f"{record['messages_per_sec']:>12.0f} msgs/s"
+                    )
+                speedups.setdefault(f"{mode}/n={n}", {})[fast[0]] = round(speedup, 2)
             # Same protocol, same accounting — engines must agree.
-            bit_totals = {rec["total_bits"] for rec in per_engine.values()}
-            assert len(bit_totals) == 1, f"engines disagree on bits: {per_engine}"
-    return configs
+            assert len(bit_totals) == 1, f"engines disagree on bits: {mode} n={n}"
+    return configs, speedups
 
 
 # -- protocol scenarios -------------------------------------------------
@@ -483,9 +491,7 @@ def bench_kernels(quick, repeats):
         per_node = [dict() for _ in range(n_route)]
         for (src, dst), count in demand.items():
             for idx in range(count):
-                per_node[src][(src, dst, idx)] = Bits.from_uint(
-                    contents.getrandbits(frame_size), frame_size
-                )
+                per_node[src][(src, dst, idx)] = contents.getrandbits(frame_size)
         return per_node
 
     inputs_list = [route_inputs(k) for k in range(route_instances)]
@@ -707,28 +713,6 @@ def bench_meta():
     }
 
 
-def summarize(configs):
-    """Fast over legacy in messages/sec, per config, each ratio between
-    two runs of the same program."""
-    speedups = {}
-    for record in configs:
-        if record["engine"].startswith("legacy"):
-            continue
-        legacy = next(
-            c
-            for c in configs
-            if c["engine"].startswith("legacy")
-            and c["program"] == record["program"]
-            and c["mode"] == record["mode"]
-            and c["n"] == record["n"]
-        )
-        key = f"{record['mode']}/n={record['n']}"
-        speedups.setdefault(key, {})[record["engine"]] = round(
-            record["messages_per_sec"] / legacy["messages_per_sec"], 2
-        )
-    return speedups
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -750,8 +734,7 @@ def main(argv=None):
     sizes = args.sizes or ([16, 32] if args.quick else [32, 64, 128, 256])
     repeats = args.repeats or (1 if args.quick else 3)
 
-    configs = run_sweep(sizes, args.quick, repeats)
-    speedups = summarize(configs)
+    configs, speedups = run_sweep(sizes, args.quick, repeats)
     protocols = bench_protocols(args.quick, repeats)
     kernels = bench_kernels(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
@@ -763,13 +746,9 @@ def main(argv=None):
     acceptance = {
         "mode": "unicast",
         "n": top_n,
-        "fast_vs_legacy_msgs_per_sec": speedups[acceptance_key].get("fast"),
-        "fixedlane_vs_legacy_msgs_per_sec": speedups[acceptance_key].get(
-            "fast+fixedlane"
-        ),
-        "bcastlane_vs_legacy_msgs_per_sec": speedups[bcast_key].get(
-            "fast+bcastlane"
-        ),
+        "fast_speedup": speedups[acceptance_key].get("fast"),
+        "fixedlane_speedup": speedups[acceptance_key].get("fast+fixedlane"),
+        "bcastlane_speedup": speedups[bcast_key].get("fast+bcastlane"),
         "protocol_speedups_vs_legacy": {
             rec["name"]: rec["speedup_vs_legacy"] for rec in protocols
         },
@@ -804,7 +783,7 @@ def main(argv=None):
         "acceptance": acceptance,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nspeedups vs legacy (messages/sec):")
+    print("\nspeedups vs legacy (median CPU-time ratio):")
     for key, values in speedups.items():
         print(f"  {key:<18} {values}")
     print(f"\nwrote {args.out}")

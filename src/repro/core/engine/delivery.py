@@ -8,7 +8,7 @@ protocol errors identically.
 
 It enforces the model rules (bandwidth, topology, payload types); the
 bulk lanes of :mod:`repro.core.fastlane` skip these checks because an
-equivalent vectorized validation already ran when the outbox was
+equivalent whole-outbox validation already ran when the outbox was
 yielded (see :func:`repro.core.fastlane.validate_fixed`).
 """
 

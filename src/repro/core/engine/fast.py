@@ -67,7 +67,7 @@ def _lane_round(n: int, pending):
             return None
         senders.append((v, outbox))
         if this == "fixed":
-            messages += outbox.dests.size
+            messages += len(outbox.dests)
     # The lanes are numpy-backed; importing them here keeps
     # ``import repro.core`` numpy-free until a lane round happens.
     if kind == "bfixed":

@@ -11,14 +11,15 @@ This module provides the bulk alternatives, one per direction of the
 model.  Both are stateless: each lane round writes fresh arrays and
 hands out fresh views, so an inbox keeps its round's messages.
 
-* **Unicast lane** — a sender declares one destination vector and one
-  value vector per round (:meth:`~repro.core.network.Outbox.fixed_width`);
-  the network validates the whole outbox with a handful of vectorized
-  checks when it is yielded, and the lane delivers it with two
-  fancy-indexed writes into the round's ``n × n`` send matrix.
-  Receivers read their column through an array-backed
-  :class:`FixedWidthInbox` with the :class:`~repro.core.network.Inbox`
-  API.
+* **Unicast lane** — a sender declares one destination tuple and one
+  value tuple of plain ints per round
+  (:meth:`~repro.core.network.Outbox.fixed_width`); the network
+  validates the whole outbox with a few builtin passes (``in``,
+  ``min``, ``max``, ``set``) when it is yielded, and the lane writes
+  every sender's tuples into the round's ``n × n`` receive matrix with
+  one fancy-indexed write.  Receivers read their row through an
+  array-backed :class:`FixedWidthInbox` with the
+  :class:`~repro.core.network.Inbox` API.
 * **Broadcast lane** — a sender declares one fixed-width blackboard
   write (:meth:`~repro.core.network.Outbox.broadcast_uint`); rounds in
   which every non-silent sender broadcasts the same width are delivered
@@ -34,7 +35,8 @@ bits costs ``width`` (counted once per writer, as
 
 Widths up to :data:`NUMERIC_WIDTH_LIMIT` (63) bits ride ``uint64``
 storage; wider payloads fall back to object-dtype arrays — the same
-bulk indexing, with Python ints as storage.
+bulk indexing, with Python ints as storage.  Either way an inbox hands
+out plain ints.
 
 Both lanes serve generator programs on the fast engine.  Kernel
 programs (:mod:`repro.core.kernels`) need no delivery buffer: a kernel
@@ -44,7 +46,6 @@ round hands ``recv`` the payload matrix ``send`` produced.
 from __future__ import annotations
 
 import operator
-
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,79 +67,49 @@ __all__ = [
 NUMERIC_WIDTH_LIMIT = 63
 
 
-def _index_array(seq: Sequence[int], dtype, what: str) -> np.ndarray:
-    """A 1-D sequence of *true* integers as a fresh ``dtype`` array.
+def _int_tuple(seq: Sequence[int], what: str) -> Tuple[int, ...]:
+    """A flat sequence of *true* integers as a tuple of plain ints.
 
     Floats (and anything else without ``__index__``) are rejected with
-    :class:`ProtocolError` instead of being silently truncated the way a
-    plain ``np.array(seq, dtype=...)`` cast would truncate ``1.7`` to
-    ``1``."""
-    if not isinstance(seq, (np.ndarray, list, tuple)):
-        seq = list(seq)
+    :class:`ProtocolError` instead of being silently truncated the way
+    a numpy dtype cast would truncate ``1.7`` to ``1``; numpy input is
+    read with one ``.tolist()``."""
+    if isinstance(seq, np.ndarray):
+        if seq.ndim != 1:
+            raise ProtocolError(f"fixed-width {what} must be a flat sequence")
+        if seq.dtype.kind in "iu":
+            return tuple(seq.tolist())
+        seq = seq.tolist()
     try:
-        arr = np.asarray(seq)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad fixed-width {what}: {exc}") from exc
-    if arr.ndim != 1:
-        raise ProtocolError(f"fixed-width {what} must be a flat sequence")
-    if arr.dtype.kind in "iu":
-        if (
-            arr.dtype.kind == "i"
-            and np.issubdtype(dtype, np.unsignedinteger)
-            and arr.size
-            and int(arr.min()) < 0
-        ):
-            # astype would silently wrap -1 to 2**64-1.
-            raise ProtocolError(f"fixed-width {what} must be non-negative")
-        return arr.astype(dtype, copy=True)
-    # Anything else (a float array, or a mixed list numpy promoted to
-    # float/object): accept only exact integers, re-read from the
-    # original items so promotion cannot launder 3 into 3.0.
-    try:
-        items = [operator.index(x) for x in seq]
+        return tuple(map(operator.index, seq))
     except TypeError as exc:
         raise ProtocolError(
             f"fixed-width {what} must be integers, not {exc}"
         ) from exc
-    try:
-        return np.array(items, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"bad fixed-width {what}: {exc}") from exc
 
 
 def coerce_fixed(
     dests: Sequence[int], values: Sequence[int], width: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Normalize a fixed-width outbox's payload into parallel arrays.
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Normalize a fixed-width outbox's payload into parallel tuples of
+    plain ints.
 
-    Always copies (and freezes) the inputs: the network validates an
-    outbox when it is yielded, and other nodes run between that yield
-    and the round's delivery, so aliasing a caller-owned array that is
-    mutated in place meanwhile would let unvalidated data onto the
-    wire."""
+    Always copies the inputs into immutable tuples: the network
+    validates an outbox when it is yielded, and other nodes run between
+    that yield and the round's delivery, so aliasing a caller-owned
+    list or array that is mutated in place meanwhile would let
+    unvalidated data onto the wire."""
     if width < 1:
         raise ValueError("fixed-width messages need width >= 1 bit")
-    dest_arr = _index_array(dests, np.intp, "destinations")
-    if width <= NUMERIC_WIDTH_LIMIT:
-        value_arr = _index_array(values, np.uint64, "values")
-    else:
-        try:
-            seq = [operator.index(v) for v in values]
-        except TypeError as exc:
-            raise ProtocolError(
-                f"fixed-width values must be integers, not {exc}"
-            ) from exc
-        if any(v < 0 for v in seq):
-            raise ProtocolError("fixed-width values must be non-negative")
-        value_arr = np.empty(len(seq), dtype=object)
-        value_arr[:] = seq
-    if value_arr.shape != dest_arr.shape:
+    dest_tuple = _int_tuple(dests, "destinations")
+    value_tuple = _int_tuple(values, "values")
+    if value_tuple and min(value_tuple) < 0:
+        raise ProtocolError("fixed-width values must be non-negative")
+    if len(value_tuple) != len(dest_tuple):
         raise ProtocolError(
-            f"{dest_arr.size} destinations but {value_arr.size} values"
+            f"{len(dest_tuple)} destinations but {len(value_tuple)} values"
         )
-    dest_arr.flags.writeable = False
-    value_arr.flags.writeable = False
-    return dest_arr, value_arr
+    return dest_tuple, value_tuple
 
 
 def coerce_broadcast(value: int, width: int) -> int:
@@ -169,12 +140,14 @@ def validate_fixed(
     bandwidth: int,
     allowed_set: Optional[frozenset] = None,
 ) -> None:
-    """Whole-outbox validation, vectorized; raises on any violation.
+    """Whole-outbox validation with builtin passes; raises on any
+    violation.
 
-    Replaces the per-message checks of the scalar path: one range/self
-    scan over the destination vector, one membership scan against the
-    sender's CONGEST neighbours (``allowed_set``), one width scan over
-    the values.
+    Replaces the per-message checks of the scalar path: one self-send
+    and one range scan over the destination tuple, one membership scan
+    against the sender's CONGEST neighbours (``allowed_set``), one width
+    scan over the values (:func:`coerce_fixed` already rejected negative
+    ones).
     """
     width = outbox.width
     if width > bandwidth:
@@ -183,36 +156,30 @@ def validate_fixed(
             f"(bandwidth {bandwidth})"
         )
     dests = outbox.dests
-    if dests.size == 0:
+    if not dests:
         return
-    if (dests == sender).any():
+    if sender in dests:
         raise TopologyError(f"node {sender} sent a message to itself")
-    if int(dests.min()) < 0 or int(dests.max()) >= n:
+    if min(dests) < 0 or max(dests) >= n:
         raise TopologyError(f"node {sender} sent to an out-of-range destination")
-    if not outbox.trusted_unique and np.unique(dests).size != dests.size:
+    if not outbox.trusted_unique and len(set(dests)) != len(dests):
         raise ProtocolError(
             f"node {sender} listed a destination twice in a fixed-width outbox"
         )
-    if allowed_set is not None:
-        for dest in dests:
-            if dest not in allowed_set:
-                raise TopologyError(
-                    f"node {sender} sent to non-neighbour {dest} in CONGEST"
-                )
-    values = outbox.values
-    if values.dtype == object:
-        if any(v < 0 or (v >> width) for v in values):
-            raise ProtocolError(
-                f"node {sender} sent a value that does not fit in {width} bits"
-            )
-    elif (values >> np.uint64(width)).any():
+    if allowed_set is not None and not allowed_set.issuperset(dests):
+        dest = next(d for d in dests if d not in allowed_set)
+        raise TopologyError(
+            f"node {sender} sent to non-neighbour {dest} in CONGEST"
+        )
+    if max(outbox.values) >> width:
         raise ProtocolError(
             f"node {sender} sent a value that does not fit in {width} bits"
         )
 
 
 class FixedWidthInbox:
-    """Array-backed inbox over one receiver's column of a send matrix.
+    """Array-backed inbox over one receiver's row of a round's receive
+    matrix.
 
     Has the :class:`~repro.core.network.Inbox` API (``get`` /
     ``senders`` / ``items`` / ``uint_items`` / ``len`` / ``in``); every
@@ -223,10 +190,10 @@ class FixedWidthInbox:
     __slots__ = ("_values", "_present", "_width", "_senders", "_items")
 
     def __init__(
-        self, values_col: np.ndarray, present_col: np.ndarray, width: int
+        self, values_row: np.ndarray, present_row: np.ndarray, width: int
     ) -> None:
-        self._values = values_col
-        self._present = present_col
+        self._values = values_row
+        self._present = present_row
         self._width = width
         self._senders: Optional[Tuple[int, ...]] = None
         self._items = None
@@ -234,27 +201,23 @@ class FixedWidthInbox:
     def senders(self) -> Tuple[int, ...]:
         cached = self._senders
         if cached is None:
-            cached = self._senders = tuple(
-                int(s) for s in np.flatnonzero(self._present)
-            )
+            cached = self._senders = tuple(np.flatnonzero(self._present).tolist())
         return cached
 
     def items(self) -> Tuple[Tuple[int, Bits], ...]:
         cached = self._items
         if cached is None:
             width = self._width
-            values = self._values
             cached = self._items = tuple(
-                (s, Bits(int(values[s]), width)) for s in self.senders()
+                (s, Bits(value, width)) for s, value in self.uint_items()
             )
         return cached
 
     def uint_items(self) -> List[Tuple[int, int]]:
-        values = self._values
-        return [(s, int(values[s])) for s in self.senders()]
+        return list(zip(self.senders(), self._values[self._present].tolist()))
 
     def get(self, sender: int) -> Optional[Bits]:
-        if 0 <= sender < self._present.shape[0] and self._present[sender]:
+        if sender in self:
             return Bits(int(self._values[sender]), self._width)
         return None
 
@@ -279,36 +242,41 @@ class FixedLane:
     def deliver(
         self, senders, width: int, record=None
     ) -> Tuple[int, List[FixedWidthInbox]]:
-        """Deliver one homogeneous bulk round into a fresh ``n × n`` send
-        matrix; returns the bits sent and one inbox per receiver.
+        """Deliver one homogeneous bulk round into a fresh ``n × n``
+        receive matrix (row = receiver, column = sender); returns the
+        bits sent and one inbox per receiver.
 
         ``senders`` is a list of ``(node_id, outbox)`` in node order, as
         required for transcript order parity with the scalar path.
         """
         n = self.n
-        dtype = np.uint64 if width <= NUMERIC_WIDTH_LIMIT else object
-        values = np.zeros((n, n), dtype=dtype)
-        present = np.zeros((n, n), dtype=bool)
-        count = 0
+        receivers: List[int] = []
+        payloads: List[int] = []
+        counts: List[int] = []
         for sender, outbox in senders:
             dests = outbox.dests
-            size = dests.size
-            if not size:
-                continue
-            values[sender, dests] = outbox.values
-            present[sender, dests] = True
-            count += size
+            receivers += dests
+            payloads += outbox.values
+            counts.append(len(dests))
             if record is not None:
-                sends = record.sends
-                row = outbox.values
-                for i in range(size):
-                    sends.append(
-                        (sender, int(dests[i]), Bits(int(row[i]), width))
-                    )
-        inboxes = [
-            FixedWidthInbox(values[:, u], present[:, u], width) for u in range(n)
-        ]
-        return count * width, inboxes
+                record.sends.extend(
+                    (sender, dest, Bits(value, width))
+                    for dest, value in zip(dests, outbox.values)
+                )
+        total = len(payloads)
+        # Each message's flat (receiver, sender) cell, built once and
+        # used for both writes.
+        flat = np.fromiter(receivers, dtype=np.intp, count=total) * n
+        flat += np.repeat([sender for sender, _ in senders], counts)
+        dtype = np.uint64 if width <= NUMERIC_WIDTH_LIMIT else object
+        values = np.zeros(n * n, dtype=dtype)
+        present = np.zeros(n * n, dtype=bool)
+        values[flat] = np.fromiter(payloads, dtype=dtype, count=total)
+        present[flat] = True
+        values = values.reshape(n, n)
+        present = present.reshape(n, n)
+        inboxes = [FixedWidthInbox(values[u], present[u], width) for u in range(n)]
+        return total * width, inboxes
 
 
 class BroadcastInbox:

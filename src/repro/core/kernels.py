@@ -65,7 +65,7 @@ from repro.core.errors import (
     TopologyError,
 )
 from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
-from repro.core.network import Mode, RoundRecord, RunResult
+from repro.core.network import CoinStates, Mode, RoundRecord, RunResult
 
 __all__ = [
     "KernelContext",
@@ -92,15 +92,7 @@ class KernelContext:
     :class:`~repro.core.network.Context`).
     """
 
-    __slots__ = (
-        "n",
-        "bandwidth",
-        "mode",
-        "instances",
-        "inputs_list",
-        "_private_states",
-        "_shared_state",
-    )
+    __slots__ = ("n", "bandwidth", "mode", "instances", "inputs_list", "_coins")
 
     def __init__(
         self,
@@ -108,29 +100,23 @@ class KernelContext:
         bandwidth: int,
         mode: Mode,
         inputs_list: Sequence[Any],
-        private_states: Sequence[Any],
-        shared_state: Any,
+        coins: CoinStates,
     ) -> None:
         self.n = n
         self.bandwidth = bandwidth
         self.mode = mode
         self.instances = len(inputs_list)
         self.inputs_list = inputs_list
-        self._private_states = private_states
-        self._shared_state = shared_state
+        self._coins = coins
 
     def shared_rng(self) -> random.Random:
         """A fresh clone of the public coin (identical on every call and
         in every instance, like each generator node's ``ctx.shared_rng``)."""
-        rng = random.Random.__new__(random.Random)
-        rng.setstate(self._shared_state)
-        return rng
+        return self._coins.shared_rng()
 
     def node_rng(self, v: int) -> random.Random:
         """A fresh clone of node ``v``'s private coin."""
-        rng = random.Random.__new__(random.Random)
-        rng.setstate(self._private_states[v])
-        return rng
+        return self._coins.node_rng(v)
 
 
 class UnicastRound:
@@ -585,10 +571,8 @@ def execute(
     n = network.n
     instances = len(inputs_list)
     faults = network._fault_session()
-    _seed, private_states, shared_state = network._rng_state_bundle()
     kctx = KernelContext(
-        n, network.bandwidth, network.mode, inputs_list,
-        private_states, shared_state,
+        n, network.bandwidth, network.mode, inputs_list, network._coin_states()
     )
     state: Dict[str, Any] = {}
     for hook in program.init_hooks:

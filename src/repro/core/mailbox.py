@@ -145,10 +145,11 @@ class Outbox:
     def fixed_width(cls, dests: Sequence[int], values: Sequence[int], width: int) -> "Outbox":
         """Bulk unicast of fixed-width unsigned-integer payloads:
         ``values[i]`` (exactly ``width`` bits on the wire) goes to
-        ``dests[i]``.  Rounds in which every sender yields a fixed-width
-        outbox of the same width are delivered through the numpy fast
-        lane; otherwise the messages are materialized as ordinary
-        ``width``-bit :class:`~repro.core.bits.Bits` unicasts."""
+        ``dests[i]``.  Both are kept as tuples of plain ints.  Rounds in
+        which every sender yields a fixed-width outbox of the same width
+        are delivered through the numpy fast lane; otherwise the
+        messages are materialized as ordinary ``width``-bit
+        :class:`~repro.core.bits.Bits` unicasts."""
         from repro.core import fastlane
 
         d, v = fastlane.coerce_fixed(dests, values, width)
@@ -164,7 +165,7 @@ class Outbox:
 
         if type(messages) is not dict:
             messages = dict(messages)
-        d, v = fastlane.coerce_fixed(list(messages.keys()), list(messages.values()), width)
+        d, v = fastlane.coerce_fixed(messages.keys(), messages.values(), width)
         out = cls("fixed", None, None, dests=d, values=v, width=width)
         out.trusted_unique = True
         return out
@@ -178,7 +179,7 @@ class Outbox:
         if cached is None:
             width = self.width
             cached = self.messages = {
-                int(dest): Bits(int(value), width)
+                dest: Bits(value, width)
                 for dest, value in zip(self.dests, self.values)
             }
         return cached

@@ -46,7 +46,7 @@ every node a fresh inbox, so a program may stash one and read it in a
 later round.
 
 All cross-run state lives on the :class:`Network` — the kernel engine's
-compiled schedules, the RNG state bundle and the ``schedule_stats``
+compiled schedules, the seeded coin states and the ``schedule_stats``
 counters — so the engine modules hold no state and serve any number of
 networks.
 """
@@ -56,6 +56,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
@@ -80,6 +81,7 @@ __all__ = [
     "Inbox",
     "Outbox",
     "Context",
+    "CoinStates",
     "RoundRecord",
     "RunResult",
     "Network",
@@ -103,6 +105,44 @@ class Mode(enum.Enum):
 _ = (Inbox, Outbox, inbox_uints, EMPTY_INBOX, _SILENT_OUTBOX)
 
 
+class CoinStates:
+    """The seeded coin states of one network seed: node ``v``'s private
+    coin is ``random.Random(f"{seed}:node:{v}")`` and the public coin
+    ``random.Random(f"{seed}:shared")``.  Each seed string is hashed the
+    first time a run reads that coin, and every later run clones the
+    captured state, which is cheaper than re-seeding and guarantees
+    every run starts from identical streams."""
+
+    __slots__ = ("seed", "_nodes", "_shared")
+
+    def __init__(self, seed: int, n: int) -> None:
+        self.seed = seed
+        self._nodes: List[Any] = [None] * n
+        self._shared: Any = None
+
+    def node_rng(self, v: int) -> random.Random:
+        """A fresh clone of node ``v``'s private coin."""
+        state = self._nodes[v]
+        if state is None:
+            state = self._nodes[v] = random.Random(
+                f"{self.seed}:node:{v}"
+            ).getstate()
+        return _clone_rng(state)
+
+    def shared_rng(self) -> random.Random:
+        """A fresh clone of the public coin."""
+        state = self._shared
+        if state is None:
+            state = self._shared = random.Random(f"{self.seed}:shared").getstate()
+        return _clone_rng(state)
+
+
+def _clone_rng(state: Any) -> random.Random:
+    rng = random.Random.__new__(random.Random)
+    rng.setstate(state)
+    return rng
+
+
 @dataclass
 class Context:
     """Per-node view of the network, handed to each node program.
@@ -117,6 +157,11 @@ class Context:
     protocol).  A single genuinely shared instance would break exactly
     this — interleaved draws would hand each node a disjoint slice of
     one stream.
+
+    Each coin is cloned from the network's seeded state the first time
+    the node reads it, in whatever round that is, so a node's stream
+    does not depend on when it starts drawing, and a program that never
+    draws costs no clone.
 
     ``memo`` is one dict shared by every node context of a run and
     dropped with it; a second run starts from an empty one.  In
@@ -140,10 +185,18 @@ class Context:
     bandwidth: int
     mode: Mode
     neighbors: Tuple[int, ...]
-    rng: random.Random
-    shared_rng: random.Random
     input: Any = None
     memo: Dict[Any, Any] = field(default_factory=dict)
+    # The run's seeded states, which ``rng`` and ``shared_rng`` clone.
+    _coins: Optional[CoinStates] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        return self._coins.node_rng(self.node_id)
+
+    @cached_property
+    def shared_rng(self) -> random.Random:
+        return self._coins.shared_rng()
 
 
 @dataclass
@@ -278,9 +331,7 @@ class Network:
             ]
         else:
             everyone = tuple(range(n))
-            self._neighbors = [
-                tuple(u for u in everyone if u != v) for v in range(n)
-            ]
+            self._neighbors = [everyone[:v] + everyone[v + 1 :] for v in range(n)]
             self._allowed = None
         # Compiled kernel schedules (repro.core.kernels), keyed by the
         # program object.  Bounded; correctness never depends on a hit
@@ -293,11 +344,9 @@ class Network:
             "compiled": 0,
             "replayed": 0,
         }
-        # (seed, per-node states, shared state), captured once per seed:
-        # every run (and every run_many instance) restores identical
-        # per-node streams by cloning state instead of re-hashing the
-        # seed strings.
-        self._rng_states: Optional[Tuple[Any, List[Any], Any]] = None
+        # The coin states of the current seed, shared by every run (and
+        # every run_many instance) on it.
+        self._coins: Optional[CoinStates] = None
 
     # -- execution -------------------------------------------------------
 
@@ -400,48 +449,31 @@ class Network:
 
     # -- per-run state the engines consume -------------------------------
 
-    def _rng_state_bundle(self) -> Tuple[Any, List[Any], Any]:
-        """(seed, per-node private states, shared state) — hashed once
-        per seed, cloned by every run (and by the kernel runner)."""
-        states = self._rng_states
-        if states is None or states[0] != self.seed:
-            # Hash the seed strings once; later runs clone the captured
-            # states, which is cheaper than re-seeding and guarantees
-            # every run starts from identical streams.  Keyed on the
-            # seed so reassigning ``network.seed`` takes effect.
-            private = [
-                random.Random(f"{self.seed}:node:{v}").getstate()
-                for v in range(self.n)
-            ]
-            shared = random.Random(f"{self.seed}:shared").getstate()
-            states = self._rng_states = (self.seed, private, shared)
-        return states
+    def _coin_states(self) -> CoinStates:
+        """The :class:`CoinStates` of the network's seed, shared by
+        every run (and by the kernel runner); keyed on the seed so
+        reassigning ``network.seed`` takes effect."""
+        coins = self._coins
+        if coins is None or coins.seed != self.seed:
+            coins = self._coins = CoinStates(self.seed, self.n)
+        return coins
 
     def _make_contexts(self, inputs: Optional[Sequence[Any]]) -> List[Context]:
-        _seed, private_states, shared_state = self._rng_state_bundle()
-        new = random.Random.__new__
+        coins = self._coin_states()
         memo: Dict[Any, Any] = {}
-        contexts = []
-        for v in range(self.n):
-            rng = new(random.Random)
-            rng.setstate(private_states[v])
-            # Identically seeded per-node streams — see Context.
-            shared_rng = new(random.Random)
-            shared_rng.setstate(shared_state)
-            contexts.append(
-                Context(
-                    node_id=v,
-                    n=self.n,
-                    bandwidth=self.bandwidth,
-                    mode=self.mode,
-                    neighbors=self._neighbors[v],
-                    rng=rng,
-                    shared_rng=shared_rng,
-                    input=None if inputs is None else inputs[v],
-                    memo=memo,
-                )
+        return [
+            Context(
+                node_id=v,
+                n=self.n,
+                bandwidth=self.bandwidth,
+                mode=self.mode,
+                neighbors=self._neighbors[v],
+                input=None if inputs is None else inputs[v],
+                memo=memo,
+                _coins=coins,
             )
-        return contexts
+            for v in range(self.n)
+        ]
 
     def _start(self, program, inputs):
         contexts = self._make_contexts(inputs)
@@ -485,8 +517,8 @@ class Network:
                 f"(bandwidth {self.bandwidth})"
             )
         if kind == "fixed":
-            # Whole-outbox vectorized validation at every yield, so the
-            # unicast lane delivers without per-message checks.
+            # Whole-outbox validation at every yield, so the unicast
+            # lane delivers without per-message checks.
             from repro.core import fastlane
 
             allowed = self._allowed

@@ -25,7 +25,7 @@ kernel engine compiles once and executes as stacked matrix operations.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,25 +53,58 @@ __all__ = [
 def route_frames(
     ctx: Context,
     schedule: RoutingSchedule,
-    my_frames: Mapping[FrameRef, Bits],
+    my_frames: Mapping[FrameRef, int],
     frame_size: int,
 ):
     """Drive ``schedule`` for this node; returns the frames delivered
-    here (keyed by :data:`FrameRef`).  Sub-generator: use ``yield from``.
+    here as ``{FrameRef: int}``.  Sub-generator: use ``yield from``.
 
-    Every frame must be exactly ``frame_size`` bits; frames travel as
-    uints in fixed-width outboxes, which the fast engine delivers
-    through its bulk unicast lane.
+    ``my_frames`` holds exactly the frames the schedule routes from
+    this node, each an unsigned int of at most ``frame_size`` bits; they
+    travel in fixed-width outboxes, which the fast engine delivers
+    through its bulk unicast lane.  A frame that does not fit, one the
+    schedule routes from this node but it does not hold, and one it
+    holds but the schedule does not route from it each raise a
+    ``ValueError`` naming the node and the frame: a frame that does not
+    fit or is another node's (the schedule routes a frame from its
+    source only) when the node starts, a frame it lacks in the round
+    that first sends it, and one never sent when the schedule ends.
     """
-    fixed: Dict[FrameRef, int] = {}
-    for ref, frame in my_frames.items():
-        if len(frame) != frame_size:
-            raise ValueError(
-                f"frame {ref} has {len(frame)} bits, expected {frame_size}"
-            )
-        fixed[ref] = frame.to_uint()
-    uints = yield from _drive_frames(ctx, schedule, fixed, frame_size)
-    return {ref: Bits(value, frame_size) for ref, value in uints.items()}
+    me = ctx.node_id
+    holding = dict(my_frames)
+    if holding and (
+        {ref[0] for ref in holding} != {me}
+        or min(holding.values()) < 0
+        or max(holding.values()) >> frame_size
+    ):
+        raise ValueError(_bad_frame(me, holding, frame_size))
+    return (yield from _drive_frames(ctx, schedule, holding, frame_size))
+
+
+def _bad_frame(
+    node: int, frames: Mapping[FrameRef, int], frame_size: int
+) -> Optional[str]:
+    """What ``node`` finds wrong with its injection map when it starts:
+    the first frame, in map order, that is another node's or does not
+    fit in ``frame_size`` bits."""
+    for ref, value in frames.items():
+        if ref[0] != node:
+            return _not_routed(node, ref)
+        if value < 0 or value >> frame_size:
+            return _too_wide(node, ref, frame_size)
+    return None
+
+
+def _too_wide(node: int, ref: FrameRef, frame_size: int) -> str:
+    return f"node {node}'s frame {ref} does not fit in {frame_size} bits"
+
+
+def _not_held(node: int, ref: FrameRef) -> str:
+    return f"node {node} does not hold frame {ref}, which the schedule routes from it"
+
+
+def _not_routed(node: int, ref: FrameRef) -> str:
+    return f"node {node} holds frame {ref}, which the schedule does not route from it"
 
 
 def _drive_frames(
@@ -83,31 +116,38 @@ def _drive_frames(
 ):
     """Drive ``schedule`` for this node on the fixed-width lane, with
     ``holding`` the ``{FrameRef: uint}`` frames it injects; returns the
-    frames delivered here, still as uints.  Given the payload
-    ``lengths``, a frame of this node's own that it never injected fails
-    as a ``ValueError`` naming its pair, in the round that first needs
-    it."""
+    frames delivered here, still as uints.  A frame of this node's own
+    that it never injected fails as a ``ValueError`` in the round that
+    first needs it (naming its pair and the payload ``lengths`` when
+    given), one it injected that the schedule never sends fails when
+    the schedule ends, and a relayed frame that never arrived (an
+    earlier hop was lost) fails as a :class:`DecodeError`."""
     me = ctx.node_id
     delivered: Dict[FrameRef, int] = {}
     for r in range(schedule.num_rounds):
         sends = schedule.send_plan[r].get(me, ())
         if sends:
             messages: Dict[int, int] = {}
-            for recipient, frame in sends:
-                if recipient in messages:
-                    raise AssertionError(
-                        "schedule placed two frames on one link in one round"
-                    )
-                try:
+            try:
+                for recipient, frame in sends:
                     messages[recipient] = holding.pop(frame)
-                except KeyError:
-                    if lengths is None or frame[0] != me:
-                        raise
-                    pair = frame[:2]
-                    raise ValueError(
-                        f"node {me} has no payload for pair {pair}, which "
-                        f"the plan routes as {lengths[pair]} bits"
+            except KeyError:
+                if frame[0] != me:
+                    raise DecodeError(
+                        f"node {me} never received frame {frame}, which it "
+                        f"forwards in routing round {r + 1}"
                     ) from None
+                if lengths is None:
+                    raise ValueError(_not_held(me, frame)) from None
+                pair = frame[:2]
+                raise ValueError(
+                    f"node {me} has no payload for pair {pair}, which "
+                    f"the plan routes as {lengths[pair]} bits"
+                ) from None
+            if len(messages) != len(sends):
+                raise AssertionError(
+                    "schedule placed two frames on one link in one round"
+                )
             outbox = Outbox.fixed_width_map(messages, frame_size)
         else:
             outbox = Outbox.silent()
@@ -128,15 +168,19 @@ def _drive_frames(
                 delivered[frame] = value
             else:
                 holding[frame] = value
+    if holding:
+        # A relayed frame always leaves with its next hop, so what is
+        # left was injected here and never sent.
+        raise ValueError(_not_routed(me, next(iter(holding))))
     return delivered
 
 
 def route_program(schedule: RoutingSchedule, frame_size: int):
     """A complete, oblivious node program executing ``schedule``.
 
-    Node ``v``'s input (``ctx.input``) must be its ``{FrameRef: Bits}``
+    Node ``v``'s input (``ctx.input``) must be its ``{FrameRef: int}``
     map of injected frames (or ``None`` for no traffic); the node's
-    output is the ``{FrameRef: Bits}`` map of frames delivered to it.
+    output is the ``{FrameRef: int}`` map of frames delivered to it.
     The round structure comes entirely from the public schedule;
     :func:`route_kernel_program` declares the same structure for the
     kernel engine.
@@ -256,14 +300,15 @@ class FrameRoute:
     round becomes its ``(sender, dests)`` pairs in builder order
     (ascending sender, that sender's send-plan order) plus the slot
     vector of the frames those hops carry.  ``finals`` lists
-    ``(ref, slot, destination)`` in final-hop order.
+    ``(destination, refs, slots)`` per destination, each in final-hop
+    order.
     """
 
     __slots__ = ("slot_of", "rounds", "finals")
 
     def __init__(self, schedule: RoutingSchedule) -> None:
         slot_of: Dict[FrameRef, int] = {}
-        finals = []
+        finals: Dict[int, Tuple[list, list]] = {}
         rounds = []
         for r in range(schedule.num_rounds):
             sends = schedule.send_plan[r]
@@ -277,12 +322,17 @@ class FrameRoute:
                     dests.append(recipient)
                     slots.append(slot)
                     if recv[(sender, recipient)][1]:
-                        finals.append((frame, slot, recipient))
+                        refs, final_slots = finals.setdefault(recipient, ([], []))
+                        refs.append(frame)
+                        final_slots.append(slot)
                 pairs.append((sender, dests))
             rounds.append((pairs, np.asarray(slots, dtype=np.intp)))
         self.slot_of = slot_of
         self.rounds = rounds
-        self.finals = finals
+        self.finals = [
+            (dest, tuple(refs), np.asarray(final_slots, dtype=np.intp))
+            for dest, (refs, final_slots) in sorted(finals.items())
+        ]
 
 
 def kernel_route_frames(
@@ -415,19 +465,65 @@ def kernel_route_bits(builder, bit_route: BitRoute, key: str) -> None:
 
 def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
     """The kernel twin of :func:`route_program`: same inputs (node
-    ``v``'s ``{FrameRef: Bits}`` injection map, or ``None``), same
-    outputs (the frames delivered to each node), zero generator steps —
-    a thin :class:`Bits` adapter over :func:`kernel_route_frames`, whose
-    rounds are one gather + one scatter over a frame-value matrix for
-    all instances of a sweep at once."""
+    ``v``'s ``{FrameRef: int}`` injection map, or ``None``), same
+    outputs (the ``{FrameRef: int}`` frames delivered to each node) and,
+    for a bad injection map, the ``ValueError`` the generator engines
+    raise first, with zero generator steps — :func:`kernel_route_frames`,
+    whose rounds are one gather + one scatter over a frame-value matrix
+    for all instances of a sweep at once."""
     route = FrameRoute(schedule)
     n = schedule.n
+    # Each node's injected frames (a frame's first hop leaves its
+    # source) in slot order, and where they go.
+    owned: List[List[FrameRef]] = [[] for _ in range(n)]
+    for ref in route.slot_of:
+        owned[ref[0]].append(ref)
+    owned_keys = [frozenset(refs) for refs in owned]
+    inject_slots = np.asarray(
+        [route.slot_of[ref] for refs in owned for ref in refs], dtype=np.intp
+    )
     builder = KernelBuilder(n, Mode.UNICAST)
 
     def init(state, kctx):
         state["inputs"] = kctx.inputs_list
 
     builder.on_init(init)
+
+    def injected(inputs) -> List[int]:
+        """One instance's frames in ``inject_slots`` order, or the
+        generator engines' first ``ValueError`` for a bad injection
+        map."""
+        maps = [per_node or {} for per_node in inputs or [None] * n]
+        frames: List[int] = []
+        for v, per_node in enumerate(maps):
+            if per_node.keys() != owned_keys[v]:
+                break
+            frames += map(per_node.__getitem__, owned[v])
+        else:
+            if not frames or (min(frames) >= 0 and not max(frames) >> frame_size):
+                return frames
+        # The generator engines step every node once per round, in node
+        # order, and meet each node's first defect in one of its steps:
+        # a frame that is another node's or does not fit in its first,
+        # a frame it lacks in the round that first sends it, and one
+        # the schedule never sends after the last round.
+        found = []
+        for v, per_node in enumerate(maps):
+            bad = _bad_frame(v, per_node, frame_size)
+            lacking = [ref for ref in owned[v] if ref not in per_node]
+            if bad is not None:
+                found.append((0, v, bad))
+            elif lacking:
+                slot = route.slot_of[lacking[0]]
+                step = next(
+                    r for r, (_pairs, slots) in enumerate(route.rounds)
+                    if slot in slots
+                )
+                found.append((step, v, _not_held(v, lacking[0])))
+            elif per_node.keys() != owned_keys[v]:
+                extra = next(ref for ref in per_node if ref not in owned_keys[v])
+                found.append((len(route.rounds), v, _not_routed(v, extra)))
+        raise ValueError(min(found)[2])
 
     def get_values(state):
         inputs_list = state["inputs"]
@@ -436,21 +532,14 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
             dtype=object if frame_size > NUMERIC_WIDTH_LIMIT else np.uint64,
         )
         for k, inputs in enumerate(inputs_list):
-            for per_node in inputs or ():
-                for ref, frame in (per_node or {}).items():
-                    if len(frame) != frame_size:
-                        raise ValueError(
-                            f"frame {ref} has {len(frame)} bits, "
-                            f"expected {frame_size}"
-                        )
-                    values[k, route.slot_of[ref]] = frame.to_uint()
+            values[k, inject_slots] = injected(inputs)
         return values
 
     def set_values(state, values):
-        delivered = [[dict() for _ in range(n)] for _ in range(values.shape[0])]
-        for ref, slot, dest in route.finals:
-            for k, per_node in enumerate(delivered):
-                per_node[dest][ref] = Bits(int(values[k, slot]), frame_size)
+        delivered = [[{} for _ in range(n)] for _ in range(values.shape[0])]
+        for dest, refs, slots in route.finals:
+            for per_node, frames in zip(delivered, values[:, slots].tolist()):
+                per_node[dest] = dict(zip(refs, frames))
         state["out"] = delivered
 
     kernel_route_frames(builder, route, frame_size, get_values, set_values)

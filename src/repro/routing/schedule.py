@@ -24,7 +24,10 @@ O(1) whenever every node sends and receives O(n) frames — exactly the
 
 A direct schedule (round t ships the t-th frame of every pair) is used
 instead whenever it is at least as fast (max per-pair multiplicity ≤
-two-phase rounds).
+two-phase rounds).  A proper colouring needs at least Δ colours, so the
+two-phase schedule takes at least 2·⌈Δ/n⌉ rounds; when the multiplicity
+is within that, the direct schedule wins whatever the colouring, and no
+colouring is computed.
 """
 
 from __future__ import annotations
@@ -81,17 +84,15 @@ def _greedy_edge_coloring(frames: List[FrameRef]) -> Tuple[List[int], int]:
     return colors, max_color + 1
 
 
-def _empty_round(n: int) -> Tuple[Dict[int, List[Tuple[int, FrameRef]]], Dict[Tuple[int, int], Tuple[FrameRef, bool]]]:
-    return {}, {}
-
-
 def build_schedule(demand: Mapping[Tuple[int, int], int], n: int) -> RoutingSchedule:
     """Build the routing timetable for ``demand[(src, dst)] = #frames``.
 
     Self-pairs are rejected (local data needs no routing); zero-count
     pairs are ignored.
     """
-    frames: List[FrameRef] = []
+    pairs: List[Tuple[int, int, int]] = []
+    sent: Dict[int, int] = {}
+    received: Dict[int, int] = {}
     max_multiplicity = 0
     for (src, dst), count in sorted(demand.items()):
         if count <= 0:
@@ -101,28 +102,40 @@ def build_schedule(demand: Mapping[Tuple[int, int], int], n: int) -> RoutingSche
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"demand pair ({src},{dst}) out of range")
         max_multiplicity = max(max_multiplicity, count)
-        frames.extend((src, dst, idx) for idx in range(count))
+        pairs.append((src, dst, count))
+        sent[src] = sent.get(src, 0) + count
+        received[dst] = received.get(dst, 0) + count
 
-    if not frames:
+    if not pairs:
         return RoutingSchedule(n=n, num_rounds=0)
 
+    # Every colouring uses at least Δ colours, so two-phase routing takes
+    # at least 2·⌈Δ/n⌉ rounds: within that the direct schedule wins
+    # whatever the colouring.
+    delta = max(max(sent.values()), max(received.values()))
+    if max_multiplicity <= 2 * -(-delta // n):
+        return _direct_schedule(pairs, n, max_multiplicity)
+
+    frames: List[FrameRef] = [
+        (src, dst, idx) for src, dst, count in pairs for idx in range(count)
+    ]
     colors, num_colors = _greedy_edge_coloring(frames)
     slots = -(-num_colors // n)  # ⌈C/n⌉
-    two_phase_rounds = 2 * slots
-
-    if max_multiplicity <= two_phase_rounds or n == 1:
-        return _direct_schedule(demand, n, max_multiplicity)
+    if max_multiplicity <= 2 * slots:
+        return _direct_schedule(pairs, n, max_multiplicity)
     return _two_phase_schedule(frames, colors, slots, n)
 
 
 def _direct_schedule(
-    demand: Mapping[Tuple[int, int], int], n: int, rounds: int
+    pairs: List[Tuple[int, int, int]], n: int, rounds: int
 ) -> RoutingSchedule:
+    """Round ``r`` ships frame ``r`` of every ``(src, dst, count)`` pair
+    with ``count > r``; ``pairs`` is sorted."""
     schedule = RoutingSchedule(n=n, num_rounds=rounds)
     for r in range(rounds):
         sends: Dict[int, List[Tuple[int, FrameRef]]] = {}
         recvs: Dict[Tuple[int, int], Tuple[FrameRef, bool]] = {}
-        for (src, dst), count in sorted(demand.items()):
+        for src, dst, count in pairs:
             if r < count:
                 frame: FrameRef = (src, dst, r)
                 sends.setdefault(src, []).append((dst, frame))

@@ -674,8 +674,8 @@ class TestRunManyProtocols:
             per_node = [dict() for _ in range(n)]
             for (src, dst), count in demand.items():
                 for idx in range(count):
-                    per_node[src][(src, dst, idx)] = Bits.from_uint(
-                        contents.getrandbits(frame_size), frame_size
+                    per_node[src][(src, dst, idx)] = contents.getrandbits(
+                        frame_size
                     )
             return per_node
 

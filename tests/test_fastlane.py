@@ -229,17 +229,22 @@ class TestValidation:
 
     def test_outbox_arrays_are_frozen_copies(self):
         # An outbox is validated when it is yielded and delivered after
-        # the other nodes have run; aliasing a caller array that is
-        # mutated in place meanwhile would smuggle unvalidated data
-        # onto the wire — so the outbox must own frozen copies.
+        # the other nodes have run; aliasing a caller array or list that
+        # is mutated in place meanwhile would smuggle unvalidated data
+        # onto the wire — so the outbox must own immutable copies.
         dests = np.array([1, 2], dtype=np.intp)
         values = np.array([3, 4], dtype=np.uint64)
+        listed = [3, 4]
         outbox = Outbox.fixed_width(dests, values, 4)
+        from_list = Outbox.fixed_width([1, 2], listed, 4)
         values[:] = 999  # caller mutation must not reach the outbox
-        assert list(outbox.values) == [3, 4]
-        with pytest.raises(ValueError):
+        listed[:] = [999, 999]
+        assert outbox.values == (3, 4) and from_list.values == (3, 4)
+        assert outbox.dests == (1, 2)
+        assert all(type(x) is int for x in outbox.dests + outbox.values)
+        with pytest.raises(TypeError):
             outbox.values[0] = 5
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             outbox.dests[0] = 0
 
 
@@ -537,4 +542,4 @@ class TestDuplicateDestinationAudit:
                 return [v for _, v in self._pairs]
 
         outbox = Outbox.fixed_width_map(LyingMapping([(1, 5), (1, 6)]), 4)
-        assert outbox.dests.size == 1  # deduplicated through dict()
+        assert outbox.dests == (1,)  # deduplicated through dict()

@@ -155,9 +155,7 @@ class TestRoutingKernel:
             per_node = [dict() for _ in range(n)]
             for (src, dst), count in demand.items():
                 for idx in range(count):
-                    per_node[src][(src, dst, idx)] = Bits(
-                        r.getrandbits(frame_size), frame_size
-                    )
+                    per_node[src][(src, dst, idx)] = r.getrandbits(frame_size)
             return per_node
 
         inputs_list = [make_inputs(k) for k in range(3)]
@@ -178,9 +176,7 @@ class TestRoutingKernel:
         inputs = [dict() for _ in range(n)]
         for (src, dst), count in demand.items():
             for idx in range(count):
-                inputs[src][(src, dst, idx)] = Bits(
-                    rng.getrandbits(frame_size), frame_size
-                )
+                inputs[src][(src, dst, idx)] = rng.getrandbits(frame_size)
         expected = Network(n=n, bandwidth=frame_size).run(gen_program, inputs)
         got = Network(n=n, bandwidth=frame_size).run(kernel_program, inputs)
         assert result_tuple(got) == result_tuple(expected)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.bits import Bits
@@ -276,6 +278,65 @@ class TestDeterminismAndTranscripts:
 
         result = run_protocol(program, n=4, bandwidth=1, seed=12)
         assert all(out == result.outputs[0] for out in result.outputs)
+
+
+class TestCoinsOnFirstDraw:
+    """A node's coins are cloned from the network's seeded states the
+    first time it reads them: the streams do not depend on when a node
+    starts drawing, and a program that never draws clones nothing."""
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_first_draw_in_round_three_reads_the_seeded_stream(self, engine):
+        def program(ctx):
+            for _ in range(2):
+                yield Outbox.silent()
+            return [ctx.rng.random() for _ in range(3)]
+
+        network = Network(n=4, bandwidth=1, seed=17, engine=engine)
+        for _run in range(2):
+            result = network.run(program)
+            assert result.rounds == 2
+            for v, draws in enumerate(result.outputs):
+                fresh = random.Random(f"17:node:{v}")
+                assert draws == [fresh.random() for _ in range(3)]
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_shared_coin_agrees_whenever_a_node_starts(self, engine):
+        # Node v reads the public coin for the first time in round v + 1.
+        def program(ctx):
+            for _ in range(ctx.node_id):
+                yield Outbox.silent()
+            return [ctx.shared_rng.getrandbits(16) for _ in range(4)]
+
+        result = Network(n=5, bandwidth=1, seed=4, engine=engine).run(program)
+        fresh = random.Random("4:shared")
+        assert result.outputs == [[fresh.getrandbits(16) for _ in range(4)]] * 5
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_no_draw_clones_no_state(self, monkeypatch, engine):
+        clones = []
+        setstate = random.Random.setstate
+
+        def counting(self, state):
+            clones.append(self)
+            setstate(self, state)
+
+        monkeypatch.setattr(random.Random, "setstate", counting)
+
+        def silent(ctx):
+            yield Outbox.silent()
+            return ctx.node_id
+
+        def node_two_draws(ctx):
+            yield Outbox.silent()
+            if ctx.node_id == 2:
+                return ctx.rng.random(), ctx.rng.random()
+
+        network = Network(n=6, bandwidth=1, engine=engine)
+        network.run(silent)
+        assert clones == []
+        network.run(node_two_draws)
+        assert len(clones) == 1
 
 
 class TestInboxCaching:

@@ -3,15 +3,29 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bits import Bits
+from repro.core.errors import DecodeError
+from repro.core.faults import FaultPlan
 from repro.core.network import Network, run_protocol
-from repro.routing import build_schedule, payload_demand, route_payloads
-from repro.routing.schedule import _greedy_edge_coloring
+from repro.routing import (
+    build_schedule,
+    payload_demand,
+    route_kernel_program,
+    route_payloads,
+    route_program,
+)
+from repro.routing.schedule import (
+    RoutingSchedule,
+    _direct_schedule,
+    _greedy_edge_coloring,
+    _two_phase_schedule,
+)
 
 
 def random_demand(rng, n, max_frames, pairs):
@@ -108,6 +122,148 @@ class TestSchedule:
         n = 16
         schedule = build_schedule({(0, 1): 2 * n}, n)
         assert schedule.num_rounds <= 8
+
+
+def _coloured_schedule(demand, n):
+    """The schedule by the rule that coloured every demand: colour all
+    frames, then take the direct schedule iff the highest multiplicity
+    is at most 2·⌈C/n⌉ (C colours).  Returns it with its branch."""
+    pairs = [(s, d, c) for (s, d), c in sorted(demand.items()) if c > 0]
+    if not pairs:
+        return RoutingSchedule(n=n, num_rounds=0), "empty"
+    frames = [(s, d, idx) for s, d, c in pairs for idx in range(c)]
+    colors, num_colors = _greedy_edge_coloring(frames)
+    slots = -(-num_colors // n)
+    multiplicity = max(c for _s, _d, c in pairs)
+    if multiplicity <= 2 * slots:
+        return _direct_schedule(pairs, n, multiplicity), "direct"
+    return _two_phase_schedule(frames, colors, slots, n), "two-phase"
+
+
+@st.composite
+def demands(draw):
+    """A random demand on 1–12 nodes with multiplicities 1–6, sparse
+    (a tenth of the pairs) to dense (every pair)."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    multiplicity = draw(st.integers(min_value=1, max_value=6))
+    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    demand = {
+        (s, d): rng.randint(1, multiplicity)
+        for s in range(n)
+        for d in range(n)
+        if s != d and rng.random() < density
+    }
+    return n, demand
+
+
+class TestColouringSkip:
+    def test_skip_returns_the_coloured_schedule(self):
+        """Skipping the colouring when the multiplicity is within
+        2·⌈Δ/n⌉ changes no schedule, and the sample reaches the
+        direct, the two-phase and the skipped case."""
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(demands())
+        def check(case):
+            n, demand = case
+            want, branch = _coloured_schedule(demand, n)
+            assert build_schedule(demand, n) == want
+            seen.add(branch)
+            if demand:
+                sent, received = {}, {}
+                for (s, d), c in demand.items():
+                    sent[s] = sent.get(s, 0) + c
+                    received[d] = received.get(d, 0) + c
+                delta = max(max(sent.values()), max(received.values()))
+                if max(demand.values()) <= 2 * -(-delta // n):
+                    seen.add("skipped")
+
+        check()
+        assert {"direct", "two-phase", "skipped"} <= seen
+
+
+class TestInjectionMap:
+    """A node's injection map holds exactly the frames the schedule
+    routes from it.  Every engine rejects a bad one with the same
+    ``ValueError`` naming the node and the frame; in a map with several
+    bad frames, the one the generator engines meet first."""
+
+    N = 4
+    FRAME_SIZE = 16
+    # Eight frames on (0, 1) exceed the direct schedule's 2·⌈Δ/n⌉ = 4
+    # rounds, so the schedule is two-phase: node 0 sends frame (0, 1, 2)
+    # to node 2 in round 1, which forwards it, and first sends frame
+    # (0, 1, 4) in round 4.
+    DEMAND = {(0, 1): 8, (1, 2): 1, (2, 3): 1, (3, 0): 1}
+    WIDE = 1 << FRAME_SIZE
+    NOT_ROUTED = "node {} holds frame {}, which the schedule does not route from it"
+    NOT_HELD = "node {} does not hold frame {}, which the schedule routes from it"
+    TOO_WIDE = "node {}'s frame {} does not fit in 16 bits"
+    # Each case's edits to the injection map, as (node, frame, value or
+    # None to drop it), and the error every engine raises.  "relayed"
+    # gives node 2 a frame it forwards; in the two-defect cases the
+    # generator engines meet node 0's round-1 miss before node 1's wide
+    # frame, node 1's wide frame (at its start) before node 0's round-4
+    # miss, and node 2's round-1 miss before node 0's never-sent frame.
+    CASES = {
+        "extra": ([(0, (0, 2, 0), 5)], NOT_ROUTED.format(0, (0, 2, 0))),
+        "missing": ([(0, (0, 1, 4), None)], NOT_HELD.format(0, (0, 1, 4))),
+        "too wide": ([(0, (0, 1, 4), WIDE)], TOO_WIDE.format(0, (0, 1, 4))),
+        "relayed": (
+            [(2, (0, 1, 2), 5)],
+            NOT_ROUTED.format(2, (0, 1, 2)),
+        ),
+        "missing then too wide": (
+            [(0, (0, 1, 2), None), (1, (1, 2, 0), WIDE)],
+            NOT_HELD.format(0, (0, 1, 2)),
+        ),
+        "too wide then missing": (
+            [(0, (0, 1, 4), None), (1, (1, 2, 0), WIDE)],
+            TOO_WIDE.format(1, (1, 2, 0)),
+        ),
+        "missing then extra": (
+            [(0, (0, 2, 0), 5), (2, (2, 3, 0), None)],
+            NOT_HELD.format(2, (2, 3, 0)),
+        ),
+    }
+
+    def inputs(self):
+        inputs = [dict() for _ in range(self.N)]
+        for (src, dst), count in self.DEMAND.items():
+            for idx in range(count):
+                inputs[src][(src, dst, idx)] = 100 * src + idx
+        return inputs
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast", "kernel"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bad_injection_map_fails_alike(self, case, engine):
+        schedule = build_schedule(self.DEMAND, self.N)
+        assert schedule.num_rounds == 4
+        inputs = self.inputs()
+        edits, message = self.CASES[case]
+        for node, ref, value in edits:
+            if value is None:
+                del inputs[node][ref]
+            else:
+                inputs[node][ref] = value
+        build = route_kernel_program if engine == "kernel" else route_program
+        network = Network(n=self.N, bandwidth=self.FRAME_SIZE, engine=engine)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            network.run(build(schedule, self.FRAME_SIZE), inputs)
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_lost_relay_hop_is_a_decode_error(self, engine):
+        # Frame (0, 1, 2) has colour 2: node 0 hands it to node 2 in
+        # round 1, and node 2 forwards it in round 3.
+        schedule = build_schedule(self.DEMAND, self.N)
+        plan = FaultPlan(triggers={(1, 0, 2): "drop"})
+        network = Network(
+            n=self.N, bandwidth=self.FRAME_SIZE, engine=engine, fault_plan=plan
+        )
+        with pytest.raises(DecodeError, match=re.escape("node 2 never received frame (0, 1, 2)")):
+            network.run(route_program(schedule, self.FRAME_SIZE), self.inputs())
 
 
 class TestRoutePayloads:
