@@ -10,9 +10,10 @@ on both engines:
 * the *fixed* program yields a fresh fixed-width outbox every round
   (``Outbox.fixed_width`` for unicast/CONGEST, ``Outbox.broadcast_uint``
   on the blackboard), as every library protocol does (rows
-  ``legacy+fixed`` and ``fast+fixedlane``, reported as
-  ``fast+bcastlane`` on the blackboard), so the fast engine delivers
-  whole dense rounds through numpy bulk writes.
+  ``legacy+fixed`` and ``fast+fixedlane``, reported as ``fast+fixed``
+  on the blackboard), so the fast engine delivers whole dense unicast
+  rounds through numpy bulk writes.  A blackboard round is one board on
+  both engines, so the broadcast rows time one delivery path twice.
 
 Every speedup compares one program's two runs, so it compares two
 delivery paths doing the same per-round work.  It is timed like the
@@ -27,12 +28,6 @@ Workloads (width-32 payloads):
                   per round;
 * ``congest``   — a ring topology: 2n messages per round (dominated by
                   per-round overhead, i.e. a rounds/sec probe).
-
-On top of the raw engine sweep, a ``protocols`` section times two
-broadcast-heavy real protocols end to end (the ``transmit_broadcast``
-phase and full-learning subgraph detection at n=128) under both
-engines, so the broadcast lane's effect on actual workloads is tracked
-alongside the synthetic numbers.
 
 A ``kernels`` section measures the kernel-program path, the one
 compiled path: a repeated unicast workload expressed as declared round
@@ -56,9 +51,9 @@ Run from the repo root (writes ``BENCH_engine.json`` there)::
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI smoke
 
 The JSON keeps a per-config table plus ``speedups``, an ``acceptance``
-block (the ``speedups`` entries of the dict program and of the two
-lanes at the largest size, kernel vs. the plain fast engine on the
-repeated unicast sweep, the two overhead gates), and a ``meta`` block
+block (the unicast ``speedups`` entries of the dict program and of the
+unicast lane at the largest size, kernel vs. the plain fast engine on
+the repeated unicast sweep, the two overhead gates), and a ``meta`` block
 stamping python/numpy versions and the git revision so
 the perf trajectory across PRs stays comparable.
 """
@@ -82,7 +77,6 @@ import numpy as np
 
 from repro.core.bits import Bits
 from repro.core.network import Mode, Network, Outbox
-from repro.core.phases import transmit_broadcast
 
 WIDTH = 32
 MASK = (1 << WIDTH) - 1
@@ -213,7 +207,7 @@ def bench_config(mode, n, engine, fixed, rounds):
     elif engine == "legacy":
         label = "legacy+fixed"
     else:
-        label = "fast+bcastlane" if mode == "broadcast" else "fast+fixedlane"
+        label = "fast+fixed" if mode == "broadcast" else "fast+fixedlane"
     program = maker(rounds)
     return label, messages_per_round * rounds, lambda: network.run(program)
 
@@ -271,100 +265,6 @@ def run_sweep(sizes, quick, repeats):
             # Same protocol, same accounting — engines must agree.
             assert len(bit_totals) == 1, f"engines disagree on bits: {mode} n={n}"
     return configs, speedups
-
-
-# -- protocol scenarios -------------------------------------------------
-
-
-def bench_protocols(quick, repeats):
-    """Broadcast-heavy protocols end to end, legacy vs fast.
-
-    The raw sweep isolates the engine; these scenarios check that the
-    broadcast lane's win survives contact with real protocol logic.
-    """
-    import random as _random
-
-    from repro.graphs import random_graph
-    from repro.graphs.graph import Graph
-    from repro.subgraphs.detection import full_learning_detect
-
-    def measure(record, runner):
-        bit_totals = set()
-        for engine in ("legacy", "fast"):
-            best, result = _time_best(lambda: runner(engine), repeats)
-            writes = result.total_bits // record["bandwidth"]
-            record[engine] = {
-                "seconds": round(best, 6),
-                "rounds": result.rounds,
-                "total_bits": result.total_bits,
-                "broadcasts_per_sec": round(writes / best, 1),
-            }
-            bit_totals.add(result.total_bits)
-        assert len(bit_totals) == 1, f"engines disagree on bits: {record}"
-        record["speedup_vs_legacy"] = round(
-            record["fast"]["broadcasts_per_sec"]
-            / record["legacy"]["broadcasts_per_sec"],
-            2,
-        )
-        print(
-            f"{record['name']:>26}  n={record['n']:<4} "
-            f"legacy {record['legacy']['seconds']:.3f}s  "
-            f"fast {record['fast']['seconds']:.3f}s  "
-            f"({record['speedup_vs_legacy']}x msgs/s)"
-        )
-        return record
-
-    # 1. transmit_broadcast phase: every node streams a long payload
-    #    through b-bit blackboard frames (pure phase-layer traffic).
-    n_phase = 32 if quick else 128
-    payload_bits = 64 if quick else 256
-    phase_bw = 16
-
-    def run_phase(engine):
-        def program(ctx):
-            payload = Bits.from_uint(
-                (ctx.node_id * 0x9E3779B97F4A7C15) % (1 << payload_bits),
-                payload_bits,
-            )
-            got = yield from transmit_broadcast(
-                ctx, payload, max_bits=payload_bits
-            )
-            return len(got)
-
-        network = Network(
-            n=n_phase, bandwidth=phase_bw, mode=Mode.BROADCAST, engine=engine
-        )
-        return network.run(program)
-
-    phase_record = measure(
-        {
-            "name": "transmit_broadcast_phase",
-            "n": n_phase,
-            "bandwidth": phase_bw,
-            "payload_bits": payload_bits,
-        },
-        run_phase,
-    )
-
-    # 2. full-learning subgraph detection (triangle) — the Theorem 7
-    #    baseline, whose rounds are all blackboard frames.
-    n_det = 32 if quick else 128
-    det_bw = 8
-    det_graph = random_graph(n_det, 0.3, _random.Random(1))
-    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-
-    def run_detection(engine):
-        _outcome, result = full_learning_detect(
-            det_graph, triangle, bandwidth=det_bw, engine=engine
-        )
-        return result
-
-    det_record = measure(
-        {"name": "subgraph_detection_full", "n": n_det, "bandwidth": det_bw},
-        run_detection,
-    )
-
-    return [phase_record, det_record]
 
 
 def unicast_kernel_program(n, rounds):
@@ -735,23 +635,17 @@ def main(argv=None):
     repeats = args.repeats or (1 if args.quick else 3)
 
     configs, speedups = run_sweep(sizes, args.quick, repeats)
-    protocols = bench_protocols(args.quick, repeats)
     kernels = bench_kernels(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
     sharded = bench_sharded(args.quick, repeats)
 
     top_n = max(sizes)
     acceptance_key = f"unicast/n={top_n}"
-    bcast_key = f"broadcast/n={top_n}"
     acceptance = {
         "mode": "unicast",
         "n": top_n,
         "fast_speedup": speedups[acceptance_key].get("fast"),
         "fixedlane_speedup": speedups[acceptance_key].get("fast+fixedlane"),
-        "bcastlane_speedup": speedups[bcast_key].get("fast+bcastlane"),
-        "protocol_speedups_vs_legacy": {
-            rec["name"]: rec["speedup_vs_legacy"] for rec in protocols
-        },
         "kernel_vs_fast_msgs_per_sec": max(
             (rec for rec in kernels if rec["scenario"] == "kernel_unicast"),
             key=lambda rec: rec["n"],
@@ -776,7 +670,6 @@ def main(argv=None):
         "repeats": repeats,
         "configs": configs,
         "speedups": speedups,
-        "protocols": protocols,
         "kernels": kernels,
         "faults": faults,
         "sharded": sharded,

@@ -9,7 +9,7 @@ exposing ``run_many(network, program, inputs_list)``:
 engine    strategy
 ========  ==========================================================
 legacy    reference loop — fresh dicts each round, scalar delivery
-fast      legacy's delivery plus a unicast and a broadcast bulk lane
+fast      legacy's delivery plus a unicast bulk lane
 kernel    declared SPMD rounds compiled once, one payload matrix per
           round over all instances (the one compiled path)
 ========  ==========================================================
@@ -21,7 +21,8 @@ programs it runs, and an engine failure propagates to the caller.
 
 The fully validating scalar delivery path lives in
 :mod:`repro.core.engine.delivery`, shared by legacy and fast so both
-charge bits and raise protocol errors identically.  Under an active
+charge bits and raise protocol errors identically; on both, a
+CLIQUE-BCAST round is one board that every node reads.  Under an active
 :class:`~repro.core.faults.FaultPlan` each engine applies the run's
 :class:`~repro.core.faults.FaultSession` to what it delivers, so one
 deterministic chaos schedule hits every engine.

@@ -1,14 +1,15 @@
 """Scalar delivery: the fully validating per-message path.
 
-:func:`deliver_outbox` delivers one sender's outbox into per-receiver
-dicts, with optional transcript recording.  The legacy reference loop
+:func:`deliver_outbox` delivers one sender's outbox, with optional
+transcript recording: a broadcast is written once on the round's board,
+a unicast message into its receiver's dict.  The legacy reference loop
 is built entirely from it, and the fast engine delivers every round
-that no bulk lane takes through it, so both charge bits and raise
-protocol errors identically.
+that its unicast lane does not take through it, so both charge bits and
+raise protocol errors identically.
 
 It enforces the model rules (bandwidth, topology, payload types); the
-bulk lanes of :mod:`repro.core.fastlane` skip these checks because an
-equivalent whole-outbox validation already ran when the outbox was
+unicast lane of :mod:`repro.core.fastlane` skips these checks because
+an equivalent whole-outbox validation already ran when the outbox was
 yielded (see :func:`repro.core.fastlane.validate_fixed`).
 """
 
@@ -36,14 +37,18 @@ def deliver_outbox(
     network: Any,
     sender: int,
     outbox: Any,
-    inboxes,
+    boxes,
     record: Optional[Any],
     round_index: Optional[int] = None,
 ) -> int:
     """Deliver one sender's outbox with full per-message validation and
-    optional transcript recording; returns the bits charged.  Errors
-    carry (round, sender, receiver) context when ``round_index`` is
-    given."""
+    optional transcript recording; returns the bits charged.
+
+    ``boxes`` is the round's board ``{writer: word}`` in a broadcast
+    network, where a broadcast is written once under its writer, and
+    otherwise the list of per-receiver ``{sender: message}`` dicts.
+    Errors carry (round, sender, receiver) context when ``round_index``
+    is given."""
     bits_sent = 0
     kind = outbox.kind
     if kind == "silent":
@@ -65,8 +70,7 @@ def deliver_outbox(
             )
         if len(payload) == 0:
             return 0
-        for dest in network._neighbors[sender]:
-            inboxes[dest][sender] = payload
+        boxes[sender] = payload
         bits_sent = len(payload)
         if record is not None:
             record.sends.append((sender, None, payload))
@@ -102,7 +106,7 @@ def deliver_outbox(
             )
         if len(payload) == 0:
             continue
-        inboxes[dest][sender] = payload
+        boxes[dest][sender] = payload
         bits_sent += len(payload)
         if record is not None:
             record.sends.append((sender, dest, payload))

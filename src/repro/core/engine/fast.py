@@ -1,16 +1,15 @@
-"""The fast engine: the legacy loop's delivery plus two bulk lanes.
+"""The fast engine: the legacy loop's delivery plus the unicast lane.
 
 A round in which every non-silent sender yielded a fixed-width unicast
 outbox of one width, dense enough to pay for array operations, rides
-the unicast lane (:class:`~repro.core.fastlane.FixedLane`); a round in
-which every non-silent sender yielded a fixed-width broadcast of one
-width rides the blackboard lane
-(:class:`~repro.core.fastlane.BroadcastLane`).  Every other round, and
-every round under an active fault plan, is delivered exactly as the
-legacy engine delivers it: :func:`deliver_outbox` per sender into fresh
-dicts, then the run's :class:`~repro.core.faults.FaultSession`, then one
-:class:`~repro.core.network.Inbox` per receiver.  Each round hands out
-fresh inboxes, so an inbox keeps its round's messages.
+the unicast lane (:class:`~repro.core.fastlane.FixedLane`).  Every other
+round, and every round under an active fault plan, is delivered exactly
+as the legacy engine delivers it: :func:`deliver_outbox` per sender
+into fresh dicts (one board in a broadcast network, one dict per
+receiver otherwise), then the run's
+:class:`~repro.core.faults.FaultSession`, then each node's inbox as the
+node resumes.  Each round hands out fresh inboxes, so an inbox keeps
+its round's messages.
 
 Generator programs have no compiled form here: a generator's round
 structure is only observable by running it.  Protocols whose structure
@@ -25,6 +24,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.core.engine.delivery import deliver_outbox
+from repro.core.mailbox import EMPTY_INBOX, Board, BoardInbox, Inbox
 
 __all__ = ["run_many"]
 
@@ -39,50 +39,34 @@ def run_many(network: Any, program, inputs_list) -> List[Any]:
     return [_run(network, program, inputs) for inputs in inputs_list]
 
 
-def _lane_round(n: int, pending):
-    """``(lane, senders, width)`` when a bulk lane can deliver the whole
-    round, else ``None``.
-
-    The unicast lane takes the round iff every non-silent sender yielded
-    a fixed-width outbox of one width and the round averages at least
-    :data:`_LANE_DENSITY` messages per sender; the broadcast lane takes
-    it iff every non-silent sender yielded a fixed-width broadcast of
-    one width (a broadcast write is always denser than its n-1 scalar
-    deliveries, so there is no density threshold).
+def _lane_round(pending):
+    """``(senders, width)`` when the unicast lane can deliver the whole
+    round, else ``None``: every non-silent sender yielded a fixed-width
+    outbox of one width, and the round averages at least
+    :data:`_LANE_DENSITY` messages per sender.
     """
     senders = []
-    kind = None
-    width = 0
+    width = None
     messages = 0
     for v, outbox in pending.items():
-        this = outbox.kind
-        if this == "silent":
+        kind = outbox.kind
+        if kind == "silent":
             continue
-        if this not in ("fixed", "bfixed"):
+        if kind != "fixed":
             return None
-        if kind is None:
-            kind = this
+        if width is None:
             width = outbox.width
-        elif this != kind or outbox.width != width:
+        elif outbox.width != width:
             return None
         senders.append((v, outbox))
-        if this == "fixed":
-            messages += len(outbox.dests)
-    # The lanes are numpy-backed; importing them here keeps
-    # ``import repro.core`` numpy-free until a lane round happens.
-    if kind == "bfixed":
-        from repro.core.fastlane import BroadcastLane
-
-        return BroadcastLane(n), senders, width
-    if kind == "fixed" and messages >= _LANE_DENSITY * len(senders):
-        from repro.core.fastlane import FixedLane
-
-        return FixedLane(n), senders, width
+        messages += len(outbox.dests)
+    if senders and messages >= _LANE_DENSITY * len(senders):
+        return senders, width
     return None
 
 
 def _run(network: Any, program, inputs) -> Any:
-    from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult
+    from repro.core.network import Mode, RoundRecord, RunResult
 
     n = network.n
     outputs, generators, pending = network._start(program, inputs)
@@ -95,28 +79,45 @@ def _run(network: Any, program, inputs) -> Any:
     faults = network._fault_session()
     round_cap = network._round_cap()
     check_outbox = network._check_outbox
+    broadcast = network.mode is Mode.BROADCAST
+    # A fixed-width outbox reaches only its sender's neighbours, so where
+    # every degree is below the lane's density (a sparse CONGEST
+    # topology, a clique of at most 8 nodes) no round can ride the lane;
+    # nor in a broadcast network, or under an active fault plan, whose
+    # rounds are all scalar so that the plan sees each message.
+    lane_possible = (
+        faults is None
+        and not broadcast
+        and max(map(len, network._neighbors)) >= _LANE_DENSITY
+    )
 
     while generators:
         if rounds >= round_cap:
             raise network._round_cap_error(rounds)
         rounds += 1
         record = RoundRecord() if recording else None
-        # Under an active fault plan every round is scalar, so the plan
-        # sees each delivered message individually.
-        lane_round = None if faults is not None else _lane_round(n, pending)
+        lane_round = _lane_round(pending) if lane_possible else None
+        board = lane_inboxes = None
         if lane_round is not None:
-            lane, senders, width = lane_round
-            round_bits, inboxes = lane.deliver(senders, width, record)
+            # The lane is numpy-backed; importing it here keeps
+            # ``import repro.core`` numpy-free until a lane round happens.
+            from repro.core.fastlane import FixedLane
+
+            senders, width = lane_round
+            round_bits, lane_inboxes = FixedLane(n).deliver(
+                senders, width, record
+            )
         else:
-            dicts = [{} for _ in range(n)]
+            boxes: Any = {} if broadcast else [{} for _ in range(n)]
             round_bits = 0
             for v, outbox in pending.items():
                 round_bits += deliver_outbox(
-                    network, v, outbox, dicts, record, rounds
+                    network, v, outbox, boxes, record, rounds
                 )
             if faults is not None:
-                faults.apply_scalar(rounds, dicts)
-            inboxes = [Inbox(d) if d else EMPTY_INBOX for d in dicts]
+                faults.apply_scalar(rounds, boxes)
+            if broadcast:
+                board = Board(boxes)
         total_bits += round_bits
         if round_bits > max_round_bits:
             max_round_bits = round_bits
@@ -126,8 +127,14 @@ def _run(network: Any, program, inputs) -> Any:
         pending = {}
         finished = []
         for v, gen in generators.items():
+            if board is not None:
+                inbox = BoardInbox(board, v)
+            elif lane_inboxes is not None:
+                inbox = lane_inboxes[v]
+            else:
+                inbox = Inbox(boxes[v]) if boxes[v] else EMPTY_INBOX
             try:
-                pending[v] = check_outbox(v, gen.send(inboxes[v]))
+                pending[v] = check_outbox(v, gen.send(inbox))
             except StopIteration as stop:
                 outputs[v] = stop.value
                 finished.append(v)

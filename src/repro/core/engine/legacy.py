@@ -3,9 +3,12 @@
 This is the original round loop the project started from, kept as the
 *executable reference semantics*: every other engine is pinned
 byte-for-byte to its results by the equivalence suites.  It allocates
-fresh inbox dicts every round, delivers every message through the fully
-validating scalar path, and never caches or replays anything — slow,
-simple, and obviously correct.
+fresh dicts every round — one board in a broadcast network, where each
+writer's word is written once and every node reads it through a
+:class:`~repro.core.mailbox.BoardInbox`, and otherwise one dict per
+receiver — delivers every message through the fully validating scalar
+path, and never caches or replays anything: slow, simple, and
+obviously correct.
 
 It executes generator node programs only; kernel programs declare their
 round structure instead of yielding it, and the network sends them to
@@ -14,9 +17,10 @@ the kernel engine whichever engine it names.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.core.engine.delivery import deliver_outbox
+from repro.core.mailbox import EMPTY_INBOX, Board, BoardInbox, Inbox
 
 __all__ = ["run_many"]
 
@@ -27,8 +31,9 @@ def run_many(network: Any, program, inputs_list) -> List[Any]:
 
 
 def _run(network: Any, program, inputs) -> Any:
-    from repro.core.network import EMPTY_INBOX, Inbox, RoundRecord, RunResult
+    from repro.core.network import Mode, RoundRecord, RunResult
 
+    n = network.n
     outputs, generators, pending_outbox = network._start(program, inputs)
 
     rounds = 0
@@ -38,17 +43,18 @@ def _run(network: Any, program, inputs) -> Any:
     transcript: Optional[List[Any]] = [] if recording else None
     faults = network._fault_session()
     round_cap = network._round_cap()
+    broadcast = network.mode is Mode.BROADCAST
 
     while generators:
         if rounds >= round_cap:
             raise network._round_cap_error(rounds)
         rounds += 1
-        inboxes: Dict[int, Dict[int, Any]] = {v: {} for v in range(network.n)}
+        boxes: Any = {} if broadcast else [{} for _ in range(n)]
         record = RoundRecord() if recording else None
         round_bits = 0
         for v, outbox in pending_outbox.items():
             round_bits += deliver_outbox(
-                network, v, outbox, inboxes, record, rounds
+                network, v, outbox, boxes, record, rounds
             )
         total_bits += round_bits
         max_round_bits = max(max_round_bits, round_bits)
@@ -58,12 +64,16 @@ def _run(network: Any, program, inputs) -> Any:
             # Receive-side chaos: the wire (transcript, bit counts)
             # saw the real sends; what each node reads is the plan's
             # business from here on.
-            faults.apply_scalar(rounds, inboxes)
+            faults.apply_scalar(rounds, boxes)
+        board = Board(boxes) if broadcast else None
 
         pending_outbox = {}
         finished = []
         for v, gen in generators.items():
-            inbox = Inbox(inboxes[v]) if inboxes[v] else EMPTY_INBOX
+            if board is not None:
+                inbox = BoardInbox(board, v)
+            else:
+                inbox = Inbox(boxes[v]) if boxes[v] else EMPTY_INBOX
             try:
                 pending_outbox[v] = network._check_outbox(v, gen.send(inbox))
             except StopIteration as stop:

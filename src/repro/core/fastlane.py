@@ -1,46 +1,37 @@
-"""Batched fixed-width delivery lanes for the fast engine.
+"""The fixed-width unicast lane of the fast engine, and the fixed-width
+outbox checks every engine uses.
 
 Many congested-clique protocols spend their rounds exchanging
 *fixed-width* unsigned-integer payloads: Lenzen-style routing frames,
 the b-bit chunks of a transmit phase, matmul row/summary exchange,
-sorted keys.  For those rounds the scalar engine path — one Python dict
-write plus per-message validation for each of up to n² messages — is
-pure overhead.
+sorted keys.  For dense unicast rounds of those the scalar engine path
+— one Python dict write plus per-message validation for each of up to
+n² messages — is pure overhead.
 
-This module provides the bulk alternatives, one per direction of the
-model.  Both are stateless: each lane round writes fresh arrays and
-hands out fresh views, so an inbox keeps its round's messages.
-
-* **Unicast lane** — a sender declares one destination tuple and one
-  value tuple of plain ints per round
-  (:meth:`~repro.core.network.Outbox.fixed_width`); the network
-  validates the whole outbox with a few builtin passes (``in``,
-  ``min``, ``max``, ``set``) when it is yielded, and the lane writes
-  every sender's tuples into the round's ``n × n`` receive matrix with
-  one fancy-indexed write.  Receivers read their row through an
-  array-backed :class:`FixedWidthInbox` with the
-  :class:`~repro.core.network.Inbox` API.
-* **Broadcast lane** — a sender declares one fixed-width blackboard
-  write (:meth:`~repro.core.network.Outbox.broadcast_uint`); rounds in
-  which every non-silent sender broadcasts the same width are delivered
-  with one write into the round's n-vector blackboard, and receivers
-  read an array-backed :class:`BroadcastInbox` (the same view for every
-  receiver, minus its own row — a broadcast never echoes back to its
-  writer).
+A sender declares one destination tuple and one value tuple of plain
+ints per round (:meth:`~repro.core.network.Outbox.fixed_width`); the
+network validates the whole outbox with a few builtin passes (``in``,
+``min``, ``max``, ``set``) when it is yielded (:func:`validate_fixed`),
+and the lane writes every sender's tuples into the round's ``n × n``
+receive matrix with one fancy-indexed write.  Receivers read their row
+through an array-backed :class:`FixedWidthInbox` with the
+:class:`~repro.core.network.Inbox` API.  The lane is stateless: each
+lane round writes a fresh matrix and hands out fresh views, so an inbox
+keeps its round's messages.
 
 Round and bit accounting is identical to the scalar path: a
-``width``-bit message costs ``width`` bits, one broadcast of ``width``
-bits costs ``width`` (counted once per writer, as
-``RunResult.blackboard_bits`` expects), a round is a round.
+``width``-bit message costs ``width`` bits, a round is a round.  A
+fixed-width broadcast (:meth:`~repro.core.network.Outbox.broadcast_uint`,
+checked by :func:`coerce_broadcast`) needs no lane: every engine writes
+it once on the round's :class:`~repro.core.mailbox.Board`.
 
 Widths up to :data:`NUMERIC_WIDTH_LIMIT` (63) bits ride ``uint64``
 storage; wider payloads fall back to object-dtype arrays — the same
 bulk indexing, with Python ints as storage.  Either way an inbox hands
 out plain ints.
 
-Both lanes serve generator programs on the fast engine.  Kernel
-programs (:mod:`repro.core.kernels`) need no delivery buffer: a kernel
-round hands ``recv`` the payload matrix ``send`` produced.
+Kernel programs (:mod:`repro.core.kernels`) need no delivery buffer: a
+kernel round hands ``recv`` the payload matrix ``send`` produced.
 """
 
 from __future__ import annotations
@@ -57,8 +48,6 @@ __all__ = [
     "NUMERIC_WIDTH_LIMIT",
     "FixedWidthInbox",
     "FixedLane",
-    "BroadcastInbox",
-    "BroadcastLane",
     "coerce_fixed",
     "coerce_broadcast",
     "validate_fixed",
@@ -277,120 +266,3 @@ class FixedLane:
         present = present.reshape(n, n)
         inboxes = [FixedWidthInbox(values[u], present[u], width) for u in range(n)]
         return total * width, inboxes
-
-
-class BroadcastInbox:
-    """Array-backed inbox over one round's blackboard vector.
-
-    All receivers of a bulk broadcast round see the *same* blackboard;
-    each receiver's view only differs in masking out its own row (a
-    broadcast is never echoed back to its writer).  The lane exploits
-    that: the writer-id list and their outboxes are collected **once per
-    round** at delivery and shared by all n views, so the sorted
-    accessors cost O(#writers) per receiver with no per-element numpy
-    round-trips; random access (``get`` / ``in``) reads the blackboard
-    vector directly.  Has the :class:`~repro.core.network.Inbox` API,
-    like :class:`FixedWidthInbox`, and keeps its round's messages.
-    """
-
-    __slots__ = (
-        "_values",
-        "_present",
-        "_ids",
-        "_outboxes",
-        "_me",
-        "_width",
-        "_senders",
-        "_items",
-    )
-
-    def __init__(self, values, present, ids, outboxes, me: int, width: int) -> None:
-        self._values = values
-        self._present = present
-        self._ids = ids
-        self._outboxes = outboxes
-        self._me = me
-        self._width = width
-        self._senders: Optional[Tuple[int, ...]] = None
-        self._items = None
-
-    def senders(self) -> Tuple[int, ...]:
-        cached = self._senders
-        if cached is None:
-            me = self._me
-            cached = self._senders = tuple(s for s in self._ids if s != me)
-        return cached
-
-    def items(self) -> Tuple[Tuple[int, Bits], ...]:
-        cached = self._items
-        if cached is None:
-            me = self._me
-            # _materialize_broadcast is memoized per outbox, so each
-            # writer's Bits is built once, not once per receiver.
-            cached = self._items = tuple(
-                (s, o._materialize_broadcast())
-                for s, o in zip(self._ids, self._outboxes)
-                if s != me
-            )
-        return cached
-
-    def uint_items(self) -> List[Tuple[int, int]]:
-        me = self._me
-        return [(s, o.values) for s, o in zip(self._ids, self._outboxes) if s != me]
-
-    def get(self, sender: int) -> Optional[Bits]:
-        if sender in self:
-            return Bits(int(self._values[sender]), self._width)
-        return None
-
-    def __len__(self) -> int:
-        return len(self.senders())
-
-    def __contains__(self, sender: int) -> bool:
-        return (
-            sender != self._me
-            and 0 <= sender < self._present.shape[0]
-            and bool(self._present[sender])
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BroadcastInbox({dict(self.uint_items())!r}, width={self._width})"
-
-
-class BroadcastLane:
-    """The blackboard bulk lane (engine internal)."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def deliver(
-        self, senders, width: int, record=None
-    ) -> Tuple[int, List[BroadcastInbox]]:
-        """Deliver one homogeneous broadcast round into a fresh n-vector
-        blackboard; returns the bits written (``width`` per writer,
-        counted once) and one inbox per receiver.
-
-        ``senders`` is a list of ``(node_id, outbox)`` in node order, as
-        required for sorted-view and transcript order parity with the
-        scalar path.
-        """
-        n = self.n
-        dtype = np.uint64 if width <= NUMERIC_WIDTH_LIMIT else object
-        values = np.zeros(n, dtype=dtype)
-        present = np.zeros(n, dtype=bool)
-        ids = [s for s, _ in senders]
-        outboxes = [o for _, o in senders]
-        values[ids] = [o.values for o in outboxes]
-        present[ids] = True
-        if record is not None:
-            sends = record.sends
-            for sender, outbox in senders:
-                # A broadcast is recorded once, with receiver=None.
-                sends.append((sender, None, outbox._materialize_broadcast()))
-        inboxes = [
-            BroadcastInbox(values, present, ids, outboxes, u, width)
-            for u in range(n)
-        ]
-        return len(ids) * width, inboxes

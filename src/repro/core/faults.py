@@ -24,9 +24,10 @@ Design
   every injected fault as a :class:`FaultEvent`, and carries the
   delayed-delivery queue between rounds.
 * Every engine calls the session on what it delivers: the legacy and
-  fast loops through :meth:`FaultSession.apply_scalar` on their inbox
-  dicts, the kernel executor through :meth:`FaultSession.apply_kernel`
-  on each round's flat ``K × count`` payload matrix.
+  fast loops through :meth:`FaultSession.apply_scalar` on the round's
+  board (broadcast) or per-receiver dicts, the kernel executor through
+  :meth:`FaultSession.apply_kernel` on each round's flat ``K × count``
+  payload matrix.
 
 Semantics
 ---------
@@ -34,9 +35,8 @@ Semantics
 Faults are *receive-side*: the transcript and the bit accounting record
 what was put on the wire, then the plan decides what each receiver
 actually sees.  In broadcast mode a fault is keyed ``(round, src,
-dst=None)`` and hits **all** receivers identically (one blackboard word
-has one fate — per-receiver divergence of a broadcast is not expressible
-in the kernel path and is therefore not expressible at all).
+dst=None)`` and acts on the word on the round's board, so it hits
+**all** receivers identically (one blackboard word has one fate).
 
 A crashed node suffers send omission: from its crash round onward none
 of its messages are delivered.  Its program keeps running locally (crash
@@ -370,13 +370,14 @@ class FaultSession:
 
     # -- scalar path (legacy engine, fast engine) ------------------------
 
-    def apply_scalar(self, round_index: int, inbox_dicts: Any) -> None:
-        """Mutate the per-receiver inbox dicts of one delivered round.
+    def apply_scalar(self, round_index: int, boxes: Any) -> None:
+        """Mutate one delivered round before any node reads it.
 
-        ``inbox_dicts`` is indexable by receiver id (the legacy loop's
-        dict-of-dicts and the fast engine's list both qualify).
+        In broadcast mode ``boxes`` is the round's board ``{writer:
+        word}``, so a fault on a word is one dict operation and every
+        receiver sees the same fate; otherwise ``boxes`` is the list of
+        per-receiver ``{sender: message}`` dicts.
         """
-        boxes = [inbox_dicts[v] for v in range(self.n)]
         self._record_crashes(round_index)
         if self.broadcast_mode:
             self._apply_scalar_broadcast(round_index, boxes)
@@ -388,46 +389,38 @@ class FaultSession:
             # the same sender always wins over a stale one.
             for src, dst, payload in due:
                 if dst is None:
-                    for v, box in enumerate(boxes):
-                        if v != src:
-                            box.setdefault(src, payload)
+                    boxes.setdefault(src, payload)
                 else:
                     boxes[dst].setdefault(src, payload)
         self._seal_round()
 
-    def _apply_scalar_broadcast(self, round_index: int, boxes: List[Dict[int, Bits]]) -> None:
-        senders: set = set()
-        for box in boxes:
-            senders.update(box)
-        for src in sorted(senders):
+    def _apply_scalar_broadcast(self, round_index: int, board: Dict[int, Bits]) -> None:
+        if self.n == 1:
+            # A lone node's word has no reader, so it has no fate either.
+            return
+        for src in sorted(board):
             crash = self._crash_rounds.get(src)
             if crash is not None and round_index >= crash:
-                for box in boxes:
-                    box.pop(src, None)
+                del board[src]
                 continue
             kind = self.plan.fault_for(round_index, src, None)
             if kind is None:
                 continue
-            payload = next(box[src] for box in boxes if src in box)
+            payload = board[src]
             if kind == "drop":
-                for box in boxes:
-                    box.pop(src, None)
+                del board[src]
                 self._record(round_index, src, None, "drop", None)
             elif kind == "corrupt":
                 width = len(payload)
                 bit = self.plan.corrupt_bit(round_index, src, None, width)
-                flipped = Bits(payload.to_uint() ^ (1 << bit), width)
-                for box in boxes:
-                    if src in box:
-                        box[src] = flipped
+                board[src] = Bits(payload.to_uint() ^ (1 << bit), width)
                 self._record(round_index, src, None, "corrupt", bit)
             elif kind == "duplicate":
                 self._stash(round_index, src, None, payload)
                 self._record(round_index, src, None, "duplicate",
                              round_index + self.plan.delay_rounds)
             elif kind == "delay":
-                for box in boxes:
-                    box.pop(src, None)
+                del board[src]
                 self._stash(round_index, src, None, payload)
                 self._record(round_index, src, None, "delay",
                              round_index + self.plan.delay_rounds)

@@ -1,25 +1,30 @@
 """Per-round message containers: what a node sends and what it receives.
 
 :class:`Outbox` is what one node yields at the end of its round —
-scalar unicast/broadcast dicts, or the bulk fixed-width constructors the
-numpy lanes (:mod:`repro.core.fastlane`) deliver in one array write.
-:class:`Inbox` is the dict-backed receive view the scalar paths hand
-back (the lanes provide their own array-backed flavours with the same
-accessors; :func:`inbox_uints` reads either).
+scalar unicast/broadcast dicts, or the bulk fixed-width constructors.
+:class:`Inbox` is the dict-backed receive view of a unicast or CONGEST
+round.  A CLIQUE-BCAST round is one :class:`Board`, each writer's word
+written once, and every node reads it through a :class:`BoardInbox`
+that skips the node's own word.  The unicast bulk lane
+(:mod:`repro.core.fastlane`) hands out an array-backed flavour with the
+same accessors; :func:`inbox_uints` reads any of them.
 
-Both classes are engine-agnostic: every engine in
+These classes are engine-agnostic: every engine in
 :mod:`repro.core.engine` consumes the same containers, which is what
-keeps their results byte-identical.  Historically these lived in
-:mod:`repro.core.network`, which still re-exports them.
+keeps their results byte-identical.  Historically :class:`Inbox` and
+:class:`Outbox` lived in :mod:`repro.core.network`, which still
+re-exports them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
 
-__all__ = ["Inbox", "Outbox", "inbox_uints", "EMPTY_INBOX"]
+__all__ = ["Board", "BoardInbox", "Inbox", "Outbox", "inbox_uints", "EMPTY_INBOX"]
 
 
 class Inbox:
@@ -55,7 +60,7 @@ class Inbox:
 
     def uint_items(self) -> List[Tuple[int, int]]:
         """``(sender, payload-as-uint)`` pairs sorted by sender — the same
-        accessor the fast lane's array inbox provides."""
+        accessor every inbox flavour provides."""
         return [(sender, payload.to_uint()) for sender, payload in self.items()]
 
     def __len__(self) -> int:
@@ -71,10 +76,83 @@ class Inbox:
 EMPTY_INBOX = Inbox({})
 
 
+class Board:
+    """One CLIQUE-BCAST round's blackboard: ``words`` maps each writer
+    to the one word it wrote.
+
+    The delivery layer writes each word once, and an active fault plan
+    acts on ``words`` before any node reads them.  The sorted views are
+    built on first read and shared by every node's :class:`BoardInbox`,
+    so each writer's word is decoded once per round, not once per
+    receiver.
+    """
+
+    def __init__(self, words: Dict[int, Bits]) -> None:
+        self.words = words
+
+    @cached_property
+    def items(self) -> Tuple[Tuple[int, Bits], ...]:
+        return tuple(sorted(self.words.items()))
+
+    @cached_property
+    def writers(self) -> Tuple[int, ...]:
+        return tuple(writer for writer, _ in self.items)
+
+    @cached_property
+    def uints(self) -> List[Tuple[int, int]]:
+        return [(writer, word.to_uint()) for writer, word in self.items]
+
+
+class BoardInbox:
+    """One node's view of a round's :class:`Board`, with the
+    :class:`Inbox` API: every word but the node's own, since a broadcast
+    never echoes back to its writer.  The sorted accessors slice the
+    board's shared views around the node's own word, so a view is O(1)
+    to hand out, and it keeps its round's words.
+    """
+
+    __slots__ = ("_board", "_me")
+
+    def __init__(self, board: Board, me: int) -> None:
+        self._board = board
+        self._me = me
+
+    def _without_me(self, shared):
+        """``shared`` (sorted by writer) minus this node's own word."""
+        me = self._me
+        if me not in self._board.words:
+            return shared[:]
+        at = bisect_left(self._board.writers, me)
+        return shared[:at] + shared[at + 1 :]
+
+    def get(self, sender: int) -> Optional[Bits]:
+        return None if sender == self._me else self._board.words.get(sender)
+
+    def senders(self) -> Tuple[int, ...]:
+        return self._without_me(self._board.writers)
+
+    def items(self) -> Tuple[Tuple[int, Bits], ...]:
+        return self._without_me(self._board.items)
+
+    def uint_items(self) -> List[Tuple[int, int]]:
+        return self._without_me(self._board.uints)
+
+    def __len__(self) -> int:
+        words = self._board.words
+        return len(words) - (self._me in words)
+
+    def __contains__(self, sender: int) -> bool:
+        return sender != self._me and sender in self._board.words
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"BoardInbox({dict(self.items())!r})"
+
+
 def inbox_uints(inbox: Any) -> List[Tuple[int, int]]:
-    """``(sender, payload-as-uint)`` pairs sorted by sender, for either
-    inbox flavour (dict-backed :class:`Inbox` or the fast lane's
-    array-backed :class:`~repro.core.fastlane.FixedWidthInbox`)."""
+    """``(sender, payload-as-uint)`` pairs sorted by sender, for every
+    inbox flavour (dict-backed :class:`Inbox`, a :class:`BoardInbox`, or
+    the unicast lane's array-backed
+    :class:`~repro.core.fastlane.FixedWidthInbox`)."""
     return inbox.uint_items()
 
 
@@ -126,12 +204,11 @@ class Outbox:
     @classmethod
     def broadcast_uint(cls, value: int, width: int) -> "Outbox":
         """Fixed-width broadcast: write ``value`` as exactly ``width``
-        bits on the blackboard.  Rounds in which every non-silent sender
-        yields a fixed-width broadcast of one width are delivered
-        through the numpy broadcast lane (one vector write, array-backed
-        inboxes — see :mod:`repro.core.fastlane`); mixed rounds
-        materialize the payload as an ordinary :class:`Bits` broadcast.
-        Either way one broadcast of ``width`` bits costs ``width``."""
+        bits on the blackboard.  The value is validated here, so only
+        the bandwidth bound is left for the network; delivery writes it
+        on the round's :class:`Board` as a ``width``-bit :class:`Bits`
+        word, like :meth:`broadcast`.  One broadcast of ``width`` bits
+        costs ``width``."""
         from repro.core import fastlane
 
         coerced = fastlane.coerce_broadcast(value, width)
@@ -185,9 +262,10 @@ class Outbox:
         return cached
 
     def _materialize_broadcast(self) -> Bits:
-        """A fixed-width broadcast outbox's payload as :class:`Bits` (the
-        scalar fallback for mixed rounds, the legacy engine, and the
-        transcript).  Memoized in the otherwise-unused ``payload`` slot."""
+        """A fixed-width broadcast outbox's payload as :class:`Bits`, the
+        word delivery writes on the board and the transcript records.
+        Memoized in the otherwise-unused ``payload`` slot, so a reused
+        outbox pays the Bits construction once."""
         cached = self.payload
         if cached is None:
             cached = self.payload = Bits(self.values, self.width)

@@ -25,8 +25,8 @@ Execution engines
 :mod:`repro.core.engine`, looked up by name in
 :data:`~repro.core.engine.ENGINES`:
 
-* ``fast`` (default) — the legacy loop's delivery plus the two numpy
-  bulk lanes of :mod:`repro.core.fastlane`.
+* ``fast`` (default) — the legacy loop's delivery plus the numpy
+  unicast lane of :mod:`repro.core.fastlane`.
 * ``legacy`` — the original per-round-allocation loop, kept as the
   executable reference semantics; the equivalence suites pin every
   other engine to it byte-for-byte.
@@ -40,6 +40,10 @@ Execution engines
 A kernel program runs on ``kernel`` whatever the network names (it has
 no other semantics), and ``engine="kernel"`` rejects a generator
 program.  An engine's failure propagates to the caller.
+
+On both generator engines a CLIQUE-BCAST round is one
+:class:`~repro.core.mailbox.Board`: each writer's word is written once,
+and every node reads it through a view that skips its own word.
 
 An inbox keeps its round's messages on every engine: each round hands
 every node a fresh inbox, so a program may stash one and read it in a

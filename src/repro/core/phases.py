@@ -172,8 +172,8 @@ def transmit_broadcast(
     return a dict mapping every broadcasting node to its payload.
 
     Every frame of the phase is exactly ``b`` bits (the payload is
-    padded to a whole number of frames), so the exchange rides the
-    engine's broadcast bulk lane."""
+    padded to a whole number of frames) and goes out as one fixed-width
+    word on the round's blackboard."""
     rounds = phase_length(max_bits, ctx.bandwidth)
     bandwidth = ctx.bandwidth
     frames = (

@@ -2,6 +2,9 @@
 phases, the round-limit watchdog, and the self-checking scenario
 sweep."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.core.bits import Bits
@@ -267,14 +270,39 @@ class TestScalarFaultSemantics:
         # The crashed node still hears everyone (receive stays up).
         assert all(len(box) == 4 for box in faulty.outputs[2])
 
-    def test_broadcast_fault_hits_all_receivers_identically(self):
-        plan = FaultPlan(seed=9, corrupt_rate=0.2, drop_rate=0.1)
-        legacy = run_outputs("legacy", plan, mode=Mode.BROADCAST, n=6)
-        fast = run_outputs("fast", plan, mode=Mode.BROADCAST, n=6)
+    @pytest.mark.parametrize(
+        "plan, rounds, kinds, digest",
+        [
+            (
+                FaultPlan(seed=9, corrupt_rate=0.2, drop_rate=0.1),
+                4,
+                {"corrupt": 3, "drop": 1},
+                "0fcc03919c345acd",
+            ),
+            (
+                CHAOS,
+                6,
+                {"drop": 5, "corrupt": 4, "delay": 2, "duplicate": 2, "crash": 1},
+                "336950f35b2f591d",
+            ),
+        ],
+        ids=["corrupt_drop", "chaos"],
+    )
+    def test_broadcast_fault_hits_all_receivers_identically(
+        self, plan, rounds, kinds, digest
+    ):
+        legacy = run_outputs("legacy", plan, rounds=rounds, mode=Mode.BROADCAST, n=6)
+        fast = run_outputs("fast", plan, rounds=rounds, mode=Mode.BROADCAST, n=6)
         assert legacy.outputs == fast.outputs
         assert legacy.faults == fast.faults
         assert legacy.faults and all(e.dst is None for e in legacy.faults)
-        for r in range(4):
+        assert Counter(e.kind for e in legacy.faults) == kinds
+        # Both engines deliver a broadcast round through the same board,
+        # so their agreement cannot catch a change in the semantics
+        # themselves: the reference run is pinned outright.
+        pinned = (legacy.outputs, legacy.faults, legacy.total_bits, legacy.rounds)
+        assert hashlib.sha256(repr(pinned).encode()).hexdigest()[:16] == digest
+        for r in range(rounds):
             for src in range(6):
                 seen = {
                     dict(legacy.outputs[v][r]).get(src)
@@ -282,6 +310,16 @@ class TestScalarFaultSemantics:
                     if v != src
                 }
                 assert len(seen) == 1, "receivers diverged on one broadcast word"
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_lone_writer_word_has_no_fate(self, engine):
+        # A one-node clique's word is charged but reaches no receiver, so
+        # the plan decides nothing about it.
+        plan = FaultPlan(seed=1, drop_rate=1.0)
+        result = run_outputs(engine, plan, rounds=3, mode=Mode.BROADCAST, n=1)
+        assert result.faults == []
+        assert result.outputs == [[[], [], []]]
+        assert result.total_bits == 3 * WIDTH
 
 
 class TestKernelFaults:

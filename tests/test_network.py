@@ -13,7 +13,7 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.network import Mode, Network, Outbox, run_protocol
+from repro.core.network import Mode, Network, Outbox, inbox_uints, run_protocol
 
 
 def bit(x: int) -> Bits:
@@ -102,6 +102,132 @@ class TestBroadcast:
 
         with pytest.raises(BandwidthExceededError):
             run_protocol(program, n=3, bandwidth=8, mode=Mode.BROADCAST)
+
+    # Fixed-width broadcasts: both generator engines write each word once
+    # on the round's board, and every node reads it through a view that
+    # skips its own word.
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_blackboard_delivery_and_accounting(self, engine):
+        n, width = 6, 9
+
+        def program(ctx):
+            inbox = yield Outbox.broadcast_uint(ctx.node_id * 7, width)
+            return dict(inbox.uint_items())
+
+        result = run_protocol(
+            program, n=n, bandwidth=width, mode=Mode.BROADCAST, engine=engine
+        )
+        assert result.rounds == 1
+        # One broadcast of `width` bits costs `width`, counted once.
+        assert result.total_bits == n * width
+        assert result.blackboard_bits() == n * width
+        for v, got in enumerate(result.outputs):
+            assert got == {u: u * 7 for u in range(n) if u != v}
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_inbox_api_matches_dict_inbox(self, engine):
+        def program(ctx):
+            if ctx.node_id == 2:
+                inbox = yield Outbox.silent()
+            else:
+                inbox = yield Outbox.broadcast_uint(5 + ctx.node_id, 4)
+            return {
+                "senders": inbox.senders(),
+                "items": [(s, p.to_str()) for s, p in inbox.items()],
+                "len": len(inbox),
+                "has_self": ctx.node_id in inbox,
+                "get1": None if inbox.get(1) is None else inbox.get(1).to_uint(),
+                "get_self": inbox.get(ctx.node_id),
+                "get99": inbox.get(99),
+            }
+
+        result = run_protocol(
+            program, n=3, bandwidth=4, mode=Mode.BROADCAST, engine=engine
+        )
+        at0 = result.outputs[0]
+        assert at0["senders"] == (1,)
+        assert at0["items"] == [(1, "0110")]
+        assert at0["len"] == 1
+        assert not at0["has_self"]
+        assert at0["get1"] == 6
+        assert at0["get_self"] is None and at0["get99"] is None
+        at2 = result.outputs[2]  # the silent node still hears everyone
+        assert at2["senders"] == (0, 1)
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_self_broadcast_not_echoed(self, engine):
+        def program(ctx):
+            inbox = yield Outbox.broadcast_uint(1, 1)
+            return ctx.node_id in inbox
+
+        result = run_protocol(
+            program, n=4, bandwidth=1, mode=Mode.BROADCAST, engine=engine
+        )
+        assert result.outputs == [False] * 4
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_transcript_records_one_send_per_writer(self, engine):
+        def program(ctx):
+            yield Outbox.broadcast_uint(ctx.node_id, 2)
+
+        result = run_protocol(
+            program,
+            n=3,
+            bandwidth=2,
+            mode=Mode.BROADCAST,
+            record_transcript=True,
+            engine=engine,
+        )
+        assert result.transcript[0].sends == [
+            (0, None, Bits.from_uint(0, 2)),
+            (1, None, Bits.from_uint(1, 2)),
+            (2, None, Bits.from_uint(2, 2)),
+        ]
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_wide_payloads(self, engine):
+        width = 130
+
+        def program(ctx):
+            inbox = yield Outbox.broadcast_uint((1 << 129) | ctx.node_id, width)
+            return sorted((s, p.to_uint()) for s, p in inbox.items())
+
+        result = run_protocol(
+            program, n=3, bandwidth=width, mode=Mode.BROADCAST, engine=engine
+        )
+        assert result.total_bits == 3 * width
+        assert result.outputs[0] == [(1, (1 << 129) | 1), (2, (1 << 129) | 2)]
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_reused_outbox_across_rounds(self, engine):
+        def program(ctx):
+            outbox = Outbox.broadcast_uint(ctx.node_id + 1, 6)
+            seen = []
+            for _ in range(3):
+                inbox = yield outbox
+                seen.append(sorted(inbox.uint_items()))
+            return seen
+
+        result = run_protocol(
+            program, n=3, bandwidth=6, mode=Mode.BROADCAST, engine=engine
+        )
+        assert result.rounds == 3
+        assert result.total_bits == 3 * 3 * 6
+        for v, seen in enumerate(result.outputs):
+            expected = sorted((u, u + 1) for u in range(3) if u != v)
+            assert seen == [expected] * 3
+
+    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    def test_schedule_broadcast_outbox(self, engine):
+        def program(ctx):
+            inbox = yield Outbox.broadcast_uint(ctx.node_id + 10, 5)
+            return sorted(inbox_uints(inbox))
+
+        result = run_protocol(
+            program, n=3, bandwidth=5, mode=Mode.BROADCAST, engine=engine
+        )
+        assert result.outputs[0] == [(1, 11), (2, 12)]
 
 
 class TestCongest:
