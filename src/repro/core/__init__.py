@@ -32,6 +32,7 @@ from repro.core.phases import (
     phase_length,
     transmit_broadcast,
     transmit_broadcast_kernel_program,
+    transmit_broadcast_uints,
     transmit_unicast,
     transmit_unicast_kernel_program,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "phase_length",
     "transmit_unicast",
     "transmit_broadcast",
+    "transmit_broadcast_uints",
     "idle",
     "KernelBuilder",
     "KernelContext",

@@ -22,8 +22,10 @@ keeps its round's messages.
 Round and bit accounting is identical to the scalar path: a
 ``width``-bit message costs ``width`` bits, a round is a round.  A
 fixed-width broadcast (:meth:`~repro.core.network.Outbox.broadcast_uint`,
-checked by :func:`coerce_broadcast`) needs no lane: every engine writes
-it once on the round's :class:`~repro.core.mailbox.Board`.
+checked where it is built, by
+:func:`~repro.core.mailbox.coerce_broadcast`, without numpy) needs no
+lane: every engine writes it once on the round's
+:class:`~repro.core.mailbox.Board`.
 
 Widths up to :data:`NUMERIC_WIDTH_LIMIT` (63) bits ride ``uint64``
 storage; wider payloads fall back to object-dtype arrays — the same
@@ -49,7 +51,6 @@ __all__ = [
     "FixedWidthInbox",
     "FixedLane",
     "coerce_fixed",
-    "coerce_broadcast",
     "validate_fixed",
 ]
 
@@ -99,27 +100,6 @@ def coerce_fixed(
             f"{len(dest_tuple)} destinations but {len(value_tuple)} values"
         )
     return dest_tuple, value_tuple
-
-
-def coerce_broadcast(value: int, width: int) -> int:
-    """Validate one fixed-width broadcast payload (a plain uint).
-
-    The whole check is network-independent (only the bandwidth bound is
-    left for the engine), so a broadcast outbox is fully validated at
-    construction and can be reused round after round for free."""
-    if width < 1:
-        raise ValueError("fixed-width messages need width >= 1 bit")
-    try:
-        value = operator.index(value)
-    except TypeError as exc:
-        raise ProtocolError(
-            f"broadcast_uint payload must be an integer, not {exc}"
-        ) from exc
-    if value < 0 or value >> width:
-        raise ProtocolError(
-            f"broadcast_uint payload {value} does not fit in {width} bits"
-        )
-    return value
 
 
 def validate_fixed(

@@ -7,7 +7,10 @@ round.  A CLIQUE-BCAST round is one :class:`Board`, each writer's word
 written once, and every node reads it through a :class:`BoardInbox`
 that skips the node's own word.  The unicast bulk lane
 (:mod:`repro.core.fastlane`) hands out an array-backed flavour with the
-same accessors; :func:`inbox_uints` reads any of them.
+same accessors; :func:`inbox_uints` reads any of them.  A reader that
+wants the whole round rather than one node's view of it asks
+:func:`inbox_source` for the object an inbox reads from: the shared
+board, or the inbox itself.
 
 These classes are engine-agnostic: every engine in
 :mod:`repro.core.engine` consumes the same containers, which is what
@@ -18,13 +21,24 @@ re-exports them.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
+from repro.core.errors import ProtocolError
 
-__all__ = ["Board", "BoardInbox", "Inbox", "Outbox", "inbox_uints", "EMPTY_INBOX"]
+__all__ = [
+    "Board",
+    "BoardInbox",
+    "Inbox",
+    "Outbox",
+    "coerce_broadcast",
+    "inbox_source",
+    "inbox_uints",
+    "EMPTY_INBOX",
+]
 
 
 class Inbox:
@@ -102,6 +116,12 @@ class Board:
     def uints(self) -> List[Tuple[int, int]]:
         return [(writer, word.to_uint()) for writer, word in self.items]
 
+    def uint_items(self) -> List[Tuple[int, int]]:
+        """Every word on the board as ``(writer, uint)`` pairs sorted by
+        writer: the inbox accessor, read by no one in particular, so no
+        writer's own word is skipped."""
+        return self.uints[:]
+
 
 class BoardInbox:
     """One node's view of a round's :class:`Board`, with the
@@ -148,12 +168,42 @@ class BoardInbox:
         return f"BoardInbox({dict(self.items())!r})"
 
 
+def inbox_source(inbox: Any) -> Any:
+    """What ``inbox`` reads from: the round's shared :class:`Board` for a
+    :class:`BoardInbox`, and the inbox itself for every other flavour.
+    Either one answers :func:`inbox_uints`, the board with every
+    writer's word.  All receivers of a CLIQUE-BCAST round get the same
+    board, so a value derived from it once serves every one of them."""
+    return inbox._board if type(inbox) is BoardInbox else inbox
+
+
 def inbox_uints(inbox: Any) -> List[Tuple[int, int]]:
     """``(sender, payload-as-uint)`` pairs sorted by sender, for every
     inbox flavour (dict-backed :class:`Inbox`, a :class:`BoardInbox`, or
     the unicast lane's array-backed
     :class:`~repro.core.fastlane.FixedWidthInbox`)."""
     return inbox.uint_items()
+
+
+def coerce_broadcast(value: int, width: int) -> int:
+    """Validate one fixed-width broadcast payload (a plain uint).
+
+    The whole check is network-independent (only the bandwidth bound is
+    left for the engine), so a broadcast outbox is fully validated at
+    construction and can be reused round after round for free."""
+    if width < 1:
+        raise ValueError("fixed-width messages need width >= 1 bit")
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise ProtocolError(
+            f"broadcast_uint payload must be an integer, not {exc}"
+        ) from exc
+    if value < 0 or value >> width:
+        raise ProtocolError(
+            f"broadcast_uint payload {value} does not fit in {width} bits"
+        )
+    return value
 
 
 class Outbox:
@@ -209,9 +259,7 @@ class Outbox:
         on the round's :class:`Board` as a ``width``-bit :class:`Bits`
         word, like :meth:`broadcast`.  One broadcast of ``width`` bits
         costs ``width``."""
-        from repro.core import fastlane
-
-        coerced = fastlane.coerce_broadcast(value, width)
+        coerced = coerce_broadcast(value, width)
         return cls("bfixed", None, None, values=coerced, width=width)
 
     @classmethod

@@ -178,10 +178,16 @@ class Context:
     * the stored value is immutable (``Bits``, frozen dataclasses,
       tuples).
 
-    Under it a node reads back exactly what it would have computed
+    A shared value may be a function of a round's whole board (every
+    writer's word, the node's own included), provided each node reads
+    back only its own view of it — the broadcast phases of
+    :mod:`repro.core.phases` decode each phase once this way, keyed by
+    the boards themselves; the stored value stays immutable.  Under the
+    contract a node reads back exactly what it would have computed
     itself, so no information passes between nodes, and receive-side
-    faults stay exact: a corrupted frame is a different key.  It is not
-    a cross-run cache.
+    faults stay exact: a fault acts on the board before any node reads
+    it, and a corrupted word is a different key.  It is not a cross-run
+    cache.
     """
 
     node_id: int

@@ -19,6 +19,22 @@ from`` inside a node program::
         got = yield from transmit_broadcast(ctx, my_bits, max_bits=limit)
         ...
 
+One decode per broadcast phase
+------------------------------
+
+Every receiver of a CLIQUE-BCAST phase reads the same boards, so the
+phase is decoded once per run, not once per receiver: the first node to
+finish it decodes every writer and stores the result in the run's
+:attr:`~repro.core.network.Context.memo`, keyed by the boards
+themselves, and every node reads back its own view — the result without
+its own word, raising the error of the first failing writer other than
+itself.  :func:`transmit_broadcast` returns that view as a dict;
+:func:`transmit_broadcast_uints` returns the whole blackboard as one
+tuple of uints indexed by writer, which every node of a fault-free
+phase shares.  An inbox that is not a board view (the unicast fan-out
+of :func:`repro.routing.sorting._adapt_broadcast`) takes the same path
+and is decoded for its receiver alone.
+
 Obliviousness
 -------------
 
@@ -35,10 +51,12 @@ and executes as stacked matrix operations.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits, BitWriter
 from repro.core.errors import DecodeError
+from repro.core.mailbox import inbox_source
 from repro.core.network import Context, Outbox, inbox_uints
 
 __all__ = [
@@ -46,6 +64,7 @@ __all__ = [
     "phase_length",
     "transmit_unicast",
     "transmit_broadcast",
+    "transmit_broadcast_uints",
     "transmit_unicast_acked",
     "transmit_broadcast_redundant",
     "idle",
@@ -113,19 +132,6 @@ def _decode_frames(frames: Sequence[int], bandwidth: int, max_bits: int) -> Bits
     return Bits((value >> rest) & ((1 << length) - 1), length)
 
 
-def _decode_shared(
-    memo: Dict, frames: Sequence[int], bandwidth: int, max_bits: int
-) -> Bits:
-    """:func:`_decode_frames` through the run's shared
-    :attr:`Context.memo`, keyed by the frames themselves: all receivers
-    of the same frames share one decode."""
-    key = (_decode_frames, tuple(frames), bandwidth, max_bits)
-    payload = memo.get(key)
-    if payload is None:
-        payload = memo[key] = _decode_frames(frames, bandwidth, max_bits)
-    return payload
-
-
 def transmit_unicast(
     ctx: Context,
     payloads: Mapping[int, Bits],
@@ -163,6 +169,93 @@ def transmit_unicast(
     }
 
 
+@dataclass(frozen=True, eq=False)
+class _PhaseDecode:
+    """Every writer of one broadcast phase, decoded once for all its
+    receivers (:func:`_read_phase`).  Immutable: errors are kept as
+    their type and text, not as exception objects.  Compared and hashed
+    by identity, so a key can hold it cheaply."""
+
+    #: ``(writer, payload)`` for each writer that decoded, by writer.
+    payloads: Tuple[Tuple[int, Bits], ...]
+    #: ``(writer, error type, error text)`` for each writer whose
+    #: complete frames failed to decode, by writer.
+    errors: Tuple[Tuple[int, type, str], ...]
+    #: Each decoded payload as a uint, indexed by writer; ``None`` where
+    #: nothing decoded.
+    uints: Tuple[Optional[int], ...]
+
+
+def _decode_phase(
+    sources: Sequence[Any], n: int, bandwidth: int, max_bits: int
+) -> _PhaseDecode:
+    """Decode every writer of a phase from the objects its rounds were
+    read from.  A writer's payload decodes only if its frame is in every
+    round."""
+    columns = [dict(inbox_uints(source)) for source in sources]
+    complete = columns[0].keys()
+    for column in columns[1:]:
+        complete = complete & column.keys()
+    payloads = []
+    errors = []
+    uints: list = [None] * n
+    for writer in columns[0]:
+        if writer not in complete:
+            continue
+        try:
+            payload = _decode_frames(
+                [column[writer] for column in columns], bandwidth, max_bits
+            )
+        except (DecodeError, ValueError) as exc:
+            errors.append((writer, type(exc), str(exc)))
+            continue
+        payloads.append((writer, payload))
+        uints[writer] = payload.to_uint()
+    return _PhaseDecode(tuple(payloads), tuple(errors), tuple(uints))
+
+
+def _read_phase(ctx: Context, payload: Optional[Bits], max_bits: int):
+    """Broadcast ``payload`` (or stay silent if ``None``) over one phase;
+    return the phase's shared decode.
+
+    The decode is keyed in ``ctx.memo`` by what each round was read
+    from (:func:`~repro.core.mailbox.inbox_source`): on a CLIQUE-BCAST
+    network every receiver holds the same boards, so the first receiver
+    to finish the phase decodes every writer once, for all of them.
+    The key holds the boards themselves, never their ids, which a freed
+    board could pass on.  Any other inbox is a source of its own,
+    decoded for its receiver alone."""
+    bandwidth = ctx.bandwidth
+    rounds = phase_length(max_bits, bandwidth)
+    frames = (
+        None
+        if payload is None
+        else _frame_payload(payload, max_bits, rounds, bandwidth)
+    )
+    sources = []
+    for r in range(rounds):
+        inbox = yield (
+            Outbox.silent()
+            if frames is None
+            else Outbox.broadcast_uint(frames[r], bandwidth)
+        )
+        sources.append(inbox_source(inbox))
+    key = (transmit_broadcast, tuple(sources), bandwidth, max_bits)
+    memo = ctx.memo
+    decoded = memo.get(key)
+    if decoded is None:
+        decoded = memo[key] = _decode_phase(sources, ctx.n, bandwidth, max_bits)
+    return decoded
+
+
+def _raise_first_error(decoded: _PhaseDecode, me: int) -> None:
+    """Raise what a receiver decoding the writers one by one meets
+    first: the error of the first failing writer other than itself."""
+    for writer, error, text in decoded.errors:
+        if writer != me:
+            raise error(text)
+
+
 def transmit_broadcast(
     ctx: Context,
     payload: Optional[Bits],
@@ -173,34 +266,38 @@ def transmit_broadcast(
 
     Every frame of the phase is exactly ``b`` bits (the payload is
     padded to a whole number of frames) and goes out as one fixed-width
-    word on the round's blackboard."""
-    rounds = phase_length(max_bits, ctx.bandwidth)
-    bandwidth = ctx.bandwidth
-    frames = (
-        None
-        if payload is None
-        else _frame_payload(payload, max_bits, rounds, bandwidth)
-    )
-    columns = []
-    for r in range(rounds):
-        outbox = (
-            Outbox.silent()
-            if frames is None
-            else Outbox.broadcast_uint(frames[r], bandwidth)
-        )
-        inbox = yield outbox
-        columns.append(dict(inbox_uints(inbox)))
-    # A writer's payload decodes only if its frame arrived every round.
-    complete = columns[0].keys()
-    for column in columns[1:]:
-        complete = complete & column.keys()
-    writers = [w for w in columns[0] if w in complete]
-    per_writer = zip(*[[column[w] for w in writers] for column in columns])
-    memo = ctx.memo
-    return {
-        writer: _decode_shared(memo, chunks, bandwidth, max_bits)
-        for writer, chunks in zip(writers, per_writer)
-    }
+    word on the round's blackboard.  A writer missing from a round is
+    left out; a writer whose frames do not decode raises, the first such
+    writer other than this node."""
+    decoded = yield from _read_phase(ctx, payload, max_bits)
+    me = ctx.node_id
+    _raise_first_error(decoded, me)
+    received = dict(decoded.payloads)
+    received.pop(me, None)
+    return received
+
+
+def transmit_broadcast_uints(
+    ctx: Context,
+    payload: Optional[Bits],
+    max_bits: int,
+):
+    """:func:`transmit_broadcast` read as the whole blackboard: a tuple
+    of uints indexed by writer, ``None`` for a writer with nothing
+    decodable, and this node's own entry its own payload (``None`` if
+    silent).
+
+    Every receiver of the same boards gets the same tuple, built once
+    per phase; a node's own entry is spliced in only when the board's
+    copy of its word differs from what it sent, which takes a fault."""
+    decoded = yield from _read_phase(ctx, payload, max_bits)
+    me = ctx.node_id
+    _raise_first_error(decoded, me)
+    board = decoded.uints
+    own = None if payload is None else payload.to_uint()
+    if board[me] != own:
+        board = board[:me] + (own,) + board[me + 1 :]
+    return board
 
 
 def idle(rounds: int):
@@ -287,42 +384,43 @@ def transmit_broadcast_redundant(
     """
     if copies < 1:
         raise ValueError("copies must be at least 1")
-    rounds = phase_length(max_bits, ctx.bandwidth)
-    bandwidth = ctx.bandwidth
-    frames = (
-        None
-        if payload is None
-        else _frame_payload(payload, max_bits, rounds, bandwidth)
-    )
-    memo = ctx.memo
-    votes: Dict[int, Dict[Tuple[int, int], int]] = {}
+    me = ctx.node_id
+    decodes = []
     for _ in range(copies):
-        received: Dict[int, list] = {}
-        for r in range(rounds):
-            outbox = (
-                Outbox.silent()
-                if frames is None
-                else Outbox.broadcast_uint(frames[r], bandwidth)
-            )
-            inbox = yield outbox
-            for sender, value in inbox_uints(inbox):
-                received.setdefault(sender, []).append(value)
-        for sender, chunks in received.items():
-            if len(chunks) != rounds:
-                continue
-            try:
-                copy = _decode_shared(memo, chunks, bandwidth, max_bits)
-            except DecodeError:
-                continue
+        decoded = yield from _read_phase(ctx, payload, max_bits)
+        # A copy that fails to parse is discarded; any other failure
+        # raises at once, as the plain phase would.
+        for writer, error, text in decoded.errors:
+            if writer != me and not issubclass(error, DecodeError):
+                raise error(text)
+        decodes.append(decoded)
+    # The votes depend on the copies' decodes alone, so every receiver
+    # of the same boards shares one count.
+    key = (transmit_broadcast_redundant, tuple(decodes))
+    memo = ctx.memo
+    winners = memo.get(key)
+    if winners is None:
+        winners = memo[key] = _count_votes(decodes)
+    result = dict(winners)
+    result.pop(me, None)
+    return result
+
+
+def _count_votes(decodes: Sequence[_PhaseDecode]) -> Tuple[Tuple[int, Bits], ...]:
+    """Each writer's majority payload over the copies that decoded, ties
+    to the smallest ``(length, value)``, in order of first vote."""
+    votes: Dict[int, Dict[Tuple[int, int], int]] = {}
+    for decoded in decodes:
+        for writer, copy in decoded.payloads:
             key = (len(copy), copy.to_uint())
-            counts = votes.setdefault(sender, {})
+            counts = votes.setdefault(writer, {})
             counts[key] = counts.get(key, 0) + 1
-    result: Dict[int, Bits] = {}
-    for sender, counts in votes.items():
+    winners = []
+    for writer, counts in votes.items():
         best = max(counts.values())
         length, value = min(key for key, c in counts.items() if c == best)
-        result[sender] = Bits(value, length)
-    return result
+        winners.append((writer, Bits(value, length)))
+    return tuple(winners)
 
 
 # -- kernel form --------------------------------------------------------

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.bits import Bits, BitWriter
 from repro.core.errors import DecodeError
 from repro.core.network import Context, Mode, Network, RunResult
-from repro.core.phases import transmit_broadcast
+from repro.core.phases import transmit_broadcast_uints
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
 __all__ = [
@@ -143,7 +143,7 @@ def boruvka_program(wg: WeightedGraph):
         proposals: Dict[int, Tuple[int, int, int]] = {}
         for writer, raw in enumerate(board):
             # The message is fixed-width (present flag is the leading
-            # bit), so decode straight off the uint the lane delivered.
+            # bit), so decode straight off the uint on the board.
             if raw is None or raw >> flag_shift == 0:
                 continue
             weight = (raw >> (2 * id_bits)) & weight_mask
@@ -201,19 +201,14 @@ def boruvka_program(wg: WeightedGraph):
                 if best_key is None or key < best_key:
                     best_key = key
                     candidate = (me, u)
-            message = encode(candidate)
-            received = yield from transmit_broadcast(
-                ctx, message, max_bits=message_bits
+            board = yield from transmit_broadcast_uints(
+                ctx, encode(candidate), max_bits=message_bits
             )
-            board: List[Optional[int]] = [None] * n
-            for sender, payload in received.items():
-                board[sender] = payload.to_uint()
-            board[me] = message.to_uint()
-            key = (merge, component, tuple(board))
+            key = (merge, component, board)
             if key in memo:
                 merged = memo[key]
             else:
-                merged = memo[key] = merge(component, key[2])
+                merged = memo[key] = merge(component, board)
             if merged is None:
                 break
             component, added = merged

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
 from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
-from repro.core.phases import transmit_broadcast
+from repro.core.phases import transmit_broadcast_uints
 from repro.graphs.degeneracy import degeneracy
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.subgraph_iso import find_embedding
@@ -107,14 +107,11 @@ def adaptive_program(pattern: Graph, accept_sampled_negatives: bool = False):
         # Step 1: broadcast the random labels X_v.
         my_label = ctx.rng.randrange(big_n)
         label_bits = max(1, ell)
-        received = yield from transmit_broadcast(
+        labels = yield from transmit_broadcast_uints(
             ctx, Bits.from_uint(my_label, label_bits), max_bits=label_bits
         )
-        labels: Dict[int, int] = {ctx.node_id: my_label}
-        for v, payload in received.items():
-            labels[v] = payload.to_uint()
         for u in ctx.input:
-            if u not in labels:
+            if labels[u] is None:
                 raise DecodeError(
                     f"adaptive detection: node {ctx.node_id} has no label "
                     f"from writer {u}"

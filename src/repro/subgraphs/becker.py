@@ -21,19 +21,20 @@ degeneracy exceeds k (failure is *certified*: the peeling order of a
 k-degenerate graph always makes progress).
 
 The decoder is a pure deterministic function of the blackboard, so all
-nodes compute identical results; we memoise it per blackboard to avoid
-recomputing it once per node in the engine.
+nodes compute identical results: the nodes of one run share one decode
+of a blackboard through ``ctx.memo``, which holds the learned edges as
+a tuple, and each node builds its own :class:`Graph` from them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.bits import BitReader, Bits, BitWriter
 from repro.core.errors import DecodeError
 from repro.core.network import Context
 from repro.core.phases import transmit_broadcast
-from repro.graphs.graph import Graph
+from repro.graphs.graph import Edge, Graph
 from repro.sketch.gf2m import GF2m, field_for_universe
 from repro.sketch.set_sketch import SetSketch
 
@@ -81,27 +82,21 @@ def _parse_message(n: int, k: int, message: Bits) -> Tuple[int, SetSketch]:
     return degree, sketch
 
 
-_decode_cache: Dict[Tuple, Optional[Graph]] = {}
-
-
 def decode_blackboard(
     n: int, k: int, messages: Sequence[Bits]
 ) -> Optional[Graph]:
     """Reconstruct the graph from all n broadcast messages, or return
-    None (degeneracy > k).  Deterministic; memoised per blackboard."""
-    key = (n, k, tuple(messages))
-    if key in _decode_cache:
-        return _decode_cache[key]
-    result = _decode_blackboard_impl(n, k, messages)
-    if len(_decode_cache) > 256:
-        _decode_cache.clear()
-    _decode_cache[key] = result
-    return result
+    None (degeneracy > k).  A pure function: each call builds a fresh
+    graph."""
+    edges = _peel(n, k, messages)
+    return None if edges is None else Graph.from_edges(n, edges)
 
 
-def _decode_blackboard_impl(
-    n: int, k: int, messages: Sequence[Bits]
-) -> Optional[Graph]:
+def _peel(n: int, k: int, messages: Sequence[Bits]) -> Optional[Tuple[Edge, ...]]:
+    """The peeling decoder behind :func:`decode_blackboard`: the edges it
+    learns, each as the ``(v, u)`` it learns it from, in the order it
+    learns them (so a graph built from them matches the decoder's own),
+    or None."""
     degrees: List[int] = []
     sketches: List[SetSketch] = []
     for message in messages:
@@ -110,7 +105,10 @@ def _decode_blackboard_impl(
         sketches.append(sketch)
 
     universe = range(1, n + 1)
+    # The graph checks each edge as it is learned, as the decoder has
+    # always done; the edges are its result.
     graph = Graph(n)
+    learned: List[Edge] = []
     known = [0] * n
     done = [False] * n
     remaining = n
@@ -133,12 +131,13 @@ def _decode_blackboard_impl(
             for element in decoded:
                 u = element - 1
                 graph.add_edge(v, u)
+                learned.append((v, u))
                 known[u] += 1
                 sketches[u].toggle(v + 1)
             sketches[v] = SetSketch(sketches[v].field, k)  # now empty
         if not progressed:
             return None  # certified: degeneracy > k
-    return graph
+    return tuple(learned)
 
 
 def reconstruct(graph: Graph, k: int) -> Optional[Graph]:
@@ -171,5 +170,12 @@ def algorithm_a(ctx: Context, neighbors: Sequence[int], k: int):
                 f"A(G, k): node {ctx.node_id} has no message from writer {v}"
             )
         blackboard.append(payload)
-    graph = decode_blackboard(n, k, blackboard)
-    return (graph is not None), graph
+    key = (_peel, n, k, tuple(blackboard))
+    memo = ctx.memo
+    if key in memo:
+        edges = memo[key]
+    else:
+        edges = memo[key] = _peel(n, k, key[3])
+    if edges is None:
+        return False, None
+    return True, Graph.from_edges(n, edges)

@@ -25,7 +25,7 @@ from typing import FrozenSet, Optional, Tuple
 from repro.core.bits import Bits
 from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
-from repro.core.phases import transmit_broadcast
+from repro.core.phases import transmit_broadcast_uints
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.subgraph_iso import find_embedding
 from repro.graphs.turan import degeneracy_guess, ex_upper
@@ -134,23 +134,16 @@ def full_learning_program(pattern: Graph):
         n = ctx.n
         me = ctx.node_id
         row = Bits.from_bools([u in ctx.input for u in range(n)])
-        received = yield from transmit_broadcast(ctx, row, max_bits=n)
-        rows = []
-        for v in range(n):
-            if v == me:
-                rows.append(row.to_uint())
-                continue
-            payload = received.get(v)
-            if payload is None:
-                raise DecodeError(
-                    f"full learning: node {me} has no adjacency row "
-                    f"from writer {v}"
-                )
-            rows.append(payload.to_uint())
-        key = (learn, tuple(rows))
+        rows = yield from transmit_broadcast_uints(ctx, row, max_bits=n)
+        if None in rows:
+            raise DecodeError(
+                f"full learning: node {me} has no adjacency row "
+                f"from writer {rows.index(None)}"
+            )
+        key = (learn, rows)
         outcome = ctx.memo.get(key)
         if outcome is None:
-            outcome = ctx.memo[key] = learn(key[1])
+            outcome = ctx.memo[key] = learn(rows)
         return outcome
 
     return program

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.network import Mode, run_protocol
+from repro.core.network import Mode, Network, run_protocol
 from repro.core.phases import phase_length
 from repro.graphs import (
     Graph,
@@ -19,6 +19,7 @@ from repro.graphs import (
     random_graph,
     random_k_degenerate,
 )
+from repro.subgraphs import becker
 from repro.subgraphs.becker import (
     algorithm_a,
     encode_neighborhood,
@@ -74,6 +75,18 @@ class TestOffline:
         rec = reconstruct(g, true_k)
         assert rec is not None and rec.edge_set() == g.edge_set()
 
+    def test_each_call_builds_its_own_graph(self):
+        g = random_k_degenerate(12, 2, random.Random(7))
+        first = reconstruct(g, 4)
+        u, v = next(
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+            if not g.has_edge(u, v)
+        )
+        first.add_edge(u, v)
+        second = reconstruct(g, 4)
+        assert second is not first
+        assert second.edge_set() == g.edge_set()
+
     def test_message_size_formula(self):
         n, k = 40, 5
         g = random_k_degenerate(n, k, random.Random(0))
@@ -105,6 +118,36 @@ class TestOnEngine:
             assert success and edges == g.edge_set()
         # one phase of message_bits(n,k) bits, chunked:
         assert result.rounds == phase_length(message_bits(g.n, k), bandwidth)
+
+    def test_nodes_share_one_decode_but_not_one_graph(self, monkeypatch):
+        g = random_k_degenerate(12, 2, random.Random(5))
+        k = max(1, degeneracy(g))
+        calls = []
+        peel = becker._peel
+
+        def counting_peel(*args):
+            calls.append(args)
+            return peel(*args)
+
+        monkeypatch.setattr(becker, "_peel", counting_peel)
+
+        def program(ctx):
+            _success, rec = yield from algorithm_a(ctx, ctx.input, k)
+            if ctx.node_id == 0:
+                rec.add_edge(*next(
+                    (0, u) for u in range(1, g.n) if not rec.has_edge(0, u)
+                ))
+            return rec
+
+        inputs = [sorted(g.neighbors(v)) for v in range(g.n)]
+        network = Network(n=g.n, bandwidth=8, mode=Mode.BROADCAST)
+        for _run in range(2):
+            graphs = network.run(program, inputs=inputs).outputs
+            assert len({id(rec) for rec in graphs}) == g.n
+            assert graphs[0].m == g.m + 1
+            assert all(rec.edge_set() == g.edge_set() for rec in graphs[1:])
+        # One decode per run: the memo is the run's, not the process's.
+        assert len(calls) == 2
 
     def test_failure_flag_propagates(self):
         g = complete_graph(10)
