@@ -7,10 +7,12 @@ is built entirely from it, and the fast engine delivers every round
 that its unicast lane does not take through it, so both charge bits and
 raise protocol errors identically.
 
-It enforces the model rules (bandwidth, topology, payload types); the
-unicast lane of :mod:`repro.core.fastlane` skips these checks because
-an equivalent whole-outbox validation already ran when the outbox was
-yielded (see :func:`repro.core.fastlane.validate_fixed`).
+It enforces the model rules (bandwidth, topology, payload types) on
+every dict outbox.  A fixed-width outbox is written straight into its
+receivers' dicts, as the unicast lane of :mod:`repro.core.fastlane`
+writes it into its matrix: an equivalent whole-outbox validation
+already ran when the outbox was yielded (see
+:func:`repro.core.fastlane.validate_fixed`).
 """
 
 from __future__ import annotations
@@ -75,8 +77,18 @@ def deliver_outbox(
         if record is not None:
             record.sends.append((sender, None, payload))
         return bits_sent
-    # unicast / CONGEST (fixed-width outboxes are materialized first)
-    messages = outbox.messages if kind == "unicast" else outbox._materialize()
+    if kind == "fixed":
+        # The network ran ``validate_fixed`` on this outbox when it was
+        # yielded, so none of the per-message checks below can fire.
+        width = outbox.width
+        for dest, value in zip(outbox.dests, outbox.values):
+            payload = Bits(value, width)
+            boxes[dest][sender] = payload
+            if record is not None:
+                record.sends.append((sender, dest, payload))
+        return width * len(outbox.dests)
+    # unicast / CONGEST
+    messages = outbox.messages
     allowed = None
     if network._allowed is not None:
         allowed = network._allowed[sender]

@@ -272,9 +272,9 @@ class Outbox:
         ``values[i]`` (exactly ``width`` bits on the wire) goes to
         ``dests[i]``.  Both are kept as tuples of plain ints.  Rounds in
         which every sender yields a fixed-width outbox of the same width
-        are delivered through the numpy fast lane; otherwise the
-        messages are materialized as ordinary ``width``-bit
-        :class:`~repro.core.bits.Bits` unicasts."""
+        are delivered through the numpy fast lane; otherwise each
+        message is delivered as an ordinary ``width``-bit
+        :class:`~repro.core.bits.Bits` unicast."""
         from repro.core import fastlane
 
         d, v = fastlane.coerce_fixed(dests, values, width)
@@ -294,20 +294,6 @@ class Outbox:
         out = cls("fixed", None, None, dests=d, values=v, width=width)
         out.trusted_unique = True
         return out
-
-    def _materialize(self) -> Dict[int, Bits]:
-        """A fixed-width outbox as an ordinary ``{dest: Bits}`` dict (the
-        scalar fallback for sparse/mixed rounds and the legacy engine).
-        Memoized in the otherwise-unused ``messages`` slot, so a reused
-        outbox pays the Bits construction once, not once per round."""
-        cached = self.messages
-        if cached is None:
-            width = self.width
-            cached = self.messages = {
-                dest: Bits(value, width)
-                for dest, value in zip(self.dests, self.values)
-            }
-        return cached
 
     def _materialize_broadcast(self) -> Bits:
         """A fixed-width broadcast outbox's payload as :class:`Bits`, the

@@ -19,12 +19,13 @@ Protocol per trial (mask r drawn from the shared public coin):
    redistribution), who checks A_ij ∧ C_ij — a triangle witness.
 4. One unicast round aggregates the flags at player 0.
 
-All heavy exchanges here — the circuit simulation's payload routing
-(:func:`~repro.routing.lenzen.route_payload_ints`) and the output
-redistribution (:func:`route_payloads`, its :class:`Bits` adapter), and
-the final aggregation via :func:`transmit_unicast` — move fixed-width
-frames, so on the default engine they ride the batched numpy fast lane
-(:mod:`repro.core.fastlane`) instead of per-message dict delivery.
+All heavy exchanges here — the circuit simulation's routed phases and
+the output redistribution, each a
+:class:`~repro.routing.lenzen.ColumnRoute` compiled once per plan or
+program, and the final aggregation via :func:`transmit_unicast` — move
+fixed-width frames, so on the fast engine their dense rounds ride the
+batched numpy lane (:mod:`repro.core.fastlane`) instead of per-message
+dict delivery.
 
 The protocol is *oblivious*: every round's structure comes from the
 public :class:`SimulationPlan` and routing schedules, never from the
@@ -39,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuits.arithmetic import matmul_circuit_naive, matmul_circuit_strassen
 from repro.circuits.circuit import Circuit
 from repro.core.bits import Bits
@@ -46,9 +49,9 @@ from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_unicast
 from repro.graphs.graph import Graph
-from repro.routing.lenzen import payload_demand, route_payloads
+from repro.routing.lenzen import ColumnRoute, payload_demand
 from repro.routing.schedule import build_schedule
-from repro.simulation.protocol import SimulationPlan, build_plan, execute_plan
+from repro.simulation.protocol import SimulationPlan, build_plan, run_player
 
 __all__ = [
     "matmul_input_partition",
@@ -120,7 +123,14 @@ def triangle_mm_program(
     trials: int,
 ):
     """Node program: ``ctx.input`` is this node's adjacency row (list of
-    n 0/1 ints)."""
+    n 0/1 ints).  Only ``graph.n`` shapes the program, so one program
+    serves every graph of that size.
+
+    Everything the rounds need beyond the inputs is compiled here, once
+    per program: the output-routing schedule and each node's output
+    columns — a :class:`~repro.routing.lenzen.ColumnRoute` from the
+    node's gate-value vector into its row of C, and the entries of that
+    row it owns itself."""
     size = graph.n
     plan.check_size(size)
     circuit = plan.circuit
@@ -129,11 +139,32 @@ def triangle_mm_program(
     out_schedule = build_schedule(
         payload_demand(out_lengths, plan.bandwidth), size
     )
-    position_of = {gid: pos for pos, gid in enumerate(circuit.outputs)}
+    owner = plan.assignment.owner
+    own: List[Tuple[List[int], List[int]]] = [([], []) for _ in range(size)]
+    column = {}
+    for position, gid in enumerate(circuit.outputs):
+        row, column[gid] = divmod(position, size)
+        if owner[gid] == row:
+            own[row][0].append(gid)
+            own[row][1].append(column[gid])
+    sends: List[Dict[int, List[int]]] = [{} for _ in range(size)]
+    recvs: List[Dict[int, List[int]]] = [{} for _ in range(size)]
+    for (src, dst), gids in out_order.items():
+        sends[src][dst] = gids
+        recvs[dst][src] = [column[gid] for gid in gids]
+    routes = [
+        (
+            ColumnRoute(out_schedule, v, plan.bandwidth, sends[v], recvs[v]),
+            np.asarray(own[v][0], dtype=np.intp),
+            np.asarray(own[v][1], dtype=np.intp),
+        )
+        for v in range(size)
+    ]
 
     def program(ctx):
         me = ctx.node_id
         row = list(ctx.input)
+        out_route, own_gids, own_columns = routes[me]
         found_local: Optional[Tuple[int, int]] = None
         for _trial in range(trials):
             mask = [ctx.shared_rng.randint(0, 1) for _ in range(size)]
@@ -142,25 +173,14 @@ def triangle_mm_program(
             for j in range(size):
                 my_inputs[input_ids[me * size + j]] = bool(masked_row[j])
                 my_inputs[input_ids[size * size + me * size + j]] = bool(row[j])
-            values = yield from execute_plan(ctx, plan, my_inputs)
-
-            payloads = {}
-            for (src, dst), gids in out_order.items():
-                if src == me:
-                    payloads[dst] = Bits.from_bools([values[g] for g in gids])
-            received = yield from route_payloads(
-                ctx, out_lengths, payloads, plan.bandwidth, out_schedule
-            )
-            my_row_c: Dict[int, bool] = {}
-            for position, gid in enumerate(circuit.outputs):
-                if position // size == me and plan.assignment.owner[gid] == me:
-                    my_row_c[position % size] = values[gid]
-            for src, bits in received.items():
-                for gid, bit in zip(out_order[(src, me)], bits):
-                    my_row_c[position_of[gid] % size] = bool(bit)
+            vals = yield from run_player(ctx, plan, my_inputs)
+            # A payload that lost a frame leaves its entries 0.
+            row_c = np.zeros(size, dtype=np.uint8)
+            row_c[own_columns] = vals[own_gids]
+            yield from out_route.run(ctx, vals, row_c)
             if found_local is None:
-                for j in range(size):
-                    if row[j] and my_row_c.get(j):
+                for j, entry in enumerate(row_c.tolist()):
+                    if row[j] and entry:
                         found_local = (min(me, j), max(me, j))
                         break
             # Lockstep: even after finding a witness we keep executing
@@ -204,8 +224,6 @@ def triangle_mm_kernel_program(
     stacked adjacency/value matrices, zero generator steps.  Inputs and
     outputs match the generator program byte for byte (same shared-coin
     masks, same witness tie-breaking, same accounting)."""
-    import numpy as np
-
     from repro.circuits.vectorized import constant_columns
     from repro.core.kernels import KernelBuilder
     from repro.core.network import Mode

@@ -1,18 +1,30 @@
 """Executing routing schedules on the engine (Lenzen-style routing).
 
-:func:`route_frames` is the runtime counterpart of
-:mod:`repro.routing.schedule`: a sub-generator that every node drives
-with ``yield from`` inside its program.  All nodes hold the same
-(globally computed) :class:`RoutingSchedule`, so senders, receivers and
-forwarders agree on which frame each link carries each round without any
-extra communication — mirroring how [28] is consumed by Theorem 2, where
-the demand pattern is public.
+The schedule is public, so it is compiled, not interpreted:
+:meth:`RoutingSchedule.route() <repro.routing.schedule.RoutingSchedule.route>`
+builds a :class:`FrameRoute` once per schedule, in one pass over its
+hops.  It numbers every frame for the kernel form and gives every node
+its :class:`NodeRoute`: the node's per-run frame list is indexed by
+*slots*, and each round says which slots it sends to whom and which
+sender fills which slot.  Every node of every run, on every engine,
+reads the same tables, so senders, receivers and forwarders agree on
+which frame each link carries each round without any extra
+communication — mirroring how [28] is consumed by Theorem 2, where the
+demand pattern is public.
 
-:func:`route_payloads` layers variable-length payloads on top: payload
-lengths are public (part of the plan), so payloads are padded to whole
-frames and truncated by the receiver.  Its core,
-:func:`route_payload_ints`, moves payloads as plain ints and is what
-the Theorem 2 simulation drives directly.
+One driver, :func:`_drive_frames`, moves a node's slot list through its
+tables, one fixed-width outbox per round.  Three thin adapters sit on
+top of it: :func:`route_frames` keeps the ``{FrameRef: int}`` interface,
+:func:`route_payload_ints` cuts variable-length payloads (their lengths
+are public, part of the plan) into frames with shifts and joins the
+frames it receives, and :func:`route_payloads` is its
+:class:`~repro.core.bits.Bits` adapter.  A payload arrives whole or not
+at all: one that lost a frame is left out of the result.
+:class:`ColumnRoute` compiles one node's payloads further, straight from
+and into the columns of a 0/1 value vector, for the callers that hold a
+route for many runs (the Theorem 2 simulation's :class:`PlanView
+<repro.simulation.protocol.PlanView>`, triangle detection's output
+redistribution).
 
 Routing is *oblivious*: every round's senders, receivers and frame
 widths are fully determined by the public :class:`RoutingSchedule` and
@@ -20,11 +32,13 @@ widths are fully determined by the public :class:`RoutingSchedule` and
 :func:`route_program` packages the common whole-program case (every
 node routes the frames given in its input), and
 :func:`route_kernel_program` is its declared kernel twin, which the
-kernel engine compiles once and executes as stacked matrix operations.
+kernel engine compiles once and executes as stacked matrix operations
+over the same :class:`FrameRoute` slots.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,12 +56,283 @@ __all__ = [
     "route_payload_ints",
     "route_payloads",
     "route_program",
+    "NodeRoute",
     "FrameRoute",
+    "ColumnRoute",
     "kernel_route_frames",
     "BitRoute",
     "kernel_route_bits",
     "route_kernel_program",
 ]
+
+
+class NodeRoute:
+    """One node's part of a compiled schedule (:class:`FrameRoute`).
+
+    A *slot* is a frame's index in the node's per-run frame list.  The
+    frames the node injects come first, ``inject`` listing them in
+    :class:`FrameRoute` slot order; the frames delivered to it follow,
+    ``finals`` listing them in final-hop order (round, then sender);
+    the frames it relays take the last slots, up to ``size``.
+    ``rounds[r]`` is ``(dests, sends, senders, recvs)``: the nodes it
+    sends to in round ``r`` and the slots of the frames it sends them,
+    and the senders it expects, ascending, with the slot each one fills.
+    A run of consecutive slots is held as a ``slice``.
+    """
+
+    __slots__ = ("size", "inject", "finals", "rounds")
+
+    def __init__(self, size: int, inject, finals, rounds) -> None:
+        self.size = size
+        self.inject = inject
+        self.finals = finals
+        self.rounds = rounds
+
+
+_IDLE = ((), (), (), ())
+
+
+def _slots(slots: List[int]):
+    """``slots`` as a ``slice`` when they are consecutive, else a tuple."""
+    if slots and slots == list(range(slots[0], slots[0] + len(slots))):
+        return slice(slots[0], slots[0] + len(slots))
+    return tuple(slots)
+
+
+class FrameRoute:
+    """A :class:`RoutingSchedule` compiled once, for every engine
+    (:meth:`RoutingSchedule.route` builds and caches it).
+
+    The kernel form: every frame gets a dense *slot* (first-appearance
+    order) — its column in the ``K × len(slot_of)`` frame-value matrix
+    — and every round becomes its ``(sender, dests)`` pairs in builder
+    order (ascending sender, that sender's send-plan order) plus the
+    slot vector of the frames those hops carry.  ``finals`` lists
+    ``(destination, refs, slots)`` per destination, each in final-hop
+    order.  The generator form: ``nodes[v]`` is node ``v``'s
+    :class:`NodeRoute`, whose injected frames are in this slot order.
+    All of it comes from one pass over the hops.
+    """
+
+    __slots__ = ("slot_of", "rounds", "finals", "nodes")
+
+    def __init__(self, schedule: RoutingSchedule) -> None:
+        n = schedule.n
+        num_rounds = schedule.num_rounds
+        slot_of: Dict[FrameRef, int] = {}
+        rounds = []
+        # Per node while compiling: the frames it injects, the frames
+        # delivered to it with their slots, how many it relays, the
+        # provisional slot of each frame it relays, and each round's
+        # ``[dests, sent, senders, received]`` table.  A provisional
+        # slot is ``3 * index + kind``, kind 0 for an injected frame, 1
+        # for a final one and 2 for a relayed one, until the node's
+        # counts are known.
+        inject: List[List[FrameRef]] = [[] for _ in range(n)]
+        final_refs: List[List[FrameRef]] = [[] for _ in range(n)]
+        final_slots: List[List[int]] = [[] for _ in range(n)]
+        relays = [0] * n
+        relayed: List[Dict[FrameRef, int]] = [{} for _ in range(n)]
+        tables: List[list] = [[None] * num_rounds for _ in range(n)]
+        for r in range(num_rounds):
+            sends = schedule.send_plan[r]
+            recv = schedule.recv_plan[r]
+            pairs = []
+            slots = []
+            incoming: Dict[int, Tuple[list, list]] = {}
+            for sender in sorted(sends):
+                held = relayed[sender]
+                mine = inject[sender]
+                dests = []
+                sent = []
+                for recipient, frame in sends[sender]:
+                    slot = slot_of.setdefault(frame, len(slot_of))
+                    dests.append(recipient)
+                    slots.append(slot)
+                    code = held.get(frame)
+                    if code is None:
+                        # First met on its way out: injected here, or a
+                        # frame the node never receives (a broken
+                        # schedule), whose slot stays empty.
+                        if frame[0] == sender:
+                            code = 3 * len(mine)
+                            mine.append(frame)
+                        else:
+                            code = 3 * relays[sender] + 2
+                            relays[sender] += 1
+                    sent.append(code)
+                    if recv[(sender, recipient)][1]:
+                        code = 3 * len(final_refs[recipient]) + 1
+                        final_refs[recipient].append(frame)
+                        final_slots[recipient].append(slot)
+                    else:
+                        code = 3 * relays[recipient] + 2
+                        relays[recipient] += 1
+                        relayed[recipient][frame] = code
+                    entry = incoming.get(recipient)
+                    if entry is None:
+                        incoming[recipient] = ([sender], [code])
+                    else:
+                        entry[0].append(sender)
+                        entry[1].append(code)
+                if len(set(dests)) != len(dests):
+                    raise AssertionError(
+                        "schedule placed two frames on one link in one round"
+                    )
+                tables[sender][r] = [dests, sent, (), ()]
+                pairs.append((sender, dests))
+            for recipient, (senders, codes) in incoming.items():
+                table = tables[recipient][r]
+                if table is None:
+                    tables[recipient][r] = [(), (), senders, codes]
+                else:
+                    table[2] = senders
+                    table[3] = codes
+            rounds.append((pairs, np.asarray(slots, dtype=np.intp)))
+        self.slot_of = slot_of
+        self.rounds = rounds
+        self.finals = [
+            (dest, tuple(final_refs[dest]), np.asarray(final_slots[dest], dtype=np.intp))
+            for dest in range(n)
+            if final_refs[dest]
+        ]
+        self.nodes = []
+        for v in range(n):
+            base = (0, len(inject[v]), len(inject[v]) + len(final_refs[v]))
+
+            def place(codes, base=base):
+                return _slots([base[code % 3] + code // 3 for code in codes])
+
+            self.nodes.append(
+                NodeRoute(
+                    base[2] + relays[v],
+                    tuple(inject[v]),
+                    tuple(final_refs[v]),
+                    tuple(
+                        _IDLE
+                        if table is None
+                        else (
+                            tuple(table[0]),
+                            place(table[1]),
+                            tuple(table[2]),
+                            place(table[3]),
+                        )
+                        for table in tables[v]
+                    ),
+                )
+            )
+
+
+def _too_wide(node: int, ref: FrameRef, frame_size: int) -> str:
+    return f"node {node}'s frame {ref} does not fit in {frame_size} bits"
+
+
+def _not_held(node: int, ref: FrameRef) -> str:
+    return f"node {node} does not hold frame {ref}, which the schedule routes from it"
+
+
+def _not_routed(node: int, ref: FrameRef) -> str:
+    return f"node {node} holds frame {ref}, which the schedule does not route from it"
+
+
+def _bad_frame(
+    node: int, frames: Mapping[FrameRef, int], frame_size: int
+) -> Optional[str]:
+    """What ``node`` finds wrong with its injection map when it starts:
+    the first frame, in map order, that is another node's or does not
+    fit in ``frame_size`` bits."""
+    for ref, value in frames.items():
+        if ref[0] != node:
+            return _not_routed(node, ref)
+        if value < 0 or value >> frame_size:
+            return _too_wide(node, ref, frame_size)
+    return None
+
+
+def _unexpected(me: int, sender: int, r: int) -> DecodeError:
+    # Only nodes that disagree on the schedule (one built from a lost or
+    # corrupted row) put a frame on a link this node's schedule leaves
+    # idle.
+    return DecodeError(
+        f"node {me} got a frame from node {sender} in routing round "
+        f"{r + 1}, which its schedule does not expect"
+    )
+
+
+def _drive_frames(
+    ctx: Context,
+    schedule: RoutingSchedule,
+    node: NodeRoute,
+    values: List[Optional[int]],
+    frame_size: int,
+    lengths: Optional[Mapping[Tuple[int, int], int]] = None,
+):
+    """The one routing driver: move this node's per-run frame list
+    ``values`` (indexed by ``node``'s slots, its injected frames filled
+    in, every other slot ``None``) through ``schedule`` on fixed-width
+    outboxes, and return it with what arrived written into its slots.
+
+    A slot still empty when its frame is due out fails in that round:
+    an injected frame the node lacks as a ``ValueError`` (naming its
+    pair and the payload ``lengths`` when given), a relayed frame that
+    never arrived (an earlier hop was lost) as a :class:`DecodeError`.
+    A frame from a sender the round does not expect is a
+    :class:`DecodeError`; a frame that never arrives leaves its slot
+    ``None``."""
+    me = ctx.node_id
+    for r, (dests, sends, senders, recvs) in enumerate(node.rounds):
+        if dests:
+            out = values[sends] if type(sends) is slice else [values[s] for s in sends]
+            if None in out:
+                frame = schedule.send_plan[r][me][out.index(None)][1]
+                if frame[0] != me:
+                    raise DecodeError(
+                        f"node {me} never received frame {frame}, which it "
+                        f"forwards in routing round {r + 1}"
+                    )
+                if lengths is None:
+                    raise ValueError(_not_held(me, frame))
+                pair = frame[:2]
+                raise ValueError(
+                    f"node {me} has no payload for pair {pair}, which "
+                    f"the plan routes as {lengths[pair]} bits"
+                )
+            if frame_size < 1:
+                raise ValueError("fixed-width messages need width >= 1 bit")
+            # The compile checked that the destinations are distinct,
+            # and every value is a plain uint; the network checks the
+            # rest when the outbox is yielded.
+            outbox = Outbox("fixed", None, None, dests, tuple(out), frame_size, True)
+        else:
+            outbox = Outbox.silent()
+        inbox = yield outbox
+        if not senders:
+            if len(inbox):
+                raise _unexpected(me, inbox_uints(inbox)[0][0], r)
+            continue
+        got = inbox_uints(inbox)
+        if len(got) == len(senders):
+            got_senders, got_values = zip(*got)
+            if got_senders == senders:
+                if type(recvs) is slice:
+                    values[recvs] = got_values
+                else:
+                    for slot, value in zip(recvs, got_values):
+                        values[slot] = value
+                continue
+        # A frame is missing, or one came from an unexpected sender.
+        slot_of = dict(
+            zip(
+                senders,
+                range(recvs.start, recvs.stop) if type(recvs) is slice else recvs,
+            )
+        )
+        for sender, value in got:
+            slot = slot_of.get(sender)
+            if slot is None:
+                raise _unexpected(me, sender, r)
+            values[slot] = value
+    return values
 
 
 def route_frames(
@@ -69,6 +354,7 @@ def route_frames(
     fit or is another node's (the schedule routes a frame from its
     source only) when the node starts, a frame it lacks in the round
     that first sends it, and one never sent when the schedule ends.
+    A frame that never arrives is missing from the result.
     """
     me = ctx.node_id
     holding = dict(my_frames)
@@ -78,101 +364,27 @@ def route_frames(
         or max(holding.values()) >> frame_size
     ):
         raise ValueError(_bad_frame(me, holding, frame_size))
-    return (yield from _drive_frames(ctx, schedule, holding, frame_size))
-
-
-def _bad_frame(
-    node: int, frames: Mapping[FrameRef, int], frame_size: int
-) -> Optional[str]:
-    """What ``node`` finds wrong with its injection map when it starts:
-    the first frame, in map order, that is another node's or does not
-    fit in ``frame_size`` bits."""
-    for ref, value in frames.items():
-        if ref[0] != node:
-            return _not_routed(node, ref)
-        if value < 0 or value >> frame_size:
-            return _too_wide(node, ref, frame_size)
-    return None
-
-
-def _too_wide(node: int, ref: FrameRef, frame_size: int) -> str:
-    return f"node {node}'s frame {ref} does not fit in {frame_size} bits"
-
-
-def _not_held(node: int, ref: FrameRef) -> str:
-    return f"node {node} does not hold frame {ref}, which the schedule routes from it"
-
-
-def _not_routed(node: int, ref: FrameRef) -> str:
-    return f"node {node} holds frame {ref}, which the schedule does not route from it"
-
-
-def _drive_frames(
-    ctx: Context,
-    schedule: RoutingSchedule,
-    holding: Dict[FrameRef, int],
-    frame_size: int,
-    lengths: Optional[Mapping[Tuple[int, int], int]] = None,
-):
-    """Drive ``schedule`` for this node on the fixed-width lane, with
-    ``holding`` the ``{FrameRef: uint}`` frames it injects; returns the
-    frames delivered here, still as uints.  A frame of this node's own
-    that it never injected fails as a ``ValueError`` in the round that
-    first needs it (naming its pair and the payload ``lengths`` when
-    given), one it injected that the schedule never sends fails when
-    the schedule ends, and a relayed frame that never arrived (an
-    earlier hop was lost) fails as a :class:`DecodeError`."""
-    me = ctx.node_id
-    delivered: Dict[FrameRef, int] = {}
-    for r in range(schedule.num_rounds):
-        sends = schedule.send_plan[r].get(me, ())
-        if sends:
-            messages: Dict[int, int] = {}
-            try:
-                for recipient, frame in sends:
-                    messages[recipient] = holding.pop(frame)
-            except KeyError:
-                if frame[0] != me:
-                    raise DecodeError(
-                        f"node {me} never received frame {frame}, which it "
-                        f"forwards in routing round {r + 1}"
-                    ) from None
-                if lengths is None:
-                    raise ValueError(_not_held(me, frame)) from None
-                pair = frame[:2]
-                raise ValueError(
-                    f"node {me} has no payload for pair {pair}, which "
-                    f"the plan routes as {lengths[pair]} bits"
-                ) from None
-            if len(messages) != len(sends):
-                raise AssertionError(
-                    "schedule placed two frames on one link in one round"
-                )
-            outbox = Outbox.fixed_width_map(messages, frame_size)
-        else:
-            outbox = Outbox.silent()
-        inbox = yield outbox
-        recv = schedule.recv_plan[r]
-        for sender, value in inbox_uints(inbox):
-            try:
-                frame, is_final = recv[(sender, me)]
-            except KeyError:
-                # Only nodes that disagree on the schedule (one built
-                # from a lost or corrupted row) put a frame on a link
-                # this node's schedule leaves idle.
-                raise DecodeError(
-                    f"node {me} got a frame from node {sender} in routing "
-                    f"round {r + 1}, which its schedule does not expect"
-                ) from None
-            if is_final:
-                delivered[frame] = value
-            else:
-                holding[frame] = value
-    if holding:
-        # A relayed frame always leaves with its next hop, so what is
-        # left was injected here and never sent.
-        raise ValueError(_not_routed(me, next(iter(holding))))
-    return delivered
+    if holding and set(map(type, holding.values())) != {int}:
+        # Plain ints on the wire, as ``Outbox.fixed_width`` makes them.
+        holding = dict(zip(holding, map(operator.index, holding.values())))
+    node = schedule.route().nodes[me]
+    inject = node.inject
+    values: List[Optional[int]] = list(map(holding.get, inject))
+    held = len(inject) - values.count(None)
+    values += [None] * (node.size - len(inject))
+    values = yield from _drive_frames(ctx, schedule, node, values, frame_size)
+    if held != len(holding):
+        extra = set(holding).difference(inject)
+        raise ValueError(_not_routed(me, next(ref for ref in holding if ref in extra)))
+    start = len(inject)
+    delivered = values[start : start + len(node.finals)]
+    if None in delivered:
+        return {
+            ref: value
+            for ref, value in zip(node.finals, delivered)
+            if value is not None
+        }
+    return dict(zip(node.finals, delivered))
 
 
 def route_program(schedule: RoutingSchedule, frame_size: int):
@@ -219,15 +431,19 @@ def route_payload_ints(
     """The int-level core of :func:`route_payloads`: payloads travel as
     unsigned ints, ``my_payloads[dst]`` holding the ``lengths[(me,
     dst)]`` bits this node sends ``dst``, first bit most significant.
-    Returns ``{source: int}`` for the traffic addressed to this node.
-    Frames are cut and reassembled with shifts; no
-    :class:`~repro.core.bits.Bits` is built.  Sub-generator: use
-    ``yield from``."""
+    Returns ``{source: int}`` for the traffic addressed to this node; a
+    payload that lost any of its frames is left out, as a payload that
+    lost all of them is.  Frames are cut and joined with shifts, in the
+    node's slot order; no :class:`~repro.core.bits.Bits` is built.
+    Sub-generator: use ``yield from``."""
     if schedule is None:
         schedule = build_schedule(payload_demand(lengths, frame_size), ctx.n)
     me = ctx.node_id
     mask = (1 << frame_size) - 1
-    holding: Dict[FrameRef, int] = {}
+    # Each payload padded to whole frames: frame ``idx`` of ``count`` is
+    # ``padded >> (count - 1 - idx) * frame_size``.
+    padded: Dict[int, Tuple[int, int]] = {}
+    frames = 0
     for dst, value in my_payloads.items():
         bits = lengths.get((me, dst), 0)
         if value < 0 or value >> bits:
@@ -235,21 +451,54 @@ def route_payload_ints(
                 f"payload to {dst} does not fit the {bits} bits the plan routes"
             )
         count = -(-bits // frame_size)
-        value <<= count * frame_size - bits
-        for idx in range(count):
-            holding[(me, dst, idx)] = (value >> ((count - 1 - idx) * frame_size)) & mask
-    delivered = yield from _drive_frames(ctx, schedule, holding, frame_size, lengths)
-    by_source: Dict[int, Dict[int, int]] = {}
-    for (src, _dst, idx), frame in delivered.items():
-        by_source.setdefault(src, {})[idx] = frame
+        padded[dst] = (operator.index(value) << (count * frame_size - bits), count)
+        frames += count
+    node = schedule.route().nodes[me]
+    values: List[Optional[int]] = []
+    held = 0
+    for _src, dst, idx in node.inject:
+        payload = padded.get(dst)
+        if payload is None or idx >= payload[1]:
+            values.append(None)
+        else:
+            values.append((payload[0] >> (payload[1] - 1 - idx) * frame_size) & mask)
+            held += 1
+    values += [None] * (node.size - len(node.inject))
+    values = yield from _drive_frames(
+        ctx, schedule, node, values, frame_size, lengths
+    )
+    if held != frames:
+        routed = set(node.inject)
+        raise ValueError(
+            _not_routed(
+                me,
+                next(
+                    (me, dst, idx)
+                    for dst, (_value, count) in padded.items()
+                    for idx in range(count)
+                    if (me, dst, idx) not in routed
+                ),
+            )
+        )
+    # Join each source's frames in index order; the final hops of one
+    # payload need not arrive in index order.
+    parts: Dict[int, List[Optional[int]]] = {}
+    start = len(node.inject)
+    for (src, _dst, idx), value in zip(
+        node.finals, values[start : start + len(node.finals)]
+    ):
+        got = parts.get(src)
+        if got is None:
+            got = parts[src] = [None] * -(-lengths[(src, me)] // frame_size)
+        got[idx] = value
     received: Dict[int, int] = {}
-    for src, frames in by_source.items():
-        bits = lengths[(src, me)]
-        count = -(-bits // frame_size)
-        value = 0
-        for idx in range(count):
-            value = (value << frame_size) | frames[idx]
-        received[src] = value >> (count * frame_size - bits)
+    for src, got in parts.items():
+        if None in got:
+            continue
+        word = 0
+        for value in got:
+            word = (word << frame_size) | value
+        received[src] = word >> (len(got) * frame_size - lengths[(src, me)])
     return received
 
 
@@ -283,6 +532,110 @@ def route_payloads(
     return {src: Bits(value, lengths[(src, me)]) for src, value in received.items()}
 
 
+class ColumnRoute:
+    """One node's payloads under a public schedule, compiled straight
+    from and into the columns of 0/1 ``uint8`` value vectors.
+
+    ``sends[dst]`` lists the columns of the send vector whose bits the
+    node sends ``dst``, and ``recvs[src]`` the columns of the receive
+    vector that ``src``'s payload fills, first bit first; ``schedule``
+    routes their frames (the :func:`payload_demand` of the column
+    counts).  Frames are cut exactly as :func:`route_payload_ints` cuts
+    the same bits.  Compiling lays the columns of the node's frames out
+    in slot order and notes each frame's bit count, so :meth:`run`
+    packs the frames it injects with one gather and one ``packbits``
+    and unpacks the ones delivered to it with one ``unpackbits`` and
+    one scatter.
+    """
+
+    __slots__ = (
+        "schedule", "node", "frame_size", "send_cols", "send_shifts",
+        "send_widths", "recv_cols", "recv_widths", "recv_tail",
+    )
+
+    def __init__(
+        self,
+        schedule: RoutingSchedule,
+        me: int,
+        frame_size: int,
+        sends: Mapping[int, Sequence[int]],
+        recvs: Mapping[int, Sequence[int]],
+    ) -> None:
+        node = schedule.route().nodes[me]
+        self.schedule = schedule
+        self.node = node
+        self.frame_size = frame_size
+        cols: List[int] = []
+        widths = []
+        for _src, dst, idx in node.inject:
+            part = sends[dst][idx * frame_size : (idx + 1) * frame_size]
+            cols += part
+            widths.append(len(part))
+        self.send_cols = np.asarray(cols, dtype=np.intp)
+        self.send_widths = tuple(widths)
+        # Frame ``i`` ends ``tail + (bits after it)`` bits above the end
+        # of the packed bytes.
+        shift = -len(cols) % 8 + len(cols)
+        shifts = []
+        for width in widths:
+            shift -= width
+            shifts.append(shift)
+        self.send_shifts = tuple(shifts)
+        cols = []
+        widths = []
+        for src, _dst, idx in node.finals:
+            part = recvs[src][idx * frame_size : (idx + 1) * frame_size]
+            cols += part
+            widths.append(len(part))
+        self.recv_cols = np.asarray(cols, dtype=np.intp)
+        self.recv_widths = tuple(widths)
+        self.recv_tail = -len(cols) % 8
+
+    def run(self, ctx: Context, send_vals: np.ndarray, recv_vals: np.ndarray):
+        """Route this node's payloads out of ``send_vals`` and the ones
+        addressed to it into ``recv_vals`` (sub-generator: ``yield
+        from``).  Returns the sources whose payload lost a frame, in
+        final-hop order; their columns read 0."""
+        node = self.node
+        frame_size = self.frame_size
+        if self.send_widths:
+            word = int.from_bytes(np.packbits(send_vals[self.send_cols]).tobytes(), "big")
+            values: List[Optional[int]] = [
+                ((word >> shift) & ((1 << width) - 1)) << (frame_size - width)
+                for shift, width in zip(self.send_shifts, self.send_widths)
+            ]
+        else:
+            values = []
+        values += [None] * (node.size - len(node.inject))
+        values = yield from _drive_frames(
+            ctx, self.schedule, node, values, frame_size
+        )
+        if not node.finals:
+            return ()
+        start = len(node.inject)
+        delivered = values[start : start + len(node.finals)]
+        lost: Tuple[int, ...] = ()
+        if None in delivered:
+            lost = tuple(
+                dict.fromkeys(
+                    ref[0] for ref, value in zip(node.finals, delivered) if value is None
+                )
+            )
+            delivered = [
+                0 if ref[0] in lost else value
+                for ref, value in zip(node.finals, delivered)
+            ]
+        word = 0
+        for value, width in zip(delivered, self.recv_widths):
+            word = (word << width) | (value >> (frame_size - width))
+        tail = self.recv_tail
+        data = (word << tail).to_bytes((len(self.recv_cols) + tail) // 8, "big")
+        recv_vals[self.recv_cols] = np.unpackbits(
+            np.frombuffer(data, dtype=np.uint8), count=len(self.recv_cols)
+        )
+        return lost
+
+
 # -- kernel form --------------------------------------------------------
 #
 # Routing is the ideal kernel workload: a frame's value never changes,
@@ -290,49 +643,6 @@ def route_payloads(
 # Each round therefore compiles to one gather (pick the frames moving
 # this round out of the frame-value matrix) and one scatter (write what
 # the links delivered back into it) — no per-node stepping at all.
-
-
-class FrameRoute:
-    """``schedule`` compiled for the kernel form, once per schedule.
-
-    Every frame gets a dense *slot* (first-appearance order) — its
-    column in the ``K × len(slot_of)`` frame-value matrix — and every
-    round becomes its ``(sender, dests)`` pairs in builder order
-    (ascending sender, that sender's send-plan order) plus the slot
-    vector of the frames those hops carry.  ``finals`` lists
-    ``(destination, refs, slots)`` per destination, each in final-hop
-    order.
-    """
-
-    __slots__ = ("slot_of", "rounds", "finals")
-
-    def __init__(self, schedule: RoutingSchedule) -> None:
-        slot_of: Dict[FrameRef, int] = {}
-        finals: Dict[int, Tuple[list, list]] = {}
-        rounds = []
-        for r in range(schedule.num_rounds):
-            sends = schedule.send_plan[r]
-            recv = schedule.recv_plan[r]
-            pairs = []
-            slots = []
-            for sender in sorted(sends):
-                dests = []
-                for recipient, frame in sends[sender]:
-                    slot = slot_of.setdefault(frame, len(slot_of))
-                    dests.append(recipient)
-                    slots.append(slot)
-                    if recv[(sender, recipient)][1]:
-                        refs, final_slots = finals.setdefault(recipient, ([], []))
-                        refs.append(frame)
-                        final_slots.append(slot)
-                pairs.append((sender, dests))
-            rounds.append((pairs, np.asarray(slots, dtype=np.intp)))
-        self.slot_of = slot_of
-        self.rounds = rounds
-        self.finals = [
-            (dest, tuple(refs), np.asarray(final_slots, dtype=np.intp))
-            for dest, (refs, final_slots) in sorted(finals.items())
-        ]
 
 
 def kernel_route_frames(
@@ -397,7 +707,7 @@ class BitRoute:
         frame_size: int,
         schedule: RoutingSchedule,
     ) -> None:
-        self.route = FrameRoute(schedule)
+        self.route = schedule.route()
         self.frame_size = frame_size
         self._nbytes = -(-frame_size // 8)
         # A frame occupies one word of whole bytes with its bits right-
@@ -471,13 +781,10 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
     raise first, with zero generator steps — :func:`kernel_route_frames`,
     whose rounds are one gather + one scatter over a frame-value matrix
     for all instances of a sweep at once."""
-    route = FrameRoute(schedule)
+    route = schedule.route()
     n = schedule.n
-    # Each node's injected frames (a frame's first hop leaves its
-    # source) in slot order, and where they go.
-    owned: List[List[FrameRef]] = [[] for _ in range(n)]
-    for ref in route.slot_of:
-        owned[ref[0]].append(ref)
+    # Each node's injected frames in slot order, and where they go.
+    owned = [node.inject for node in route.nodes]
     owned_keys = [frozenset(refs) for refs in owned]
     inject_slots = np.asarray(
         [route.slot_of[ref] for refs in owned for ref in refs], dtype=np.intp

@@ -28,12 +28,22 @@ two-phase rounds).  A proper colouring needs at least Δ colours, so the
 two-phase schedule takes at least 2·⌈Δ/n⌉ rounds; when the multiplicity
 is within that, the direct schedule wins whatever the colouring, and no
 colouring is computed.
+
+A schedule is data, fixed before any node runs, so it is compiled once
+rather than interpreted per run: :meth:`RoutingSchedule.route` builds
+its :class:`~repro.routing.lenzen.FrameRoute` (the kernel form's frame
+slots and every node's slot tables) in one pass over the hops and
+caches it on the schedule.  ``send_plan`` and ``recv_plan`` stay the
+schedule's public, readable form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
+
+if TYPE_CHECKING:
+    from repro.routing.lenzen import FrameRoute
 
 __all__ = ["FrameRef", "RoutingSchedule", "build_schedule"]
 
@@ -61,6 +71,25 @@ class RoutingSchedule:
             len(sends) for rnd in self.send_plan for sends in rnd.values()
         )
         return f"RoutingSchedule(rounds={self.num_rounds}, hops={frames})"
+
+    def route(self) -> "FrameRoute":
+        """This schedule compiled (:class:`~repro.routing.lenzen.FrameRoute`):
+        the kernel form's frame slots and every node's slot tables, built
+        in one pass over the hops at the first call and shared by every
+        later run on every engine.  A cache, not schedule content — it
+        stays out of the schedule's equality and pickled state — so a
+        schedule must not be edited once it is compiled."""
+        route = self.__dict__.get("_route")
+        if route is None:
+            from repro.routing.lenzen import FrameRoute
+
+            route = self._route = FrameRoute(self)
+        return route
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_route", None)
+        return state
 
 
 def _greedy_edge_coloring(frames: List[FrameRef]) -> Tuple[List[int], int]:

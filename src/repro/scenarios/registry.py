@@ -320,26 +320,51 @@ def _prepare_routing_many(
 
 
 #: The compiled Theorem 2 plan of each circuit family, for one n at a
-#: time.  Theorem 2's simulation is oblivious: the circuit, the gate
-#: assignment and every routing schedule are fixed by the family and n,
-#: so every coordinate at that n shares one plan, and only its inputs
-#: differ.  The scenario matrix visits a protocol's coordinates size by
-#: size, so each family builds its plan once per size.  Each family has
-#: its own slot because a process may prepare both families at one n
-#: again: ``analyze_all`` with one size re-prepares every protocol for
-#: its registry check, and a single-size sweep repeated in one process
-#: re-prepares both.  A held plan is a pure function of (family, n) that
-#: no run writes to, so sharing it across every caller in the process
-#: changes no result.
-_HELD_PLANS: Dict[str, Any] = {}
+#: time, with the programs prepared from it.  Theorem 2's simulation is
+#: oblivious: the circuit, the gate assignment and every routing
+#: schedule are fixed by the family and n, so every coordinate at that n
+#: shares one plan, and only its inputs differ.  The scenario matrix
+#: visits a protocol's coordinates size by size, so each family builds
+#: its plan once per size.  Each family has its own slot because a
+#: process may prepare both families at one n again: ``analyze_all``
+#: with one size re-prepares every protocol for its registry check, and
+#: a single-size sweep repeated in one process re-prepares both.  A held
+#: plan is a pure function of (family, n) that no run writes to, so
+#: sharing it across every caller in the process changes no result.
+_HELD_PLANS: Dict[str, "_HeldPlan"] = {}
 
 
-def _held_plan(family: str, n: int, build: Callable[[int], Any]):
-    """The compiled plan of circuit ``family`` at size ``n``: the held
-    one when it is for ``n``, else ``build(n)`` with its generator view
-    compiled (so that no engine run pays for it; the kernel program
-    built from the plan in the same prepare compiles the kernel form),
-    held in its place."""
+class _HeldPlan:
+    """A held plan and the programs prepared from it, which share its
+    lifetime: they go when the plan goes.  A program's round structure
+    depends on the plan and n alone, so one program serves every
+    coordinate of the size."""
+
+    __slots__ = ("plan", "_programs")
+
+    def __init__(self, plan) -> None:
+        self.plan = plan
+        self._programs: Dict[str, Dict[str, Any]] = {}
+
+    @property
+    def n(self) -> int:
+        return self.plan.n
+
+    def programs(self, protocol: str, build: Callable[[], Dict[str, Any]]):
+        """``protocol``'s programs for this plan, built at the first
+        call."""
+        programs = self._programs.get(protocol)
+        if programs is None:
+            programs = self._programs[protocol] = build()
+        return dict(programs)
+
+
+def _held_plan(family: str, n: int, build: Callable[[int], Any]) -> _HeldPlan:
+    """The compiled plan of circuit ``family`` at size ``n``, held with
+    its programs: the held one when it is for ``n``, else ``build(n)``
+    with its generator view compiled (so that no engine run pays for
+    it; the kernel program built from the plan in the same prepare
+    compiles the kernel form), held in its place."""
     held = _HELD_PLANS.get(family)
     if held is not None and held.n == n:
         return held
@@ -349,8 +374,8 @@ def _held_plan(family: str, n: int, build: Callable[[int], Any]):
     _HELD_PLANS.pop(family, None)
     plan = build(n)
     plan.view()
-    _HELD_PLANS[family] = plan
-    return plan
+    held = _HELD_PLANS[family] = _HeldPlan(plan)
+    return held
 
 
 def _threshold_parity_plan(n: int):
@@ -377,7 +402,8 @@ def _prepare_circuit(n: int, graph: Graph, rng: random.Random) -> PreparedScenar
     # Input bit i: does the graph contain edge (i, i+1 mod n)?  The
     # instance family shows through the input vector while the circuit
     # (and hence the round structure) depends only on n.
-    plan = _held_plan("threshold_parity", n, _threshold_parity_plan)
+    held = _held_plan("threshold_parity", n, _threshold_parity_plan)
+    plan = held.plan
     circuit = plan.circuit
     input_values = [graph.has_edge(i, (i + 1) % n) for i in range(n)]
     expected = tuple(circuit.evaluate_outputs(input_values))
@@ -402,10 +428,13 @@ def _prepare_circuit(n: int, graph: Graph, rng: random.Random) -> PreparedScenar
 
     return PreparedScenario(
         network_kwargs=dict(n=n, bandwidth=plan.bandwidth, mode=Mode.UNICAST),
-        programs={
-            "generator": make_program(plan),
-            "kernel": make_kernel_program(plan),
-        },
+        programs=held.programs(
+            "circuit_simulation",
+            lambda: {
+                "generator": make_program(plan),
+                "kernel": make_kernel_program(plan),
+            },
+        ),
         inputs=per_node,
         summarize=summarize,
         validate=validate,
@@ -418,7 +447,8 @@ def _prepare_triangle_mm(n: int, graph: Graph, rng: random.Random) -> PreparedSc
     from repro.matmul.distributed import triangle_mm_kernel_program, triangle_mm_program
 
     trials = 4
-    plan = _held_plan("strassen", n, _strassen_plan)
+    held = _held_plan("strassen", n, _strassen_plan)
+    plan = held.plan
     rows = [
         [1 if graph.has_edge(v, u) else 0 for u in range(n)] for v in range(n)
     ]
@@ -449,10 +479,13 @@ def _prepare_triangle_mm(n: int, graph: Graph, rng: random.Random) -> PreparedSc
 
     return PreparedScenario(
         network_kwargs=dict(n=n, bandwidth=plan.bandwidth, mode=Mode.UNICAST),
-        programs={
-            "generator": triangle_mm_program(graph, plan, trials),
-            "kernel": triangle_mm_kernel_program(graph, plan, trials),
-        },
+        programs=held.programs(
+            "triangle_mm",
+            lambda: {
+                "generator": triangle_mm_program(graph, plan, trials),
+                "kernel": triangle_mm_kernel_program(graph, plan, trials),
+            },
+        ),
         inputs=rows,
         summarize=summarize,
         validate=validate,

@@ -40,18 +40,19 @@ first use; both run while the scenario registry prepares a coordinate
 kernel program), so no engine run pays for them, and the registry
 holds the compiled plan for every coordinate of the same size.  For
 each phase the view lists the gate columns the player sends to each
-destination and receives from each source, and a
-:class:`~repro.circuits.vectorized.GateGroups` over the light gates it
-owns.  A player keeps its gate values in one ``uint8`` vector copied
-from a constants template; routed payloads leave and enter it as plain
-ints (:func:`~repro.routing.lenzen.route_payload_ints`), and a layer's
-light gates cost one gather and one reduction per (family, fan-in)
-group.  Heavy gates keep their reference semantics: senders call
-``partial_summary`` and owners ``combine``, reading and writing the
-same vector.  Compiling the view checks that every value a player
-sends or reads is known to it by then; each execution checks that the
-node holds every input the plan says it holds, and that every heavy
-push and routed payload planned to it arrives.  These failures raise
+destination and receives from each source, compiled with the phase's
+routing schedule into a :class:`~repro.routing.lenzen.ColumnRoute`, and
+a :class:`~repro.circuits.vectorized.GateGroups` over the light gates
+it owns.  A player keeps its gate values in one ``uint8`` vector copied
+from a constants template; routed frames are packed straight from its
+columns and unpacked straight into them, and a layer's light gates cost
+one gather and one reduction per (family, fan-in) group.  Heavy gates
+keep their reference semantics: senders call ``partial_summary`` and
+owners ``combine``, reading and writing the same vector.  Compiling the
+view checks that every value a player sends or reads is known to it by
+then; each execution checks that the node holds every input the plan
+says it holds, and that every heavy push and routed payload planned to
+it arrives whole.  These failures raise
 :class:`~repro.core.errors.SimulationPlanError` naming the player and
 the gate.
 """
@@ -68,7 +69,7 @@ from repro.circuits.vectorized import GateGroups, constant_columns
 from repro.core.bits import Bits
 from repro.core.errors import SimulationPlanError
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
-from repro.routing.lenzen import payload_demand, route_payload_ints, route_payloads
+from repro.routing.lenzen import ColumnRoute, payload_demand, route_payloads
 from repro.routing.schedule import RoutingSchedule, build_schedule
 from repro.simulation.assignment import GateAssignment, assign_gates
 
@@ -287,56 +288,6 @@ def build_plan(
     return plan
 
 
-class _Columns:
-    """The gate columns one player sends (or receives) in a routed
-    phase, concatenated peer by peer: ``peers`` lists ``(peer, width,
-    shift, mask)`` in concatenation order.  :meth:`pack` reads the
-    payload ints off the player's value vector with one gather and one
-    ``packbits``; :meth:`unpack` is its inverse scatter."""
-
-    __slots__ = ("cols", "peers", "nbytes", "pad")
-
-    def __init__(self, groups: Sequence[Tuple[int, Sequence[int]]]) -> None:
-        cols = [gid for _peer, gids in groups for gid in gids]
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.nbytes = -(-len(cols) // 8)
-        self.pad = 8 * self.nbytes - len(cols)
-        shift = 8 * self.nbytes
-        self.peers = []
-        for peer, gids in groups:
-            shift -= len(gids)
-            self.peers.append((peer, len(gids), shift, (1 << len(gids)) - 1))
-
-    def pack(self, vals: np.ndarray) -> Dict[int, int]:
-        """``{peer: payload}``, first column most significant."""
-        word = int.from_bytes(np.packbits(vals[self.cols]).tobytes(), "big")
-        return {peer: (word >> shift) & mask for peer, _w, shift, mask in self.peers}
-
-    def unpack(self, payloads: Mapping[int, int], vals: np.ndarray, me: int) -> None:
-        """Write every peer's payload back into player ``me``'s columns.
-        A payload that never arrived (a dropped frame, a crashed sender)
-        raises :class:`~repro.core.errors.SimulationPlanError` naming
-        the payload's first gate."""
-        word = 0
-        offset = 0
-        for peer, width, _shift, _mask in self.peers:
-            payload = payloads.get(peer)
-            if payload is None:
-                gate = int(self.cols[offset])
-                raise SimulationPlanError(
-                    f"player {me} never received the payload from gate "
-                    f"{gate} on, which player {peer} routes to it",
-                    me,
-                    gate,
-                )
-            word = (word << width) | payload
-            offset += width
-        data = (word << self.pad).to_bytes(self.nbytes, "big")
-        vals[self.cols] = np.unpackbits(
-            np.frombuffer(data, dtype=np.uint8), count=len(self.cols)
-        )
-
-
 def _split_order(order: Mapping[Pair, Sequence[int]], n: int):
     """Per player, the ``(peer, gate ids)`` payloads it sends and
     receives under a routed phase's ``order``."""
@@ -384,17 +335,19 @@ class _Knowledge:
     def learn(self, cols) -> None:
         self.known[cols] = True
 
-    def route(self, split, lengths, schedule, where: str):
-        """The player's share of a routed phase: ``(lengths, schedule,
-        send columns, receive columns)``."""
+    def route(self, split, order, schedule, bandwidth: int, where: str):
+        """The player's share of a routed phase: its compiled
+        :class:`~repro.routing.lenzen.ColumnRoute` and the phase's
+        public ``order``."""
         sends, recvs = split[0][self.player], split[1][self.player]
-        send = _Columns(sends) if sends else None
-        recv = _Columns(recvs) if recvs else None
-        if send is not None:
-            self.require(send.cols, "sends", where)
-        if recv is not None:
-            self.learn(recv.cols)
-        return lengths, schedule, send, recv
+        self.require(
+            [gid for _dst, gids in sends for gid in gids], "sends", where
+        )
+        self.learn([gid for _src, gids in recvs for gid in gids])
+        route = ColumnRoute(
+            schedule, self.player, bandwidth, dict(sends), dict(recvs)
+        )
+        return route, order
 
     def push(self, split, where: str):
         """The player's share of a push round: ``(receivers, their
@@ -424,7 +377,9 @@ class PlayerView:
     layer without one, the push round, the light-wire route, and a
     :class:`~repro.circuits.vectorized.GateGroups` over the player's
     light gates (``None`` where the layer has no such phase for it).
-    ``outputs`` are the output gates the player owns."""
+    A routed phase (``inputs``, a layer's route) is the player's
+    :class:`~repro.routing.lenzen.ColumnRoute` with the phase's public
+    order.  ``outputs`` are the output gates the player owns."""
 
     __slots__ = ("held", "inputs", "layer0_push", "layers", "outputs")
 
@@ -439,8 +394,9 @@ class PlayerView:
             if inputs is None
             else knows.route(
                 inputs,
-                plan.input_lengths,
+                plan.input_order,
                 plan.input_schedule,
+                plan.bandwidth,
                 "the input redistribution",
             )
         )
@@ -479,7 +435,11 @@ class PlayerView:
                 None
                 if light_split is None
                 else knows.route(
-                    light_split, lp.light_lengths, lp.light_schedule, where
+                    light_split,
+                    lp.light_order,
+                    lp.light_schedule,
+                    plan.bandwidth,
+                    where,
                 )
             )
             lights = None
@@ -587,19 +547,27 @@ def _push_round(push, vals: np.ndarray, me: int):
         vals[gid_of[sender]] = 1 if payload.to_uint() else 0
 
 
-def _route_round(ctx: Context, route, bandwidth: int, vals: np.ndarray):
-    """One routed phase: the player's send columns out as payload ints,
-    what it receives back into its receive columns."""
-    lengths, schedule, send, recv = route
-    received = yield from route_payload_ints(
-        ctx,
-        lengths,
-        {} if send is None else send.pack(vals),
-        bandwidth,
-        schedule,
-    )
-    if recv is not None:
-        recv.unpack(received, vals, ctx.node_id)
+def _route_round(ctx: Context, route, vals: np.ndarray):
+    """One routed phase: the player's send columns out, what it
+    receives back into its receive columns.  A payload that lost a
+    frame (dropped, or its sender crashed) raises
+    :class:`~repro.core.errors.SimulationPlanError` naming the
+    payload's first gate."""
+    columns, order = route
+    lost = yield from columns.run(ctx, vals, vals)
+    if lost:
+        me = ctx.node_id
+        peer, gids = next(
+            (src, gids)
+            for (src, dst), gids in order.items()
+            if dst == me and src in lost
+        )
+        raise SimulationPlanError(
+            f"player {me} never received the payload from gate "
+            f"{gids[0]} on, which player {peer} routes to it",
+            me,
+            gids[0],
+        )
 
 
 def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, bool]):
@@ -608,6 +576,15 @@ def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, boo
     detection wrapper of Section 2.1).  ``my_inputs`` must hold every
     input the plan says this node holds.  Returns ``{gate id: value}``
     for the output gates this node owns."""
+    vals = yield from run_player(ctx, plan, my_inputs)
+    outputs = plan.view().players[ctx.node_id].outputs
+    return dict(zip(outputs, vals[outputs].astype(bool).tolist()))
+
+
+def run_player(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, bool]):
+    """:func:`execute_plan` up to its last round, returning the
+    player's whole ``uint8`` value vector (the :class:`PlanView`'s
+    columns) instead of its outputs.  Sub-generator."""
     view = plan.view()
     me = ctx.node_id
     player = view.players[me]
@@ -621,10 +598,8 @@ def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, boo
             me,
             gid,
         ) from None
-    bandwidth = plan.bandwidth
-
     if player.inputs is not None:
-        yield from _route_round(ctx, player.inputs, bandwidth, vals)
+        yield from _route_round(ctx, player.inputs, vals)
     if player.layer0_push is not None:
         yield from _push_round(player.layer0_push, vals, me)
     grid = vals[None]
@@ -650,12 +625,10 @@ def execute_plan(ctx: Context, plan: SimulationPlan, my_inputs: Mapping[int, boo
         if push is not None:
             yield from _push_round(push, vals, me)
         if route is not None:
-            yield from _route_round(ctx, route, bandwidth, vals)
+            yield from _route_round(ctx, route, vals)
         if lights is not None:
             lights.evaluate(grid)
-
-    outputs = player.outputs
-    return dict(zip(outputs, vals[outputs].astype(bool).tolist()))
+    return vals
 
 
 def make_program(plan: SimulationPlan):
