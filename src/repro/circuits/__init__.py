@@ -17,7 +17,7 @@ from repro.circuits.gates import (
     ThresholdGate,
     XorGate,
 )
-from repro.circuits import arithmetic, builders, transforms
+from repro.circuits import arithmetic, builders
 
 __all__ = [
     "Circuit",
@@ -40,5 +40,4 @@ __all__ = [
     "XOR",
     "builders",
     "arithmetic",
-    "transforms",
 ]

@@ -19,12 +19,6 @@ from repro.core.network import (
     inbox_uints,
     run_protocol,
 )
-from repro.core.tracing import (
-    render_timeline,
-    traffic_by_node,
-    traffic_matrix,
-    transcript_stats,
-)
 from repro.core.phases import (
     idle,
     kernel_transmit_broadcast,
@@ -87,8 +81,4 @@ __all__ = [
     "transmit_unicast_kernel_program",
     "transmit_broadcast_kernel_program",
     "CompiledSchedule",
-    "render_timeline",
-    "traffic_by_node",
-    "traffic_matrix",
-    "transcript_stats",
 ]

@@ -65,7 +65,6 @@ __all__ = [
     "transmit_unicast",
     "transmit_broadcast",
     "transmit_broadcast_uints",
-    "transmit_unicast_acked",
     "transmit_broadcast_redundant",
     "idle",
     "kernel_transmit_unicast",
@@ -308,57 +307,11 @@ def idle(rounds: int):
 
 # -- resilient form ------------------------------------------------------
 #
-# The wrappers below buy fault tolerance with *bounded, public* extra
-# rounds: every node agrees on the schedule (number of attempts /
-# copies) without communicating, so the protocols stay synchronous and
-# the engines' round accounting stays honest — retransmissions and
-# redundant copies are charged like any other send.  They are **not**
-# oblivious: which links carry traffic in later attempts depends on
-# which earlier deliveries were lost, so they have no kernel twin.
-
-
-def transmit_unicast_acked(
-    ctx: Context,
-    payloads: Mapping[int, Bits],
-    max_bits: int,
-    attempts: int = 2,
-):
-    """:func:`transmit_unicast` hardened against message *loss*: up to
-    ``attempts`` rounds of (transmit phase + one 1-bit ack round), each
-    attempt retransmitting only the payloads whose receivers have not
-    acknowledged them yet.
-
-    Receivers acknowledge every sender they have heard from so far (not
-    just this attempt), so a lost *ack* merely costs one redundant
-    retransmission.  Returns the reassembled ``{sender: payload}`` dict
-    like the plain phase; a payload dropped in every attempt is simply
-    absent.  Corruption is not detected here — a flipped bit is
-    reassembled and acknowledged like any payload; pair with
-    redundant sending or validators when corruption is in the fault
-    model.  Costs at most ``attempts * (phase_length(max_bits, b) + 1)``
-    rounds, identical on every node.
-    """
-    if attempts < 1:
-        raise ValueError("attempts must be at least 1")
-    received: Dict[int, Bits] = {}
-    remaining = dict(payloads)
-    for _ in range(attempts):
-        got = yield from transmit_unicast(ctx, remaining, max_bits)
-        for sender, payload in got.items():
-            # First delivery wins: a retransmission of something we
-            # already reassembled (its ack was lost) changes nothing.
-            received.setdefault(sender, payload)
-        acks = {sender: 1 for sender in received}
-        inbox = yield (
-            Outbox.fixed_width_map(acks, 1) if acks else Outbox.silent()
-        )
-        acked = {sender for sender, value in inbox_uints(inbox) if value == 1}
-        remaining = {
-            dest: payload
-            for dest, payload in remaining.items()
-            if dest not in acked
-        }
-    return received
+# The wrapper below buys fault tolerance with *bounded, public* extra
+# rounds: every node agrees on the number of copies without
+# communicating, so the protocols stay synchronous and the engines'
+# round accounting stays honest — redundant copies are charged like any
+# other send.
 
 
 def transmit_broadcast_redundant(

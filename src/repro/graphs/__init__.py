@@ -2,7 +2,7 @@
 subgraph search, Turán machinery, extremal and Ruzsa–Szemerédi graphs."""
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
-from repro.graphs.degeneracy import core_decomposition, degeneracy, degeneracy_ordering
+from repro.graphs.degeneracy import degeneracy, degeneracy_ordering
 from repro.graphs.generators import (
     complete_bipartite,
     complete_graph,
@@ -21,11 +21,10 @@ from repro.graphs.subgraph_iso import (
     contains_subgraph,
     count_copies,
     enumerate_copies,
-    find_clique,
     find_embedding,
     iter_embeddings,
 )
-from repro.graphs import extremal, metrics, properties, ruzsa_szemeredi, turan
+from repro.graphs import extremal, properties, ruzsa_szemeredi, turan
 
 __all__ = [
     "Graph",
@@ -33,7 +32,6 @@ __all__ = [
     "canonical_edge",
     "degeneracy",
     "degeneracy_ordering",
-    "core_decomposition",
     "empty_graph",
     "complete_graph",
     "complete_bipartite",
@@ -51,10 +49,8 @@ __all__ = [
     "contains_subgraph",
     "enumerate_copies",
     "count_copies",
-    "find_clique",
     "turan",
     "extremal",
-    "metrics",
     "properties",
     "ruzsa_szemeredi",
 ]

@@ -12,7 +12,7 @@ from typing import List, Tuple
 
 from repro.graphs.graph import Graph
 
-__all__ = ["degeneracy", "degeneracy_ordering", "core_decomposition"]
+__all__ = ["degeneracy", "degeneracy_ordering"]
 
 
 def degeneracy_ordering(graph: Graph) -> Tuple[int, List[int]]:
@@ -57,34 +57,3 @@ def degeneracy_ordering(graph: Graph) -> Tuple[int, List[int]]:
 def degeneracy(graph: Graph) -> int:
     """The degeneracy of ``graph``."""
     return degeneracy_ordering(graph)[0]
-
-
-def core_decomposition(graph: Graph) -> List[int]:
-    """Core number of every vertex (vertex v belongs to the c-core iff
-    ``cores[v] >= c``); the maximum equals the degeneracy."""
-    n = graph.n
-    cores = [0] * n
-    if n == 0:
-        return cores
-    degree = [graph.degree(v) for v in range(n)]
-    removed = [False] * n
-    order_sorted = sorted(range(n), key=lambda v: degree[v])
-    import heapq
-
-    heap = [(degree[v], v) for v in order_sorted]
-    heapq.heapify(heap)
-    current = 0
-    seen = 0
-    while heap and seen < n:
-        deg, v = heapq.heappop(heap)
-        if removed[v] or deg != degree[v]:
-            continue
-        removed[v] = True
-        seen += 1
-        current = max(current, deg)
-        cores[v] = current
-        for u in graph.neighbors(v):
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
-    return cores

@@ -1,9 +1,7 @@
 """Structural predicates on small pattern graphs.
 
 These drive the ex(n, H) dispatcher in :mod:`repro.graphs.turan` and a
-few case splits in the lower-bound constructions.  Patterns are constant
-sized, so exhaustive methods (e.g. chromatic number by branching) are
-fine.
+few case splits in the lower-bound constructions.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ __all__ = [
     "cycle_length",
     "bipartition",
     "is_bipartite",
-    "complete_bipartite_sides",
     "connected_components",
-    "chromatic_number",
 ]
 
 
@@ -94,56 +90,3 @@ def bipartition(graph: Graph) -> Optional[Tuple[Set[int], Set[int]]]:
 
 def is_bipartite(graph: Graph) -> bool:
     return bipartition(graph) is not None
-
-
-def complete_bipartite_sides(graph: Graph) -> Optional[Tuple[int, int]]:
-    """If the graph is K_{r,s} (plus possibly isolated vertices), return
-    (r, s) with r <= s; otherwise None."""
-    active = [v for v in graph.vertices() if graph.degree(v) > 0]
-    if not active:
-        return None
-    sub, _ = graph.induced_subgraph(active)
-    sides = bipartition(sub)
-    if sides is None:
-        return None
-    a, b = sides
-    if sub.m != len(a) * len(b):
-        return None
-    return tuple(sorted((len(a), len(b))))  # type: ignore[return-value]
-
-
-def chromatic_number(graph: Graph) -> int:
-    """Exact chromatic number by iterative-deepening backtracking; meant
-    for constant-sized patterns only."""
-    if graph.n == 0:
-        return 0
-    if graph.m == 0:
-        return 1
-    if bipartition(graph) is not None:
-        return 2
-    order = sorted(graph.vertices(), key=graph.degree, reverse=True)
-
-    def colourable(k: int) -> bool:
-        colours = {}
-
-        def assign(idx: int) -> bool:
-            if idx == len(order):
-                return True
-            v = order[idx]
-            used = {colours[u] for u in graph.neighbors(v) if u in colours}
-            for c in range(k):
-                if c not in used:
-                    colours[v] = c
-                    if assign(idx + 1):
-                        return True
-                    del colours[v]
-                if c not in used and c == max(colours.values(), default=-1) + 1:
-                    break  # symmetry: first use of a fresh colour suffices
-            return False
-
-        return assign(0)
-
-    k = 3
-    while not colourable(k):
-        k += 1
-    return k

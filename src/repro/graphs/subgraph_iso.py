@@ -14,7 +14,7 @@ the paper, so this is plenty fast for the instance sizes we simulate.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from repro.graphs.graph import Edge, Graph, canonical_edge
 
@@ -24,7 +24,6 @@ __all__ = [
     "iter_embeddings",
     "enumerate_copies",
     "count_copies",
-    "find_clique",
 ]
 
 
@@ -130,33 +129,3 @@ def enumerate_copies(
 def count_copies(host: Graph, pattern: Graph) -> int:
     """Number of distinct copies (by edge set) of ``pattern`` in ``host``."""
     return len(enumerate_copies(host, pattern))
-
-
-def find_clique(host: Graph, size: int) -> Optional[Tuple[int, ...]]:
-    """Fast path: find a clique of the given size, or None.
-
-    Simple pivoting backtracking over common-neighbour sets; much faster
-    than the generic embedding search for cliques.
-    """
-    if size == 0:
-        return ()
-    vertices_by_degree = sorted(host.vertices(), key=host.degree, reverse=True)
-
-    def extend(clique: List[int], pool: Set[int]) -> Optional[Tuple[int, ...]]:
-        if len(clique) == size:
-            return tuple(clique)
-        if len(clique) + len(pool) < size:
-            return None
-        for v in sorted(pool):
-            result = extend(clique + [v], pool & host.neighbors(v))
-            if result is not None:
-                return result
-        return None
-
-    for v in vertices_by_degree:
-        if host.degree(v) < size - 1:
-            continue
-        result = extend([v], {u for u in host.neighbors(v) if u > v})
-        if result is not None:
-            return result
-    return None

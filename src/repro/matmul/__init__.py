@@ -3,11 +3,9 @@ baseline)."""
 
 from repro.matmul.boolean import (
     adjacency,
-    boolean_matmul,
     f2_matmul,
     find_triangle,
     has_triangle,
-    strassen_f2,
     triangle_count,
 )
 from repro.matmul.distributed import (
@@ -18,24 +16,14 @@ from repro.matmul.distributed import (
     triangle_mm_kernel_program,
     triangle_mm_program,
 )
-from repro.matmul.triangle_mm import (
-    detect_triangle_masked,
-    masked_product,
-    masked_triangle_witnesses,
-)
 from repro.matmul.triangles_dlp import DLPOutcome, detect_triangle_dlp, dlp_plan
 
 __all__ = [
     "adjacency",
     "f2_matmul",
-    "boolean_matmul",
-    "strassen_f2",
     "triangle_count",
     "has_triangle",
     "find_triangle",
-    "masked_product",
-    "masked_triangle_witnesses",
-    "detect_triangle_masked",
     "TriangleMMOutcome",
     "triangle_mm_program",
     "triangle_mm_kernel_program",

@@ -1,8 +1,8 @@
 """Reference (centralised) matrix algebra for Section 2.1.
 
 These numpy implementations are the ground truth against which the
-distributed protocols are tested: Boolean-semiring products, F2
-products, triangle counting via trace(A³)/6, and Strassen over F2.
+distributed protocols are tested: F2 products and triangle counting via
+trace(A³)/6.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from repro.graphs.graph import Graph
 __all__ = [
     "adjacency",
     "f2_matmul",
-    "boolean_matmul",
-    "strassen_f2",
     "triangle_count",
     "has_triangle",
     "find_triangle",
@@ -40,50 +38,6 @@ def _f2_matmul_u8(a8: np.ndarray, b8: np.ndarray) -> np.ndarray:
 
 def f2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _f2_matmul_u8(_as_f2_u8(a), _as_f2_u8(b)).astype(np.int64)
-
-
-def boolean_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Path counts can reach n, so accumulate in int32 (not uint8); the
-    # inputs still travel as compact int32 instead of int64.
-    a32 = (np.asarray(a) != 0).astype(np.int32)
-    b32 = (np.asarray(b) != 0).astype(np.int32)
-    return ((a32 @ b32) > 0).astype(np.int64)
-
-
-def strassen_f2(a: np.ndarray, b: np.ndarray, cutoff: int = 16) -> np.ndarray:
-    """Strassen's algorithm over F2 (numpy reference implementation)."""
-    return _strassen_u8(_as_f2_u8(a), _as_f2_u8(b), cutoff).astype(np.int64)
-
-
-def _strassen_u8(a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
-    n = a.shape[0]
-    if n <= cutoff:
-        return _f2_matmul_u8(a, b)
-    if n % 2:
-        padded = n + 1
-        ap = np.zeros((padded, padded), dtype=np.uint8)
-        bp = np.zeros((padded, padded), dtype=np.uint8)
-        ap[:n, :n] = a
-        bp[:n, :n] = b
-        return _strassen_u8(ap, bp, cutoff)[:n, :n]
-    h = n // 2
-    a11, a12, a21, a22 = a[:h, :h], a[:h, h:], a[h:, :h], a[h:, h:]
-    b11, b12, b21, b22 = b[:h, :h], b[:h, h:], b[h:, :h], b[h:, h:]
-    one = np.uint8(1)
-    m1 = _strassen_u8((a11 + a22) & one, (b11 + b22) & one, cutoff)
-    m2 = _strassen_u8((a21 + a22) & one, b11, cutoff)
-    m3 = _strassen_u8(a11, (b12 + b22) & one, cutoff)
-    m4 = _strassen_u8(a22, (b21 + b11) & one, cutoff)
-    m5 = _strassen_u8((a11 + a12) & one, b22, cutoff)
-    m6 = _strassen_u8((a21 + a11) & one, (b11 + b12) & one, cutoff)
-    m7 = _strassen_u8((a12 + a22) & one, (b21 + b22) & one, cutoff)
-    c11 = (m1 + m4 + m5 + m7) & one
-    c12 = (m3 + m5) & one
-    c21 = (m2 + m4) & one
-    c22 = (m1 + m2 + m3 + m6) & one
-    return np.vstack(
-        (np.hstack((c11, c12)), np.hstack((c21, c22)))
-    )
 
 
 def triangle_count(graph: Graph) -> int:

@@ -15,8 +15,11 @@ Protocol per trial (mask r drawn from the shared public coin):
 
 1. Player i locally masks its adjacency row: M_i = A_i ∘ r.
 2. The circuit computes C = M · A over F2 via ``execute_plan``.
-3. Output entries C[i][j] are routed to player i (Remark 3's output
-   redistribution), who checks A_ij ∧ C_ij — a triangle witness.
+3. Output entries C[i][j] are routed from their simulation owners to
+   player i, who checks A_ij ∧ C_ij — a triangle witness.  This is the
+   library's Remark 3 router (output redistribution): row i of C lands
+   at player i, the convention Censor-Hillel et al., "Algebraic Methods
+   in the Congested Clique", use for their matrix algorithms.
 4. One unicast round aggregates the flags at player 0.
 
 All heavy exchanges here — the circuit simulation's routed phases and
@@ -165,9 +168,18 @@ def triangle_mm_program(
         me = ctx.node_id
         row = list(ctx.input)
         out_route, own_gids, own_columns = routes[me]
+        # Every node draws the same masks from the public coin, so the
+        # first node to get here draws all trials' masks for the run.
+        key = (triangle_mm_program, size, trials)
+        masks = ctx.memo.get(key)
+        if masks is None:
+            coin = ctx.shared_rng
+            masks = ctx.memo[key] = tuple(
+                tuple(coin.randint(0, 1) for _ in range(size))
+                for _ in range(trials)
+            )
         found_local: Optional[Tuple[int, int]] = None
-        for _trial in range(trials):
-            mask = [ctx.shared_rng.randint(0, 1) for _ in range(size)]
+        for mask in masks:
             masked_row = [row[j] & mask[j] for j in range(size)]
             my_inputs: Dict[int, bool] = {}
             for j in range(size):

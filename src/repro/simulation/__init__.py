@@ -4,13 +4,10 @@ from repro.simulation.assignment import GateAssignment, assign_gates
 from repro.simulation.kernel import make_kernel_program
 from repro.simulation.protocol import (
     LayerPlan,
-    OutputRouting,
     SimulationPlan,
-    build_output_routing,
     build_plan,
     execute_plan,
     make_program,
-    redistribute_outputs,
     simulate_circuit,
     simulate_circuit_many,
 )
@@ -26,7 +23,4 @@ __all__ = [
     "make_kernel_program",
     "simulate_circuit",
     "simulate_circuit_many",
-    "OutputRouting",
-    "build_output_routing",
-    "redistribute_outputs",
 ]

@@ -69,7 +69,7 @@ from repro.circuits.vectorized import GateGroups, constant_columns
 from repro.core.bits import Bits
 from repro.core.errors import SimulationPlanError
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
-from repro.routing.lenzen import ColumnRoute, payload_demand, route_payloads
+from repro.routing.lenzen import ColumnRoute, payload_demand
 from repro.routing.schedule import RoutingSchedule, build_schedule
 from repro.simulation.assignment import GateAssignment, assign_gates
 
@@ -718,61 +718,3 @@ def simulate_circuit_many(
                 outputs.update(node_output)
         all_outputs.append(outputs)
     return all_outputs, results, plan
-
-
-@dataclass
-class OutputRouting:
-    """Remark 3: a public plan for redistributing multi-bit operator
-    outputs from their simulation owners to caller-chosen players."""
-
-    order: Dict[Pair, List[int]] = field(default_factory=dict)
-    lengths: Dict[Pair, int] = field(default_factory=dict)
-    schedule: Optional[RoutingSchedule] = None
-    target_of: Dict[int, int] = field(default_factory=dict)
-
-
-def build_output_routing(
-    plan: SimulationPlan, target_of: Mapping[int, int]
-) -> OutputRouting:
-    """Plan the Remark 3 output redistribution: every output gate id in
-    ``target_of`` is shipped from its owner to ``target_of[gid]``."""
-    routing = OutputRouting(target_of=dict(target_of))
-    for gid in plan.circuit.outputs:
-        if gid not in target_of:
-            continue
-        src = plan.assignment.owner[gid]
-        dst = target_of[gid]
-        if src != dst:
-            routing.order.setdefault((src, dst), []).append(gid)
-    routing.lengths = {pair: len(gids) for pair, gids in routing.order.items()}
-    routing.schedule = build_schedule(
-        payload_demand(routing.lengths, plan.bandwidth), plan.n
-    )
-    return routing
-
-
-def redistribute_outputs(
-    ctx: Context,
-    plan: SimulationPlan,
-    routing: OutputRouting,
-    values: Mapping[int, bool],
-):
-    """Execute the Remark 3 redistribution (sub-generator).  ``values``
-    is this node's gate-value map from :func:`execute_plan`; returns the
-    {gate id: value} entries this node is a target for."""
-    me = ctx.node_id
-    payloads = {}
-    for (src, dst), gids in routing.order.items():
-        if src == me:
-            payloads[dst] = Bits.from_bools([values[g] for g in gids])
-    received = yield from route_payloads(
-        ctx, routing.lengths, payloads, plan.bandwidth, routing.schedule
-    )
-    mine: Dict[int, bool] = {}
-    for gid, target in routing.target_of.items():
-        if target == me and plan.assignment.owner[gid] == me:
-            mine[gid] = values[gid]
-    for src, bits in received.items():
-        for gid, bit in zip(routing.order[(src, me)], bits):
-            mine[gid] = bool(bit)
-    return mine

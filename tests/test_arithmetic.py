@@ -14,7 +14,7 @@ from repro.circuits.arithmetic import (
     pack_matrices,
     unpack_product,
 )
-from repro.matmul.boolean import f2_matmul, strassen_f2
+from repro.matmul.boolean import f2_matmul
 
 
 def random_matrix(size, rng):
@@ -84,12 +84,3 @@ class TestStrassenCircuit:
         circuit = matmul_circuit_strassen(5)
         assert len(circuit.outputs) == 25
         assert circuit.num_inputs == 50
-
-
-class TestStrassenNumpyReference:
-    @pytest.mark.parametrize("size", [3, 17, 33, 50])
-    def test_reference_strassen(self, size):
-        rng = np.random.default_rng(size)
-        a = rng.integers(0, 2, (size, size))
-        b = rng.integers(0, 2, (size, size))
-        assert (strassen_f2(a, b, cutoff=8) == f2_matmul(a, b)).all()

@@ -19,7 +19,6 @@ from repro.graphs import (
     random_graph,
     random_k_degenerate,
 )
-from repro.graphs.degeneracy import core_decomposition
 
 
 def random_graph_strategy():
@@ -69,13 +68,6 @@ class TestOrderingCertificate:
         _, order = degeneracy_ordering(g)
         assert sorted(order) == list(g.vertices())
 
-    @given(random_graph_strategy())
-    def test_minimality_witness(self, g):
-        """k is tight: no elimination order does better than the max core."""
-        k, _ = degeneracy_ordering(g)
-        cores = core_decomposition(g)
-        assert k == max(cores, default=0)
-
 
 class TestAgainstNetworkx:
     @given(random_graph_strategy())
@@ -85,12 +77,3 @@ class TestAgainstNetworkx:
         oracle.add_edges_from(g.edges())
         expected = max(nx.core_number(oracle).values(), default=0)
         assert degeneracy(g) == expected
-
-    @given(random_graph_strategy())
-    def test_core_decomposition_matches(self, g):
-        oracle = nx.Graph()
-        oracle.add_nodes_from(g.vertices())
-        oracle.add_edges_from(g.edges())
-        expected = nx.core_number(oracle)
-        got = core_decomposition(g)
-        assert {v: got[v] for v in g.vertices()} == dict(expected)

@@ -1,5 +1,4 @@
-"""Extension features: triangle counting (DLP) and Remark 3 output
-redistribution."""
+"""Extension features: triangle counting (DLP)."""
 
 from __future__ import annotations
 
@@ -7,17 +6,9 @@ import random
 
 import pytest
 
-from repro.circuits import builders
-from repro.core.network import Mode, Network
 from repro.graphs import complete_graph, empty_graph, random_graph
 from repro.matmul import triangle_count
 from repro.matmul.triangles_dlp import count_triangles_dlp
-from repro.simulation import (
-    build_output_routing,
-    build_plan,
-    execute_plan,
-    redistribute_outputs,
-)
 
 
 class TestTriangleCounting:
@@ -54,55 +45,3 @@ class TestTriangleCounting:
         got, _ = count_triangles_dlp(graph, bandwidth=8, group_count=3)
         assert got == 4
 
-
-class TestRemark3OutputRouting:
-    def _run(self, circuit, n, targets, xs, seed=0):
-        plan = build_plan(circuit, n)
-        routing = build_output_routing(plan, targets)
-        per_node = [dict() for _ in range(n)]
-        for pos, gid in enumerate(circuit.input_ids):
-            per_node[pos % n][gid] = xs[pos]
-
-        def program(ctx):
-            values = yield from execute_plan(ctx, plan, ctx.input)
-            mine = yield from redistribute_outputs(ctx, plan, routing, values)
-            return mine
-
-        network = Network(n=n, bandwidth=plan.bandwidth, mode=Mode.UNICAST, seed=seed)
-        return network.run(program, inputs=per_node)
-
-    def test_all_outputs_to_player_zero(self):
-        circuit = builders.threshold_parity_circuit(8)
-        rng = random.Random(3)
-        xs = [rng.random() < 0.5 for _ in range(8)]
-        targets = {g: 0 for g in circuit.outputs}
-        result = self._run(circuit, 4, targets, xs)
-        expected = dict(zip(circuit.outputs, circuit.evaluate_outputs(xs)))
-        assert result.outputs[0] == expected
-        assert all(not out for out in result.outputs[1:])
-
-    def test_round_robin_targets(self):
-        circuit = builders.random_layered_circuit(
-            10, depth=3, width=6, rng=random.Random(5)
-        )
-        n = 5
-        rng = random.Random(6)
-        xs = [rng.random() < 0.5 for _ in range(10)]
-        targets = {g: i % n for i, g in enumerate(circuit.outputs)}
-        result = self._run(circuit, n, targets, xs)
-        expected = dict(zip(circuit.outputs, circuit.evaluate_outputs(xs)))
-        merged = {}
-        for out in result.outputs:
-            merged.update(out)
-        assert merged == expected
-        for player, out in enumerate(result.outputs):
-            for gid in out:
-                assert targets[gid] == player
-
-    def test_partial_targets(self):
-        """Gates not named in the target map are simply not routed."""
-        circuit = builders.parity_tree(12, 3)
-        rng = random.Random(8)
-        xs = [rng.random() < 0.5 for _ in range(12)]
-        result = self._run(circuit, 4, {}, xs)
-        assert all(out == {} for out in result.outputs)

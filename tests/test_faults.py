@@ -28,7 +28,6 @@ from repro.core.phases import (
     transmit_broadcast_kernel_program,
     transmit_broadcast_redundant,
     transmit_unicast,
-    transmit_unicast_acked,
     transmit_unicast_kernel_program,
 )
 
@@ -695,9 +694,6 @@ class TestRoundLimitWatchdog:
 
 
 class TestResilientPhases:
-    def drop_plan(self):
-        return FaultPlan(seed=19, drop_rate=0.15)
-
     def test_redundant_broadcast_discards_oversized_copies(self):
         # Node 0 broadcasts one honest copy and two whose length header
         # (31) exceeds max_bits (19) although the 38-bit stream holds 31
@@ -726,51 +722,6 @@ class TestResilientPhases:
             )
             result = network.run(program)
             assert result.outputs[1] == {0: honest}
-
-    def test_acked_retransmit_recovers_drops(self):
-        n, payload_width = 6, 10
-
-        def plain(ctx):
-            got = yield from transmit_unicast(
-                ctx,
-                {d: Bits((ctx.node_id * 57 + d) & 0x3FF, payload_width)
-                 for d in range(n) if d != ctx.node_id},
-                payload_width,
-            )
-            return sorted((s, p.to_uint()) for s, p in got.items())
-
-        def acked(ctx):
-            got = yield from transmit_unicast_acked(
-                ctx,
-                {d: Bits((ctx.node_id * 57 + d) & 0x3FF, payload_width)
-                 for d in range(n) if d != ctx.node_id},
-                payload_width,
-                attempts=3,
-            )
-            return sorted((s, p.to_uint()) for s, p in got.items())
-
-        plan = self.drop_plan()
-        lossy_plain = Network(n=n, bandwidth=WIDTH, fault_plan=plan).run(plain)
-        lossy_acked = Network(n=n, bandwidth=WIDTH, fault_plan=plan).run(acked)
-        def missing(res):
-            return sum(n - 1 - len(out) for out in res.outputs)
-
-        assert missing(lossy_acked) < missing(lossy_plain)
-        # Clean runs: identical payloads, bounded extra cost, engine parity.
-        clean_plain = Network(n=n, bandwidth=WIDTH).run(plain)
-        clean_acked = Network(n=n, bandwidth=WIDTH).run(acked)
-        assert clean_acked.outputs == clean_plain.outputs
-        assert clean_acked.rounds == 3 * (phase_length(payload_width, WIDTH) + 1)
-        fast = Network(n=n, bandwidth=WIDTH, engine="fast", fault_plan=plan).run(acked)
-        legacy = Network(n=n, bandwidth=WIDTH, engine="legacy", fault_plan=plan).run(acked)
-        assert fast.outputs == legacy.outputs
-
-    def test_acked_requires_positive_attempts(self):
-        def program(ctx):
-            yield from transmit_unicast_acked(ctx, {}, 4, attempts=0)
-
-        with pytest.raises(ValueError, match="attempts"):
-            Network(n=3, bandwidth=WIDTH).run(program)
 
     def test_redundant_broadcast_outvotes_corruption(self):
         n, payload_width = 5, 9

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 import networkx as nx
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,12 +17,9 @@ from repro.graphs import (
     path_graph,
     random_graph,
     star_graph,
-    turan_graph,
 )
 from repro.graphs.properties import (
     bipartition,
-    chromatic_number,
-    complete_bipartite_sides,
     connected_components,
     cycle_length,
     is_bipartite,
@@ -90,57 +86,3 @@ class TestPredicates:
         assert {len(a), len(b)} == {3, 4}
         assert bipartition(cycle_graph(5)) is None
         assert is_bipartite(cycle_graph(6))
-
-    def test_complete_bipartite_sides(self):
-        assert complete_bipartite_sides(complete_bipartite(2, 5)) == (2, 5)
-        assert complete_bipartite_sides(cycle_graph(4)) == (2, 2)  # C4 = K22
-        assert complete_bipartite_sides(path_graph(4)) is None
-        assert complete_bipartite_sides(Graph(3)) is None
-
-    def test_complete_bipartite_ignores_isolated(self):
-        g = Graph(7)
-        for u in range(2):
-            for v in range(2, 5):
-                g.add_edge(u, v)
-        assert complete_bipartite_sides(g) == (2, 3)
-
-
-class TestChromaticNumber:
-    @pytest.mark.parametrize(
-        "graph,expected",
-        [
-            (Graph(3), 1),
-            (path_graph(5), 2),
-            (cycle_graph(6), 2),
-            (cycle_graph(5), 3),
-            (complete_graph(4), 4),
-            (turan_graph(9, 3), 3),
-            (star_graph(5), 2),
-        ],
-    )
-    def test_known_values(self, graph, expected):
-        assert chromatic_number(graph) == expected
-
-    def test_empty(self):
-        assert chromatic_number(Graph(0)) == 0
-
-    @given(
-        st.builds(
-            lambda n, s, p: random_graph(n, p, random.Random(s)),
-            st.integers(2, 9),
-            st.integers(0, 10**5),
-            st.floats(0.2, 0.8),
-        )
-    )
-    def test_proper_colouring_exists(self, g):
-        """chromatic_number(k) is feasible: verify a greedy colouring
-        with k colours never needs more than χ, and χ-1 is infeasible
-        implicitly via the clique bound."""
-        chi = chromatic_number(g)
-        from repro.graphs import find_clique
-
-        # clique number lower-bounds chi
-        for size in range(g.n, 0, -1):
-            if find_clique(g, size):
-                assert chi >= size
-                break

@@ -17,7 +17,6 @@ from repro.graphs import (
     count_copies,
     cycle_graph,
     enumerate_copies,
-    find_clique,
     find_embedding,
     path_graph,
     random_graph,
@@ -99,37 +98,8 @@ class TestKnownCases:
         assert not contains_subgraph(path_graph(3), pattern)
 
 
-class TestFindClique:
-    def test_exact_clique(self):
-        g = complete_graph(6)
-        for size in range(1, 7):
-            clique = find_clique(g, size)
-            assert clique is not None and len(clique) == size
-
-    def test_absent_clique(self):
-        assert find_clique(complete_bipartite(4, 4), 3) is None
-
-    def test_planted_clique(self):
-        rng = random.Random(3)
-        g = random_graph(20, 0.2, rng)
-        from repro.graphs import plant_subgraph
-
-        plant_subgraph(g, complete_graph(5), rng)
-        clique = find_clique(g, 5)
-        assert clique is not None
-        for i, u in enumerate(clique):
-            for v in clique[i + 1 :]:
-                assert g.has_edge(u, v)
-
-
 class TestAgainstNetworkx:
     @given(host_strategy, st.sampled_from(patterns))
     def test_containment_matches(self, host, named_pattern):
         _name, pattern = named_pattern
         assert contains_subgraph(host, pattern) == nx_contains(host, pattern)
-
-    @given(host_strategy)
-    def test_clique_matches_generic(self, host):
-        for size in (3, 4):
-            fast = find_clique(host, size) is not None
-            assert fast == contains_subgraph(host, complete_graph(size))

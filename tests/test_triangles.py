@@ -1,5 +1,5 @@
-"""Triangle detection: DLP baseline, masked-F2 reference, and the full
-Section 2.1 matmul pipeline."""
+"""Triangle detection: the centralised reference, the DLP baseline, and
+the full Section 2.1 matmul pipeline."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.graphs import (
 )
 from repro.matmul import (
     detect_triangle_dlp,
-    detect_triangle_masked,
     detect_triangle_mm,
     find_triangle,
     has_triangle,
@@ -35,19 +34,6 @@ class TestReference:
         tri = find_triangle(complete_graph(4))
         assert tri is not None and len(set(tri)) == 3
         assert find_triangle(complete_bipartite(3, 3)) is None
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_masked_detection_sound_and_complete(self, seed):
-        rng = random.Random(seed)
-        g = random_graph(20, 0.2, rng)
-        truth = has_triangle(g)
-        found, witness = detect_triangle_masked(g, trials=12, rng=rng)
-        if found:
-            assert truth  # one-sided: no false positives
-            u, v = witness
-            assert g.has_edge(u, v)
-        if truth:
-            assert found  # 12 trials: miss probability 2^-12
 
 
 class TestDLP:
