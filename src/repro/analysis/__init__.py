@@ -1,6 +1,6 @@
-"""Analysis layer: predicted bounds, report tables, and the static
-protocol verifier (bandwidth budgets checked at prepare, registry
-consistency, determinism lint — see ``python -m repro.analysis``)."""
+"""Analysis layer: predicted bounds, report tables, and the bandwidth
+budgets every protocol spec declares (checked once per scenario
+coordinate, right after ``prepare``)."""
 
 from repro.analysis.bounds import (
     dlp_round_bound,
@@ -17,30 +17,7 @@ from repro.analysis.bounds import (
 from repro.analysis.budget import (
     BandwidthBudget, BudgetCheck, check_budget, check_prepared, log2_ceil,
 )
-from repro.analysis.lint import LintFinding, lint_file, lint_paths, lint_source
 from repro.analysis.reporting import Table, fmt, geometric_mean, ratio
-
-# The verifier imports the scenario registry, which itself imports
-# repro.analysis.budget (budgets live on ProtocolSpec); loading it lazily
-# keeps this package importable from the registry without a cycle.
-_VERIFIER_EXPORTS = (
-    "AnalysisReport",
-    "ProtocolAnalysis",
-    "RegistryFinding",
-    "analyze_all",
-    "analyze_protocol",
-    "check_registry",
-    "DEFAULT_SIZES",
-)
-
-
-def __getattr__(name):
-    if name in _VERIFIER_EXPORTS:
-        from repro.analysis import verifier
-
-        return getattr(verifier, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "theorem2_round_bound",
@@ -62,9 +39,4 @@ __all__ = [
     "check_budget",
     "check_prepared",
     "log2_ceil",
-    "LintFinding",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
-    *_VERIFIER_EXPORTS,
 ]

@@ -16,8 +16,7 @@ concrete bound: a protocol declares the coefficients of
 and :func:`check_prepared` compares a prepared instance's declared
 network ``bandwidth`` against it.  Every engine rejects a message wider than
 that bandwidth, so the comparison needs ``prepare`` alone: the scenario
-matrix makes it once per coordinate before any engine runs, and
-``python -m repro.analysis`` makes it per protocol × n.  The
+matrix makes it once per coordinate before any engine runs.  The
 :math:`L^2` term admits the paper's simulation-based protocols, whose
 word size carries a :math:`\\log^2 n` factor from pointer-per-level
 encodings.
@@ -30,7 +29,7 @@ an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 __all__ = ["BandwidthBudget", "BudgetCheck", "check_budget", "check_prepared", "log2_ceil"]
 
@@ -82,33 +81,10 @@ class BudgetCheck:
     ok: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "allowed": self.allowed,
-            "observed": self.observed,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
 
-
-def check_budget(
-    budget: Optional[BandwidthBudget], n: int, observed_bits: int
-) -> BudgetCheck:
+def check_budget(budget: BandwidthBudget, n: int, observed_bits: int) -> BudgetCheck:
     """Compare a protocol's worst-case message width against its
-    declared budget at size ``n``.
-
-    A missing budget is itself a violation in strict mode — every
-    registered protocol must state its width bound explicitly.
-    """
-    if budget is None:
-        return BudgetCheck(
-            n=n,
-            allowed=0,
-            observed=observed_bits,
-            ok=False,
-            detail="no bandwidth_budget declared",
-        )
+    declared budget at size ``n``."""
     allowed = budget.bits(n)
     ok = observed_bits <= allowed
     detail = (
@@ -124,9 +100,7 @@ def check_budget(
     )
 
 
-def check_prepared(
-    budget: Optional[BandwidthBudget], n: int, prepared: Any
-) -> BudgetCheck:
+def check_prepared(budget: BandwidthBudget, n: int, prepared: Any) -> BudgetCheck:
     """:func:`check_budget` for a prepared scenario: its width is the
     network ``bandwidth`` it declares, the widest message any engine
     accepts from it."""

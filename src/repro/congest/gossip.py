@@ -29,13 +29,6 @@ from repro.graphs.subgraph_iso import find_embedding
 __all__ = ["gossip_rows_program", "gossip_detect", "cut_bits"]
 
 
-def _row_message(node: int, row: int, n: int) -> Bits:
-    writer = BitWriter()
-    writer.write_uint(node, max(1, (n - 1).bit_length()))
-    writer.write_uint(row, n)
-    return writer.getvalue()
-
-
 def _parse_rows(payload: Bits, n: int) -> Iterable[Tuple[int, int]]:
     reader = BitReader(payload)
     entry = max(1, (n - 1).bit_length()) + n

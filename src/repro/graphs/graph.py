@@ -104,9 +104,6 @@ class Graph:
     def edge_set(self) -> Set[Edge]:
         return set(self.edges())
 
-    def max_degree(self) -> int:
-        return max((len(nbrs) for nbrs in self._adj), default=0)
-
     def is_independent_set(self, vertices: Iterable[int]) -> bool:
         vs = list(vertices)
         return not any(

@@ -21,8 +21,10 @@ journaling and resume:
 Exit status is 1 when any cell fails execution or validation or does
 not match its coordinate's reference cell — so the CLI slots directly
 into CI jobs — and 2 when the sweep cannot run as asked (an unknown or
-repeated name, ``--repeats`` below 1, ``--cell-timeout`` without
-``--workers``).
+repeated name, ``--repeats`` or ``--max-attempts`` below 1,
+``--workers`` below 0, ``--cell-timeout`` without ``--workers``, a
+``--journal`` that already exists without ``--resume``, or a journal
+that ``--resume`` cannot read or that belongs to another sweep).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from repro.core.errors import SweepResumeError
 from repro.scenarios.families import family_names
 from repro.scenarios.matrix import DEFAULT_CELL_ROUND_LIMIT, ScenarioMatrix
 from repro.scenarios.registry import protocol_names
@@ -129,13 +132,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    result = matrix.run(
-        workers=args.workers,
-        journal=args.journal,
-        resume_from=args.journal if args.resume else None,
-        cell_timeout=args.cell_timeout,
-        max_attempts=args.max_attempts,
-    )
+    try:
+        result = matrix.run(
+            workers=args.workers,
+            journal=args.journal,
+            resume_from=args.journal if args.resume else None,
+            cell_timeout=args.cell_timeout,
+            max_attempts=args.max_attempts,
+        )
+    except (ValueError, SweepResumeError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.out is not None:
         result.write(args.out)
 

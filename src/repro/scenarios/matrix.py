@@ -593,14 +593,13 @@ class ScenarioMatrix:
         cell's ``prepare_seconds``.  A prepared network ``bandwidth`` over the spec's
         ``bandwidth_budget`` fails every remaining cell with
         :class:`~repro.core.errors.BandwidthExceededError` before any
-        engine runs; a spec without a budget skips the check.  Every
-        remaining engine then runs on that prepared instance.  The
-        result is a pure function of the coordinate and this matrix's
-        cell settings: the graph rng, the network seed and the protocol
-        instance all derive from ``(seed, protocol, family, n)``, so any
-        process, scheduling order or attempt yields the same cells.  They
-        come back in ``engines`` order, without the cross-cell verdicts
-        :meth:`_finalize_coordinate` stamps.
+        engine runs.  Every remaining engine then runs on that prepared
+        instance.  The result is a pure function of the coordinate and
+        this matrix's cell settings: the graph rng, the network seed and
+        the protocol instance all derive from ``(seed, protocol, family,
+        n)``, so any process, scheduling order or attempt yields the same
+        cells.  They come back in ``engines`` order, without the
+        cross-cell verdicts :meth:`_finalize_coordinate` stamps.
         """
         import random
 
@@ -627,10 +626,9 @@ class ScenarioMatrix:
             prepare_seconds = time.perf_counter() - start  # analysis: allow(wall-clock)
             for cell in supported:
                 cell.prepare_seconds = prepare_seconds
-            if spec.bandwidth_budget is not None:
-                budget = check_prepared(spec.bandwidth_budget, n, prepared)
-                if not budget.ok:
-                    raise BandwidthExceededError(f"{spec.name}: {budget.detail}")
+            budget = check_prepared(spec.bandwidth_budget, n, prepared)
+            if not budget.ok:
+                raise BandwidthExceededError(f"{spec.name}: {budget.detail}")
         except Exception as exc:  # noqa: BLE001 - isolate the coordinate
             for cell in supported:
                 _failure_fields(cell, exc)

@@ -82,7 +82,6 @@ class ProtocolSpec:
 
     name: str
     description: str
-    mode: Mode
     #: Engine names (keys of ``repro.core.engine.ENGINES``) this
     #: protocol runs on.
     engines: Tuple[str, ...]
@@ -92,12 +91,8 @@ class ProtocolSpec:
     #: clique model's O(c·log n) constraint made concrete and
     #: machine-checkable.  Every scenario-matrix coordinate checks its
     #: prepared network ``bandwidth`` against it before any engine runs
-    #: (an over-budget coordinate fails with BandwidthExceededError),
-    #: and ``python -m repro.analysis`` makes the same check per
-    #: protocol × n.  A spec without a budget skips the matrix check,
-    #: but in strict mode the analyzer reports the missing budget as a
-    #: violation, so registered protocols must declare one.
-    bandwidth_budget: Optional[BandwidthBudget] = None
+    #: (an over-budget coordinate fails with BandwidthExceededError).
+    bandwidth_budget: BandwidthBudget
 
     def program_for(self, engine: str) -> str:
         """Which program flavour the named engine executes."""
@@ -137,7 +132,6 @@ class ProtocolSpec:
             (
                 self.name,
                 self.description,
-                self.mode,
                 self.engines,
                 self.prepare,
                 self.bandwidth_budget,
@@ -148,10 +142,9 @@ class ProtocolSpec:
 def _restore_spec(
     name: str,
     description: str,
-    mode: Mode,
     engines: Tuple[str, ...],
     prepare: Callable[[int, Graph, random.Random], PreparedScenario],
-    bandwidth_budget: Optional[BandwidthBudget],
+    bandwidth_budget: BandwidthBudget,
 ) -> "ProtocolSpec":
     """Unpickle hook for :class:`ProtocolSpec` (see ``__reduce__``)."""
     existing = PROTOCOLS.get(name)
@@ -161,7 +154,6 @@ def _restore_spec(
         ProtocolSpec(
             name=name,
             description=description,
-            mode=mode,
             engines=engines,
             prepare=prepare,
             bandwidth_budget=bandwidth_budget,
@@ -326,10 +318,12 @@ def _prepare_routing_many(
 #: shares one plan, and only its inputs differ.  The scenario matrix
 #: visits a protocol's coordinates size by size, so each family builds
 #: its plan once per size.  Each family has its own slot because a
-#: process may prepare both families at one n again: ``analyze_all``
-#: with one size re-prepares every protocol for its registry check, and
-#: a single-size sweep repeated in one process re-prepares both.  A held
-#: plan is a pure function of (family, n) that no run writes to, so
+#: process prepares the two families in turn, each at its own n, again
+#: and again: every pass of a perfbench ``local`` run prepares
+#: ``triangle_mm`` at n=16 and then ``circuit_simulation`` at n=64, and
+#: a single-size sweep repeated in one process re-prepares both.  One
+#: slot for both families would rebuild both plans on every pass.  A
+#: held plan is a pure function of (family, n) that no run writes to, so
 #: sharing it across every caller in the process changes no result.
 _HELD_PLANS: Dict[str, "_HeldPlan"] = {}
 
@@ -563,7 +557,6 @@ register_protocol(
     ProtocolSpec(
         name="routing",
         description="Lenzen-style frame routing of the graph's edge demand",
-        mode=Mode.UNICAST,
         engines=("legacy", "fast", "kernel"),
         prepare=_prepare_routing,
         # 16-bit frames regardless of n: the demand pattern scales, the
@@ -575,7 +568,6 @@ register_protocol(
     ProtocolSpec(
         name="routing_many",
         description="K-instance Lenzen routing through one routing schedule",
-        mode=Mode.UNICAST,
         engines=("legacy", "fast", "kernel"),
         prepare=_prepare_routing_many,
         # Same word size as ``routing``: K scales the instance count,
@@ -587,7 +579,6 @@ register_protocol(
     ProtocolSpec(
         name="circuit_simulation",
         description="Theorem 2 simulation of a threshold/parity circuit",
-        mode=Mode.UNICAST,
         engines=("legacy", "fast", "kernel"),
         prepare=_prepare_circuit,
         # The Theorem 2 simulation ships O(log n)-bit words; the
@@ -600,7 +591,6 @@ register_protocol(
     ProtocolSpec(
         name="triangle_mm",
         description="Section 2.1 matmul-circuit triangle detection",
-        mode=Mode.UNICAST,
         engines=("legacy", "fast", "kernel"),
         prepare=_prepare_triangle_mm,
         # The Strassen matmul plan's word size carries a log² factor
@@ -613,7 +603,6 @@ register_protocol(
     ProtocolSpec(
         name="subgraph_detection",
         description="full-learning C4 detection on the blackboard",
-        mode=Mode.BROADCAST,
         engines=("legacy", "fast"),
         prepare=_prepare_subgraph_detection,
         # Full-learning broadcasts adjacency rows in fixed 8-bit
@@ -626,7 +615,6 @@ register_protocol(
     ProtocolSpec(
         name="mst",
         description="Borůvka minimum spanning forest on CLIQUE-BCAST",
-        mode=Mode.BROADCAST,
         engines=("legacy", "fast"),
         prepare=_prepare_mst,
         # A Borůvka announcement is (edge, weight): two node ids plus a

@@ -36,12 +36,6 @@ class GateAssignment:
     capacity: int
     light_load: List[int] = field(default_factory=list)
 
-    def is_heavy(self, gate_id: int) -> bool:
-        return gate_id in self.heavy
-
-    def owned_by(self, player: int) -> List[int]:
-        return [gid for gid, p in enumerate(self.owner) if p == player]
-
 
 def assign_gates(circuit: Circuit, n: int) -> GateAssignment:
     """Construct the assignment I of Theorem 2's proof."""

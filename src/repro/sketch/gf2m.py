@@ -149,9 +149,6 @@ class GF2m:
         # a^(2^m - 2) = a^{-1} by Fermat.
         return self.pow(a, self.order - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # -- polynomial helpers (coefficient lists, index = degree) ----------
 
     def poly_eval(self, coeffs: List[int], x: int) -> int:

@@ -4,7 +4,9 @@ Everything in this repository's correctness story — cross-engine
 digests, fault-schedule reproducibility, compiled-schedule replay —
 rests on runs being pure functions of ``(program, inputs, seed)``.  The
 lint pass walks :mod:`repro` source with the stdlib :mod:`ast` module
-and flags the three ways that purity quietly breaks:
+and flags the three ways that purity quietly breaks
+(``test_static_analysis.py::TestLint::test_repro_tree_is_clean`` runs it
+over ``src/repro`` in the tier-1 suite):
 
 ``unseeded-random``
     Module-level ``random.*`` / ``np.random.*`` calls draw from global,
@@ -42,7 +44,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["LintFinding", "lint_source", "lint_file", "lint_paths", "RULES"]
 
@@ -90,14 +92,6 @@ class LintFinding:
     line: int
     rule: str
     message: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"

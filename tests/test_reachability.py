@@ -2,7 +2,7 @@
 imported, directly or through other modules, by a non-test entry point.
 
 The entry points are the experiments and the engine bench
-(``benchmarks/*.py``), the examples, perfbench and the two CLIs.  The
+(``benchmarks/*.py``), the examples, perfbench and the scenario CLI.  The
 walk reads their sources with :mod:`ast` and follows every ``import``
 and ``from … import``, at any depth, so an import inside a function
 counts.  A package ``__init__`` is reached whenever one of its modules
@@ -37,7 +37,6 @@ ENTRY_POINTS = [
     *sorted((ROOT / "examples").glob("*.py")),
     *sorted((ROOT / "perfbench").glob("*.py")),
     SRC / "repro" / "scenarios" / "__main__.py",
-    SRC / "repro" / "analysis" / "__main__.py",
 ]
 
 

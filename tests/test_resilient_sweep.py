@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.analysis.budget import BandwidthBudget
 from repro.core.errors import (
     CellTimeoutError,
     ReproError,
@@ -59,6 +60,9 @@ def cell_views(result):
 
 
 # -- module-level chaos protocols (picklable by reference) ----------------
+
+#: Every chaos protocol broadcasts 4-bit words.
+WORD = BandwidthBudget(flat=4)
 
 
 def _prepare_const(n, graph, rng):
@@ -140,44 +144,44 @@ def _prepare_sleepy(n, graph, rng):
 CONST = ProtocolSpec(
     name="sweeptest_const",
     description="two-round broadcast gossip, deterministic",
-    mode=Mode.BROADCAST,
     engines=("legacy", "fast"),
     prepare=_prepare_const,
+    bandwidth_budget=WORD,
 )
 LIVELOCK = ProtocolSpec(
     name="sweeptest_livelock",
     description="never terminates; exists to trip the round watchdog",
-    mode=Mode.BROADCAST,
     engines=("legacy",),
     prepare=_prepare_livelock,
+    bandwidth_budget=WORD,
 )
 FLAKY = ProtocolSpec(
     name="sweeptest_flaky",
     description="kills its worker on attempt 1, succeeds on attempt 2",
-    mode=Mode.BROADCAST,
     engines=("legacy",),
     prepare=_prepare_flaky,
+    bandwidth_budget=WORD,
 )
 POISON = ProtocolSpec(
     name="sweeptest_poison",
     description="kills its worker on every attempt",
-    mode=Mode.BROADCAST,
     engines=("legacy",),
     prepare=_prepare_poison,
+    bandwidth_budget=WORD,
 )
 COUNTED = ProtocolSpec(
     name="sweeptest_counted",
     description="two-round gossip that logs every prepare call",
-    mode=Mode.BROADCAST,
     engines=("legacy", "fast"),
     prepare=_prepare_counted,
+    bandwidth_budget=WORD,
 )
 SLEEPY = ProtocolSpec(
     name="sweeptest_sleepy",
     description="hangs in prepare, outside the round loop",
-    mode=Mode.BROADCAST,
     engines=("legacy",),
     prepare=_prepare_sleepy,
+    bandwidth_budget=WORD,
 )
 
 
@@ -420,9 +424,9 @@ class TestSpecPickling:
             ProtocolSpec(
                 name="sweeptest_lambda",
                 description="prepare is a lambda: cannot cross processes",
-                mode=Mode.BROADCAST,
                 engines=("legacy",),
                 prepare=lambda n, graph, rng: _prepare_const(n, graph, rng),
+                bandwidth_budget=WORD,
             )
         )
         matrix = ScenarioMatrix(

@@ -1,13 +1,12 @@
 """The scenario layer: protocol registry, graph families, the matrix
-runner's cross-engine reference check, and the two CLIs' argument
-checks."""
+runner's cross-engine reference check, and the CLI's argument checks."""
 
 import json
 import random
 
 import pytest
 
-from repro.core.network import Mode
+from repro.analysis.budget import BandwidthBudget, check_prepared
 from repro.scenarios import (
     FAMILIES,
     PROTOCOLS,
@@ -91,17 +90,32 @@ class TestRegistries:
         assert prepared.inputs is None
         assert prepared.validate_instance is not None
 
-    def test_prepared_scenarios_declare_kernel_flavour_consistently(self):
+    def test_prepared_scenarios_declare_kernel_flavour_consistently(
+        self, monkeypatch
+    ):
+        # Each spec prepares exactly the program flavours its engines
+        # run (no engine is left unclaimed while its flavour is
+        # prepared) within its bandwidth budget, from prepare alone.
+        from repro.core.network import Network
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a registry check ran a protocol")
+
+        monkeypatch.setattr(Network, "run", no_run)
+        monkeypatch.setattr(Network, "run_many", no_run)
         rng = random.Random(0)
-        for name in protocol_names():
-            spec = get_protocol(name)
-            graph = get_family("gnp").build(8, random.Random(name))
-            prepared = spec.prepare(8, graph, rng)
-            assert "generator" in prepared.programs
-            if "kernel" in spec.engines:
-                assert "kernel" in prepared.programs
-            assert spec.program_for("kernel") == "kernel"
-            assert spec.program_for("fast") == "generator"
+        for n in (6, 8):
+            for name in protocol_names():
+                spec = get_protocol(name)
+                graph = get_family("gnp").build(n, random.Random(name))
+                prepared = spec.prepare(n, graph, rng)
+                assert set(prepared.programs) == {
+                    spec.program_for(engine) for engine in spec.engines
+                }, name
+                budget = check_prepared(spec.bandwidth_budget, n, prepared)
+                assert budget.ok, budget.detail
+                assert spec.program_for("kernel") == "kernel"
+                assert spec.program_for("fast") == "generator"
 
 
 class TestScenarioMatrix:
@@ -181,9 +195,9 @@ class TestScenarioMatrix:
         pinned = ProtocolSpec(
             name="mst-pinned-seed",
             description="mst with a pinned network seed",
-            mode=spec.mode,
             engines=("legacy", "fast"),
             prepare=lambda n, graph, rng: _with_seed(spec.prepare(n, graph, rng)),
+            bandwidth_budget=spec.bandwidth_budget,
         )
         register_protocol(pinned)
         try:
@@ -210,9 +224,9 @@ class TestScenarioMatrix:
         spec = ProtocolSpec(
             name="broken-test",
             description="always fails to prepare",
-            mode=Mode.UNICAST,
             engines=("legacy", "fast"),
             prepare=broken_prepare,
+            bandwidth_budget=BandwidthBudget(flat=8),
         )
         register_protocol(spec)
         try:
@@ -388,34 +402,38 @@ class TestScenarioMatrix:
 
 
 @pytest.mark.parametrize(
-    "cli, argv, named",
+    "argv, named",
     [
-        ("scenarios", ["--protocols", "nosuch"], "'nosuch'"),
-        ("scenarios", ["--families", "nosuch"], "'nosuch'"),
-        ("scenarios", ["--engines", "nosuch"], "'nosuch'"),
-        ("scenarios", ["--repeats", "0"], "got 0"),
-        ("scenarios", ["--repeats", "-2"], "got -2"),
-        ("analysis", ["--protocol", "nosuch"], "'nosuch'"),
-        ("analysis", ["--family", "nosuch"], "'nosuch'"),
+        (["--protocols", "nosuch"], "'nosuch'"),
+        (["--families", "nosuch"], "'nosuch'"),
+        (["--engines", "nosuch"], "'nosuch'"),
+        (["--repeats", "0"], "got 0"),
+        (["--repeats", "-2"], "got -2"),
+        (["--max-attempts", "0"], "max_attempts must be at least 1"),
+        (["--workers", "-1"], "workers must be at least 0"),
+        (["--journal", "{existing}"], "already exists"),
+        (["--journal", "{missing}", "--resume"], "cannot read journal"),
     ],
     ids=[
         "protocols", "families", "engines", "repeats-zero",
-        "repeats-negative", "analysis-protocol", "analysis-family",
+        "repeats-negative", "max-attempts-zero", "workers-negative",
+        "journal-exists", "resume-missing",
     ],
 )
-def test_cli_rejects_bad_arguments_with_exit_2(cli, argv, named, capsys):
-    if cli == "scenarios":
-        from repro.scenarios.__main__ import main
+def test_cli_rejects_bad_arguments_with_exit_2(argv, named, tmp_path, capsys):
+    from repro.scenarios.__main__ import main
 
-        argv = ["--sizes", "6", *argv]
-    else:
-        from repro.analysis.__main__ import main
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text("{}\n")
+    paths = dict(existing=existing, missing=tmp_path / "missing.jsonl")
+    argv = ["--sizes", "6", *(arg.format(**paths) for arg in argv)]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejects a bad choice itself
         code = exc.code
     assert code == 2
     assert named in capsys.readouterr().err
+    assert existing.read_text() == "{}\n"
 
 
 class TestHeldPlans:
@@ -468,10 +486,11 @@ class TestHeldPlans:
         assert all(cell.validated is True for cell in ok)
 
     def test_each_family_keeps_its_plan(self, held, monkeypatch):
-        # One-size analysis prepares both families, then prepares both
-        # again for its registry check: each family's held plan serves
-        # its second prepare.
-        from repro.analysis import analyze_all
+        # Two passes in one process, each preparing the two families at
+        # different n (perfbench ``local``'s shape): each family's held
+        # plan serves its second prepare.  One slot for both would build
+        # all four.
+        from repro.scenarios.matrix import instance_graph
         from repro.simulation import protocol
 
         built = []
@@ -482,9 +501,14 @@ class TestHeldPlans:
             return build_plan(circuit, n, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "build_plan", counting)
-        report = analyze_all(protocols=self.PROTOCOLS, sizes=[6])
-        assert built == [6, 6]
-        assert report.violations() == []
+        for sweep_seed in (0, 1):
+            for name, n in (("triangle_mm", 6), ("circuit_simulation", 8)):
+                graph = instance_graph(sweep_seed, name, "gnp", n)
+                get_protocol(name).prepare(n, graph, random.Random(sweep_seed))
+        assert built == [6, 8]
+        assert {family: plan.n for family, plan in held.items()} == {
+            "strassen": 6, "threshold_parity": 8,
+        }
 
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_prepare_compiles_every_engine_form(self, held, monkeypatch, name):
