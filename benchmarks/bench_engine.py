@@ -36,6 +36,11 @@ of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), plus a
 Lenzen-routing sweep comparing ``route_kernel_program`` with the
 generator ``route_program`` under ``run_many``.
 
+A ``plans`` section times Theorem 2 plan builds end to end, one row
+per (circuit family, n), each in a fresh child process: the circuit,
+``build_plan``, the generator view and the kernel plan, plus the
+child's peak RSS.
+
 A ``sharded`` section runs one sweep through the sweep executor at
 several worker counts (:mod:`repro.scenarios.sweep`), asserts the
 pooled digests byte-identical to the in-process run, aggregates
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
 import statistics
@@ -582,6 +588,71 @@ def bench_sharded(quick, repeats):
     return record
 
 
+#: One Theorem 2 plan build, in a fresh interpreter: the wall seconds of
+#: the circuit, ``build_plan``, the generator view and the kernel plan,
+#: and the process's peak RSS (``VmHWM``: ``ru_maxrss`` would carry the
+#: parent's peak over the fork), as one JSON line.
+_PLAN_PROBE = """
+import json, sys, time
+family, n = sys.argv[1], int(sys.argv[2])
+from repro.simulation.protocol import build_plan
+if family == "strassen":
+    from repro.circuits.arithmetic import matmul_circuit_strassen
+    from repro.matmul.distributed import matmul_input_partition
+    circuit_of, partition = matmul_circuit_strassen, matmul_input_partition(n)
+else:
+    from repro.circuits.builders import threshold_parity_circuit
+    circuit_of, partition = threshold_parity_circuit, None
+marks = [time.perf_counter()]
+circuit = circuit_of(n)
+marks.append(time.perf_counter())
+plan = build_plan(circuit, n, partition)
+marks.append(time.perf_counter())
+plan.view()
+marks.append(time.perf_counter())
+plan.kernel_plan()
+marks.append(time.perf_counter())
+steps = [b - a for a, b in zip(marks, marks[1:])]
+print(json.dumps({
+    "gates": len(circuit), "wires": circuit.wire_count(),
+    "circuit_s": steps[0], "build_plan_s": steps[1], "view_s": steps[2],
+    "kernel_plan_s": steps[3], "total_s": sum(steps),
+    "peak_rss_mb": next(
+        int(line.split()[1]) / 1024
+        for line in open("/proc/self/status") if line.startswith("VmHWM")
+    ),
+}))
+"""
+
+
+def bench_plans(quick):
+    """Theorem 2 plan builds per (circuit family, n), each in a fresh
+    child process so its peak RSS is its own: Strassen n=16 and
+    threshold/parity n=64 (the plans the registry holds at perfbench's
+    ``local`` sizes), plus Strassen n ∈ {32, 64} and threshold/parity
+    n ∈ {128, 256} in the full sweep."""
+    rows = [("strassen", 16), ("threshold_parity", 64)]
+    if not quick:
+        rows += [("strassen", 32), ("strassen", 64),
+                 ("threshold_parity", 128), ("threshold_parity", 256)]
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    records = []
+    for family, n in rows:
+        done = subprocess.run(
+            [sys.executable, "-c", _PLAN_PROBE, family, str(n)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        record = {"family": family, "n": n, **json.loads(done.stdout)}
+        records.append(record)
+        print(
+            f"plan {family:>16} n={n:<4} circuit {record['circuit_s']:.3f}s "
+            f"build_plan {record['build_plan_s']:.3f}s view {record['view_s']:.3f}s "
+            f"kernel plan {record['kernel_plan_s']:.3f}s "
+            f"peak RSS {record['peak_rss_mb']:.1f} MB"
+        )
+    return records
+
+
 def _git(*args):
     """stdout of ``git args`` at the repo root, or None if git fails."""
     try:
@@ -638,6 +709,7 @@ def main(argv=None):
     kernels = bench_kernels(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
     sharded = bench_sharded(args.quick, repeats)
+    plans = bench_plans(args.quick)
 
     top_n = max(sizes)
     acceptance_key = f"unicast/n={top_n}"
@@ -673,6 +745,7 @@ def main(argv=None):
         "kernels": kernels,
         "faults": faults,
         "sharded": sharded,
+        "plans": plans,
         "acceptance": acceptance,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")

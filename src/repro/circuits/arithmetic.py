@@ -15,11 +15,21 @@ Two constructions are provided:
   the "size O(n^{2+ε}) circuits" of the conjecture.  The block structure
   mirrors the Bürgisser–Clausen–Shokrollahi Prop. 15.1 argument the
   paper cites for getting few wires *and* small depth.
+
+Both are built as arrays, one block of gates per matrix operation: a
+Strassen recursion level's additions, its seven sub-products and its
+quadrant sums are each one vectorized block over every sub-problem of
+that level.  Gate ids are the depth-first ids of the textbook recursion
+(first operand sums, then each product's subtree, then the quadrant
+sums), computed from the subtree sizes, so the circuit is the one the
+recursion would build gate by gate.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
+
+import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import AND, XOR
@@ -37,84 +47,132 @@ Matrix = List[List[int]]  # gate ids
 
 def matrix_inputs(circuit: Circuit, size: int) -> Matrix:
     """Add size² fresh inputs arranged row-major as a matrix of gate ids."""
-    return [[circuit.add_input() for _ in range(size)] for _ in range(size)]
+    ids = circuit.add_inputs(size * size)
+    return [ids[i * size : (i + 1) * size] for i in range(size)]
 
 
-def _xor_of(circuit: Circuit, sources: Sequence[int]) -> int:
-    if len(sources) == 1:
-        return sources[0]
-    return circuit.add_gate(XOR, list(sources))
+_XOR, _AND = 0, 1
 
 
-def _add_mats(circuit: Circuit, x: Matrix, y: Matrix) -> Matrix:
-    return [
-        [_xor_of(circuit, [x[i][j], y[i][j]]) for j in range(len(x))]
-        for i in range(len(x))
-    ]
+class _Blocks:
+    """The XOR and AND gates of one product, placed at computed ids and
+    appended to the circuit in id order as one block."""
+
+    def __init__(self, start: int, count: int) -> None:
+        self.start = start
+        self.which = np.zeros(count, dtype=np.int8)
+        self.fan_ins = np.zeros(count, dtype=np.int64)
+        self.parts = []
+
+    def add(self, which: int, ids: np.ndarray, sources: np.ndarray) -> None:
+        """Gates ``ids`` (any shape), gate ``ids[...]`` reading
+        ``sources[..., :]``."""
+        rows = ids.reshape(-1) - self.start
+        sources = sources.reshape(len(rows), -1)
+        self.which[rows] = which
+        self.fan_ins[rows] = sources.shape[1]
+        self.parts.append((rows, sources))
+
+    def emit(self, circuit: Circuit) -> None:
+        indptr = np.concatenate(([0], np.cumsum(self.fan_ins)))
+        flat = np.empty(int(indptr[-1]), dtype=np.intp)
+        for rows, sources in self.parts:
+            flat[indptr[rows][:, None] + np.arange(sources.shape[1])] = sources
+        circuit.add_gates([XOR, AND], self.which, self.fan_ins, flat)
 
 
-def _mult_naive(circuit: Circuit, a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    result: Matrix = []
-    for i in range(size):
-        row: List[int] = []
-        for j in range(size):
-            products = [
-                circuit.add_gate(AND, [a[i][k], b[k][j]]) for k in range(size)
-            ]
-            row.append(_xor_of(circuit, products))
-        result.append(row)
-    return result
-
-
-def _split(mat: Matrix) -> List[Matrix]:
-    half = len(mat) // 2
-    return [
-        [row[:half] for row in mat[:half]],
-        [row[half:] for row in mat[:half]],
-        [row[:half] for row in mat[half:]],
-        [row[half:] for row in mat[half:]],
-    ]
-
-
-def _join(c11: Matrix, c12: Matrix, c21: Matrix, c22: Matrix) -> Matrix:
-    top = [r1 + r2 for r1, r2 in zip(c11, c12)]
-    bottom = [r1 + r2 for r1, r2 in zip(c21, c22)]
-    return top + bottom
-
-
-def _mult_strassen(circuit: Circuit, a: Matrix, b: Matrix, cutoff: int) -> Matrix:
-    size = len(a)
+def _gate_count(size: int, cutoff: int) -> int:
+    """Gates one ``size × size`` product adds."""
     if size <= cutoff:
-        return _mult_naive(circuit, a, b)
-    a11, a12, a21, a22 = _split(a)
-    b11, b12, b21, b22 = _split(b)
-    # Over F2 subtraction equals addition (XOR).
-    m1 = _mult_strassen(circuit, _add_mats(circuit, a11, a22), _add_mats(circuit, b11, b22), cutoff)
-    m2 = _mult_strassen(circuit, _add_mats(circuit, a21, a22), b11, cutoff)
-    m3 = _mult_strassen(circuit, a11, _add_mats(circuit, b12, b22), cutoff)
-    m4 = _mult_strassen(circuit, a22, _add_mats(circuit, b21, b11), cutoff)
-    m5 = _mult_strassen(circuit, _add_mats(circuit, a11, a12), b22, cutoff)
-    m6 = _mult_strassen(circuit, _add_mats(circuit, a21, a11), _add_mats(circuit, b11, b12), cutoff)
-    m7 = _mult_strassen(circuit, _add_mats(circuit, a12, a22), _add_mats(circuit, b21, b22), cutoff)
-    half = len(m1)
-    c11 = [
-        [_xor_of(circuit, [m1[i][j], m4[i][j], m5[i][j], m7[i][j]]) for j in range(half)]
-        for i in range(half)
-    ]
-    c12 = [
-        [_xor_of(circuit, [m3[i][j], m5[i][j]]) for j in range(half)]
-        for i in range(half)
-    ]
-    c21 = [
-        [_xor_of(circuit, [m2[i][j], m4[i][j]]) for j in range(half)]
-        for i in range(half)
-    ]
-    c22 = [
-        [_xor_of(circuit, [m1[i][j], m2[i][j], m3[i][j], m6[i][j]]) for j in range(half)]
-        for i in range(half)
-    ]
-    return _join(c11, c12, c21, c22)
+        return size**3 + (size * size if size > 1 else 0)
+    half = size // 2
+    return 14 * half * half + 7 * _gate_count(half, cutoff)
+
+
+def _mult_naive(
+    blocks: _Blocks, a: np.ndarray, b: np.ndarray, base: np.ndarray
+) -> np.ndarray:
+    """The school method on ``K`` stacked ``s × s`` products, product
+    ``k``'s gates from ``base[k]`` on: for each entry (i, j), row-major,
+    its ``s`` ANDs a[i][l]·b[l][j], then the XOR of them (none when
+    s = 1).  Returns the ``K × s × s`` ids of the products' entries."""
+    count, size, _ = a.shape
+    stride = size + 1 if size > 1 else 1
+    entry = np.arange(size * size).reshape(size, size) * stride
+    products = (base[:, None, None] + entry)[..., None] + np.arange(size)
+    shape = (count, size, size, size)
+    blocks.add(
+        _AND,
+        products,
+        np.stack(
+            [
+                np.broadcast_to(a[:, :, None, :], shape),
+                np.broadcast_to(b.transpose(0, 2, 1)[:, None, :, :], shape),
+            ],
+            axis=-1,
+        ),
+    )
+    if size == 1:
+        return products[..., 0]
+    sums = products[..., 0] + size
+    blocks.add(_XOR, sums, products)
+    return sums
+
+
+def _mult_strassen(
+    blocks: _Blocks, a: np.ndarray, b: np.ndarray, base: np.ndarray, cutoff: int
+) -> np.ndarray:
+    """Strassen's recursion on ``K`` stacked products at once, product
+    ``k``'s gates from ``base[k]`` on, in the depth-first order of the
+    recursion: S1 = A11+A22, T1 = B11+B22, M1's subtree, S2, M2's
+    subtree, T3, M3, T4, M4, S5, M5, S6, T6, M6, S7, T7, M7, then the
+    quadrant sums C11, C12, C21, C22 (over F2, subtraction is XOR)."""
+    size = a.shape[1]
+    if size <= cutoff:
+        return _mult_naive(blocks, a, b, base)
+    half = size // 2
+    q = half * half
+    sub = _gate_count(half, cutoff)
+    a11, a12, a21, a22 = a[:, :half, :half], a[:, :half, half:], a[:, half:, :half], a[:, half:, half:]
+    b11, b12, b21, b22 = b[:, :half, :half], b[:, :half, half:], b[:, half:, :half], b[:, half:, half:]
+    grid = np.arange(q).reshape(half, half)
+
+    def xor(terms, offset):
+        ids = base[:, None, None] + offset + grid
+        blocks.add(_XOR, ids, np.stack(terms, axis=-1))
+        return ids
+
+    s1 = xor([a11, a22], 0)
+    t1 = xor([b11, b22], q)
+    s2 = xor([a21, a22], 2 * q + sub)
+    t3 = xor([b12, b22], 3 * q + 2 * sub)
+    t4 = xor([b21, b11], 4 * q + 3 * sub)
+    s5 = xor([a11, a12], 5 * q + 4 * sub)
+    s6 = xor([a21, a11], 6 * q + 5 * sub)
+    t6 = xor([b11, b12], 7 * q + 5 * sub)
+    s7 = xor([a12, a22], 8 * q + 6 * sub)
+    t7 = xor([b21, b22], 9 * q + 6 * sub)
+    starts = np.asarray(
+        [2 * q, 3 * q + sub, 4 * q + 2 * sub, 5 * q + 3 * sub,
+         6 * q + 4 * sub, 8 * q + 5 * sub, 10 * q + 6 * sub]
+    )
+    m = _mult_strassen(
+        blocks,
+        np.stack([s1, s2, a11, a22, s5, s6, s7], axis=1).reshape(-1, half, half),
+        np.stack([t1, b11, t3, t4, b22, t6, t7], axis=1).reshape(-1, half, half),
+        (base[:, None] + starts).reshape(-1),
+        cutoff,
+    ).reshape(-1, 7, half, half)
+    m1, m2, m3, m4, m5, m6, m7 = (m[:, i] for i in range(7))
+    sums = 10 * q + 7 * sub
+    c11 = xor([m1, m4, m5, m7], sums)
+    c12 = xor([m3, m5], sums + q)
+    c21 = xor([m2, m4], sums + 2 * q)
+    c22 = xor([m1, m2, m3, m6], sums + 3 * q)
+    return np.concatenate(
+        [np.concatenate([c11, c12], axis=2), np.concatenate([c21, c22], axis=2)],
+        axis=1,
+    )
 
 
 def _padded_size(size: int) -> int:
@@ -124,41 +182,47 @@ def _padded_size(size: int) -> int:
     return padded
 
 
-def _pad_matrix(circuit: Circuit, mat: Matrix, padded: int) -> Matrix:
+def _pad_matrix(circuit: Circuit, mat: np.ndarray, padded: int) -> np.ndarray:
     size = len(mat)
     if padded == size:
         return mat
-    zero = circuit.add_const(False)
-    out = [row + [zero] * (padded - size) for row in mat]
-    out.extend([[zero] * padded for _ in range(padded - size)])
+    out = np.full((padded, padded), circuit.add_const(False), dtype=np.intp)
+    out[:size, :size] = mat
     return out
+
+
+def _product(circuit: Circuit, a: np.ndarray, b: np.ndarray, cutoff: int) -> np.ndarray:
+    """Append the gates of A·B (Strassen down to ``cutoff``, the school
+    method below it) and return the ids of its entries."""
+    start = len(circuit)
+    blocks = _Blocks(start, _gate_count(len(a), cutoff))
+    c = _mult_strassen(blocks, a[None], b[None], np.asarray([start]), cutoff)[0]
+    blocks.emit(circuit)
+    return c
 
 
 def matmul_circuit_naive(size: int) -> Circuit:
     """C = A·B over F2, school method.  Inputs: A row-major, then B
     row-major; outputs: C row-major."""
     circuit = Circuit()
-    a = matrix_inputs(circuit, size)
-    b = matrix_inputs(circuit, size)
-    c = _mult_naive(circuit, a, b)
-    for row in c:
-        for gid in row:
-            circuit.mark_output(gid)
+    a = np.asarray(matrix_inputs(circuit, size), dtype=np.intp).reshape(size, size)
+    b = np.asarray(matrix_inputs(circuit, size), dtype=np.intp).reshape(size, size)
+    for gid in _product(circuit, a, b, size).reshape(-1).tolist():
+        circuit.mark_output(gid)
     return circuit
 
 
 def matmul_circuit_strassen(size: int, cutoff: int = 2) -> Circuit:
     """C = A·B over F2 by Strassen's recursion (padded to a power of 2)."""
     circuit = Circuit()
-    a = matrix_inputs(circuit, size)
-    b = matrix_inputs(circuit, size)
+    a = np.asarray(matrix_inputs(circuit, size), dtype=np.intp).reshape(size, size)
+    b = np.asarray(matrix_inputs(circuit, size), dtype=np.intp).reshape(size, size)
     padded = _padded_size(size)
     a = _pad_matrix(circuit, a, padded)
     b = _pad_matrix(circuit, b, padded)
-    c = _mult_strassen(circuit, a, b, cutoff)
-    for i in range(size):
-        for j in range(size):
-            circuit.mark_output(c[i][j])
+    c = _product(circuit, a, b, cutoff)
+    for gid in c[:size, :size].reshape(-1).tolist():
+        circuit.mark_output(gid)
     return circuit
 
 

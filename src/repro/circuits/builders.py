@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import (
     AND,
@@ -117,24 +119,51 @@ def threshold_parity_circuit(n_inputs: int) -> Circuit:
     gates EXACT_k = THR>=k AND NOT THR>=k+1 for odd k, OR-ed together.
     This is the classic TC0 parity circuit with O(n²) wires — the object
     of the Impagliazzo–Paturi–Saks wire lower bound discussed in
-    Section 2."""
+    Section 2.
+
+    Built as one block: for each odd k < n the four gates THR>=k,
+    THR>=k+1, its NOT and the AND, then THR>=n alone when n is odd, then
+    the OR of the odd detectors (when there are two or more)."""
     circuit = Circuit()
-    inputs = circuit.add_inputs(n_inputs)
-    odd_detectors: List[int] = []
-    for k in range(1, n_inputs + 1, 2):
-        at_least_k = circuit.add_gate(ThresholdGate(k), inputs)
-        if k + 1 <= n_inputs:
-            at_least_k1 = circuit.add_gate(ThresholdGate(k + 1), inputs)
-            not_k1 = circuit.add_gate(NOT, [at_least_k1])
-            odd_detectors.append(circuit.add_gate(AND, [at_least_k, not_k1]))
-        else:
-            odd_detectors.append(at_least_k)
-    root = (
-        odd_detectors[0]
-        if len(odd_detectors) == 1
-        else circuit.add_gate(OR, odd_detectors)
-    )
-    circuit.mark_output(root)
+    inputs = np.asarray(circuit.add_inputs(n_inputs), dtype=np.intp)
+    start = len(circuit)
+    pairs = n_inputs // 2
+    lone = n_inputs % 2
+    # Gate k - 1 of ``gates`` is THR>=k; NOT, AND and OR follow.
+    gates = [ThresholdGate(k) for k in range(1, n_inputs + 1)] + [NOT, AND, OR]
+    quad = start + 4 * np.arange(pairs)
+    which = np.stack(
+        [
+            2 * np.arange(pairs),
+            2 * np.arange(pairs) + 1,
+            np.full(pairs, n_inputs),
+            np.full(pairs, n_inputs + 1),
+        ],
+        axis=1,
+    ).reshape(-1)
+    fan_ins = np.tile([n_inputs, n_inputs, 1, 2], pairs)
+    sources = [
+        np.concatenate(
+            [
+                np.broadcast_to(inputs, (pairs, n_inputs)),
+                np.broadcast_to(inputs, (pairs, n_inputs)),
+                np.stack([quad + 1, quad, quad + 2], axis=1),
+            ],
+            axis=1,
+        ).reshape(-1)
+    ]
+    detectors = quad + 3
+    if lone:
+        which = np.append(which, n_inputs - 1)
+        fan_ins = np.append(fan_ins, n_inputs)
+        sources.append(inputs)
+        detectors = np.append(detectors, start + 4 * pairs)
+    if len(detectors) > 1:
+        which = np.append(which, n_inputs + 2)
+        fan_ins = np.append(fan_ins, len(detectors))
+        sources.append(detectors)
+    ids = circuit.add_gates(gates, which, fan_ins, np.concatenate(sources))
+    circuit.mark_output(int(ids[-1]))
     return circuit
 
 

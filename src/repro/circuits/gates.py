@@ -20,6 +20,10 @@ generic            raw input bits             |I_j| bits (fallback)
 
 Summaries receive *indexed* values (position in the gate's input list
 plus value) so that weighted gates know which weight applies.
+
+Gates compare and hash by class and parameters (their instance
+attributes): ``ThresholdGate(3) == ThresholdGate(3)``, so a circuit, and
+a Theorem 2 plan, equals its pickle and deepcopy round trips.
 """
 
 from __future__ import annotations
@@ -70,6 +74,23 @@ class Gate:
 
     def combine(self, summaries: Sequence[Bits], fan_in: int) -> bool:
         raise NotImplementedError
+
+    # -- identity ----------------------------------------------------------
+
+    def _params(self) -> tuple:
+        """The parameters that fix the gate's function: its instance
+        attributes."""
+        return tuple(sorted(vars(self).items()))
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._params() == other._params()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._params()))
 
     def __repr__(self) -> str:
         return self.name

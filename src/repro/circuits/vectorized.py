@@ -11,11 +11,12 @@ stays the per-gate ground truth.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import CONST_KIND
+from repro.circuits.circuit import CONST_CODE, grouped
 from repro.circuits.gates import (
     AndGate,
     ModGate,
@@ -25,25 +26,14 @@ from repro.circuits.gates import (
     XorGate,
 )
 
-__all__ = ["constant_columns", "vector_compute", "GateGroups"]
+__all__ = ["constant_columns", "vector_compute", "GateGroups", "compile_groups"]
 
 
 def constant_columns(circuit) -> Tuple[np.ndarray, np.ndarray]:
     """(gate-id columns, 0/1 values) of the circuit's constant nodes —
     the seed every fresh value matrix needs."""
-    cols = np.asarray(
-        [node.gate_id for node in circuit.nodes if node.kind == CONST_KIND],
-        dtype=np.intp,
-    )
-    vals = np.asarray(
-        [
-            1 if node.const_value else 0
-            for node in circuit.nodes
-            if node.kind == CONST_KIND
-        ],
-        dtype=np.uint8,
-    )
-    return cols, vals
+    cols = np.flatnonzero(circuit.kind_codes == CONST_CODE)
+    return cols, circuit.values[cols].astype(np.uint8)
 
 
 def vector_compute(gate, part: np.ndarray) -> np.ndarray:
@@ -80,9 +70,80 @@ def vector_compute(gate, part: np.ndarray) -> np.ndarray:
 _FAMILIES = (AndGate, OrGate, NotGate, XorGate, ModGate, ThresholdGate)
 
 
+def _families(circuit):
+    """Per entry of the circuit's gate table: its index in
+    :data:`_FAMILIES` (-1 outside them), its modulus or threshold, and
+    its weights (``None`` when unweighted)."""
+    family_of: Dict[type, int] = {}
+    codes, params, weights = [], [], []
+    for gate in circuit.gate_table:
+        kind = type(gate)
+        if kind not in family_of:
+            family_of[kind] = next(
+                (i for i, f in enumerate(_FAMILIES) if issubclass(kind, f)), -1
+            )
+        codes.append(family_of[kind])
+        params.append(
+            gate.modulus
+            if isinstance(gate, ModGate)
+            else gate.threshold if isinstance(gate, ThresholdGate) else 0
+        )
+        weights.append(gate.weights if isinstance(gate, ThresholdGate) else None)
+    return (
+        np.asarray(codes, dtype=np.int64),
+        np.asarray(params, dtype=np.int64),
+        weights,
+    )
+
+
+def compile_groups(circuit, gid_lists) -> List["GateGroups"]:
+    """One :class:`GateGroups` per list of gate ids in ``gid_lists``,
+    read off the circuit's arrays with one grouping for all of them.
+    Each list's groups come in order of first appearance in it, with
+    their gates in list order."""
+    family_codes, params, weights = circuit.derived("gate_families", _families)
+    table = circuit.gate_table
+    indices = circuit.indices
+    sizes = [len(gids) for gids in gid_lists]
+    gids = np.fromiter(chain.from_iterable(gid_lists), dtype=np.intp, count=sum(sizes))
+    lists = np.repeat(np.arange(len(sizes)), sizes)
+    slots = circuit.gate_slots[gids]
+    fan_ins = circuit.fan_ins[gids]
+    starts = circuit.indptr[gids]
+    families = family_codes[slots]
+    parts: List[Tuple[list, list]] = [([], []) for _ in sizes]
+    for i in np.flatnonzero(families < 0).tolist():
+        parts[lists[i]][1].append(
+            (int(gids[i]), table[slots[i]], indices[starts[i] : starts[i] + fan_ins[i]])
+        )
+    at = np.flatnonzero(families >= 0)
+    fan_stride = int(fan_ins.max()) + 1 if len(gids) else 1
+    keys = (lists[at] * len(_FAMILIES) + families[at]) * fan_stride + fan_ins[at]
+    for key, positions in grouped(keys, at):
+        rest, fan_in = divmod(key, fan_stride)
+        which, family_index = divmod(rest, len(_FAMILIES))
+        family = _FAMILIES[family_index]
+        positions = np.asarray(positions, dtype=np.intp)
+        member_slots = slots[positions]
+        param = group_weights = None
+        if family is ModGate or family is ThresholdGate:
+            param = params[member_slots]
+        if family is ThresholdGate:
+            rows = [weights[slot] for slot in member_slots.tolist()]
+            if any(row is not None for row in rows):
+                group_weights = np.asarray(
+                    [(1,) * fan_in if row is None else row for row in rows],
+                    dtype=np.int64,
+                )
+        cols = indices[starts[positions][:, None] + np.arange(fan_in)]
+        parts[which][0].append((family, gids[positions], cols, param, group_weights))
+    return [GateGroups(groups, others) for groups, others in parts]
+
+
 class GateGroups:
     """Gates with no dependencies among them (one layer's) compiled for
-    evaluation over a ``K × gates`` 0/1 value matrix.
+    evaluation over a ``K × gates`` 0/1 value matrix
+    (:func:`compile_groups` builds them).
 
     Gates are grouped by family and fan-in.  A group keeps its output
     columns, its ``gates × fan-in`` input columns and, where its family
@@ -94,42 +155,16 @@ class GateGroups:
 
     __slots__ = ("groups", "others")
 
-    def __init__(self, nodes, gids) -> None:
-        family_of: Dict[type, type] = {}
-        members: Dict[Tuple[type, int], List[int]] = {}
-        self.others = []
-        for gid in gids:
-            node = nodes[gid]
-            kind = type(node.gate)
-            if kind not in family_of:
-                family_of[kind] = next(
-                    (f for f in _FAMILIES if issubclass(kind, f)), None
-                )
-            family = family_of[kind]
-            if family is None:
-                cols = np.asarray(node.inputs, dtype=np.intp)
-                self.others.append((gid, node.gate, cols))
-            else:
-                members.setdefault((family, len(node.inputs)), []).append(gid)
-        self.groups = []
-        for (family, fan_in), group in members.items():
-            gates = [nodes[gid].gate for gid in group]
-            param = weights = None
-            if family is ModGate:
-                param = np.asarray([g.modulus for g in gates], dtype=np.int64)
-            elif family is ThresholdGate:
-                param = np.asarray([g.threshold for g in gates], dtype=np.int64)
-                if any(g.weights is not None for g in gates):
-                    weights = np.asarray(
-                        [
-                            (1,) * fan_in if g.weights is None else g.weights
-                            for g in gates
-                        ],
-                        dtype=np.int64,
-                    )
-            cols = np.asarray([nodes[gid].inputs for gid in group], dtype=np.intp)
-            out = np.asarray(group, dtype=np.intp)
-            self.groups.append((family, out, cols, param, weights))
+    def __init__(self, groups, others) -> None:
+        self.groups = groups
+        self.others = others
+
+    def output_columns(self) -> List[np.ndarray]:
+        """The columns the gates write, one array per group and per
+        ungrouped gate."""
+        return [group[1] for group in self.groups] + [
+            np.asarray([gid], dtype=np.intp) for gid, _gate, _cols in self.others
+        ]
 
     def input_columns(self) -> List[np.ndarray]:
         """The input columns the gates read, one array per group and

@@ -173,16 +173,24 @@ class KernelProgram:
         )
 
 
+def _has_duplicates(ordered: np.ndarray) -> bool:
+    """Whether the sorted ``ordered`` repeats a value (a sort and one
+    comparison: ``np.unique`` would import ``numpy.ma`` on its first
+    call)."""
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
 def _as_dests(dests, sender: int, n: int) -> np.ndarray:
-    arr = np.asarray(dests, dtype=np.intp).reshape(-1).copy()
+    arr = np.array(dests, dtype=np.intp).reshape(-1)
     if arr.size:
+        ordered = np.sort(arr)
         if (arr == sender).any():
             raise TopologyError(f"node {sender} sent a message to itself")
-        if int(arr.min()) < 0 or int(arr.max()) >= n:
+        if ordered[0] < 0 or ordered[-1] >= n:
             raise TopologyError(
                 f"node {sender} sent to an out-of-range destination"
             )
-        if np.unique(arr).size != arr.size:
+        if _has_duplicates(ordered):
             raise ProtocolError(
                 f"node {sender} listed a destination twice in a kernel round"
             )
@@ -321,7 +329,7 @@ class KernelBuilder:
         if arr.size:
             if int(arr.min()) < 0 or int(arr.max()) >= self.n:
                 raise TopologyError("broadcast writer out of range")
-            if np.unique(arr).size != arr.size:
+            if _has_duplicates(arr):
                 raise ProtocolError("a writer appears twice in a kernel round")
         arr.flags.writeable = False
         self.rounds.append(

@@ -39,6 +39,7 @@ over the same :class:`FrameRoute` slots.
 from __future__ import annotations
 
 import operator
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -565,31 +566,31 @@ class ColumnRoute:
         self.schedule = schedule
         self.node = node
         self.frame_size = frame_size
-        cols: List[int] = []
-        widths = []
-        for _src, dst, idx in node.inject:
-            part = sends[dst][idx * frame_size : (idx + 1) * frame_size]
-            cols += part
-            widths.append(len(part))
-        self.send_cols = np.asarray(cols, dtype=np.intp)
-        self.send_widths = tuple(widths)
+        parts = [
+            sends[dst][idx * frame_size : (idx + 1) * frame_size]
+            for _src, dst, idx in node.inject
+        ]
+        self.send_widths = widths = tuple(map(len, parts))
+        self.send_cols = np.fromiter(
+            chain.from_iterable(parts), dtype=np.intp, count=sum(widths)
+        )
         # Frame ``i`` ends ``tail + (bits after it)`` bits above the end
         # of the packed bytes.
-        shift = -len(cols) % 8 + len(cols)
+        shift = -len(self.send_cols) % 8 + len(self.send_cols)
         shifts = []
         for width in widths:
             shift -= width
             shifts.append(shift)
         self.send_shifts = tuple(shifts)
-        cols = []
-        widths = []
-        for src, _dst, idx in node.finals:
-            part = recvs[src][idx * frame_size : (idx + 1) * frame_size]
-            cols += part
-            widths.append(len(part))
-        self.recv_cols = np.asarray(cols, dtype=np.intp)
-        self.recv_widths = tuple(widths)
-        self.recv_tail = -len(cols) % 8
+        parts = [
+            recvs[src][idx * frame_size : (idx + 1) * frame_size]
+            for src, _dst, idx in node.finals
+        ]
+        self.recv_widths = widths = tuple(map(len, parts))
+        self.recv_cols = np.fromiter(
+            chain.from_iterable(parts), dtype=np.intp, count=sum(widths)
+        )
+        self.recv_tail = -len(self.recv_cols) % 8
 
     def run(self, ctx: Context, send_vals: np.ndarray, recv_vals: np.ndarray):
         """Route this node's payloads out of ``send_vals`` and the ones
@@ -707,23 +708,33 @@ class BitRoute:
         frame_size: int,
         schedule: RoutingSchedule,
     ) -> None:
-        self.route = schedule.route()
+        self.route = route = schedule.route()
         self.frame_size = frame_size
         self._nbytes = -(-frame_size // 8)
         # A frame occupies one word of whole bytes with its bits right-
         # aligned: payload bit ``offset`` lands in frame ``offset //
         # frame_size`` at word bit ``word - frame_size + offset % frame_size``.
         word = 8 * self._nbytes
-        cols = []
-        positions = []
-        for (src, dst), pair_cols in order.items():
-            for offset, col in enumerate(pair_cols):
-                idx, bit = divmod(offset, frame_size)
-                slot = self.route.slot_of[(src, dst, idx)]
-                cols.append(col)
-                positions.append(slot * word + word - frame_size + bit)
-        self._cols = np.asarray(cols, dtype=np.intp)
-        self._positions = np.asarray(positions, dtype=np.intp)
+        lengths = np.fromiter(map(len, order.values()), dtype=np.int64, count=len(order))
+        counts = -(-lengths // frame_size)
+        slot_of = route.slot_of
+        slots = np.fromiter(
+            (
+                slot_of[(src, dst, idx)]
+                for (src, dst), count in zip(order, counts.tolist())
+                for idx in range(count)
+            ),
+            dtype=np.intp,
+            count=int(counts.sum()),
+        )
+        offsets = np.arange(int(lengths.sum())) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        frames = np.repeat(np.cumsum(counts) - counts, lengths) + offsets // frame_size
+        self._cols = np.fromiter(
+            chain.from_iterable(order.values()), dtype=np.intp, count=len(offsets)
+        )
+        self._positions = slots[frames] * word + word - frame_size + offsets % frame_size
 
     def pack(self, bits):
         """The ``K × frames`` frame-value matrix of ``bits``' payloads."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -118,6 +119,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.cell_timeout is not None and not args.workers:
         print("--cell-timeout requires --workers", file=sys.stderr)
+        return 2
+    if args.workers < 0:
+        print(f"--workers must be at least 0, got {args.workers}", file=sys.stderr)
+        return 2
+    if args.max_attempts < 1:
+        print(
+            f"--max-attempts must be at least 1, got {args.max_attempts}",
+            file=sys.stderr,
+        )
+        return 2
+    if (
+        args.journal is not None
+        and not args.resume
+        and os.path.exists(args.journal)
+        and os.path.getsize(args.journal) > 0
+    ):
+        print(
+            f"journal {args.journal!r} already exists; pass --resume to "
+            "continue it or remove it to start over",
+            file=sys.stderr,
+        )
         return 2
     try:
         matrix = ScenarioMatrix(

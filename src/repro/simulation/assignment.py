@@ -12,15 +12,21 @@ but the O(·) behaviour is identical).
 
 Constant gates are special: their values are public, so they are
 excluded from all communication and carry no weight.
+
+The weights, the heavy set and the light order (heaviest first, ties by
+gate id) come from the circuit's arrays; only the min-load packing is a
+loop, over plain ints.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import List, Set
 
-from repro.circuits.circuit import CONST_KIND, Circuit
+import numpy as np
+
+from repro.circuits.circuit import CONST_CODE, Circuit
 
 __all__ = ["GateAssignment", "assign_gates"]
 
@@ -46,56 +52,50 @@ def assign_gates(circuit: Circuit, n: int) -> GateAssignment:
     heavy_threshold = 2 * n * s_param
     capacity = 4 * n * s_param
 
-    owner: List[int] = [0] * len(circuit)
-    heavy: Set[int] = set()
-
-    weights: Dict[int, int] = {}
-    for node in circuit.nodes:
-        if node.kind == CONST_KIND:
-            weights[node.gate_id] = 0
-        else:
-            weights[node.gate_id] = circuit.weight(node.gate_id)
-
-    heavy_ids = [
-        gid
-        for gid, w in weights.items()
-        if w >= heavy_threshold and circuit.node(gid).kind != CONST_KIND
-    ]
+    constant = circuit.kind_codes == CONST_CODE
+    weights = circuit.fan_ins + circuit.fan_outs
+    weights[constant] = 0
+    heavy_ids = np.flatnonzero((weights >= heavy_threshold) & ~constant)
     if len(heavy_ids) > n:
         raise AssertionError(
             f"{len(heavy_ids)} heavy gates exceed n={n}; "
             "the counting bound guarantees this cannot happen"
         )
-    for player, gid in enumerate(sorted(heavy_ids)):
-        owner[gid] = player
+    owner = np.zeros(len(circuit), dtype=np.int64)
+    owner[heavy_ids] = np.arange(len(heavy_ids))
+    heavy: Set[int] = set()
+    for gid in heavy_ids.tolist():
         heavy.add(gid)
 
-    # Pack light gates minimum-load-first; the counting argument in the
-    # proof of Theorem 2 shows capacity 4·n·s never overflows.
-    load = [0] * n
-    heap = [(0, p) for p in range(n)]
-    heapq.heapify(heap)
-    light_ids = sorted(
-        (gid for gid in weights if gid not in heavy),
-        key=lambda gid: -weights[gid],
-    )
-    for gid in light_ids:
-        w = weights[gid]
-        if w == 0:
-            owner[gid] = 0
-            continue
-        current, player = heapq.heappop(heap)
-        if current + w > capacity:
+    # Pack light gates minimum-load-first, heaviest first (a stable sort,
+    # so ties go by gate id); the counting argument in the proof of
+    # Theorem 2 shows capacity 4·n·s never overflows.  Weightless gates
+    # stay with player 0.
+    light = np.ones(len(circuit), dtype=bool)
+    light[heavy_ids] = False
+    light &= weights > 0
+    light_ids = np.flatnonzero(light)
+    light_ids = light_ids[np.argsort(-weights[light_ids], kind="stable")]
+    # A heap entry ``load * n + player`` orders as ``(load, player)``.
+    heap = list(range(n))
+    limit = (capacity + 1) * n
+    picked = []
+    for step in (weights[light_ids] * n).tolist():
+        entry = heap[0]
+        if entry + step >= limit:
             raise AssertionError(
                 "light-gate packing overflowed its capacity; "
                 "this contradicts the counting bound of Theorem 2"
             )
-        owner[gid] = player
-        load[player] = current + w
-        heapq.heappush(heap, (current + w, player))
+        picked.append(entry)
+        heapq.heapreplace(heap, entry + step)
+    owner[light_ids] = np.asarray(picked, dtype=np.int64) % n
+    load = [0] * n
+    for entry in heap:
+        load[entry % n] = entry // n
 
     return GateAssignment(
-        owner=owner,
+        owner=owner.tolist(),
         heavy=heavy,
         s_param=s_param,
         heavy_threshold=heavy_threshold,

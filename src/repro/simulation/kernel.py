@@ -20,7 +20,10 @@ appends them once per trial) without recompiling:
 * Gate evaluation is grouped
   (:class:`~repro.circuits.vectorized.GateGroups`, the evaluator the
   generator path runs per player).  Each layer's light gates, and its
-  heavy gates at their owners, are grouped by gate family and fan-in,
+  heavy gates at their owners, are grouped by gate family and fan-in
+  (every layer's at once, by
+  :func:`~repro.circuits.vectorized.compile_groups` over the circuit's
+  arrays),
   and each group is evaluated with one gather of its ``gates × fan-in``
   input columns and one reduction, for every instance at once.  Only
   gate classes outside the built-in families fall back to
@@ -29,7 +32,9 @@ appends them once per trial) without recompiling:
 * Routed payloads never become :class:`~repro.core.bits.Bits`: a
   :class:`~repro.routing.lenzen.BitRoute` gathers their bits from the
   value matrix straight into the routed frame-value matrix, and
-  scatters the frames the final hops delivered back into it.
+  scatters the frames the final hops delivered back into it; it places
+  every payload bit in the frame grid with array arithmetic, one
+  dictionary lookup per frame.
 
 Partial summaries for the heavy-gate rounds are produced per message
 (:func:`vector_summary`).  Owners evaluate a heavy gate directly from
@@ -40,6 +45,7 @@ also why the generator's ``combine`` of honest summaries matches.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -53,7 +59,7 @@ from repro.circuits.gates import (
     ThresholdGate,
     XorGate,
 )
-from repro.circuits.vectorized import GateGroups, constant_columns
+from repro.circuits.vectorized import compile_groups, constant_columns
 from repro.core.kernels import KernelBuilder
 from repro.core.network import Mode
 from repro.routing.lenzen import BitRoute, kernel_route_bits
@@ -135,7 +141,8 @@ def _summary_round(plan: SimulationPlan, lp):
     message per (contributing sender, heavy gate) carrying the sender's
     partial summary, ``messages`` as ``(gate, positions, columns,
     fan-in)``."""
-    nodes = plan.circuit.nodes
+    circuit = plan.circuit
+    table = circuit.gate_table
     entries = []
     for gid in lp.heavy_gates:
         owner = plan.assignment.owner[gid]
@@ -148,9 +155,10 @@ def _summary_round(plan: SimulationPlan, lp):
     for sender, owner, gid, positions in entries:
         by_src.setdefault(sender, []).append(owner)
         widths.append(plan.summary_width(gid))
-        node = nodes[gid]
-        cols = np.asarray([node.inputs[p] for p in positions], dtype=np.intp)
-        messages.append((node.gate, positions, cols, len(node.inputs)))
+        inputs = circuit.indices[circuit.indptr[gid] : circuit.indptr[gid + 1]]
+        messages.append(
+            (table[circuit.gate_slots[gid]], positions, inputs[positions], len(inputs))
+        )
     return sorted(by_src.items()), widths, messages
 
 
@@ -164,7 +172,7 @@ class KernelPlan:
     __slots__ = ("inputs", "layer0_push", "layers")
 
     def __init__(self, plan: SimulationPlan) -> None:
-        nodes = plan.circuit.nodes
+        circuit = plan.circuit
         self.inputs = (
             BitRoute(plan.input_order, plan.bandwidth, plan.input_schedule)
             if plan.input_lengths
@@ -173,18 +181,34 @@ class KernelPlan:
         self.layer0_push = (
             _push_round(plan.layer0_push_recv) if plan.layer0_push_recv else None
         )
+        # Every layer's heavy gates and light gates, grouped at once.
+        groups = compile_groups(
+            circuit,
+            [
+                gids
+                for lp in plan.layer_plans
+                for gids in (
+                    lp.heavy_gates,
+                    np.sort(
+                        np.fromiter(
+                            chain.from_iterable(lp.light_owned.values()), dtype=np.intp
+                        )
+                    ),
+                )
+            ],
+        )
         self.layers = []
-        for lp in plan.layer_plans:
-            lights = sorted(gid for gids in lp.light_owned.values() for gid in gids)
+        for i, lp in enumerate(plan.layer_plans):
+            heavy, lights = groups[2 * i : 2 * i + 2]
             self.layers.append(
                 (
-                    GateGroups(nodes, lp.heavy_gates) if lp.heavy_gates else None,
+                    heavy if lp.heavy_gates else None,
                     _summary_round(plan, lp) if lp.has_summary_round else None,
                     _push_round(lp.push_recv) if lp.push_recv else None,
                     BitRoute(lp.light_order, plan.bandwidth, lp.light_schedule)
                     if lp.light_lengths
                     else None,
-                    GateGroups(nodes, lights) if lights else None,
+                    lights if lp.light_owned else None,
                 )
             )
 

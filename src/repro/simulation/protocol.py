@@ -20,6 +20,10 @@ router, exactly as the paper's final remark prescribes.
 All scheduling data (which rounds exist, who sends what where, payload
 lengths) is derived from the circuit structure and the deterministic
 assignment — public information — so nodes never need to coordinate.
+:func:`build_plan` reads it off the circuit's array form
+(:mod:`repro.circuits.circuit`): one sort over the wires per kind of
+traffic gives every layer's summary senders, pushes and light-wire
+orders, in the order a loop over the gates would list them.
 The engine's round count is therefore an honest measurement of the
 simulation's round complexity, which Theorem 2 bounds by O(depth).
 
@@ -43,10 +47,12 @@ each phase the view lists the gate columns the player sends to each
 destination and receives from each source, compiled with the phase's
 routing schedule into a :class:`~repro.routing.lenzen.ColumnRoute`, and
 a :class:`~repro.circuits.vectorized.GateGroups` over the light gates
-it owns.  A player keeps its gate values in one ``uint8`` vector copied
-from a constants template; routed frames are packed straight from its
-columns and unpacked straight into them, and a layer's light gates cost
-one gather and one reduction per (family, fan-in) group.  Heavy gates
+it owns (every player's, for every layer, grouped at once by
+:func:`~repro.circuits.vectorized.compile_groups`).  A player keeps its
+gate values in one ``uint8`` vector copied from a constants template;
+routed frames are packed straight from its columns and unpacked
+straight into them, and a layer's light gates cost one gather and one
+reduction per (family, fan-in) group.  Heavy gates
 keep their reference semantics: senders call ``partial_summary`` and
 owners ``combine``, reading and writing the same vector.  Compiling the
 view checks that every value a player sends or reads is known to it by
@@ -60,12 +66,13 @@ the gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import CONST_KIND, GATE_KIND, Circuit
-from repro.circuits.vectorized import GateGroups, constant_columns
+from repro.circuits.circuit import CONST_CODE, GATE_CODE, Circuit, grouped
+from repro.circuits.vectorized import compile_groups, constant_columns
 from repro.core.bits import Bits
 from repro.core.errors import SimulationPlanError
 from repro.core.network import Context, Mode, Network, Outbox, RunResult
@@ -123,8 +130,10 @@ class SimulationPlan:
     layer_plans: List[LayerPlan] = field(default_factory=list)
 
     def summary_width(self, gid: int) -> int:
-        node = self.circuit.node(gid)
-        return node.gate.summary_width(len(node.inputs))
+        circuit = self.circuit
+        return circuit.gate_table[circuit.gate_slots[gid]].summary_width(
+            circuit.fan_in(gid)
+        )
 
     def view(self) -> "PlanView":
         """This plan compiled per player, for the generator engines:
@@ -162,23 +171,6 @@ class SimulationPlan:
         return state
 
 
-def _heavy_push_destinations(
-    circuit: Circuit, assignment: GateAssignment
-) -> Dict[int, List[int]]:
-    """For each heavy gate, the players owning at least one of its light
-    consumers (the deduplicated sends of step (b))."""
-    destinations: Dict[int, set] = {gid: set() for gid in assignment.heavy}
-    for node in circuit.nodes:
-        if node.kind != GATE_KIND:
-            continue
-        consumer_owner = assignment.owner[node.gate_id]
-        for src in node.inputs:
-            if src in assignment.heavy and consumer_owner != assignment.owner[src]:
-                if node.gate_id not in assignment.heavy:
-                    destinations[src].add(consumer_owner)
-    return {gid: sorted(dests) for gid, dests in destinations.items()}
-
-
 def build_plan(
     circuit: Circuit,
     n: int,
@@ -189,15 +181,29 @@ def build_plan(
 
     ``input_partition[i]`` names the player initially holding circuit
     input i (defaults to round-robin).
+
+    Every order is read off the circuit's arrays, one sort per kind of
+    traffic for the whole circuit, and comes out as the loop over gates
+    in id order (and each gate's inputs in order) would build it: dict
+    keys in order of first appearance, lists ascending.
     """
     assignment = assign_gates(circuit, n)
-    layers = circuit.layers()
-    owner = assignment.owner
+    owner_ids = assignment.owner
+    owner = np.asarray(owner_ids, dtype=np.int64)
+    codes = circuit.kind_codes
+    table = circuit.gate_table
+    slots = circuit.gate_slots
+    indptr = circuit.indptr
+    indices = circuit.indices
+    fan_ins = circuit.fan_ins
+    levels = circuit.levels
+    is_heavy = np.zeros(len(circuit), dtype=bool)
+    is_heavy[np.asarray(sorted(assignment.heavy), dtype=np.int64)] = True
 
     heavy_widths = [
-        circuit.node(gid).gate.summary_width(circuit.fan_in(gid))
+        table[slots[gid]].summary_width(int(fan_ins[gid]))
         for gid in assignment.heavy
-        if circuit.node(gid).kind == GATE_KIND
+        if codes[gid] == GATE_CODE
     ]
     if bandwidth is None:
         bandwidth = max([1, assignment.s_param] + heavy_widths)
@@ -207,16 +213,19 @@ def build_plan(
     )
 
     # ---- input redistribution -------------------------------------------
-    input_ids = circuit.input_ids
+    input_ids = np.asarray(circuit.input_ids, dtype=np.int64)
     if input_partition is None:
         input_partition = [i % n for i in range(len(input_ids))]
     if len(input_partition) != len(input_ids):
         raise ValueError("input_partition must name a player per input")
-    for position, gid in enumerate(input_ids):
-        holder = input_partition[position]
-        target = owner[gid]
-        if holder != target:
-            plan.input_order.setdefault((holder, target), []).append(gid)
+    holders = np.asarray(input_partition, dtype=np.int64)
+    targets = owner[input_ids]
+    moved = holders != targets
+    ids = circuit.id_objects
+    for key, gids in grouped(
+        holders[moved] * n + targets[moved], input_ids[moved], ids
+    ):
+        plan.input_order[divmod(key, n)] = gids
     plan.input_lengths = {
         pair: len(gids) for pair, gids in plan.input_order.items()
     }
@@ -224,58 +233,67 @@ def build_plan(
         payload_demand(plan.input_lengths, bandwidth), n
     )
 
-    # ---- heavy pushes ------------------------------------------------------
-    push_dests = _heavy_push_destinations(circuit, assignment)
-    layer_of: Dict[int, int] = {}
-    for level, gids in enumerate(layers):
-        for gid in gids:
-            layer_of[gid] = level
+    # ---- the wires, as (source, consumer) arrays ----------------------------
+    consumers = np.repeat(np.arange(len(circuit)), fan_ins)
+    light_gate = (codes == GATE_CODE) & ~is_heavy
+    into_light = light_gate[consumers]
+    src_owner = owner[indices]
+    dst_owner = owner[consumers]
+    remote = src_owner != dst_owner
+
+    # ---- heavy pushes: each heavy gate to the players owning a light
+    # consumer of it, deduplicated ------------------------------------------
+    pushed = is_heavy[indices] & into_light & remote
+    push_dests: Dict[int, List[int]] = {gid: [] for gid in assignment.heavy}
+    for gid, dests in grouped(indices[pushed], dst_owner[pushed]):
+        push_dests[gid] = dests
     for gid, dests in push_dests.items():
-        level = layer_of[gid]
-        for dest in dests:
-            if level == 0:
-                plan.layer0_push_recv[(owner[gid], dest)] = gid
+        if levels[gid] == 0:
+            for dest in dests:
+                plan.layer0_push_recv[(owner_ids[gid], dest)] = gid
+
+    # ---- light wires and light gates, per layer ------------------------------
+    routed = (
+        into_light & remote & ~is_heavy[indices] & (codes[indices] != CONST_CODE)
+    )
+    light_order: Dict[int, Dict[Pair, List[int]]] = {}
+    for key, sources in grouped(
+        (levels[consumers[routed]].astype(np.int64) * n + src_owner[routed]) * n
+        + dst_owner[routed],
+        indices[routed],
+        ids,
+    ):
+        level, pair = divmod(key, n * n)
+        light_order.setdefault(level, {})[divmod(pair, n)] = sources
+    lights = np.flatnonzero(light_gate)
+    light_owned: Dict[int, Dict[int, List[int]]] = {}
+    for key, gids in grouped(
+        levels[lights].astype(np.int64) * n + owner[lights], lights, ids
+    ):
+        level, player = divmod(key, n)
+        light_owned.setdefault(level, {})[player] = gids
+    heavy_by_level: Dict[int, List[int]] = {}
+    for gid in sorted(assignment.heavy):
+        heavy_by_level.setdefault(int(levels[gid]), []).append(gid)
 
     # ---- per-layer plans -----------------------------------------------------
-    for level in range(1, len(layers)):
+    depth = int(levels.max()) if len(levels) else 0
+    for level in range(1, depth + 1):
         lp = LayerPlan(layer_index=level)
-        light_members: Dict[Pair, set] = {}
-        for gid in layers[level]:
-            node = circuit.node(gid)
-            if gid in assignment.heavy:
-                lp.heavy_gates.append(gid)
-                senders: Dict[int, List[int]] = {}
-                local: List[int] = []
-                for pos, src in enumerate(node.inputs):
-                    src_node = circuit.node(src)
-                    if src_node.kind == CONST_KIND or owner[src] == owner[gid]:
-                        local.append(pos)
-                    else:
-                        senders.setdefault(owner[src], []).append(pos)
-                lp.summary_senders[gid] = senders
-                lp.summary_local[gid] = local
-                if senders:
-                    lp.has_summary_round = True
-            else:
-                lp.light_owned.setdefault(owner[gid], []).append(gid)
-                for src in node.inputs:
-                    src_node = circuit.node(src)
-                    if src_node.kind == CONST_KIND:
-                        continue
-                    if src in assignment.heavy:
-                        continue  # covered by the push rounds
-                    if owner[src] == owner[gid]:
-                        continue
-                    members = light_members.setdefault(
-                        (owner[src], owner[gid]), set()
-                    )
-                    members.add(src)
-            if gid in push_dests:
-                for dest in push_dests[gid]:
-                    lp.push_recv[(owner[gid], dest)] = gid
-        lp.light_order = {
-            pair: sorted(members) for pair, members in light_members.items()
-        }
+        for gid in heavy_by_level.get(level, ()):
+            lp.heavy_gates.append(gid)
+            sources = indices[indptr[gid] : indptr[gid + 1]]
+            local = (codes[sources] == CONST_CODE) | (owner[sources] == owner[gid])
+            positions = np.arange(len(sources))
+            senders = dict(grouped(owner[sources[~local]], positions[~local]))
+            lp.summary_senders[gid] = senders
+            lp.summary_local[gid] = positions[local].tolist()
+            if senders:
+                lp.has_summary_round = True
+            for dest in push_dests[gid]:
+                lp.push_recv[(owner_ids[gid], dest)] = gid
+        lp.light_owned = light_owned.get(level, {})
+        lp.light_order = light_order.get(level, {})
         lp.light_lengths = {
             pair: len(gids) for pair, gids in lp.light_order.items()
         }
@@ -290,13 +308,27 @@ def build_plan(
 
 def _split_order(order: Mapping[Pair, Sequence[int]], n: int):
     """Per player, the ``(peer, gate ids)`` payloads it sends and
-    receives under a routed phase's ``order``."""
+    receives under a routed phase's ``order``, and the gate ids of each
+    side as one array, in payload order."""
     sends: List[list] = [[] for _ in range(n)]
     recvs: List[list] = [[] for _ in range(n)]
     for (src, dst), gids in order.items():
         sends[src].append((dst, gids))
         recvs[dst].append((src, gids))
-    return sends, recvs
+    lengths = np.fromiter(map(len, order.values()), dtype=np.int64, count=len(order))
+    flat = np.fromiter(
+        chain.from_iterable(order.values()), dtype=np.intp, count=int(lengths.sum())
+    )
+    pairs = np.asarray(list(order), dtype=np.int64).reshape(-1, 2)
+
+    def per_player(side: int) -> List[np.ndarray]:
+        players = np.repeat(pairs[:, side], lengths)
+        by_player = np.argsort(players, kind="stable")
+        bounds = np.searchsorted(players[by_player], np.arange(n + 1)).tolist()
+        cols = flat[by_player]
+        return [cols[bounds[p] : bounds[p + 1]] for p in range(n)]
+
+    return sends, recvs, per_player(0), per_player(1)
 
 
 def _split_push(push_recv: Mapping[Pair, int], n: int):
@@ -339,11 +371,9 @@ class _Knowledge:
         """The player's share of a routed phase: its compiled
         :class:`~repro.routing.lenzen.ColumnRoute` and the phase's
         public ``order``."""
-        sends, recvs = split[0][self.player], split[1][self.player]
-        self.require(
-            [gid for _dst, gids in sends for gid in gids], "sends", where
-        )
-        self.learn([gid for _src, gids in recvs for gid in gids])
+        sends, recvs, sent, received = (side[self.player] for side in split)
+        self.require(sent, "sends", where)
+        self.learn(received)
         route = ColumnRoute(
             schedule, self.player, bandwidth, dict(sends), dict(recvs)
         )
@@ -358,12 +388,12 @@ class _Knowledge:
         self.learn(list(recvs.values()))
         return [dst for dst, _gid in sends], gids, recvs
 
-    def summary_part(self, node, positions, where: str):
+    def summary_part(self, gate, inputs: np.ndarray, positions, where: str):
         """``(gate, positions, input columns, fan-in)`` of one part of a
-        heavy gate's inputs."""
-        cols = [node.inputs[pos] for pos in positions]
+        heavy gate's ``inputs``."""
+        cols = inputs[positions]
         self.require(cols, "summarises", where)
-        return node.gate, positions, cols, len(node.inputs)
+        return gate, positions, cols, len(inputs)
 
 
 class PlayerView:
@@ -384,9 +414,17 @@ class PlayerView:
     __slots__ = ("held", "inputs", "layer0_push", "layers", "outputs")
 
     def __init__(self, plan, phases, knows: _Knowledge, held, outputs) -> None:
-        nodes = plan.circuit.nodes
+        circuit = plan.circuit
+        table = circuit.gate_table
+        slots = circuit.gate_slots
+        indptr = circuit.indptr
+        indices = circuit.indices
+
+        def heavy_gate(gid):
+            return table[slots[gid]], indices[indptr[gid] : indptr[gid + 1]]
+
         player = knows.player
-        inputs, layer0, layers = phases
+        inputs, layer0, layers, light_groups = phases
         self.held = held
         knows.learn(held)
         self.inputs = (
@@ -410,14 +448,14 @@ class PlayerView:
             if summary_sends is not None:
                 summary = (
                     [
-                        (owner, *knows.summary_part(nodes[gid], positions, where))
+                        (owner, *knows.summary_part(*heavy_gate(gid), positions, where))
                         for owner, gid, positions in summary_sends[player]
                     ],
                     [
                         (
                             gid,
                             *knows.summary_part(
-                                nodes[gid], lp.summary_local[gid], where
+                                *heavy_gate(gid), lp.summary_local[gid], where
                             ),
                             list(lp.summary_senders[gid]),
                         )
@@ -426,9 +464,9 @@ class PlayerView:
                 )
             else:
                 for gid in mine:
-                    cols = list(nodes[gid].inputs)
+                    gate, cols = heavy_gate(gid)
                     knows.require(cols, "reads", where)
-                    heavy.append((gid, nodes[gid].gate, cols))
+                    heavy.append((gid, gate, cols))
             knows.learn(mine)
             push = None if push_split is None else knows.push(push_split, where)
             route = (
@@ -442,12 +480,12 @@ class PlayerView:
                     where,
                 )
             )
-            lights = None
-            if lp.light_owned.get(player):
-                lights = GateGroups(nodes, lp.light_owned[player])
+            lights = light_groups.get((lp.layer_index, player))
+            if lights is not None:
                 for cols in lights.input_columns():
                     knows.require(cols, "reads", where)
-                knows.learn(lp.light_owned[player])
+                for cols in lights.output_columns():
+                    knows.learn(cols)
             self.layers.append((summary, heavy, push, route, lights))
         knows.require(outputs, "outputs", "the last layer")
         self.outputs = outputs
@@ -479,18 +517,32 @@ class PlanView:
         constants[const_cols] = True
 
         held: List[List[int]] = [[] for _ in range(n)]
-        routed = set()
+        routed = np.zeros(len(circuit), dtype=bool)
         for (src, _dst), gids in plan.input_order.items():
             held[src].extend(gids)
-            routed.update(gids)
-        for gid in circuit.input_ids:
-            if gid not in routed:
-                held[owner[gid]].append(gid)
+            routed[gids] = True
+        input_ids = np.asarray(circuit.input_ids, dtype=np.int64)
+        kept = input_ids[~routed[input_ids]]
+        for player, gids in grouped(np.asarray(owner)[kept], kept):
+            held[player].extend(gids)
         outputs: List[List[int]] = [[] for _ in range(n)]
         for gid in circuit.outputs:
             outputs[owner[gid]].append(gid)
 
-        # The public phases, each split by player once for all players.
+        # The public phases, each split by player once for all players,
+        # and every player's light gates of every layer grouped at once.
+        owned = [
+            (lp.layer_index, player, gids)
+            for lp in plan.layer_plans
+            for player, gids in lp.light_owned.items()
+            if gids
+        ]
+        lights = dict(
+            zip(
+                [(level, player) for level, player, _gids in owned],
+                compile_groups(circuit, [gids for _level, _player, gids in owned]),
+            )
+        )
         layers = []
         for lp in plan.layer_plans:
             heavy_owned: List[List[int]] = [[] for _ in range(n)]
@@ -512,6 +564,7 @@ class PlanView:
             _split_order(plan.input_order, n) if plan.input_lengths else None,
             _split_push(plan.layer0_push_recv, n) if plan.layer0_push_recv else None,
             layers,
+            lights,
         )
         self.players = [
             PlayerView(

@@ -190,6 +190,71 @@ class TestCircuit:
         with pytest.raises(ValueError):
             c.evaluate([True])
 
+    def test_block_matches_gate_by_gate(self):
+        """``add_gates`` builds the circuit ``add_gate`` calls build, and
+        checks a block's gates with ``add_gate``'s messages."""
+        one, block = Circuit(), Circuit()
+        for c in (one, block):
+            c.add_inputs(3)
+        one.add_gate(AND, [0, 1])
+        one.add_gate(ThresholdGate(2), [0, 1, 2])
+        one.add_gate(NOT, [4])
+        ids = block.add_gates(
+            [AND, ThresholdGate(2), NOT], [0, 1, 2], [2, 3, 1], [0, 1, 0, 1, 2, 4]
+        )
+        assert ids.tolist() == [3, 4, 5]
+        assert block == one
+        assert list(block.nodes) == list(one.nodes)
+        with pytest.raises(ValueError, match="gate 6 references nonexistent input 6"):
+            block.add_gates([AND], [0], [2], [0, 6])
+        with pytest.raises(ValueError, match="has arity 1, got 2 inputs"):
+            block.add_gates([NOT], [0], [2], [0, 1])
+        with pytest.raises(ValueError, match="at least one input"):
+            block.add_gates([AND], [0], [0], [])
+        assert block == one
+
+
+class TestIdentity:
+    """Gates compare by class and parameters, so a circuit equals one
+    built the same way and its own pickle and deepcopy round trips."""
+
+    def test_gates_compare_by_class_and_parameters(self):
+        assert ThresholdGate(3) == ThresholdGate(3)
+        assert hash(ThresholdGate(3)) == hash(ThresholdGate(3))
+        assert ThresholdGate(3) != ThresholdGate(4)
+        assert ThresholdGate(2, [1, 2]) == ThresholdGate(2, (1, 2))
+        assert ThresholdGate(2, [1, 2]) != ThresholdGate(2)
+        assert MajorityGate(4) != ThresholdGate(3)
+        assert ModGate(3) == ModGate(3) != ModGate(5)
+        assert AND == type(AND)() != OR
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: builders.threshold_parity_circuit(9),
+            lambda: builders.random_layered_circuit(8, 3, 5, random.Random(1)),
+            lambda: builders.mod_tree(9, 3, 3),
+        ],
+        ids=["threshold-parity", "random-layered", "mod-tree"],
+    )
+    def test_circuit_equals_its_copies(self, build):
+        import copy
+        import pickle
+
+        circuit = build()
+        assert circuit == build()
+        assert pickle.loads(pickle.dumps(circuit)) == circuit
+        assert copy.deepcopy(circuit) == circuit
+        other = build()
+        other.mark_output(0)
+        assert other != circuit
+
+    def test_strassen_circuits_built_alike_are_equal(self):
+        from repro.circuits.arithmetic import matmul_circuit_strassen
+
+        assert matmul_circuit_strassen(8) == matmul_circuit_strassen(8)
+        assert matmul_circuit_strassen(8) != matmul_circuit_strassen(8, cutoff=4)
+
 
 class TestBuilders:
     @pytest.mark.parametrize("n,fan_in", [(8, 2), (9, 3), (16, 4), (5, 2)])

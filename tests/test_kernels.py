@@ -3,7 +3,10 @@ engine, byte-for-byte."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -190,6 +193,31 @@ class TestBroadcastEquivalence:
         assert result_tuple(got) == result_tuple(expected)
         # blackboard accounting: width bits per writer per round
         assert got.total_bits == len(writers) * width * rounds
+
+
+def test_building_kernel_programs_leaves_numpy_ma_unimported():
+    """``KernelBuilder``'s duplicate checks sort and compare instead of
+    calling ``np.unique``, whose first call imports ``numpy.ma``: in a
+    fresh interpreter, preparing the ``routing`` and ``triangle_mm``
+    kernel programs imports no ``numpy.ma``."""
+    script = (
+        "import random, sys\n"
+        "from repro.graphs.generators import random_graph\n"
+        "from repro.scenarios.registry import get_protocol\n"
+        "for name in ('routing', 'triangle_mm'):\n"
+        "    prepared = get_protocol(name).prepare(\n"
+        "        8, random_graph(8, 0.5, random.Random(1)), random.Random(2))\n"
+        "    assert 'kernel' in prepared.programs\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 class TestValidation:

@@ -409,8 +409,8 @@ class TestScenarioMatrix:
         (["--engines", "nosuch"], "'nosuch'"),
         (["--repeats", "0"], "got 0"),
         (["--repeats", "-2"], "got -2"),
-        (["--max-attempts", "0"], "max_attempts must be at least 1"),
-        (["--workers", "-1"], "workers must be at least 0"),
+        (["--max-attempts", "0"], "--max-attempts must be at least 1"),
+        (["--workers", "-1"], "--workers must be at least 0"),
         (["--journal", "{existing}"], "already exists"),
         (["--journal", "{missing}", "--resume"], "cannot read journal"),
     ],
@@ -433,6 +433,30 @@ def test_cli_rejects_bad_arguments_with_exit_2(argv, named, tmp_path, capsys):
         code = exc.code
     assert code == 2
     assert named in capsys.readouterr().err
+    assert existing.read_text() == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, named, keyword",
+    [
+        (["--journal", "{existing}"], "pass --resume to continue it", "resume_from"),
+        (["--max-attempts", "0"], "--max-attempts must be at least 1, got 0", "max_attempts"),
+        (["--workers", "-1"], "--workers must be at least 0, got -1", "workers must"),
+    ],
+    ids=["journal-exists", "max-attempts-zero", "workers-negative"],
+)
+def test_cli_errors_name_the_flags_typed(argv, named, keyword, tmp_path, capsys):
+    """An exit-2 message names the command-line flag the user typed, not
+    the library keyword behind it."""
+    from repro.scenarios.__main__ import main
+
+    existing = tmp_path / "existing.jsonl"
+    existing.write_text("{}\n")
+    code = main(["--sizes", "6", *(arg.format(existing=existing) for arg in argv)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert named in err
+    assert keyword not in err.replace(named, "")
     assert existing.read_text() == "{}\n"
 
 

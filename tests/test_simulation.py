@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,6 +364,20 @@ class TestPlanView:
         assert "_view" not in restored
         assert "_kernel_plan" not in restored
 
+    @pytest.mark.parametrize("family", ["strassen", "threshold_parity"])
+    def test_plan_equals_its_round_trips(self, family):
+        """A compiled plan equals its pickle and deepcopy round trips;
+        the view and kernel-plan caches stay out of both."""
+        from repro.scenarios.registry import _strassen_plan, _threshold_parity_plan
+
+        plan = _strassen_plan(16) if family == "strassen" else _threshold_parity_plan(8)
+        plan.view()
+        plan.kernel_plan()
+        for copied in (pickle.loads(pickle.dumps(plan)), copy.deepcopy(plan)):
+            assert copied == plan
+            assert "_view" not in copied.__dict__
+            assert "_kernel_plan" not in copied.__dict__
+
     def test_one_kernel_plan_serves_every_program(self, monkeypatch):
         from repro.simulation.kernel import make_kernel_program
 
@@ -393,3 +409,135 @@ class TestPlanView:
         detect_triangle_mm(graph, trials=4, plan=plan, engine="fast")
         assert plan.view() is view
         assert built == [plan]
+
+
+def _plain(value):
+    """``value`` as plain ints, bools, strings and tuples; a dict as its
+    ``(key, value)`` items in insertion order, a set sorted."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, dict):
+        return tuple((_plain(k), _plain(v)) for k, v in value.items())
+    if isinstance(value, (set, frozenset)):
+        return tuple(sorted(_plain(v) for v in value))
+    return tuple(_plain(v) for v in value)
+
+
+def _gate_params(gate):
+    if gate is None:
+        return None
+    return (
+        type(gate).__name__,
+        repr(gate),
+        getattr(gate, "threshold", None),
+        getattr(gate, "weights", None),
+        getattr(gate, "modulus", None),
+    )
+
+
+def _schedule_dump(schedule):
+    if schedule is None:
+        return None
+    return (schedule.n, schedule.num_rounds, schedule.send_plan, schedule.recv_plan)
+
+
+def _plan_dump(plan):
+    circuit = plan.circuit
+    assignment = plan.assignment
+    return _plain(
+        (
+            [
+                (
+                    node.gate_id,
+                    node.kind,
+                    _gate_params(node.gate),
+                    node.inputs,
+                    node.const_value,
+                    node.input_index,
+                )
+                for node in circuit.nodes
+            ],
+            circuit.outputs,
+            circuit.input_ids,
+            (
+                assignment.owner,
+                sorted(assignment.heavy),
+                assignment.s_param,
+                assignment.heavy_threshold,
+                assignment.capacity,
+                assignment.light_load,
+            ),
+            plan.n,
+            plan.bandwidth,
+            plan.input_order,
+            plan.input_lengths,
+            _schedule_dump(plan.input_schedule),
+            plan.layer0_push_recv,
+            [
+                (
+                    lp.layer_index,
+                    lp.heavy_gates,
+                    lp.summary_senders,
+                    lp.summary_local,
+                    lp.has_summary_round,
+                    lp.push_recv,
+                    lp.light_order,
+                    lp.light_lengths,
+                    _schedule_dump(lp.light_schedule),
+                    lp.light_owned,
+                )
+                for lp in plan.layer_plans
+            ],
+        )
+    )
+
+
+def _pinned_plan(case):
+    from repro.circuits.arithmetic import (
+        matmul_circuit_naive,
+        matmul_circuit_strassen,
+    )
+    from repro.matmul.distributed import matmul_input_partition
+
+    family, n = case
+    if family == "threshold_parity":
+        return build_plan(builders.threshold_parity_circuit(n), n)
+    if family == "strassen":
+        return build_plan(matmul_circuit_strassen(n), n, matmul_input_partition(n))
+    if family == "naive":
+        return build_plan(matmul_circuit_naive(n), n, matmul_input_partition(n))
+    if family == "cc_parity":
+        return build_plan(builders.cc_parity_circuit(n), n)
+    circuit = builders.random_layered_circuit(12, 5, 10, random.Random(n))
+    return build_plan(circuit, n)
+
+
+#: sha256 (first 16 hex digits) of each plan's :func:`_plan_dump`.
+PLAN_DIGESTS = {
+    ("cc_parity", 8): "4e13f597f7683bcb",
+    ("naive", 4): "6ea754b7ca117f18",
+    ("random_layered", 4): "0d7fce400d6e1a29",
+    ("random_layered", 8): "c9aa928622c44e55",
+    ("strassen", 4): "8081e190c7237934",
+    ("strassen", 6): "18b7b98c85c24fca",
+    ("strassen", 8): "c96e850a327679bf",
+    ("strassen", 16): "dfe80bb6ff6cdaf6",
+    ("threshold_parity", 6): "5382bb312cbbab4c",
+    ("threshold_parity", 8): "364582acad427998",
+    ("threshold_parity", 64): "1f95af92bfb3ada8",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(PLAN_DIGESTS), ids=lambda case: f"{case[0]}-{case[1]}"
+)
+def test_plan_content_is_pinned(case):
+    """A plan's whole content — circuit, assignment, orders, lengths and
+    schedules, with every dict in insertion order — hashes to the digest
+    pinned when the plan was built one Python object per gate."""
+    dump = repr(_plan_dump(_pinned_plan(case))).encode()
+    assert hashlib.sha256(dump).hexdigest()[:16] == PLAN_DIGESTS[case]

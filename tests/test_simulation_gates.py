@@ -26,7 +26,7 @@ from repro.circuits import (
     builders,
 )
 from repro.simulation import simulate_circuit
-from repro.circuits.vectorized import GateGroups, vector_compute
+from repro.circuits.vectorized import compile_groups, vector_compute
 
 
 def exotic_pool(rng):
@@ -196,5 +196,6 @@ class TestGroupedEvaluator:
             cols = np.asarray(nodes[gid].inputs, dtype=np.intp)
             expected[:, gid] = vector_compute(nodes[gid].gate, expected[:, cols])
         got = vals.copy()
-        GateGroups(nodes, gids).evaluate(got)
+        [groups] = compile_groups(circuit, [gids])
+        groups.evaluate(got)
         assert (got == expected).all()
