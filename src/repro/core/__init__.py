@@ -33,7 +33,7 @@ from repro.core.phases import (
 # The kernel layer is numpy-backed at module level; load it lazily
 # (PEP 562) so `import repro.core` stays numpy-free until a kernel
 # program is actually built — the same invariant the engine's deferred
-# fastlane and kernel imports preserve.
+# fastlane (fixed-width outbox checks) and kernel imports preserve.
 _KERNEL_EXPORTS = (
     "KernelBuilder",
     "KernelContext",

@@ -174,8 +174,8 @@ class Bits:
         (possibly shorter) width.  The bulk counterpart of
         ``[c.to_uint() for c in self.chunks(width)]`` — one shift/mask
         per chunk on the backing integer, no :class:`Bits` allocations —
-        used by the phase layer to frame payloads for the fixed-width
-        lanes."""
+        used by the phase layer to frame payloads for fixed-width
+        outboxes."""
         if width <= 0:
             raise ValueError("chunk width must be positive")
         value = self._value

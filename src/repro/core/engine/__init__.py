@@ -8,8 +8,9 @@ exposing ``run_many(network, program, inputs_list)``:
 ========  ==========================================================
 engine    strategy
 ========  ==========================================================
-legacy    reference loop — fresh dicts each round, scalar delivery
-fast      legacy's delivery plus a unicast bulk lane
+legacy    reference loop — fresh dicts each round, validating
+          delivery; fixed-width rounds cross the wire as ints
+fast      the legacy loop under a second name
 kernel    declared SPMD rounds compiled once, one payload matrix per
           round over all instances (the one compiled path)
 ========  ==========================================================
@@ -19,10 +20,11 @@ kernel    declared SPMD rounds compiled once, one payload matrix per
 engine produces results byte-identical to the legacy loop for the
 programs it runs, and an engine failure propagates to the caller.
 
-The fully validating scalar delivery path lives in
-:mod:`repro.core.engine.delivery`, shared by legacy and fast so both
-charge bits and raise protocol errors identically; on both, a
-CLIQUE-BCAST round is one board that every node reads.  Under an active
+The fully validating delivery path lives in
+:mod:`repro.core.engine.delivery`: the generator loop writes each
+round through it, as ints where every sender yielded one fixed width
+and as ``Bits`` otherwise, and a CLIQUE-BCAST round is one board that
+every node reads.  Under an active
 :class:`~repro.core.faults.FaultPlan` each engine applies the run's
 :class:`~repro.core.faults.FaultSession` to what it delivers, so one
 deterministic chaos schedule hits every engine.

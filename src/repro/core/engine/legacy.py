@@ -10,6 +10,14 @@ receiver — delivers every message through the fully validating scalar
 path, and never caches or replays anything: slow, simple, and
 obviously correct.
 
+A unicast or CONGEST round whose senders all yielded fixed-width
+outboxes of one width crosses the wire as ints when no fault plan is
+active: :func:`deliver_outbox` writes each value into its receiver's
+dict as it is, and the receiver reads a
+:class:`~repro.core.mailbox.UintInbox`.  Every other round, and every
+round under an active plan, carries :class:`~repro.core.bits.Bits`.
+The ``fast`` engine name runs this same loop.
+
 It executes generator node programs only; kernel programs declare their
 round structure instead of yielding it, and the network sends them to
 the kernel engine whichever engine it names.
@@ -19,8 +27,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.core.engine.delivery import deliver_outbox
-from repro.core.mailbox import EMPTY_INBOX, Board, BoardInbox, Inbox
+from repro.core.engine.delivery import deliver_outbox, int_round_width
+from repro.core.mailbox import EMPTY_INBOX, Board, BoardInbox, Inbox, UintInbox
 
 __all__ = ["run_many"]
 
@@ -43,7 +51,10 @@ def _run(network: Any, program, inputs) -> Any:
     transcript: Optional[List[Any]] = [] if recording else None
     faults = network._fault_session()
     round_cap = network._round_cap()
+    check_outbox = network._check_outbox
     broadcast = network.mode is Mode.BROADCAST
+    # An active fault plan acts on Bits, so its rounds never carry ints.
+    int_wire = faults is None and not broadcast
 
     while generators:
         if rounds >= round_cap:
@@ -52,12 +63,15 @@ def _run(network: Any, program, inputs) -> Any:
         boxes: Any = {} if broadcast else [{} for _ in range(n)]
         record = RoundRecord() if recording else None
         round_bits = 0
+        width = int_round_width(pending_outbox) if int_wire else None
+        as_ints = width is not None
         for v, outbox in pending_outbox.items():
             round_bits += deliver_outbox(
-                network, v, outbox, boxes, record, rounds
+                network, v, outbox, boxes, record, rounds, as_ints
             )
         total_bits += round_bits
-        max_round_bits = max(max_round_bits, round_bits)
+        if round_bits > max_round_bits:
+            max_round_bits = round_bits
         if record is not None:
             transcript.append(record)
         if faults is not None:
@@ -72,10 +86,14 @@ def _run(network: Any, program, inputs) -> Any:
         for v, gen in generators.items():
             if board is not None:
                 inbox = BoardInbox(board, v)
+            elif not boxes[v]:
+                inbox = EMPTY_INBOX
+            elif as_ints:
+                inbox = UintInbox(boxes[v], width)
             else:
-                inbox = Inbox(boxes[v]) if boxes[v] else EMPTY_INBOX
+                inbox = Inbox(boxes[v])
             try:
-                pending_outbox[v] = network._check_outbox(v, gen.send(inbox))
+                pending_outbox[v] = check_outbox(v, gen.send(inbox))
             except StopIteration as stop:
                 outputs[v] = stop.value
                 finished.append(v)

@@ -1,55 +1,40 @@
-"""The fixed-width unicast lane of the fast engine, and the fixed-width
-outbox checks every engine uses.
+"""The fixed-width outbox checks every engine uses.
 
 Many congested-clique protocols spend their rounds exchanging
 *fixed-width* unsigned-integer payloads: Lenzen-style routing frames,
 the b-bit chunks of a transmit phase, matmul row/summary exchange,
-sorted keys.  For dense unicast rounds of those the scalar engine path
-— one Python dict write plus per-message validation for each of up to
-n² messages — is pure overhead.
+sorted keys.  A sender declares one destination tuple and one value
+tuple of plain ints per round
+(:meth:`~repro.core.network.Outbox.fixed_width`): :func:`coerce_fixed`
+copies and type-checks them when the outbox is built, and the network
+validates the whole outbox with a few builtin passes (``in``, ``min``,
+``max``, ``set``) when it is yielded (:func:`validate_fixed`), so
+delivery runs no per-message check.  A round in which every sender
+yielded one width crosses the wire as those ints (see
+:mod:`repro.core.engine.delivery`).
 
-A sender declares one destination tuple and one value tuple of plain
-ints per round (:meth:`~repro.core.network.Outbox.fixed_width`); the
-network validates the whole outbox with a few builtin passes (``in``,
-``min``, ``max``, ``set``) when it is yielded (:func:`validate_fixed`),
-and the lane writes every sender's tuples into the round's ``n × n``
-receive matrix with one fancy-indexed write.  Receivers read their row
-through an array-backed :class:`FixedWidthInbox` with the
-:class:`~repro.core.network.Inbox` API.  The lane is stateless: each
-lane round writes a fresh matrix and hands out fresh views, so an inbox
-keeps its round's messages.
+Round and bit accounting is that of the scalar path: a ``width``-bit
+message costs ``width`` bits, a round is a round.  A fixed-width
+broadcast (:meth:`~repro.core.network.Outbox.broadcast_uint`, checked
+where it is built, by :func:`~repro.core.mailbox.coerce_broadcast`)
+is written once on the round's :class:`~repro.core.mailbox.Board`.
 
-Round and bit accounting is identical to the scalar path: a
-``width``-bit message costs ``width`` bits, a round is a round.  A
-fixed-width broadcast (:meth:`~repro.core.network.Outbox.broadcast_uint`,
-checked where it is built, by
-:func:`~repro.core.mailbox.coerce_broadcast`, without numpy) needs no
-lane: every engine writes it once on the round's
-:class:`~repro.core.mailbox.Board`.
-
-Widths up to :data:`NUMERIC_WIDTH_LIMIT` (63) bits ride ``uint64``
-storage; wider payloads fall back to object-dtype arrays — the same
-bulk indexing, with Python ints as storage.  Either way an inbox hands
-out plain ints.
-
-Kernel programs (:mod:`repro.core.kernels`) need no delivery buffer: a
-kernel round hands ``recv`` the payload matrix ``send`` produced.
+The kernel layer stores payloads of up to :data:`NUMERIC_WIDTH_LIMIT`
+(63) bits as ``uint64`` and wider ones as object-dtype arrays of
+Python ints.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bits import Bits
 from repro.core.errors import BandwidthExceededError, ProtocolError, TopologyError
 
 __all__ = [
     "NUMERIC_WIDTH_LIMIT",
-    "FixedWidthInbox",
-    "FixedLane",
     "coerce_fixed",
     "validate_fixed",
 ]
@@ -144,105 +129,3 @@ def validate_fixed(
         raise ProtocolError(
             f"node {sender} sent a value that does not fit in {width} bits"
         )
-
-
-class FixedWidthInbox:
-    """Array-backed inbox over one receiver's row of a round's receive
-    matrix.
-
-    Has the :class:`~repro.core.network.Inbox` API (``get`` /
-    ``senders`` / ``items`` / ``uint_items`` / ``len`` / ``in``); every
-    lane round writes a fresh matrix, so the inbox keeps its round's
-    messages.
-    """
-
-    __slots__ = ("_values", "_present", "_width", "_senders", "_items")
-
-    def __init__(
-        self, values_row: np.ndarray, present_row: np.ndarray, width: int
-    ) -> None:
-        self._values = values_row
-        self._present = present_row
-        self._width = width
-        self._senders: Optional[Tuple[int, ...]] = None
-        self._items = None
-
-    def senders(self) -> Tuple[int, ...]:
-        cached = self._senders
-        if cached is None:
-            cached = self._senders = tuple(np.flatnonzero(self._present).tolist())
-        return cached
-
-    def items(self) -> Tuple[Tuple[int, Bits], ...]:
-        cached = self._items
-        if cached is None:
-            width = self._width
-            cached = self._items = tuple(
-                (s, Bits(value, width)) for s, value in self.uint_items()
-            )
-        return cached
-
-    def uint_items(self) -> List[Tuple[int, int]]:
-        return list(zip(self.senders(), self._values[self._present].tolist()))
-
-    def get(self, sender: int) -> Optional[Bits]:
-        if sender in self:
-            return Bits(int(self._values[sender]), self._width)
-        return None
-
-    def __len__(self) -> int:
-        return len(self.senders())
-
-    def __contains__(self, sender: int) -> bool:
-        return 0 <= sender < self._present.shape[0] and bool(self._present[sender])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FixedWidthInbox({dict(self.uint_items())!r}, width={self._width})"
-
-
-class FixedLane:
-    """The unicast bulk lane (engine internal)."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-
-    def deliver(
-        self, senders, width: int, record=None
-    ) -> Tuple[int, List[FixedWidthInbox]]:
-        """Deliver one homogeneous bulk round into a fresh ``n × n``
-        receive matrix (row = receiver, column = sender); returns the
-        bits sent and one inbox per receiver.
-
-        ``senders`` is a list of ``(node_id, outbox)`` in node order, as
-        required for transcript order parity with the scalar path.
-        """
-        n = self.n
-        receivers: List[int] = []
-        payloads: List[int] = []
-        counts: List[int] = []
-        for sender, outbox in senders:
-            dests = outbox.dests
-            receivers += dests
-            payloads += outbox.values
-            counts.append(len(dests))
-            if record is not None:
-                record.sends.extend(
-                    (sender, dest, Bits(value, width))
-                    for dest, value in zip(dests, outbox.values)
-                )
-        total = len(payloads)
-        # Each message's flat (receiver, sender) cell, built once and
-        # used for both writes.
-        flat = np.fromiter(receivers, dtype=np.intp, count=total) * n
-        flat += np.repeat([sender for sender, _ in senders], counts)
-        dtype = np.uint64 if width <= NUMERIC_WIDTH_LIMIT else object
-        values = np.zeros(n * n, dtype=dtype)
-        present = np.zeros(n * n, dtype=bool)
-        values[flat] = np.fromiter(payloads, dtype=dtype, count=total)
-        present[flat] = True
-        values = values.reshape(n, n)
-        present = present.reshape(n, n)
-        inboxes = [FixedWidthInbox(values[u], present[u], width) for u in range(n)]
-        return total * width, inboxes

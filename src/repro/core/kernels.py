@@ -1,8 +1,8 @@
 """Kernel programs: whole-network SPMD rounds with zero generator steps.
 
 The generator API runs ``n`` Python coroutines in lockstep; even with
-bulk delivery lanes, every round still pays ``n`` generator
-resumptions on the hot path.  The algebraic congested-clique
+fixed-width rounds crossing the wire as ints, every round still pays
+``n`` generator resumptions on the hot path.  The algebraic congested-clique
 literature (Censor-Hillel et al.; Le Gall) instead treats a round as one
 matrix operation over *all* nodes simultaneously — and an oblivious
 protocol can be executed exactly that way.

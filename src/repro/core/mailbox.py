@@ -3,12 +3,14 @@
 :class:`Outbox` is what one node yields at the end of its round —
 scalar unicast/broadcast dicts, or the bulk fixed-width constructors.
 :class:`Inbox` is the dict-backed receive view of a unicast or CONGEST
-round.  A CLIQUE-BCAST round is one :class:`Board`, each writer's word
-written once, and every node reads it through a :class:`BoardInbox`
-that skips the node's own word.  The unicast bulk lane
-(:mod:`repro.core.fastlane`) hands out an array-backed flavour with the
-same accessors; :func:`inbox_uints` reads any of them.  A reader that
-wants the whole round rather than one node's view of it asks
+round.  A round whose senders all yielded fixed-width outboxes of one
+width crosses the wire as plain ints, and its receivers read a
+:class:`UintInbox` over them, which builds a :class:`Bits` only when
+asked for one.  A CLIQUE-BCAST round is one :class:`Board`, each
+writer's word written once, and every node reads it through a
+:class:`BoardInbox` that skips the node's own word.  All three have
+the same accessors; :func:`inbox_uints` reads any of them.  A reader
+that wants the whole round rather than one node's view of it asks
 :func:`inbox_source` for the object an inbox reads from: the shared
 board, or the inbox itself.
 
@@ -37,6 +39,7 @@ __all__ = [
     "coerce_broadcast",
     "inbox_source",
     "inbox_uints",
+    "UintInbox",
     "EMPTY_INBOX",
 ]
 
@@ -85,6 +88,44 @@ class Inbox:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Inbox({self._by_sender!r})"
+
+
+class UintInbox(Inbox):
+    """The :class:`Inbox` of a round delivered as ints: ``by_sender``
+    maps each sender to its ``width``-bit message as a plain uint.
+
+    ``uint_items``, ``senders``, ``len`` and ``in`` read the ints;
+    ``get`` and ``items`` build ``width``-bit :class:`Bits` on demand,
+    so a receiver that reads uints never builds one.
+    """
+
+    __slots__ = ("_width",)
+
+    def __init__(self, by_sender: Dict[int, int], width: int) -> None:
+        self._by_sender = by_sender
+        self._senders = None
+        self._items = None
+        self._width = width
+
+    def get(self, sender: int) -> Optional[Bits]:
+        value = self._by_sender.get(sender)
+        return None if value is None else Bits(value, self._width)
+
+    def items(self) -> Tuple[Tuple[int, Bits], ...]:
+        cached = self._items
+        if cached is None:
+            width = self._width
+            cached = self._items = tuple(
+                (sender, Bits(value, width))
+                for sender, value in sorted(self._by_sender.items())
+            )
+        return cached
+
+    def uint_items(self) -> List[Tuple[int, int]]:
+        return sorted(self._by_sender.items())
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"UintInbox({self._by_sender!r}, width={self._width})"
 
 
 EMPTY_INBOX = Inbox({})
@@ -179,9 +220,8 @@ def inbox_source(inbox: Any) -> Any:
 
 def inbox_uints(inbox: Any) -> List[Tuple[int, int]]:
     """``(sender, payload-as-uint)`` pairs sorted by sender, for every
-    inbox flavour (dict-backed :class:`Inbox`, a :class:`BoardInbox`, or
-    the unicast lane's array-backed
-    :class:`~repro.core.fastlane.FixedWidthInbox`)."""
+    inbox flavour (dict-backed :class:`Inbox`, a :class:`UintInbox` or a
+    :class:`BoardInbox`)."""
     return inbox.uint_items()
 
 
@@ -270,10 +310,11 @@ class Outbox:
     def fixed_width(cls, dests: Sequence[int], values: Sequence[int], width: int) -> "Outbox":
         """Bulk unicast of fixed-width unsigned-integer payloads:
         ``values[i]`` (exactly ``width`` bits on the wire) goes to
-        ``dests[i]``.  Both are kept as tuples of plain ints.  Rounds in
-        which every sender yields a fixed-width outbox of the same width
-        are delivered through the numpy fast lane; otherwise each
-        message is delivered as an ordinary ``width``-bit
+        ``dests[i]``.  Both are kept as tuples of plain ints.  A round
+        in which every sender yields a fixed-width outbox of the same
+        width, with no active fault plan, is delivered as those ints
+        (receivers read a :class:`UintInbox`); otherwise each message is
+        delivered as an ordinary ``width``-bit
         :class:`~repro.core.bits.Bits` unicast."""
         from repro.core import fastlane
 

@@ -25,11 +25,10 @@ Execution engines
 :mod:`repro.core.engine`, looked up by name in
 :data:`~repro.core.engine.ENGINES`:
 
-* ``fast`` (default) — the legacy loop's delivery plus the numpy
-  unicast lane of :mod:`repro.core.fastlane`.
 * ``legacy`` — the original per-round-allocation loop, kept as the
   executable reference semantics; the equivalence suites pin every
   other engine to it byte-for-byte.
+* ``fast`` (default) — the legacy loop under a second name.
 * ``kernel`` — declared :class:`~repro.core.kernels.KernelProgram`\\ s
   compiled once into a :class:`~repro.core.kernels.CompiledSchedule`
   and executed as one matrix operation per round over all nodes and
@@ -41,7 +40,11 @@ A kernel program runs on ``kernel`` whatever the network names (it has
 no other semantics), and ``engine="kernel"`` rejects a generator
 program.  An engine's failure propagates to the caller.
 
-On both generator engines a CLIQUE-BCAST round is one
+In the generator loop a unicast or CONGEST round whose senders all
+yielded fixed-width outboxes of one width crosses the wire as plain
+ints when no fault plan is active, read through a
+:class:`~repro.core.mailbox.UintInbox`; every other round carries
+:class:`~repro.core.bits.Bits`.  A CLIQUE-BCAST round is one
 :class:`~repro.core.mailbox.Board`: each writer's word is written once,
 and every node reads it through a view that skips its own word.
 
@@ -527,8 +530,8 @@ class Network:
                 f"(bandwidth {self.bandwidth})"
             )
         if kind == "fixed":
-            # Whole-outbox validation at every yield, so the unicast
-            # lane delivers without per-message checks.
+            # Whole-outbox validation at every yield, so delivery runs
+            # no per-message check.
             from repro.core import fastlane
 
             allowed = self._allowed

@@ -141,8 +141,8 @@ def transmit_unicast(
     each sender that transmitted to us to its reassembled payload.
 
     Every frame of the phase is exactly ``b`` bits (the payload is
-    padded to a whole number of frames), so the exchange rides the
-    engine's fixed-width fast lane."""
+    padded to a whole number of frames), so the exchange's rounds cross
+    the wire as plain ints."""
     rounds = phase_length(max_bits, ctx.bandwidth)
     bandwidth = ctx.bandwidth
     framed = {

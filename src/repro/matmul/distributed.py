@@ -26,9 +26,11 @@ All heavy exchanges here — the circuit simulation's routed phases and
 the output redistribution, each a
 :class:`~repro.routing.lenzen.ColumnRoute` compiled once per plan or
 program, and the final aggregation via :func:`transmit_unicast` — move
-fixed-width frames, so on the fast engine their dense rounds ride the
-batched numpy lane (:mod:`repro.core.fastlane`) instead of per-message
-dict delivery.
+fixed-width frames, so their rounds cross the wire as plain ints, with
+no per-message :class:`~repro.core.bits.Bits`.  The output
+redistribution's schedule (:func:`output_schedule`) is one per plan and
+size: a caller that builds both program forms hands the same schedule
+to both.
 
 The protocol is *oblivious*: every round's structure comes from the
 public :class:`SimulationPlan` and routing schedules, never from the
@@ -53,12 +55,13 @@ from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_unicast
 from repro.graphs.graph import Graph
 from repro.routing.lenzen import ColumnRoute, payload_demand
-from repro.routing.schedule import build_schedule
+from repro.routing.schedule import RoutingSchedule, build_schedule
 from repro.simulation.protocol import SimulationPlan, build_plan, run_player
 
 __all__ = [
     "matmul_input_partition",
     "TriangleMMOutcome",
+    "output_schedule",
     "triangle_mm_program",
     "triangle_mm_kernel_program",
     "detect_triangle_mm",
@@ -98,6 +101,14 @@ def _output_routing_plan(
     return order, lengths
 
 
+def output_schedule(plan: SimulationPlan, size: int) -> RoutingSchedule:
+    """The routing schedule of the output redistribution: each entry
+    C[i][j] from its simulation owner to player i.  It is a pure
+    function of the plan and ``size``; both program forms route on it."""
+    _order, lengths = _output_routing_plan(plan, size)
+    return build_schedule(payload_demand(lengths, plan.bandwidth), size)
+
+
 def _read_reports(
     received: Dict[int, Bits], witness: Optional[Tuple[int, int]], vertex_bits: int
 ) -> Optional[Tuple[int, int]]:
@@ -124,24 +135,25 @@ def triangle_mm_program(
     graph: Graph,
     plan: SimulationPlan,
     trials: int,
+    out_schedule: Optional[RoutingSchedule] = None,
 ):
     """Node program: ``ctx.input`` is this node's adjacency row (list of
     n 0/1 ints).  Only ``graph.n`` shapes the program, so one program
     serves every graph of that size.
 
     Everything the rounds need beyond the inputs is compiled here, once
-    per program: the output-routing schedule and each node's output
-    columns — a :class:`~repro.routing.lenzen.ColumnRoute` from the
-    node's gate-value vector into its row of C, and the entries of that
-    row it owns itself."""
+    per program: each node's output columns — a
+    :class:`~repro.routing.lenzen.ColumnRoute` from the node's
+    gate-value vector into its row of C over ``out_schedule`` (built
+    here when not given: :func:`output_schedule`), and the entries of
+    that row it owns itself."""
     size = graph.n
     plan.check_size(size)
     circuit = plan.circuit
     input_ids = circuit.input_ids
-    out_order, out_lengths = _output_routing_plan(plan, size)
-    out_schedule = build_schedule(
-        payload_demand(out_lengths, plan.bandwidth), size
-    )
+    out_order, _out_lengths = _output_routing_plan(plan, size)
+    if out_schedule is None:
+        out_schedule = output_schedule(plan, size)
     owner = plan.assignment.owner
     own: List[Tuple[List[int], List[int]]] = [([], []) for _ in range(size)]
     column = {}
@@ -229,13 +241,15 @@ def triangle_mm_kernel_program(
     graph: Graph,
     plan: SimulationPlan,
     trials: int,
+    out_schedule: Optional[RoutingSchedule] = None,
 ):
     """The kernel twin of :func:`triangle_mm_program`: the full pipeline
     — per-trial masking, circuit simulation, output redistribution,
     witness aggregation — as one declared kernel round sequence over
     stacked adjacency/value matrices, zero generator steps.  Inputs and
     outputs match the generator program byte for byte (same shared-coin
-    masks, same witness tie-breaking, same accounting)."""
+    masks, same witness tie-breaking, same accounting).
+    ``out_schedule`` is as for :func:`triangle_mm_program`."""
     from repro.circuits.vectorized import constant_columns
     from repro.core.kernels import KernelBuilder
     from repro.core.network import Mode
@@ -247,14 +261,12 @@ def triangle_mm_kernel_program(
     plan.check_size(size)
     circuit = plan.circuit
     input_ids = circuit.input_ids
-    out_order, out_lengths = _output_routing_plan(plan, size)
+    out_order, _out_lengths = _output_routing_plan(plan, size)
+    if out_schedule is None:
+        out_schedule = output_schedule(plan, size)
     # Compiled once per plan, appended once per trial.
     kernel_plan = plan.kernel_plan()
-    out_route = BitRoute(
-        out_order,
-        plan.bandwidth,
-        build_schedule(payload_demand(out_lengths, plan.bandwidth), size),
-    )
+    out_route = BitRoute(out_order, plan.bandwidth, out_schedule)
     builder = KernelBuilder(size, Mode.UNICAST, bandwidth=plan.bandwidth)
     vals_key = "vals"
     first_ids = np.asarray(input_ids[: size * size], dtype=np.intp)

@@ -347,8 +347,8 @@ def route_frames(
 
     ``my_frames`` holds exactly the frames the schedule routes from
     this node, each an unsigned int of at most ``frame_size`` bits; they
-    travel in fixed-width outboxes, which the fast engine delivers
-    through its bulk unicast lane.  A frame that does not fit, one the
+    travel in fixed-width outboxes, whose rounds cross the wire as
+    plain ints.  A frame that does not fit, one the
     schedule routes from this node but it does not hold, and one it
     holds but the schedule does not route from it each raise a
     ``ValueError`` naming the node and the frame: a frame that does not

@@ -149,7 +149,7 @@ def _adapt_broadcast(ctx: Context, program_factory):
                 )
             elif outbox.kind == "bfixed":
                 # A fixed-width broadcast fans out as a fixed-width
-                # unicast, which rides the engine's unicast bulk lane.
+                # unicast, whose rounds cross the wire as ints.
                 outbox = Outbox.fixed_width_map(
                     {u: outbox.values for u in ctx.neighbors}, outbox.width
                 )

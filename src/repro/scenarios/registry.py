@@ -196,10 +196,6 @@ def capability_matrix() -> Dict[str, Dict[str, bool]]:
 # -- built-in protocol specs ----------------------------------------------
 
 
-def _sorted_edges(graph: Graph) -> Tuple[Tuple[int, int], ...]:
-    return tuple(sorted(graph.edges()))
-
-
 #: Frame width of the routing scenarios (bits per routed frame).
 _ROUTING_FRAME_SIZE = 16
 #: Instance count of the ``routing_many`` scenario: K payload batches
@@ -209,11 +205,13 @@ ROUTING_MANY_INSTANCES = 6
 
 def _routing_demand(n: int, graph: Graph) -> Dict[Tuple[int, int], int]:
     # One frame per direction of every graph edge: the demand pattern is
-    # the graph, the payloads are random frame contents.
+    # the graph, the payloads are random frame contents.  The pairs go
+    # in (src, dst) order, so every sort of the demand meets one sorted
+    # run.
     demand: Dict[Tuple[int, int], int] = {}
-    for u, v in _sorted_edges(graph):
-        demand[(u, v)] = 1
-        demand[(v, u)] = 1
+    for u in graph.vertices():
+        for v in sorted(graph.neighbors(u)):
+            demand[(u, v)] = 1
     if not demand:
         # An empty graph routes nothing; keep the schedule non-degenerate.
         if n < 2:
@@ -438,7 +436,11 @@ def _prepare_circuit(n: int, graph: Graph, rng: random.Random) -> PreparedScenar
 def _prepare_triangle_mm(n: int, graph: Graph, rng: random.Random) -> PreparedScenario:
     from repro.graphs.generators import complete_graph
     from repro.graphs.subgraph_iso import contains_subgraph
-    from repro.matmul.distributed import triangle_mm_kernel_program, triangle_mm_program
+    from repro.matmul.distributed import (
+        output_schedule,
+        triangle_mm_kernel_program,
+        triangle_mm_program,
+    )
 
     trials = 4
     held = _held_plan("strassen", n, _strassen_plan)
@@ -448,6 +450,14 @@ def _prepare_triangle_mm(n: int, graph: Graph, rng: random.Random) -> PreparedSc
     ]
     has_triangle = contains_subgraph(graph, complete_graph(3))
     adjacency = {v: frozenset(graph.neighbors(v)) for v in range(n)}
+
+    def programs():
+        # Both forms route the outputs on one schedule.
+        schedule = output_schedule(plan, n)
+        return {
+            "generator": triangle_mm_program(graph, plan, trials, schedule),
+            "kernel": triangle_mm_kernel_program(graph, plan, trials, schedule),
+        }
 
     def summarize(result: RunResult):
         outcome = result.outputs[0]
@@ -473,13 +483,7 @@ def _prepare_triangle_mm(n: int, graph: Graph, rng: random.Random) -> PreparedSc
 
     return PreparedScenario(
         network_kwargs=dict(n=n, bandwidth=plan.bandwidth, mode=Mode.UNICAST),
-        programs=held.programs(
-            "triangle_mm",
-            lambda: {
-                "generator": triangle_mm_program(graph, plan, trials),
-                "kernel": triangle_mm_kernel_program(graph, plan, trials),
-            },
-        ),
+        programs=held.programs("triangle_mm", programs),
         inputs=rows,
         summarize=summarize,
         validate=validate,

@@ -30,16 +30,29 @@ def rngs():
 
 
 @pytest.fixture
-def lane_rounds(monkeypatch):
-    """The width of every round the fast engine's unicast lane delivers."""
-    from repro.core.fastlane import FixedLane
+def int_rounds(monkeypatch):
+    """The width of every round delivered as ints, on either generator
+    engine (both run the legacy loop)."""
+    from repro.core.engine import legacy
 
     widths = []
-    deliver = FixedLane.deliver
+    decide = legacy.int_round_width
 
-    def counting(self, senders, width, record=None):
-        widths.append(width)
-        return deliver(self, senders, width, record)
+    def recording(pending):
+        width = decide(pending)
+        if width is not None:
+            widths.append(width)
+        return width
 
-    monkeypatch.setattr(FixedLane, "deliver", counting)
+    monkeypatch.setattr(legacy, "int_round_width", recording)
     return widths
+
+
+@pytest.fixture
+def bits_path_plan():
+    """An active fault plan whose one trigger never fires: a run under
+    it delivers every round as ``Bits`` and is otherwise the run without
+    it."""
+    from repro.core.faults import FaultPlan
+
+    return FaultPlan(triggers={(10**9, 0, 1): "drop"})

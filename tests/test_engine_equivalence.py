@@ -1,11 +1,13 @@
-"""Fast engine vs. legacy engine: byte-identical RunResults.
+"""Fast engine vs. legacy engine, int wire vs. Bits path:
+byte-identical RunResults.
 
-The fast engine (legacy's delivery plus the unicast bulk lane) must be
-observationally indistinguishable from the legacy reference loop, down
-to an inbox read after its round has ended.  These
-tests run representative protocols from routing/, mst/, subgraphs/ and
-matmul/ under both engines with full transcripts and compare every field
-of the RunResult.  The ``run_many`` contract is pinned the same way:
+The fast engine runs the legacy loop, whose fixed-width rounds cross
+the wire as ints unless a fault plan is active.  Each path must be
+observationally indistinguishable from the other, down to an inbox read
+after its round has ended.  These tests run representative protocols
+from routing/, mst/, subgraphs/ and matmul/ with full transcripts on
+both engines, and on legacy under an active fault plan that never
+fires (every round as Bits), and compare every field of the RunResult.  The ``run_many`` contract is pinned the same way:
 one sweep on either engine equals sequential ``run`` calls on the
 legacy reference, for hand-written, protocol and fuzzed programs.
 """
@@ -17,6 +19,7 @@ import random
 import pytest
 
 from repro.core.bits import Bits
+from repro.core.faults import FaultPlan
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import transmit_broadcast, transmit_unicast
 from repro.graphs import random_graph
@@ -40,19 +43,27 @@ def assert_identical(a, b):
             assert rec_a.sends == rec_b.sends
 
 
+#: Active, so every round takes the Bits path, and never firing.
+BITS_PATH = FaultPlan(triggers={(10**9, 0, 1): "drop"})
+
+
 def run_both(program_factory, n, bandwidth, mode=Mode.UNICAST, inputs=None, **kwargs):
+    runs = [dict(engine="legacy"), dict(engine="fast")]
+    if "fault_plan" not in kwargs:
+        runs.append(dict(engine="legacy", fault_plan=BITS_PATH))
     results = []
-    for engine in ("legacy", "fast"):
+    for run in runs:
         network = Network(
             n=n,
             bandwidth=bandwidth,
             mode=mode,
             record_transcript=True,
-            engine=engine,
+            **run,
             **kwargs,
         )
         results.append(network.run(program_factory(), inputs=inputs))
-    assert_identical(*results)
+    for other in results[1:]:
+        assert_identical(results[0], other)
     return results[1]
 
 
@@ -314,9 +325,9 @@ class TestReductionEquivalence:
 
 class TestCongestSparseEquivalence:
     def test_fixed_width_below_density_threshold(self):
-        # A ring keeps every fixed-width outbox at 2 messages, well
-        # under the lane density threshold: the fast engine must take
-        # the scalar fallback and stay byte-identical.
+        # A ring keeps every fixed-width outbox at 2 messages; its
+        # rounds cross the wire as ints all the same, and must match
+        # the Bits path byte for byte.
         n = 8
         topo = [[(v - 1) % n, (v + 1) % n] for v in range(n)]
 
@@ -435,8 +446,8 @@ class TestRandomProtocolFuzz:
 class TestLaneEdgeCases:
     def test_mixed_width_round_falls_back(self):
         # Nodes yield fixed-width outboxes of *different* widths in the
-        # same round; the fast engine must demote them to the scalar path
-        # and still match the legacy engine exactly.
+        # same round; the round must take the Bits path and still match
+        # the run that takes it under a fault plan exactly.
         def factory():
             def program(ctx):
                 width = 3 if ctx.node_id % 2 else 5
@@ -464,9 +475,9 @@ class TestLaneEdgeCases:
 
         run_both(factory, n=5, bandwidth=4)
 
-    def test_wide_payloads_use_object_lane(self, lane_rounds):
-        # n = 10: nine messages per sender, dense enough for the lane.
-        width = 130  # beyond the uint64 lane
+    def test_wide_payloads_use_object_lane(self, int_rounds):
+        # Payloads wider than a machine word cross as ints too.
+        width = 130
 
         def factory():
             def program(ctx):
@@ -481,11 +492,12 @@ class TestLaneEdgeCases:
 
         result = run_both(factory, n=10, bandwidth=width)
         assert result.total_bits == 10 * 9 * width
-        assert lane_rounds == [width]
+        # One int round on each engine; the Bits-path run adds none.
+        assert int_rounds == [width, width]
 
-    def test_alternating_lane_and_scalar_rounds(self, lane_rounds):
-        # Dense fixed-width rounds (the unicast lane) around a dict
-        # round and a silent one.
+    def test_alternating_lane_and_scalar_rounds(self, int_rounds):
+        # Fixed-width rounds (the int wire) around a dict round and a
+        # silent one.
         def factory():
             def program(ctx):
                 me = ctx.node_id
@@ -508,7 +520,8 @@ class TestLaneEdgeCases:
         for v, seen in enumerate(result.outputs):
             others = tuple(u for u in range(10) if u != v)
             assert seen == [others, ((v - 1) % 10,), others, ()]
-        assert lane_rounds == [4, 4]
+        # Rounds 1 and 3 as ints on each engine.
+        assert int_rounds == [4, 4, 4, 4]
 
 
 def _stash_value(r, u, v):
@@ -536,9 +549,8 @@ class TestInboxLifetime:
     @pytest.mark.parametrize("kind", ["dict_unicast", "dense_fixed", "broadcast_uint"])
     def test_stashed_inbox_keeps_its_round(self, kind, engine):
         # A program keeps round 1's inbox, unread, and reads it only
-        # after round 2 has been delivered.  n = 10 gives each sender 9
-        # messages, so the fixed-width rounds are dense enough for the
-        # unicast lane.
+        # after round 2 has been delivered.  The fixed-width rounds
+        # cross the wire as ints.
         n, width = 10, 8
         mode = Mode.BROADCAST if kind == "broadcast_uint" else Mode.UNICAST
 

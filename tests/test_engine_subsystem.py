@@ -58,10 +58,10 @@ def calls(monkeypatch):
 def broken_fast(monkeypatch):
     """The fast engine crashes on every run with a non-protocol error."""
 
-    def crash(network, program, inputs):
+    def crash(network, program, inputs_list):
         raise RuntimeError("simulated engine crash")
 
-    monkeypatch.setattr(fast, "_run", crash)
+    monkeypatch.setattr(fast, "run_many", crash)
 
 
 class TestEngineDispatch:

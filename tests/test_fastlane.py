@@ -1,4 +1,5 @@
-"""The fixed-width bulk lane: semantics, validation, accounting."""
+"""Fixed-width outboxes and the int wire: semantics, validation,
+accounting."""
 
 from __future__ import annotations
 
@@ -11,19 +12,20 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.fastlane import FixedWidthInbox, coerce_fixed
-from repro.core.mailbox import BoardInbox
+from repro.core.fastlane import coerce_fixed
+from repro.core.mailbox import BoardInbox, UintInbox
 from repro.core.network import Inbox, Mode, Outbox, inbox_uints, run_protocol
 
 
-# The fast engine's unicast lane takes a fixed-width round only when it
-# averages at least 8 messages per sender, so the dense cases below run
-# at n >= 9 and assert, through the ``lane_rounds`` fixture, that the
-# lane delivered them; the sparse cases assert that it did not.
+# A unicast or CONGEST round in which every non-silent sender yields a
+# fixed-width outbox of one width crosses the wire as ints when no fault
+# plan is active.  The cases below assert, through the ``int_rounds``
+# fixture, which rounds did; ``bits_path_plan`` forces the same round
+# onto the Bits path for comparison.
 
 
 class TestDelivery:
-    def test_all_to_all_uints(self, lane_rounds):
+    def test_all_to_all_uints(self, int_rounds):
         n, width = 10, 8
 
         def program(ctx):
@@ -33,14 +35,14 @@ class TestDelivery:
             return dict(inbox_uints(inbox))
 
         result = run_protocol(program, n=n, bandwidth=width)
-        assert lane_rounds == [width]
+        assert int_rounds == [width]
         assert result.rounds == 1
         assert result.total_bits == n * (n - 1) * width
         assert result.max_round_bits == result.total_bits
         for v, got in enumerate(result.outputs):
             assert got == {u: (u * 10 + v) % 256 for u in range(n) if u != v}
 
-    def test_inbox_api_matches_dict_inbox(self, lane_rounds):
+    def test_inbox_api_matches_dict_inbox(self, int_rounds, bits_path_plan):
         def program(ctx):
             dests = list(ctx.neighbors)
             inbox = yield Outbox.fixed_width(
@@ -56,11 +58,12 @@ class TestDelivery:
             }
 
         result = run_protocol(program, n=10, bandwidth=8)
-        assert lane_rounds == [8]
-        # The legacy engine delivers the same round into dict inboxes.
-        assert run_protocol(program, n=10, bandwidth=8, engine="legacy").outputs == (
-            result.outputs
-        )
+        assert int_rounds == [8]
+        # The same round on the Bits path, into dict inboxes.
+        assert run_protocol(
+            program, n=10, bandwidth=8, fault_plan=bits_path_plan
+        ).outputs == result.outputs
+        assert int_rounds == [8]
         at0 = result.outputs[0]
         assert at0["senders"] == tuple(range(1, 10))
         assert at0["items"] == [(s, format(10 * s, "08b")) for s in range(1, 10)]
@@ -71,7 +74,7 @@ class TestDelivery:
         assert at1["senders"] == (0, *range(2, 10))
         assert at1["get0"] == 1
 
-    def test_numpy_array_inputs(self, lane_rounds):
+    def test_numpy_array_inputs(self, int_rounds):
         def program(ctx):
             dests = np.array(list(ctx.neighbors), dtype=np.intp)
             values = np.full(dests.size, ctx.node_id, dtype=np.uint64)
@@ -79,21 +82,23 @@ class TestDelivery:
             return sorted(inbox.uint_items())
 
         result = run_protocol(program, n=10, bandwidth=7)
-        assert lane_rounds == [7]
+        assert int_rounds == [7]
         for v, got in enumerate(result.outputs):
             assert got == [(u, u) for u in range(10) if u != v]
 
-    def test_empty_fixed_outbox_is_silent(self, lane_rounds):
+    def test_empty_fixed_outbox_is_silent(self, int_rounds):
         def program(ctx):
             inbox = yield Outbox.fixed_width([], [], 4)
             return len(inbox)
 
         result = run_protocol(program, n=3, bandwidth=4)
-        assert lane_rounds == []
+        # An empty outbox still names its width, so the round is an int
+        # round that carries no message.
+        assert int_rounds == [4]
         assert result.total_bits == 0
         assert result.outputs == [0, 0, 0]
 
-    def test_transcript_records_fixed_sends(self, lane_rounds):
+    def test_transcript_records_fixed_sends(self, int_rounds):
         n = 9
 
         def program(ctx):
@@ -101,7 +106,7 @@ class TestDelivery:
             yield Outbox.fixed_width(dests, [(ctx.node_id + d) % 4 for d in dests], 2)
 
         result = run_protocol(program, n=n, bandwidth=2, record_transcript=True)
-        assert lane_rounds == [2]
+        assert int_rounds == [2]
         sends = result.transcript[0].sends
         assert sends == [
             (s, d, Bits.from_uint((s + d) % 4, 2))
@@ -110,7 +115,7 @@ class TestDelivery:
             if d != s
         ]
 
-    def test_congest_respects_topology(self, lane_rounds):
+    def test_congest_respects_topology(self, int_rounds):
         topo = [[1], [0, 2], [1]]
 
         def program(ctx):
@@ -122,16 +127,16 @@ class TestDelivery:
         result = run_protocol(
             program, n=3, bandwidth=1, mode=Mode.CONGEST, topology=topo
         )
-        assert lane_rounds == []
+        assert int_rounds == [1]
         assert result.outputs == [[1], [0, 2], [1]]
 
 
 class TestValidation:
     """Node 0 yields the outbox under test, to nine destinations where
     the check allows, while every other node yields a valid fixed-width
-    outbox to all its neighbours: the unicast lane would take the round
-    (``test_valid_round_rides_the_lane``), so each rejection is checked
-    on a lane round, not on one the scalar path delivers."""
+    outbox to all its neighbours: the round would cross the wire as
+    ints (``test_valid_round_rides_the_lane``), so each rejection is
+    checked on an int round, not on one the Bits path delivers."""
 
     def run_single(self, outbox_builder, width=8, **kwargs):
         def program(ctx):
@@ -145,9 +150,9 @@ class TestValidation:
         kwargs.setdefault("bandwidth", 8)
         return run_protocol(program, **kwargs)
 
-    def test_valid_round_rides_the_lane(self, lane_rounds):
+    def test_valid_round_rides_the_lane(self, int_rounds):
         result = self.run_single(lambda ctx: Outbox.fixed_width(range(1, 10), [1] * 9, 8))
-        assert lane_rounds == [8]
+        assert int_rounds == [8]
         assert result.total_bits == 10 * 9 * 8
 
     def test_width_over_bandwidth(self):
@@ -184,12 +189,12 @@ class TestValidation:
                 lambda ctx: Outbox.fixed_width([*range(1, 9), 1], [2] * 9, 8)
             )
 
-    def test_congest_non_neighbour_rejected(self, lane_rounds):
+    def test_congest_non_neighbour_rejected(self, int_rounds):
         # The clique on 10 nodes without the edge {0, 9}.
         topo = [[u for u in range(10) if u != v and {u, v} != {0, 9}] for v in range(10)]
         kwargs = dict(mode=Mode.CONGEST, topology=topo)
         self.run_single(lambda ctx: Outbox.fixed_width(range(1, 9), [1] * 8, 8), **kwargs)
-        assert lane_rounds == [8]
+        assert int_rounds == [8]
         with pytest.raises(TopologyError):
             self.run_single(
                 lambda ctx: Outbox.fixed_width(range(1, 10), [1] * 9, 8), **kwargs
@@ -348,10 +353,10 @@ class TestBroadcastValidation:
 
 
 class TestSchedule:
-    def test_outbox_map_and_uints_on_dict_inbox(self, lane_rounds):
+    def test_outbox_map_and_uints_on_dict_inbox(self, int_rounds):
         def program(ctx):
-            # Force the scalar path for one node so inbox_uints must
-            # decode an ordinary dict-backed Inbox too.
+            # Force the Bits path with one node's dict outbox, so
+            # inbox_uints must decode an ordinary dict-backed Inbox too.
             if ctx.node_id == 0:
                 inbox = yield Outbox.unicast({1: Bits.from_uint(9, 5)})
             else:
@@ -359,11 +364,11 @@ class TestSchedule:
             return sorted(inbox_uints(inbox))
 
         result = run_protocol(program, n=3, bandwidth=5)
-        assert lane_rounds == []
+        assert int_rounds == []
         assert result.outputs[0] == [(1, 21), (2, 22)]
         assert result.outputs[1] == [(0, 9)]
 
-    def test_outbox_map_and_uints_on_lane_inbox(self, lane_rounds):
+    def test_outbox_map_and_uints_on_lane_inbox(self, int_rounds):
         def program(ctx):
             inbox = yield Outbox.fixed_width_map(
                 {d: 20 + ctx.node_id for d in ctx.neighbors}, 5
@@ -371,7 +376,7 @@ class TestSchedule:
             return sorted(inbox_uints(inbox))
 
         result = run_protocol(program, n=10, bandwidth=5)
-        assert lane_rounds == [5]
+        assert int_rounds == [5]
         assert result.outputs[0] == [(u, 20 + u) for u in range(1, 10)]
 
 
@@ -383,8 +388,27 @@ class TestInboxApi:
         def public(cls):
             return {name for name in dir(cls) if not name.startswith("_")}
 
-        assert public(FixedWidthInbox) == public(Inbox)
+        assert public(UintInbox) == public(Inbox)
         assert public(BoardInbox) == public(Inbox)
+
+    def test_uint_inbox_reads_like_a_dict_inbox(self):
+        # The same messages, as ints in a UintInbox and as Bits in an
+        # Inbox; the int dict is filled out of sender order.
+        ints = {7: 5, 2: 0, 4: 15}
+        uint_inbox = UintInbox(ints, 4)
+        inbox = Inbox({s: Bits(v, 4) for s, v in ints.items()})
+        for probe in (uint_inbox, inbox):
+            assert probe.senders() == (2, 4, 7)
+            assert probe.uint_items() == [(2, 0), (4, 15), (7, 5)]
+            assert len(probe) == 3
+            assert 4 in probe and 3 not in probe
+        assert uint_inbox.items() == inbox.items()
+        assert uint_inbox.items() == ((2, Bits(0, 4)), (4, Bits(15, 4)), (7, Bits(5, 4)))
+        for sender in (2, 4, 7, 3, -1, 99):
+            assert uint_inbox.get(sender) == inbox.get(sender)
+        # A caller may mutate the list it is handed.
+        uint_inbox.uint_items().clear()
+        assert inbox_uints(uint_inbox) == [(2, 0), (4, 15), (7, 5)]
 
 
 class TestDuplicateDestinationAudit:

@@ -534,6 +534,26 @@ class TestHeldPlans:
             "strassen": 6, "threshold_parity": 8,
         }
 
+    def test_triangle_mm_builds_one_output_schedule(self, held, monkeypatch):
+        # The generator and kernel forms route the outputs on the same
+        # schedule, built once per prepare.
+        from repro.matmul import distributed
+        from repro.scenarios.matrix import instance_graph
+
+        built = []
+        build_schedule = distributed.build_schedule
+
+        def counting(demand, n):
+            schedule = build_schedule(demand, n)
+            built.append(schedule)
+            return schedule
+
+        monkeypatch.setattr(distributed, "build_schedule", counting)
+        graph = instance_graph(0, "triangle_mm", "gnp", 16)
+        prepared = get_protocol("triangle_mm").prepare(16, graph, random.Random(0))
+        assert len(built) == 1
+        assert set(prepared.programs) == {"generator", "kernel"}
+
     @pytest.mark.parametrize("name", PROTOCOLS)
     def test_prepare_compiles_every_engine_form(self, held, monkeypatch, name):
         import dataclasses
