@@ -2,22 +2,18 @@
 
 Measures the message-passing engine itself (no protocol logic) across
 all three communication models.  Each workload has two programs, run
-on both engine names:
+on the legacy engine:
 
 * the *dict* program yields ``Outbox.unicast``/``Outbox.broadcast`` of
-  prebuilt ``Bits`` payloads (rows ``legacy`` and ``fast``);
+  prebuilt ``Bits`` payloads (row ``legacy``);
 * the *fixed* program yields a fresh fixed-width outbox every round
   (``Outbox.fixed_width`` for unicast/CONGEST, ``Outbox.broadcast_uint``
-  on the blackboard), as every library protocol does (rows
-  ``legacy+fixed`` and ``fast+fixed``); its unicast and CONGEST rounds
-  cross the wire as plain ints.
+  on the blackboard), as every library protocol does (row
+  ``legacy+fixed``); its unicast and CONGEST rounds cross the wire as
+  plain ints.
 
-The ``fast`` engine runs the legacy loop, so every speedup times one
-delivery path twice and reads about 1.0x: it is a check that the two
-names stay one engine, and a row's msgs/s is the number to track.  A
-speedup is timed like the overhead gates below: the median, over
-interleaved pairs of runs, of the ratio of legacy's CPU time over
-fast's.  A row's own seconds and rates are its best wall-clock run.
+A row's seconds and rates are its best wall-clock run of
+``10 * repeats``, and its msgs/s is the number to compare across trees.
 
 Workloads (width-32 payloads):
 
@@ -29,8 +25,8 @@ Workloads (width-32 payloads):
 
 A ``kernels`` section measures the kernel-program path, the one
 compiled path: a repeated unicast workload expressed as declared round
-kernels — zero generator resumptions — against plain fast-engine runs
-of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), plus a
+kernels — zero generator resumptions — against plain legacy-engine
+runs of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), plus a
 Lenzen-routing sweep comparing ``route_kernel_program`` with the
 generator ``route_program`` under ``run_many``.
 
@@ -53,10 +49,9 @@ Run from the repo root (writes ``BENCH_engine.json`` there)::
     PYTHONPATH=src python benchmarks/bench_engine.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_engine.py --quick    # CI smoke
 
-The JSON keeps a per-config table plus ``speedups``, an ``acceptance``
-block (the unicast dict program's ``speedups`` entry at the largest
-size, kernel vs. the plain fast engine on the repeated unicast sweep,
-the two overhead gates), and a ``meta`` block
+The JSON keeps a per-config table, an ``acceptance`` block (kernel vs.
+the plain legacy engine on the repeated unicast sweep, the two
+overhead gates), and a ``meta`` block
 stamping python/numpy versions and the git revision so
 the perf trajectory across PRs stays comparable.
 """
@@ -183,30 +178,26 @@ def _time_abba(fn_a, fn_b, pairs):
     return statistics.median(ratios), (best[0], values[0]), (best[1], values[1])
 
 
-def bench_config(mode, n, engine, fixed, rounds):
-    """One (mode, n, engine, program) workload: ``(label, messages,
-    run)``, ``run`` a no-argument callable running it once."""
+def bench_config(mode, n, fixed, rounds):
+    """One (mode, n, program) workload on the legacy engine: ``(label,
+    messages, run)``, ``run`` a no-argument callable running it once."""
     if mode == "unicast":
-        network = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST, engine=engine)
+        network = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
         maker = unicast_fixed_program if fixed else unicast_dict_program
         messages_per_round = n * (n - 1)
     elif mode == "broadcast":
-        network = Network(n=n, bandwidth=WIDTH, mode=Mode.BROADCAST, engine=engine)
+        network = Network(n=n, bandwidth=WIDTH, mode=Mode.BROADCAST)
         maker = broadcast_fixed_program if fixed else broadcast_program
         messages_per_round = n * (n - 1)  # deliveries; bits charged once/writer
     elif mode == "congest":
         network = Network(
-            n=n,
-            bandwidth=WIDTH,
-            mode=Mode.CONGEST,
-            topology=ring_topology(n),
-            engine=engine,
+            n=n, bandwidth=WIDTH, mode=Mode.CONGEST, topology=ring_topology(n)
         )
         maker = unicast_fixed_program if fixed else unicast_dict_program
         messages_per_round = 2 * n
     else:  # pragma: no cover - config typo guard
         raise ValueError(mode)
-    label = f"{engine}+fixed" if fixed else engine
+    label = "legacy+fixed" if fixed else "legacy"
     program = maker(rounds)
     return label, messages_per_round * rounds, lambda: network.run(program)
 
@@ -220,51 +211,40 @@ def rounds_for(mode, n, quick):
 
 
 def run_sweep(sizes, quick, repeats):
-    """Every mode and size, each program on both engines; returns the
-    config rows and ``speedups``, fast over legacy per program.  Each
-    program's two runs are timed in ``10 * repeats`` interleaved pairs
-    (:func:`_time_abba`)."""
+    """Every mode and size, both programs; returns the config rows.
+    Each row is the best wall-clock run of ``10 * repeats``."""
     configs = []
-    speedups = {}
     for mode in ("unicast", "broadcast", "congest"):
         for n in sizes:
             rounds = rounds_for(mode, n, quick)
             bit_totals = set()
             for fixed in (False, True):
-                legacy = bench_config(mode, n, "legacy", fixed, rounds)
-                fast = bench_config(mode, n, "fast", fixed, rounds)
-                speedup, fast_timing, legacy_timing = _time_abba(
-                    fast[2], legacy[2], 10 * repeats
+                label, messages, run = bench_config(mode, n, fixed, rounds)
+                seconds, result = _time_best(run, 10 * repeats)
+                assert result.rounds == rounds
+                bit_totals.add(result.total_bits)
+                record = {
+                    "mode": mode,
+                    "n": n,
+                    "engine": label,
+                    "program": "fixed" if fixed else "dict",
+                    "rounds": rounds,
+                    "messages": messages,
+                    "total_bits": result.total_bits,
+                    "seconds": round(seconds, 6),
+                    "rounds_per_sec": round(rounds / seconds, 2),
+                    "messages_per_sec": round(messages / seconds, 1),
+                }
+                configs.append(record)
+                print(
+                    f"{mode:>9}  n={n:<4} {label:<14} "
+                    f"{record['rounds_per_sec']:>10.1f} rounds/s  "
+                    f"{record['messages_per_sec']:>12.0f} msgs/s"
                 )
-                for (label, messages, _run), (seconds, result) in (
-                    (legacy, legacy_timing),
-                    (fast, fast_timing),
-                ):
-                    assert result.rounds == rounds
-                    bit_totals.add(result.total_bits)
-                    record = {
-                        "mode": mode,
-                        "n": n,
-                        "engine": label,
-                        "program": "fixed" if fixed else "dict",
-                        "rounds": rounds,
-                        "messages": messages,
-                        "total_bits": result.total_bits,
-                        "seconds": round(seconds, 6),
-                        "rounds_per_sec": round(rounds / seconds, 2),
-                        "messages_per_sec": round(messages / seconds, 1),
-                    }
-                    configs.append(record)
-                    print(
-                        f"{mode:>9}  n={n:<4} {label:<14} "
-                        f"{record['rounds_per_sec']:>10.1f} rounds/s  "
-                        f"{record['messages_per_sec']:>12.0f} msgs/s"
-                    )
-                speedups.setdefault(f"{mode}/n={n}", {})[fast[0]] = round(speedup, 2)
             # Same traffic, same accounting — the dict program's Bits and
-            # the fixed program's ints must be charged alike on both names.
+            # the fixed program's ints must be charged alike.
             assert len(bit_totals) == 1, f"runs disagree on bits: {mode} n={n}"
-    return configs, speedups
+    return configs
 
 
 def unicast_kernel_program(n, rounds):
@@ -298,7 +278,7 @@ def unicast_kernel_program(n, rounds):
 
 
 def bench_kernels(quick, repeats):
-    """Kernel programs vs plain fast-engine runs of their generator
+    """Kernel programs vs plain legacy-engine runs of their generator
     twins: the repeated unicast sweep (the acceptance workload) and a
     routing trial sweep."""
     records = []
@@ -311,17 +291,17 @@ def bench_kernels(quick, repeats):
                   "instances": instances}
         totals = set()
 
-        # The generator twin on the fast engine (ints on the wire).
-        fast_net = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
+        # The generator twin on the legacy engine (ints on the wire).
+        legacy_net = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
         gen_program = unicast_fixed_program(rounds)
-        fast_net.run(gen_program)  # warm off-clock
+        legacy_net.run(gen_program)  # warm off-clock
 
-        def fast_workload():
-            return [fast_net.run(gen_program) for _ in range(instances)]
+        def legacy_workload():
+            return [legacy_net.run(gen_program) for _ in range(instances)]
 
-        seconds, results = _time_best(fast_workload, repeats)
+        seconds, results = _time_best(legacy_workload, repeats)
         totals.update(r.total_bits for r in results)
-        record["fast"] = {
+        record["legacy"] = {
             "seconds": round(seconds, 6),
             "messages_per_sec": round(deliveries / seconds, 1),
         }
@@ -352,20 +332,20 @@ def bench_kernels(quick, repeats):
             "messages_per_sec": round(deliveries / seconds, 1),
         }
         assert len(totals) == 1, f"paths disagree on bits: {record}"
-        record["kernel_speedup_vs_fast"] = round(
+        record["kernel_speedup_vs_legacy"] = round(
             record["kernel"]["messages_per_sec"]
-            / record["fast"]["messages_per_sec"],
+            / record["legacy"]["messages_per_sec"],
             2,
         )
-        record["kernel_batched_speedup_vs_fast"] = round(
+        record["kernel_batched_speedup_vs_legacy"] = round(
             record["kernel_batched"]["messages_per_sec"]
-            / record["fast"]["messages_per_sec"],
+            / record["legacy"]["messages_per_sec"],
             2,
         )
         print(
             f"{record['scenario']:>22}  n={n:<4} "
-            f"kernel {record['kernel_speedup_vs_fast']}x  "
-            f"batched {record['kernel_batched_speedup_vs_fast']}x vs fast"
+            f"kernel {record['kernel_speedup_vs_legacy']}x  "
+            f"batched {record['kernel_batched_speedup_vs_legacy']}x vs legacy"
         )
         records.append(record)
 
@@ -433,7 +413,7 @@ def bench_kernels(quick, repeats):
 def bench_faults(quick, repeats):
     """The zero-overhead contract of the fault layer: carrying an
     *inactive* FaultPlan (all rates zero, no triggers) must cost the
-    fast engine nothing measurable — one attribute check per run — so
+    legacy engine nothing measurable — one attribute check per run — so
     the chaos machinery can ship enabled-by-default.  An active chaos
     run is timed alongside for context (no gate: it legitimately takes
     the full-execution path)."""
@@ -444,13 +424,7 @@ def bench_faults(quick, repeats):
     pairs = 20 * repeats
 
     def workload(plan):
-        network = Network(
-            n=n,
-            bandwidth=WIDTH,
-            mode=Mode.UNICAST,
-            engine="fast",
-            fault_plan=plan,
-        )
+        network = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST, fault_plan=plan)
         program = unicast_fixed_program(rounds)
         return lambda: network.run(program)
 
@@ -481,7 +455,7 @@ def bench_faults(quick, repeats):
         f"({len(chaos.faults)} events)"
     )
     assert overhead <= 1.05, (
-        f"inactive FaultPlan costs {overhead:.3f}x on the fast path "
+        f"inactive FaultPlan costs {overhead:.3f}x on the legacy engine "
         "(budget 1.05x) — the no-plan short-circuit regressed"
     )
     return record
@@ -510,7 +484,7 @@ def bench_sharded(quick, repeats):
     def make():
         return ScenarioMatrix(
             protocols, families, sizes,
-            engines=["legacy", "fast"], seed=20260808,
+            engines=["legacy", "kernel"], seed=20260808,
         )
 
     def views(result):
@@ -699,25 +673,20 @@ def main(argv=None):
     sizes = args.sizes or ([16, 32] if args.quick else [32, 64, 128, 256])
     repeats = args.repeats or (1 if args.quick else 3)
 
-    configs, speedups = run_sweep(sizes, args.quick, repeats)
+    configs = run_sweep(sizes, args.quick, repeats)
     kernels = bench_kernels(args.quick, repeats)
     faults = bench_faults(args.quick, repeats)
     sharded = bench_sharded(args.quick, repeats)
     plans = bench_plans(args.quick)
 
-    top_n = max(sizes)
-    acceptance_key = f"unicast/n={top_n}"
     acceptance = {
-        "mode": "unicast",
-        "n": top_n,
-        "fast_speedup": speedups[acceptance_key].get("fast"),
-        "kernel_vs_fast_msgs_per_sec": max(
+        "kernel_vs_legacy_msgs_per_sec": max(
             (rec for rec in kernels if rec["scenario"] == "kernel_unicast"),
             key=lambda rec: rec["n"],
-        )["kernel_speedup_vs_fast"],
+        )["kernel_speedup_vs_legacy"],
         "kernel_speedups": {
             f"{rec['scenario']}/n={rec['n']}": (
-                rec.get("kernel_speedup_vs_fast")
+                rec.get("kernel_speedup_vs_legacy")
                 or rec.get("kernel_speedup_vs_generator")
             )
             for rec in kernels
@@ -734,7 +703,6 @@ def main(argv=None):
         "quick": args.quick,
         "repeats": repeats,
         "configs": configs,
-        "speedups": speedups,
         "kernels": kernels,
         "faults": faults,
         "sharded": sharded,
@@ -742,9 +710,6 @@ def main(argv=None):
         "acceptance": acceptance,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
-    print("\nspeedups vs legacy (median CPU-time ratio):")
-    for key, values in speedups.items():
-        print(f"  {key:<18} {values}")
     print(f"\nwrote {args.out}")
     return report
 

@@ -70,8 +70,8 @@ def test_detection_sweep(benchmark, capsys):
 
 def test_full_learning_scenario_matrix(benchmark, capsys):
     """The full-learning baseline, migrated onto the scenario matrix:
-    C4 detection swept over graph families and both generator backends,
-    with per-cell ground-truth validation and legacy-digest pinning."""
+    C4 detection swept over graph families on the legacy engine, with
+    per-cell ground-truth validation and legacy-digest pinning."""
     from repro.scenarios import ScenarioMatrix
 
     table = Table(
@@ -83,7 +83,7 @@ def test_full_learning_scenario_matrix(benchmark, capsys):
         families=["gnp", "sparse", "bipartite"],
         sizes=[16, 24],
         seed=5,
-        engines=["legacy", "fast"],
+        engines=["legacy"],
     )
     result = matrix.run()
     assert not result.mismatches()
@@ -106,7 +106,7 @@ def test_full_learning_scenario_matrix(benchmark, capsys):
 
     matrix_small = ScenarioMatrix(
         protocols=["subgraph_detection"], families=["gnp"], sizes=[12],
-        seed=5, engines=["fast"],
+        seed=5, engines=["legacy"],
     )
     benchmark(lambda: matrix_small.run())
 

@@ -1,20 +1,20 @@
-"""Chaos run: the same protocol, the same seeded fault schedule, every
-engine — and a self-checking sweep that proves the faults were noticed.
+"""Chaos run: the same protocol under the same seeded fault schedule,
+run after run — and a self-checking sweep that proves the faults were
+noticed.
 
 Three acts:
 
-1. A broadcast max-protocol runs under a deterministic ``FaultPlan``
-   (drops + bit-flips) on the legacy and fast engines; both see the
-   *identical* fault schedule and produce identical outputs and fault
-   event logs.
+1. A broadcast max-protocol runs twice under a deterministic
+   ``FaultPlan`` (drops + bit-flips); both runs see the *identical*
+   fault schedule and produce identical outputs and fault event logs.
 2. The same plan with resilience turned on: an acked retransmit phase
    recovers dropped payloads, a redundant (majority-vote) broadcast
    outvotes corrupted ones, and a ``round_limit`` watchdog bounds the
    whole run.
-3. A ``ScenarioMatrix`` chaos sweep on both engines: every cell runs
-   faulted and clean, is checked against the legacy reference cell,
-   and the report shows each injected fault was detected — no silent
-   passes.
+3. A ``ScenarioMatrix`` chaos sweep on the legacy engine: every cell
+   runs faulted and clean, is checked against its clean run and its
+   validator, and the report shows each injected fault was detected —
+   no silent passes.
 
 Run:  PYTHONPATH=src python examples/chaos_run.py
 """
@@ -49,23 +49,22 @@ def max_protocol(value_bits, resilient=False):
 
 
 def act_one_identical_schedules(n, inputs, plan):
-    print("=== 1. one seeded schedule, every engine ===")
-    runs = {}
-    for engine in ("legacy", "fast"):
-        network = Network(
-            n=n, bandwidth=8, mode=Mode.BROADCAST, engine=engine, fault_plan=plan
+    print("=== 1. one seeded schedule, every run ===")
+    first, second = (
+        Network(n=n, bandwidth=8, mode=Mode.BROADCAST, fault_plan=plan).run(
+            max_protocol(12), inputs=inputs
         )
-        runs[engine] = network.run(max_protocol(12), inputs=inputs)
-    legacy, fast = runs["legacy"], runs["fast"]
-    assert legacy.outputs == fast.outputs
-    assert legacy.faults == fast.faults
+        for _ in range(2)
+    )
+    assert first.outputs == second.outputs
+    assert first.faults == second.faults
     print(f"true max        : {max(inputs)}")
-    print(f"chaotic outputs : {sorted(set(legacy.outputs))} (both engines agree)")
-    print(f"injected faults : {len(legacy.faults)}")
-    for event in legacy.faults[:5]:
+    print(f"chaotic outputs : {sorted(set(first.outputs))} (both runs agree)")
+    print(f"injected faults : {len(first.faults)}")
+    for event in first.faults[:5]:
         print(f"  round {event.round}: {event.kind} on node {event.src}"
               + (f" (bit {event.detail})" if event.kind == "corrupt" else ""))
-    return legacy
+    return first
 
 
 def act_two_resilience(n, inputs, plan):
@@ -90,7 +89,7 @@ def act_three_self_checking_sweep():
         protocols=["routing"],
         families=["gnp"],
         sizes=[6, 8],
-        engines=["legacy", "fast"],
+        engines=["legacy"],
         seed=3,
         fault_plan=plan,
     )

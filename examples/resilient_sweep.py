@@ -24,7 +24,7 @@ from repro.scenarios.sweep import SweepJournal
 
 def sweep() -> ScenarioMatrix:
     return ScenarioMatrix(
-        ["routing", "mst"], ["gnp"], [8], engines=["legacy", "fast"]
+        ["routing", "mst"], ["gnp"], [8], engines=["legacy", "kernel"]
     )
 
 

@@ -14,9 +14,7 @@ from repro.analysis.bounds import (
     theorem22_lb_rounds,
     theorem24_lb_rounds,
 )
-from repro.analysis.budget import (
-    BandwidthBudget, BudgetCheck, check_budget, check_prepared, log2_ceil,
-)
+from repro.analysis.budget import BandwidthBudget, log2_ceil
 from repro.analysis.reporting import Table, fmt, geometric_mean, ratio
 
 __all__ = [
@@ -35,8 +33,5 @@ __all__ = [
     "geometric_mean",
     "fmt",
     "BandwidthBudget",
-    "BudgetCheck",
-    "check_budget",
-    "check_prepared",
     "log2_ceil",
 ]

@@ -13,15 +13,16 @@ concrete bound: a protocol declares the coefficients of
         + \\text{log\\_sq\\_coeff} \\cdot L^2,
     \\qquad L = \\lceil \\log_2 \\max(2, n) \\rceil
 
-and :func:`check_prepared` compares a prepared instance's declared
-network ``bandwidth`` against it.  Every engine rejects a message wider than
-that bandwidth, so the comparison needs ``prepare`` alone: the scenario
-matrix makes it once per coordinate before any engine runs.  The
+and :meth:`BandwidthBudget.check` compares a prepared instance's
+declared network ``bandwidth`` against it.  Every engine rejects a
+message wider than that bandwidth, so the comparison needs ``prepare``
+alone: the scenario matrix makes it once per coordinate before any
+engine runs.  The
 :math:`L^2` term admits the paper's simulation-based protocols, whose
 word size carries a :math:`\\log^2 n` factor from pointer-per-level
 encodings.
 
-This module is dependency-free (no imports from the scenario layer) so
+This module imports nothing from the scenario layer, so
 :mod:`repro.scenarios.registry` can attach budgets to its specs without
 an import cycle.
 """
@@ -29,9 +30,10 @@ an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
-__all__ = ["BandwidthBudget", "BudgetCheck", "check_budget", "check_prepared", "log2_ceil"]
+from repro.core.errors import BandwidthExceededError
+
+__all__ = ["BandwidthBudget", "log2_ceil"]
 
 
 def log2_ceil(n: int) -> int:
@@ -70,38 +72,13 @@ class BandwidthBudget:
             terms.append(str(self.flat))
         return " + ".join(terms)
 
-
-@dataclass(frozen=True)
-class BudgetCheck:
-    """Verdict of one budget comparison at one problem size."""
-
-    n: int
-    allowed: int
-    observed: int
-    ok: bool
-    detail: str
-
-
-def check_budget(budget: BandwidthBudget, n: int, observed_bits: int) -> BudgetCheck:
-    """Compare a protocol's worst-case message width against its
-    declared budget at size ``n``."""
-    allowed = budget.bits(n)
-    ok = observed_bits <= allowed
-    detail = (
-        f"declared width {observed_bits} <= {allowed} = {budget.describe()} @ n={n}"
-        if ok
-        else (
-            f"declared width {observed_bits} EXCEEDS budget "
-            f"{allowed} = {budget.describe()} @ n={n}"
-        )
-    )
-    return BudgetCheck(
-        n=n, allowed=allowed, observed=observed_bits, ok=ok, detail=detail
-    )
-
-
-def check_prepared(budget: BandwidthBudget, n: int, prepared: Any) -> BudgetCheck:
-    """:func:`check_budget` for a prepared scenario: its width is the
-    network ``bandwidth`` it declares, the widest message any engine
-    accepts from it."""
-    return check_budget(budget, n, int(prepared.network_kwargs.get("bandwidth", 0)))
+    def check(self, n: int, bandwidth: int) -> None:
+        """Raise :class:`~repro.core.errors.BandwidthExceededError` when
+        a declared network ``bandwidth`` (the widest message any engine
+        accepts) exceeds the budget at problem size ``n``."""
+        allowed = self.bits(n)
+        if bandwidth > allowed:
+            raise BandwidthExceededError(
+                f"declared width {bandwidth} EXCEEDS budget "
+                f"{allowed} = {self.describe()} @ n={n}"
+            )

@@ -32,8 +32,8 @@ from repro.core.phases import (
 )
 # The kernel layer is numpy-backed at module level; load it lazily
 # (PEP 562) so `import repro.core` stays numpy-free until a kernel
-# program is actually built — the same invariant the engine's deferred
-# fastlane (fixed-width outbox checks) and kernel imports preserve.
+# program is actually built — the same invariant the kernel engine's
+# deferred import preserves.
 _KERNEL_EXPORTS = (
     "KernelBuilder",
     "KernelContext",

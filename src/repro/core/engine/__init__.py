@@ -2,23 +2,24 @@
 
 The :class:`~repro.core.network.Network` front door checks inputs and
 owns all cross-run state (compiled kernel schedules, RNG bundles,
-stats); *how* a program executes is one of three engine modules, each
+stats); *how* a program executes is one of two engine modules, each
 exposing ``run_many(network, program, inputs_list)``:
 
 ========  ==========================================================
 engine    strategy
 ========  ==========================================================
-legacy    reference loop — fresh dicts each round, validating
-          delivery; fixed-width rounds cross the wire as ints
-fast      the legacy loop under a second name
+legacy    reference loop for generator programs — fresh dicts each
+          round, validating delivery; fixed-width rounds cross the
+          wire as ints
 kernel    declared SPMD rounds compiled once, one payload matrix per
           round over all instances (the one compiled path)
 ========  ==========================================================
 
 :data:`ENGINES` is the whole dispatch: a kernel program runs on
-``kernel``, a generator program on the engine the network names.  Every
-engine produces results byte-identical to the legacy loop for the
-programs it runs, and an engine failure propagates to the caller.
+``kernel`` and a generator program on ``legacy``, and a network named
+``kernel`` rejects a generator program.  A kernel program's results are
+byte-identical to those of its generator twin on the legacy loop, and
+an engine failure propagates to the caller.
 
 The fully validating delivery path lives in
 :mod:`repro.core.engine.delivery`: the generator loop writes each
@@ -30,10 +31,10 @@ every node reads.  Under an active
 deterministic chaos schedule hits every engine.
 """
 
-from repro.core.engine import fast, kernel, legacy
+from repro.core.engine import kernel, legacy
 
 #: Engine name -> engine module.  Modules rather than functions, so a
 #: patched module attribute takes effect on the next run.
-ENGINES = {"legacy": legacy, "fast": fast, "kernel": kernel}
+ENGINES = {"legacy": legacy, "kernel": kernel}
 
 __all__ = ["ENGINES"]

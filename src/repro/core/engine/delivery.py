@@ -2,15 +2,15 @@
 
 :func:`deliver_outbox` delivers one sender's outbox, with optional
 transcript recording: a broadcast is written once on the round's board,
-a unicast message into its receiver's dict.  Every generator engine's
-round loop is built from it, so all of them charge bits and raise
-protocol errors identically.
+a unicast message into its receiver's dict.  The legacy engine's
+round loop is built from it, and it is where every generator program's
+bits are charged and its delivery-time protocol errors raised.
 
 It enforces the model rules (bandwidth, topology, payload types) on
 every dict outbox.  A fixed-width outbox is written straight into its
 receivers' dicts: an equivalent whole-outbox validation already ran
 when the outbox was yielded (see
-:func:`repro.core.fastlane.validate_fixed`).  In a round that
+:func:`repro.core.mailbox.validate_fixed`).  In a round that
 :func:`int_round_width` finds all fixed-width of one width, with no
 active fault plan, each value crosses as the plain int it is, and the
 receivers read it through a :class:`~repro.core.mailbox.UintInbox`;

@@ -1,14 +1,14 @@
 """The legacy reference engine: per-round allocation, scalar delivery.
 
-This is the original round loop the project started from, kept as the
-*executable reference semantics*: every other engine is pinned
-byte-for-byte to its results by the equivalence suites.  It allocates
-fresh dicts every round — one board in a broadcast network, where each
-writer's word is written once and every node reads it through a
-:class:`~repro.core.mailbox.BoardInbox`, and otherwise one dict per
-receiver — delivers every message through the fully validating scalar
-path, and never caches or replays anything: slow, simple, and
-obviously correct.
+This is the original round loop the project started from and the one
+engine for generator programs, kept as the *executable reference
+semantics*: the equivalence suites pin every kernel twin byte-for-byte
+to its results.  It allocates fresh dicts every round — one board in a
+broadcast network, where each writer's word is written once and every
+node reads it through a :class:`~repro.core.mailbox.BoardInbox`, and
+otherwise one dict per receiver — delivers every message through the
+fully validating scalar path, and never caches or replays anything:
+slow, simple, and obviously correct.
 
 A unicast or CONGEST round whose senders all yielded fixed-width
 outboxes of one width crosses the wire as ints when no fault plan is
@@ -16,7 +16,6 @@ active: :func:`deliver_outbox` writes each value into its receiver's
 dict as it is, and the receiver reads a
 :class:`~repro.core.mailbox.UintInbox`.  Every other round, and every
 round under an active plan, carries :class:`~repro.core.bits.Bits`.
-The ``fast`` engine name runs this same loop.
 
 It executes generator node programs only; kernel programs declare their
 round structure instead of yielding it, and the network sends them to

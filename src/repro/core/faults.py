@@ -23,9 +23,9 @@ Design
   sent, exactly as a real lossy network charges the sender), records
   every injected fault as a :class:`FaultEvent`, and carries the
   delayed-delivery queue between rounds.
-* Every engine calls the session on what it delivers: the legacy and
-  fast loops through :meth:`FaultSession.apply_scalar` on the round's
-  board (broadcast) or per-receiver dicts, the kernel executor through
+* Every engine calls the session on what it delivers: the legacy loop
+  through :meth:`FaultSession.apply_scalar` on the round's board
+  (broadcast) or per-receiver dicts, the kernel executor through
   :meth:`FaultSession.apply_kernel` on each round's flat ``K × count``
   payload matrix.
 
@@ -42,16 +42,16 @@ A crashed node suffers send omission: from its crash round onward none
 of its messages are delivered.  Its program keeps running locally (crash
 ≠ halt in this model), which keeps round structure engine-independent.
 
-Scalar engines (legacy, fast) implement all five kinds exactly.  The
-kernel path delivers each round as a matrix with one column per
-declared message, so a dropped, delayed or crash-omitted message reads
-as 0 (there is no "absent"), and a delayed/duplicated payload only
-resurfaces when a later round's declared structure carries the same
-link and that slot is empty; the recorded *schedule* (the
-:class:`FaultEvent` list) is identical across engines even where the
-observable effect is capability-limited — divergence between engines
-under faults is exactly what a scenario sweep over several engines
-surfaces, as cells that do not match their coordinate's reference.
+The legacy engine implements all five kinds exactly.  The kernel path
+delivers each round as a matrix with one column per declared message,
+so a dropped, delayed or crash-omitted message reads as 0 (there is no
+"absent"), and a delayed/duplicated payload only resurfaces when a
+later round's declared structure carries the same link and that slot
+is empty; the recorded *schedule* (the :class:`FaultEvent` list) is
+identical across engines even where the observable effect is
+capability-limited — divergence between engines under faults is
+exactly what a scenario sweep over several engines surfaces, as cells
+that do not match their coordinate's reference.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ class FaultSession:
         due = round_index + self.plan.delay_rounds
         self._delayed.setdefault(due, []).append((src, dst, payload))
 
-    # -- scalar path (legacy engine, fast engine) ------------------------
+    # -- scalar path (the legacy engine) ---------------------------------
 
     def apply_scalar(self, round_index: int, boxes: Any) -> None:
         """Mutate one delivered round before any node reads it.

@@ -64,10 +64,10 @@ from repro.core.errors import (
     RoundLimitExceeded,
     TopologyError,
 )
-from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
 from repro.core.network import CoinStates, Mode, RoundRecord, RunResult
 
 __all__ = [
+    "NUMERIC_WIDTH_LIMIT",
     "KernelContext",
     "UnicastRound",
     "BroadcastRound",
@@ -77,6 +77,10 @@ __all__ = [
     "compile_program",
     "execute",
 ]
+
+#: Widest payload, in bits, that a round's matrix stores as ``uint64``;
+#: wider payloads live in object-dtype arrays of Python ints.
+NUMERIC_WIDTH_LIMIT = 63
 
 
 class KernelContext:

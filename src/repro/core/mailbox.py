@@ -2,6 +2,12 @@
 
 :class:`Outbox` is what one node yields at the end of its round —
 scalar unicast/broadcast dicts, or the bulk fixed-width constructors.
+A fixed-width outbox holds one destination tuple and one value tuple of
+plain ints: :func:`coerce_fixed` copies and type-checks them when the
+outbox is built, and the network checks the whole outbox with a few
+builtin passes when it is yielded (:func:`validate_fixed`), so
+delivery runs no per-message check.
+
 :class:`Inbox` is the dict-backed receive view of a unicast or CONGEST
 round.  A round whose senders all yielded fixed-width outboxes of one
 width crosses the wire as plain ints, and its receivers read a
@@ -14,22 +20,21 @@ that wants the whole round rather than one node's view of it asks
 :func:`inbox_source` for the object an inbox reads from: the shared
 board, or the inbox itself.
 
-These classes are engine-agnostic: every engine in
-:mod:`repro.core.engine` consumes the same containers, which is what
-keeps their results byte-identical.  Historically :class:`Inbox` and
-:class:`Outbox` lived in :mod:`repro.core.network`, which still
-re-exports them.
+The generator loop (:mod:`repro.core.engine.legacy`) builds and reads
+these containers.  Historically :class:`Inbox` and :class:`Outbox`
+lived in :mod:`repro.core.network`, which still re-exports them.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from bisect import bisect_left
 from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bits import Bits
-from repro.core.errors import ProtocolError
+from repro.core.errors import BandwidthExceededError, ProtocolError, TopologyError
 
 __all__ = [
     "Board",
@@ -37,8 +42,10 @@ __all__ = [
     "Inbox",
     "Outbox",
     "coerce_broadcast",
+    "coerce_fixed",
     "inbox_source",
     "inbox_uints",
+    "validate_fixed",
     "UintInbox",
     "EMPTY_INBOX",
 ]
@@ -246,6 +253,97 @@ def coerce_broadcast(value: int, width: int) -> int:
     return value
 
 
+def _int_tuple(seq: Sequence[int], what: str) -> Tuple[int, ...]:
+    """A flat sequence of *true* integers as a tuple of plain ints.
+
+    Floats (and anything else without ``__index__``) are rejected with
+    :class:`ProtocolError` instead of being silently truncated the way
+    a numpy dtype cast would truncate ``1.7`` to ``1``; numpy input is
+    read with one ``.tolist()``.  An ndarray exists only once numpy has
+    been imported, so it is recognised without importing numpy."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(seq, np.ndarray):
+        if seq.ndim != 1:
+            raise ProtocolError(f"fixed-width {what} must be a flat sequence")
+        if seq.dtype.kind in "iu":
+            return tuple(seq.tolist())
+        seq = seq.tolist()
+    try:
+        return tuple(map(operator.index, seq))
+    except TypeError as exc:
+        raise ProtocolError(
+            f"fixed-width {what} must be integers, not {exc}"
+        ) from exc
+
+
+def coerce_fixed(
+    dests: Sequence[int], values: Sequence[int], width: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Normalize a fixed-width outbox's payload into parallel tuples of
+    plain ints.
+
+    Always copies the inputs into immutable tuples: the network
+    validates an outbox when it is yielded, and other nodes run between
+    that yield and the round's delivery, so aliasing a caller-owned
+    list or array that is mutated in place meanwhile would let
+    unvalidated data onto the wire."""
+    if width < 1:
+        raise ValueError("fixed-width messages need width >= 1 bit")
+    dest_tuple = _int_tuple(dests, "destinations")
+    value_tuple = _int_tuple(values, "values")
+    if value_tuple and min(value_tuple) < 0:
+        raise ProtocolError("fixed-width values must be non-negative")
+    if len(value_tuple) != len(dest_tuple):
+        raise ProtocolError(
+            f"{len(dest_tuple)} destinations but {len(value_tuple)} values"
+        )
+    return dest_tuple, value_tuple
+
+
+def validate_fixed(
+    outbox: "Outbox",
+    sender: int,
+    n: int,
+    bandwidth: int,
+    allowed_set: Optional[frozenset] = None,
+) -> None:
+    """Whole-outbox validation with builtin passes; raises on any
+    violation.
+
+    Replaces the per-message checks of the scalar path: one self-send
+    and one range scan over the destination tuple, one membership scan
+    against the sender's CONGEST neighbours (``allowed_set``), one width
+    scan over the values (:func:`coerce_fixed` already rejected negative
+    ones).
+    """
+    width = outbox.width
+    if width > bandwidth:
+        raise BandwidthExceededError(
+            f"node {sender} sent {width}-bit fixed-width messages "
+            f"(bandwidth {bandwidth})"
+        )
+    dests = outbox.dests
+    if not dests:
+        return
+    if sender in dests:
+        raise TopologyError(f"node {sender} sent a message to itself")
+    if min(dests) < 0 or max(dests) >= n:
+        raise TopologyError(f"node {sender} sent to an out-of-range destination")
+    if not outbox.trusted_unique and len(set(dests)) != len(dests):
+        raise ProtocolError(
+            f"node {sender} listed a destination twice in a fixed-width outbox"
+        )
+    if allowed_set is not None and not allowed_set.issuperset(dests):
+        dest = next(d for d in dests if d not in allowed_set)
+        raise TopologyError(
+            f"node {sender} sent to non-neighbour {dest} in CONGEST"
+        )
+    if max(outbox.values) >> width:
+        raise ProtocolError(
+            f"node {sender} sent a value that does not fit in {width} bits"
+        )
+
+
 class Outbox:
     """What one node sends in one round.
 
@@ -316,9 +414,7 @@ class Outbox:
         (receivers read a :class:`UintInbox`); otherwise each message is
         delivered as an ordinary ``width``-bit
         :class:`~repro.core.bits.Bits` unicast."""
-        from repro.core import fastlane
-
-        d, v = fastlane.coerce_fixed(dests, values, width)
+        d, v = coerce_fixed(dests, values, width)
         return cls("fixed", None, None, dests=d, values=v, width=width)
 
     @classmethod
@@ -327,11 +423,9 @@ class Outbox:
         are unique by construction, so the duplicate-destination check is
         skipped; other Mapping types are copied through ``dict`` first so
         a broken ``keys()`` cannot smuggle a duplicate past it)."""
-        from repro.core import fastlane
-
         if type(messages) is not dict:
             messages = dict(messages)
-        d, v = fastlane.coerce_fixed(messages.keys(), messages.values(), width)
+        d, v = coerce_fixed(messages.keys(), messages.values(), width)
         out = cls("fixed", None, None, dests=d, values=v, width=width)
         out.trusted_unique = True
         return out

@@ -21,24 +21,23 @@ communication-complexity reductions of Section 3).
 Execution engines
 -----------------
 
-*How* a program executes is one of the three engine modules of
+*How* a program executes is one of the two engine modules of
 :mod:`repro.core.engine`, looked up by name in
 :data:`~repro.core.engine.ENGINES`:
 
-* ``legacy`` — the original per-round-allocation loop, kept as the
-  executable reference semantics; the equivalence suites pin every
-  other engine to it byte-for-byte.
-* ``fast`` (default) — the legacy loop under a second name.
+* ``legacy`` (default) — the original per-round-allocation loop that
+  runs every generator program, kept as the executable reference
+  semantics; the equivalence suites pin every kernel twin to it
+  byte-for-byte.
 * ``kernel`` — declared :class:`~repro.core.kernels.KernelProgram`\\ s
   compiled once into a :class:`~repro.core.kernels.CompiledSchedule`
   and executed as one matrix operation per round over all nodes and
   instances, zero generator steps.  Kernel programs are the one
   compiled path.
 
-``Network(engine=...)`` names the engine that runs generator programs.
-A kernel program runs on ``kernel`` whatever the network names (it has
-no other semantics), and ``engine="kernel"`` rejects a generator
-program.  An engine's failure propagates to the caller.
+A kernel program runs on ``kernel`` whatever ``Network(engine=...)``
+names (it has no other semantics), and ``engine="kernel"`` rejects a
+generator program.  An engine's failure propagates to the caller.
 
 In the generator loop a unicast or CONGEST round whose senders all
 yielded fixed-width outboxes of one width crosses the wire as plain
@@ -74,6 +73,7 @@ from repro.core.mailbox import (
     Inbox,
     Outbox,
     inbox_uints,
+    validate_fixed,
 )
 from repro.core.errors import (
     BandwidthExceededError,
@@ -286,12 +286,10 @@ class Network:
         retransmission loops under fault injection without touching the
         safety budget.
     engine:
-        The engine that runs generator programs: ``"fast"`` (the
-        default), ``"legacy"`` or ``"kernel"``; anything else raises
+        ``"legacy"`` (the default) or ``"kernel"``; anything else raises
         ``ValueError``.  A kernel program runs on ``"kernel"`` whatever
         this names, and ``"kernel"`` rejects a generator program with
-        :class:`~repro.core.errors.ProtocolError`.  All engines produce
-        identical :class:`RunResult`\\ s for the programs they run.
+        :class:`~repro.core.errors.ProtocolError`.
     """
 
     def __init__(
@@ -303,7 +301,7 @@ class Network:
         seed: int = 0,
         max_rounds: int = 1_000_000,
         record_transcript: bool = False,
-        engine: str = "fast",
+        engine: str = "legacy",
         fault_plan: Optional[Any] = None,
         round_limit: Optional[int] = None,
     ) -> None:
@@ -325,7 +323,7 @@ class Network:
         self.record_transcript = record_transcript
         self.fault_plan = fault_plan
         self.round_limit = round_limit
-        #: Name of the engine that runs generator programs.
+        #: The engine name given at construction.
         self.engine = engine
         if mode is Mode.CONGEST:
             if topology is None:
@@ -393,8 +391,8 @@ class Network:
         Every instance's inputs are checked before any runs.  A kernel
         program runs on the kernel engine, which moves all instances
         through each round as one ``K × count`` payload matrix; a
-        generator program runs on the network's ``engine``, one
-        instance after another.
+        generator program runs on the legacy loop, one instance after
+        another.
         """
         inputs_list = list(inputs_list)
         for inputs in inputs_list:
@@ -532,10 +530,8 @@ class Network:
         if kind == "fixed":
             # Whole-outbox validation at every yield, so delivery runs
             # no per-message check.
-            from repro.core import fastlane
-
             allowed = self._allowed
-            fastlane.validate_fixed(
+            validate_fixed(
                 yielded,
                 sender,
                 self.n,

@@ -86,12 +86,10 @@ class DisjointnessReduction:
         detector: str = "theorem7",
         ex_bound: Optional[int] = None,
         seed: int = 0,
-        engine: str = "fast",
     ) -> None:
         self.lbg = lbg
         self.bandwidth = bandwidth
         self.seed = seed
-        self.engine = engine
         if detector == "theorem7":
             self._program = detection_program(lbg.pattern, ex_bound)
         elif detector == "full":
@@ -113,7 +111,6 @@ class DisjointnessReduction:
             mode=Mode.BROADCAST,
             seed=self.seed,
             record_transcript=True,
-            engine=self.engine,
         )
         inputs = [sorted(instance.neighbors(v)) for v in range(instance.n)]
         result = network.run(self._program, inputs=inputs)

@@ -87,12 +87,10 @@ class NOFTriangleReduction:
         bandwidth: int,
         seed: int = 0,
         rs: Optional[RuzsaSzemerediGraph] = None,
-        engine: str = "fast",
     ) -> None:
         self.rs = rs if rs is not None else rs_graph(class_size)
         self.bandwidth = bandwidth
         self.seed = seed
-        self.engine = engine
         self._program = full_learning_program(_TRIANGLE)
 
     @property
@@ -112,7 +110,6 @@ class NOFTriangleReduction:
             mode=Mode.BROADCAST,
             seed=self.seed,
             record_transcript=True,
-            engine=self.engine,
         )
         inputs = [sorted(instance.neighbors(v)) for v in range(instance.n)]
         result = network.run(self._program, inputs=inputs)

@@ -405,7 +405,6 @@ def detect_triangle_mm(
     seed: int = 0,
     plan: Optional[SimulationPlan] = None,
     record_transcript: bool = False,
-    engine: str = "fast",
     kernel: bool = False,
 ) -> Tuple[TriangleMMOutcome, RunResult, SimulationPlan]:
     """Full pipeline: build the matmul circuit, simulate, detect.
@@ -431,7 +430,6 @@ def detect_triangle_mm(
         mode=Mode.UNICAST,
         seed=seed,
         record_transcript=record_transcript,
-        engine=engine,
     )
     rows = [
         [1 if graph.has_edge(v, u) else 0 for u in range(size)]

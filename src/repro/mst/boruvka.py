@@ -223,7 +223,6 @@ def boruvka_mst(
     bandwidth: int,
     seed: int = 0,
     record_transcript: bool = False,
-    engine: str = "fast",
 ) -> Tuple[Set[Edge], RunResult]:
     """Run Borůvka on CLIQUE-BCAST; every node outputs the same MST
     (minimum spanning forest if disconnected)."""
@@ -233,7 +232,6 @@ def boruvka_mst(
         mode=Mode.BROADCAST,
         seed=seed,
         record_transcript=record_transcript,
-        engine=engine,
     )
     result = network.run(boruvka_program(wg))
     first = result.outputs[0]

@@ -46,8 +46,7 @@ import numpy as np
 
 from repro.core.bits import Bits
 from repro.core.errors import DecodeError
-from repro.core.fastlane import NUMERIC_WIDTH_LIMIT
-from repro.core.kernels import KernelBuilder
+from repro.core.kernels import NUMERIC_WIDTH_LIMIT, KernelBuilder
 from repro.core.network import Context, Mode, Outbox, inbox_uints
 from repro.routing.schedule import FrameRef, RoutingSchedule, build_schedule
 
@@ -654,7 +653,7 @@ def kernel_route_frames(
     At phase start ``get_values(state)`` must return the ``K ×
     len(route.slot_of)`` frame-value matrix in slot order (``uint64``,
     or ``object`` ints for frames past
-    :data:`~repro.core.fastlane.NUMERIC_WIDTH_LIMIT` bits).  Every
+    :data:`~repro.core.kernels.NUMERIC_WIDTH_LIMIT` bits).  Every
     round sends the slots it moves and writes what the links delivered
     back into the matrix, so when the last hop lands
     ``set_values(state, values)`` receives each frame as its final hop
@@ -788,8 +787,8 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
     """The kernel twin of :func:`route_program`: same inputs (node
     ``v``'s ``{FrameRef: int}`` injection map, or ``None``), same
     outputs (the ``{FrameRef: int}`` frames delivered to each node) and,
-    for a bad injection map, the ``ValueError`` the generator engines
-    raise first, with zero generator steps — :func:`kernel_route_frames`,
+    for a bad injection map, the ``ValueError`` the legacy engine
+    raises first, with zero generator steps — :func:`kernel_route_frames`,
     whose rounds are one gather + one scatter over a frame-value matrix
     for all instances of a sweep at once."""
     route = schedule.route()
@@ -809,8 +808,7 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
 
     def injected(inputs) -> List[int]:
         """One instance's frames in ``inject_slots`` order, or the
-        generator engines' first ``ValueError`` for a bad injection
-        map."""
+        legacy engine's first ``ValueError`` for a bad injection map."""
         maps = [per_node or {} for per_node in inputs or [None] * n]
         frames: List[int] = []
         for v, per_node in enumerate(maps):
@@ -820,7 +818,7 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
         else:
             if not frames or (min(frames) >= 0 and not max(frames) >> frame_size):
                 return frames
-        # The generator engines step every node once per round, in node
+        # The legacy engine steps every node once per round, in node
         # order, and meet each node's first defect in one of its steps:
         # a frame that is another node's or does not fit in its first,
         # a frame it lacks in the round that first sends it, and one

@@ -72,7 +72,6 @@ import traceback
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.budget import check_prepared
 from repro.core.errors import BandwidthExceededError
 from repro.scenarios.families import get_family
 from repro.scenarios.registry import get_protocol
@@ -626,9 +625,11 @@ class ScenarioMatrix:
             prepare_seconds = time.perf_counter() - start  # analysis: allow(wall-clock)
             for cell in supported:
                 cell.prepare_seconds = prepare_seconds
-            budget = check_prepared(spec.bandwidth_budget, n, prepared)
-            if not budget.ok:
-                raise BandwidthExceededError(f"{spec.name}: {budget.detail}")
+            bandwidth = int(prepared.network_kwargs.get("bandwidth", 0))
+            try:
+                spec.bandwidth_budget.check(n, bandwidth)
+            except BandwidthExceededError as exc:
+                raise BandwidthExceededError(f"{spec.name}: {exc}") from None
         except Exception as exc:  # noqa: BLE001 - isolate the coordinate
             for cell in supported:
                 _failure_fields(cell, exc)

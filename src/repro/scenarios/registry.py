@@ -11,8 +11,9 @@ summary, and a ``validate`` hook that checks the summary against ground
 truth computed locally.
 
 ``engines`` names the execution backends the protocol supports (keys of
-:data:`repro.core.engine.ENGINES`); the matrix runner marks the
-rest unsupported instead of guessing.  The registry ships the five
+:data:`repro.core.engine.ENGINES`: ``legacy`` runs the generator
+program, ``kernel`` the kernel twin); the matrix runner marks the rest
+unsupported instead of guessing.  The registry ships the five
 families the experiment suites exercise — Lenzen routing, Theorem 2
 circuit simulation, matmul triangle detection, subgraph detection, and
 Borůvka MST — and is open: :func:`register_protocol` accepts new specs,
@@ -52,7 +53,7 @@ class PreparedScenario:
     #: and ``seed`` defaults to the runner's per-cell seed (a prepare
     #: hook may pin its own ``seed`` here to override).
     network_kwargs: Dict[str, Any]
-    #: Program per flavour: ``"generator"`` (legacy/fast backends) and
+    #: Program per flavour: ``"generator"`` (the legacy engine) and
     #: optionally ``"kernel"``.
     programs: Dict[str, Any]
     #: Per-node inputs, or None for input-free protocols and for
@@ -561,7 +562,7 @@ register_protocol(
     ProtocolSpec(
         name="routing",
         description="Lenzen-style frame routing of the graph's edge demand",
-        engines=("legacy", "fast", "kernel"),
+        engines=("legacy", "kernel"),
         prepare=_prepare_routing,
         # 16-bit frames regardless of n: the demand pattern scales, the
         # word size does not.
@@ -572,7 +573,7 @@ register_protocol(
     ProtocolSpec(
         name="routing_many",
         description="K-instance Lenzen routing through one routing schedule",
-        engines=("legacy", "fast", "kernel"),
+        engines=("legacy", "kernel"),
         prepare=_prepare_routing_many,
         # Same word size as ``routing``: K scales the instance count,
         # never the frame width.
@@ -583,7 +584,7 @@ register_protocol(
     ProtocolSpec(
         name="circuit_simulation",
         description="Theorem 2 simulation of a threshold/parity circuit",
-        engines=("legacy", "fast", "kernel"),
+        engines=("legacy", "kernel"),
         prepare=_prepare_circuit,
         # The Theorem 2 simulation ships O(log n)-bit words; the
         # threshold/parity plan's measured width is 2 bits at every
@@ -595,7 +596,7 @@ register_protocol(
     ProtocolSpec(
         name="triangle_mm",
         description="Section 2.1 matmul-circuit triangle detection",
-        engines=("legacy", "fast", "kernel"),
+        engines=("legacy", "kernel"),
         prepare=_prepare_triangle_mm,
         # The Strassen matmul plan's word size carries a log² factor
         # (per-level pointer encodings in the simulated circuit); 16·L²
@@ -607,7 +608,7 @@ register_protocol(
     ProtocolSpec(
         name="subgraph_detection",
         description="full-learning C4 detection on the blackboard",
-        engines=("legacy", "fast"),
+        engines=("legacy",),
         prepare=_prepare_subgraph_detection,
         # Full-learning broadcasts adjacency rows in fixed 8-bit
         # blackboard words; the chunk count scales with n, the width
@@ -619,7 +620,7 @@ register_protocol(
     ProtocolSpec(
         name="mst",
         description="Borůvka minimum spanning forest on CLIQUE-BCAST",
-        engines=("legacy", "fast"),
+        engines=("legacy",),
         prepare=_prepare_mst,
         # A Borůvka announcement is (edge, weight): two node ids plus a
         # 6-bit weight and framing — measured exactly 2·⌈log n⌉ + 7,

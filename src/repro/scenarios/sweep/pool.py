@@ -32,9 +32,8 @@ that, not just assume it.
 Pool-level failure — a protocol spec that cannot cross the process
 boundary, a spawn environment that cannot start workers, or a respawn
 storm — hands the unfinished coordinates back to the in-process executor
-instead of failing the sweep, mirroring the engine subsystem's kernel →
-fast → legacy chain; ``meta["pool"]`` records which executor actually
-ran.
+instead of failing the sweep; ``meta["pool"]`` records which executor
+actually ran.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ input vectors as stacked matrix operations.
 Each player runs its part of the plan from a per-player view
 (:class:`PlanView`, one :class:`PlayerView` per player), compiled once
 per plan and shared by every execution — all players, all trials,
-both generator engines.  :meth:`SimulationPlan.view` and
+every generator run.  :meth:`SimulationPlan.view` and
 :meth:`SimulationPlan.kernel_plan` compile the two engine forms on
 first use; both run while the scenario registry prepares a coordinate
 (the view when it builds the plan, the kernel plan when it builds the
@@ -136,7 +136,7 @@ class SimulationPlan:
         )
 
     def view(self) -> "PlanView":
-        """This plan compiled per player, for the generator engines:
+        """This plan compiled per player, for the legacy engine:
         built at the first call and shared by every later execution.
         The scenario registry calls it while it prepares a coordinate;
         a library caller's first generator run builds it.  A cache, not

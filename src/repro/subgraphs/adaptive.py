@@ -162,7 +162,6 @@ def adaptive_detect(
     seed: int = 0,
     accept_sampled_negatives: bool = False,
     record_transcript: bool = False,
-    engine: str = "fast",
 ) -> Tuple[AdaptiveOutcome, RunResult]:
     """Run Theorem 9's protocol on ``graph`` in CLIQUE-BCAST."""
     network = Network(
@@ -171,7 +170,6 @@ def adaptive_detect(
         mode=Mode.BROADCAST,
         seed=seed,
         record_transcript=record_transcript,
-        engine=engine,
     )
     inputs = [sorted(graph.neighbors(v)) for v in range(graph.n)]
     result = network.run(

@@ -89,7 +89,6 @@ def detect_subgraph(
     ex_bound: Optional[int] = None,
     seed: int = 0,
     record_transcript: bool = False,
-    engine: str = "fast",
 ) -> Tuple[DetectionOutcome, RunResult]:
     """Run Theorem 7's protocol on ``graph`` in CLIQUE-BCAST."""
     network = Network(
@@ -98,7 +97,6 @@ def detect_subgraph(
         mode=Mode.BROADCAST,
         seed=seed,
         record_transcript=record_transcript,
-        engine=engine,
     )
     inputs = [sorted(graph.neighbors(v)) for v in range(graph.n)]
     result = network.run(detection_program(pattern, ex_bound), inputs=inputs)
@@ -155,7 +153,6 @@ def full_learning_detect(
     bandwidth: int,
     seed: int = 0,
     record_transcript: bool = False,
-    engine: str = "fast",
 ) -> Tuple[DetectionOutcome, RunResult]:
     network = Network(
         n=graph.n,
@@ -163,7 +160,6 @@ def full_learning_detect(
         mode=Mode.BROADCAST,
         seed=seed,
         record_transcript=record_transcript,
-        engine=engine,
     )
     inputs = [graph.neighbors(v) for v in range(graph.n)]
     result = network.run(full_learning_program(pattern), inputs=inputs)

@@ -31,8 +31,7 @@ def rngs():
 
 @pytest.fixture
 def int_rounds(monkeypatch):
-    """The width of every round delivered as ints, on either generator
-    engine (both run the legacy loop)."""
+    """The width of every round the legacy loop delivered as ints."""
     from repro.core.engine import legacy
 
     widths = []

@@ -1,15 +1,16 @@
-"""Fast engine vs. legacy engine, int wire vs. Bits path:
-byte-identical RunResults.
+"""Int wire vs. Bits path on the legacy engine: byte-identical
+RunResults.
 
-The fast engine runs the legacy loop, whose fixed-width rounds cross
-the wire as ints unless a fault plan is active.  Each path must be
-observationally indistinguishable from the other, down to an inbox read
-after its round has ended.  These tests run representative protocols
-from routing/, mst/, subgraphs/ and matmul/ with full transcripts on
-both engines, and on legacy under an active fault plan that never
-fires (every round as Bits), and compare every field of the RunResult.  The ``run_many`` contract is pinned the same way:
-one sweep on either engine equals sequential ``run`` calls on the
-legacy reference, for hand-written, protocol and fuzzed programs.
+The legacy loop's fixed-width rounds cross the wire as ints unless a
+fault plan is active.  The two paths must be observationally
+indistinguishable, down to an inbox read after its round has ended.
+These tests run representative programs and phases with full
+transcripts, once as they are and once under an active fault plan that
+never fires (every round as Bits), and compare every field of the
+RunResult; matmul triangle detection is compared with its kernel form
+the same way.  The ``run_many`` contract is pinned too: one sweep
+equals sequential ``run`` calls on the legacy reference, for
+hand-written, protocol and fuzzed programs.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from repro.core.faults import FaultPlan
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import transmit_broadcast, transmit_unicast
 from repro.graphs import random_graph
-from repro.graphs.graph import Graph
 from repro.matmul.distributed import detect_triangle_mm
-from repro.mst.boruvka import WeightedGraph, boruvka_mst
 from repro.routing import route_payloads
-from repro.subgraphs.adaptive import adaptive_detect
-from repro.subgraphs.detection import detect_subgraph, full_learning_detect
 
 
 def assert_identical(a, b):
@@ -48,23 +45,21 @@ BITS_PATH = FaultPlan(triggers={(10**9, 0, 1): "drop"})
 
 
 def run_both(program_factory, n, bandwidth, mode=Mode.UNICAST, inputs=None, **kwargs):
-    runs = [dict(engine="legacy"), dict(engine="fast")]
-    if "fault_plan" not in kwargs:
-        runs.append(dict(engine="legacy", fault_plan=BITS_PATH))
-    results = []
-    for run in runs:
-        network = Network(
+    """Run the program on the int wire and on the Bits path, assert the
+    two results identical, and return the first."""
+    results = [
+        Network(
             n=n,
             bandwidth=bandwidth,
             mode=mode,
             record_transcript=True,
-            **run,
+            fault_plan=fault_plan,
             **kwargs,
-        )
-        results.append(network.run(program_factory(), inputs=inputs))
-    for other in results[1:]:
-        assert_identical(results[0], other)
-    return results[1]
+        ).run(program_factory(), inputs=inputs)
+        for fault_plan in (None, BITS_PATH)
+    ]
+    assert_identical(results[0], results[1])
+    return results[0]
 
 
 class TestRoutingEquivalence:
@@ -102,56 +97,26 @@ class TestRoutingEquivalence:
             assert result.outputs[dst] == expected
 
 
-class TestMstEquivalence:
-    def test_boruvka(self):
-        rng = random.Random(3)
-        graph = random_graph(10, 0.5, random.Random(11))
-        weights = {edge: rng.randint(1, 40) for edge in graph.edges()}
-        wg = WeightedGraph(graph, weights)
-        tree_legacy, res_legacy = boruvka_mst(
-            wg, bandwidth=16, record_transcript=True, engine="legacy"
-        )
-        tree_fast, res_fast = boruvka_mst(
-            wg, bandwidth=16, record_transcript=True, engine="fast"
-        )
-        assert tree_legacy == tree_fast
-        assert_identical(res_legacy, res_fast)
-
-
-class TestSubgraphEquivalence:
-    def test_detect_triangle_pattern(self):
-        graph = random_graph(9, 0.4, random.Random(5))
-        pattern = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        out_legacy, res_legacy = detect_subgraph(
-            graph, pattern, bandwidth=8, record_transcript=True, engine="legacy"
-        )
-        out_fast, res_fast = detect_subgraph(
-            graph, pattern, bandwidth=8, record_transcript=True, engine="fast"
-        )
-        assert out_legacy == out_fast
-        assert_identical(res_legacy, res_fast)
-
-
 class TestMatmulEquivalence:
     def test_detect_triangle_mm(self):
+        # The generator program on legacy and its kernel form on kernel.
         graph = random_graph(6, 0.5, random.Random(2))
-        out_legacy, res_legacy, plan = detect_triangle_mm(
+        out_generator, res_generator, plan = detect_triangle_mm(
             graph,
             trials=2,
             circuit_kind="naive",
             record_transcript=True,
-            engine="legacy",
         )
-        out_fast, res_fast, _ = detect_triangle_mm(
+        out_kernel, res_kernel, _ = detect_triangle_mm(
             graph,
             trials=2,
             circuit_kind="naive",
             record_transcript=True,
-            engine="fast",
             plan=plan,
+            kernel=True,
         )
-        assert out_legacy == out_fast
-        assert_identical(res_legacy, res_fast)
+        assert out_generator == out_kernel
+        assert_identical(res_generator, res_kernel)
 
 
 class TestPhaseEquivalence:
@@ -281,47 +246,6 @@ class TestBlackboardEquivalence:
             assert seen[1] == ((0,) if v != 0 else ())
             assert seen[2] == tuple(u for u in range(4) if u != v and u != 1)
 
-    def test_full_learning_detection(self):
-        graph = random_graph(10, 0.4, random.Random(8))
-        pattern = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        out_legacy, res_legacy = full_learning_detect(
-            graph, pattern, bandwidth=4, record_transcript=True, engine="legacy"
-        )
-        out_fast, res_fast = full_learning_detect(
-            graph, pattern, bandwidth=4, record_transcript=True, engine="fast"
-        )
-        assert out_legacy == out_fast
-        assert_identical(res_legacy, res_fast)
-
-    def test_adaptive_detection(self):
-        graph = random_graph(8, 0.5, random.Random(4))
-        pattern = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        out_legacy, res_legacy = adaptive_detect(
-            graph, pattern, bandwidth=6, record_transcript=True, engine="legacy"
-        )
-        out_fast, res_fast = adaptive_detect(
-            graph, pattern, bandwidth=6, record_transcript=True, engine="fast"
-        )
-        assert out_legacy == out_fast
-        assert_identical(res_legacy, res_fast)
-
-
-class TestReductionEquivalence:
-    def test_disjointness_reduction(self):
-        from repro.lower_bounds.cliques import clique_lower_bound_graph
-        from repro.lower_bounds.comm import DisjointnessReduction
-
-        lbg = clique_lower_bound_graph(4, 3)
-        alice = {0, 2, 4}
-        bob = {1, 2, 5}
-        runs = [
-            DisjointnessReduction(lbg, bandwidth=8, engine=engine).solve(
-                alice, bob
-            )
-            for engine in ("legacy", "fast")
-        ]
-        assert runs[0] == runs[1]
-
 
 class TestCongestSparseEquivalence:
     def test_fixed_width_below_density_threshold(self):
@@ -349,7 +273,7 @@ class TestCongestSparseEquivalence:
 
 
 class TestRandomProtocolFuzz:
-    """Seeded random programs, fast vs legacy, byte-for-byte."""
+    """Seeded random programs, int wire vs Bits path, byte-for-byte."""
 
     def _fuzz_unicast(self, seed):
         master = random.Random(seed)
@@ -357,7 +281,7 @@ class TestRandomProtocolFuzz:
         rounds = master.randint(2, 5)
         width_menu = [2, 3, 5, 9]
         # One deterministic script per (node, round), drawn up front so
-        # both engines replay the identical protocol.
+        # both runs replay the identical protocol.
         script = {}
         for v in range(n):
             for r in range(rounds):
@@ -492,8 +416,8 @@ class TestLaneEdgeCases:
 
         result = run_both(factory, n=10, bandwidth=width)
         assert result.total_bits == 10 * 9 * width
-        # One int round on each engine; the Bits-path run adds none.
-        assert int_rounds == [width, width]
+        # One int round; the Bits-path run adds none.
+        assert int_rounds == [width]
 
     def test_alternating_lane_and_scalar_rounds(self, int_rounds):
         # Fixed-width rounds (the int wire) around a dict round and a
@@ -520,8 +444,8 @@ class TestLaneEdgeCases:
         for v, seen in enumerate(result.outputs):
             others = tuple(u for u in range(10) if u != v)
             assert seen == [others, ((v - 1) % 10,), others, ()]
-        # Rounds 1 and 3 as ints on each engine.
-        assert int_rounds == [4, 4, 4, 4]
+        # Rounds 1 and 3 as ints; the Bits-path run adds none.
+        assert int_rounds == [4, 4]
 
 
 def _stash_value(r, u, v):
@@ -545,7 +469,7 @@ def _round_outbox(kind, ctx, r, width):
 
 
 class TestInboxLifetime:
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     @pytest.mark.parametrize("kind", ["dict_unicast", "dense_fixed", "broadcast_uint"])
     def test_stashed_inbox_keeps_its_round(self, kind, engine):
         # A program keeps round 1's inbox, unread, and reads it only
@@ -800,7 +724,7 @@ class TestRunManyProtocols:
 class TestRunManyFuzz:
     """Seeded fuzz: random protocols — with one structure for every
     instance, and with a structure that varies per instance — through
-    run_many on the fast engine vs the legacy reference, byte-for-byte."""
+    run_many vs sequential runs on the legacy reference, byte-for-byte."""
 
     def _script_program(self, n, rounds, width_menu, structure_key):
         # Structure is drawn from structure_key; when it includes the

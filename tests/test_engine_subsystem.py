@@ -1,16 +1,17 @@
-"""The engine table: dispatch from ``Network(engine=...)`` to the three
+"""The engine table: dispatch from ``Network(engine=...)`` to the two
 engine modules, front-door input checks, and engine failures that
 propagate instead of being re-run elsewhere."""
 
 import pytest
 
 from repro.core.bits import Bits
-from repro.core.engine import ENGINES, fast, kernel, legacy
+from repro.core.engine import ENGINES, kernel, legacy
 from repro.core.errors import BandwidthExceededError, ProtocolError
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import (
     transmit_broadcast_kernel_program,
     transmit_unicast,
+    transmit_unicast_kernel_program,
 )
 from repro.scenarios import ScenarioMatrix
 
@@ -55,32 +56,31 @@ def calls(monkeypatch):
 
 
 @pytest.fixture
-def broken_fast(monkeypatch):
-    """The fast engine crashes on every run with a non-protocol error."""
+def broken_kernel(monkeypatch):
+    """The kernel engine crashes on every run with a non-protocol error."""
 
     def crash(network, program, inputs_list):
         raise RuntimeError("simulated engine crash")
 
-    monkeypatch.setattr(fast, "run_many", crash)
+    monkeypatch.setattr(kernel, "run_many", crash)
 
 
 class TestEngineDispatch:
     def test_registry_contents(self):
-        assert ENGINES == {"legacy": legacy, "fast": fast, "kernel": kernel}
+        assert ENGINES == {"legacy": legacy, "kernel": kernel}
 
-    def test_default_network_runs_fast(self, calls):
+    def test_default_network_runs_legacy(self, calls):
         Network(n=4, bandwidth=8).run(echo_program)
-        assert calls == ["fast"]
+        assert calls == ["legacy"]
 
     def test_each_name_runs_its_own_engine(self, calls):
-        for name in ("legacy", "fast"):
-            network = Network(n=4, bandwidth=8, engine=name)
-            network.run(echo_program)
-            network.run_many(echo_program, [None, None])
+        network = Network(n=4, bandwidth=8, engine="legacy")
+        network.run(echo_program)
+        network.run_many(echo_program, [None, None])
         program, payloads = broadcast_kernel_program(4)
         network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine="kernel")
         network.run(program, inputs=payloads)
-        assert calls == ["legacy", "legacy", "fast", "fast", "kernel"]
+        assert calls == ["legacy", "legacy", "kernel"]
 
     def test_kernel_program_runs_on_kernel_whatever_engine_names(self, calls):
         program, payloads = broadcast_kernel_program(4)
@@ -88,9 +88,9 @@ class TestEngineDispatch:
             Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine=name).run(
                 program, inputs=payloads
             )
-            for name in ("legacy", "fast", "kernel")
+            for name in ("legacy", "kernel")
         ]
-        assert calls == ["kernel"] * 3
+        assert calls == ["kernel"] * 2
         assert all(result_tuple(r) == result_tuple(results[0]) for r in results)
 
     def test_kernel_engine_rejects_generator_programs(self):
@@ -100,7 +100,7 @@ class TestEngineDispatch:
         with pytest.raises(ProtocolError, match="only executes kernel"):
             network.run_many(echo_program, [None])
 
-    @pytest.mark.parametrize("engine", ["warp", "auto", None])
+    @pytest.mark.parametrize("engine", ["warp", "auto", None, "fast"])
     def test_unknown_engine_rejected(self, engine):
         with pytest.raises(ValueError, match="unknown engine"):
             Network(n=4, bandwidth=8, engine=engine)
@@ -112,16 +112,11 @@ class TestFrontDoorValidation:
         good = [None] * n
         bad = [None] * (n - 1)
 
-        def generator_case(engine):
-            network = Network(n=n, bandwidth=8, engine=engine)
-            return network, echo_program, [good, bad]
-
-        for engine in ("legacy", "fast"):
-            network, program, inputs_list = generator_case(engine)
-            with pytest.raises(ProtocolError, match="inputs for"):
-                network.run_many(program, inputs_list)
-            with pytest.raises(ProtocolError, match="inputs for"):
-                network.run(program, inputs=bad)
+        network = Network(n=n, bandwidth=8, engine="legacy")
+        with pytest.raises(ProtocolError, match="inputs for"):
+            network.run_many(echo_program, [good, bad])
+        with pytest.raises(ProtocolError, match="inputs for"):
+            network.run(echo_program, inputs=bad)
 
         program, payloads = broadcast_kernel_program(n)
         network = Network(n=n, bandwidth=8, mode=Mode.BROADCAST, engine="kernel")
@@ -135,26 +130,32 @@ class TestEngineFailures:
     """An engine's exception reaches the caller: no other engine re-runs
     the program and stands in for the one that failed."""
 
-    def test_broken_fast_engine_raises(self, broken_fast, calls):
-        network = Network(n=4, bandwidth=8, engine="fast")
+    def test_broken_kernel_engine_raises(self, broken_kernel, calls):
+        program, payloads = broadcast_kernel_program(4)
+        network = Network(n=4, bandwidth=8, mode=Mode.BROADCAST, engine="kernel")
         with pytest.raises(RuntimeError, match="simulated engine crash"):
-            network.run(echo_program)
+            network.run(program, inputs=payloads)
         with pytest.raises(RuntimeError, match="simulated engine crash"):
-            network.run_many(echo_program, [None, None])
-        assert calls == ["fast", "fast"]
+            network.run_many(program, [payloads, payloads])
+        assert calls == ["kernel", "kernel"]
 
-    def test_broken_fast_engine_fails_its_matrix_cells(self, broken_fast):
+    def test_broken_kernel_engine_fails_its_matrix_cells(self, broken_kernel):
+        # mst has no kernel form, so routing holds the one kernel cell.
         result = ScenarioMatrix(
-            ["routing", "mst"], ["gnp"], [6], engines=["legacy", "fast"]
+            ["routing", "mst"], ["gnp"], [6], engines=["legacy", "kernel"]
         ).run()
-        fast_cells = [cell for cell in result.cells if cell.engine == "fast"]
-        assert len(fast_cells) == 2
-        for cell in fast_cells:
+        kernel_cells = [
+            cell
+            for cell in result.cells
+            if cell.engine == "kernel" and cell.status != "unsupported"
+        ]
+        assert [cell.protocol for cell in kernel_cells] == ["routing"]
+        for cell in kernel_cells:
             assert cell.status == "failed"
             assert cell.error_type == "RuntimeError"
-        assert result.mismatches() == fast_cells
+        assert result.mismatches() == kernel_cells
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_protocol_errors_propagate(self, engine, calls):
         def too_wide(ctx):
             yield Outbox.broadcast_uint(0xFFFF, 16)
@@ -164,7 +165,7 @@ class TestEngineFailures:
             network.run(too_wide)
         assert calls == [engine]
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_program_bugs_propagate(self, engine, calls):
         def buggy(ctx):
             yield Outbox.broadcast_uint(ctx.node_id, 8)
@@ -178,20 +179,27 @@ class TestEngineFailures:
 
 class TestBackendEquivalenceSmoke:
     def test_all_backends_agree_on_phase_protocol(self):
+        # One unicast transmit phase as a generator program on legacy
+        # and as its kernel twin on kernel.
         n, max_bits = 5, 12
+        payloads = [
+            {v: Bits(u * 7 + v, max_bits) for v in range(n) if v != u}
+            for u in range(n)
+        ]
+        links = [(u, v) for u in range(n) for v in range(n) if u != v]
 
         def program(ctx):
-            payload = {
-                v: Bits(ctx.node_id * 7 + v, max_bits)
-                for v in range(n)
-                if v != ctx.node_id
-            }
-            received = yield from transmit_unicast(ctx, payload, max_bits)
-            return sorted((src, bits.to_uint()) for src, bits in received.items())
+            received = yield from transmit_unicast(ctx, ctx.input, max_bits)
+            return received
 
         results = {
-            engine: Network(n=n, bandwidth=4, engine=engine).run(program)
-            for engine in ("legacy", "fast")
+            "legacy": Network(n=n, bandwidth=4, engine="legacy").run(
+                program, inputs=payloads
+            ),
+            "kernel": Network(n=n, bandwidth=4, engine="kernel").run(
+                transmit_unicast_kernel_program(n, 4, links, max_bits),
+                inputs=payloads,
+            ),
         }
         reference = result_tuple(results["legacy"])
-        assert result_tuple(results["fast"]) == reference
+        assert result_tuple(results["kernel"]) == reference

@@ -26,4 +26,4 @@ def test_every_module_exports_resolve():
             if not hasattr(module, attr):
                 failures.append(f"{name}.__all__ names missing {attr!r}")
     assert failures == []
-    assert "repro.core.engine.fast" in names
+    assert "repro.core.engine.legacy" in names

@@ -12,8 +12,7 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.fastlane import coerce_fixed
-from repro.core.mailbox import BoardInbox, UintInbox
+from repro.core.mailbox import BoardInbox, UintInbox, coerce_fixed
 from repro.core.network import Inbox, Mode, Outbox, inbox_uints, run_protocol
 
 
@@ -200,7 +199,7 @@ class TestValidation:
                 lambda ctx: Outbox.fixed_width(range(1, 10), [1] * 9, 8), **kwargs
             )
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_congest_non_neighbour_rejected_in_bulk_outbox(self, engine):
         # 40 destinations, the last of them no neighbour of the sender:
         # a bulk outbox gets the same membership check as a small one.
@@ -383,8 +382,8 @@ class TestSchedule:
 class TestInboxApi:
     def test_every_inbox_flavour_has_the_same_public_attributes(self):
         # A program sees whichever flavour the round took; an accessor
-        # only some flavours have works on one engine and raises
-        # AttributeError on another.
+        # only some flavours have would work in one round and raise
+        # AttributeError in another.
         def public(cls):
             return {name for name in dir(cls) if not name.startswith("_")}
 
@@ -424,10 +423,6 @@ class TestDuplicateDestinationAudit:
             return None
 
         return program
-
-    def test_fast_engine_rejects(self):
-        with pytest.raises(ProtocolError, match="twice"):
-            run_protocol(self.duplicate_program(), n=3, bandwidth=4)
 
     def test_legacy_engine_rejects(self):
         with pytest.raises(ProtocolError, match="twice"):

@@ -167,21 +167,10 @@ class TestDeterministicSchedule:
         assert all(1 <= r <= 6 for r in crashed)
         assert FaultPlan(seed=4, crashes={2: 9}).crash_round(2) == 9
 
-    @pytest.mark.parametrize("seed", [0, 1, 17, 12345])
-    def test_fuzz_same_seed_same_events_across_engines(self, seed):
-        plan = FaultPlan(seed=seed, drop_rate=0.15, corrupt_rate=0.1, delay_rate=0.1)
-        legacy = run_outputs("legacy", plan)
-        fast = run_outputs("fast", plan)
-        assert legacy.outputs == fast.outputs
-        assert legacy.faults == fast.faults
-        assert legacy.total_bits == fast.total_bits
-
     def test_run_many_matches_run(self):
-        network = Network(
-            n=5, bandwidth=WIDTH, mode=Mode.UNICAST, engine="fast", fault_plan=CHAOS
-        )
+        network = Network(n=5, bandwidth=WIDTH, mode=Mode.UNICAST, fault_plan=CHAOS)
         batch = network.run_many(chatter_program(4), [None, None, None])
-        single = run_outputs("fast", CHAOS)
+        single = run_outputs("legacy", CHAOS)
         for item in batch:
             assert item.outputs == single.outputs
             assert item.faults == single.faults
@@ -196,7 +185,7 @@ class TestDeterministicSchedule:
 
 
 class TestScalarFaultSemantics:
-    def test_all_kinds_reachable_and_engines_agree(self):
+    def test_all_kinds_reachable(self):
         plan = FaultPlan(
             seed=2,
             drop_rate=0.15,
@@ -206,9 +195,6 @@ class TestScalarFaultSemantics:
             crashes={1: 2},
         )
         legacy = run_outputs("legacy", plan, rounds=6, n=6)
-        fast = run_outputs("fast", plan, rounds=6, n=6)
-        assert legacy.outputs == fast.outputs
-        assert legacy.faults == fast.faults
         kinds = {e.kind for e in legacy.faults}
         assert kinds == set(FAULT_KINDS), f"workload never hit {set(FAULT_KINDS) - kinds}"
 
@@ -291,14 +277,10 @@ class TestScalarFaultSemantics:
         self, plan, rounds, kinds, digest
     ):
         legacy = run_outputs("legacy", plan, rounds=rounds, mode=Mode.BROADCAST, n=6)
-        fast = run_outputs("fast", plan, rounds=rounds, mode=Mode.BROADCAST, n=6)
-        assert legacy.outputs == fast.outputs
-        assert legacy.faults == fast.faults
         assert legacy.faults and all(e.dst is None for e in legacy.faults)
         assert Counter(e.kind for e in legacy.faults) == kinds
-        # Both engines deliver a broadcast round through the same board,
-        # so their agreement cannot catch a change in the semantics
-        # themselves: the reference run is pinned outright.
+        # The reference run is pinned outright: no other generator engine
+        # is left to disagree with a change in the semantics themselves.
         pinned = (legacy.outputs, legacy.faults, legacy.total_bits, legacy.rounds)
         assert hashlib.sha256(repr(pinned).encode()).hexdigest()[:16] == digest
         for r in range(rounds):
@@ -310,7 +292,7 @@ class TestScalarFaultSemantics:
                 }
                 assert len(seen) == 1, "receivers diverged on one broadcast word"
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_lone_writer_word_has_no_fate(self, engine):
         # A one-node clique's word is charged but reaches no receiver, so
         # the plan decides nothing about it.
@@ -437,14 +419,14 @@ class TestZeroOverheadPath:
 
     def test_inactive_plan_is_a_noop(self):
         idle = FaultPlan(seed=42)
-        clean = run_outputs("fast", None)
-        carried = run_outputs("fast", idle)
+        clean = run_outputs("legacy", None)
+        carried = run_outputs("legacy", idle)
         assert carried.outputs == clean.outputs
         assert carried.faults is None
         network = Network(n=4, bandwidth=WIDTH, fault_plan=idle)
         assert network._fault_session() is None
 
-    def test_fast_engine_keeps_lanes_without_plan(self, int_rounds):
+    def test_int_wire_only_without_plan(self, int_rounds):
         # Under an active plan every round carries Bits, so the plan
         # sees each message as it always has; without one, fixed-width
         # rounds cross the wire as ints.
@@ -640,13 +622,13 @@ class TestRoundLimitWatchdog:
     def chatty(self, rounds):
         return chatter_program(rounds)
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_watchdog_trips_with_context(self, engine):
         network = Network(n=4, bandwidth=WIDTH, engine=engine, round_limit=3)
         with pytest.raises(RoundLimitExceeded, match=r"watchdog.*after 3 rounds.*round_limit 3"):
             network.run(self.chatty(10))
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_under_limit_passes(self, engine):
         network = Network(n=4, bandwidth=WIDTH, engine=engine, round_limit=3)
         result = network.run(self.chatty(3))
@@ -705,12 +687,9 @@ class TestResilientPhases:
                     yield Outbox.broadcast_uint(frame, width)
             return None
 
-        for engine in ("legacy", "fast"):
-            network = Network(
-                n=2, bandwidth=width, mode=Mode.BROADCAST, engine=engine
-            )
-            result = network.run(program)
-            assert result.outputs[1] == {0: honest}
+        network = Network(n=2, bandwidth=width, mode=Mode.BROADCAST)
+        result = network.run(program)
+        assert result.outputs[1] == {0: honest}
 
     def test_redundant_broadcast_outvotes_corruption(self):
         n, payload_width = 5, 9
@@ -757,7 +736,7 @@ class TestDeliveryErrorContext:
     def test_bandwidth_error_names_round_and_link(self):
         def program(ctx):
             # Dict outbox with heterogeneous widths: the fully
-            # validating scalar delivery path on every engine.
+            # validating scalar delivery path.
             yield Outbox.silent()
             yield Outbox.unicast(
                 {(ctx.node_id + 1) % ctx.n: Bits(0xFFFF, 16)}
@@ -765,10 +744,9 @@ class TestDeliveryErrorContext:
 
         from repro.core.errors import BandwidthExceededError
 
-        for engine in ("legacy", "fast"):
-            network = Network(n=3, bandwidth=WIDTH, engine=engine)
-            with pytest.raises(BandwidthExceededError, match="in round 2"):
-                network.run(program)
+        network = Network(n=3, bandwidth=WIDTH)
+        with pytest.raises(BandwidthExceededError, match="in round 2"):
+            network.run(program)
 
 
 class TestTheorem2Chaos:
@@ -786,7 +764,7 @@ class TestTheorem2Chaos:
         for seed in range(1, 5):
             result = ScenarioMatrix(
                 [protocol], ["gnp", "complete"], [6, 8],
-                engines=["legacy", "fast", "kernel"],
+                engines=["legacy", "kernel"],
                 seed=seed,
                 fault_plan=FaultPlan(seed=seed, corrupt_rate=0.08, drop_rate=0.05),
             ).run()
@@ -807,7 +785,7 @@ class TestSelfCheckingMatrix:
         plan = FaultPlan(seed=11, corrupt_rate=0.08, drop_rate=0.05)
         matrix = ScenarioMatrix(
             ["routing"], ["gnp"], [6, 8],
-            engines=["legacy", "fast"], seed=3,
+            engines=["legacy"], seed=3,
             fault_plan=plan,
         )
         result = matrix.run()

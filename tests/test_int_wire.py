@@ -103,24 +103,20 @@ def test_int_wire_matches_bits_path(case):
     n, topology, bandwidth, script = case
     mode = Mode.UNICAST if topology is None else Mode.CONGEST
     runs = {}
-    for engine in ("legacy", "fast"):
-        for plan in (None, BITS_PATH):
-            for record in (False, True):
-                network = Network(
-                    n=n,
-                    bandwidth=bandwidth,
-                    mode=mode,
-                    topology=topology,
-                    engine=engine,
-                    fault_plan=plan,
-                    record_transcript=record,
-                )
-                runs[engine, plan is None, record] = network.run(
-                    scripted_program(n, script)
-                )
-    reference = runs["legacy", False, True]
+    for plan in (None, BITS_PATH):
+        for record in (False, True):
+            network = Network(
+                n=n,
+                bandwidth=bandwidth,
+                mode=mode,
+                topology=topology,
+                fault_plan=plan,
+                record_transcript=record,
+            )
+            runs[plan is None, record] = network.run(scripted_program(n, script))
+    reference = runs[False, True]
     assert reference.faults == []
-    for (engine, int_wire, record), result in runs.items():
+    for (int_wire, record), result in runs.items():
         assert [seen for seen, _ in result.outputs] == [
             seen for seen, _ in reference.outputs
         ]

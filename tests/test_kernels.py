@@ -92,14 +92,12 @@ def echo_sum_programs(n, width, rounds):
 
 
 class TestUnicastEquivalence:
-    def test_matches_fast_and_legacy(self):
+    def test_matches_legacy(self):
         n, width, rounds = 7, 12, 4
         gen_program, kernel_program = echo_sum_programs(n, width, rounds)
         expected = Network(n=n, bandwidth=width).run(gen_program)
-        legacy = Network(n=n, bandwidth=width, engine="legacy").run(gen_program)
-        got = Network(n=n, bandwidth=width).run(kernel_program)
+        got = Network(n=n, bandwidth=width, engine="kernel").run(kernel_program)
         assert result_tuple(got) == result_tuple(expected)
-        assert result_tuple(got) == result_tuple(legacy)
 
     def test_run_many_lockstep(self):
         n, width, rounds = 6, 8, 3
@@ -642,14 +640,9 @@ class TestFuzzEquivalence:
             return [list(state["heard"])]
 
         kernel_program = builder.build(finish)
-        for engine in ("fast", "legacy"):
-            expected = Network(n=n, bandwidth=bandwidth, engine=engine).run(
-                gen_program
-            )
-            got = Network(n=n, bandwidth=bandwidth, engine=engine).run(
-                kernel_program
-            )
-            assert result_tuple(got) == result_tuple(expected), seed
+        expected = Network(n=n, bandwidth=bandwidth).run(gen_program)
+        got = Network(n=n, bandwidth=bandwidth).run(kernel_program)
+        assert result_tuple(got) == result_tuple(expected), seed
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fuzz(self, seed):

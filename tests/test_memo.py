@@ -23,7 +23,7 @@ from repro.routing.sorting import _adapt_broadcast, sort_protocol
 from repro.subgraphs.adaptive import adaptive_program
 from repro.subgraphs.detection import detection_program, full_learning_program
 
-ENGINES = ("legacy", "fast")
+ENGINES = ("legacy",)
 # Corrupt+drop plans at two strengths: the strong ones mostly break the
 # protocols (with the same exception either way), the weak ones mostly
 # let them finish on corrupted frames.
@@ -175,9 +175,9 @@ def _lost_row_case(program, row, bandwidth):
 
 class TestLostWriter:
     """A dropped or corrupted blackboard message is a protocol failure
-    the fast engine reports itself: a ``DecodeError`` naming the writer,
-    not a bare ``KeyError`` or ``IndexError``, and no other engine runs
-    the program."""
+    the run reports itself: a ``DecodeError`` naming the writer, not a
+    bare ``KeyError`` or ``IndexError``, and nothing runs the program a
+    second time."""
 
     @pytest.mark.parametrize(
         "case, seed, plan, match",
@@ -210,7 +210,7 @@ class TestLostWriter:
         ],
         ids=["full_learning", "theorem7", "mst", "adaptive_detect", "sorting"],
     )
-    def test_fast_run_raises_without_legacy_rerun(
+    def test_run_raises_once_naming_the_writer(
         self, monkeypatch, case, seed, plan, match
     ):
         calls = []
@@ -222,10 +222,10 @@ class TestLostWriter:
 
         monkeypatch.setattr(legacy, "run_many", counting_run_many)
         net_kwargs, program, inputs = case()
-        network = Network(engine="fast", seed=seed, fault_plan=plan, **net_kwargs)
+        network = Network(seed=seed, fault_plan=plan, **net_kwargs)
         with pytest.raises(DecodeError, match=match):
             network.run(program, inputs=inputs)
-        assert calls == []
+        assert calls == ["legacy"]
 
 
 #: The chaos plans plus drop-only plans, which lose whole messages

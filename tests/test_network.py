@@ -103,11 +103,11 @@ class TestBroadcast:
         with pytest.raises(BandwidthExceededError):
             run_protocol(program, n=3, bandwidth=8, mode=Mode.BROADCAST)
 
-    # Fixed-width broadcasts: both generator engines write each word once
-    # on the round's board, and every node reads it through a view that
+    # Fixed-width broadcasts: the legacy engine writes each word once on
+    # the round's board, and every node reads it through a view that
     # skips its own word.
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_blackboard_delivery_and_accounting(self, engine):
         n, width = 6, 9
 
@@ -125,7 +125,7 @@ class TestBroadcast:
         for v, got in enumerate(result.outputs):
             assert got == {u: u * 7 for u in range(n) if u != v}
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_inbox_api_matches_dict_inbox(self, engine):
         def program(ctx):
             if ctx.node_id == 2:
@@ -155,7 +155,7 @@ class TestBroadcast:
         at2 = result.outputs[2]  # the silent node still hears everyone
         assert at2["senders"] == (0, 1)
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_self_broadcast_not_echoed(self, engine):
         def program(ctx):
             inbox = yield Outbox.broadcast_uint(1, 1)
@@ -166,7 +166,7 @@ class TestBroadcast:
         )
         assert result.outputs == [False] * 4
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_transcript_records_one_send_per_writer(self, engine):
         def program(ctx):
             yield Outbox.broadcast_uint(ctx.node_id, 2)
@@ -185,7 +185,7 @@ class TestBroadcast:
             (2, None, Bits.from_uint(2, 2)),
         ]
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_wide_payloads(self, engine):
         width = 130
 
@@ -199,7 +199,7 @@ class TestBroadcast:
         assert result.total_bits == 3 * width
         assert result.outputs[0] == [(1, (1 << 129) | 1), (2, (1 << 129) | 2)]
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_reused_outbox_across_rounds(self, engine):
         def program(ctx):
             outbox = Outbox.broadcast_uint(ctx.node_id + 1, 6)
@@ -218,7 +218,7 @@ class TestBroadcast:
             expected = sorted((u, u + 1) for u in range(3) if u != v)
             assert seen == [expected] * 3
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_schedule_broadcast_outbox(self, engine):
         def program(ctx):
             inbox = yield Outbox.broadcast_uint(ctx.node_id + 10, 5)
@@ -306,7 +306,7 @@ class TestLifecycle:
         result = run_protocol(program, n=3, bandwidth=1, inputs=[10, 20, 30])
         assert result.outputs == [11, 21, 31]
 
-    @pytest.mark.parametrize("engine", ["fast", "legacy"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_wrong_input_count_rejected_up_front(self, engine):
         # Regression: too-few inputs used to surface as a bare
         # IndexError from deep inside context construction, and extras
@@ -411,7 +411,7 @@ class TestCoinsOnFirstDraw:
     first time it reads them: the streams do not depend on when a node
     starts drawing, and a program that never draws clones nothing."""
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_first_draw_in_round_three_reads_the_seeded_stream(self, engine):
         def program(ctx):
             for _ in range(2):
@@ -426,7 +426,7 @@ class TestCoinsOnFirstDraw:
                 fresh = random.Random(f"17:node:{v}")
                 assert draws == [fresh.random() for _ in range(3)]
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_shared_coin_agrees_whenever_a_node_starts(self, engine):
         # Node v reads the public coin for the first time in round v + 1.
         def program(ctx):
@@ -438,7 +438,7 @@ class TestCoinsOnFirstDraw:
         fresh = random.Random("4:shared")
         assert result.outputs == [[fresh.getrandbits(16) for _ in range(4)]] * 5
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_no_draw_clones_no_state(self, monkeypatch, engine):
         clones = []
         setstate = random.Random.setstate
@@ -487,8 +487,8 @@ class TestInboxCaching:
         assert [s for s, _ in observed["items_a"]] == [1, 2, 3]
 
     def test_recycled_inboxes_refresh_between_rounds(self):
-        # The fast engine reuses inbox buffers; the cached views must not
-        # leak across rounds.
+        # Every round hands each node a fresh inbox; the cached views
+        # must not leak across rounds.
         def program(ctx):
             me = ctx.node_id
             inbox = yield Outbox.unicast({(me + 1) % ctx.n: bit(1)})

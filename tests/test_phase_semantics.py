@@ -1,7 +1,7 @@
 """The broadcast phases pinned against their per-receiver reference.
 
-Legacy and fast deliver a CLIQUE-BCAST round through the same board and
-run the same phase code, so neither the engine-equivalence suites nor a
+The legacy engine is the one loop that runs the broadcast phases (none
+has a kernel twin), so neither the engine-equivalence suites nor a
 chaos parity drill can see a change in what a phase returns.  These
 tests pin it from outside:
 
@@ -310,7 +310,7 @@ class TestFanOut:
     """``_adapt_broadcast`` drives a broadcast phase on a unicast clique:
     every receiver reads an inbox of its own."""
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     @pytest.mark.parametrize(
         "plan",
         [None, FaultPlan(seed=4, corrupt_rate=0.05, drop_rate=0.03)],
@@ -372,7 +372,7 @@ def chaos_sweep(plan: FaultPlan):
         protocols=["mst", "subgraph_detection"],
         families=["gnp", "cycle"],
         sizes=[6, 8, 16],
-        engines=["legacy", "fast"],
+        engines=["legacy"],
         seed=3,
         fault_plan=plan,
     ).run()
@@ -399,14 +399,14 @@ class TestPinnedChaosSweep:
     @pytest.mark.parametrize(
         "plan, digest",
         [
-            (CHAOS_PLANS[0], "8b1217d00ae2dfa1"),
-            (CHAOS_PLANS[1], "47766aec2f89d297"),
+            (CHAOS_PLANS[0], "80028e6695e6e5c6"),
+            (CHAOS_PLANS[1], "e59363ade0983aaa"),
         ],
         ids=["strong", "weak"],
     )
     def test_outcomes_pinned(self, plan, digest):
         cells = chaos_sweep(plan)
-        assert len(cells) == 24
+        assert len(cells) == 12
         assert any(faults for _c, _o, faults in cells), "the plan injected nothing"
         assert sweep_digest(cells) == digest, cells
 

@@ -129,4 +129,4 @@ def test_walk_rules():
     assert _definer("repro.graphs", "Graph") == "repro.graphs.graph"
     # core/engine/__init__.py's ENGINES table uses its engine imports.
     reached = reached_modules([SRC / "repro" / "core" / "network.py"])
-    assert {"repro.core.engine.fast", "repro.core.engine.kernel"} <= reached
+    assert {"repro.core.engine.legacy", "repro.core.engine.kernel"} <= reached

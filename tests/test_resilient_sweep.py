@@ -128,7 +128,7 @@ def _prepare_counted(n, graph, rng):
     # would never reach the test.
     with open(os.environ["SWEEPTEST_PREPARE_LOG"], "a") as fh:
         fh.write(f"{n}\n")
-    return _prepare_const(n, graph, rng)
+    return get_protocol("routing").prepare(n, graph, rng)
 
 
 def _prepare_sleepy(n, graph, rng):
@@ -144,7 +144,7 @@ def _prepare_sleepy(n, graph, rng):
 CONST = ProtocolSpec(
     name="sweeptest_const",
     description="two-round broadcast gossip, deterministic",
-    engines=("legacy", "fast"),
+    engines=("legacy",),
     prepare=_prepare_const,
     bandwidth_budget=WORD,
 )
@@ -171,10 +171,10 @@ POISON = ProtocolSpec(
 )
 COUNTED = ProtocolSpec(
     name="sweeptest_counted",
-    description="two-round gossip that logs every prepare call",
-    engines=("legacy", "fast"),
+    description="routing on both engines, logging every prepare call",
+    engines=("legacy", "kernel"),
     prepare=_prepare_counted,
-    bandwidth_budget=WORD,
+    bandwidth_budget=BandwidthBudget(flat=16),
 )
 SLEEPY = ProtocolSpec(
     name="sweeptest_sleepy",
@@ -340,7 +340,7 @@ class TestOlderJournals:
 
     def test_ckpt_lines_and_retired_keys_replay(self, tmp_path, monkeypatch):
         def sweep():
-            return ScenarioMatrix(["routing"], ["gnp"], [8], engines=["fast"])
+            return ScenarioMatrix(["routing"], ["gnp"], [8], engines=["legacy"])
 
         fresh = sweep().run()
         (cell,) = fresh.cells
@@ -446,7 +446,7 @@ class TestPoolDeterminism:
     def test_digests_identical_across_worker_counts(self):
         def sweep():
             return ScenarioMatrix(
-                self.PROTOS, ["gnp"], [8], engines=["legacy", "fast"]
+                self.PROTOS, ["gnp"], [8], engines=["legacy", "kernel"]
             )
 
         serial = sweep().run()
@@ -472,7 +472,7 @@ class TestPoolDeterminism:
         def sweep():
             kwargs = dict(
                 protocols=self.PROTOS, families=["gnp"], sizes=[8],
-                engines=["legacy", "fast"],
+                engines=["legacy", "kernel"],
             )
             kwargs.update(settings)
             return ScenarioMatrix(**kwargs)
@@ -487,7 +487,7 @@ class TestPoolDeterminism:
         def sweep():
             return ScenarioMatrix(
                 ["sweeptest_const"], ["gnp", "cycle"], [6, 8],
-                engines=["legacy", "fast"],
+                engines=["legacy"],
             )
 
         serial = sweep().run()
@@ -506,7 +506,7 @@ class TestCoordinateDispatch:
         monkeypatch.setenv("SWEEPTEST_PREPARE_LOG", str(log))
         temp_protocols(COUNTED)
         result = ScenarioMatrix(
-            ["sweeptest_counted"], ["gnp"], [6, 8], engines=["legacy", "fast"]
+            ["sweeptest_counted"], ["gnp"], [6, 8], engines=["legacy", "kernel"]
         ).run(workers=2)
         assert result.meta["pool"]["executor"] == "pool"
         assert [c.status for c in result.cells] == ["ok"] * 4
@@ -581,7 +581,7 @@ class TestSupervision:
 
     def test_stop_after_cells_needs_workers(self):
         matrix = ScenarioMatrix(
-            ["routing"], ["gnp"], [6], engines=["legacy", "fast"]
+            ["routing"], ["gnp"], [6], engines=["legacy", "kernel"]
         )
         with pytest.raises(ValueError, match="stop_after_cells needs workers"):
             matrix.run(stop_after_cells=1)
@@ -609,7 +609,7 @@ class TestSupervision:
 class TestJournaledRuns:
     def sweep(self):
         return ScenarioMatrix(
-            ["routing", "mst"], ["gnp"], [8], engines=["legacy", "fast"]
+            ["routing", "mst"], ["gnp"], [8], engines=["legacy", "kernel"]
         )
 
     def test_serial_journal_then_full_replay(self, tmp_path):
@@ -661,7 +661,7 @@ class TestKillAndResume:
 import sys
 from repro.scenarios import ScenarioMatrix
 matrix = ScenarioMatrix(
-    ["routing", "mst"], ["gnp", "cycle"], [8, 10], engines=["legacy", "fast"]
+    ["routing", "mst"], ["gnp", "cycle"], [8, 10], engines=["legacy", "kernel"]
 )
 matrix.run(workers=2, journal=sys.argv[1])
 """
@@ -702,11 +702,11 @@ matrix.run(workers=2, journal=sys.argv[1])
 
         matrix = ScenarioMatrix(
             ["routing", "mst"], ["gnp", "cycle"], [8, 10],
-            engines=["legacy", "fast"],
+            engines=["legacy", "kernel"],
         )
         uninterrupted = ScenarioMatrix(
             ["routing", "mst"], ["gnp", "cycle"], [8, 10],
-            engines=["legacy", "fast"],
+            engines=["legacy", "kernel"],
         ).run()
         resumed = matrix.run(resume_from=journal)
         assert resumed.meta["replayed_cells"] == len(
@@ -730,7 +730,7 @@ class TestCLI:
         base = [
             sys.executable, "-m", "repro.scenarios",
             "--protocols", "routing", "--families", "gnp", "--sizes", "8",
-            "--engines", "legacy", "fast", "--journal", journal, "--out", out,
+            "--engines", "legacy", "kernel", "--journal", journal, "--out", out,
         ]
         first = subprocess.run(
             base, env=env, cwd=REPO, capture_output=True, text=True
@@ -768,7 +768,7 @@ class TestCLI:
         journal = str(tmp_path / "sweep.jsonl")
         sweep = run_cli(
             "--protocols", "routing", "--families", "gnp", "--sizes", "8",
-            "--engines", "fast", "--journal", journal,
+            "--engines", "legacy", "--journal", journal,
         )
         assert sweep.returncode == 0, sweep.stderr
         verify = run_cli("--journal-verify", journal)

@@ -6,8 +6,8 @@ is kept here, test-local, as the reference: every node looked its
 frames up by ``FrameRef`` in dicts, round by round.  Everything a
 routed run shows — each node's output, or the run's exception type and
 text, and the rounds, bits and fault events — must be the reference's,
-on legacy and fast, for random demands, defective injection maps and
-faults on relay and final hops.
+for random demands, defective injection maps and faults on relay and
+final hops.
 
 The one deliberate change is in the payload join: a payload that lost
 some of its frames is left out of the result, as one that lost all of
@@ -47,7 +47,7 @@ from repro.routing.lenzen import (
 )
 from repro.scenarios import ScenarioMatrix
 
-ENGINES = ["legacy", "fast"]
+ENGINES = ["legacy"]
 
 
 # -- the reference: the frame-by-frame router --------------------------
@@ -616,7 +616,7 @@ class TestTwoPhaseAt64:
         _demand, schedule = case
         assert any(not final for _r, _s, _d, final in hops(schedule))
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "kernel"])
+    @pytest.mark.parametrize("engine", ["legacy", "kernel"])
     def test_every_frame_arrives(self, case, engine):
         _demand, schedule = case
         rng = random.Random(1)
@@ -704,13 +704,13 @@ class TestPinnedChaosSweep:
     @pytest.mark.parametrize(
         "plan, digest",
         [
-            (CHAOS_PLANS[0], "ea858c48a65754ac"),
-            (CHAOS_PLANS[1], "81be778c5840d4e5"),
+            (CHAOS_PLANS[0], "79bfd0c7849e3a6c"),
+            (CHAOS_PLANS[1], "82128c5686c7e692"),
         ],
         ids=["strong", "weak"],
     )
     def test_outcomes_pinned(self, plan, digest):
         cells = chaos_sweep(plan)
-        assert len(cells) == 16
+        assert len(cells) == 8
         assert any(faults for _c, _o, faults in cells), "the plan injected nothing"
         assert sweep_digest(cells) == digest, cells

@@ -188,7 +188,7 @@ class TestInjectionMap:
     """A node's injection map holds exactly the frames the schedule
     routes from it.  Every engine rejects a bad one with the same
     ``ValueError`` naming the node and the frame; in a map with several
-    bad frames, the one the generator engines meet first."""
+    bad frames, the one the legacy engine meets first."""
 
     N = 4
     FRAME_SIZE = 16
@@ -204,7 +204,7 @@ class TestInjectionMap:
     # Each case's edits to the injection map, as (node, frame, value or
     # None to drop it), and the error every engine raises.  "relayed"
     # gives node 2 a frame it forwards; in the two-defect cases the
-    # generator engines meet node 0's round-1 miss before node 1's wide
+    # legacy engine meets node 0's round-1 miss before node 1's wide
     # frame, node 1's wide frame (at its start) before node 0's round-4
     # miss, and node 2's round-1 miss before node 0's never-sent frame.
     CASES = {
@@ -236,7 +236,7 @@ class TestInjectionMap:
                 inputs[src][(src, dst, idx)] = 100 * src + idx
         return inputs
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast", "kernel"])
+    @pytest.mark.parametrize("engine", ["legacy", "kernel"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_bad_injection_map_fails_alike(self, case, engine):
         schedule = build_schedule(self.DEMAND, self.N)
@@ -253,7 +253,7 @@ class TestInjectionMap:
         with pytest.raises(ValueError, match=re.escape(message)):
             network.run(build(schedule, self.FRAME_SIZE), inputs)
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_lost_relay_hop_is_a_decode_error(self, engine):
         # Frame (0, 1, 2) has colour 2: node 0 hands it to node 2 in
         # round 1, and node 2 forwards it in round 3.
@@ -312,7 +312,7 @@ class TestRoutePayloads:
         with pytest.raises(ValueError):
             run_protocol(program, n=2, bandwidth=4)
 
-    @pytest.mark.parametrize("engine", ["legacy", "fast"])
+    @pytest.mark.parametrize("engine", ["legacy"])
     def test_missing_payload_names_its_pair(self, engine):
         lengths = {(0, 1): 5, (1, 0): 3}
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.budget import BandwidthBudget, check_prepared
+from repro.analysis.budget import BandwidthBudget
 from repro.scenarios import (
     FAMILIES,
     PROTOCOLS,
@@ -63,7 +63,7 @@ class TestRegistries:
     def test_capability_matrix_shape(self):
         matrix = capability_matrix()
         for name, spec in PROTOCOLS.items():
-            assert set(matrix[name]) == {"legacy", "fast", "kernel"}
+            assert set(matrix[name]) == {"legacy", "kernel"}
             for engine in spec.engines:
                 assert matrix[name][engine]
         # Every protocol must run on the reference engine.
@@ -112,10 +112,11 @@ class TestRegistries:
                 assert set(prepared.programs) == {
                     spec.program_for(engine) for engine in spec.engines
                 }, name
-                budget = check_prepared(spec.bandwidth_budget, n, prepared)
-                assert budget.ok, budget.detail
+                spec.bandwidth_budget.check(
+                    n, prepared.network_kwargs["bandwidth"]
+                )
                 assert spec.program_for("kernel") == "kernel"
-                assert spec.program_for("fast") == "generator"
+                assert spec.program_for("legacy") == "generator"
 
 
 class TestScenarioMatrix:
@@ -127,7 +128,7 @@ class TestScenarioMatrix:
             seed=11,
         )
         result = matrix.run()
-        expected_cells = len(PROTOCOLS) * len(SMOKE_FAMILIES) * len(SMOKE_SIZES) * 3
+        expected_cells = len(PROTOCOLS) * len(SMOKE_FAMILIES) * len(SMOKE_SIZES) * 2
         assert len(result.cells) == expected_cells
         assert not result.mismatches()
         ok = result.ok_cells()
@@ -146,14 +147,14 @@ class TestScenarioMatrix:
 
     def test_json_round_trip(self, tmp_path):
         matrix = ScenarioMatrix(
-            protocols=["mst"], families=["cycle"], sizes=[6], seed=3,
-            engines=["legacy", "fast"],
+            protocols=["routing"], families=["cycle"], sizes=[6], seed=3,
+            engines=["legacy", "kernel"],
         )
         result = matrix.run()
         path = tmp_path / "matrix.json"
         result.write(str(path))
         loaded = json.loads(path.read_text())
-        assert loaded["meta"]["protocols"] == ["mst"]
+        assert loaded["meta"]["protocols"] == ["routing"]
         assert loaded["meta"]["reference_engine"] == "legacy"
         assert len(loaded["cells"]) == 2
         for cell in loaded["cells"]:
@@ -164,7 +165,7 @@ class TestScenarioMatrix:
         def digests():
             result = ScenarioMatrix(
                 protocols=["routing"], families=["gnp"], sizes=[8], seed=5,
-                engines=["fast"],
+                engines=["legacy", "kernel"],
             ).run()
             return [cell.digest for cell in result.cells]
 
@@ -175,7 +176,7 @@ class TestScenarioMatrix:
         # cells it ran: mismatches() must not be vacuously empty.
         result = ScenarioMatrix(
             protocols=["routing"], families=["cycle"], sizes=[8], seed=9,
-            engines=["fast", "kernel"],
+            engines=["kernel"],
         ).run()
         assert all(cell.status == "ok" for cell in result.cells)
         assert all(cell.matches_reference is True for cell in result.cells)
@@ -195,7 +196,7 @@ class TestScenarioMatrix:
         pinned = ProtocolSpec(
             name="mst-pinned-seed",
             description="mst with a pinned network seed",
-            engines=("legacy", "fast"),
+            engines=("legacy",),
             prepare=lambda n, graph, rng: _with_seed(spec.prepare(n, graph, rng)),
             bandwidth_budget=spec.bandwidth_budget,
         )
@@ -203,7 +204,7 @@ class TestScenarioMatrix:
         try:
             result = ScenarioMatrix(
                 protocols=["mst-pinned-seed"], families=["cycle"], sizes=[6],
-                engines=["legacy", "fast"],
+                engines=["legacy"],
             ).run()
         finally:
             del PROTOCOLS["mst-pinned-seed"]
@@ -211,11 +212,12 @@ class TestScenarioMatrix:
         assert not result.mismatches()
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            ScenarioMatrix(
-                protocols=["mst"], families=["cycle"], sizes=[6],
-                engines=["warp"],
-            )
+        for engine in ("warp", "fast"):
+            with pytest.raises(ValueError, match=f"unknown engine '{engine}'"):
+                ScenarioMatrix(
+                    protocols=["mst"], families=["cycle"], sizes=[6],
+                    engines=[engine],
+                )
 
     def test_failed_cell_is_isolated(self):
         def broken_prepare(n, graph, rng):
@@ -224,7 +226,7 @@ class TestScenarioMatrix:
         spec = ProtocolSpec(
             name="broken-test",
             description="always fails to prepare",
-            engines=("legacy", "fast"),
+            engines=("legacy",),
             prepare=broken_prepare,
             bandwidth_budget=BandwidthBudget(flat=8),
         )
@@ -234,7 +236,7 @@ class TestScenarioMatrix:
                 protocols=["broken-test", "mst"],
                 families=["cycle"],
                 sizes=[6],
-                engines=["legacy", "fast"],
+                engines=["legacy"],
             ).run()
         finally:
             del PROTOCOLS["broken-test"]
@@ -282,7 +284,7 @@ class TestScenarioMatrix:
         import dataclasses
 
         spec = dataclasses.replace(
-            get_protocol("mst"), engines=("legacy", "fast", "kernel")
+            get_protocol("mst"), engines=("legacy", "kernel")
         )
         matrix = ScenarioMatrix(protocols=["mst"], families=["gnp"], sizes=[8])
         legacy, kernel = matrix.run_coordinate(spec, "gnp", 8, ["legacy", "kernel"])
@@ -295,8 +297,8 @@ class TestScenarioMatrix:
 
     def test_program_of_the_wrong_kind_fails_its_cell(self):
         # With the flavours swapped, the network would run the kernel
-        # program on the legacy and fast cells, which would then match a
-        # reference that never ran legacy.
+        # program on the legacy cell, which would then be a reference
+        # that never ran legacy.
         import dataclasses
 
         routing = get_protocol("routing")
@@ -311,15 +313,15 @@ class TestScenarioMatrix:
 
         spec = dataclasses.replace(routing, prepare=swapped)
         matrix = ScenarioMatrix(protocols=["routing"], families=["gnp"], sizes=[8])
-        cells = matrix.run_coordinate(spec, "gnp", 8, ["legacy", "fast", "kernel"])
+        cells = matrix.run_coordinate(spec, "gnp", 8, ["legacy", "kernel"])
         assert [(c.status, c.error_type) for c in cells] == [
             ("failed", "ProtocolError")
-        ] * 3
+        ] * 2
         assert cells[0].error.endswith(
             "routing: spec claims engine 'legacy' but its 'generator' "
             "program is a kernel program"
         )
-        assert cells[2].error.endswith(
+        assert cells[1].error.endswith(
             "routing: spec claims engine 'kernel' but its 'kernel' "
             "program is a generator program"
         )
@@ -347,7 +349,7 @@ class TestScenarioMatrix:
         from repro.scenarios.matrix import MatrixCell
 
         cell = MatrixCell(
-            protocol="mst", family="gnp", n=8, engine="fast", status="ok",
+            protocol="mst", family="gnp", n=8, engine="legacy", status="ok",
             digest="abc",
         )
         payload = cell.to_dict()
@@ -362,7 +364,7 @@ class TestScenarioMatrix:
     def test_coordinates_are_size_major(self):
         matrix = ScenarioMatrix(
             protocols=["routing", "mst"], families=["gnp", "cycle"],
-            sizes=[6, 8], engines=["legacy", "fast"],
+            sizes=[6, 8], engines=["legacy", "kernel"],
         )
         assert matrix.coordinates() == [
             ("routing", "gnp", 6), ("routing", "cycle", 6),
@@ -371,8 +373,8 @@ class TestScenarioMatrix:
             ("mst", "gnp", 8), ("mst", "cycle", 8),
         ]
         assert matrix.cell_keys()[:4] == [
-            "0:routing:gnp:6:legacy", "0:routing:gnp:6:fast",
-            "0:routing:cycle:6:legacy", "0:routing:cycle:6:fast",
+            "0:routing:gnp:6:legacy", "0:routing:gnp:6:kernel",
+            "0:routing:cycle:6:legacy", "0:routing:cycle:6:kernel",
         ]
 
     def test_prepare_seconds_shared_by_a_coordinates_cells(self):
@@ -395,7 +397,7 @@ class TestScenarioMatrix:
     def test_repeats_keep_results_identical(self):
         result = ScenarioMatrix(
             protocols=["subgraph_detection"], families=["bipartite"],
-            sizes=[8], seed=2, engines=["legacy", "fast"], repeats=3,
+            sizes=[8], seed=2, engines=["legacy"], repeats=3,
         ).run()
         assert not result.mismatches()
         assert all(cell.status == "ok" for cell in result.cells)
@@ -407,6 +409,7 @@ class TestScenarioMatrix:
         (["--protocols", "nosuch"], "'nosuch'"),
         (["--families", "nosuch"], "'nosuch'"),
         (["--engines", "nosuch"], "'nosuch'"),
+        (["--engines", "fast"], "'fast'"),
         (["--repeats", "0"], "got 0"),
         (["--repeats", "-2"], "got -2"),
         (["--max-attempts", "0"], "--max-attempts must be at least 1"),
@@ -415,7 +418,7 @@ class TestScenarioMatrix:
         (["--journal", "{missing}", "--resume"], "cannot read journal"),
     ],
     ids=[
-        "protocols", "families", "engines", "repeats-zero",
+        "protocols", "families", "engines", "engines-fast", "repeats-zero",
         "repeats-negative", "max-attempts-zero", "workers-negative",
         "journal-exists", "resume-missing",
     ],
@@ -503,7 +506,7 @@ class TestHeldPlans:
         assert [n for _ref, n in built] == [6, 8, 6, 8]
         assert sorted(held) == ["strassen", "threshold_parity"]
         assert {plan.n for plan in held.values()} == {8}
-        assert len(result.cells) == 2 * 3 * 2 * 3
+        assert len(result.cells) == 2 * 3 * 2 * 2
         assert result.mismatches() == []
         ok = result.ok_cells()
         assert len(ok) == len(result.cells)
@@ -577,6 +580,6 @@ class TestHeldPlans:
             dataclasses.replace(spec, prepare=prepare_then_forbid),
             "gnp", 6, matrix.ordered_engines(),
         )
-        assert [cell.engine for cell in cells] == ["legacy", "fast", "kernel"]
+        assert [cell.engine for cell in cells] == ["legacy", "kernel"]
         for cell in cells:
             assert (cell.status, cell.validated) == ("ok", True), cell.error

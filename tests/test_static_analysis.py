@@ -53,7 +53,7 @@ class TestBudgets:
         spec = ProtocolSpec(
             name="over_budget_fixture",
             description="sends Θ(n)-bit words against an O(log n) budget",
-            engines=("legacy", "fast"),
+            engines=("legacy",),
             prepare=prepare,
             bandwidth_budget=BandwidthBudget(log_coeff=4),
         )
@@ -62,20 +62,22 @@ class TestBudgets:
         PROTOCOLS[spec.name] = spec
         try:
             result = ScenarioMatrix(
-                [spec.name], ["gnp"], [8], engines=["legacy", "fast", "kernel"]
+                [spec.name], ["gnp"], [8], engines=["legacy", "kernel"]
             ).run()
         finally:
             del PROTOCOLS[spec.name]
         cells = {cell.engine: cell for cell in result.cells}
         assert cells["kernel"].status == "unsupported"
-        for engine in ("legacy", "fast"):
-            cell = cells[engine]
-            assert cell.status == "failed"
-            assert cell.error_type == "BandwidthExceededError"
-            assert issubclass(getattr(errors, cell.error_type), errors.ReproError)
-            assert "declared width 24 EXCEEDS budget 12" in cell.error
-            assert cell.rounds is None
-            assert cell in result.mismatches()
+        cell = cells["legacy"]
+        assert cell.status == "failed"
+        assert cell.error_type == "BandwidthExceededError"
+        assert issubclass(getattr(errors, cell.error_type), errors.ReproError)
+        assert cell.error == (
+            "BandwidthExceededError: over_budget_fixture: declared width 24 "
+            "EXCEEDS budget 12 = 4*log(n) @ n=8"
+        )
+        assert cell.rounds is None
+        assert cell in result.mismatches()
 
     def test_every_registered_protocol_declares_a_budget(self):
         for name, spec in PROTOCOLS.items():
