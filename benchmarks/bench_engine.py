@@ -26,8 +26,10 @@ Workloads (width-32 payloads):
 A ``kernels`` section measures the kernel-program path, the one
 compiled path: a repeated unicast workload expressed as declared round
 kernels — zero generator resumptions — against plain legacy-engine
-runs of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), plus a
-Lenzen-routing sweep comparing ``route_kernel_program`` with the
+runs of its generator twin, at n ∈ {64, 256} (quick: {16, 32}), once
+with width-32 messages (``kernel_unicast``) and once with 128-bit ones,
+which a kernel round carries as byte rows (``kernel_unicast_wide``),
+plus a Lenzen-routing sweep comparing ``route_kernel_program`` with the
 generator ``route_program`` under ``run_many``.
 
 A ``plans`` section times Theorem 2 plan builds end to end, one row
@@ -79,6 +81,15 @@ from repro.core.network import Mode, Network, Outbox
 
 WIDTH = 32
 MASK = (1 << WIDTH) - 1
+#: Message width of the ``kernel_unicast_wide`` rows: past the uint64
+#: limit, so its kernel rounds carry byte rows.
+WIDE = 128
+
+
+def _spread(value, width):
+    """A width-32 payload copied into the top bits of a ``width``-bit
+    message too (the identity at width 32)."""
+    return value << (width - WIDTH) | value
 
 
 # -- node programs ------------------------------------------------------
@@ -98,15 +109,17 @@ def unicast_dict_program(rounds):
     return program
 
 
-def unicast_fixed_program(rounds):
+def unicast_fixed_program(rounds, width=WIDTH):
     def program(ctx):
         me = ctx.node_id
         dests = np.fromiter(ctx.neighbors, dtype=np.intp, count=len(ctx.neighbors))
         values = (dests.astype(np.uint64) + np.uint64(me * 2654435761)) & np.uint64(MASK)
+        if width != WIDTH:
+            values = [_spread(value, width) for value in values.tolist()]
         # A fresh outbox every round, as every library protocol yields,
         # so the row times the round's validation and delivery.
         for _ in range(rounds):
-            yield Outbox.fixed_width(dests, values, WIDTH)
+            yield Outbox.fixed_width(dests, values, width)
         return None
 
     return program
@@ -247,11 +260,12 @@ def run_sweep(sizes, quick, repeats):
     return configs
 
 
-def unicast_kernel_program(n, rounds):
+def unicast_kernel_program(n, rounds, width=WIDTH):
     """The kernel twin of ``unicast_fixed_program``: the same all-to-all
     constant payload, built once per run and sent every round (the
-    engine copies and validates it each round, as it does any payload)."""
-    from repro.core.kernels import KernelBuilder
+    engine copies and validates it each round, as it does any payload);
+    past 63 bits, as byte rows."""
+    from repro.core.kernels import KernelBuilder, ints_to_rows
 
     builder = KernelBuilder(n, Mode.UNICAST)
     pairs = [(v, [u for u in range(n) if u != v]) for v in range(n)]
@@ -260,9 +274,11 @@ def unicast_kernel_program(n, rounds):
     senders = np.arange(n, dtype=np.uint64)
     matrix = (senders[None, :] + senders[:, None] * np.uint64(2654435761)) & np.uint64(MASK)
     flat = matrix[~np.eye(n, dtype=bool)]
+    if width != WIDTH:
+        flat = ints_to_rows([_spread(v, width) for v in flat.tolist()], -(-width // 8))
 
     def init(state, kctx):
-        state["values"] = np.broadcast_to(flat, (kctx.instances, flat.size))
+        state["values"] = np.broadcast_to(flat, (kctx.instances,) + flat.shape)
 
     builder.on_init(init)
 
@@ -270,7 +286,7 @@ def unicast_kernel_program(n, rounds):
         return state["values"]
 
     for _ in range(rounds):
-        builder.unicast_round(pairs, WIDTH, send)
+        builder.unicast_round(pairs, width, send)
     return builder.build(
         lambda state, kctx: [[None] * n for _ in range(kctx.instances)],
         name="unicast_sweep",
@@ -283,17 +299,20 @@ def bench_kernels(quick, repeats):
     routing trial sweep."""
     records = []
     sizes = [16, 32] if quick else [64, 256]
-    for n in sizes:
+    cases = [(scenario, width, n) for scenario, width in (
+        ("kernel_unicast", WIDTH), ("kernel_unicast_wide", WIDE)
+    ) for n in sizes]
+    for scenario, width, n in cases:
         rounds = 10 if quick else 20
         instances = 4 if quick else 12
         deliveries = instances * rounds * n * (n - 1)
-        record = {"scenario": "kernel_unicast", "n": n, "rounds": rounds,
-                  "instances": instances}
+        record = {"scenario": scenario, "n": n, "width": width,
+                  "rounds": rounds, "instances": instances}
         totals = set()
 
         # The generator twin on the legacy engine (ints on the wire).
-        legacy_net = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
-        gen_program = unicast_fixed_program(rounds)
+        legacy_net = Network(n=n, bandwidth=width, mode=Mode.UNICAST)
+        gen_program = unicast_fixed_program(rounds, width)
         legacy_net.run(gen_program)  # warm off-clock
 
         def legacy_workload():
@@ -307,8 +326,8 @@ def bench_kernels(quick, repeats):
         }
 
         # Kernel path: same structure, zero generator steps.
-        kernel_net = Network(n=n, bandwidth=WIDTH, mode=Mode.UNICAST)
-        kernel_program = unicast_kernel_program(n, rounds)
+        kernel_net = Network(n=n, bandwidth=width, mode=Mode.UNICAST)
+        kernel_program = unicast_kernel_program(n, rounds, width)
         kernel_net.run(kernel_program)  # compile off-clock
 
         def kernel_workload():

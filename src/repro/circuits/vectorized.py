@@ -134,8 +134,8 @@ def compile_groups(circuit, gid_lists) -> List["GateGroups"]:
                 group_weights = np.asarray(
                     [(1,) * fan_in if row is None else row for row in rows],
                     dtype=np.int64,
-                )
-        cols = indices[starts[positions][:, None] + np.arange(fan_in)]
+                ).T
+        cols = indices[np.arange(fan_in)[:, None] + starts[positions]]
         parts[which][0].append((family, gids[positions], cols, param, group_weights))
     return [GateGroups(groups, others) for groups, others in parts]
 
@@ -146,11 +146,11 @@ class GateGroups:
     (:func:`compile_groups` builds them).
 
     Gates are grouped by family and fan-in.  A group keeps its output
-    columns, its ``gates × fan-in`` input columns and, where its family
-    has them, per-gate moduli, thresholds and weights, so
-    :meth:`evaluate` costs one gather and one reduction per group.
-    Gates of any other class are evaluated one at a time with
-    :func:`vector_compute`.
+    columns, its ``fan-in × gates`` input columns and, where its family
+    has them, per-gate moduli, thresholds and ``fan-in × gates``
+    weights, so :meth:`evaluate` costs one gather and one reduction per
+    group, the reduction running along the gates.  Gates of any other
+    class are evaluated one at a time with :func:`vector_compute`.
     """
 
     __slots__ = ("groups", "others")
@@ -167,31 +167,37 @@ class GateGroups:
         ]
 
     def input_columns(self) -> List[np.ndarray]:
-        """The input columns the gates read, one array per group and
-        per ungrouped gate."""
-        return [group[2] for group in self.groups] + [
+        """The input columns the gates read, one array per group
+        (``gates × fan-in``) and per ungrouped gate."""
+        return [group[2].T for group in self.groups] + [
             cols for _gid, _gate, cols in self.others
         ]
 
     def evaluate(self, vals: np.ndarray) -> None:
-        """Write every gate's value into its column of ``vals``."""
+        """Write every gate's value into its column of the ``uint8``
+        matrix ``vals``.  AND, OR and XOR groups reduce their inputs
+        with ``np.bitwise_and``/``or``/``xor``, NOT flips its input with
+        ``^ 1``: the 0/1 results go straight into ``vals``.  No group
+        reduces over an empty axis (``Circuit.add_gate`` gives every
+        gate an input), where ``bitwise_and`` would give 255."""
         for family, out, cols, param, weights in self.groups:
-            part = vals[:, cols]
+            # K × fan-in × gates: each reduction runs along the gates.
+            part = vals.take(cols, axis=1)
             if family is AndGate:
-                result = part.all(axis=2)
+                result = np.bitwise_and.reduce(part, axis=1)
             elif family is OrGate:
-                result = part.any(axis=2)
+                result = np.bitwise_or.reduce(part, axis=1)
             elif family is NotGate:
-                result = part[:, :, 0] == 0
+                result = part[:, 0] ^ 1
             elif family is XorGate:
-                result = part.sum(axis=2, dtype=np.int64) % 2 == 1
+                result = np.bitwise_xor.reduce(part, axis=1)
             elif family is ModGate:
-                result = part.sum(axis=2, dtype=np.int64) % param == 0
+                result = part.sum(axis=1, dtype=np.int64) % param == 0
             else:
                 if weights is None:
-                    total = part.sum(axis=2, dtype=np.int64)
+                    total = part.sum(axis=1, dtype=np.int64)
                 else:
-                    total = (part * weights).sum(axis=2)
+                    total = (part * weights).sum(axis=1)
                 result = total >= param
             vals[:, out] = result
         for gid, gate, cols in self.others:

@@ -26,8 +26,9 @@ Design
 * Every engine calls the session on what it delivers: the legacy loop
   through :meth:`FaultSession.apply_scalar` on the round's board
   (broadcast) or per-receiver dicts, the kernel executor through
-  :meth:`FaultSession.apply_kernel` on each round's flat ``K × count``
-  payload matrix.
+  :meth:`FaultSession.apply_kernel` on each round's flat payload: a
+  ``K × count`` ``uint64`` matrix, or ``K × count × nbytes`` byte rows
+  past 63 bits.
 
 Semantics
 ---------
@@ -459,16 +460,21 @@ class FaultSession:
     # -- kernel path ------------------------------------------------------
 
     def apply_kernel(self, round_index, values, links, width, widths=None):
-        """A fault-adjusted copy of one kernel round's ``K × count``
-        payload matrix, or ``values`` itself when no fault touches the
-        round; ``values`` is never mutated.
+        """A fault-adjusted copy of one kernel round's payload, or
+        ``values`` itself when no fault touches the round; ``values`` is
+        never mutated.
 
-        Column ``j`` carries link ``links[j] = (src, dst)``, ``dst``
-        ``None`` for a blackboard word, and is ``width`` bits wide (or
-        ``widths[j]``).  A dropped, delayed or crash-omitted message
-        reads 0.  A late payload resurfaces only where this round's
-        declared structure carries its link and that slot is empty —
-        the structural limit of matrix-shaped delivery."""
+        ``values`` is a ``K × count`` ``uint64`` matrix, or ``K × count
+        × nbytes`` ``uint8`` byte rows (each message right-aligned) for
+        a round past 63 bits.  Column ``j`` carries link ``links[j] =
+        (src, dst)``, ``dst`` ``None`` for a blackboard word, and is
+        ``width`` bits wide (or ``widths[j]``).  A dropped, delayed or
+        crash-omitted message reads 0 (its whole row).  A late payload,
+        stashed as its column or row, resurfaces only where this round's
+        declared structure carries its link and that slot is empty — the
+        structural limit of matrix-shaped delivery — with its value
+        unchanged; a slot whose storage cannot hold that value raises
+        :class:`~repro.core.errors.FaultInjectionError`."""
         self._record_crashes(round_index)
         decisions = []
         for j, (src, dst) in enumerate(links):
@@ -502,22 +508,50 @@ class FaultSession:
                 empty.add(j)
         if due:
             slot_of = {link: j for j, link in enumerate(links)}
-            for src, dst, column in due:
+            for src, dst, late in due:
                 j = slot_of.get((src, dst))
                 if j in empty:
-                    vals[:, j] = column
+                    _place_late(vals, j, late, round_index, (src, dst))
                     empty.discard(j)
         self._seal_round()
         return vals
 
 
 def _xor_bit(vals, column: int, bit: int) -> None:
-    """Flip one bit in every instance's entry of a payload column,
-    dtype-aware (uint64 matrices XOR natively; object matrices hold
-    Python ints)."""
-    if vals.dtype == object:
-        vals[:, column] = [int(v) ^ (1 << bit) for v in vals[:, column]]
+    """Flip bit ``bit``, counted from the least significant end, of
+    every instance's message in a payload column: a ``uint64`` entry
+    XORs it natively, a byte row flips byte ``nbytes - 1 - bit // 8``
+    under mask ``1 << bit % 8``."""
+    if vals.ndim == 3:
+        vals[:, column, vals.shape[2] - 1 - bit // 8] ^= vals.dtype.type(1 << bit % 8)
     else:
-        import numpy as np
+        vals[:, column] ^= vals.dtype.type(1 << bit)
 
-        vals[:, column] ^= np.uint64(1 << bit)
+
+def _place_late(vals, column: int, late, round_index: int, link) -> None:
+    """Write a late payload into the emptied ``column`` of ``vals``
+    with its value unchanged.  ``late`` is the column (``K`` ``uint64``)
+    or the rows (``K × nbytes``) it was stashed as; a value that the
+    column's ``uint64`` entries or byte rows cannot hold raises
+    :class:`FaultInjectionError`."""
+    if late.ndim == 1:
+        if vals.ndim == 2:
+            vals[:, column] = late
+            return
+        # A uint64 value into byte rows: its 8 big-endian bytes.
+        late = late.astype(">u8").view("u1").reshape(-1, 8)
+    room = vals.shape[2] if vals.ndim == 3 else 8
+    cut = late.shape[1] - room
+    if cut > 0:
+        if late[:, :cut].any():
+            raise FaultInjectionError(
+                f"a payload delayed on link {link} does not fit the "
+                f"{room}-byte slots of round {round_index}"
+            )
+        late = late[:, cut:]
+    if vals.ndim == 3:
+        vals[:, column, room - late.shape[1] :] = late
+    else:
+        word = vals[:, column].astype(">u8")
+        word.view("u1").reshape(-1, 8)[:, 8 - late.shape[1] :] = late
+        vals[:, column] = word

@@ -13,14 +13,21 @@ bits to whom (:meth:`KernelBuilder.unicast_round`) or which nodes write
 the blackboard (:meth:`KernelBuilder.broadcast_round`) — and supplies
 two callbacks:
 
-* ``send(state) -> values`` — one ``K × count`` array (instances ×
-  messages, flat structure order) holding every node's payloads for the
-  round: a single numpy expression replaces ``n`` generator resumptions,
-  for all ``K`` instances of a :meth:`~repro.core.network.Network.run_many`
-  sweep at once.
-* ``recv(state, delivered)`` — consumes the round's delivered ``K ×
-  count`` matrix, in the same structure order: what ``send`` produced,
-  edited by an active fault plan (:mod:`repro.core.faults`).
+* ``send(state) -> values`` — one array holding every node's payloads
+  for the round, instances × messages in flat structure order: a single
+  numpy expression replaces ``n`` generator resumptions, for all ``K``
+  instances of a :meth:`~repro.core.network.Network.run_many` sweep at
+  once.
+* ``recv(state, delivered)`` — consumes the round's delivered array, in
+  the same layout: what ``send`` produced, edited by an active fault
+  plan (:mod:`repro.core.faults`).
+
+A round's payload takes one of two forms, chosen by its width.  Up to
+:data:`NUMERIC_WIDTH_LIMIT` bits it is a ``K × count`` ``uint64``
+matrix.  Past that it is a ``K × count × ⌈width/8⌉`` ``uint8`` array of
+big-endian byte rows, each message right-aligned in its row, so
+``int.from_bytes(row, "big")`` is its value; :func:`ints_to_rows` and
+:func:`rows_to_ints` convert for code that holds Python ints.
 
 ``state`` is a plain dict the program threads through the run (per-node
 data lives in arrays with a leading instance axis).  Because the round
@@ -52,7 +59,7 @@ the other.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +75,8 @@ from repro.core.network import CoinStates, Mode, RoundRecord, RunResult
 
 __all__ = [
     "NUMERIC_WIDTH_LIMIT",
+    "ints_to_rows",
+    "rows_to_ints",
     "KernelContext",
     "UnicastRound",
     "BroadcastRound",
@@ -78,9 +87,37 @@ __all__ = [
     "execute",
 ]
 
-#: Widest payload, in bits, that a round's matrix stores as ``uint64``;
-#: wider payloads live in object-dtype arrays of Python ints.
+#: Widest message, in bits, that a round's payload holds as a ``K ×
+#: count`` ``uint64`` matrix; a wider round's payload is a ``K × count ×
+#: ⌈width/8⌉`` ``uint8`` array of big-endian byte rows, each message
+#: right-aligned in its row.
 NUMERIC_WIDTH_LIMIT = 63
+
+
+def ints_to_rows(values: Iterable[int], nbytes: int) -> np.ndarray:
+    """Python ints as a writable ``uint8`` array of big-endian byte
+    rows, one ``nbytes``-byte row per value with the value right-aligned
+    in it (the wide payload form); a negative value or one wider than
+    ``8 * nbytes`` bits raises ``OverflowError``."""
+    data = bytearray().join(value.to_bytes(nbytes, "big") for value in values)
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+
+
+def rows_to_ints(rows: np.ndarray) -> list:
+    """The inverse of :func:`ints_to_rows`: the byte rows along the last
+    axis of ``rows`` as Python ints, nested like ``ndarray.tolist`` over
+    the leading axes."""
+    if not rows.size:
+        return np.zeros(rows.shape[:-1], dtype=np.uint8).tolist()
+    nbytes = rows.shape[-1]
+    data = rows.tobytes()
+    values = [
+        int.from_bytes(data[i : i + nbytes], "big")
+        for i in range(0, len(data), nbytes)
+    ]
+    for size in reversed(rows.shape[1:-1]):
+        values = [values[i : i + size] for i in range(0, len(values), size)]
+    return values
 
 
 class KernelContext:
@@ -372,7 +409,10 @@ class _ExecRound:
     ``dsts[j]``; a broadcast round has ``dsts=None``, its messages being
     the writers' blackboard words.  ``widths`` is the per-message width
     vector of a heterogeneous unicast round, ``None`` when every message
-    is ``width`` bits."""
+    is ``width`` bits.  ``nbytes`` is the byte-row length of a round
+    past :data:`NUMERIC_WIDTH_LIMIT` bits (0 for a ``uint64`` round),
+    and ``high`` its mask of the bits above each message's width: one
+    row for a uniform width, one per message otherwise."""
 
     __slots__ = (
         "spec",
@@ -383,7 +423,8 @@ class _ExecRound:
         "widths_u64",
         "count",
         "bits",
-        "is_object",
+        "nbytes",
+        "high",
         "_links",
     )
 
@@ -396,7 +437,15 @@ class _ExecRound:
         self.widths_u64 = None if widths is None else widths.astype(np.uint64)
         self.count = int(srcs.size)
         self.bits = self.count * width if widths is None else int(widths.sum())
-        self.is_object = width > NUMERIC_WIDTH_LIMIT
+        self.nbytes = nbytes = -(-width // 8) if width > NUMERIC_WIDTH_LIMIT else 0
+        self.high = None
+        if nbytes:
+            # The bits of a row at or above a message's width ``w``.
+            top = 1 << 8 * nbytes
+            self.high = ints_to_rows(
+                [top - (1 << w) for w in ([width] if widths is None else widths.tolist())],
+                nbytes,
+            )
         self._links = None
 
     def links(self) -> List[Tuple[int, Optional[int]]]:
@@ -501,42 +550,32 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
 
 
 def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray:
-    """``send``'s payloads as a fresh engine-owned ``K × count`` array
-    (``uint64``, or ``object`` ints past the numeric width limit)."""
-    if rec.is_object:
-        if isinstance(vals, np.ndarray) and vals.dtype == object:
-            vals = vals.copy()
-        else:
-            arr = np.empty((instances, rec.count), dtype=object)
-            try:
-                arr[...] = vals
-            except (TypeError, ValueError) as exc:
-                raise ProtocolError(
-                    f"kernel round {r} produced a malformed payload: {exc}"
-                ) from exc
-            vals = arr
+    """``send``'s payloads as a fresh engine-owned array: a ``K × count``
+    ``uint64`` matrix up to :data:`NUMERIC_WIDTH_LIMIT` bits, converted
+    from whatever ``send`` returned; past it, a copy of the ``K × count
+    × nbytes`` ``uint8`` byte rows ``send`` must return."""
+    if rec.nbytes:
+        if not isinstance(vals, np.ndarray) or vals.dtype != np.uint8:
+            raise ProtocolError(
+                f"kernel round {r} produced a malformed payload: a round "
+                f"of {rec.width}-bit messages takes uint8 byte rows"
+            )
+        vals = vals.copy()
+        expected = (instances, rec.count, rec.nbytes)
     else:
         vals = np.array(vals, dtype=np.uint64)
-    if vals.shape != (instances, rec.count):
+        expected = (instances, rec.count)
+    if vals.shape != expected:
         raise ProtocolError(
             f"kernel round {r} produced payload shape {vals.shape}, "
-            f"expected {(instances, rec.count)}"
+            f"expected {expected}"
         )
     return vals
 
 
 def _validate_payload(vals: np.ndarray, rec: _ExecRound, r: int) -> None:
-    if rec.is_object:
-        widths = rec.widths
-        if widths is None:
-            w = rec.width
-            bad = any(v < 0 or (v >> w) for row in vals for v in row)
-        else:
-            bad = any(
-                v < 0 or (v >> int(w))
-                for row in vals
-                for v, w in zip(row, widths)
-            )
+    if rec.nbytes:
+        bad = bool((vals & rec.high).any())
     elif rec.widths_u64 is None:
         bad = bool((vals >> np.uint64(rec.width)).any())
     else:
@@ -552,10 +591,11 @@ def _round_record(rec: _ExecRound, row) -> RoundRecord:
     """One instance's transcript entry for a delivered round: every
     declared message as sent, a broadcast once with ``receiver=None``."""
     widths = [rec.width] * rec.count if rec.widths is None else rec.widths.tolist()
+    values = rows_to_ints(row) if rec.nbytes else row.tolist()
     return RoundRecord(
         [
-            (src, dst, Bits(int(value), width))
-            for (src, dst), width, value in zip(rec.links(), widths, row)
+            (src, dst, Bits(value, width))
+            for (src, dst), width, value in zip(rec.links(), widths, values)
         ]
     )
 
@@ -601,8 +641,10 @@ def execute(
         spec = rec.spec
         vals = spec.send(state) if spec.send is not None else None
         if rec.count == 0:
-            delivered = np.empty(
-                (instances, 0), dtype=object if rec.is_object else np.uint64
+            delivered = (
+                np.empty((instances, 0, rec.nbytes), dtype=np.uint8)
+                if rec.nbytes
+                else np.empty((instances, 0), dtype=np.uint64)
             )
         elif vals is None:
             raise ProtocolError(

@@ -388,6 +388,37 @@ def _count_votes(decodes: Sequence[_PhaseDecode]) -> Tuple[Tuple[int, Bits], ...
 # forms byte-for-byte.
 
 
+def _stack_frames(payload_maps, keys, max_bits: int, rounds: int, bandwidth: int):
+    """Every instance's payload for each of ``keys`` framed as
+    :func:`_frame_payload` frames it, stacked by round: a ``rounds × K ×
+    len(keys)`` ``uint64`` array, or its ``uint8`` byte rows (one more
+    axis) past :data:`~repro.core.kernels.NUMERIC_WIDTH_LIMIT` bits."""
+    import numpy as np
+
+    from repro.core.kernels import NUMERIC_WIDTH_LIMIT, ints_to_rows
+
+    frames = [
+        frame
+        for payloads in payload_maps
+        for key in keys
+        for frame in _frame_payload(payloads[key], max_bits, rounds, bandwidth)
+    ]
+    shape = (len(payload_maps), len(keys), rounds)
+    if bandwidth > NUMERIC_WIDTH_LIMIT:
+        nbytes = -(-bandwidth // 8)
+        return ints_to_rows(frames, nbytes).reshape(shape + (nbytes,)).transpose(2, 0, 1, 3)
+    return np.array(frames, dtype=np.uint64).reshape(shape).transpose(2, 0, 1)
+
+
+def _round_ints(delivered) -> list:
+    """A delivered kernel round's payloads as ints, ``[k][j]``."""
+    if delivered.ndim == 3:
+        from repro.core.kernels import rows_to_ints
+
+        return rows_to_ints(delivered)
+    return delivered.tolist()
+
+
 def _require_bandwidth(builder) -> int:
     if builder.bandwidth is None:
         raise ValueError(
@@ -409,8 +440,6 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
     reassembled in instance ``k`` — the same value the generator
     :func:`transmit_unicast` returns.
     """
-    import numpy as np
-
     bandwidth = _require_bandwidth(builder)
     rounds = phase_length(max_bits, bandwidth)
     by_src: Dict[int, list] = {}
@@ -419,22 +448,12 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
     pairs = sorted((src, dests) for src, dests in by_src.items())
     # Flat structure order: ascending sender, declared dest order.
     flat_links = [(src, dst) for src, dests in pairs for dst in dests]
-    count = len(flat_links)
-    is_object = bandwidth > 63
     key = builder.fresh_key("transmit_unicast")
 
     def start(state):
-        payload_maps = get_payloads(state)
-        instances = len(payload_maps)
-        frames = np.empty(
-            (rounds, instances, count),
-            dtype=object if is_object else np.uint64,
+        frames = _stack_frames(
+            get_payloads(state), flat_links, max_bits, rounds, bandwidth
         )
-        for k, payloads in enumerate(payload_maps):
-            for j, link in enumerate(flat_links):
-                frames[:, k, j] = _frame_payload(
-                    payloads[link], max_bits, rounds, bandwidth
-                )
         state[key] = {"frames": frames, "got": []}
 
     builder.before(start)
@@ -449,15 +468,15 @@ def kernel_transmit_unicast(builder, links, max_bits: int, get_payloads, set_res
         builder.unicast_round(pairs, bandwidth, send, recv)
 
     def done(state):
-        got = state.pop(key)["got"]
-        instances = got[0].shape[0] if got else len(get_payloads(state))
+        got = [_round_ints(delivered) for delivered in state.pop(key)["got"]]
+        instances = len(got[0]) if got else len(get_payloads(state))
         received = [
             [dict() for _ in range(builder.n)] for _ in range(instances)
         ]
         for j, (src, dst) in enumerate(flat_links):
             for k in range(instances):
                 received[k][dst][src] = _decode_frames(
-                    [int(got[r][k, j]) for r in range(rounds)],
+                    [got[r][k][j] for r in range(rounds)],
                     bandwidth,
                     max_bits,
                 )
@@ -476,27 +495,15 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
     excluded, as on the engine) — the generator
     :func:`transmit_broadcast` return value.
     """
-    import numpy as np
-
     bandwidth = _require_bandwidth(builder)
     rounds = phase_length(max_bits, bandwidth)
     writer_list = sorted(int(w) for w in writers)
-    count = len(writer_list)
-    is_object = bandwidth > 63
     key = builder.fresh_key("transmit_broadcast")
 
     def start(state):
-        payload_maps = get_payloads(state)
-        instances = len(payload_maps)
-        frames = np.empty(
-            (rounds, instances, count),
-            dtype=object if is_object else np.uint64,
+        frames = _stack_frames(
+            get_payloads(state), writer_list, max_bits, rounds, bandwidth
         )
-        for k, payloads in enumerate(payload_maps):
-            for j, writer in enumerate(writer_list):
-                frames[:, k, j] = _frame_payload(
-                    payloads[writer], max_bits, rounds, bandwidth
-                )
         state[key] = {"frames": frames, "got": []}
 
     builder.before(start)
@@ -511,13 +518,13 @@ def kernel_transmit_broadcast(builder, writers, max_bits: int, get_payloads, set
         builder.broadcast_round(writer_list, bandwidth, send, recv)
 
     def done(state):
-        got = state.pop(key)["got"]
-        instances = got[0].shape[0] if got else len(get_payloads(state))
+        got = [_round_ints(delivered) for delivered in state.pop(key)["got"]]
+        instances = len(got[0]) if got else len(get_payloads(state))
         payloads = {}
         for j, writer in enumerate(writer_list):
             for k in range(instances):
                 payloads[(k, writer)] = _decode_frames(
-                    [int(got[r][k, j]) for r in range(rounds)],
+                    [got[r][k][j] for r in range(rounds)],
                     bandwidth,
                     max_bits,
                 )

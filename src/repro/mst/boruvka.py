@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.bits import Bits, BitWriter
@@ -190,17 +191,20 @@ def boruvka_program(wg: WeightedGraph):
         memo = ctx.memo
         component = tuple(range(n))
         tree: Set[Edge] = set()
+        # The incident edges in key order, scanned once over all phases:
+        # components only merge, so a neighbour inside this node's
+        # component stays inside it.
+        ranked = sorted(wg.graph.neighbors(me), key=partial(wg.key, me))
+        end = len(ranked)
+        at = 0
 
         for _phase in range(phases):
-            candidate: Optional[Tuple[int, int]] = None
-            best_key = None
-            for u in wg.graph.neighbors(me):
-                if component[u] == component[me]:
-                    continue
-                key = wg.key(me, u)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    candidate = (me, u)
+            mine = component[me]
+            while at < end and component[ranked[at]] == mine:
+                at += 1
+            candidate: Optional[Tuple[int, int]] = (
+                (me, ranked[at]) if at < end else None
+            )
             board = yield from transmit_broadcast_uints(
                 ctx, encode(candidate), max_bits=message_bits
             )

@@ -46,7 +46,12 @@ import numpy as np
 
 from repro.core.bits import Bits
 from repro.core.errors import DecodeError
-from repro.core.kernels import NUMERIC_WIDTH_LIMIT, KernelBuilder
+from repro.core.kernels import (
+    NUMERIC_WIDTH_LIMIT,
+    KernelBuilder,
+    ints_to_rows,
+    rows_to_ints,
+)
 from repro.core.network import Context, Mode, Outbox, inbox_uints
 from repro.routing.schedule import FrameRef, RoutingSchedule, build_schedule
 
@@ -357,25 +362,30 @@ def route_frames(
     A frame that never arrives is missing from the result.
     """
     me = ctx.node_id
-    holding = dict(my_frames)
-    if holding and (
-        {ref[0] for ref in holding} != {me}
-        or min(holding.values()) < 0
-        or max(holding.values()) >> frame_size
-    ):
-        raise ValueError(_bad_frame(me, holding, frame_size))
-    if holding and set(map(type, holding.values())) != {int}:
-        # Plain ints on the wire, as ``Outbox.fixed_width`` makes them.
-        holding = dict(zip(holding, map(operator.index, holding.values())))
     node = schedule.route().nodes[me]
     inject = node.inject
-    values: List[Optional[int]] = list(map(holding.get, inject))
-    held = len(inject) - values.count(None)
+    # One read of the map, in slot order.  Every slot is a frame of this
+    # node's, so when the map holds nothing else and every value fits,
+    # the map is sound; otherwise the first bad frame in map order fails
+    # the node now, and a frame of its own the schedule never sends
+    # fails it after the last round.
+    values: List[Optional[int]] = list(map(my_frames.get, inject))
+    held = values if None not in values else [v for v in values if v is not None]
+    if len(held) != len(my_frames) or (
+        held and (min(held) < 0 or max(held) >> frame_size)
+    ):
+        bad = _bad_frame(me, my_frames, frame_size)
+        if bad is not None:
+            raise ValueError(bad)
+    if held and set(map(type, held)) != {int}:
+        # Plain ints on the wire, as ``Outbox.fixed_width`` makes them.
+        values = [None if v is None else operator.index(v) for v in values]
+    extra = len(my_frames) - len(held)
     values += [None] * (node.size - len(inject))
     values = yield from _drive_frames(ctx, schedule, node, values, frame_size)
-    if held != len(holding):
-        extra = set(holding).difference(inject)
-        raise ValueError(_not_routed(me, next(ref for ref in holding if ref in extra)))
+    if extra:
+        routed = set(inject)
+        raise ValueError(_not_routed(me, next(ref for ref in my_frames if ref not in routed)))
     start = len(inject)
     delivered = values[start : start + len(node.finals)]
     if None in delivered:
@@ -650,12 +660,13 @@ def kernel_route_frames(
 ) -> None:
     """Append ``route``'s rounds to ``builder`` as kernel rounds.
 
-    At phase start ``get_values(state)`` must return the ``K ×
-    len(route.slot_of)`` frame-value matrix in slot order (``uint64``,
-    or ``object`` ints for frames past
-    :data:`~repro.core.kernels.NUMERIC_WIDTH_LIMIT` bits).  Every
+    At phase start ``get_values(state)`` must return the frame values
+    in slot order, in the kernel round's payload form: a ``K ×
+    len(route.slot_of)`` ``uint64`` matrix, or, for frames past
+    :data:`~repro.core.kernels.NUMERIC_WIDTH_LIMIT` bits, ``K ×
+    len(route.slot_of) × ⌈frame_size/8⌉`` ``uint8`` byte rows.  Every
     round sends the slots it moves and writes what the links delivered
-    back into the matrix, so when the last hop lands
+    back into the array, so when the last hop lands
     ``set_values(state, values)`` receives each frame as its final hop
     delivered it.
     """
@@ -695,8 +706,12 @@ class BitRoute:
     ``Bits.from_bools`` payload; ``schedule`` routes those frames (the
     :func:`payload_demand` of the column counts).  Compiling precomputes
     where every payload bit sits in a byte-aligned grid of frame words,
-    so :meth:`pack` is one gather plus ``np.packbits`` and
-    :meth:`unpack` its inverse scatter.
+    each frame right-aligned in its ``⌈frame_size/8⌉`` bytes, so
+    :meth:`pack` is one gather plus ``np.packbits`` and :meth:`unpack`
+    its inverse scatter.  Frames of at most
+    :data:`~repro.core.kernels.NUMERIC_WIDTH_LIMIT` bits travel as
+    ``uint64`` values; wider ones travel as the packed grid's byte rows
+    themselves, with no int built per frame.
     """
 
     __slots__ = ("route", "frame_size", "_nbytes", "_cols", "_positions")
@@ -736,37 +751,34 @@ class BitRoute:
         self._positions = slots[frames] * word + word - frame_size + offsets % frame_size
 
     def pack(self, bits):
-        """The ``K × frames`` frame-value matrix of ``bits``' payloads."""
+        """The frame values of ``bits``' payloads: ``K × frames``
+        ``uint64``, or ``K × frames × ⌈frame_size/8⌉`` byte rows past
+        :data:`~repro.core.kernels.NUMERIC_WIDTH_LIMIT` bits."""
         instances = bits.shape[0]
         frames = len(self.route.slot_of)
         nbytes = self._nbytes
         grid = np.zeros((instances, frames * nbytes * 8), dtype=np.uint8)
-        grid[:, self._positions] = bits[:, self._cols]
-        packed = np.packbits(grid, axis=1)
+        grid[:, self._positions] = bits.take(self._cols, axis=1)
+        packed = np.packbits(grid, axis=1).reshape(instances, frames, nbytes)
         if self.frame_size > NUMERIC_WIDTH_LIMIT:
-            data = packed.tobytes()
-            values = [
-                int.from_bytes(data[i : i + nbytes], "big")
-                for i in range(0, len(data), nbytes)
-            ]
-            return np.array(values, dtype=object).reshape(instances, frames)
+            return packed
         words = np.zeros((instances, frames, 8), dtype=np.uint8)
-        words[:, :, 8 - nbytes :] = packed.reshape(instances, frames, nbytes)
+        words[:, :, 8 - nbytes :] = packed
         return words.view(">u8").reshape(instances, frames).astype(np.uint64)
 
     def unpack(self, values, bits) -> None:
-        """Scatter the payload bits carried by the frame-value matrix
-        ``values`` back into their columns of ``bits``."""
-        instances, frames = values.shape
+        """Scatter the payload bits carried by the frame values
+        ``values`` (:meth:`pack`'s form) back into their columns of
+        ``bits``."""
+        instances, frames = values.shape[:2]
         nbytes = self._nbytes
         if self.frame_size > NUMERIC_WIDTH_LIMIT:
-            data = b"".join(int(v).to_bytes(nbytes, "big") for v in values.flat)
-            packed = np.frombuffer(data, dtype=np.uint8)
+            packed = values
         else:
             words = values.astype(">u8").view(np.uint8)
             packed = words.reshape(instances, frames, 8)[:, :, 8 - nbytes :]
         grid = np.unpackbits(packed.reshape(instances, frames * nbytes), axis=1)
-        bits[:, self._cols] = grid[:, self._positions]
+        bits[:, self._cols] = grid.take(self._positions, axis=1)
 
 
 def kernel_route_bits(builder, bit_route: BitRoute, key: str) -> None:
@@ -841,20 +853,31 @@ def route_kernel_program(schedule: RoutingSchedule, frame_size: int):
                 found.append((len(route.rounds), v, _not_routed(v, extra)))
         raise ValueError(min(found)[2])
 
+    # Frames past the uint64 limit travel as byte rows.
+    nbytes = -(-frame_size // 8) if frame_size > NUMERIC_WIDTH_LIMIT else 0
+
     def get_values(state):
         inputs_list = state["inputs"]
-        values = np.zeros(
-            (len(inputs_list), len(route.slot_of)),
-            dtype=object if frame_size > NUMERIC_WIDTH_LIMIT else np.uint64,
-        )
-        for k, inputs in enumerate(inputs_list):
-            values[k, inject_slots] = injected(inputs)
+        shape = (len(inputs_list), len(route.slot_of))
+        if nbytes:
+            values = np.zeros(shape + (nbytes,), dtype=np.uint8)
+            for k, inputs in enumerate(inputs_list):
+                values[k, inject_slots] = ints_to_rows(
+                    map(operator.index, injected(inputs)), nbytes
+                )
+        else:
+            values = np.zeros(shape, dtype=np.uint64)
+            for k, inputs in enumerate(inputs_list):
+                values[k, inject_slots] = injected(inputs)
         return values
 
     def set_values(state, values):
         delivered = [[{} for _ in range(n)] for _ in range(values.shape[0])]
         for dest, refs, slots in route.finals:
-            for per_node, frames in zip(delivered, values[:, slots].tolist()):
+            got = values[:, slots]
+            for per_node, frames in zip(
+                delivered, rows_to_ints(got) if nbytes else got.tolist()
+            ):
                 per_node[dest] = dict(zip(refs, frames))
         state["out"] = delivered
 

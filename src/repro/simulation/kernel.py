@@ -60,7 +60,7 @@ from repro.circuits.gates import (
     XorGate,
 )
 from repro.circuits.vectorized import compile_groups, constant_columns
-from repro.core.kernels import KernelBuilder
+from repro.core.kernels import NUMERIC_WIDTH_LIMIT, KernelBuilder, ints_to_rows
 from repro.core.network import Mode
 from repro.routing.lenzen import BitRoute, kernel_route_bits
 from repro.simulation.protocol import SimulationPlan
@@ -74,13 +74,32 @@ __all__ = [
 
 
 def vector_summary(
-    gate, positions: List[int], part: np.ndarray, fan_in: int
+    gate, positions: List[int], part: np.ndarray, fan_in: int, nbytes: int
 ) -> np.ndarray:
     """One part's b-separability summary for every instance at once:
     ``part`` is the ``K × len(positions)`` 0/1 matrix of the part's
     input values, ``positions`` their indices in the gate's input list
-    (weighted gates need them).  Returns a ``K``-vector of summary
-    payloads (``uint64``, or ``object`` ints past 63 bits)."""
+    (weighted gates need them).  Returns the summaries in the payload
+    form of their round: a ``uint64`` ``K``-vector when ``nbytes`` is 0,
+    else, for a round of ``nbytes``-byte rows (past 63 bits), ``K ×
+    nbytes`` ``uint8`` rows with each summary right-aligned, a narrow
+    one in the last 8 bytes."""
+    summary = _summary_values(gate, positions, part, fan_in)
+    if isinstance(summary, list):
+        if nbytes:
+            return ints_to_rows(summary, nbytes)
+        return np.asarray(summary, dtype=np.uint64)
+    if nbytes:
+        rows = np.zeros((len(summary), nbytes), dtype=np.uint8)
+        rows[:, -8:] = summary.astype(">u8").view(np.uint8).reshape(-1, 8)
+        return rows
+    return summary
+
+
+def _summary_values(gate, positions: List[int], part: np.ndarray, fan_in: int):
+    """:func:`vector_summary`'s values: a ``uint64`` ``K``-vector, or a
+    list of ``K`` Python ints for a generic gate past 63 bits and for
+    a gate class outside the built-in families."""
     if isinstance(gate, (AndGate, NotGate)):
         return part.all(axis=1).astype(np.uint64)
     if isinstance(gate, OrGate):
@@ -109,20 +128,21 @@ def vector_summary(
             for i, position in enumerate(positions):
                 values |= part[:, i].astype(np.uint64) << np.uint64(position)
             return (np.uint64(covered << fan_in)) | values
-        out = np.empty(len(part), dtype=object)
-        for k, row in enumerate(part):
+        out = []
+        for row in part.tolist():
             values = 0
             for i, position in enumerate(positions):
                 if row[i]:
                     values |= 1 << position
-            out[k] = (covered << fan_in) | values
+            out.append((covered << fan_in) | values)
         return out
     # Unknown gate type: honest per-instance fallback.
-    out = np.empty(len(part), dtype=object)
-    for k, row in enumerate(part):
-        indexed = [(p, bool(row[i])) for i, p in enumerate(positions)]
-        out[k] = gate.partial_summary(indexed, fan_in).to_uint()
-    return out
+    return [
+        gate.partial_summary(
+            [(p, bool(row[i])) for i, p in enumerate(positions)], fan_in
+        ).to_uint()
+        for row in part.tolist()
+    ]
 
 
 def _push_round(push_recv: Dict[Tuple[int, int], int]):
@@ -244,17 +264,21 @@ def append_simulation_rounds(
     for heavy, summary, push, light_route, lights in plan.layers:
         if summary is not None:
             pairs, widths, messages = summary
-            wide = max(widths) > 63
+            # A round past the uint64 limit carries byte rows.
+            width = max(widths)
+            nbytes = -(-width // 8) if width > NUMERIC_WIDTH_LIMIT else 0
 
-            def send(state, _messages=messages, _wide=wide):
+            def send(state, _messages=messages, _nbytes=nbytes):
                 vals = state[vals_key]
-                out = np.empty(
-                    (vals.shape[0], len(_messages)),
-                    dtype=object if _wide else np.uint64,
+                shape = (vals.shape[0], len(_messages))
+                out = (
+                    np.empty(shape + (_nbytes,), dtype=np.uint8)
+                    if _nbytes
+                    else np.empty(shape, dtype=np.uint64)
                 )
                 for j, (gate, positions, cols, fan_in) in enumerate(_messages):
                     out[:, j] = vector_summary(
-                        gate, positions, vals[:, cols], fan_in
+                        gate, positions, vals[:, cols], fan_in, _nbytes
                     )
                 return out
 
@@ -264,7 +288,7 @@ def append_simulation_rounds(
             compute = evaluate(heavy)
             builder.unicast_round(
                 pairs,
-                max(widths),
+                width,
                 send,
                 lambda state, delivered, _compute=compute: _compute(state),
                 widths=widths,

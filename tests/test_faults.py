@@ -19,7 +19,9 @@ from repro.core.faults import (
     FaultEvent,
     FaultPlan,
     FaultSession,
+    _xor_bit,
 )
+from repro.core.kernels import ints_to_rows, rows_to_ints
 from repro.core.network import Mode, Network, Outbox
 from repro.core.phases import (
     _frame_payload,
@@ -493,16 +495,112 @@ class TestKernelFaultKinds:
         assert sent.tolist() == [[3, 5, 7], [103, 105, 107]]
         assert session.events == [FaultEvent(1, src, dst, "corrupt", bit)]
 
-    def test_corrupt_on_object_payloads(self):
+    @staticmethod
+    def rows(width, *values):
+        """Byte rows of a round past 63 bits: two instances, the second
+        one's values shifted to the top of the width."""
+        nbytes = -(-width // 8)
+        top = width - max(v.bit_length() for v in values)
+        flat = list(values) + [v << top for v in values]
+        return ints_to_rows(flat, nbytes).reshape(2, len(values), nbytes)
+
+    @pytest.mark.parametrize("width", [64, 79, 90, 263])
+    def test_corrupt_on_byte_rows(self, width):
+        session = self.session(UNICAST_LINKS, seed=2, triggers={(1, 2, 0): "corrupt"})
+        sent = self.rows(width, 1 << (width - 1), 2, 3)
+        values = rows_to_ints(sent)
+        got = session.apply_kernel(1, sent, UNICAST_LINKS, width)
+        bit = session.plan.corrupt_bit(1, 2, 0, width)
+        assert session.events == [FaultEvent(1, 2, 0, "corrupt", bit)]
+        assert rows_to_ints(got) == [
+            [row[0], row[1], row[2] ^ (1 << bit)] for row in values
+        ]
+        assert rows_to_ints(sent) == values
+
+    @pytest.mark.parametrize("width", [64, 79, 90, 263])
+    def test_corrupt_bit_lands_in_its_byte(self, width):
+        nbytes = -(-width // 8)
+        for bit in (0, 7, 8, width - 1):
+            sent = self.rows(width, 3, (1 << width) - 1, 1 << (width - 1))
+            got = sent.copy()
+            _xor_bit(got, 1, bit)
+            flipped = got != sent
+            assert flipped.sum() == 2  # one byte of column 1 per instance
+            assert flipped[:, 1, nbytes - 1 - bit // 8].all()
+            assert ((got ^ sent)[:, 1, nbytes - 1 - bit // 8] == 1 << bit % 8).all()
+            assert [row[1] for row in rows_to_ints(got)] == [
+                row[1] ^ (1 << bit) for row in rows_to_ints(sent)
+            ]
+
+    @pytest.mark.parametrize("width", [64, 79, 90, 263])
+    def test_losses_zero_whole_rows(self, width):
+        plan = dict(
+            triggers={(1, 0, 1): "drop", (1, 1, 2): "delay"}, crashes={2: 1}
+        )
+        session = self.session(UNICAST_LINKS, **plan)
+        sent = self.rows(width, (1 << width) - 1, 5, 1 << (width - 1))
+        got = session.apply_kernel(1, sent, UNICAST_LINKS, width)
+        assert not got.any()
+        assert rows_to_ints(sent) != [[0, 0, 0], [0, 0, 0]]
+        # The same events as on a uint64 round.
+        narrow = self.session(UNICAST_LINKS, **plan)
+        narrow.apply_kernel(1, self.sent(3, 5, 7), UNICAST_LINKS, WIDTH)
+        assert session.events == narrow.events
+        assert [e.kind for e in session.events] == ["drop", "delay", "crash"]
+        # The delayed row comes back whole into the next round's
+        # emptied slot.
+        session = self.session(
+            UNICAST_LINKS, triggers={(1, 1, 2): "delay", (2, 1, 2): "drop"}
+        )
+        session.apply_kernel(1, sent, UNICAST_LINKS, width)
+        later = session.apply_kernel(2, self.rows(width, 1, 2, 3), UNICAST_LINKS, width)
+        assert [row[1] for row in rows_to_ints(later)] == [
+            row[1] for row in rows_to_ints(sent)
+        ]
+
+    def test_late_payload_keeps_its_value_across_payload_forms(self):
+        # A 79-bit round's row whose value fits 64 bits resurfaces in a
+        # uint64 round, and a uint64 column resurfaces in byte rows.
+        session = self.session(
+            UNICAST_LINKS,
+            triggers={(1, 0, 1): "delay", (2, 0, 1): "drop", (3, 0, 1): "drop"},
+        )
+        first = ints_to_rows([(1 << 64) - 1, 2, 3, 1 << 63, 2, 3], 10)
+        session.apply_kernel(1, first.reshape(2, 3, 10), UNICAST_LINKS, 79)
+        second = session.apply_kernel(2, self.sent(4, 6, 8), UNICAST_LINKS, WIDTH)
+        assert second.tolist() == [[(1 << 64) - 1, 6, 8], [1 << 63, 106, 108]]
+        session = self.session(
+            UNICAST_LINKS, triggers={(1, 0, 1): "delay", (2, 0, 1): "drop"}
+        )
+        session.apply_kernel(1, self.sent(3, 5, 7), UNICAST_LINKS, WIDTH)
+        second = session.apply_kernel(2, self.rows(90, 1 << 89, 2, 3), UNICAST_LINKS, 90)
+        assert rows_to_ints(second) == [[3, 2, 3], [103, 2, 3]]
+
+    def test_late_payload_too_wide_for_its_slot_is_a_fault_injection_error(self):
         import numpy as np
 
-        session = self.session(UNICAST_LINKS, seed=2, triggers={(1, 2, 0): "corrupt"})
-        sent = np.empty((1, 3), dtype=object)
-        sent[0] = [1 << 80, 2, 3]
-        got = session.apply_kernel(1, sent, UNICAST_LINKS, 90)
-        (event,) = session.events
-        assert got[0].tolist() == [1 << 80, 2, 3 ^ (1 << event.detail)]
-        assert sent[0].tolist() == [1 << 80, 2, 3]
+        session = self.session(
+            UNICAST_LINKS,
+            triggers={(1, 0, 1): "delay", (3, 0, 1): "drop"},
+            delay_rounds=2,
+        )
+        first = ints_to_rows([1 << 70, 2, 3], 10).reshape(1, 3, 10)
+        session.apply_kernel(1, first, UNICAST_LINKS, 80)
+        narrow = np.array([[4, 6, 8]], dtype=np.uint64)
+        session.apply_kernel(2, narrow, UNICAST_LINKS, WIDTH)
+        with pytest.raises(
+            FaultInjectionError, match=r"link \(0, 1\) .* round 3"
+        ) as raised:
+            session.apply_kernel(3, narrow.copy(), UNICAST_LINKS, WIDTH)
+        assert isinstance(raised.value, ReproError)
+        # A row narrower than the late one holds it only when the cut
+        # bytes are zero.
+        session = self.session(
+            UNICAST_LINKS, triggers={(1, 0, 1): "delay", (2, 0, 1): "drop"}
+        )
+        session.apply_kernel(1, ints_to_rows([1 << 70, 2, 3], 10).reshape(1, 3, 10), UNICAST_LINKS, 80)
+        with pytest.raises(FaultInjectionError, match="round 2"):
+            session.apply_kernel(2, ints_to_rows([1, 2, 3], 8).reshape(1, 3, 8), UNICAST_LINKS, 64)
 
     @pytest.mark.parametrize("links", [UNICAST_LINKS, BROADCAST_LINKS], ids=LINK_IDS)
     def test_delay_resurfaces_only_into_an_emptied_slot(self, links):

@@ -166,7 +166,7 @@ class TestRoutingKernel:
             knet.run_many(kernel_program, inputs_list),
         )
 
-    def test_wide_frames_ride_the_object_path(self):
+    def test_wide_frames_ride_byte_rows(self):
         n, frame_size = 6, 80
         demand = {(v, (v + 1) % n): 2 for v in range(n)}
         schedule = build_schedule(demand, n)

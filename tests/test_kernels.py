@@ -18,7 +18,7 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
-from repro.core.kernels import KernelBuilder
+from repro.core.kernels import KernelBuilder, ints_to_rows, rows_to_ints
 from repro.core.network import Mode, Network, Outbox
 from repro.routing.lenzen import BitRoute, payload_demand
 from repro.routing.schedule import build_schedule
@@ -332,6 +332,46 @@ class TestValidation:
         with pytest.raises(ProtocolError, match="does not fit"):
             Network(n=3, bandwidth=4).run(program)
 
+    @staticmethod
+    def wide_program(width, rows, widths=None):
+        builder = KernelBuilder(3)
+        builder.unicast_round(
+            [(0, [1, 2])], width, lambda state: rows, widths=widths
+        )
+        return builder.build(None)
+
+    @pytest.mark.parametrize("width", [64, 79, 90])
+    def test_byte_row_width_checked(self, width):
+        nbytes = -(-width // 8)
+        fits = ints_to_rows([(1 << width) - 1, 1], nbytes).reshape(1, 2, nbytes)
+        result = Network(n=3, bandwidth=width).run(self.wide_program(width, fits))
+        assert result.total_bits == 2 * width
+        if width == 8 * nbytes:
+            return  # a full row has no bit above the width
+        over = ints_to_rows([1, 1 << width], nbytes).reshape(1, 2, nbytes)
+        with pytest.raises(ProtocolError, match="does not fit"):
+            Network(n=3, bandwidth=width).run(self.wide_program(width, over))
+
+    def test_byte_row_heterogeneous_widths_checked(self):
+        # A 5-bit message shares a round of 11-byte rows with an 81-bit
+        # one: bit 5 of the first is already too wide.
+        widths = [5, 81]
+        fits = ints_to_rows([31, (1 << 81) - 1], 11).reshape(1, 2, 11)
+        program = self.wide_program(81, fits, widths)
+        assert Network(n=3, bandwidth=81).run(program).total_bits == 86
+        for values in ([32, 1], [1, 1 << 81]):
+            over = ints_to_rows(values, 11).reshape(1, 2, 11)
+            with pytest.raises(ProtocolError, match="does not fit"):
+                Network(n=3, bandwidth=81).run(self.wide_program(81, over, widths))
+
+    def test_byte_row_shape_and_dtype_checked(self):
+        short = np.zeros((1, 2, 9), dtype=np.uint8)  # 79 bits need 10 bytes
+        with pytest.raises(ProtocolError, match="shape"):
+            Network(n=3, bandwidth=79).run(self.wide_program(79, short))
+        ints = np.zeros((1, 2), dtype=np.uint64)
+        with pytest.raises(ProtocolError, match="malformed"):
+            Network(n=3, bandwidth=79).run(self.wide_program(79, ints))
+
     def test_max_rounds_enforced(self):
         _gen, kernel_program = echo_sum_programs(4, 8, 5)
         with pytest.raises(MaxRoundsExceededError):
@@ -619,13 +659,14 @@ class TestFuzzEquivalence:
 
             def send(state, _vals=flat_vals, _width=width):
                 if _width > 63:
-                    out = np.empty((1, len(_vals)), dtype=object)
-                    out[0] = _vals
-                    return out
+                    nbytes = -(-_width // 8)
+                    return ints_to_rows(_vals, nbytes).reshape(1, -1, nbytes)
                 return np.asarray([_vals], dtype=np.uint64)
 
             def recv(state, delivered, _links=flat_links):
-                got = delivered[0]
+                got = (
+                    rows_to_ints(delivered) if delivered.ndim == 3 else delivered
+                )[0]
                 per_node = [[] for _ in range(n)]
                 for (src, dst), value in zip(_links, got):
                     per_node[dst].append((src, int(value)))
@@ -652,7 +693,7 @@ class TestFuzzEquivalence:
 class TestPackHelpers:
     """The bit-matrix routing bridge (:class:`BitRoute`) frames payload
     columns exactly as ``route_payloads`` frames the same bits as one
-    ``Bits`` payload, on ``uint64`` and on object-int frames."""
+    ``Bits`` payload, on ``uint64`` frames and on byte-row frames."""
 
     @pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 64, 65, 200])
     def test_pack_unpack_roundtrip(self, length):
@@ -665,17 +706,23 @@ class TestPackHelpers:
             schedule = build_schedule(payload_demand(lengths, frame_size), 3)
             bit_route = BitRoute(order, frame_size, schedule)
             frames = bit_route.pack(rows)
+            if frame_size > 63:
+                assert frames.shape[2:] == (-(-frame_size // 8),)
+                values_of = rows_to_ints(frames)
+            else:
+                assert frames.dtype == np.uint64
+                values_of = frames.tolist()
             for (src, dst), cols in order.items():
                 count = -(-length // frame_size)
                 slots = [
                     bit_route.route.slot_of[(src, dst, i)] for i in range(count)
                 ]
-                for row, values in zip(rows, frames):
+                for row, values in zip(rows, values_of):
                     payload = Bits.from_bools(bool(row[c]) for c in cols)
                     chunks = payload.pad_to(count * frame_size).to_uint_chunks(
                         frame_size
                     )
-                    assert [int(values[slot]) for slot in slots] == chunks
+                    assert [values[slot] for slot in slots] == chunks
             back = np.zeros_like(rows)
             bit_route.unpack(frames, back)
             routed = perm[: 2 * length]

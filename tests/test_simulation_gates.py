@@ -97,18 +97,21 @@ class TestExoticGates:
 
     def test_generic_gate_heavy(self):
         """A generic gate's fallback decomposition ships raw positions;
-        summary width 2·fan-in must still simulate correctly."""
-        circuit = Circuit()
-        inputs = circuit.add_inputs(24)
-        gate = GenericGate(
-            lambda xs: sum(xs) in (3, 7, 11), 24, "membership"
-        )
-        circuit.mark_output(circuit.add_gate(gate, inputs))
-        rng = random.Random(5)
-        for _ in range(5):
-            xs = [rng.random() < 0.5 for _ in range(24)]
-            outputs, _, _ = self.simulate(circuit, 4, xs)
-            assert outputs[circuit.outputs[0]] == circuit.evaluate_outputs(xs)[0]
+        summary width 2·fan-in must still simulate correctly, also past
+        63 bits (fan-in 40), where a kernel round carries byte rows."""
+        for fan_in in (24, 40):
+            circuit = Circuit()
+            inputs = circuit.add_inputs(fan_in)
+            gate = GenericGate(
+                lambda xs: sum(xs) in (3, 7, 11), fan_in, "membership"
+            )
+            circuit.mark_output(circuit.add_gate(gate, inputs))
+            rng = random.Random(5)
+            for _ in range(5):
+                xs = [rng.random() < 0.5 for _ in range(fan_in)]
+                outputs, _, plan = self.simulate(circuit, 4, xs)
+                assert outputs[circuit.outputs[0]] == circuit.evaluate_outputs(xs)[0]
+            assert plan.bandwidth == 2 * fan_in
 
     def test_duplicate_wire_inputs(self):
         """The same gate feeding one consumer twice (multi-edges)."""
@@ -149,9 +152,10 @@ class TestExoticGatesKernel(TestExoticGates):
 
 def zoo_gates(rng):
     """``(gate, fan-in)`` for every built-in family, with mixed
-    parameters inside one family and fan-in 1 included."""
+    parameters inside one family, fan-in 1 included, and the Strassen
+    XOR-4 gates' and threshold/parity's wide fan-ins (4 and 64)."""
     gates = [(NOT, 1)]
-    for fan_in in (1, 2, 3, 5):
+    for fan_in in (1, 2, 3, 4, 5, 64):
         gates += [
             (AND, fan_in),
             (OR, fan_in),
