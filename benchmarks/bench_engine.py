@@ -328,7 +328,7 @@ def bench_kernels(quick, repeats):
         # Kernel path: same structure, zero generator steps.
         kernel_net = Network(n=n, bandwidth=width, mode=Mode.UNICAST)
         kernel_program = unicast_kernel_program(n, rounds, width)
-        kernel_net.run(kernel_program)  # compile off-clock
+        kernel_net.run(kernel_program)  # warm off-clock (rounds compiled at build)
 
         def kernel_workload():
             return [kernel_net.run(kernel_program) for _ in range(instances)]
@@ -409,7 +409,7 @@ def bench_kernels(quick, repeats):
     )
     kernel_program = route_kernel_program(schedule, frame_size)
     kernel_net = Network(n=n_route, bandwidth=frame_size)
-    kernel_net.run_many(kernel_program, inputs_list[:1])  # compile off-clock
+    kernel_net.run_many(kernel_program, inputs_list[:1])  # warm off-clock (rounds compiled at build)
     ker_s, ker_results = _time_best(
         lambda: kernel_net.run_many(kernel_program, inputs_list), repeats
     )

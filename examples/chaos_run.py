@@ -9,8 +9,8 @@ Three acts:
    fault schedule and produce identical outputs and fault event logs.
 2. The same plan with resilience turned on: an acked retransmit phase
    recovers dropped payloads, a redundant (majority-vote) broadcast
-   outvotes corrupted ones, and a ``round_limit`` watchdog bounds the
-   whole run.
+   outvotes corrupted ones, and the network's ``max_rounds`` bound
+   serves as a watchdog on the whole run.
 3. A ``ScenarioMatrix`` chaos sweep on the legacy engine: every cell
    runs faulted and clean, is checked against its clean run and its
    validator, and the report shows each injected fault was detected —
@@ -70,7 +70,7 @@ def act_one_identical_schedules(n, inputs, plan):
 def act_two_resilience(n, inputs, plan):
     print("\n=== 2. the same chaos, resilient phases + watchdog ===")
     network = Network(
-        n=n, bandwidth=8, mode=Mode.BROADCAST, fault_plan=plan, round_limit=64
+        n=n, bandwidth=8, mode=Mode.BROADCAST, fault_plan=plan, max_rounds=64
     )
     result = network.run(max_protocol(12, resilient=True), inputs=inputs)
     wrong = sum(1 for out in result.outputs if out != max(inputs))

@@ -149,7 +149,7 @@ def main() -> None:
     # And a whole sweep of instances through the same compiled rounds:
     sweep = network.run_many(kernel, [inputs, sorted(inputs), inputs[::-1]])
     assert all(r.outputs[0] == max(inputs) for r in sweep)
-    print(f"run_many sweep : 3 instances, schedule stats {network.schedule_stats}")
+    print(f"run_many sweep : 3 instances, rounds {[r.rounds for r in sweep]}")
 
     print()
     print("All three protocols agree; the engine enforced every bandwidth limit.")

@@ -38,7 +38,6 @@ _KERNEL_EXPORTS = (
     "KernelBuilder",
     "KernelContext",
     "KernelProgram",
-    "CompiledSchedule",
 )
 
 
@@ -80,5 +79,4 @@ __all__ = [
     "kernel_transmit_broadcast",
     "transmit_unicast_kernel_program",
     "transmit_broadcast_kernel_program",
-    "CompiledSchedule",
 ]

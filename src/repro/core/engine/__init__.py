@@ -1,9 +1,9 @@
 """The execution engines of the congested-clique network.
 
 The :class:`~repro.core.network.Network` front door checks inputs and
-owns all cross-run state (compiled kernel schedules, RNG bundles,
-stats); *how* a program executes is one of two engine modules, each
-exposing ``run_many(network, program, inputs_list)``:
+owns the only cross-run state, its seeded coin states; *how* a program
+executes is one of two engine modules, each exposing
+``run_many(network, program, inputs_list)``:
 
 ========  ==========================================================
 engine    strategy
@@ -11,8 +11,9 @@ engine    strategy
 legacy    reference loop for generator programs — fresh dicts each
           round, validating delivery; fixed-width rounds cross the
           wire as ints
-kernel    declared SPMD rounds compiled once, one payload matrix per
-          round over all instances (the one compiled path)
+kernel    declared SPMD rounds, compiled where they are declared and
+          checked against the network on every run; one payload
+          matrix per round over all instances
 ========  ==========================================================
 
 :data:`ENGINES` is the whole dispatch: a kernel program runs on

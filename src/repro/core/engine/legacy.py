@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.core.engine.delivery import deliver_outbox, int_round_width
+from repro.core.errors import MaxRoundsExceededError
 from repro.core.mailbox import EMPTY_INBOX, Board, BoardInbox, Inbox, UintInbox
 
 __all__ = ["run_many"]
@@ -49,15 +50,18 @@ def _run(network: Any, program, inputs) -> Any:
     recording = network.record_transcript
     transcript: Optional[List[Any]] = [] if recording else None
     faults = network._fault_session()
-    round_cap = network._round_cap()
+    max_rounds = network.max_rounds
     check_outbox = network._check_outbox
     broadcast = network.mode is Mode.BROADCAST
     # An active fault plan acts on Bits, so its rounds never carry ints.
     int_wire = faults is None and not broadcast
 
     while generators:
-        if rounds >= round_cap:
-            raise network._round_cap_error(rounds)
+        if rounds >= max_rounds:
+            raise MaxRoundsExceededError(
+                f"protocol still running after {rounds} rounds "
+                f"(max_rounds {max_rounds})"
+            )
         rounds += 1
         boxes: Any = {} if broadcast else [{} for _ in range(n)]
         record = RoundRecord() if recording else None

@@ -31,18 +31,8 @@ class ProtocolError(ReproError):
 
 
 class MaxRoundsExceededError(ReproError):
-    """The protocol did not terminate within the configured round budget."""
-
-
-class RoundLimitExceeded(MaxRoundsExceededError):
-    """The watchdog round limit (``Network(round_limit=...)``) fired: the
-    protocol was still running after the configured number of rounds.
-
-    Subclasses :class:`MaxRoundsExceededError` so existing handlers of
-    the round budget keep working; the distinct type lets chaos harnesses
-    tell "the protocol livelocked under faults" apart from "the safety
-    budget was simply too small".
-    """
+    """The protocol did not terminate within the network's round bound
+    (``Network(max_rounds=...)``); the message names the bound."""
 
 
 class FaultInjectionError(ReproError):
@@ -106,8 +96,9 @@ class WorkerCrashError(SweepExecutionError):
 
 class CellTimeoutError(SweepExecutionError):
     """A sweep cell exceeded its wall-clock deadline and the supervisor
-    SIGKILLed the worker running it.  Distinct from
-    :class:`RoundLimitExceeded`, which is the *in-protocol* watchdog: a
+    SIGKILLed the worker running it.  Distinct from the *in-protocol*
+    round bound (``Network(max_rounds=)``, which a sweep sets from
+    ``cell_round_limit``, raising :class:`MaxRoundsExceededError`): a
     cell that hangs outside the round loop (in ``prepare``, in native
     code) only this deadline can catch."""
 

@@ -380,56 +380,14 @@ class FaultSession:
         per-receiver ``{sender: message}`` dicts.
         """
         self._record_crashes(round_index)
-        if self.broadcast_mode:
-            self._apply_scalar_broadcast(round_index, boxes)
+        if not self.broadcast_mode:
+            pairs = enumerate(boxes)
+        elif self.n > 1:
+            pairs = ((None, boxes),)
         else:
-            self._apply_scalar_unicast(round_index, boxes)
-        due = self._delayed.pop(round_index, None)
-        if due:
-            # Late payloads fill only empty slots: a fresh message from
-            # the same sender always wins over a stale one.
-            for src, dst, payload in due:
-                if dst is None:
-                    boxes.setdefault(src, payload)
-                else:
-                    boxes[dst].setdefault(src, payload)
-        self._seal_round()
-
-    def _apply_scalar_broadcast(self, round_index: int, board: Dict[int, Bits]) -> None:
-        if self.n == 1:
             # A lone node's word has no reader, so it has no fate either.
-            return
-        for src in sorted(board):
-            crash = self._crash_rounds.get(src)
-            if crash is not None and round_index >= crash:
-                del board[src]
-                continue
-            kind = self.plan.fault_for(round_index, src, None)
-            if kind is None:
-                continue
-            payload = board[src]
-            if kind == "drop":
-                del board[src]
-                self._record(round_index, src, None, "drop", None)
-            elif kind == "corrupt":
-                width = len(payload)
-                bit = self.plan.corrupt_bit(round_index, src, None, width)
-                board[src] = Bits(payload.to_uint() ^ (1 << bit), width)
-                self._record(round_index, src, None, "corrupt", bit)
-            elif kind == "duplicate":
-                self._stash(round_index, src, None, payload)
-                self._record(round_index, src, None, "duplicate",
-                             round_index + self.plan.delay_rounds)
-            elif kind == "delay":
-                del board[src]
-                self._stash(round_index, src, None, payload)
-                self._record(round_index, src, None, "delay",
-                             round_index + self.plan.delay_rounds)
-
-    def _apply_scalar_unicast(self, round_index: int, boxes: List[Dict[int, Bits]]) -> None:
-        for dst, box in enumerate(boxes):
-            if not box:
-                continue
+            pairs = ()
+        for dst, box in pairs:
             for src in sorted(box):
                 crash = self._crash_rounds.get(src)
                 if crash is not None and round_index >= crash:
@@ -456,6 +414,16 @@ class FaultSession:
                     self._stash(round_index, src, dst, payload)
                     self._record(round_index, src, dst, "delay",
                                  round_index + self.plan.delay_rounds)
+        due = self._delayed.pop(round_index, None)
+        if due:
+            # Late payloads fill only empty slots: a fresh message from
+            # the same sender always wins over a stale one.
+            for src, dst, payload in due:
+                if dst is None:
+                    boxes.setdefault(src, payload)
+                else:
+                    boxes[dst].setdefault(src, payload)
+        self._seal_round()
 
     # -- kernel path ------------------------------------------------------
 

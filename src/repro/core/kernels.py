@@ -32,10 +32,12 @@ big-endian byte rows, each message right-aligned in its row, so
 ``state`` is a plain dict the program threads through the run (per-node
 data lives in arrays with a leading instance axis).  Because the round
 structure is declared rather than observed, a kernel program is
-*oblivious by construction*: it compiles directly into a
-:class:`CompiledSchedule` — per-round flat sender/receiver index
-arrays, bit totals, validation — without executing any callback, and
-every execution replays that schedule.  Round and bit accounting is
+*oblivious by construction*: each round compiles where it is declared
+into a :class:`KernelRound` — flat sender/receiver index arrays, its
+bit total and width masks — without executing any callback, so
+:attr:`KernelProgram.rounds` is the compiled schedule.  :func:`execute`
+checks it against the network on every run and then runs it; nothing
+is compiled or cached at run time.  Round and bit accounting is
 byte-identical to the generator engine's: equivalence suites pin the
 migrated protocols (transmit phases, Lenzen routing, the Theorem 2
 simulation, matmul triangle detection) to their generator reference
@@ -68,7 +70,6 @@ from repro.core.errors import (
     BandwidthExceededError,
     MaxRoundsExceededError,
     ProtocolError,
-    RoundLimitExceeded,
     TopologyError,
 )
 from repro.core.network import CoinStates, Mode, RoundRecord, RunResult
@@ -78,12 +79,9 @@ __all__ = [
     "ints_to_rows",
     "rows_to_ints",
     "KernelContext",
-    "UnicastRound",
-    "BroadcastRound",
+    "KernelRound",
     "KernelProgram",
     "KernelBuilder",
-    "CompiledSchedule",
-    "compile_program",
     "execute",
 ]
 
@@ -160,33 +158,74 @@ class KernelContext:
         return self._coins.node_rng(v)
 
 
-class UnicastRound:
-    """Declared structure + kernels of one fixed-width unicast round."""
+class KernelRound:
+    """One declared kernel round, compiled where it is declared.
 
-    __slots__ = ("pairs", "width", "widths", "send", "recv")
+    Message ``j`` (structure order: ascending sender, each sender's
+    destinations as declared) goes from ``srcs[j]`` to ``dsts[j]``; a
+    broadcast round has ``dsts=None``, its messages being the writers'
+    blackboard words.  ``widths`` is the per-message width vector of a
+    heterogeneous unicast round, ``None`` when every message is
+    ``width`` bits, and ``bits`` the round's total.  ``nbytes`` is the
+    byte-row length of a round past :data:`NUMERIC_WIDTH_LIMIT` bits (0
+    for a ``uint64`` round), and ``high`` its mask of the bits above
+    each message's width: one row for a uniform width, one per message
+    otherwise.  ``send`` and ``recv`` are the round's callbacks."""
 
-    def __init__(self, pairs, width, widths, send, recv) -> None:
-        self.pairs = pairs  # ((sender, dests-array), ...) node order
-        self.width = width  # max width (selects storage dtype)
-        self.widths = widths  # per-message widths, or None if uniform
-        self.send = send
-        self.recv = recv
+    __slots__ = (
+        "srcs",
+        "dsts",
+        "width",
+        "widths",
+        "widths_u64",
+        "count",
+        "bits",
+        "nbytes",
+        "high",
+        "send",
+        "recv",
+        "_links",
+    )
 
-
-class BroadcastRound:
-    """Declared structure + kernels of one fixed-width broadcast round."""
-
-    __slots__ = ("writers", "width", "send", "recv")
-
-    def __init__(self, writers, width, send, recv) -> None:
-        self.writers = writers  # np.intp array of writer ids, ascending
+    def __init__(self, srcs, dsts, width, widths, send, recv) -> None:
+        # Every run on every network reads these arrays: freeze them.
+        for arr in (srcs, dsts, widths):
+            if arr is not None:
+                arr.flags.writeable = False
+        self.srcs = srcs
+        self.dsts = dsts
         self.width = width
+        self.widths = widths
+        self.widths_u64 = None if widths is None else widths.astype(np.uint64)
+        self.count = int(srcs.size)
+        self.bits = self.count * width if widths is None else int(widths.sum())
+        self.nbytes = nbytes = -(-width // 8) if width > NUMERIC_WIDTH_LIMIT else 0
+        self.high = None
+        if nbytes:
+            # The bits of a row at or above a message's width ``w``.
+            top = 1 << 8 * nbytes
+            self.high = ints_to_rows(
+                [top - (1 << w) for w in ([width] if widths is None else widths.tolist())],
+                nbytes,
+            )
         self.send = send
         self.recv = recv
+        self._links = None
+
+    def links(self) -> List[Tuple[int, Optional[int]]]:
+        """``(src, dst)`` per message, ``dst`` None for a blackboard
+        word; built on first use (CONGEST link checks, transcripts and
+        fault plans only)."""
+        if self._links is None:
+            srcs = self.srcs.tolist()
+            dsts = [None] * len(srcs) if self.dsts is None else self.dsts.tolist()
+            self._links = list(zip(srcs, dsts))
+        return self._links
 
 
 class KernelProgram:
-    """A fully declared SPMD protocol: init hooks, round specs, finish.
+    """A fully declared SPMD protocol: init hooks, compiled rounds,
+    finish.
 
     Build with :class:`KernelBuilder`.  Pass instances directly to
     :meth:`~repro.core.network.Network.run` /
@@ -235,17 +274,16 @@ def _as_dests(dests, sender: int, n: int) -> np.ndarray:
             raise ProtocolError(
                 f"node {sender} listed a destination twice in a kernel round"
             )
-    arr.flags.writeable = False
     return arr
 
 
 class KernelBuilder:
     """Accumulates the declared rounds of a :class:`KernelProgram`.
 
-    Structural validation (self-sends, range, duplicate destinations)
-    happens here, at declaration; network-dependent validation (mode,
-    bandwidth, topology) happens once per network when the program is
-    compiled.  ``on_init`` hooks run before round 0 with
+    Each round is validated (self-sends, range, duplicate destinations)
+    and compiled into a :class:`KernelRound` here, at declaration; the
+    network-dependent checks (mode, bandwidth, topology) run on every
+    execution (:func:`execute`).  ``on_init`` hooks run before round 0 with
     ``(state, kctx)``; ``before`` attaches a prologue to the *next*
     appended round's ``send`` (phase helpers use it to stage data at a
     phase boundary).  ``build(finish)`` seals the program; ``finish``
@@ -265,10 +303,10 @@ class KernelBuilder:
         self.mode = mode
         # Declared bandwidth: phase helpers need it to fix their round
         # counts at build time (generators read ctx.bandwidth instead).
-        # When set, the program only compiles against a network with
-        # exactly this bandwidth.
+        # When set, the program only runs on a network with exactly this
+        # bandwidth.
         self.bandwidth = bandwidth
-        self.rounds: List[Any] = []
+        self.rounds: List[KernelRound] = []
         self._init_hooks: List[Callable] = []
         self._prologues: List[Callable] = []
         self._keys = 0
@@ -326,7 +364,16 @@ class KernelBuilder:
             if arr.size:
                 norm.append((sender, arr))
         norm.sort(key=lambda pair: pair[0])
-        count = sum(arr.size for _, arr in norm)
+        srcs = np.repeat(
+            np.asarray([v for v, _ in norm], dtype=np.intp),
+            [arr.size for _, arr in norm],
+        )
+        dsts = (
+            np.concatenate([arr for _, arr in norm])
+            if norm
+            else np.empty(0, dtype=np.intp)
+        )
+        count = srcs.size
         widths_arr = None
         if widths is not None:
             widths_arr = np.asarray(widths, dtype=np.int64).reshape(-1).copy()
@@ -346,13 +393,10 @@ class KernelBuilder:
                 widths_arr = None
             else:
                 width = int(widths_arr.max())
-                widths_arr.flags.writeable = False
         if width < 1:
             raise ValueError("fixed-width messages need width >= 1 bit")
         self.rounds.append(
-            UnicastRound(
-                tuple(norm), width, widths_arr, self._wrap_send(send), recv
-            )
+            KernelRound(srcs, dsts, width, widths_arr, self._wrap_send(send), recv)
         )
 
     def broadcast_round(
@@ -372,9 +416,8 @@ class KernelBuilder:
                 raise TopologyError("broadcast writer out of range")
             if _has_duplicates(arr):
                 raise ProtocolError("a writer appears twice in a kernel round")
-        arr.flags.writeable = False
         self.rounds.append(
-            BroadcastRound(arr, width, self._wrap_send(send), recv)
+            KernelRound(arr, None, width, None, self._wrap_send(send), recv)
         )
 
     def build(
@@ -402,85 +445,10 @@ class KernelBuilder:
         )
 
 
-class _ExecRound:
-    """One compiled kernel round: everything the runner needs, flat.
-
-    Message ``j`` (structure order) goes from ``srcs[j]`` to
-    ``dsts[j]``; a broadcast round has ``dsts=None``, its messages being
-    the writers' blackboard words.  ``widths`` is the per-message width
-    vector of a heterogeneous unicast round, ``None`` when every message
-    is ``width`` bits.  ``nbytes`` is the byte-row length of a round
-    past :data:`NUMERIC_WIDTH_LIMIT` bits (0 for a ``uint64`` round),
-    and ``high`` its mask of the bits above each message's width: one
-    row for a uniform width, one per message otherwise."""
-
-    __slots__ = (
-        "spec",
-        "srcs",
-        "dsts",
-        "width",
-        "widths",
-        "widths_u64",
-        "count",
-        "bits",
-        "nbytes",
-        "high",
-        "_links",
-    )
-
-    def __init__(self, spec, srcs, dsts, width, widths) -> None:
-        self.spec = spec
-        self.srcs = srcs
-        self.dsts = dsts
-        self.width = width
-        self.widths = widths
-        self.widths_u64 = None if widths is None else widths.astype(np.uint64)
-        self.count = int(srcs.size)
-        self.bits = self.count * width if widths is None else int(widths.sum())
-        self.nbytes = nbytes = -(-width // 8) if width > NUMERIC_WIDTH_LIMIT else 0
-        self.high = None
-        if nbytes:
-            # The bits of a row at or above a message's width ``w``.
-            top = 1 << 8 * nbytes
-            self.high = ints_to_rows(
-                [top - (1 << w) for w in ([width] if widths is None else widths.tolist())],
-                nbytes,
-            )
-        self._links = None
-
-    def links(self) -> List[Tuple[int, Optional[int]]]:
-        """``(src, dst)`` per message, ``dst`` None for a blackboard
-        word; built on first use (transcripts and fault plans only)."""
-        if self._links is None:
-            srcs = self.srcs.tolist()
-            dsts = [None] * len(srcs) if self.dsts is None else self.dsts.tolist()
-            self._links = list(zip(srcs, dsts))
-        return self._links
-
-
-class CompiledSchedule:
-    """A kernel program compiled against one network: ``kernel`` holds
-    one :class:`_ExecRound` per declared round, and ``params`` the
-    ``(bandwidth, mode)`` they were validated under (the network evicts
-    the entry if either is reassigned afterwards)."""
-
-    __slots__ = ("params", "kernel")
-
-    def __init__(self, params: Tuple[int, Mode], kernel: List[_ExecRound]) -> None:
-        self.params = params
-        self.kernel = kernel
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CompiledSchedule(rounds={len(self.kernel)}, "
-            f"bits={sum(rec.bits for rec in self.kernel)})"
-        )
-
-
-def compile_program(program: KernelProgram, network) -> CompiledSchedule:
-    """Validate ``program`` against ``network`` and build its
-    :class:`CompiledSchedule` — declared structure in, per-round flat
-    index arrays and bit totals out."""
+def _check(program: KernelProgram, network) -> None:
+    """Check ``program`` against ``network`` in one pass over its
+    rounds: size, declared bandwidth and mode, then each round's kind,
+    links (in CONGEST) and width, then the round bound."""
     if program.n != network.n:
         raise ProtocolError(
             f"kernel program declares n={program.n}, network has n={network.n}"
@@ -505,66 +473,57 @@ def compile_program(program: KernelProgram, network) -> CompiledSchedule:
         )
     mode = network.mode
     bandwidth = network.bandwidth
-    allowed = getattr(network, "_allowed", None)
-    execs: List[_ExecRound] = []
-    for r, spec in enumerate(program.rounds):
-        if isinstance(spec, UnicastRound):
+    allowed = network._allowed
+    for r, rnd in enumerate(program.rounds):
+        if rnd.dsts is not None:
             if mode is Mode.BROADCAST:
                 raise ProtocolError(
                     f"kernel round {r} unicasts in a broadcast network"
                 )
             if allowed is not None:
-                for sender, dests in spec.pairs:
-                    ok = allowed[sender]
-                    for dest in dests:
-                        if dest not in ok:
-                            raise TopologyError(
-                                f"node {sender} sent to non-neighbour "
-                                f"{int(dest)} in CONGEST"
-                            )
-            if spec.width > bandwidth:
+                for src, dst in rnd.links():
+                    if dst not in allowed[src]:
+                        raise TopologyError(
+                            f"node {src} sent to non-neighbour {dst} in CONGEST"
+                        )
+            if rnd.width > bandwidth:
                 raise BandwidthExceededError(
-                    f"kernel round {r} sends {spec.width}-bit messages "
+                    f"kernel round {r} sends {rnd.width}-bit messages "
                     f"(bandwidth {bandwidth})"
                 )
-            senders = np.asarray([v for v, _ in spec.pairs], dtype=np.intp)
-            srcs = np.repeat(senders, [dests.size for _, dests in spec.pairs])
-            dsts = (
-                np.concatenate([dests for _, dests in spec.pairs])
-                if spec.pairs
-                else np.empty(0, dtype=np.intp)
-            )
-            execs.append(_ExecRound(spec, srcs, dsts, spec.width, spec.widths))
         else:
             if mode is not Mode.BROADCAST:
                 raise ProtocolError(
                     f"kernel round {r} broadcasts in a {mode.value} network"
                 )
-            if spec.width > bandwidth:
+            if rnd.width > bandwidth:
                 raise BandwidthExceededError(
-                    f"kernel round {r} broadcasts {spec.width} bits "
+                    f"kernel round {r} broadcasts {rnd.width} bits "
                     f"(bandwidth {bandwidth})"
                 )
-            execs.append(_ExecRound(spec, spec.writers, None, spec.width, None))
-    return CompiledSchedule((bandwidth, mode), execs)
+    if len(program.rounds) > network.max_rounds:
+        raise MaxRoundsExceededError(
+            f"kernel program declares {len(program.rounds)} rounds "
+            f"(max_rounds {network.max_rounds})"
+        )
 
 
-def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray:
+def _coerce_payload(vals, rnd: KernelRound, instances: int, r: int) -> np.ndarray:
     """``send``'s payloads as a fresh engine-owned array: a ``K × count``
     ``uint64`` matrix up to :data:`NUMERIC_WIDTH_LIMIT` bits, converted
     from whatever ``send`` returned; past it, a copy of the ``K × count
     × nbytes`` ``uint8`` byte rows ``send`` must return."""
-    if rec.nbytes:
+    if rnd.nbytes:
         if not isinstance(vals, np.ndarray) or vals.dtype != np.uint8:
             raise ProtocolError(
                 f"kernel round {r} produced a malformed payload: a round "
-                f"of {rec.width}-bit messages takes uint8 byte rows"
+                f"of {rnd.width}-bit messages takes uint8 byte rows"
             )
         vals = vals.copy()
-        expected = (instances, rec.count, rec.nbytes)
+        expected = (instances, rnd.count, rnd.nbytes)
     else:
         vals = np.array(vals, dtype=np.uint64)
-        expected = (instances, rec.count)
+        expected = (instances, rnd.count)
     if vals.shape != expected:
         raise ProtocolError(
             f"kernel round {r} produced payload shape {vals.shape}, "
@@ -573,13 +532,13 @@ def _coerce_payload(vals, rec: _ExecRound, instances: int, r: int) -> np.ndarray
     return vals
 
 
-def _validate_payload(vals: np.ndarray, rec: _ExecRound, r: int) -> None:
-    if rec.nbytes:
-        bad = bool((vals & rec.high).any())
-    elif rec.widths_u64 is None:
-        bad = bool((vals >> np.uint64(rec.width)).any())
+def _validate_payload(vals: np.ndarray, rnd: KernelRound, r: int) -> None:
+    if rnd.nbytes:
+        bad = bool((vals & rnd.high).any())
+    elif rnd.widths_u64 is None:
+        bad = bool((vals >> np.uint64(rnd.width)).any())
     else:
-        bad = bool((vals >> rec.widths_u64).any())
+        bad = bool((vals >> rnd.widths_u64).any())
     if bad:
         raise ProtocolError(
             f"kernel round {r} produced a value that does not fit its "
@@ -587,39 +546,26 @@ def _validate_payload(vals: np.ndarray, rec: _ExecRound, r: int) -> None:
         )
 
 
-def _round_record(rec: _ExecRound, row) -> RoundRecord:
+def _round_record(rnd: KernelRound, row) -> RoundRecord:
     """One instance's transcript entry for a delivered round: every
     declared message as sent, a broadcast once with ``receiver=None``."""
-    widths = [rec.width] * rec.count if rec.widths is None else rec.widths.tolist()
-    values = rows_to_ints(row) if rec.nbytes else row.tolist()
+    widths = [rnd.width] * rnd.count if rnd.widths is None else rnd.widths.tolist()
+    values = rows_to_ints(row) if rnd.nbytes else row.tolist()
     return RoundRecord(
         [
             (src, dst, Bits(value, width))
-            for (src, dst), width, value in zip(rec.links(), widths, values)
+            for (src, dst), width, value in zip(rnd.links(), widths, values)
         ]
     )
 
 
 def execute(
-    network,
-    program: KernelProgram,
-    compiled: CompiledSchedule,
-    inputs_list: Sequence[Any],
+    network, program: KernelProgram, inputs_list: Sequence[Any]
 ) -> List[RunResult]:
-    """Run ``inputs_list`` (K instances) through the compiled kernel
-    rounds in lockstep; returns one :class:`RunResult` per instance."""
-    execs: List[_ExecRound] = compiled.kernel
-    if len(execs) > network._round_cap():
-        limit = network.round_limit
-        if limit is not None and len(execs) > limit:
-            raise RoundLimitExceeded(
-                f"kernel program declares {len(execs)} rounds "
-                f"(round_limit {limit})"
-            )
-        raise MaxRoundsExceededError(
-            f"kernel program declares {len(execs)} rounds "
-            f"(max_rounds {network.max_rounds})"
-        )
+    """Check ``program`` against ``network``, then run ``inputs_list``
+    (K instances) through its rounds in lockstep; returns one
+    :class:`RunResult` per instance."""
+    _check(program, network)
     n = network.n
     instances = len(inputs_list)
     faults = network._fault_session()
@@ -637,35 +583,34 @@ def execute(
 
     total_bits = 0
     max_round_bits = 0
-    for r, rec in enumerate(execs):
-        spec = rec.spec
-        vals = spec.send(state) if spec.send is not None else None
-        if rec.count == 0:
+    for r, rnd in enumerate(program.rounds):
+        vals = rnd.send(state) if rnd.send is not None else None
+        if rnd.count == 0:
             delivered = (
-                np.empty((instances, 0, rec.nbytes), dtype=np.uint8)
-                if rec.nbytes
+                np.empty((instances, 0, rnd.nbytes), dtype=np.uint8)
+                if rnd.nbytes
                 else np.empty((instances, 0), dtype=np.uint64)
             )
         elif vals is None:
             raise ProtocolError(
-                f"kernel round {r} produced no payloads for {rec.count} "
-                f"declared {'messages' if rec.dsts is not None else 'writers'}"
+                f"kernel round {r} produced no payloads for {rnd.count} "
+                f"declared {'messages' if rnd.dsts is not None else 'writers'}"
             )
         else:
-            delivered = _coerce_payload(vals, rec, instances, r)
-            _validate_payload(delivered, rec, r)
+            delivered = _coerce_payload(vals, rnd, instances, r)
+            _validate_payload(delivered, rnd, r)
         if recording:
             for k in range(instances):
-                transcripts[k].append(_round_record(rec, delivered[k]))
+                transcripts[k].append(_round_record(rnd, delivered[k]))
         if faults is not None:
             delivered = faults.apply_kernel(
-                r + 1, delivered, rec.links(), rec.width, rec.widths
+                r + 1, delivered, rnd.links(), rnd.width, rnd.widths
             )
-        if spec.recv is not None:
-            spec.recv(state, delivered)
-        total_bits += rec.bits
-        if rec.bits > max_round_bits:
-            max_round_bits = rec.bits
+        if rnd.recv is not None:
+            rnd.recv(state, delivered)
+        total_bits += rnd.bits
+        if rnd.bits > max_round_bits:
+            max_round_bits = rnd.bits
 
     outputs_list = (
         program.finish(state, kctx) if program.finish is not None else None
@@ -690,7 +635,7 @@ def execute(
         results.append(
             RunResult(
                 outputs=outputs,
-                rounds=len(execs),
+                rounds=len(program.rounds),
                 total_bits=total_bits,
                 max_round_bits=max_round_bits,
                 transcript=transcripts[k] if recording else None,

@@ -29,11 +29,10 @@ Execution engines
   runs every generator program, kept as the executable reference
   semantics; the equivalence suites pin every kernel twin to it
   byte-for-byte.
-* ``kernel`` — declared :class:`~repro.core.kernels.KernelProgram`\\ s
-  compiled once into a :class:`~repro.core.kernels.CompiledSchedule`
-  and executed as one matrix operation per round over all nodes and
-  instances, zero generator steps.  Kernel programs are the one
-  compiled path.
+* ``kernel`` — declared :class:`~repro.core.kernels.KernelProgram`\\ s,
+  whose rounds compile where they are declared, checked against the
+  network on every run and executed as one matrix operation per round
+  over all nodes and instances, zero generator steps.
 
 A kernel program runs on ``kernel`` whatever ``Network(engine=...)``
 names (it has no other semantics), and ``engine="kernel"`` rejects a
@@ -51,10 +50,9 @@ An inbox keeps its round's messages on every engine: each round hands
 every node a fresh inbox, so a program may stash one and read it in a
 later round.
 
-All cross-run state lives on the :class:`Network` — the kernel engine's
-compiled schedules, the seeded coin states and the ``schedule_stats``
-counters — so the engine modules hold no state and serve any number of
-networks.
+The only state a :class:`Network` carries between runs is its seeded
+coin states, and the engine modules hold none, so one program runs on
+any number of networks.
 """
 
 from __future__ import annotations
@@ -75,13 +73,7 @@ from repro.core.mailbox import (
     inbox_uints,
     validate_fixed,
 )
-from repro.core.errors import (
-    BandwidthExceededError,
-    MaxRoundsExceededError,
-    ProtocolError,
-    RoundLimitExceeded,
-    TopologyError,
-)
+from repro.core.errors import BandwidthExceededError, ProtocolError, TopologyError
 
 __all__ = [
     "Mode",
@@ -268,7 +260,11 @@ class Network:
         Seeds both the per-node private RNGs and the shared public-coin
         RNG, making every run reproducible.
     max_rounds:
-        Safety budget; exceeding it raises :class:`MaxRoundsExceededError`.
+        The round bound, at least 1: a generator run still going after
+        this many rounds, or a kernel program that declares more,
+        raises :class:`~repro.core.errors.MaxRoundsExceededError`
+        naming it.  A sweep sets it per cell to bound livelocks under
+        fault injection.
     record_transcript:
         When true, the result carries a full per-round transcript (used
         by the lower-bound reductions to charge communication).
@@ -279,12 +275,6 @@ class Network:
         engine) and the result's ``faults`` field lists the injected
         events; an inactive (all-zero) plan — and ``None`` — cost
         nothing on the hot path.
-    round_limit:
-        Watchdog bound on the round loop, independent of ``max_rounds``:
-        exceeding it raises :class:`~repro.core.errors.RoundLimitExceeded`
-        (a ``MaxRoundsExceededError`` subclass).  Use it to bound
-        retransmission loops under fault injection without touching the
-        safety budget.
     engine:
         ``"legacy"`` (the default) or ``"kernel"``; anything else raises
         ``ValueError``.  A kernel program runs on ``"kernel"`` whatever
@@ -303,7 +293,6 @@ class Network:
         record_transcript: bool = False,
         engine: str = "legacy",
         fault_plan: Optional[Any] = None,
-        round_limit: Optional[int] = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}")
@@ -311,8 +300,8 @@ class Network:
             raise ValueError("need at least one node")
         if bandwidth < 1:
             raise ValueError("bandwidth must be at least 1 bit")
-        if round_limit is not None and round_limit < 1:
-            raise ValueError("round_limit must be at least 1 round")
+        if max_rounds < 1:
+            raise ValueError("max_rounds must be at least 1 round")
         if fault_plan is not None:
             fault_plan.validate()
         self.n = n
@@ -322,7 +311,6 @@ class Network:
         self.max_rounds = max_rounds
         self.record_transcript = record_transcript
         self.fault_plan = fault_plan
-        self.round_limit = round_limit
         #: The engine name given at construction.
         self.engine = engine
         if mode is Mode.CONGEST:
@@ -344,17 +332,6 @@ class Network:
             everyone = tuple(range(n))
             self._neighbors = [everyone[:v] + everyone[v + 1 :] for v in range(n)]
             self._allowed = None
-        # Compiled kernel schedules (repro.core.kernels), keyed by the
-        # program object.  Bounded; correctness never depends on a hit
-        # (a miss just compiles).
-        self._compiled: Dict[Any, Any] = {}
-        #: Counters of the kernel engine's compilation layer: schedules
-        #: freshly compiled, and instances executed against an already
-        #: compiled schedule.
-        self.schedule_stats: Dict[str, int] = {
-            "compiled": 0,
-            "replayed": 0,
-        }
         # The coin states of the current seed, shared by every run (and
         # every run_many instance) on it.
         self._coins: Optional[CoinStates] = None
@@ -416,17 +393,6 @@ class Network:
                 "(pass inputs=None for input-free protocols)"
             )
 
-    def _compiled_entry(self, key) -> Optional[Any]:
-        """The cached schedule for ``key``, evicting it first if the
-        network's bandwidth or mode was reassigned since it was
-        compiled (the compiled rounds were validated under the old
-        parameters, so executing them would skip the new limits)."""
-        entry = self._compiled.get(key)
-        if entry is not None and entry.params != (self.bandwidth, self.mode):
-            del self._compiled[key]
-            return None
-        return entry
-
     # -- resilience hooks the engines consume ----------------------------
 
     def _fault_session(self) -> Optional[Any]:
@@ -437,26 +403,6 @@ class Network:
         if plan is None:
             return None
         return plan.session(self)
-
-    def _round_cap(self) -> int:
-        """The binding round bound: the watchdog ``round_limit`` when it
-        is tighter than ``max_rounds``."""
-        limit = self.round_limit
-        if limit is not None and limit < self.max_rounds:
-            return limit
-        return self.max_rounds
-
-    def _round_cap_error(self, rounds: int) -> MaxRoundsExceededError:
-        """The exception matching whichever bound ``rounds`` hit."""
-        limit = self.round_limit
-        if limit is not None and rounds >= limit:
-            return RoundLimitExceeded(
-                f"watchdog: protocol still running after {rounds} rounds "
-                f"(round_limit {limit})"
-            )
-        return MaxRoundsExceededError(
-            f"protocol still running after {rounds} rounds"
-        )
 
     # -- per-run state the engines consume -------------------------------
 

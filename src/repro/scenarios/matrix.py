@@ -40,14 +40,14 @@ Every cell is judged from its own run and its coordinate's
 Resilient execution
 -------------------
 
-Every cell runs under a default ``Network(round_limit=)`` watchdog
-(:data:`DEFAULT_CELL_ROUND_LIMIT`), so a livelocked protocol surfaces
-as a structured ``failed`` cell with ``error_type="RoundLimitExceeded"``
-instead of stalling the sweep.  :meth:`ScenarioMatrix.run` is one
-executor over one per-coordinate function,
-:meth:`ScenarioMatrix.run_coordinate`, which prepares a (protocol,
-family, n) instance once and runs it on every engine the coordinate
-still owes.  ``workers=0`` (the default) runs the coordinates in
+Every cell's network gets a round bound, ``Network(max_rounds=)`` set
+from :data:`DEFAULT_CELL_ROUND_LIMIT`, so a livelocked protocol
+surfaces as a structured ``failed`` cell with
+``error_type="MaxRoundsExceededError"`` instead of stalling the sweep.
+:meth:`ScenarioMatrix.run` is one executor over one per-coordinate
+function, :meth:`ScenarioMatrix.run_coordinate`, which prepares a
+(protocol, family, n) instance once and runs it on every engine the
+coordinate still owes.  ``workers=0`` (the default) runs the coordinates in
 process; ``workers=W`` hands them to the supervised worker pool of
 :mod:`repro.scenarios.sweep` (with per-cell deadlines via
 ``cell_timeout=``).  ``journal=`` records every completed cell durably
@@ -88,11 +88,12 @@ __all__ = [
 #: that exclude it take the first supported engine they sweep.
 REFERENCE_ENGINE = "legacy"
 
-#: Default per-cell round watchdog: far above any registered protocol's
-#: round count at sweep sizes, far below the engine's 1e6 safety budget.
-#: A protocol that livelocks (e.g. a retransmission loop under chaos)
-#: becomes a structured ``failed`` cell with
-#: ``error_type="RoundLimitExceeded"`` instead of a stalled sweep.
+#: Default per-cell round bound: far above any registered protocol's
+#: round count at sweep sizes, far below the network's default
+#: ``max_rounds`` of 1e6.  A protocol that livelocks (e.g. a
+#: retransmission loop under chaos) becomes a structured ``failed`` cell
+#: with ``error_type="MaxRoundsExceededError"`` instead of a stalled
+#: sweep.
 DEFAULT_CELL_ROUND_LIMIT = 50_000
 
 
@@ -313,18 +314,17 @@ def _run_records(
     cell and the ordered tuple of records of a multi-instance cell;
     ``seconds`` times the engine run alone.
 
-    A fresh network per run keeps cells independent: no
-    compiled-schedule carry-over between engines or repeats beyond what
-    one run legitimately builds.  The per-cell seed applies unless the
-    prepare hook pinned its own; the round watchdog applies unless the
-    hook set its own limit.
+    A fresh network per run keeps cells independent.  The per-cell
+    seed applies unless the prepare hook pinned its own, and
+    ``round_limit`` becomes the network's ``max_rounds`` unless the hook
+    set its own.
     """
     from repro.core.network import Network
 
     kwargs = dict(prepared.network_kwargs)
     kwargs.setdefault("seed", cell_seed)
     if round_limit is not None:
-        kwargs.setdefault("round_limit", round_limit)
+        kwargs.setdefault("max_rounds", round_limit)
     if fault_plan is not None:
         kwargs["fault_plan"] = fault_plan
     network = Network(engine=engine, **kwargs)
@@ -371,10 +371,10 @@ class ScenarioMatrix:
         baseline on the same network coordinates; the pair of digests is
         what decides ``detected``.
     cell_round_limit:
-        Per-cell round watchdog wired into every cell's network as
-        ``Network(round_limit=)`` (default
-        :data:`DEFAULT_CELL_ROUND_LIMIT`); ``None`` disables it.  A
-        prepare hook that pins its own ``round_limit`` wins.
+        Per-cell round bound, wired into every cell's network as
+        ``Network(max_rounds=)`` (default
+        :data:`DEFAULT_CELL_ROUND_LIMIT`); ``None`` leaves the network's
+        default.  A prepare hook that pins its own ``max_rounds`` wins.
     """
 
     def __init__(

@@ -1,9 +1,10 @@
 """Chaos clique: deterministic fault injection, resilient transmit
-phases, the round-limit watchdog, and the self-checking scenario
-sweep."""
+phases, the round bound a sweep uses as its watchdog, and the
+self-checking scenario sweep."""
 
 import hashlib
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,6 @@ from repro.core.errors import (
     FaultInjectionError,
     MaxRoundsExceededError,
     ReproError,
-    RoundLimitExceeded,
 )
 from repro.core.faults import (
     FAULT_KINDS,
@@ -119,7 +119,7 @@ class TestFaultPlanValidation:
 
     def test_error_taxonomy(self):
         assert issubclass(FaultInjectionError, ReproError)
-        assert issubclass(RoundLimitExceeded, MaxRoundsExceededError)
+        assert issubclass(MaxRoundsExceededError, ReproError)
 
     def test_inactive_plan(self):
         assert not FaultPlan(seed=99).is_active
@@ -717,34 +717,63 @@ class TestKernelFaultKinds:
 
 
 class TestRoundLimitWatchdog:
+    """``Network(max_rounds=)`` is the one round bound, and a sweep's
+    per-cell watchdog is that bound."""
+
     def chatty(self, rounds):
         return chatter_program(rounds)
 
     @pytest.mark.parametrize("engine", ["legacy"])
     def test_watchdog_trips_with_context(self, engine):
-        network = Network(n=4, bandwidth=WIDTH, engine=engine, round_limit=3)
-        with pytest.raises(RoundLimitExceeded, match=r"watchdog.*after 3 rounds.*round_limit 3"):
+        network = Network(n=4, bandwidth=WIDTH, engine=engine, max_rounds=3)
+        with pytest.raises(
+            MaxRoundsExceededError, match=r"after 3 rounds \(max_rounds 3\)"
+        ):
             network.run(self.chatty(10))
 
     @pytest.mark.parametrize("engine", ["legacy"])
     def test_under_limit_passes(self, engine):
-        network = Network(n=4, bandwidth=WIDTH, engine=engine, round_limit=3)
+        network = Network(n=4, bandwidth=WIDTH, engine=engine, max_rounds=3)
         result = network.run(self.chatty(3))
         assert result.rounds == 3
 
     def test_watchdog_is_a_max_rounds_error(self):
-        network = Network(n=4, bandwidth=WIDTH, round_limit=2)
-        with pytest.raises(MaxRoundsExceededError):
-            network.run(self.chatty(5))
+        # A cell's round limit becomes its network's max_rounds, unless
+        # the prepare hook pinned its own bound.
+        from repro.scenarios.matrix import _run_records
+
+        def prepared(**network_kwargs):
+            return SimpleNamespace(
+                network_kwargs=dict(n=4, bandwidth=WIDTH, **network_kwargs),
+                instances=None,
+                inputs=None,
+                summarize=lambda result: result.outputs,
+            )
+
+        with pytest.raises(MaxRoundsExceededError, match=r"\(max_rounds 3\)"):
+            _run_records(prepared(), self.chatty(5), "legacy", 1, 3)
+        with pytest.raises(MaxRoundsExceededError, match=r"\(max_rounds 2\)"):
+            _run_records(prepared(max_rounds=2), self.chatty(5), "legacy", 1, 3)
+        runs, _records, _digest, _seconds = _run_records(
+            prepared(), self.chatty(5), "legacy", 1, None
+        )
+        assert runs[0].rounds == 5
 
     def test_max_rounds_still_raises_base_error(self):
-        network = Network(n=4, bandwidth=WIDTH, max_rounds=2)
-        try:
-            network.run(self.chatty(5))
-        except RoundLimitExceeded:  # pragma: no cover - would be a bug
-            pytest.fail("max_rounds must not masquerade as the watchdog")
-        except MaxRoundsExceededError:
-            pass
+        # One bound, one error type on both engines: no subclass tells a
+        # watchdog from the network's bound.
+        n, payload_width = 4, 20
+        program = transmit_broadcast_kernel_program(
+            n, WIDTH, list(range(n)), max_bits=payload_width
+        )
+        with pytest.raises(MaxRoundsExceededError) as kernel_error:
+            Network(n=n, bandwidth=WIDTH, mode=Mode.BROADCAST, max_rounds=1).run(
+                program, inputs=[Bits(0, payload_width)] * n
+            )
+        with pytest.raises(MaxRoundsExceededError) as legacy_error:
+            Network(n=4, bandwidth=WIDTH, max_rounds=2).run(self.chatty(5))
+        assert type(kernel_error.value) is MaxRoundsExceededError
+        assert type(legacy_error.value) is MaxRoundsExceededError
 
     def test_kernel_declared_rounds_checked_upfront(self):
         n, payload_width = 4, 20
@@ -752,14 +781,17 @@ class TestRoundLimitWatchdog:
             n, WIDTH, list(range(n)), max_bits=payload_width
         )
         network = Network(
-            n=n, bandwidth=WIDTH, mode=Mode.BROADCAST, round_limit=1
+            n=n, bandwidth=WIDTH, mode=Mode.BROADCAST, max_rounds=1
         )
-        with pytest.raises(RoundLimitExceeded, match="round_limit 1"):
+        with pytest.raises(
+            MaxRoundsExceededError,
+            match=r"kernel program declares \d+ rounds \(max_rounds 1\)",
+        ):
             network.run(program, inputs=[Bits(0, payload_width)] * n)
 
     def test_round_limit_validation(self):
-        with pytest.raises(ValueError):
-            Network(n=4, bandwidth=WIDTH, round_limit=0)
+        with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+            Network(n=4, bandwidth=WIDTH, max_rounds=0)
 
 
 class TestResilientPhases:

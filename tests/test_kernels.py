@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from repro.core.errors import (
     ProtocolError,
     TopologyError,
 )
+from repro.core import kernels
 from repro.core.kernels import KernelBuilder, ints_to_rows, rows_to_ints
 from repro.core.network import Mode, Network, Outbox
 from repro.routing.lenzen import BitRoute, payload_demand
@@ -108,8 +110,6 @@ class TestUnicastEquivalence:
         assert len(results) == 5
         for result in results:
             assert result_tuple(result) == result_tuple(expected)
-        assert network.schedule_stats["compiled"] == 1
-        assert network.schedule_stats["replayed"] == 4
 
     def test_kernel_on_legacy_network_still_runs(self):
         # The engine selector does not apply to kernel programs: the
@@ -439,64 +439,140 @@ class TestValidation:
 
 
 class TestCompiledInteraction:
-    def test_schedule_cached_and_replayed(self):
-        n, width = 5, 8
-        _gen, kernel_program = echo_sum_programs(n, width, 2)
-        network = Network(n=n, bandwidth=width)
-        network.run(kernel_program)
-        assert network.schedule_stats == {"compiled": 1, "replayed": 0}
-        network.run(kernel_program)
-        network.run_many(kernel_program, [None, None])
-        assert network.schedule_stats["compiled"] == 1
-        assert network.schedule_stats["replayed"] == 3
-        entry = network._compiled[kernel_program]
-        assert entry.kernel is not None
+    """A kernel program's rounds are compiled where they are declared,
+    and every run checks the program against its network: neither
+    carries state from one run to the next."""
 
-    def test_bandwidth_reassignment_evicts(self):
+    def ring_program(self, n, width, rounds):
+        """Each node sends ``me*3+r`` to its two ring neighbours each
+        round and outputs the sum of the last round's messages."""
+        builder = KernelBuilder(n)
+        pairs = [(v, [(v - 1) % n, (v + 1) % n]) for v in range(n)]
+        srcs = np.repeat(np.arange(n), 2)
+        dsts = np.array([d for _v, ds in pairs for d in ds])
+
+        def recv(state, delivered):
+            sums = np.zeros((delivered.shape[0], n), dtype=np.uint64)
+            np.add.at(sums, (slice(None), dsts), delivered)
+            state["sums"] = sums
+
+        for r in range(rounds):
+
+            def send(state, r=r):
+                return np.tile((srcs * 3 + r).astype(np.uint64), (state["k"], 1))
+
+            builder.unicast_round(pairs, width, send, recv)
+        builder.on_init(lambda state, kctx: state.update(k=kctx.instances))
+        return builder.build(
+            lambda state, kctx: state["sums"].tolist(), name="ring_sum"
+        )
+
+    def test_one_program_checked_on_every_fresh_network(self):
+        n, width = 5, 8
+        program = self.ring_program(n, width, 2)
+        ring = [[(v - 1) % n, (v + 1) % n] for v in range(n)]
+        broken = [list(nbrs) for nbrs in ring]
+        broken[0].remove(1)
+        broken[1].remove(0)
+
+        def congest(topology, **kwargs):
+            return Network(
+                n=n, bandwidth=width, mode=Mode.CONGEST, topology=topology,
+                **kwargs,
+            )
+
+        first = congest(ring).run_many(program, [None, None])
+        bad = [
+            (
+                Network(n=n, bandwidth=width - 1),
+                BandwidthExceededError,
+                "kernel round 0 sends 8-bit messages (bandwidth 7)",
+            ),
+            (
+                Network(n=n, bandwidth=width, mode=Mode.BROADCAST),
+                ProtocolError,
+                "kernel program declares unicast, network is broadcast",
+            ),
+            (
+                congest(broken),
+                TopologyError,
+                "node 0 sent to non-neighbour 1 in CONGEST",
+            ),
+            (
+                Network(n=n + 1, bandwidth=width),
+                ProtocolError,
+                "kernel program declares n=5, network has n=6",
+            ),
+            (
+                congest(ring, max_rounds=1),
+                MaxRoundsExceededError,
+                "kernel program declares 2 rounds (max_rounds 1)",
+            ),
+        ]
+        for network, error, text in bad:
+            with pytest.raises(error, match=f"^{re.escape(text)}$"):
+                network.run(program)
+        # The good networks still run the program, to the same results.
+        again = congest(ring)
+        for _ in range(2):
+            results = again.run_many(program, [None, None])
+            assert [result_tuple(r) for r in results] == [
+                result_tuple(r) for r in first
+            ]
+        # The last round (r = 1) brings 3u + 1 from each neighbour u.
+        assert first[0].outputs == [
+            3 * ((v - 1) % n) + 3 * ((v + 1) % n) + 2 for v in range(n)
+        ]
+        clique = Network(n=n, bandwidth=width).run(program)
+        assert result_tuple(clique) == result_tuple(first[0])
+
+    def test_running_compiles_nothing(self, monkeypatch):
+        _gen, kernel_program = echo_sum_programs(4, 8, 3)
+        built = []
+        init = kernels.KernelRound.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(kernels.KernelRound, "__init__", counting)
+        for _ in range(3):
+            network = Network(n=4, bandwidth=8, record_transcript=True)
+            network.run_many(kernel_program, [None, None])
+        assert built == []
+        echo_sum_programs(4, 8, 3)
+        assert len(built) == 3  # one per declared round
+
+    def test_bandwidth_reassignment_checked_at_next_run(self):
         n = 5
         _gen, kernel_program = echo_sum_programs(n, 8, 2)
         network = Network(n=n, bandwidth=16)
         network.run(kernel_program)
         network.bandwidth = 8
         network.run(kernel_program)
-        assert network.schedule_stats["compiled"] == 2
         network.bandwidth = 4
-        with pytest.raises(BandwidthExceededError):
+        with pytest.raises(BandwidthExceededError, match=r"\(bandwidth 4\)"):
             network.run(kernel_program)
 
-    def test_mode_reassignment_evicts(self):
+    def test_mode_reassignment_checked_at_next_run(self):
         n = 5
         _gen, kernel_program = echo_sum_programs(n, 8, 2)
         network = Network(n=n, bandwidth=8)
         network.run(kernel_program)
         network.mode = Mode.BROADCAST
-        # The schedule was validated for unicast: it must be dropped and
-        # the program re-checked, not served from the cache.
         with pytest.raises(ProtocolError, match="declares unicast"):
             network.run(kernel_program)
-        assert kernel_program not in network._compiled
-
-    def test_compiled_cache_is_bounded(self):
-        n = 4
-        network = Network(n=n, bandwidth=8)
-        for _ in range(40):
-            _gen, kernel_program = echo_sum_programs(n, 8, 1)
-            network.run(kernel_program)
-        assert network.schedule_stats["compiled"] == 40
-        assert len(network._compiled) <= 32
 
     def test_compiled_rounds_match_lane_shape(self):
         n = 4
         _gen, kernel_program = echo_sum_programs(n, 8, 3)
-        network = Network(n=n, bandwidth=8)
-        network.run(kernel_program)
-        entry = network._compiled[kernel_program]
-        assert len(entry.kernel) == 3
-        for rec in entry.kernel:
-            assert rec.dsts is not None  # a unicast round
-            assert rec.count == n * (n - 1)
-            assert rec.bits == n * (n - 1) * 8
-            assert sorted(rec.links()) == [
+        # Compiled at build(), before any run.
+        assert len(kernel_program.rounds) == 3
+        for rnd in kernel_program.rounds:
+            assert rnd.dsts is not None  # a unicast round
+            assert rnd.count == n * (n - 1)
+            assert rnd.bits == n * (n - 1) * 8
+            assert sorted(rnd.links()) == [
                 (v, u) for v in range(n) for u in range(n) if u != v
             ]
 

@@ -132,7 +132,7 @@ def _prepare_counted(n, graph, rng):
 
 
 def _prepare_sleepy(n, graph, rng):
-    # Hang *outside* the round loop, where Network(round_limit=) cannot
+    # Hang *outside* the round loop, where Network(max_rounds=) cannot
     # see it — only the supervisor's wall-clock deadline can.
     from repro.scenarios.sweep import worker
 
@@ -388,7 +388,8 @@ class TestWatchdog:
         by_protocol = {c.protocol: c for c in result.cells}
         hung = by_protocol["sweeptest_livelock"]
         assert hung.status == "failed"
-        assert hung.error_type == "RoundLimitExceeded"
+        assert hung.error_type == "MaxRoundsExceededError"
+        assert hung.error.endswith("after 30 rounds (max_rounds 30)")
         # The sweep survived the hang and ran the other cells.
         assert by_protocol["sweeptest_const"].status == "ok"
         assert hung in result.mismatches()
