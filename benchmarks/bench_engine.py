@@ -9,8 +9,8 @@ on the legacy engine:
 * the *fixed* program yields a fresh fixed-width outbox every round
   (``Outbox.fixed_width`` for unicast/CONGEST, ``Outbox.broadcast_uint``
   on the blackboard), as every library protocol does (row
-  ``legacy+fixed``); its unicast and CONGEST rounds cross the wire as
-  plain ints.
+  ``legacy+fixed``); its rounds cross the wire as plain ints, a
+  blackboard round as one board of ints.
 
 A row's seconds and rates are its best wall-clock run of
 ``10 * repeats``, and its msgs/s is the number to compare across trees.

@@ -172,10 +172,9 @@ class Bits:
         """Split into consecutive ``width``-bit unsigned integers, most
         significant chunk first; the last chunk keeps its natural
         (possibly shorter) width.  The bulk counterpart of
-        ``[c.to_uint() for c in self.chunks(width)]`` — one shift/mask
-        per chunk on the backing integer, no :class:`Bits` allocations —
-        used by the phase layer to frame payloads for fixed-width
-        outboxes."""
+        ``[c.to_uint() for c in self.chunks(width)]``: one shift/mask
+        per chunk on the backing integer, no :class:`Bits`
+        allocations."""
         if width <= 0:
             raise ValueError("chunk width must be positive")
         value = self._value

@@ -8,15 +8,20 @@ bits are charged and its delivery-time protocol errors raised.
 
 It enforces the model rules (bandwidth, topology, payload types) on
 every dict outbox.  A fixed-width outbox is written straight into its
-receivers' dicts: an equivalent whole-outbox validation already ran
-when the outbox was yielded (see
-:func:`repro.core.mailbox.validate_fixed`).  In a round that
+receivers' dicts, or onto the board: an equivalent validation already
+ran when the outbox was built or yielded (see
+:func:`repro.core.mailbox.validate_fixed` and
+:func:`repro.core.mailbox.coerce_broadcast`).  In a round that
 :func:`int_round_width` finds all fixed-width of one width, with no
-active fault plan, each value crosses as the plain int it is, and the
-receivers read it through a :class:`~repro.core.mailbox.UintInbox`;
-in every other round it becomes a ``width``-bit :class:`Bits`, which
-is what a fault plan acts on.  Either way a recorded transcript holds
-:class:`Bits`.
+active fault plan, each value crosses as the plain int it is: the
+receivers of a unicast round read it through a
+:class:`~repro.core.mailbox.UintInbox`, and a blackboard round is a
+:class:`~repro.core.mailbox.UintBoard`.  In every other round it
+becomes a ``width``-bit :class:`Bits`, which is what a fault plan acts
+on: a round that mixes widths, or mixes a fixed-width broadcast with an
+:meth:`~repro.core.mailbox.Outbox.broadcast` of :class:`Bits` (a
+zero-length one included), and every round under an active plan.
+Either way a recorded transcript holds :class:`Bits`.
 """
 
 from __future__ import annotations
@@ -41,12 +46,13 @@ def _at(round_index: Optional[int]) -> str:
 
 def int_round_width(pending) -> Optional[int]:
     """The width of a round whose non-silent outboxes (``pending`` maps
-    each sender to one) are all fixed-width unicasts of one width, else
-    ``None``."""
+    each sender to one) are all fixed-width of one width, else ``None``.
+    A network's mode admits either fixed-width unicasts or fixed-width
+    broadcasts, never both, so one rule serves both kinds."""
     width = None
     for outbox in pending.values():
         kind = outbox.kind
-        if kind == "fixed":
+        if kind == "fixed" or kind == "bfixed":
             if width is None:
                 width = outbox.width
             elif outbox.width != width:
@@ -79,12 +85,15 @@ def deliver_outbox(
     kind = outbox.kind
     if kind == "silent":
         return 0
-    if kind == "broadcast" or kind == "bfixed":
-        payload = (
-            outbox.payload
-            if kind == "broadcast"
-            else outbox._materialize_broadcast()
-        )
+    if kind == "bfixed":
+        # The value fits its width since the outbox was built, and the
+        # network checked the width against the bandwidth at the yield.
+        boxes[sender] = outbox.values if as_ints else outbox._materialize_broadcast()
+        if record is not None:
+            record.sends.append((sender, None, outbox._materialize_broadcast()))
+        return outbox.width
+    if kind == "broadcast":
+        payload = outbox.payload
         if not isinstance(payload, Bits):
             raise ProtocolError(
                 f"node {sender} broadcast a non-Bits payload{_at(round_index)}"

@@ -10,12 +10,17 @@ otherwise one dict per receiver — delivers every message through the
 fully validating scalar path, and never caches or replays anything:
 slow, simple, and obviously correct.
 
-A unicast or CONGEST round whose senders all yielded fixed-width
-outboxes of one width crosses the wire as ints when no fault plan is
-active: :func:`deliver_outbox` writes each value into its receiver's
-dict as it is, and the receiver reads a
-:class:`~repro.core.mailbox.UintInbox`.  Every other round, and every
-round under an active plan, carries :class:`~repro.core.bits.Bits`.
+A round whose senders all yielded fixed-width outboxes of one width
+crosses the wire as ints when no fault plan is active:
+:func:`deliver_outbox` writes each value as it is, into its receiver's
+dict in a unicast or CONGEST round, where the receiver reads a
+:class:`~repro.core.mailbox.UintInbox`, and onto a
+:class:`~repro.core.mailbox.UintBoard` in a CLIQUE-BCAST round.  Every
+other round carries :class:`~repro.core.bits.Bits`: one that mixes
+widths, or fixed-width broadcasts with a
+:meth:`~repro.core.mailbox.Outbox.broadcast` of ``Bits`` (zero-length
+ones included), and every round under an active plan, which acts on
+``Bits``.  A recorded transcript holds ``Bits`` either way.
 
 It executes generator node programs only; kernel programs declare their
 round structure instead of yielding it, and the network sends them to
@@ -28,7 +33,14 @@ from typing import Any, List, Optional
 
 from repro.core.engine.delivery import deliver_outbox, int_round_width
 from repro.core.errors import MaxRoundsExceededError
-from repro.core.mailbox import EMPTY_INBOX, Board, BoardInbox, Inbox, UintInbox
+from repro.core.mailbox import (
+    EMPTY_INBOX,
+    Board,
+    BoardInbox,
+    Inbox,
+    UintBoard,
+    UintInbox,
+)
 
 __all__ = ["run_many"]
 
@@ -54,7 +66,7 @@ def _run(network: Any, program, inputs) -> Any:
     check_outbox = network._check_outbox
     broadcast = network.mode is Mode.BROADCAST
     # An active fault plan acts on Bits, so its rounds never carry ints.
-    int_wire = faults is None and not broadcast
+    int_wire = faults is None
 
     while generators:
         if rounds >= max_rounds:
@@ -82,7 +94,9 @@ def _run(network: Any, program, inputs) -> Any:
             # saw the real sends; what each node reads is the plan's
             # business from here on.
             faults.apply_scalar(rounds, boxes)
-        board = Board(boxes) if broadcast else None
+        board = None
+        if broadcast:
+            board = UintBoard(boxes, width) if as_ints else Board(boxes)
 
         pending_outbox = {}
         finished = []

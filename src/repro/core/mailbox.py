@@ -14,8 +14,11 @@ width crosses the wire as plain ints, and its receivers read a
 :class:`UintInbox` over them, which builds a :class:`Bits` only when
 asked for one.  A CLIQUE-BCAST round is one :class:`Board`, each
 writer's word written once, and every node reads it through a
-:class:`BoardInbox` that skips the node's own word.  All three have
-the same accessors; :func:`inbox_uints` reads any of them.  A reader
+:class:`BoardInbox` that skips the node's own word.  A round whose
+writers all yielded fixed-width broadcasts of one width is a
+:class:`UintBoard` of plain ints, which builds a :class:`Bits` only
+when asked for one, as :class:`UintInbox` does.  Every inbox flavour
+has the same accessors; :func:`inbox_uints` reads any of them.  A reader
 that wants the whole round rather than one node's view of it asks
 :func:`inbox_source` for the object an inbox reads from: the shared
 board, or the inbox itself.
@@ -39,6 +42,7 @@ from repro.core.errors import BandwidthExceededError, ProtocolError, TopologyErr
 __all__ = [
     "Board",
     "BoardInbox",
+    "UintBoard",
     "Inbox",
     "Outbox",
     "coerce_broadcast",
@@ -152,13 +156,17 @@ class Board:
     def __init__(self, words: Dict[int, Bits]) -> None:
         self.words = words
 
+    def word(self, writer: int) -> Optional[Bits]:
+        """``writer``'s word, or ``None`` if it wrote none."""
+        return self.words.get(writer)
+
     @cached_property
     def items(self) -> Tuple[Tuple[int, Bits], ...]:
         return tuple(sorted(self.words.items()))
 
     @cached_property
     def writers(self) -> Tuple[int, ...]:
-        return tuple(writer for writer, _ in self.items)
+        return tuple(sorted(self.words))
 
     @cached_property
     def uints(self) -> List[Tuple[int, int]]:
@@ -169,6 +177,33 @@ class Board:
         writer: the inbox accessor, read by no one in particular, so no
         writer's own word is skipped."""
         return self.uints[:]
+
+
+class UintBoard(Board):
+    """The :class:`Board` of a round written as ints: ``words`` maps
+    each writer to its ``width``-bit word as a plain uint.
+
+    ``uints`` and ``writers`` read the ints; ``word`` and ``items``
+    build ``width``-bit :class:`Bits` on demand, so a round whose
+    readers read uints never builds one.
+    """
+
+    def __init__(self, words: Dict[int, int], width: int) -> None:
+        self.words = words
+        self.width = width
+
+    def word(self, writer: int) -> Optional[Bits]:
+        value = self.words.get(writer)
+        return None if value is None else Bits(value, self.width)
+
+    @cached_property
+    def items(self) -> Tuple[Tuple[int, Bits], ...]:
+        width = self.width
+        return tuple((writer, Bits(value, width)) for writer, value in self.uints)
+
+    @cached_property
+    def uints(self) -> List[Tuple[int, int]]:
+        return sorted(self.words.items())
 
 
 class BoardInbox:
@@ -194,7 +229,7 @@ class BoardInbox:
         return shared[:at] + shared[at + 1 :]
 
     def get(self, sender: int) -> Optional[Bits]:
-        return None if sender == self._me else self._board.words.get(sender)
+        return None if sender == self._me else self._board.word(sender)
 
     def senders(self) -> Tuple[int, ...]:
         return self._without_me(self._board.writers)
@@ -393,10 +428,13 @@ class Outbox:
     def broadcast_uint(cls, value: int, width: int) -> "Outbox":
         """Fixed-width broadcast: write ``value`` as exactly ``width``
         bits on the blackboard.  The value is validated here, so only
-        the bandwidth bound is left for the network; delivery writes it
-        on the round's :class:`Board` as a ``width``-bit :class:`Bits`
-        word, like :meth:`broadcast`.  One broadcast of ``width`` bits
-        costs ``width``."""
+        the bandwidth bound is left for the network.  A round in which
+        every writer yields a fixed-width broadcast of the same width,
+        with no active fault plan, writes these values on a
+        :class:`UintBoard` as the ints they are; otherwise delivery
+        writes each on the round's :class:`Board` as a ``width``-bit
+        :class:`Bits` word, like :meth:`broadcast`.  One broadcast of
+        ``width`` bits costs ``width``."""
         coerced = coerce_broadcast(value, width)
         return cls("bfixed", None, None, values=coerced, width=width)
 
@@ -432,7 +470,8 @@ class Outbox:
 
     def _materialize_broadcast(self) -> Bits:
         """A fixed-width broadcast outbox's payload as :class:`Bits`, the
-        word delivery writes on the board and the transcript records.
+        word delivery writes on a :class:`Board` of :class:`Bits` and
+        the transcript records.
         Memoized in the otherwise-unused ``payload`` slot, so a reused
         outbox pays the Bits construction once."""
         cached = self.payload

@@ -38,13 +38,13 @@ A kernel program runs on ``kernel`` whatever ``Network(engine=...)``
 names (it has no other semantics), and ``engine="kernel"`` rejects a
 generator program.  An engine's failure propagates to the caller.
 
-In the generator loop a unicast or CONGEST round whose senders all
-yielded fixed-width outboxes of one width crosses the wire as plain
-ints when no fault plan is active, read through a
-:class:`~repro.core.mailbox.UintInbox`; every other round carries
-:class:`~repro.core.bits.Bits`.  A CLIQUE-BCAST round is one
-:class:`~repro.core.mailbox.Board`: each writer's word is written once,
-and every node reads it through a view that skips its own word.
+In the generator loop a round whose senders all yielded fixed-width
+outboxes of one width crosses the wire as plain ints when no fault plan
+is active, read through a :class:`~repro.core.mailbox.UintInbox` or,
+in CLIQUE-BCAST, a :class:`~repro.core.mailbox.UintBoard`; every other
+round carries :class:`~repro.core.bits.Bits`.  A CLIQUE-BCAST round is
+one :class:`~repro.core.mailbox.Board`: each writer's word is written
+once, and every node reads it through a view that skips its own word.
 
 An inbox keeps its round's messages on every engine: each round hands
 every node a fresh inbox, so a program may stash one and read it in a

@@ -52,9 +52,10 @@ and executes as stacked matrix operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.core.bits import Bits, BitWriter
+from repro.core.bits import Bits
 from repro.core.errors import DecodeError
 from repro.core.mailbox import inbox_source
 from repro.core.network import Context, Outbox, inbox_uints
@@ -91,25 +92,28 @@ def phase_length(max_bits: int, bandwidth: int) -> int:
 def _frame_payload(payload: Bits, max_bits: int, rounds: int, bandwidth: int) -> list:
     """Length header + payload, padded to whole frames, as a list of
     ``rounds`` frame uints (each exactly ``bandwidth`` bits wide)."""
-    if len(payload) > max_bits:
+    length = len(payload)
+    if length > max_bits:
         raise ValueError(
-            f"payload of {len(payload)} bits exceeds declared max {max_bits}"
+            f"payload of {length} bits exceeds declared max {max_bits}"
         )
-    writer = BitWriter()
-    writer.write_uint(len(payload), header_width(max_bits))
-    writer.write_bits(payload)
-    padded = writer.getvalue().pad_to(rounds * bandwidth)
-    return padded.to_uint_chunks(bandwidth)
+    # The stream, first bit most significant: the header, the payload,
+    # then zeros up to the last frame's end.
+    padding = rounds * bandwidth - header_width(max_bits) - length
+    stream = ((length << length) | payload.to_uint()) << padding
+    mask = (1 << bandwidth) - 1
+    return [
+        (stream >> shift) & mask
+        for shift in range((rounds - 1) * bandwidth, -1, -bandwidth)
+    ]
 
 
-def _decode_frames(frames: Sequence[int], bandwidth: int, max_bits: int) -> Bits:
-    """Reassemble one sender's ``bandwidth``-bit frames and strip the
-    length header: the inverse of :func:`_frame_payload`, on the backing
-    integer alone.
-
-    A frame wider than ``bandwidth`` raises ``ValueError``; a header
-    over ``max_bits``, or a header or payload running past the last
-    frame, raises :class:`DecodeError`."""
+def _unframe(
+    frames: Sequence[int], bandwidth: int, header: int, max_bits: int
+) -> Tuple[int, int]:
+    """One sender's frames as the ``(value, length)`` of its payload:
+    :func:`_decode_frames` before it builds the :class:`Bits`, with the
+    phase's ``header`` width computed by the caller."""
     value = 0
     for chunk in frames:
         if chunk < 0 or chunk >> bandwidth:
@@ -117,7 +121,7 @@ def _decode_frames(frames: Sequence[int], bandwidth: int, max_bits: int) -> Bits
         value = (value << bandwidth) | chunk
     # ``rest`` counts the stream's bits after those read so far: first
     # the header, then the payload.
-    rest = len(frames) * bandwidth - header_width(max_bits)
+    rest = len(frames) * bandwidth - header
     if rest < 0:
         raise DecodeError("read past end of bit stream")
     length = value >> rest
@@ -128,7 +132,18 @@ def _decode_frames(frames: Sequence[int], bandwidth: int, max_bits: int) -> Bits
     rest -= length
     if rest < 0:
         raise DecodeError("read past end of bit stream")
-    return Bits((value >> rest) & ((1 << length) - 1), length)
+    return (value >> rest) & ((1 << length) - 1), length
+
+
+def _decode_frames(frames: Sequence[int], bandwidth: int, max_bits: int) -> Bits:
+    """Reassemble one sender's ``bandwidth``-bit frames and strip the
+    length header: the inverse of :func:`_frame_payload`, on the backing
+    integer alone.
+
+    A frame wider than ``bandwidth`` raises ``ValueError``; a header
+    over ``max_bits``, or a header or payload running past the last
+    frame, raises :class:`DecodeError`."""
+    return Bits(*_unframe(frames, bandwidth, header_width(max_bits), max_bits))
 
 
 def transmit_unicast(
@@ -175,14 +190,21 @@ class _PhaseDecode:
     their type and text, not as exception objects.  Compared and hashed
     by identity, so a key can hold it cheaply."""
 
-    #: ``(writer, payload)`` for each writer that decoded, by writer.
-    payloads: Tuple[Tuple[int, Bits], ...]
+    #: ``(writer, value, length)`` for each writer that decoded, by
+    #: writer: its payload's backing uint and bit length.
+    words: Tuple[Tuple[int, int, int], ...]
     #: ``(writer, error type, error text)`` for each writer whose
     #: complete frames failed to decode, by writer.
     errors: Tuple[Tuple[int, type, str], ...]
     #: Each decoded payload as a uint, indexed by writer; ``None`` where
     #: nothing decoded.
     uints: Tuple[Optional[int], ...]
+
+    @cached_property
+    def payloads(self) -> Tuple[Tuple[int, Bits], ...]:
+        """``(writer, payload)`` for each writer that decoded, by
+        writer, built on first read."""
+        return tuple((writer, Bits(value, length)) for writer, value, length in self.words)
 
 
 def _decode_phase(
@@ -195,22 +217,23 @@ def _decode_phase(
     complete = columns[0].keys()
     for column in columns[1:]:
         complete = complete & column.keys()
-    payloads = []
+    header = header_width(max_bits)
+    words = []
     errors = []
     uints: list = [None] * n
     for writer in columns[0]:
         if writer not in complete:
             continue
         try:
-            payload = _decode_frames(
-                [column[writer] for column in columns], bandwidth, max_bits
+            value, length = _unframe(
+                [column[writer] for column in columns], bandwidth, header, max_bits
             )
         except (DecodeError, ValueError) as exc:
             errors.append((writer, type(exc), str(exc)))
             continue
-        payloads.append((writer, payload))
-        uints[writer] = payload.to_uint()
-    return _PhaseDecode(tuple(payloads), tuple(errors), tuple(uints))
+        words.append((writer, value, length))
+        uints[writer] = value
+    return _PhaseDecode(tuple(words), tuple(errors), tuple(uints))
 
 
 def _read_phase(ctx: Context, payload: Optional[Bits], max_bits: int):
@@ -226,18 +249,18 @@ def _read_phase(ctx: Context, payload: Optional[Bits], max_bits: int):
     decoded for its receiver alone."""
     bandwidth = ctx.bandwidth
     rounds = phase_length(max_bits, bandwidth)
-    frames = (
-        None
-        if payload is None
-        else _frame_payload(payload, max_bits, rounds, bandwidth)
-    )
+    if payload is None:
+        outboxes = (Outbox.silent(),) * rounds
+    else:
+        # Each frame is masked to ``bandwidth`` bits, so it needs none of
+        # ``Outbox.broadcast_uint``'s checks.
+        outboxes = [
+            Outbox("bfixed", None, None, values=frame, width=bandwidth)
+            for frame in _frame_payload(payload, max_bits, rounds, bandwidth)
+        ]
     sources = []
-    for r in range(rounds):
-        inbox = yield (
-            Outbox.silent()
-            if frames is None
-            else Outbox.broadcast_uint(frames[r], bandwidth)
-        )
+    for outbox in outboxes:
+        inbox = yield outbox
         sources.append(inbox_source(inbox))
     key = (transmit_broadcast, tuple(sources), bandwidth, max_bits)
     memo = ctx.memo
@@ -364,8 +387,8 @@ def _count_votes(decodes: Sequence[_PhaseDecode]) -> Tuple[Tuple[int, Bits], ...
     to the smallest ``(length, value)``, in order of first vote."""
     votes: Dict[int, Dict[Tuple[int, int], int]] = {}
     for decoded in decodes:
-        for writer, copy in decoded.payloads:
-            key = (len(copy), copy.to_uint())
+        for writer, value, length in decoded.words:
+            key = (length, value)
             counts = votes.setdefault(writer, {})
             counts[key] = counts.get(key, 0) + 1
     winners = []

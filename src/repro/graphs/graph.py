@@ -44,13 +44,17 @@ class Graph:
         return graph
 
     def add_edge(self, u: int, v: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
+        n = self._n
+        if not (0 <= u < n and 0 <= v < n):
+            # Name the first endpoint out of range.
+            self._check_vertex(u)
+            self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u} not allowed")
-        if v not in self._adj[u]:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+        adj = self._adj
+        if v not in adj[u]:
+            adj[u].add(v)
+            adj[v].add(u)
             self._m += 1
             self._adj_matrix = None
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, Optional, Set, Tuple
 
-from repro.core.bits import Bits, BitWriter
+from repro.core.bits import Bits
 from repro.core.errors import DecodeError
 from repro.core.network import Context, Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast_uints
@@ -114,22 +114,18 @@ def boruvka_program(wg: WeightedGraph):
     message_bits = boruvka_message_bits(wg)
     phases = max(1, math.ceil(math.log2(max(2, n))))
 
-    def encode(edge: Optional[Tuple[int, int]]) -> Bits:
-        writer = BitWriter()
-        if edge is None:
-            writer.write_uint(0, 1)
-            writer.write_uint(0, weight_bits + 2 * id_bits)
-        else:
-            u, v = edge
-            writer.write_uint(1, 1)
-            writer.write_uint(wg.weight(u, v), weight_bits)
-            writer.write_uint(u, id_bits)
-            writer.write_uint(v, id_bits)
-        return writer.getvalue()
-
     id_mask = (1 << id_bits) - 1
     weight_mask = (1 << weight_bits) - 1
     flag_shift = weight_bits + 2 * id_bits
+
+    def encode(edge: Optional[Tuple[int, int]]) -> Bits:
+        """The present flag, the weight and the two endpoints, first bit
+        most significant (all zeros for no edge)."""
+        if edge is None:
+            return Bits(0, message_bits)
+        u, v = edge
+        weighted = (1 << weight_bits) | wg.weight(u, v)
+        return Bits((((weighted << id_bits) | u) << id_bits) | v, message_bits)
 
     def merge(
         labels: Tuple[int, ...], board: Tuple[Optional[int], ...]

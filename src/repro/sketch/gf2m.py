@@ -144,10 +144,15 @@ class GF2m:
         return result
 
     def inv(self, a: int) -> int:
+        """The inverse by the log table: ``a = g^i`` gives ``a^{-1} =
+        g^(span - i)`` for the multiplicative group's order ``span``."""
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(2^m)")
-        # a^(2^m - 2) = a^{-1} by Fermat.
-        return self.pow(a, self.order - 2)
+        log = self._log
+        if log is None:
+            log = self._build_tables()
+        span = self.order - 1
+        return self._exp[(span - log[a]) % span]
 
     # -- polynomial helpers (coefficient lists, index = degree) ----------
 

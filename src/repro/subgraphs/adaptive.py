@@ -46,9 +46,9 @@ from repro.core.errors import DecodeError
 from repro.core.network import Mode, Network, RunResult
 from repro.core.phases import transmit_broadcast_uints
 from repro.graphs.degeneracy import degeneracy
-from repro.graphs.graph import Edge, Graph, canonical_edge
-from repro.graphs.subgraph_iso import find_embedding
-from repro.subgraphs.becker import algorithm_a
+from repro.graphs.graph import Edge, Graph
+from repro.subgraphs.becker import algorithm_a_edges
+from repro.subgraphs.detection import shared_witness
 
 __all__ = [
     "AdaptiveOutcome",
@@ -132,17 +132,11 @@ def adaptive_program(pattern: Graph, accept_sampled_negatives: bool = False):
         for i in range(1, max_i + 1):
             k_i = min(1 << i, max(1, n - 1))
             for j in range(ell + 1):
-                success, reconstructed = yield from algorithm_a(
-                    ctx, my_neighbors(j), k_i
-                )
-                if not success:
+                edges = yield from algorithm_a_edges(ctx, my_neighbors(j), k_i)
+                if edges is None:
                     continue
-                embedding = find_embedding(reconstructed, pattern)
-                if embedding is not None:
-                    witness = frozenset(
-                        canonical_edge(embedding[u], embedding[v])
-                        for u, v in pattern.edges()
-                    )
+                witness = shared_witness(ctx, edges, pattern)
+                if witness is not None:
                     return AdaptiveOutcome(True, witness, k_i, j)
                 if j == 0 or accept_sampled_negatives:
                     return AdaptiveOutcome(False, None, k_i, j)

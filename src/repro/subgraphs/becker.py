@@ -23,7 +23,8 @@ k-degenerate graph always makes progress).
 The decoder is a pure deterministic function of the blackboard, so all
 nodes compute identical results: the nodes of one run share one decode
 of a blackboard through ``ctx.memo``, which holds the learned edges as
-a tuple, and each node builds its own :class:`Graph` from them.
+a tuple.  :func:`algorithm_a_edges` returns that shared tuple, and
+:func:`algorithm_a` builds each node its own :class:`Graph` from it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "decode_blackboard",
     "reconstruct",
     "algorithm_a",
+    "algorithm_a_edges",
 ]
 
 
@@ -153,8 +155,21 @@ def algorithm_a(ctx: Context, neighbors: Sequence[int], k: int):
     """One execution of A(G, k) from inside a node program (sub-generator).
 
     ``neighbors`` is this node's adjacency list in G (which may be a
-    sampled subgraph, per Theorem 9).  Returns (success, graph-or-None).
+    sampled subgraph, per Theorem 9).  Returns (success, graph-or-None),
+    each call its own graph.
     """
+    edges = yield from algorithm_a_edges(ctx, neighbors, k)
+    if edges is None:
+        return False, None
+    return True, Graph.from_edges(ctx.n, edges)
+
+
+def algorithm_a_edges(ctx: Context, neighbors: Sequence[int], k: int):
+    """:func:`algorithm_a` without the graph build (sub-generator): the
+    learned edges, in the order the decoder learns them, or ``None``
+    when the degeneracy exceeds ``k``.  Every node that decoded the same
+    blackboard gets the same tuple, so a function of the reconstructed
+    graph can be computed once per run through ``ctx.memo``."""
     n = ctx.n
     message = encode_neighborhood(n, k, neighbors)
     limit = message_bits(n, k)
@@ -173,9 +188,6 @@ def algorithm_a(ctx: Context, neighbors: Sequence[int], k: int):
     key = (_peel, n, k, tuple(blackboard))
     memo = ctx.memo
     if key in memo:
-        edges = memo[key]
-    else:
-        edges = memo[key] = _peel(n, k, key[3])
-    if edges is None:
-        return False, None
-    return True, Graph.from_edges(n, edges)
+        return memo[key]
+    edges = memo[key] = _peel(n, k, key[3])
+    return edges

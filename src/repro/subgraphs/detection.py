@@ -29,7 +29,7 @@ from repro.core.phases import transmit_broadcast_uints
 from repro.graphs.graph import Edge, Graph, canonical_edge
 from repro.graphs.subgraph_iso import find_embedding
 from repro.graphs.turan import degeneracy_guess, ex_upper
-from repro.subgraphs.becker import algorithm_a
+from repro.subgraphs.becker import algorithm_a_edges
 
 __all__ = [
     "DetectionOutcome",
@@ -37,6 +37,7 @@ __all__ = [
     "detect_subgraph",
     "full_learning_program",
     "full_learning_detect",
+    "shared_witness",
 ]
 
 
@@ -60,6 +61,22 @@ def _witness(graph: Graph, pattern: Graph) -> Optional[FrozenSet[Edge]]:
     )
 
 
+def shared_witness(
+    ctx, edges: Tuple[Edge, ...], pattern: Graph
+) -> Optional[FrozenSet[Edge]]:
+    """A copy of ``pattern`` in the graph A(G, k) reconstructed as
+    ``edges`` (:func:`~repro.subgraphs.becker.algorithm_a_edges`), as
+    its edge set, or ``None``.  Every node that decoded the same
+    blackboard holds the same edges, so the run's nodes share one graph
+    build and one search through ``ctx.memo``."""
+    key = (shared_witness, ctx.n, edges, pattern)
+    memo = ctx.memo
+    if key in memo:
+        return memo[key]
+    witness = memo[key] = _witness(Graph.from_edges(ctx.n, edges), pattern)
+    return witness
+
+
 def detection_program(pattern: Graph, ex_bound: Optional[int] = None):
     """Theorem 7's node program.  ``ctx.input`` = sorted adjacency list."""
 
@@ -70,11 +87,11 @@ def detection_program(pattern: Graph, ex_bound: Optional[int] = None):
             ex_upper(ctx.n, pattern) if ex_bound is None else ex_bound,
         )
         k = min(k, max(1, ctx.n - 1))
-        success, reconstructed = yield from algorithm_a(ctx, ctx.input, k)
-        if not success:
+        edges = yield from algorithm_a_edges(ctx, ctx.input, k)
+        if edges is None:
             # Degeneracy > 4·ex(n,H)/n certifies a copy of H exists.
             return DetectionOutcome(contains=True, witness=None, via_density=True)
-        witness = _witness(reconstructed, pattern)
+        witness = shared_witness(ctx, edges, pattern)
         return DetectionOutcome(
             contains=witness is not None, witness=witness, via_density=False
         )
@@ -131,8 +148,12 @@ def full_learning_program(pattern: Graph):
     def program(ctx):
         n = ctx.n
         me = ctx.node_id
-        row = Bits.from_bools([u in ctx.input for u in range(n)])
-        rows = yield from transmit_broadcast_uints(ctx, row, max_bits=n)
+        # Bit u of the row (counted from its first, most significant
+        # bit) says whether u is a neighbour.
+        row = 0
+        for u in ctx.input:
+            row |= 1 << (n - 1 - u)
+        rows = yield from transmit_broadcast_uints(ctx, Bits(row, n), max_bits=n)
         if None in rows:
             raise DecodeError(
                 f"full learning: node {me} has no adjacency row "

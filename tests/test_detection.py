@@ -91,6 +91,39 @@ class TestTheorem7Correctness:
         assert outcome.contains == contains_subgraph(g, pattern)
 
 
+class TestSharedSearch:
+    """Every node of a run decodes the same edges, so the run builds the
+    reconstructed graph and searches it once per decode, not once per
+    node."""
+
+    def test_one_search_per_decode(self, monkeypatch):
+        from repro.subgraphs import adaptive_detect, becker, detection
+
+        searched, decoded = [], []
+        search, peel = detection.find_embedding, becker._peel
+
+        def counting_search(graph, pattern):
+            searched.append(graph.m)
+            return search(graph, pattern)
+
+        def counting_peel(*args):
+            edges = peel(*args)
+            if edges is not None:
+                decoded.append(len(edges))
+            return edges
+
+        monkeypatch.setattr(detection, "find_embedding", counting_search)
+        monkeypatch.setattr(becker, "_peel", counting_peel)
+        g = random_k_degenerate(16, 2, random.Random(4))
+        outcome, _ = detect_subgraph(g, cycle_graph(4), bandwidth=8)
+        assert not outcome.via_density
+        assert searched == decoded == [g.m]
+        searched.clear()
+        decoded.clear()
+        adaptive_detect(g, cycle_graph(4), bandwidth=8)
+        assert searched == decoded and searched
+
+
 class TestRoundComplexity:
     def test_rounds_match_formula(self):
         """Measured rounds equal the closed-form Theorem 7 cost."""

@@ -109,6 +109,20 @@ class TestLogTables:
         second.mul(5, 9)
         assert second._exp is first._exp
 
+    def test_inv_matches_fermat_all_small_fields(self):
+        # The log-table inverse against a^(2^m - 2), which pow computes
+        # by multiplication alone.
+        from repro.sketch.gf2m import IRREDUCIBLE_POLYS
+
+        for m in IRREDUCIBLE_POLYS:
+            if m > 12:
+                continue
+            field = GF2m(m)
+            for a in range(1, field.order):
+                inverse = field.inv(a)
+                assert inverse == field.pow(a, field.order - 2), (m, a)
+                assert field.mul(a, inverse) == 1, (m, a)
+
     @given(elements, elements)
     def test_mul_matches_slow_mul(self, a, b):
         assert FIELD.mul(a, b) == FIELD.mul_slow(a, b)
